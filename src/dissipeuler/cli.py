@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,15 +30,17 @@ from .limits import (
     MartingaleStat,
     ViscosityLadder,
     energy_inequality_limit,
+    guarded_run,
     linear_model_functionals_multi,
     martingale_test,
     momentum_residual,
+    run_jobs,
     run_ladder,
     solver_functionals_multi,
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, apriori_moment_report, run_path
+from .solver import apriori_moment_report, run_path
 from .spectral import SpectralField, TorusGrid, kinetic_energy, write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
     raw = json.loads(Path(args.config).read_text())
     if args.seed is not None:
         raw.setdefault("ensemble", {})["seed"] = args.seed
-    out.write_text("config.echo.json", json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    out.write_json("config.echo.json", raw)
 
     runner = {
         "simulate": _run_simulate,
@@ -117,15 +118,6 @@ def _build_parser():
 def _override_seed(cfg: RunConfig, seed: int) -> RunConfig:
     from dataclasses import replace
     return replace(cfg, seed=seed)
-
-
-def _run_jobs(jobs, threads):
-    """jobs: list of (key, fn); returns {key: fn()} reduced in key order."""
-    if threads <= 1:
-        return {key: fn() for key, fn in jobs}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(key, pool.submit(fn)) for key, fn in jobs]
-        return {key: fut.result() for key, fut in futures}
 
 
 def _snapshot_times(cfg: RunConfig):
@@ -168,17 +160,12 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
     eps = cfg.eps_values[0]
     scfg = cfg.solver_config(eps)
 
-    def one(pid):
-        try:
-            return run_path(scfg, cfg.seed, pid, snapshot_times=[]), None
-        except BlowUpError as err:
-            return None, err
-
-    results = _run_jobs([(pid, lambda pid=pid: one(pid))
-                         for pid in range(cfg.paths)], threads)
+    results = run_jobs(
+        [(pid,) for pid in range(cfg.paths)],
+        lambda pid: guarded_run(scfg, cfg.seed, pid, snapshot_times=[]),
+        threads)
     rows = []
-    for pid in sorted(results):
-        run, err = results[pid]
+    for (pid,), (run, err) in results.items():
         tag = f"eps{eps:g}_path{pid:04d}"
         if err is not None:
             if err.partial is not None:
@@ -217,6 +204,15 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
     for eps in cfg.eps_values:
         for pid, run in enumerate(res.runs.get(eps, [])):
             run.trace.write_csv(out.path(f"traces/eps{eps:g}_path{pid:04d}.csv"))
+    blowup_rows = [audit_row(f"blowup_eps{eps:g}_path{pid}", "ns_solver.run_path",
+                             False, float("inf"), 0.0, msg)
+                   for eps, failures in res.blowups.items()
+                   for pid, msg in failures]
+    if res.family is None:
+        out.write_json("reports/vanish.json", {"experiment": "vanish",
+                                               "seed": cfg.seed,
+                                               "rows": blowup_rows})
+        return blowup_rows
 
     for eps, V in res.measures.items():
         out.write_json(f"measures/eps{eps:g}.json", measure_to_dict(V))
@@ -272,11 +268,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
                           "limit_verifier.momentum_residual",
                           mom["residual"] <= mom_tol, mom["residual"], mom_tol))
 
-    for eps, failures in res.blowups.items():
-        for pid, msg in failures:
-            rows.append(audit_row(f"blowup_eps{eps:g}_path{pid}",
-                                  "ns_solver.run_path", False, float("inf"),
-                                  0.0, msg))
+    rows += blowup_rows
     out.write_json("reports/vanish.json",
                    {"experiment": "vanish", "seed": cfg.seed, "rows": rows})
     return rows

@@ -309,8 +309,3 @@ def _parse_reference(raw, grid, experiment):
         if spec.dt_factor < 1 or spec.dt_factor & (spec.dt_factor - 1):
             raise ConfigError("reference.dt_factor", "must be a power of two")
     return spec
-
-
-def echo_config(cfg_raw: dict) -> str:
-    """Canonical serialization of the raw config for the artifact tree."""
-    return json.dumps(cfg_raw, sort_keys=True, indent=2) + "\n"

@@ -19,7 +19,8 @@ tested against history weights h evaluated at the earlier time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import concurrent.futures
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -30,6 +31,7 @@ from .spectral import (
     SpectralField,
     gradient_physical,
     inner_product,
+    tensor_pairing,
 )
 from .young import (
     CellPartition,
@@ -70,7 +72,7 @@ class LadderResult:
     ladder: ViscosityLadder
     runs: dict                     # eps -> list of SolverRun
     measures: dict                 # eps -> pooled GeneralizedYoungMeasure
-    family: GeneralizedYoungMeasure
+    family: GeneralizedYoungMeasure | None   # None if every path blew up
     cauchy_distances: list         # successive weak* distances
     barycenter_defect: float       # max |barycenter - cell average| over eps
     blowups: dict                  # eps -> list of (path_id, message)
@@ -100,20 +102,11 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     } if base.forcing is not None else {pid: None for pid in ladder.path_ids}
 
     def job(eps, pid):
-        try:
-            return run_path(base.with_eps(eps), ladder.seed, pid,
-                            path=paths[pid], snapshot_times=snapshot_times), None
-        except BlowUpError as err:
-            return None, err
+        return guarded_run(base.with_eps(eps), ladder.seed, pid,
+                           path=paths[pid], snapshot_times=snapshot_times)
 
     keys = [(eps, pid) for eps in ladder.eps_values for pid in ladder.path_ids]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {key: pool.submit(job, *key) for key in keys}
-            results = {key: futures[key].result() for key in keys}
-    else:
-        results = {key: job(*key) for key in keys}
+    results = run_jobs(keys, job, threads)
 
     runs, blowups = {}, {}
     for eps in ladder.eps_values:
@@ -142,12 +135,35 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     tail = usable[len(usable) // 2:]
     family_trajs = [r.trajectory() for eps in tail for r in runs[eps]]
     family = estimate_from_family(family_trajs, partition, radius,
-                                  bins_per_axis, sphere_bins)
+                                  bins_per_axis, sphere_bins) \
+        if family_trajs else None
 
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
     return LadderResult(ladder, runs, measures, family, distances,
                         bary_defect, blowups)
+
+
+def run_jobs(keys, job, threads: int = 1) -> dict:
+    """{key: job(*key)} for independent jobs, reduced in key order.
+
+    With threads > 1 the jobs run on a pool; the result never depends on
+    the worker count.
+    """
+    keys = list(keys)
+    if threads <= 1:
+        return {key: job(*key) for key in keys}
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [(key, pool.submit(job, *key)) for key in keys]
+        return {key: fut.result() for key, fut in futures}
+
+
+def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
+    """run_path as (run, None), or (None, err) when the path blows up."""
+    try:
+        return run_path(cfg, seed, path_id, **kwargs), None
+    except BlowUpError as err:
+        return None, err
 
 
 def _default_snapshots(partition: CellPartition, dt: float):
@@ -162,21 +178,15 @@ def _default_snapshots(partition: CellPartition, dt: float):
 
 
 def _barycenter_defect(V, traj, partition) -> float:
-    bary = barycenter(V)
-    space_idx = partition.space_cell_index()
+    bary = barycenter(V).reshape(partition.n_t, partition.n_space, -1)
     worst = 0.0
-    vals = traj.values.reshape(traj.n_snapshots, traj.grid.dim, -1)
     slabs = np.array([partition.slab_of(float(t)) for t in traj.times])
     for s in range(partition.n_t):
         sel = slabs == s
         if not sel.any():
             continue
-        v = vals[sel]
-        for cell in range(partition.n_space):
-            pts = space_idx == cell
-            avg = v[:, :, pts].mean(axis=(0, 2))
-            worst = max(worst, float(np.max(np.abs(
-                bary[s * partition.n_space + cell] - avg))))
+        avg = partition.block_mean(traj.values[sel]).mean(axis=0).T
+        worst = max(worst, float(np.max(np.abs(bary[s] - avg))))
     return worst
 
 
@@ -269,23 +279,12 @@ def _windowed_tensor_pairing(V, traj, grad_phi, n_slabs) -> float:
         for m in range(src.n_snapshots):
             if weights[m] == 0.0:
                 continue
-            v = src.values[m].reshape(dim, -1)
-            acc = 0.0
-            for i in range(dim):
-                for j in range(dim):
-                    acc += float(np.dot(v[i] * v[j], gp[i, j]))
+            acc = tensor_pairing(src.values[m].reshape(dim, -1), gp)
             total += acc * weights[m] * (2 * np.pi) ** dim / npts
         return total
 
     # cell-moment route with grad phi averaged per space cell
-    space_idx = part.space_cell_index()
-    gp = grad_phi.reshape(dim, dim, -1)
-    gp_cell = np.zeros((part.n_space, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            sums = np.bincount(space_idx, weights=gp[i, j], minlength=part.n_space)
-            cnts = np.bincount(space_idx, minlength=part.n_space)
-            gp_cell[:, i, j] = sums / cnts
+    gp_cell = np.moveaxis(part.block_mean(grad_phi), -1, 0)
     total = 0.0
     for s in range(n_slabs):
         lo = s * part.n_space
@@ -339,11 +338,7 @@ class FunctionalRecorder:
         self.pairings.append(inner_product(u, self.phi))
         if self.transport:
             phys = u.to_physical().reshape(u.grid.dim, -1)
-            conv = 0.0
-            for i in range(u.grid.dim):
-                for j in range(u.grid.dim):
-                    conv += float(np.dot(phys[i] * phys[j], self._grad_phi[i, j]))
-            conv *= self._quad_w
+            conv = tensor_pairing(phys, self._grad_phi) * self._quad_w
         else:
             conv = 0.0
         self.conv_int.append(self.conv_int[-1] + self.dt * conv)

@@ -64,9 +64,3 @@ def render_report(artifact_dir) -> str:
     lines.append("")
     lines.append("overall: " + ("PASS" if ok else "FAIL"))
     return "\n".join(lines)
-
-
-def csv_pointers(artifact_dir) -> list:
-    root = Path(artifact_dir)
-    manifest = read_manifest(root)
-    return sorted(rel for rel in manifest["artifacts"] if rel.endswith(".csv"))

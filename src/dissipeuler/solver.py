@@ -52,12 +52,8 @@ class BlowUpError(SolverError):
         self.partial = partial
 
 
-class CflError(SolverError):
-    def __init__(self, message, time=None, sup=None, partial=None):
-        super().__init__(message)
-        self.time = time
-        self.sup = sup
-        self.partial = partial
+class CflError(BlowUpError):
+    """Step size exceeded the CFL bound; a blow-up of the discretization."""
 
 
 @dataclass(frozen=True)
@@ -247,13 +243,13 @@ class SolverRun:
         return Trajectory(self.config.grid, np.asarray(self.snapshot_times), vals)
 
 
-def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig) -> SpectralField:
-    """One Euler-Maruyama step with exact viscous integrating factor."""
-    new, _ = _step_with_sup(u, dw, cfg, None)
-    return new
+def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
+         basis=None) -> tuple:
+    """One Euler-Maruyama step with exact viscous integrating factor.
 
-
-def _step_with_sup(u, dw, cfg, basis):
+    Returns (new field, max_x |u| of the dealiased input); the sup is 0
+    without transport.  ``basis`` reuses a precomputed noise basis.
+    """
     grid = cfg.grid
     if cfg.transport:
         conv, sup = _convective_with_sup(u)
@@ -326,7 +322,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
             stochastic[n + 1] = stochastic[n] + float(pair @ dw)
         else:
             dw = None
-        u, sup = _step_with_sup(u, dw, cfg, basis)
+        u, sup = step(u, dw, cfg, basis)
         if cfg.transport:
             if sup > cfg.blowup_ceiling or (
                     sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):

@@ -293,19 +293,42 @@ def _convective_with_sup(u: SpectralField):
     axes = tuple(range(1, grid.dim + 1))
     phys = np.real(np.fft.ifftn(u.coeffs * mask, axes=axes))
     sup = float(np.sqrt((phys ** 2).sum(axis=0).max()))
+    out = _neg_div_products(grid, phys, mask)
+    return leray_project(SpectralField(grid, out)), sup
 
+
+def _neg_div_products(grid: TorusGrid, phys: np.ndarray, mask=None) -> np.ndarray:
+    """Coefficients of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
+
+    ``phys`` holds the point values of u.  Each product u_i u_j (i <= j) is
+    formed pointwise once, truncated to ``mask`` when given, then
+    differentiated spectrally.  Accumulating the negative keeps the
+    transport term sign-exact, signed zeros included.
+    """
     ks = grid.wavenumbers()
     out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    # -d_j (u_i u_j); the product is formed pointwise, truncated back to the
-    # dealias band, then differentiated spectrally
     for i in range(grid.dim):
         for j in range(i, grid.dim):
             prod_hat = np.fft.fftn(phys[i] * phys[j], axes=tuple(range(grid.dim)))
-            prod_hat *= mask
+            if mask is not None:
+                prod_hat *= mask
             out[i] -= 1j * ks[j] * prod_hat
             if i != j:
                 out[j] -= 1j * ks[i] * prod_hat
-    return leray_project(SpectralField(grid, out)), sup
+    return out
+
+
+def tensor_pairing(u: np.ndarray, g: np.ndarray) -> float:
+    """sum_ij <u_i u_j, g_ij> over grid points, without quadrature weight.
+
+    ``u`` is (dim, npts) point values, ``g`` is (dim, dim, npts).
+    """
+    dim = len(u)
+    acc = 0.0
+    for i in range(dim):
+        for j in range(dim):
+            acc += float(np.dot(u[i] * u[j], g[i, j]))
+    return acc
 
 
 def laplacian_decay_factor(grid: TorusGrid, eps: float, dt: float) -> np.ndarray:

@@ -21,14 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import WienerPath
+from .limits import _left_point_weights
 from .solver import SolverConfig, SolverRun, Trajectory, run_path
 from .spectral import (
     SpectralField,
     TorusGrid,
+    _neg_div_products,
     gradient_physical,
     l2_norm_sq,
     resample,
     tail_energy_fraction,
+    tensor_pairing,
 )
 from .young import (
     CellPartition,
@@ -94,29 +97,31 @@ def stopping_time(ref: StrongReference, level: float) -> float:
 # -- relative energy ---------------------------------------------------------
 
 
-def _cell_average(ref: StrongReference, part: CellPartition,
-                  slab: int) -> np.ndarray:
-    """Reference velocity averaged over the slab's space cells, (n_space, dim)."""
-    nf = ref.grid.n
-    block = nf // part.n_x
-    if block * part.n_x != nf:
-        raise WeakStrongError("partition does not divide the reference grid")
+def _slab_snapshots(ref: StrongReference, part: CellPartition,
+                    slab: int) -> list:
+    """Indices of the reference snapshots inside one time slab."""
     sel = [m for m, t in enumerate(ref.traj.times)
            if part.slab_of(float(t)) == slab]
     if not sel:
         raise WeakStrongError(f"reference has no snapshots in slab {slab}")
-    dim = part.dim
-    acc = np.zeros((part.n_x,) * dim + (dim,))
+    return sel
+
+
+def _cell_average(ref: StrongReference, part: CellPartition, slab: int,
+                  of=None) -> np.ndarray:
+    """Slab mean of a reference quantity averaged over the space cells.
+
+    ``of`` maps a snapshot field to point values of shape q + grid.shape
+    (default: the velocity itself); returns (n_space,) + q.
+    """
+    sel = _slab_snapshots(ref, part, slab)
+    acc = 0.0
     for m in sel:
-        v = ref.traj.values[m]
-        if dim == 2:
-            blocks = v.reshape(dim, part.n_x, block, part.n_x, block)
-            acc += blocks.mean(axis=(2, 4)).transpose(1, 2, 0)
-        else:
-            blocks = v.reshape(dim, part.n_x, block, part.n_x, block,
-                               part.n_x, block)
-            acc += blocks.mean(axis=(2, 4, 6)).transpose(1, 2, 3, 0)
-    return (acc / len(sel)).reshape(part.n_space, dim)
+        vals = ref.traj.values[m]
+        if of is not None:
+            vals = of(SpectralField.from_physical(ref.grid, vals))
+        acc = acc + part.block_mean(vals)
+    return np.ascontiguousarray(np.moveaxis(acc / len(sel), -1, 0))
 
 
 def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
@@ -143,8 +148,7 @@ def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
                 @ np.ones(part.n_space)) * part.space_volume
     measure_form = 0.5 * osc + 0.5 * V.lam_t(slab)
 
-    sel = [m for m, t in enumerate(ref.traj.times)
-           if part.slab_of(float(t)) == slab]
+    sel = _slab_snapshots(ref, part, slab)
     v_sq = float(np.mean([ref.energy_sq[m] for m in sel]))
     bary = barycenter(V)[lo:hi]
     cross = float(np.einsum("ci,ci->", bary, vbar)) * part.space_volume
@@ -183,7 +187,6 @@ def crossterm_identity_check(V: GeneralizedYoungMeasure, ref: StrongReference,
     based otherwise.
     """
     part = V.partition
-    dim = part.dim
     if V.source is not None:
         return _crossterm_pointwise(V, ref, t_end)
 
@@ -192,9 +195,9 @@ def crossterm_identity_check(V: GeneralizedYoungMeasure, ref: StrongReference,
     lhs_a1 = rhs = a3 = 0.0
     bary = barycenter(V)
     for slab in range(n_slabs):
-        gv = _cell_average_tensor(ref, part, slab)           # grad v per cell
-        dv = _cell_average(ref, part, slab)                  # v per cell
-        dvv = _cell_average_divvv(ref, part, slab)           # div(v x v)
+        gv = _cell_average(ref, part, slab, gradient_physical)  # grad v
+        dv = _cell_average(ref, part, slab)                     # v
+        dvv = _cell_average(ref, part, slab, _div_outer)        # div(v x v)
         lo = slab * part.n_space
         hi = lo + part.n_space
         sec = np.einsum("cb,cbij->cij", V.nu_mass[lo:hi], V.nu_sec[lo:hi])
@@ -222,11 +225,9 @@ def _crossterm_pointwise(V, ref, t_end) -> dict:
 
     times = np.asarray(src.times, dtype=float)
     lhs_a1 = a3 = rhs = 0.0
-    for m, tm in enumerate(times):
-        if tm >= t_end - 1e-12:
+    for m, (tm, w) in enumerate(zip(times, _left_point_weights(times, t_end))):
+        if w == 0.0:
             continue
-        t_next = times[m + 1] if m + 1 < len(times) else t_end
-        w = min(float(t_next), t_end) - float(tm)
         if float(tm) not in ref_at:
             raise WeakStrongError(f"reference lacks a snapshot at t={tm}")
         mv = ref_at[float(tm)]
@@ -236,14 +237,11 @@ def _crossterm_pointwise(V, ref, t_end) -> dict:
         sub = (slice(None), slice(None, None, stride)) + \
               (slice(None, None, stride),) * (dim - 1)
         v = ref.traj.values[mv][sub]
-        gv = grad_v[(slice(None),) + sub]
+        gv = grad_v[(slice(None),) + sub].reshape(dim, dim, -1)
         dvv = div_vv[sub]
         u = src.values[m]
-        diff = u - v
-        a1_t = sum(float(np.sum(u[i] * u[j] * gv[i, j]))
-                   for i in range(dim) for j in range(dim))
-        rhs_t = sum(float(np.sum(diff[i] * diff[j] * gv[i, j]))
-                    for i in range(dim) for j in range(dim))
+        a1_t = tensor_pairing(u.reshape(dim, -1), gv)
+        rhs_t = tensor_pairing((u - v).reshape(dim, -1), gv)
         a3_t = -sum(float(np.sum(dvv[i] * u[i])) for i in range(dim))
         lhs_a1 += w * quad_w * a1_t
         a3 += w * quad_w * a3_t
@@ -253,60 +251,9 @@ def _crossterm_pointwise(V, ref, t_end) -> dict:
 
 def _div_outer(v: SpectralField) -> np.ndarray:
     """Physical values of div(v x v), shape (dim,) + grid.shape."""
-    grid = v.grid
-    phys = v.to_physical()
-    ks = grid.wavenumbers()
-    out = np.zeros((grid.dim,) + grid.shape)
-    for i in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(grid.dim):
-            acc += 1j * ks[j] * np.fft.fftn(phys[i] * phys[j])
-        out[i] = np.real(np.fft.ifftn(acc))
-    return out
-
-
-def _cell_average_tensor(ref, part, slab) -> np.ndarray:
-    nf = ref.grid.n
-    block = nf // part.n_x
-    dim = part.dim
-    sel = [m for m, t in enumerate(ref.traj.times)
-           if part.slab_of(float(t)) == slab]
-    acc = np.zeros((part.n_space, dim, dim))
-    for m in sel:
-        f = SpectralField.from_physical(ref.grid, ref.traj.values[m])
-        g = gradient_physical(f)
-        if dim == 2:
-            blocks = g.reshape(dim, dim, part.n_x, block, part.n_x, block)
-            acc += blocks.mean(axis=(3, 5)).transpose(2, 3, 0, 1).reshape(
-                part.n_space, dim, dim)
-        else:
-            blocks = g.reshape(dim, dim, part.n_x, block, part.n_x, block,
-                               part.n_x, block)
-            acc += blocks.mean(axis=(3, 5, 7)).transpose(2, 3, 4, 0, 1).reshape(
-                part.n_space, dim, dim)
-    return acc / len(sel)
-
-
-def _cell_average_divvv(ref, part, slab) -> np.ndarray:
-    nf = ref.grid.n
-    block = nf // part.n_x
-    dim = part.dim
-    sel = [m for m, t in enumerate(ref.traj.times)
-           if part.slab_of(float(t)) == slab]
-    acc = np.zeros((part.n_space, dim))
-    for m in sel:
-        f = SpectralField.from_physical(ref.grid, ref.traj.values[m])
-        d = _div_outer(f)
-        if dim == 2:
-            blocks = d.reshape(dim, part.n_x, block, part.n_x, block)
-            acc += blocks.mean(axis=(2, 4)).transpose(1, 2, 0).reshape(
-                part.n_space, dim)
-        else:
-            blocks = d.reshape(dim, part.n_x, block, part.n_x, block,
-                               part.n_x, block)
-            acc += blocks.mean(axis=(2, 4, 6)).transpose(1, 2, 3, 0).reshape(
-                part.n_space, dim)
-    return acc / len(sel)
+    axes = tuple(range(1, v.grid.dim + 1))
+    neg = _neg_div_products(v.grid, v.to_physical())
+    return -np.real(np.fft.ifftn(neg, axes=axes))
 
 
 # -- Gronwall audit -----------------------------------------------------------
@@ -325,15 +272,7 @@ def gronwall_audit(times: np.ndarray, f_matrix: np.ndarray, f0: np.ndarray,
     tau = np.asarray(tau, dtype=float)
     if f_matrix.shape != (len(tau), len(times)):
         raise WeakStrongError("relative-energy matrix shape mismatch")
-    stopped = f_matrix.copy()
-    for p in range(len(tau)):
-        alive = times <= tau[p] + 1e-12
-        if alive.any():
-            last = np.max(np.nonzero(alive)[0])
-            stopped[p, last + 1:] = stopped[p, last]
-        else:
-            stopped[p, :] = float(f0[p])
-    mean_f = stopped.mean(axis=0)
+    mean_f = _stopped(f_matrix, times, tau, f0).mean(axis=0)
     envelope = (float(np.mean(f0)) + slack) * np.exp(level * times)
     margins = envelope - mean_f
     return {
@@ -346,6 +285,24 @@ def gronwall_audit(times: np.ndarray, f_matrix: np.ndarray, f0: np.ndarray,
         "slack": slack,
         "passed": bool(np.all(margins >= 0.0)),
     }
+
+
+def _stopped(f_matrix: np.ndarray, times: np.ndarray, tau: np.ndarray,
+             f0: np.ndarray) -> np.ndarray:
+    """The stopped process F(t and tau) per path (row) at the given times.
+
+    A row freezes at its last time <= tau; a path stopped before the first
+    time is held at F(0).
+    """
+    stopped = np.array(f_matrix, dtype=float)
+    for p in range(len(tau)):
+        alive = times <= tau[p] + 1e-12
+        if alive.any():
+            last = np.max(np.nonzero(alive)[0])
+            stopped[p, last + 1:] = stopped[p, last]
+        else:
+            stopped[p, :] = float(f0[p])
+    return stopped
 
 
 # -- orchestration ------------------------------------------------------------
@@ -492,16 +449,9 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
 def ladder_monotone_within_ci(per_eps: dict, eps_values, taus,
                               slab_times, z: float = 1.96) -> dict:
     """Paired test that sup_t E[F(t and tau)] does not increase as eps drops."""
-    sups = {}
-    for eps in eps_values:
-        f = per_eps[eps]["f_matrix"]
-        stopped = f.copy()
-        for p in range(f.shape[0]):
-            alive = slab_times <= taus[p] + 1e-12
-            if alive.any():
-                last = int(np.max(np.nonzero(alive)[0]))
-                stopped[p, last + 1:] = stopped[p, last]
-        sups[eps] = stopped.max(axis=1)
+    sups = {eps: _stopped(per_eps[eps]["f_matrix"], slab_times, taus,
+                          per_eps[eps]["f0"]).max(axis=1)
+            for eps in eps_values}
     rows = []
     ok = True
     for a, b in zip(eps_values, eps_values[1:]):

@@ -20,7 +20,6 @@ normalization holds everywhere; such cells are flagged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,24 +90,33 @@ class CellPartition:
 
     def space_cell_index(self) -> np.ndarray:
         """Flattened space-cell index for every grid point, shape (grid_n^dim,)."""
-        block = self.grid_n // self.n_x
-        idx1 = np.arange(self.grid_n) // block
-        if self.dim == 2:
-            cx, cy = np.meshgrid(idx1, idx1, indexing="ij")
-            return (cx * self.n_x + cy).ravel()
-        cx, cy, cz = np.meshgrid(idx1, idx1, idx1, indexing="ij")
-        return ((cx * self.n_x + cy) * self.n_x + cz).ravel()
+        idx1 = np.arange(self.grid_n) // (self.grid_n // self.n_x)
+        coords = np.meshgrid(*[idx1] * self.dim, indexing="ij")
+        return np.ravel_multi_index(coords, (self.n_x,) * self.dim).ravel()
+
+    def block_mean(self, values: np.ndarray) -> np.ndarray:
+        """Average the trailing ``dim`` axes over the n_x^dim space cells.
+
+        ``values`` has shape lead + (m,)*dim for any m divisible by n_x (the
+        sampling grid or a refinement of it); returns lead + (n_space,) in
+        the cell order of ``space_cell_index``.
+        """
+        m = values.shape[-1]
+        block = m // self.n_x
+        if block * self.n_x != m:
+            raise YoungMeasureError(
+                f"space cells ({self.n_x}) must divide the grid ({m})")
+        lead = values.shape[:-self.dim]
+        blocks = values.reshape(lead + (self.n_x, block) * self.dim)
+        axes = tuple(range(len(lead) + 1, len(lead) + 2 * self.dim, 2))
+        return blocks.mean(axis=axes).reshape(lead + (self.n_space,))
 
     def cell_centers(self):
         """(times, positions) of cell centers: (n_cells,), (n_cells, dim)."""
         ts = self.t0 + (np.arange(self.n_t) + 0.5) * self.slab_duration
         side = np.arange(self.n_x) + 0.5
-        if self.dim == 2:
-            gx, gy = np.meshgrid(side, side, indexing="ij")
-            xs = np.stack([gx.ravel(), gy.ravel()], axis=1) * (TWO_PI / self.n_x)
-        else:
-            gx, gy, gz = np.meshgrid(side, side, side, indexing="ij")
-            xs = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * (TWO_PI / self.n_x)
+        coords = np.meshgrid(*[side] * self.dim, indexing="ij")
+        xs = np.stack([c.ravel() for c in coords], axis=1) * (TWO_PI / self.n_x)
         times = np.repeat(ts, self.n_space)
         pos = np.tile(xs, (self.n_t, 1))
         return times, pos
@@ -535,8 +543,3 @@ def measure_to_dict(V: GeneralizedYoungMeasure) -> dict:
         "nu_inf": inf_entries,
         "dictionary": [label for _, _, label in quadratic_dictionary(part.dim)],
     }
-
-
-def export_measure(path, V: GeneralizedYoungMeasure) -> None:
-    with open(path, "w") as fh:
-        json.dump(measure_to_dict(V), fh, sort_keys=True)

@@ -165,6 +165,20 @@ class TestSimulateCli:
         assert "blow-up" in report["rows"][0]["detail"]
 
 
+    def test_cfl_violation_is_failing_row_with_sealed_manifest(self, tmp_path):
+        raw = zero_config()
+        raw["time"] = {"dt": 0.25, "horizon": 0.5}
+        raw["initial"] = {"kind": "taylor_green", "amplitude": 1.0}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (out / "manifest.json").exists()
+        assert verify_manifest(out) == []
+        report = json.loads((out / "reports" / "simulate.json").read_text())
+        assert not report["rows"][0]["pass"]
+        assert "CFL violated" in report["rows"][0]["detail"]
+
+
 class TestFaultInjection:
     def test_tiny_tolerance_fails_audit(self, tmp_path):
         raw = forced_config(paths=1)
@@ -267,6 +281,24 @@ class TestVanishCli:
         assert "measures/family.json" in names
         assert "details/energy_limit.json" in names
         assert any(n.startswith("traces/eps0.1_") for n in names)
+
+    def test_vanish_cfl_violation_seals_manifest(self, tmp_path):
+        raw = {
+            "experiment": "vanish",
+            "grid": {"dim": 2, "n": 16},
+            "time": {"dt": 0.25, "horizon": 0.5},
+            "viscosity": {"ladder": [0.1, 0.05]},
+            "initial": {"kind": "taylor_green", "amplitude": 1.0},
+            "ensemble": {"paths": 1, "seed": 5},
+            "young": {"time_cells": 2, "space_cells": 4, "radius": 4.0},
+        }
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["vanish", "--config", str(cfg), "--out", str(out)]) == 1
+        assert verify_manifest(out) == []
+        rows = json.loads((out / "reports" / "vanish.json").read_text())["rows"]
+        assert len(rows) == 2
+        assert all(not r["pass"] and "CFL violated" in r["detail"] for r in rows)
 
     def test_vanish_thread_invariance(self, tmp_path):
         raw = {

@@ -39,7 +39,7 @@ class TestStep:
         cfg = make_config(initial=InitialCondition("zero"))
         u = SpectralField.zero(cfg.grid)
         for _ in range(5):
-            u = step(u, None, cfg)
+            u, _ = step(u, None, cfg)
         assert np.max(np.abs(u.coeffs)) == 0.0
 
     def test_single_mode_exact_heat_decay(self):
@@ -51,7 +51,7 @@ class TestStep:
         u = single_mode(cfg.grid)
         e0 = kinetic_energy(u)
         for _ in range(steps):
-            u = step(u, None, cfg)
+            u, _ = step(u, None, cfg)
         t = steps * dt
         expected = e0 * np.exp(-2.0 * eps * t)
         assert kinetic_energy(u) == pytest.approx(expected, rel=1e-8)
@@ -72,7 +72,7 @@ class TestStep:
             cfg = make_config(grid=grid, dt=dt, horizon=0.25)
             u = u0
             for _ in range(cfg.steps):
-                u = step(u, None, cfg)
+                u, _ = step(u, None, cfg)
             errors.append(abs(kinetic_energy(u) - kinetic_energy(u0)))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 0.9)
@@ -82,7 +82,7 @@ class TestStep:
         path = WienerPath.sample(5, 0, cfg.rank, cfg.dt, cfg.steps)
         u = cfg.initial.sample(cfg.grid, 5, 0)
         for n in range(cfg.steps):
-            u = step(u, path.increments[n], cfg)
+            u, _ = step(u, path.increments[n], cfg)
             assert divergence_defect(u) < 1e-12
 
     def test_blowup_raises(self):

@@ -15,6 +15,7 @@ from dissipeuler.weakstrong import (
     crossterm_identity_check,
     gronwall_audit,
     initial_relative_energy,
+    ladder_monotone_within_ci,
     relative_energy,
     stopping_time,
 )
@@ -245,6 +246,27 @@ class TestGronwallAudit:
         # values after tau are frozen at F(tau), so the blow-up is invisible
         assert rep["sup_mean_F"] == pytest.approx(0.1)
         assert rep["passed"]
+
+
+    def test_stopped_before_first_slab_holds_f0_in_both_audits(self):
+        # tau = 0 for every path: both audits see F(0), not the later slabs
+        slab_times = np.array([0.125, 0.25, 0.375, 0.5])
+        tau = np.zeros(2)
+        f0 = np.array([0.01, 0.03])
+        per_eps = {
+            0.1: {"f_matrix": np.array([[0.2, 0.8, 0.5, 0.4],
+                                        [0.3, 0.9, 0.6, 0.5]]), "f0": f0},
+            0.05: {"f_matrix": np.array([[0.3, 0.9, 0.6, 0.5],
+                                         [0.4, 1.0, 0.7, 0.6]]), "f0": f0},
+        }
+        mono = ladder_monotone_within_ci(per_eps, [0.1, 0.05], tau, slab_times)
+        assert mono["sup_by_eps"] == {0.1: pytest.approx(0.02),
+                                      0.05: pytest.approx(0.02)}
+        assert mono["passed"]
+        for eps, entry in per_eps.items():
+            rep = gronwall_audit(slab_times, entry["f_matrix"], f0, tau,
+                                 level=1.0, slack=0.0)
+            assert rep["sup_mean_F"] == pytest.approx(mono["sup_by_eps"][eps])
 
 
 class TestLadderComparison:

@@ -56,6 +56,27 @@ ENERGY = TestIntegrand("speed2", quad=(np.eye(2), np.zeros(2), 0.0))
 ONE = TestIntegrand("one", quad=(np.zeros((2, 2)), np.zeros(2), 1.0))
 
 
+class TestCellPartition:
+    @pytest.mark.parametrize("dim,n,n_x", [(2, 32, 4), (2, 16, 16), (3, 16, 4)])
+    def test_block_mean_matches_space_cell_index(self, dim, n, n_x):
+        part = CellPartition(dim, n, 1, n_x, 0.0, 1.0)
+        vals = np.random.default_rng(dim * n + n_x).standard_normal(
+            (3, 2) + (n,) * dim)
+        idx = part.space_cell_index()
+        counts = np.bincount(idx, minlength=part.n_space)
+        flat = vals.reshape(6, -1)
+        want = np.stack([np.bincount(idx, weights=row, minlength=part.n_space)
+                         for row in flat]) / counts
+        got = part.block_mean(vals)
+        assert got.shape == (3, 2, part.n_space)
+        assert np.allclose(got.reshape(6, -1), want, rtol=0, atol=1e-13)
+
+    def test_block_mean_rejects_indivisible_grid(self):
+        part = CellPartition(2, 32, 1, 8, 0.0, 1.0)
+        with pytest.raises(YoungMeasureError):
+            part.block_mean(np.zeros((2, 12, 12)))
+
+
 class TestDiracEmbed:
     def test_constant_field_single_bin(self):
         grid = TorusGrid(2, 16)
