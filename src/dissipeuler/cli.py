@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_seed, load_config
 from .forcing import WienerPath
 from .limits import (
     MartingaleStat,
@@ -40,7 +40,7 @@ from .limits import (
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import apriori_moment_report, run_path
+from .solver import BlowUpError, apriori_moment_report
 from .spectral import SpectralField, TorusGrid, kinetic_energy, write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
@@ -66,11 +66,11 @@ def main(argv=None) -> int:
         return 0 if text.endswith("overall: PASS") else 1
     try:
         cfg = load_config(args.config, args.command)
+        if args.seed is not None:
+            cfg = _override_seed(cfg, args.seed)
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = _override_seed(cfg, args.seed)
     out_dir = args.out if args.out is not None else f"runs/{args.command}"
     try:
         out = RunDirectory(out_dir)
@@ -117,7 +117,7 @@ def _build_parser():
 
 def _override_seed(cfg: RunConfig, seed: int) -> RunConfig:
     from dataclasses import replace
-    return replace(cfg, seed=seed)
+    return replace(cfg, seed=check_seed(seed))
 
 
 def _snapshot_times(cfg: RunConfig):
@@ -202,8 +202,9 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
 
     rows = []
     for eps in cfg.eps_values:
-        for pid, run in enumerate(res.runs.get(eps, [])):
-            run.trace.write_csv(out.path(f"traces/eps{eps:g}_path{pid:04d}.csv"))
+        for run in res.runs.get(eps, []):
+            run.trace.write_csv(
+                out.path(f"traces/eps{eps:g}_path{run.path_id:04d}.csv"))
     blowup_rows = [audit_row(f"blowup_eps{eps:g}_path{pid}", "ns_solver.run_path",
                              False, float("inf"), 0.0, msg)
                    for eps, failures in res.blowups.items()
@@ -254,8 +255,8 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
     phi = _test_fields(cfg.grid)[0][1]
     finest_eps = usable[-1]
     V_f = res.measures[finest_eps]
-    path = WienerPath.sample(cfg.seed, 0, base.rank, cfg.dt, base.steps) \
-        if cfg.forcing is not None else None
+    path = WienerPath.sample(cfg.seed, finest.path_id, base.rank, cfg.dt,
+                             base.steps) if cfg.forcing is not None else None
     mom = momentum_residual(dirac_embed(finest.trajectory(), part,
                                         cfg.young.radius,
                                         cfg.young.bins_per_axis),
@@ -281,7 +282,10 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):
     eps = cfg.eps_values[0]
     part = _partition(cfg)
     snaps = _snapshot_times(cfg)
-    run = run_path(cfg.solver_config(eps), cfg.seed, 0, snapshot_times=snaps)
+    run, err = guarded_run(cfg.solver_config(eps), cfg.seed, 0,
+                           snapshot_times=snaps)
+    if err is not None:
+        return _blowup_report(out, cfg, "ym", err, f"eps{eps:g}_path0000")
     traj = run.trajectory()
     V = dirac_embed(traj, part, cfg.young.radius,
                     bins_per_axis=cfg.young.bins_per_axis,
@@ -313,6 +317,18 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):
                           cfg.young.radius))
     out.write_json("reports/ym.json",
                    {"experiment": "ym", "seed": cfg.seed, "rows": rows})
+    return rows
+
+
+def _blowup_report(out: RunDirectory, cfg: RunConfig, experiment: str,
+                   err: BlowUpError, tag: str | None = None):
+    """One failing row for a run that lost resolution, plus its partial trace."""
+    if tag is not None and err.partial is not None:
+        err.partial.write_csv(out.path(f"traces/{tag}.csv"))
+    rows = [audit_row(f"blowup_{experiment}", "ns_solver.run_path", False,
+                      float("inf"), 0.0, f"blow-up: {err}")]
+    out.write_json(f"reports/{experiment}.json",
+                   {"experiment": experiment, "seed": cfg.seed, "rows": rows})
     return rows
 
 
@@ -370,12 +386,15 @@ def _run_weakstrong(cfg: RunConfig, out: RunDirectory, threads: int):
     ref_cfg = replace(weak_base, grid=ref_grid, eps=0.0,
                       dt=cfg.dt / cfg.reference.dt_factor)
 
-    rep = weak_strong_ladder(
-        cfg.eps_values, weak_base, ref_cfg, cfg.seed, range(cfg.paths),
-        part, cfg.young.radius, snaps, level=cfg.reference.level,
-        slack=cfg.tolerances.gronwall_slack,
-        bins_per_axis=cfg.young.bins_per_axis,
-        tail_tol=cfg.reference.tail_tol)
+    try:
+        rep = weak_strong_ladder(
+            cfg.eps_values, weak_base, ref_cfg, cfg.seed, range(cfg.paths),
+            part, cfg.young.radius, snaps, level=cfg.reference.level,
+            slack=cfg.tolerances.gronwall_slack,
+            bins_per_axis=cfg.young.bins_per_axis,
+            tail_tol=cfg.reference.tail_tol)
+    except BlowUpError as err:
+        return _blowup_report(out, cfg, "weakstrong", err)
 
     rows = []
     f0_max = max(float(np.max(rep["per_eps"][e]["f0"])) for e in cfg.eps_values)

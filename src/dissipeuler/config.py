@@ -52,6 +52,13 @@ def _positive(value, path):
     return value
 
 
+def check_seed(seed: int) -> int:
+    """A seed keys the 64-bit counter-based generator: 0 <= seed < 2**64."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("ensemble.seed", f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ToleranceSet:
     energy_defect_c: float = 1.0
@@ -154,7 +161,7 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
     paths = _require(ens, "ensemble", "paths", int)
     if paths < 1:
         raise ConfigError("ensemble.paths", "need at least one path")
-    seed = _require(ens, "ensemble", "seed", int)
+    seed = check_seed(_require(ens, "ensemble", "seed", int))
 
     young = _parse_young(raw, grid)
     tol = _parse_tolerances(raw)

@@ -116,13 +116,18 @@ class ForcingOperator:
             vec = (0.5 / 1j) * amp * d  # sin = (e^{ikx} - e^{-ikx})/2i
         return SpectralField.from_modes(grid, {m.k: vec})
 
-    def noise_basis(self, grid: TorusGrid) -> np.ndarray:
-        """Stacked coefficient arrays of sigma_k g_k, shape (K, dim) + grid.shape."""
-        self.check_resolved(grid)
-        out = np.zeros((self.rank, grid.dim) + grid.shape, dtype=np.complex128)
-        for i in range(self.rank):
-            out[i] = self.mode_field(grid, i).coeffs * self.modes[i].sigma
-        return out
+    def noise_support(self, grid: TorusGrid) -> tuple:
+        """Sparse coefficients of sigma_k g_k as ``(index, values)``.
+
+        ``index`` holds the flat indices, into coefficient arrays of shape
+        (dim,) + grid.shape, where some sigma_k g_k is nonzero: the +-k
+        coefficients of each mode.  ``values[k]`` are the coefficients of
+        sigma_k g_k there, shape (K, len(index)).
+        """
+        dense = np.stack([m.sigma * self.mode_field(grid, i).coeffs.ravel()
+                          for i, m in enumerate(self.modes)])
+        index = np.flatnonzero(np.any(dense != 0, axis=0))
+        return index, dense[:, index]
 
 
 def apply_noise(phi: ForcingOperator, increments: np.ndarray,
@@ -135,8 +140,9 @@ def apply_noise(phi: ForcingOperator, increments: np.ndarray,
     increments = np.asarray(increments, dtype=np.float64)
     if increments.shape != (phi.rank,):
         raise ForcingError(f"expected {phi.rank} increments, got {increments.shape}")
-    basis = phi.noise_basis(grid)
-    coeffs = np.tensordot(increments, basis, axes=(0, 0))
+    index, values = phi.noise_support(grid)
+    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    coeffs.flat[index] = increments @ values
     return SpectralField(grid, coeffs)
 
 

@@ -19,6 +19,7 @@ to discretization noise.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,8 +30,7 @@ from .spectral import (
     TorusGrid,
     _convective_with_sup,
     dealias,
-    grad_norm_sq,
-    kinetic_energy,
+    energy_and_grad_norm_sq,
     laplacian_decay_factor,
     leray_project,
     single_mode,
@@ -152,6 +152,18 @@ class SolverConfig:
     def with_eps(self, eps: float) -> "SolverConfig":
         return replace(self, eps=eps)
 
+    @functools.cached_property
+    def viscous_factor(self) -> np.ndarray:
+        """exp(-eps |k|^2 dt), built once per configuration."""
+        out = laplacian_decay_factor(self.grid, self.eps, self.dt)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def noise_support(self) -> tuple:
+        """``forcing.noise_support(grid)``, built once per configuration."""
+        return self.forcing.noise_support(self.grid)
+
 
 @dataclass
 class EnergyTrace:
@@ -237,34 +249,31 @@ class SolverRun:
     snapshots: tuple          # SpectralField at snapshot_times
     snapshot_times: np.ndarray
     final: SpectralField
+    path_id: int
 
     def trajectory(self) -> Trajectory:
         vals = np.stack([f.to_physical() for f in self.snapshots])
         return Trajectory(self.config.grid, np.asarray(self.snapshot_times), vals)
 
 
-def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
-         basis=None) -> tuple:
+def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig) -> tuple:
     """One Euler-Maruyama step with exact viscous integrating factor.
 
     Returns (new field, max_x |u| of the dealiased input); the sup is 0
-    without transport.  ``basis`` reuses a precomputed noise basis.
+    without transport.  The noise is added at its sparse support only.
     """
-    grid = cfg.grid
     if cfg.transport:
         conv, sup = _convective_with_sup(u)
         drift = u.coeffs + cfg.dt * conv.coeffs
     else:
         sup = 0.0
-        drift = u.coeffs
+        drift = u.coeffs.copy()
     if cfg.forcing is not None:
-        if basis is None:
-            basis = cfg.forcing.noise_basis(grid)
-        drift = drift + np.tensordot(np.asarray(dw, dtype=np.float64), basis,
-                                     axes=(0, 0))
+        index, values = cfg.noise_support
+        drift.flat[index] += np.asarray(dw, dtype=np.float64) @ values
     if cfg.eps > 0:
-        drift = drift * laplacian_decay_factor(grid, cfg.eps, cfg.dt)
-    return SpectralField(grid, drift), sup
+        drift *= cfg.viscous_factor
+    return SpectralField(cfg.grid, drift), sup
 
 
 def run_path(cfg: SolverConfig, seed: int, path_id: int,
@@ -285,13 +294,14 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
             raise SolverError(f"path dt {path.dt} does not match config dt {cfg.dt}")
         if path.steps < steps:
             raise SolverError("Wiener path shorter than the run horizon")
-        basis = cfg.forcing.noise_basis(grid)
+        index, values = cfg.noise_support
+        conj_values = np.conj(values)
         hs2 = cfg.forcing.hs_norm_sq()
     else:
-        basis, hs2 = None, 0.0
+        hs2 = 0.0
 
     u = dealias(leray_project(cfg.initial.sample(grid, seed, path_id)))
-    e0 = kinetic_energy(u)
+    e0 = energy_and_grad_norm_sq(u)[0]
 
     times = np.arange(steps + 1) * cfg.dt
     energy = np.empty(steps + 1)
@@ -304,7 +314,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
 
     vol_scale = grid.volume / grid.n ** (2 * grid.dim)
     for n in range(steps + 1):
-        energy[n] = kinetic_energy(u)
+        energy[n], grad_sq = energy_and_grad_norm_sq(u)
         if n in want:
             snaps.append(u)
             snap_times.append(times[n])
@@ -313,16 +323,14 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
         if n == steps:
             break
         if cfg.eps > 0:
-            dissipation[n + 1] = dissipation[n] + cfg.eps * cfg.dt * grad_norm_sq(u)
+            dissipation[n + 1] = dissipation[n] + cfg.eps * cfg.dt * grad_sq
         if cfg.forcing is not None:
             dw = path.increments[n]
-            axes = tuple(range(grid.dim + 1))
-            pair = np.tensordot(np.conj(basis), u.coeffs,
-                                axes=(tuple(a + 1 for a in axes), axes)).real * vol_scale
+            pair = (conj_values @ u.coeffs.take(index)).real * vol_scale
             stochastic[n + 1] = stochastic[n] + float(pair @ dw)
         else:
             dw = None
-        u, sup = step(u, dw, cfg, basis)
+        u, sup = step(u, dw, cfg)
         if cfg.transport:
             if sup > cfg.blowup_ceiling or (
                     sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):
@@ -339,7 +347,8 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
                     time=times[n + 1], sup=sup, partial=partial)
 
     trace = EnergyTrace(times, energy, dissipation, ito_input, stochastic, e0)
-    return SolverRun(cfg, trace, tuple(snaps), np.asarray(snap_times), u)
+    return SolverRun(cfg, trace, tuple(snaps), np.asarray(snap_times), u,
+                     path_id)
 
 
 def _snapshot_index_set(snapshot_times, times) -> set:

@@ -16,14 +16,24 @@ Conventions
 * The quadratic nonlinearity is dealiased by the 2/3 rule with strict
   cutoff ``|k_j| <= n//3 - (1 if 3 | n else 0)`` chosen so that aliased
   images of products of retained modes never fold back onto retained modes.
+* Storage stays in the full ``fftn`` layout everywhere, but the transforms
+  run on the real half spectrum (last axis ``n//2 + 1``) through
+  ``scipy.fft.rfftn``/``irfftn``, in this module only.  ``_complete``
+  rebuilds the full layout from a half spectrum by Hermitian symmetry.
+* The Fourier multipliers of a grid (wavenumbers, |k|^2, 1/|k|^2, the
+  dealias mask and their half-spectrum slices) are built once per
+  ``TorusGrid`` and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -66,19 +76,17 @@ class TorusGrid:
     def dof(self) -> int:
         return self.dim * self.n ** self.dim
 
+    @functools.cached_property
+    def ops(self) -> "GridOperators":
+        """The grid's Fourier multipliers, built on first use."""
+        return GridOperators(self)
+
     def wavenumbers(self) -> tuple:
         """Integer wavenumber array per axis, fftn layout, shape broadcastable."""
-        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        out = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.n
-            out.append(k1.reshape(shape))
-        return tuple(out)
+        return self.ops.ks
 
     def k_squared(self) -> np.ndarray:
-        ks = self.wavenumbers()
-        return sum(k ** 2 for k in ks)
+        return self.ops.k2
 
     def dealias_cutoff(self) -> int:
         # strict 2/3 rule: with cutoff K, alias images of quadratic products
@@ -86,11 +94,7 @@ class TorusGrid:
         return (self.n - 1) // 3
 
     def dealias_mask(self) -> np.ndarray:
-        cut = self.dealias_cutoff()
-        mask = np.ones(self.shape, dtype=bool)
-        for k in self.wavenumbers():
-            mask &= np.abs(k) <= cut
-        return mask
+        return self.ops.mask
 
     def points(self) -> tuple:
         """Physical grid coordinates, one broadcastable array per axis."""
@@ -101,6 +105,86 @@ class TorusGrid:
             shape[axis] = self.n
             out.append(x1.reshape(shape))
         return tuple(out)
+
+
+class GridOperators:
+    """Read-only Fourier multipliers of one grid.
+
+    Full-layout arrays (``ks``, ``k2``, ``inv_k2``, ``mask``) act on
+    ``SpectralField.coeffs``; the ``*_half`` arrays are their slices on the
+    half spectrum that the real transforms produce.  ``dks_half`` are the
+    derivative wavenumbers: the Nyquist wavenumber of each axis is 0 there,
+    as ``real(ifftn(1j * k * c))`` implies for a real field.  ``mirror``
+    pairs slices of the missing half with the half-spectrum slices at -k.
+    """
+
+    def __init__(self, grid: TorusGrid):
+        n, dim = grid.n, grid.dim
+        k1 = np.fft.fftfreq(n, d=1.0 / n)
+        dk1 = k1.copy()
+        dk1[n // 2] = 0.0
+        half = slice(0, n // 2 + 1)
+
+        def per_axis(k):
+            out = []
+            for axis in range(dim):
+                shape = [1] * dim
+                shape[axis] = n
+                out.append(k.reshape(shape))
+            return tuple(out)
+
+        self.ks = per_axis(k1)
+        self.k2 = sum(k ** 2 for k in self.ks)
+        self.inv_k2 = 1.0 / np.where(self.k2 == 0, 1.0, self.k2)
+        cut = grid.dealias_cutoff()
+        self.mask = np.ones(grid.shape, dtype=bool)
+        for k in self.ks:
+            self.mask &= np.abs(k) <= cut
+        dks = per_axis(dk1)
+        self.ks_half = self.ks[:-1] + (self.ks[-1][..., half],)
+        self.dks_half = dks[:-1] + (dks[-1][..., half],)
+        self.inv_k2_half = self.inv_k2[..., half]
+        self.mask_half = self.mask[..., half]
+        # -k of index j is index (n - j) % n: index 0 maps to itself, the
+        # rest reverses; one (destination, source) slice pair per block
+        tail = (slice(n // 2 + 1, None),)
+        tail_src = (slice(n // 2 - 1, 0, -1),)
+        self.mirror = tuple(
+            (dst + tail, tuple(slice(0, 1) if b.stop == 1 else slice(None, 0, -1)
+                               for b in dst) + tail_src)
+            for dst in itertools.product((slice(0, 1), slice(1, None)),
+                                         repeat=dim - 1))
+        for arr in (*self.ks, self.k2, self.inv_k2, self.mask, *self.ks_half,
+                    *self.dks_half, self.inv_k2_half, self.mask_half):
+            arr.setflags(write=False)
+
+
+def _axes(grid: TorusGrid) -> tuple:
+    return tuple(range(-grid.dim, 0))
+
+
+def _rfft(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Half spectrum of real point values over the trailing grid axes."""
+    return scipy.fft.rfftn(values, axes=_axes(grid))
+
+
+def half_to_physical(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Real point values from a half spectrum over the trailing grid axes."""
+    return scipy.fft.irfftn(half, s=grid.shape, axes=_axes(grid))
+
+
+def _half(c: np.ndarray) -> np.ndarray:
+    """The half spectrum (last axis n//2 + 1) of full-layout coefficients."""
+    return c[..., : c.shape[-1] // 2 + 1]
+
+
+def _complete(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Full fftn-layout coefficients of a real field from its half spectrum."""
+    full = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    full[..., : half.shape[-1]] = half
+    for dst, src in grid.ops.mirror:
+        np.conjugate(half[(Ellipsis,) + src], out=full[(Ellipsis,) + dst])
+    return full
 
 
 @dataclass(frozen=True)
@@ -134,8 +218,7 @@ class SpectralField:
             raise SpectralError(
                 f"value shape {values.shape} does not match grid"
             )
-        axes = tuple(range(1, grid.dim + 1))
-        return SpectralField(grid, np.fft.fftn(values, axes=axes))
+        return SpectralField(grid, _complete(grid, _rfft(grid, values)))
 
     @staticmethod
     def zero(grid: TorusGrid) -> "SpectralField":
@@ -167,13 +250,19 @@ class SpectralField:
     # -- views ---------------------------------------------------------
 
     def to_physical(self) -> np.ndarray:
-        axes = tuple(range(1, self.grid.dim + 1))
-        return np.real(np.fft.ifftn(self.coeffs, axes=axes))
+        return half_to_physical(self.grid, _half(self.coeffs))
 
     def hermitian_defect(self) -> float:
-        """Max |imag| of the point values; 0 for genuinely real fields."""
-        axes = tuple(range(1, self.grid.dim + 1))
-        return float(np.max(np.abs(np.imag(np.fft.ifftn(self.coeffs, axes=axes)))))
+        """Max |imag| of the point values; 0 for genuinely real fields.
+
+        The imaginary part of the point values is the real field with
+        coefficients (c(k) - conj(c(-k))) / 2i.
+        """
+        c = self.coeffs
+        neg = (-np.arange(self.grid.n)) % self.grid.n
+        c_neg = c[(Ellipsis,) + np.ix_(*[neg] * self.grid.dim)]
+        imag = (c - np.conj(c_neg)) / 2j
+        return float(np.max(np.abs(half_to_physical(self.grid, _half(imag)))))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -202,16 +291,17 @@ def leray_project(f: SpectralField) -> SpectralField:
 
     The k = 0 mode (mean flow) passes through unchanged.
     """
-    grid = f.grid
-    ks = grid.wavenumbers()
-    k2 = grid.k_squared()
-    k2safe = np.where(k2 == 0, 1.0, k2)
-    kdotu = sum(ks[j] * f.coeffs[j] for j in range(grid.dim))
-    factor = kdotu / k2safe
-    out = np.empty_like(f.coeffs)
-    for j in range(grid.dim):
-        out[j] = f.coeffs[j] - ks[j] * factor
-    return SpectralField(grid, out)
+    ops = f.grid.ops
+    return SpectralField(f.grid, _project(ops.ks, ops.inv_k2, f.coeffs))
+
+
+def _project(ks: tuple, inv_k2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c - k (k.c) / |k|^2 on any layout the multipliers broadcast to."""
+    factor = sum(ks[j] * c[j] for j in range(len(ks))) * inv_k2
+    out = np.empty_like(c)
+    for j in range(len(ks)):
+        out[j] = c[j] - ks[j] * factor
+    return out
 
 
 def divergence_defect(f: SpectralField) -> float:
@@ -225,34 +315,32 @@ def divergence_defect(f: SpectralField) -> float:
     return float(np.sqrt(np.sum(np.abs(kdotu) ** 2))) / norm
 
 
-def gradient(f: SpectralField) -> np.ndarray:
-    """Spectral derivative tensor, coefficients of d u_i / d x_j.
+def gradient_physical(f: SpectralField) -> np.ndarray:
+    """Point values of d u_i / d x_j, shape (dim, dim) + grid.shape, [i, j].
 
-    Returns a complex array of shape (dim, dim) + grid.shape indexed
-    [i, j]; exact for the trigonometric interpolant.
+    Exact for the trigonometric interpolant.
     """
     grid = f.grid
-    ks = grid.wavenumbers()
-    out = np.empty((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            out[i, j] = 1j * ks[j] * f.coeffs[i]
-    return out
+    half = _half(f.coeffs)
+    out = np.empty((grid.dim,) + half.shape, dtype=np.complex128)
+    for j, k in enumerate(grid.ops.dks_half):
+        out[:, j] = 1j * k * half
+    return half_to_physical(grid, out)
 
 
-def gradient_physical(f: SpectralField) -> np.ndarray:
-    """Point values of the derivative tensor, shape (dim, dim) + grid.shape."""
+def energy_and_grad_norm_sq(f: SpectralField) -> tuple:
+    """(0.5 ||u||^2, ||grad u||^2) via Parseval from one pass over |c|^2."""
     grid = f.grid
-    axes = tuple(range(2, grid.dim + 2))
-    return np.real(np.fft.ifftn(gradient(f), axes=axes))
+    c = f.coeffs
+    power = (c.real ** 2 + c.imag ** 2).sum(axis=0)
+    scale = grid.volume / grid.n ** (2 * grid.dim)
+    return (0.5 * float(power.sum()) * scale,
+            float(np.sum(grid.ops.k2 * power)) * scale)
 
 
 def grad_norm_sq(f: SpectralField) -> float:
     """||grad u||_{L^2}^2 via Parseval (sum over components and derivatives)."""
-    grid = f.grid
-    k2 = grid.k_squared()
-    total = float(np.sum(k2 * (np.abs(f.coeffs) ** 2).sum(axis=0)))
-    return total * grid.volume / grid.n ** (2 * grid.dim)
+    return energy_and_grad_norm_sq(f)[1]
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -273,7 +361,7 @@ def kinetic_energy(f: SpectralField) -> float:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask())
+    return SpectralField(f.grid, f.coeffs * f.grid.ops.mask)
 
 
 def convective_term(u: SpectralField) -> SpectralField:
@@ -287,34 +375,38 @@ def convective_term(u: SpectralField) -> SpectralField:
 
 
 def _convective_with_sup(u: SpectralField):
-    """Convective term plus max_x |u| (reuses the inverse transforms)."""
+    """Convective term plus max_x |u| (reuses the inverse transform).
+
+    Projects on the half spectrum and completes the full layout once.
+    """
     grid = u.grid
-    mask = grid.dealias_mask()
-    axes = tuple(range(1, grid.dim + 1))
-    phys = np.real(np.fft.ifftn(u.coeffs * mask, axes=axes))
+    ops = grid.ops
+    phys = half_to_physical(grid, _half(u.coeffs) * ops.mask_half)
     sup = float(np.sqrt((phys ** 2).sum(axis=0).max()))
-    out = _neg_div_products(grid, phys, mask)
-    return leray_project(SpectralField(grid, out)), sup
+    out = _project(ops.ks_half, ops.inv_k2_half,
+                   _neg_div_products(grid, phys, truncate=True))
+    return SpectralField(grid, _complete(grid, out)), sup
 
 
-def _neg_div_products(grid: TorusGrid, phys: np.ndarray, mask=None) -> np.ndarray:
-    """Coefficients of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
+def _neg_div_products(grid: TorusGrid, phys: np.ndarray,
+                      truncate: bool = False) -> np.ndarray:
+    """Half spectrum of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
 
     ``phys`` holds the point values of u.  Each product u_i u_j (i <= j) is
-    formed pointwise once, truncated to ``mask`` when given, then
-    differentiated spectrally.  Accumulating the negative keeps the
+    formed pointwise once, truncated to the dealias mask when ``truncate``,
+    then differentiated spectrally.  Accumulating the negative keeps the
     transport term sign-exact, signed zeros included.
     """
-    ks = grid.wavenumbers()
-    out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    ops = grid.ops
+    out = np.zeros((grid.dim,) + ops.mask_half.shape, dtype=np.complex128)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            prod_hat = np.fft.fftn(phys[i] * phys[j], axes=tuple(range(grid.dim)))
-            if mask is not None:
-                prod_hat *= mask
-            out[i] -= 1j * ks[j] * prod_hat
+            prod_hat = _rfft(grid, phys[i] * phys[j])
+            if truncate:
+                prod_hat *= ops.mask_half
+            out[i] -= 1j * ops.dks_half[j] * prod_hat
             if i != j:
-                out[j] -= 1j * ks[i] * prod_hat
+                out[j] -= 1j * ops.dks_half[i] * prod_hat
     return out
 
 
@@ -333,7 +425,7 @@ def tensor_pairing(u: np.ndarray, g: np.ndarray) -> float:
 
 def laplacian_decay_factor(grid: TorusGrid, eps: float, dt: float) -> np.ndarray:
     """Exact integrating factor exp(-eps |k|^2 dt) for the Stokes part."""
-    return np.exp(-eps * grid.k_squared() * dt)
+    return np.exp(-eps * grid.ops.k2 * dt)
 
 
 def resample(f: SpectralField, grid_new: TorusGrid) -> SpectralField:
@@ -361,8 +453,7 @@ def resample(f: SpectralField, grid_new: TorusGrid) -> SpectralField:
 
 def tail_energy_fraction(f: SpectralField) -> float:
     """Energy fraction above the dealias cutoff; resolution diagnostic."""
-    grid = f.grid
-    mask = grid.dealias_mask()
+    mask = f.grid.ops.mask
     e2 = (np.abs(f.coeffs) ** 2).sum(axis=0)
     total = float(e2.sum())
     if total == 0.0:
@@ -424,11 +515,19 @@ def read_field(path):
         magic = fh.read(6)
         if magic != _SNAPSHOT_MAGIC:
             raise SpectralError(f"not a field snapshot: bad magic {magic!r}")
-        version, dim, n, time = struct.unpack("<HBId", fh.read(15))
+        header = fh.read(15)
+        if len(header) != 15:
+            raise SpectralError(f"truncated snapshot: expected a 15-byte "
+                                f"header, got {len(header)} bytes")
+        version, dim, n, time = struct.unpack("<HBId", header)
         if version != _SNAPSHOT_VERSION:
             raise SpectralError(f"unsupported snapshot version {version}")
         grid = TorusGrid(dim, n)
         count = 2 * dim * n ** dim
-        raw = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        data = fh.read(count * 8)
+        if len(data) != count * 8:
+            raise SpectralError(f"truncated snapshot: expected {count * 8} "
+                                f"data bytes, got {len(data)}")
+        raw = np.frombuffer(data, dtype="<f8", count=count)
         coeffs = raw.astype(np.float64).view(np.complex128).reshape((dim,) + grid.shape)
         return SpectralField(grid, coeffs.copy()), time

@@ -28,6 +28,7 @@ from .spectral import (
     TorusGrid,
     _neg_div_products,
     gradient_physical,
+    half_to_physical,
     l2_norm_sq,
     resample,
     tail_energy_fraction,
@@ -251,9 +252,7 @@ def _crossterm_pointwise(V, ref, t_end) -> dict:
 
 def _div_outer(v: SpectralField) -> np.ndarray:
     """Physical values of div(v x v), shape (dim,) + grid.shape."""
-    axes = tuple(range(1, v.grid.dim + 1))
-    neg = _neg_div_products(v.grid, v.to_physical())
-    return -np.real(np.fft.ifftn(neg, axes=axes))
+    return -half_to_physical(v.grid, _neg_div_products(v.grid, v.to_physical()))
 
 
 # -- Gronwall audit -----------------------------------------------------------

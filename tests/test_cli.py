@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dissipeuler.cli import main
@@ -88,6 +89,28 @@ class TestSchema:
         with pytest.raises(ConfigError) as err:
             parse_config(raw, "simulate")
         assert "forcing" in str(err.value)
+
+    def test_negative_seed_rejected(self):
+        raw = zero_config()
+        raw["ensemble"]["seed"] = -1
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "simulate")
+        assert "ensemble.seed" in str(err.value)
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, where):
+        raw = zero_config()
+        argv = []
+        if where == "config":
+            raw["ensemble"]["seed"] = -1
+        else:
+            argv = ["--seed", "-1"]
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]
+                    + argv) == 2
+        assert "ensemble.seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_valid_config_parses(self):
         cfg = parse_config(forced_config(), "simulate")
@@ -261,6 +284,49 @@ class TestWeakStrongCli:
         assert env["passed"]
 
 
+    def test_weakstrong_blowup_seals_manifest(self, tmp_path):
+        raw = {
+            "experiment": "weakstrong",
+            "grid": {"dim": 2, "n": 16},
+            "time": {"dt": 0.03125, "horizon": 0.25},
+            "viscosity": {"ladder": [0.1, 0.025]},
+            "forcing": {"preset": "default", "sigma": 0.1},
+            "initial": {"kind": "random_spectrum", "amplitude": 0.2,
+                        "k_max": 2, "decay": 3.0},
+            "ensemble": {"paths": 2, "seed": 606},
+            "young": {"time_cells": 2, "space_cells": 16, "radius": 4.0,
+                      "bins_per_axis": 8, "snapshots_per_slab": 2},
+            "reference": {"n": 32, "dt_factor": 2},
+            "solver": {"blowup_ceiling": 1e-3},
+        }
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["weakstrong", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (out / "manifest.json").exists()
+        assert verify_manifest(out) == []
+        rows = json.loads((out / "reports" / "weakstrong.json").read_text())["rows"]
+        assert len(rows) == 1
+        assert not rows[0]["pass"] and "blow-up" in rows[0]["detail"]
+
+
+class TestYmCli:
+    def test_ym_cfl_violation_seals_manifest(self, tmp_path):
+        raw = zero_config()
+        raw["experiment"] = "ym"
+        raw["time"] = {"dt": 0.25, "horizon": 0.5}
+        raw["initial"] = {"kind": "taylor_green", "amplitude": 1.0}
+        raw["young"] = {"time_cells": 2, "space_cells": 4, "radius": 4.0}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["ym", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (out / "manifest.json").exists()
+        assert verify_manifest(out) == []
+        rows = json.loads((out / "reports" / "ym.json").read_text())["rows"]
+        assert len(rows) == 1
+        assert not rows[0]["pass"] and "CFL violated" in rows[0]["detail"]
+        assert (out / "traces" / "eps0_path0000.csv").exists()
+
+
 class TestVanishCli:
     def test_vanish_small_run(self, tmp_path):
         raw = {
@@ -318,3 +384,42 @@ class TestVanishCli:
         assert main(["vanish", "--config", str(cfg), "--out", str(b),
                      "--threads", "8"]) == 0
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+    def test_vanish_names_survivors_by_path_id(self, tmp_path, monkeypatch):
+        # paths 0-2 blow up at every rung; only path 3 survives
+        import dissipeuler.cli as cli
+        from dissipeuler.forcing import WienerPath
+        raw = {
+            "experiment": "vanish",
+            "grid": {"dim": 2, "n": 16},
+            "time": {"dt": 0.03125, "horizon": 0.25},
+            "viscosity": {"ladder": [0.1, 0.05, 0.025]},
+            "forcing": {"preset": "default", "sigma": 0.1},
+            "initial": {"kind": "random_spectrum", "amplitude": 1.0, "k_max": 2},
+            "ensemble": {"paths": 4, "seed": 7},
+            "young": {"time_cells": 2, "space_cells": 4, "radius": 4.0},
+            "solver": {"blowup_ceiling": 3},
+        }
+        seen = []
+        residual = cli.momentum_residual
+
+        def spy(V, traj, forcing, path, phi, **kw):
+            rep = residual(V, traj, forcing, path, phi, **kw)
+            seen.append((path, rep["residual"]))
+            return rep
+        monkeypatch.setattr(cli, "momentum_residual", spy)
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["vanish", "--config", str(cfg), "--out", str(out)]) == 1
+        assert verify_manifest(out) == []
+        traces = sorted(p.name for p in (out / "traces").iterdir())
+        assert traces == [f"eps{e}_path0003.csv" for e in ("0.025", "0.05", "0.1")]
+        assert len(seen) == 1
+        path, value = seen[0]
+        expect = WienerPath.sample(7, 3, 4, 0.03125, 8)
+        assert path.path_id == 3
+        assert np.array_equal(path.increments, expect.increments)
+        rows = json.loads((out / "reports" / "vanish.json").read_text())["rows"]
+        by_name = {r["audit"]: r for r in rows}
+        assert by_name["momentum_residual_finest"]["value"] == value
+        assert {f"blowup_eps0.1_path{p}" for p in range(3)} <= set(by_name)

@@ -79,6 +79,38 @@ class TestApplyNoise:
         with pytest.raises(ForcingError):
             apply_noise(op, np.array([1.0]), grid)
 
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_matches_dense_mode_sum(self, dim, n):
+        # default forcing plus a cos/sin pair sharing one wavevector, so two
+        # modes write the same coefficients of the sparse support
+        grid = TorusGrid(dim, n)
+        k = (1, 2) if dim == 2 else (1, 2, 0)
+        d = (2.0, -1.0) if dim == 2 else (2.0, -1.0, 0.5)
+        op = ForcingOperator(default_forcing(dim, 0.7).modes + (
+            ForcingMode(k, d, 0.3, "cos"), ForcingMode(k, d, 0.2, "sin")))
+        dw = np.random.default_rng(5).standard_normal(op.rank)
+        dense = sum(op.modes[i].sigma * op.mode_field(grid, i).coeffs * dw[i]
+                    for i in range(op.rank))
+        got = apply_noise(op, dw, grid).coeffs
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def test_support_is_the_plus_minus_k_coefficients(self, grid2d):
+        op = default_forcing(2, 0.5)
+        index, values = op.noise_support(grid2d)
+        assert values.shape == (op.rank, len(index))
+        expect = set()
+        for m in op.modes:
+            for k in (m.k, tuple(-q for q in m.k)):
+                for i in range(2):
+                    if m.direction[i] != 0.0:
+                        expect.add(np.ravel_multi_index(
+                            (i,) + tuple(q % grid2d.n for q in k), (2,) + grid2d.shape))
+        assert sorted(expect) == list(index)
+        for i in range(op.rank):
+            g = op.modes[i].sigma * op.mode_field(grid2d, i).coeffs
+            assert np.array_equal(g.reshape(-1)[index], values[i])
+            assert np.count_nonzero(g) == np.count_nonzero(values[i])
+
     def test_ito_isometry_monte_carlo(self, grid2d):
         # E || sum_n Phi dW_n ||^2 = t ||Phi||_HS^2; by linearity the summed
         # field equals apply_noise evaluated on the summed increments

@@ -1,5 +1,8 @@
 """Spectral core: projection, derivatives, transport term, inner products."""
 
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,47 @@ class TestConvectiveTerm:
         # Taylor-Green transports itself onto a pure gradient: P div(u x u) = 0
         assert np.max(np.abs(ours.coeffs)) / coarse.n ** 2 < 1e-12
 
+    def test_physical_space_oracle_3d(self):
+        # band-limited modes evaluated on a 2x refined grid: products there
+        # are exact, so the np.fft reference loop and the dealiased coarse
+        # operator must agree on every retained mode
+        coarse = TorusGrid(3, 16)
+        fine = TorusGrid(3, 32)
+        rng = np.random.default_rng(29)
+        modes = {}
+        for k in [(1, 0, 0), (0, 2, 1), (1, -1, 2), (3, 1, -2), (2, 2, 0)]:
+            kk = np.array(k, dtype=float)
+            a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            modes[k] = 0.3 * (a - kk * (kk @ a) / (kk @ kk))
+        u_fine = SpectralField.from_modes(fine, modes)
+        vals = np.real(np.fft.ifftn(u_fine.coeffs, axes=(1, 2, 3)))
+
+        k = fine.wavenumbers()
+        div_hat = np.zeros((3,) + fine.shape, dtype=np.complex128)
+        for i in range(3):
+            for j in range(3):
+                div_hat[i] += 1j * k[j] * np.fft.fftn(vals[i] * vals[j])
+        k2 = fine.k_squared()
+        k2safe = np.where(k2 == 0, 1.0, k2)
+        kdot = sum(k[j] * div_hat[j] for j in range(3))
+        proj = np.empty_like(div_hat)
+        for i in range(3):
+            proj[i] = -(div_hat[i] - k[i] * kdot / k2safe)
+
+        ours = convective_term(SpectralField.from_modes(coarse, modes))
+        nc, nf = coarse.n, fine.n
+        cut = coarse.dealias_cutoff()
+        span = range(-cut, cut + 1)
+        worst = 0.0
+        for q in itertools.product(span, span, span):
+            a_ref = proj[(slice(None),) + tuple(x % nf for x in q)] / nf ** 3
+            a_our = ours.coeffs[(slice(None),) + tuple(x % nc for x in q)] / nc ** 3
+            worst = max(worst, float(np.max(np.abs(a_ref - a_our))))
+        assert worst < 1e-12
+        # nothing outside the dealiased band
+        outside = ours.coeffs * ~coarse.dealias_mask()
+        assert np.max(np.abs(outside)) == 0.0
+
     def test_combination_mode_hand_oracle(self):
         # u = TG + a*(sin x2, 0). By hand: div(u x u) =
         #   ( sin(2x1)/2 , sin(2x2)/2 + (a/2) sin x1 (1 - cos 2x2) )
@@ -283,6 +327,79 @@ class TestRoundTrips:
         p.write_bytes(b"NOTAFIELD")
         with pytest.raises(SpectralError):
             read_field(p)
+
+    def test_snapshot_rejects_truncated(self, tmp_path, grid2d):
+        f = taylor_green(grid2d)
+        p = tmp_path / "field.bin"
+        write_field(p, f, 0.5)
+        full = p.read_bytes()
+        want = 2 * grid2d.dof * 8
+        assert len(full) == 21 + want
+        p.write_bytes(full[:-8])
+        with pytest.raises(SpectralError) as err:
+            read_field(p)
+        assert f"expected {want}" in str(err.value)
+        assert f"got {want - 8}" in str(err.value)
+        p.write_bytes(full[:12])
+        with pytest.raises(SpectralError):
+            read_field(p)
+
+    def test_snapshot_v1_bytes(self, tmp_path, grid2d):
+        # format v1 on disk: header then the full fftn-layout coefficients
+        f = taylor_green(grid2d)
+        p = tmp_path / "field.bin"
+        write_field(p, f, 0.25)
+        raw = p.read_bytes()
+        assert raw[:6] == b"DEFLD\x00"
+        assert raw[6:21] == struct.pack("<HBId", 1, 2, 32, 0.25)
+        assert raw[21:] == np.ascontiguousarray(f.coeffs).astype("<c16").tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_transforms_match_complex_fft(self, dim, n):
+        # the half-spectrum transforms and the Hermitian completion agree
+        # with full complex FFTs of the same real data
+        grid = TorusGrid(dim, n)
+        axes = tuple(range(1, dim + 1))
+        vals = np.random.default_rng(31 + dim).standard_normal((dim,) + grid.shape)
+        f = SpectralField.from_physical(grid, vals)
+        ref = np.fft.fftn(vals, axes=axes)
+        assert np.max(np.abs(f.coeffs - ref)) < 1e-13 * np.max(np.abs(ref))
+        back = np.real(np.fft.ifftn(f.coeffs, axes=axes))
+        assert np.max(np.abs(f.to_physical() - back)) < 1e-14 * np.max(np.abs(back))
+        grad_ref = np.real(np.fft.ifftn(
+            np.stack([[1j * grid.wavenumbers()[j] * f.coeffs[i] for j in range(dim)]
+                      for i in range(dim)]), axes=tuple(a + 1 for a in axes)))
+        grad = gradient_physical(f)
+        assert np.max(np.abs(grad - grad_ref)) < 1e-13 * np.max(np.abs(grad_ref))
+
+
+class TestOperatorBundle:
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_cached_arrays_are_read_only(self, dim, n):
+        grid = TorusGrid(dim, n)
+        arrays = list(grid.wavenumbers()) + [grid.k_squared(), grid.dealias_mask()]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+
+    def test_cached_once_per_grid(self):
+        grid = TorusGrid(2, 32)
+        assert grid.k_squared() is grid.k_squared()
+        assert grid.dealias_mask() is grid.dealias_mask()
+        assert grid.wavenumbers()[0] is grid.wavenumbers()[0]
+
+    def test_bundle_matches_definitions(self):
+        grid = TorusGrid(3, 16)
+        k1 = np.fft.fftfreq(16, d=1.0 / 16)
+        ks = grid.wavenumbers()
+        for axis in range(3):
+            assert ks[axis].shape[axis] == 16
+            assert np.array_equal(ks[axis].ravel(), k1)
+        k2 = ks[0] ** 2 + ks[1] ** 2 + ks[2] ** 2
+        assert np.array_equal(grid.k_squared(), k2)
+        cut = grid.dealias_cutoff()
+        mask = (np.abs(ks[0]) <= cut) & (np.abs(ks[1]) <= cut) & (np.abs(ks[2]) <= cut)
+        assert np.array_equal(grid.dealias_mask(), mask)
 
 
 class TestDiagnostics:
