@@ -151,9 +151,14 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
     horizon = float(_require(t, "time", "horizon", (int, float)))
     if horizon < 0:
         raise ConfigError("time.horizon", "must be >= 0")
+    if abs(horizon / dt - round(horizon / dt)) > 1e-9:
+        raise ConfigError("time.horizon",
+                          f"must be a whole number of steps of dt={dt:g}, got {horizon:g}")
 
     eps_values = _parse_viscosity(raw, experiment)
     forcing = _parse_forcing(raw, grid)
+    if experiment == "martingale" and forcing is None:
+        raise ConfigError("forcing", "martingale experiment needs forcing")
     initial = _parse_initial(raw)
 
     ens = _require(raw, "", "ensemble", dict)

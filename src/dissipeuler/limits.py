@@ -289,9 +289,11 @@ def _windowed_tensor_pairing(V, traj, grad_phi, n_slabs) -> float:
     for s in range(n_slabs):
         lo = s * part.n_space
         hi = lo + part.n_space
-        osc = np.einsum("cb,cbij->cij", V.nu_mass[lo:hi], V.nu_sec[lo:hi])
+        nu = V.slab(s)
+        osc = nu.per_cell(part.n_space, nu.sec)
         total += float(np.einsum("cij,cij->", osc, gp_cell)) * part.cell_volume
-        conc = np.einsum("cb,cbij->cij", V.inf_mass[lo:hi], V.inf_sec[lo:hi])
+        inf = V.nu_inf.cells(lo, hi)
+        conc = inf.per_cell(part.n_space, inf.sec)
         total += float(np.einsum("cij,cij->",
                                  conc * V.lam_mass[lo:hi, None, None], gp_cell))
     return total

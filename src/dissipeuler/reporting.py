@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .manifest import read_manifest
+from .manifest import read_manifest, verify_manifest
 
 
 def audit_row(name: str, module: str, passed: bool, value: float,
@@ -31,14 +31,19 @@ def all_passed(rows) -> bool:
 
 
 def render_report(artifact_dir) -> str:
-    """Human-readable summary of a finalized run directory."""
+    """Human-readable summary of a finalized run directory.
+
+    Every artifact is checked against its manifest hash first: a missing or
+    altered artifact is listed with its problem and the run reads FAIL.
+    """
     root = Path(artifact_dir)
     manifest = read_manifest(root)
 
-    missing = [rel for rel in manifest["artifacts"] if not (root / rel).exists()]
-    if missing:
-        lines = ["MISSING ARTIFACTS:"]
-        lines += [f"  {rel}" for rel in missing]
+    damaged = verify_manifest(root)
+    if damaged:
+        lines = ["MISSING OR ALTERED ARTIFACTS:"]
+        lines += [f"  {rel}: {problem}" for rel, problem in damaged]
+        lines += ["", "overall: FAIL"]
         return "\n".join(lines)
 
     lines = [f"run directory: {root}", f"artifacts: {len(manifest['artifacts'])}"]

@@ -37,7 +37,6 @@ from .spectral import (
 from .young import (
     CellPartition,
     GeneralizedYoungMeasure,
-    barycenter,
     dirac_embed,
     energy_of,
 )
@@ -138,20 +137,19 @@ def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
     if not 0 <= slab < part.n_t:
         raise WeakStrongError(f"slab {slab} out of range")
     vbar = _cell_average(ref, part, slab)
-    lo = slab * part.n_space
-    hi = lo + part.n_space
+    nu = V.slab(slab)
+    vc = vbar[nu.cell]
 
-    tr = np.trace(V.nu_sec[lo:hi], axis1=2, axis2=3)
-    mean_dot_v = np.einsum("cbi,ci->cb", V.nu_mean[lo:hi], vbar)
-    vbar_sq = (vbar ** 2).sum(axis=1)
-    per_bin = tr - 2.0 * mean_dot_v + vbar_sq[:, None]
-    osc = float((V.nu_mass[lo:hi] * per_bin).sum(axis=1)
+    tr = np.trace(nu.sec, axis1=1, axis2=2)
+    per_entry = (tr - 2.0 * np.einsum("ei,ei->e", nu.mean, vc)
+                 + (vc ** 2).sum(axis=1))
+    osc = float(nu.per_cell(part.n_space, per_entry)
                 @ np.ones(part.n_space)) * part.space_volume
     measure_form = 0.5 * osc + 0.5 * V.lam_t(slab)
 
     sel = _slab_snapshots(ref, part, slab)
     v_sq = float(np.mean([ref.energy_sq[m] for m in sel]))
-    bary = barycenter(V)[lo:hi]
+    bary = nu.per_cell(part.n_space, nu.mean)
     cross = float(np.einsum("ci,ci->", bary, vbar)) * part.space_volume
     e_slab = energy_of(V, slab)
     expanded_form = e_slab + 0.5 * v_sq - cross
@@ -194,15 +192,13 @@ def crossterm_identity_check(V: GeneralizedYoungMeasure, ref: StrongReference,
     # cell-moment route: all factors averaged per cell
     n_slabs = int(round((t_end - part.t0) / part.slab_duration))
     lhs_a1 = rhs = a3 = 0.0
-    bary = barycenter(V)
     for slab in range(n_slabs):
         gv = _cell_average(ref, part, slab, gradient_physical)  # grad v
         dv = _cell_average(ref, part, slab)                     # v
         dvv = _cell_average(ref, part, slab, _div_outer)        # div(v x v)
-        lo = slab * part.n_space
-        hi = lo + part.n_space
-        sec = np.einsum("cb,cbij->cij", V.nu_mass[lo:hi], V.nu_sec[lo:hi])
-        mean = bary[lo:hi]
+        nu = V.slab(slab)
+        sec = nu.per_cell(part.n_space, nu.sec)
+        mean = nu.per_cell(part.n_space, nu.mean)
         lhs_a1 += np.einsum("cij,cij->", sec, gv) * part.cell_volume
         a3 += -np.einsum("ci,ci->", dvv, mean) * part.cell_volume
         # <nu, (xi-v)(xi-v)> = sec - mean x v - v x mean + v x v

@@ -16,11 +16,23 @@ weighted mass |u|^2 of the rest to the concentration part, with the
 direction u/|u| binned on the sphere.  Cells whose oscillation histogram
 would be empty get a unit mass at the origin bin so probability
 normalization holds everywhere; such cells are flagged.
+
+Storage is sparse: each cell receives about one sample per snapshot, so
+almost every (cell, bin) pair stays empty.  Both histograms keep only
+their occupied entries (``BinEntries``: sorted flat keys cell * bins + bin
+with mass, mean and second moment per entry), and the build, the pairings,
+the barycenter and the slab energies run over those entries.  Only the
+concentration mass ``lam_mass`` is one dense value per cell.  The dense
+(n_cells, bins, ...) arrays ``nu_mass``, ``nu_mean``, ``nu_sec``,
+``inf_mass``, ``inf_mean`` and ``inf_sec`` remain as read-only views built
+on first access, for inspection and tests; nothing in the package reads
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -179,26 +191,89 @@ def g2_norm(integrand: TestIntegrand, dim: int, samples: int = 4001) -> float:
 
 
 @dataclass(frozen=True)
+class BinEntries:
+    """The occupied (cell, bin) entries of a per-cell histogram.
+
+    ``key`` is cell * n_bins + bin, strictly increasing; each entry carries
+    its mass and the mean (E, dim) and second moment (E, dim, dim) of the
+    samples it received.
+    """
+
+    n_bins: int
+    key: np.ndarray
+    mass: np.ndarray
+    mean: np.ndarray
+    sec: np.ndarray
+
+    def __post_init__(self):
+        for name in ("key", "mass", "mean", "sec"):
+            getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def cell(self) -> np.ndarray:
+        return self.key // self.n_bins
+
+    def cells(self, lo: int, hi: int) -> "BinEntries":
+        """The entries of cells lo..hi-1, with cells renumbered from 0."""
+        a, b = np.searchsorted(self.key, [lo * self.n_bins, hi * self.n_bins])
+        return BinEntries(self.n_bins, self.key[a:b] - lo * self.n_bins,
+                          self.mass[a:b], self.mean[a:b], self.sec[a:b])
+
+    def per_cell(self, n_cells: int, values=None) -> np.ndarray:
+        """Sum of mass * values over each cell's entries.
+
+        ``values`` has shape (E,) + q (default: ones); returns (n_cells,) + q,
+        zero for a cell without entries.
+        """
+        if values is None:
+            values = np.ones(len(self.key))
+        q = values.shape[1:]
+        weighted = self.mass.reshape((-1,) + (1,) * len(q)) * values
+        flat = weighted.reshape(len(self.key), int(np.prod(q, dtype=int)))
+        out = np.empty((n_cells, flat.shape[1]))
+        for j in range(flat.shape[1]):
+            out[:, j] = np.bincount(self.cell, weights=flat[:, j],
+                                    minlength=n_cells)
+        return out.reshape((n_cells,) + q)
+
+    def dense(self, n_cells: int, name: str) -> np.ndarray:
+        """One stored quantity as a read-only (n_cells, n_bins, ...) array."""
+        vals = getattr(self, name)
+        out = np.zeros((n_cells * self.n_bins,) + vals.shape[1:])
+        out[self.key] = vals
+        out = out.reshape((n_cells, self.n_bins) + vals.shape[1:])
+        out.setflags(write=False)
+        return out
+
+
+def _dense_view(part: str, name: str):
+    return cached_property(
+        lambda V: getattr(V, part).dense(V.partition.n_cells, name))
+
+
+@dataclass(frozen=True)
 class GeneralizedYoungMeasure:
     partition: CellPartition
     radius: float
     bins_per_axis: int
     sphere_bins: int
-    nu_mass: np.ndarray      # (n_cells, n_bins)
-    nu_mean: np.ndarray      # (n_cells, n_bins, dim)
-    nu_sec: np.ndarray       # (n_cells, n_bins, dim, dim)
+    nu: BinEntries           # oscillation histogram, bins_per_axis^dim bins
     lam_mass: np.ndarray     # (n_cells,)
-    inf_mass: np.ndarray     # (n_cells, sphere_bins)
-    inf_mean: np.ndarray     # (n_cells, sphere_bins, dim)
-    inf_sec: np.ndarray      # (n_cells, sphere_bins, dim, dim)
+    nu_inf: BinEntries       # concentration-angle histogram, sphere_bins bins
     clipped_fraction: float = 0.0
     empty_cells: int = 0
     source: Trajectory | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("nu_mass", "nu_mean", "nu_sec", "lam_mass",
-                     "inf_mass", "inf_mean", "inf_sec"):
-            getattr(self, name).setflags(write=False)
+        self.lam_mass.setflags(write=False)
+
+    # dense (n_cells, bins, ...) views of the entries, built on first access
+    nu_mass = _dense_view("nu", "mass")
+    nu_mean = _dense_view("nu", "mean")
+    nu_sec = _dense_view("nu", "sec")
+    inf_mass = _dense_view("nu_inf", "mass")
+    inf_mean = _dense_view("nu_inf", "mean")
+    inf_sec = _dense_view("nu_inf", "sec")
 
     @property
     def dim(self) -> int:
@@ -213,10 +288,15 @@ class GeneralizedYoungMeasure:
         hi = lo + self.partition.n_space
         return float(self.lam_mass[lo:hi].sum()) / self.partition.slab_duration
 
+    def slab(self, slab: int) -> BinEntries:
+        """Oscillation entries of one time slab, space cells numbered from 0."""
+        lo = slab * self.partition.n_space
+        return self.nu.cells(lo, lo + self.partition.n_space)
+
     def second_moment(self) -> float:
         """Space-time integral of <nu, |xi|^2>; finite by construction."""
-        tr = np.trace(self.nu_sec, axis1=2, axis2=3)
-        return float((self.nu_mass * tr).sum() * self.partition.cell_volume)
+        tr = np.trace(self.nu.sec, axis1=1, axis2=2)
+        return float((self.nu.mass * tr).sum() * self.partition.cell_volume)
 
 
 # -- construction ----------------------------------------------------------
@@ -251,19 +331,46 @@ def _sphere_bin(units: np.ndarray, sphere_bins: int, dim: int) -> np.ndarray:
     return band * n_lon + lon
 
 
-def _scatter(values: np.ndarray, flat_idx: np.ndarray, size: int,
-             mass, sum_v, sum_vv, weights=None) -> None:
-    dim = values.shape[1]
-    w = np.ones(len(values)) if weights is None else weights
-    mass += np.bincount(flat_idx, weights=w, minlength=size)
-    for i in range(dim):
-        sum_v[:, i] += np.bincount(flat_idx, weights=w * values[:, i], minlength=size)
-        for j in range(i, dim):
-            contrib = np.bincount(flat_idx, weights=w * values[:, i] * values[:, j],
-                                  minlength=size)
-            sum_vv[:, i, j] += contrib
-            if i != j:
-                sum_vv[:, j, i] += contrib
+class _MomentSums:
+    """Weight, first- and second-moment sums per occupied key.
+
+    Keys get a slot when they first occur.  ``add`` sums one snapshot with
+    one bincount per moment and adds it to the running totals, so every
+    total associates as a dense accumulation over all keys would.
+    """
+
+    def __init__(self, size: int, dim: int):
+        self.slot = np.full(size, -1, dtype=np.int32)
+        self.keys = np.zeros(0, dtype=np.intp)
+        self.w = np.zeros(0)
+        self.v = np.zeros((0, dim))
+        self.vv = np.zeros((0, dim, dim))
+
+    def add(self, keys: np.ndarray, values: np.ndarray, weights=None) -> None:
+        new = np.unique(keys[self.slot[keys] < 0])
+        if len(new):
+            self.slot[new] = np.arange(len(self.keys), len(self.keys) + len(new))
+            self.keys = np.concatenate([self.keys, new])
+            self.w, self.v, self.vv = (
+                np.concatenate([a, np.zeros((len(new),) + a.shape[1:])])
+                for a in (self.w, self.v, self.vv))
+        s = self.slot[keys]
+        n = len(self.keys)
+        w = np.ones(len(values)) if weights is None else weights
+        self.w += np.bincount(s, weights=w, minlength=n)
+        for i in range(values.shape[1]):
+            self.v[:, i] += np.bincount(s, weights=w * values[:, i], minlength=n)
+            for j in range(i, values.shape[1]):
+                contrib = np.bincount(s, weights=w * values[:, i] * values[:, j],
+                                      minlength=n)
+                self.vv[:, i, j] += contrib
+                if i != j:
+                    self.vv[:, j, i] += contrib
+
+    def by_key(self):
+        """Sorted keys with their sums (E,), (E, dim), (E, dim, dim)."""
+        order = np.argsort(self.keys)
+        return self.keys[order], self.w[order], self.v[order], self.vv[order]
 
 
 def _build(trajectories, partition: CellPartition, radius: float,
@@ -275,12 +382,8 @@ def _build(trajectories, partition: CellPartition, radius: float,
     n_cells = partition.n_cells
     n_bins = bins_per_axis ** dim
 
-    nu_w = np.zeros(n_cells * n_bins)
-    nu_v = np.zeros((n_cells * n_bins, dim))
-    nu_vv = np.zeros((n_cells * n_bins, dim, dim))
-    lam_w = np.zeros(n_cells * sphere_bins)
-    lam_v = np.zeros((n_cells * sphere_bins, dim))
-    lam_vv = np.zeros((n_cells * sphere_bins, dim, dim))
+    osc = _MomentSums(n_cells * n_bins, dim)
+    conc = _MomentSums(n_cells * sphere_bins, dim)
     samples_per_cell = np.zeros(n_cells)
     below_per_cell = np.zeros(n_cells)
     clipped = 0
@@ -305,8 +408,8 @@ def _build(trajectories, partition: CellPartition, radius: float,
                 clipped += int(np.any(over, axis=1).sum())
                 use = np.clip(vals, -radius * (1 - 1e-12), radius * (1 - 1e-12))
                 below_per_cell += np.bincount(cell, minlength=n_cells)
-                flat = cell * n_bins + _bin_of_values(use, radius, bins_per_axis)
-                _scatter(use, flat, n_cells * n_bins, nu_w, nu_v, nu_vv)
+                osc.add(cell * n_bins + _bin_of_values(use, radius, bins_per_axis),
+                        use)
             else:
                 speed = np.sqrt((vals ** 2).sum(axis=1))
                 below = speed <= radius
@@ -314,17 +417,14 @@ def _build(trajectories, partition: CellPartition, radius: float,
                     vb = vals[below]
                     cb = cell[below]
                     below_per_cell += np.bincount(cb, minlength=n_cells)
-                    flat = cb * n_bins + _bin_of_values(vb, radius, bins_per_axis)
-                    _scatter(vb, flat, n_cells * n_bins, nu_w, nu_v, nu_vv)
+                    osc.add(cb * n_bins + _bin_of_values(vb, radius, bins_per_axis),
+                            vb)
                 above = ~below
                 if above.any():
-                    va = vals[above]
                     ca = cell[above]
-                    units = va / speed[above][:, None]
-                    sb = _sphere_bin(units, sphere_bins, dim)
-                    flat = ca * sphere_bins + sb
-                    _scatter(units, flat, n_cells * sphere_bins, lam_w, lam_v,
-                             lam_vv, weights=speed[above] ** 2)
+                    units = vals[above] / speed[above][:, None]
+                    conc.add(ca * sphere_bins + _sphere_bin(units, sphere_bins, dim),
+                             units, speed[above] ** 2)
 
     if total == 0:
         raise YoungMeasureError("no samples fall inside the partition window")
@@ -332,52 +432,40 @@ def _build(trajectories, partition: CellPartition, radius: float,
         raise YoungMeasureError(
             "partition has cells without samples; refine snapshots or coarsen")
 
-    # oscillation part: normalize to per-cell probability, bin moments
-    nu_w = nu_w.reshape(n_cells, n_bins)
-    nu_v = nu_v.reshape(n_cells, n_bins, dim)
-    nu_vv = nu_vv.reshape(n_cells, n_bins, dim, dim)
-    occupied = nu_w > 0
-    nu_mean = np.zeros_like(nu_v)
-    nu_sec = np.zeros_like(nu_vv)
-    np.divide(nu_v, nu_w[..., None], out=nu_mean, where=occupied[..., None])
-    np.divide(nu_vv, nu_w[..., None, None], out=nu_sec,
-              where=occupied[..., None, None])
-    nu_mass = np.zeros_like(nu_w)
+    # oscillation part: per-cell probability with bin moments; a
+    # pure-concentration cell gets unit mass at the origin bin
     has_below = below_per_cell > 0
-    np.divide(nu_w, below_per_cell[:, None], out=nu_mass,
-              where=has_below[:, None])
-    # pure-concentration cells: probability lands on the origin bin
-    empty_cells = int((~has_below).sum())
-    if empty_cells:
-        origin = np.zeros((1, dim))
-        origin_bin = int(_bin_of_values(origin, radius, bins_per_axis)[0])
-        nu_mass[~has_below, origin_bin] = 1.0
+    empty = np.flatnonzero(~has_below)
+    origin_bin = int(_bin_of_values(np.zeros((1, dim)), radius, bins_per_axis)[0])
+    osc.add(empty * n_bins + origin_bin, np.zeros((len(empty), dim)),
+            np.zeros(len(empty)))
+    keys, w, v, vv = osc.by_key()
+    cell = keys // n_bins
+    occupied = w > 0
+    mean = np.zeros_like(v)
+    sec = np.zeros_like(vv)
+    np.divide(v, w[:, None], out=mean, where=occupied[:, None])
+    np.divide(vv, w[:, None, None], out=sec, where=occupied[:, None, None])
+    mass = np.ones_like(w)
+    np.divide(w, below_per_cell[cell], out=mass, where=has_below[cell])
+    nu = BinEntries(n_bins, keys, mass, mean, sec)
 
     # concentration part: quadrature weight per sample is cellvol / samples
-    lam_w = lam_w.reshape(n_cells, sphere_bins)
-    lam_v = lam_v.reshape(n_cells, sphere_bins, dim)
-    lam_vv = lam_vv.reshape(n_cells, sphere_bins, dim, dim)
-    cell_weight = partition.cell_volume / samples_per_cell
-    lam_w = lam_w * cell_weight[:, None]
-    lam_v = lam_v * cell_weight[:, None, None]
-    lam_vv = lam_vv * cell_weight[:, None, None, None]
-    lam_mass = lam_w.sum(axis=1)
-    pos = lam_w > 0
-    inf_mean = np.zeros_like(lam_v)
-    inf_sec = np.zeros_like(lam_vv)
-    np.divide(lam_v, lam_w[..., None], out=inf_mean, where=pos[..., None])
-    np.divide(lam_vv, lam_w[..., None, None], out=inf_sec,
-              where=pos[..., None, None])
-    inf_mass = np.zeros_like(lam_w)
-    has_lam = lam_mass > 0
-    np.divide(lam_w, lam_mass[:, None], out=inf_mass, where=has_lam[:, None])
+    keys, w, v, vv = conc.by_key()
+    cell = keys // sphere_bins
+    cell_weight = (partition.cell_volume / samples_per_cell)[cell]
+    w = w * cell_weight
+    v = v * cell_weight[:, None]
+    vv = vv * cell_weight[:, None, None]
+    # (a bincount of no entries is an integer array)
+    lam_mass = np.bincount(cell, weights=w, minlength=n_cells).astype(float)
+    nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[cell], v / w[:, None],
+                        vv / w[:, None, None])
 
     return GeneralizedYoungMeasure(
         partition=partition, radius=radius, bins_per_axis=bins_per_axis,
-        sphere_bins=sphere_bins, nu_mass=nu_mass, nu_mean=nu_mean,
-        nu_sec=nu_sec, lam_mass=lam_mass, inf_mass=inf_mass,
-        inf_mean=inf_mean, inf_sec=inf_sec,
-        clipped_fraction=clipped / total, empty_cells=empty_cells,
+        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+        clipped_fraction=clipped / total, empty_cells=len(empty),
         source=source)
 
 
@@ -419,30 +507,37 @@ def pairing(V: GeneralizedYoungMeasure, f: TestIntegrand, phi=None) -> float:
     integrands use the stored bin moments and are exact with respect to the
     underlying samples.
     """
-    part = V.partition
-    if phi is None:
-        weights = np.ones(part.n_cells)
-    else:
-        tc, xc = part.cell_centers()
-        weights = np.asarray(phi(tc, xc), dtype=float)
+    return _weighted_pairing(V, f, _cell_weights(V.partition, phi))
 
+
+def _cell_weights(part: CellPartition, phi, centers=None) -> np.ndarray:
+    """phi at the cell centers (ones for phi None), shape (n_cells,)."""
+    if phi is None:
+        return np.ones(part.n_cells)
+    tc, xc = part.cell_centers() if centers is None else centers
+    return np.asarray(phi(tc, xc), dtype=float)
+
+
+def _weighted_pairing(V: GeneralizedYoungMeasure, f: TestIntegrand,
+                      weights: np.ndarray) -> float:
+    part = V.partition
+    nu, inf = V.nu, V.nu_inf
     if f.quad is not None:
         a, b, c = f.quad
-        per_bin = (np.einsum("cbij,ij->cb", V.nu_sec, a)
-                   + V.nu_mean @ b + c)
-        per_bin_inf = np.einsum("cbij,ij->cb", V.inf_sec, a)
+        per_entry = np.einsum("eij,ij->e", nu.sec, a) + nu.mean @ b + c
+        per_entry_inf = np.einsum("eij,ij->e", inf.sec, a)
     else:
-        per_bin = f.eval(V.nu_mean)
-        per_bin_inf = f.eval_recession(V.inf_mean)
+        per_entry = f.eval(nu.mean)
+        per_entry_inf = f.eval_recession(inf.mean)
 
-    osc_cell = (V.nu_mass * per_bin).sum(axis=1) * part.cell_volume
-    conc_cell = (V.inf_mass * per_bin_inf).sum(axis=1) * V.lam_mass
+    osc_cell = nu.per_cell(part.n_cells, per_entry) * part.cell_volume
+    conc_cell = inf.per_cell(part.n_cells, per_entry_inf) * V.lam_mass
     return float(weights @ (osc_cell + conc_cell))
 
 
 def barycenter(V: GeneralizedYoungMeasure) -> np.ndarray:
     """Per-cell first moment of the oscillation part, shape (n_cells, dim)."""
-    return np.einsum("cb,cbi->ci", V.nu_mass, V.nu_mean)
+    return V.nu.per_cell(V.partition.n_cells, V.nu.mean)
 
 
 def energy_of(V: GeneralizedYoungMeasure, slab: int) -> float:
@@ -450,10 +545,9 @@ def energy_of(V: GeneralizedYoungMeasure, slab: int) -> float:
     part = V.partition
     if not 0 <= slab < part.n_t:
         raise YoungMeasureError(f"slab {slab} out of range")
-    lo = slab * part.n_space
-    hi = lo + part.n_space
-    tr = np.trace(V.nu_sec[lo:hi], axis1=2, axis2=3)
-    osc = (V.nu_mass[lo:hi] * tr).sum() * part.space_volume
+    nu = V.slab(slab)
+    tr = np.trace(nu.sec, axis1=1, axis2=2)
+    osc = (nu.mass * tr).sum() * part.space_volume
     return 0.5 * float(osc) + 0.5 * V.lam_t(slab)
 
 
@@ -505,9 +599,12 @@ def weakstar_distance(V1: GeneralizedYoungMeasure, V2: GeneralizedYoungMeasure,
         raise YoungMeasureError("measures live on different partitions")
     if dictionary is None:
         dictionary = quadratic_dictionary(V1.dim)
+    centers = V1.partition.cell_centers()
     worst = 0.0
     for f, phi, _ in dictionary:
-        worst = max(worst, abs(pairing(V1, f, phi) - pairing(V2, f, phi)))
+        weights = _cell_weights(V1.partition, phi, centers)
+        worst = max(worst, abs(_weighted_pairing(V1, f, weights)
+                               - _weighted_pairing(V2, f, weights)))
     return worst
 
 
@@ -517,17 +614,13 @@ def weakstar_distance(V1: GeneralizedYoungMeasure, V2: GeneralizedYoungMeasure,
 def measure_to_dict(V: GeneralizedYoungMeasure) -> dict:
     """JSON-ready description: partition, R, nonzero histogram entries."""
     part = V.partition
-    cells, bins = np.nonzero(V.nu_mass)
-    nu_entries = [
-        [int(c), int(b), float(V.nu_mass[c, b]),
-         [float(x) for x in V.nu_mean[c, b]],
-         [float(x) for x in V.nu_sec[c, b].ravel()]]
-        for c, b in zip(cells, bins)]
-    cells, bins = np.nonzero(V.inf_mass)
-    inf_entries = [
-        [int(c), int(b), float(V.inf_mass[c, b]),
-         [float(x) for x in V.inf_mean[c, b]]]
-        for c, b in zip(cells, bins)]
+    nu, inf = V.nu, V.nu_inf
+    nu_entries = [list(e) for e in zip(
+        nu.cell.tolist(), (nu.key % nu.n_bins).tolist(), nu.mass.tolist(),
+        nu.mean.tolist(), nu.sec.reshape(len(nu.key), -1).tolist())]
+    inf_entries = [list(e) for e in zip(
+        inf.cell.tolist(), (inf.key % inf.n_bins).tolist(), inf.mass.tolist(),
+        inf.mean.tolist())]
     return {
         "partition": {
             "dim": part.dim, "grid_n": part.grid_n, "n_t": part.n_t,
@@ -538,7 +631,7 @@ def measure_to_dict(V: GeneralizedYoungMeasure) -> dict:
         "sphere_bins": V.sphere_bins,
         "clipped_fraction": V.clipped_fraction,
         "empty_cells": V.empty_cells,
-        "lambda_mass": [float(x) for x in V.lam_mass],
+        "lambda_mass": V.lam_mass.tolist(),
         "nu": nu_entries,
         "nu_inf": inf_entries,
         "dictionary": [label for _, _, label in quadratic_dictionary(part.dim)],

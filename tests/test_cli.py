@@ -39,6 +39,13 @@ def forced_config(paths=2, seed=77):
     }
 
 
+def ym_config():
+    raw = forced_config(paths=1)
+    raw["experiment"] = "ym"
+    raw["young"] = {"time_cells": 2, "space_cells": 4, "radius": 4.0}
+    return raw
+
+
 class TestSchema:
     def test_unknown_key_reports_path(self):
         raw = zero_config()
@@ -110,6 +117,31 @@ class TestSchema:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]
                     + argv) == 2
         assert "ensemble.seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_horizon_not_multiple_of_dt_rejected(self):
+        raw = zero_config()
+        raw["time"] = {"dt": 0.03, "horizon": 0.25}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "simulate")
+        assert err.value.path == "time.horizon"
+
+    def test_horizon_not_multiple_of_dt_exits_2(self, tmp_path, capsys):
+        raw = zero_config()
+        raw["time"] = {"dt": 0.03, "horizon": 0.25}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "time.horizon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_martingale_without_forcing_exits_2(self, tmp_path, capsys):
+        raw = zero_config()
+        raw["experiment"] = "martingale"
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["martingale", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "forcing" in capsys.readouterr().err
         assert not out.exists()
 
     def test_valid_config_parses(self):
@@ -246,6 +278,23 @@ class TestReportCommand:
         assert "MISSING" in text
         assert "reports/simulate.json" in text
 
+    def test_edited_report_fails(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["ym", "--config", str(write_config(tmp_path, ym_config())),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("overall: PASS\n")
+
+        path = out / "reports" / "ym.json"
+        report = json.loads(path.read_text())
+        report["rows"][0].update({"pass": True, "value": 999})
+        path.write_text(json.dumps(report))
+        assert main(["report", "--dir", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "reports/ym.json: hash mismatch" in text
+        assert text.endswith("overall: FAIL\n")
+
     def test_verify_manifest_detects_tamper(self, tmp_path):
         cfg = write_config(tmp_path, forced_config(paths=1))
         out = tmp_path / "run"
@@ -307,6 +356,20 @@ class TestWeakStrongCli:
         rows = json.loads((out / "reports" / "weakstrong.json").read_text())["rows"]
         assert len(rows) == 1
         assert not rows[0]["pass"] and "blow-up" in rows[0]["detail"]
+
+
+class TestCrash:
+    def test_crash_exits_3_without_manifest(self, tmp_path, capsys, monkeypatch):
+        import dissipeuler.cli as cli
+
+        def boom(cfg, out, threads):
+            raise RuntimeError("injected fault")
+        monkeypatch.setattr(cli, "_run_ym", boom)
+        out = tmp_path / "run"
+        assert main(["ym", "--config", str(write_config(tmp_path, ym_config())),
+                     "--out", str(out)]) == 3
+        assert "crash: RuntimeError: injected fault" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestYmCli:

@@ -464,3 +464,253 @@ class TestThreeDimensionalMeasures:
         one3 = TestIntegrand("one", quad=(np.zeros((3, 3)), np.zeros(3), 1.0))
         assert pairing(V, one3) == pytest.approx(part.total_volume, rel=1e-12)
         assert len(quadratic_dictionary(3)) >= 20
+
+
+# -- dense oracle: the cells x bins accumulation the entry storage replaced ---
+
+
+def _oracle_scatter(values, flat_idx, size, mass, sum_v, sum_vv, weights=None):
+    dim = values.shape[1]
+    w = np.ones(len(values)) if weights is None else weights
+    mass += np.bincount(flat_idx, weights=w, minlength=size)
+    for i in range(dim):
+        sum_v[:, i] += np.bincount(flat_idx, weights=w * values[:, i], minlength=size)
+        for j in range(i, dim):
+            contrib = np.bincount(flat_idx, weights=w * values[:, i] * values[:, j],
+                                  minlength=size)
+            sum_vv[:, i, j] += contrib
+            if i != j:
+                sum_vv[:, j, i] += contrib
+
+
+def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins,
+                  clip):
+    """Dense (n_cells, bins, ...) arrays of the measure, accumulated per bin."""
+    from dissipeuler.young import _bin_of_values, _sphere_bin
+
+    dim = partition.dim
+    n_cells = partition.n_cells
+    n_bins = bins_per_axis ** dim
+    nu_w = np.zeros(n_cells * n_bins)
+    nu_v = np.zeros((n_cells * n_bins, dim))
+    nu_vv = np.zeros((n_cells * n_bins, dim, dim))
+    lam_w = np.zeros(n_cells * sphere_bins)
+    lam_v = np.zeros((n_cells * sphere_bins, dim))
+    lam_vv = np.zeros((n_cells * sphere_bins, dim, dim))
+    samples_per_cell = np.zeros(n_cells)
+    below_per_cell = np.zeros(n_cells)
+    clipped = total = 0
+    space_idx = partition.space_cell_index()
+    for traj in trajectories:
+        for m in range(traj.n_snapshots):
+            t = float(traj.times[m])
+            if t < partition.t0 - 1e-12 or t > partition.t1 + 1e-12:
+                continue
+            cell = partition.slab_of(t) * partition.n_space + space_idx
+            vals = traj.values[m].reshape(dim, -1).T
+            total += len(vals)
+            samples_per_cell += np.bincount(cell, minlength=n_cells)
+            if clip:
+                clipped += int(np.any(np.abs(vals) > radius, axis=1).sum())
+                use = np.clip(vals, -radius * (1 - 1e-12), radius * (1 - 1e-12))
+                below_per_cell += np.bincount(cell, minlength=n_cells)
+                flat = cell * n_bins + _bin_of_values(use, radius, bins_per_axis)
+                _oracle_scatter(use, flat, n_cells * n_bins, nu_w, nu_v, nu_vv)
+                continue
+            speed = np.sqrt((vals ** 2).sum(axis=1))
+            below = speed <= radius
+            if below.any():
+                below_per_cell += np.bincount(cell[below], minlength=n_cells)
+                flat = cell[below] * n_bins + _bin_of_values(
+                    vals[below], radius, bins_per_axis)
+                _oracle_scatter(vals[below], flat, n_cells * n_bins, nu_w, nu_v,
+                                nu_vv)
+            above = ~below
+            if above.any():
+                units = vals[above] / speed[above][:, None]
+                flat = cell[above] * sphere_bins + _sphere_bin(units, sphere_bins, dim)
+                _oracle_scatter(units, flat, n_cells * sphere_bins, lam_w, lam_v,
+                                lam_vv, weights=speed[above] ** 2)
+
+    nu_w = nu_w.reshape(n_cells, n_bins)
+    occupied = nu_w > 0
+    nu_mean = np.zeros((n_cells, n_bins, dim))
+    nu_sec = np.zeros((n_cells, n_bins, dim, dim))
+    np.divide(nu_v.reshape(nu_mean.shape), nu_w[..., None], out=nu_mean,
+              where=occupied[..., None])
+    np.divide(nu_vv.reshape(nu_sec.shape), nu_w[..., None, None], out=nu_sec,
+              where=occupied[..., None, None])
+    nu_mass = np.zeros_like(nu_w)
+    has_below = below_per_cell > 0
+    np.divide(nu_w, below_per_cell[:, None], out=nu_mass, where=has_below[:, None])
+    origin = int(_bin_of_values(np.zeros((1, dim)), radius, bins_per_axis)[0])
+    nu_mass[~has_below, origin] = 1.0
+
+    cell_weight = partition.cell_volume / samples_per_cell
+    lam_w = lam_w.reshape(n_cells, sphere_bins) * cell_weight[:, None]
+    lam_v = lam_v.reshape(n_cells, sphere_bins, dim) * cell_weight[:, None, None]
+    lam_vv = (lam_vv.reshape(n_cells, sphere_bins, dim, dim)
+              * cell_weight[:, None, None, None])
+    lam_mass = lam_w.sum(axis=1)
+    pos = lam_w > 0
+    inf_mean = np.zeros_like(lam_v)
+    inf_sec = np.zeros_like(lam_vv)
+    np.divide(lam_v, lam_w[..., None], out=inf_mean, where=pos[..., None])
+    np.divide(lam_vv, lam_w[..., None, None], out=inf_sec,
+              where=pos[..., None, None])
+    inf_mass = np.zeros_like(lam_w)
+    np.divide(lam_w, lam_mass[:, None], out=inf_mass,
+              where=(lam_mass > 0)[:, None])
+    return {"nu_mass": nu_mass, "nu_mean": nu_mean, "nu_sec": nu_sec,
+            "lam_mass": lam_mass, "inf_mass": inf_mass, "inf_mean": inf_mean,
+            "inf_sec": inf_sec, "clipped_fraction": clipped / total,
+            "empty_cells": int((~has_below).sum())}
+
+
+def _oracle_pairing(ref, part, f, phi):
+    weights = (np.ones(part.n_cells) if phi is None
+               else np.asarray(phi(*part.cell_centers()), dtype=float))
+    a, b, c = f.quad
+    per_bin = np.einsum("cbij,ij->cb", ref["nu_sec"], a) + ref["nu_mean"] @ b + c
+    per_bin_inf = np.einsum("cbij,ij->cb", ref["inf_sec"], a)
+    osc = (ref["nu_mass"] * per_bin).sum(axis=1) * part.cell_volume
+    conc = (ref["inf_mass"] * per_bin_inf).sum(axis=1) * ref["lam_mass"]
+    return float(weights @ (osc + conc))
+
+
+def _oracle_entries(ref):
+    cells, bins = np.nonzero(ref["nu_mass"])
+    nu = [[int(c), int(b), float(ref["nu_mass"][c, b]),
+           [float(x) for x in ref["nu_mean"][c, b]],
+           [float(x) for x in ref["nu_sec"][c, b].ravel()]]
+          for c, b in zip(cells, bins)]
+    cells, bins = np.nonzero(ref["inf_mass"])
+    inf = [[int(c), int(b), float(ref["inf_mass"][c, b]),
+            [float(x) for x in ref["inf_mean"][c, b]]]
+           for c, b in zip(cells, bins)]
+    return nu, inf
+
+
+def _assert_tree_close(got, want, rtol=1e-14):
+    """Same structure and types; floats within rtol, everything else equal."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for k in want:
+            _assert_tree_close(got[k], want[k], rtol)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_tree_close(g, w, rtol)
+    elif isinstance(want, float):
+        assert abs(got - want) <= rtol * abs(want)
+    else:
+        assert got == want
+
+
+def _random_family(grid, n_traj, times, scale, seed):
+    rng = np.random.default_rng(seed)
+    return [Trajectory(grid, np.asarray(times, dtype=float),
+                       scale * rng.standard_normal(
+                           (len(times), grid.dim) + grid.shape))
+            for _ in range(n_traj)]
+
+
+def _clipped_embed_case():
+    grid = TorusGrid(2, 16)
+    traj = _random_family(grid, 1, [0.0, 0.25, 0.5, 0.75, 1.0], 1.0, 1)[0]
+    return [traj], make_partition(grid, n_t=2, n_x=4), 1.5, 8, 16, True
+
+
+def _family_case(dim):
+    def case():
+        grid = TorusGrid(dim, 16 if dim == 2 else 8)
+        trajs = _random_family(grid, 3, [0.0, 0.5, 1.0], 1.0, dim)
+        part = CellPartition(dim, grid.n, 2, 4 if dim == 2 else 2, 0.0, 1.0)
+        return trajs, part, 1.8, 8 if dim == 2 else 4, 16, False
+    return case
+
+
+def _pure_concentration_case():
+    grid = TorusGrid(2, 16)
+    (traj,) = _random_family(grid, 1, [0.0, 0.5, 1.0], 0.5, 3)
+    vals = traj.values.copy()
+    vals[:, 0, :4, :4] = 5.0            # every sample of space cell 0
+    vals[:, 1, 4:6, :4] = -4.0          # part of space cell 4
+    traj = Trajectory(grid, traj.times, vals)
+    return [traj], make_partition(grid, n_t=2, n_x=4), 2.0, 16, 8, False
+
+
+ORACLE_CASES = {
+    "dirac_clipped": _clipped_embed_case,
+    "family_2d": _family_case(2),
+    "family_3d": _family_case(3),
+    "pure_concentration": _pure_concentration_case,
+}
+
+
+def _build_both(case):
+    trajs, part, radius, bins, sphere, clip = ORACLE_CASES[case]()
+    if clip:
+        V = dirac_embed(trajs[0], part, radius, bins_per_axis=bins,
+                        sphere_bins=sphere)
+    else:
+        V = estimate_from_family(trajs, part, radius, bins_per_axis=bins,
+                                 sphere_bins=sphere)
+    return V, _oracle_build(trajs, part, radius, bins, sphere, clip)
+
+
+class TestEntriesMatchDenseOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_entries(self, case):
+        V, ref = _build_both(case)
+        for entries, prefix in ((V.nu, "nu_"), (V.nu_inf, "inf_")):
+            mass = ref[prefix + "mass"]
+            keys = np.flatnonzero(mass)
+            assert np.array_equal(entries.key, keys)
+            for name in ("mass", "mean", "sec"):
+                want = ref[prefix + name]
+                want = want.reshape((-1,) + want.shape[2:])[keys]
+                np.testing.assert_allclose(getattr(entries, name), want,
+                                           rtol=1e-14, atol=0)
+        np.testing.assert_allclose(V.lam_mass, ref["lam_mass"], rtol=1e-14,
+                                   atol=0)
+        assert V.clipped_fraction == ref["clipped_fraction"]
+        assert V.empty_cells == ref["empty_cells"]
+
+    def test_cases_cover_clipping_concentration_and_empty_cells(self):
+        assert _build_both("dirac_clipped")[0].clipped_fraction > 0
+        for case in ("family_2d", "family_3d"):
+            V, _ = _build_both(case)
+            assert V.lam_total() > 0 and V.empty_cells == 0
+        assert _build_both("pure_concentration")[0].empty_cells == 2
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_dense_views(self, case):
+        V, ref = _build_both(case)
+        for name in ("nu_mass", "nu_mean", "nu_sec", "inf_mass", "inf_mean",
+                     "inf_sec"):
+            view = getattr(V, name)
+            assert view.shape == ref[name].shape
+            assert not view.flags.writeable
+            np.testing.assert_allclose(view, ref[name], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_pairing_dictionary(self, case):
+        # pairings that vanish exactly (a trig weight against a constant)
+        # are rounding noise; their floor scales with the total volume
+        V, ref = _build_both(case)
+        floor = 1e-12 * V.partition.total_volume
+        for f, phi, label in quadratic_dictionary(V.dim):
+            want = _oracle_pairing(ref, V.partition, f, phi)
+            assert pairing(V, f, phi) == pytest.approx(want, rel=1e-12,
+                                                       abs=floor), label
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_measure_to_dict(self, case):
+        V, ref = _build_both(case)
+        d = measure_to_dict(V)
+        nu, inf = _oracle_entries(ref)
+        _assert_tree_close(d["nu"], nu)
+        _assert_tree_close(d["nu_inf"], inf)
+        _assert_tree_close(d["lambda_mass"], [float(x) for x in ref["lam_mass"]])
