@@ -2,7 +2,7 @@
 
 Subcommands mirror the experiment kinds::
 
-    dissipeuler simulate   --config cfg.json --out DIR [--seed N] [--threads N]
+    dissipeuler simulate   --config cfg.json --out DIR [--seed N]
     dissipeuler vanish     --config cfg.json --out DIR ...
     dissipeuler ym         --config cfg.json --out DIR ...
     dissipeuler martingale --config cfg.json --out DIR ...
@@ -10,11 +10,11 @@ Subcommands mirror the experiment kinds::
     dissipeuler report     --dir  DIR
 
 Every run writes an append-only artifact directory (echoed config, CSV
-traces, JSON reports, field snapshots) sealed by a SHA-256 manifest.  Jobs
-for distinct (viscosity, path) pairs run on a thread pool; results are
-reduced in fixed key order so the artifact bytes never depend on the
-worker count.  Exit status is 0 iff every enabled audit passed, 1 on an
-audit failure, 2 on a configuration error and 3 on a crash.
+traces, JSON reports, field snapshots) sealed by a SHA-256 manifest.  Runs
+are sequential: the (viscosity, path) runs of an experiment go one after
+another in fixed order.  ``--threads N`` is accepted for compatibility and
+ignored.  Exit status is 0 iff every enabled audit passed, 1 on an audit
+failure, 2 on a configuration error and 3 on a crash.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .limits import (
     linear_model_functionals_multi,
     martingale_test,
     momentum_residual,
-    run_jobs,
     run_ladder,
     solver_functionals_multi,
 )
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
         "weakstrong": _run_weakstrong,
     }[args.command]
     try:
-        rows = runner(cfg, out, max(1, args.threads))
+        rows = runner(cfg, out)
     except Exception as err:  # a fault in the program, not a failed audit
         traceback.print_exc()
         print(f"crash: {type(err).__name__}: {err}", file=sys.stderr)
@@ -116,7 +115,8 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="artifact directory (default runs/<experiment>)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored; runs are sequential")
     rep = sub.add_parser("report")
     rep.add_argument("--dir", required=True)
     return parser
@@ -163,22 +163,19 @@ def _test_fields(grid):
 # -- simulate ----------------------------------------------------------------
 
 
-def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
+def _run_simulate(cfg: RunConfig, out: RunDirectory):
     eps = cfg.eps_values[0]
     scfg = cfg.solver_config(eps)
 
-    results = run_jobs(
-        [(pid,) for pid in range(cfg.paths)],
-        lambda pid: guarded_run(scfg, cfg.seed, pid, snapshot_times=[]),
-        threads)
     rows = []
-    for (pid,), (run, err) in results.items():
+    for pid in range(cfg.paths):
+        run, err = guarded_run(scfg, cfg.seed, pid, snapshot_times=[])
         tag = f"eps{eps:g}_path{pid:04d}"
         if err is not None:
             if err.partial is not None:
                 err.partial.write_csv(out.path(f"traces/{tag}.csv"))
             rows.append(audit_row(
-                f"energy_defect_{tag}", "ns_solver.energy_audit", False,
+                f"energy_defect_{tag}", "ns_solver.energy_audit",
                 float("inf"), 0.0, f"blow-up: {err}"))
             continue
         run.trace.write_csv(out.path(f"traces/{tag}.csv"))
@@ -187,7 +184,7 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
         tol = run.trace.tolerance(cfg.tolerances.energy_defect_c)
         val = run.trace.max_positive_defect()
         rows.append(audit_row(f"energy_defect_{tag}", "ns_solver.energy_audit",
-                              val <= tol, val, tol))
+                              val, tol))
     out.write_json("reports/simulate.json",
                    {"experiment": "simulate", "seed": cfg.seed, "rows": rows})
     return rows
@@ -196,7 +193,7 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
 # -- vanish ------------------------------------------------------------------
 
 
-def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
+def _run_vanish(cfg: RunConfig, out: RunDirectory):
     part = _partition(cfg)
     snaps = _snapshot_times(cfg)
     base = cfg.solver_config(cfg.eps_values[0])
@@ -205,7 +202,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
 
     res = run_ladder(ladder, part, cfg.young.radius, snapshot_times=snaps,
                      bins_per_axis=cfg.young.bins_per_axis,
-                     sphere_bins=cfg.young.sphere_bins, threads=threads)
+                     sphere_bins=cfg.young.sphere_bins)
 
     rows = []
     for eps in cfg.eps_values:
@@ -213,7 +210,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
             run.trace.write_csv(
                 out.path(f"traces/eps{eps:g}_path{run.path_id:04d}.csv"))
     blowup_rows = [audit_row(f"blowup_eps{eps:g}_path{pid}", "ns_solver.run_path",
-                             False, float("inf"), 0.0, msg)
+                             float("inf"), 0.0, msg)
                    for eps, failures in res.blowups.items()
                    for pid, msg in failures]
     if res.family is None:
@@ -230,7 +227,6 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
     worst_rise = max((b - a for a, b in zip(d, d[1:])), default=-min(d) if d else 0.0)
     rows.append(audit_row(
         "cauchy_distance_decreasing", "limit_verifier.run_ladder",
-        worst_rise <= 0.0 if cfg.tolerances.cauchy_strict else True,
         worst_rise, 0.0, f"distances={['%.5g' % x for x in d]}"))
 
     usable = [eps for eps in cfg.eps_values if eps in res.measures]
@@ -242,10 +238,9 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
     out.write_json("details/energy_limit.json", limit_rep)
     rows.append(audit_row("energy_inequality_family",
                           "limit_verifier.energy_inequality_limit",
-                          limit_rep["passed"], limit_rep["max_defect"], tol))
+                          limit_rep["max_defect"], tol))
     rows.append(audit_row("no_positive_jumps",
                           "limit_verifier.energy_inequality_limit",
-                          limit_rep["max_positive_jump"] <= tol,
                           limit_rep["max_positive_jump"], tol))
 
     traces_by_eps = {eps: [r.trace for r in res.runs[eps]] for eps in usable}
@@ -255,8 +250,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
         slack = float(np.hypot(a["ci_half"], b["ci_half"]))
         worst = max(worst, b["moment"] - a["moment"] - slack)
     rows.append(audit_row("apriori_moment_uniform",
-                          "ns_solver.apriori_monitor",
-                          moment["uniform_in_eps"], worst, 0.0,
+                          "ns_solver.apriori_monitor", worst, 0.0,
                           f"moments={['%.5g' % r['moment'] for r in moment['rows']]}"))
 
     phi = _test_fields(cfg.grid)[0][1]
@@ -264,17 +258,14 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
     V_f = res.measures[finest_eps]
     path = WienerPath.sample(cfg.seed, finest.path_id, base.rank, cfg.dt,
                              base.steps) if cfg.forcing is not None else None
-    mom = momentum_residual(dirac_embed(finest.trajectory(), part,
-                                        cfg.young.radius,
-                                        cfg.young.bins_per_axis),
-                            finest.trajectory(), cfg.forcing, path, phi,
+    mom = momentum_residual(finest.trajectory(), part, cfg.forcing, path, phi,
                             t=cfg.horizon, eps=finest_eps)
     sample_gap = part.slab_duration / cfg.young.snapshots_per_slab
     mom_tol = cfg.tolerances.energy_defect_c * sample_gap \
         * (1.0 + finest.trace.initial_energy)
     rows.append(audit_row("momentum_residual_finest",
                           "limit_verifier.momentum_residual",
-                          mom["residual"] <= mom_tol, mom["residual"], mom_tol))
+                          mom["residual"], mom_tol))
 
     rows += blowup_rows
     out.write_json("reports/vanish.json",
@@ -285,7 +276,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
 # -- ym ----------------------------------------------------------------------
 
 
-def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):
+def _run_ym(cfg: RunConfig, out: RunDirectory):
     eps = cfg.eps_values[0]
     part = _partition(cfg)
     snaps = _snapshot_times(cfg)
@@ -308,20 +299,18 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):
                  * cfg.horizon)
     err = abs(got - want) / max(abs(want), 1e-300)
     rows.append(audit_row("pairing_vs_quadrature", "young_measure.pairing",
-                          err <= 0.02, err, 0.02,
+                          err, 0.02,
                           f"pairing={got:.6g} quadrature={want:.6g}"))
 
     mass_err = float(np.max(np.abs(V.nu.per_cell(part.n_cells) - 1.0)))
     rows.append(audit_row("histogram_normalization",
-                          "young_measure.dirac_embed", mass_err <= 1e-12,
-                          mass_err, 1e-12))
+                          "young_measure.dirac_embed", mass_err, 1e-12))
     rows.append(audit_row("clipping_fraction", "young_measure.dirac_embed",
-                          V.clipped_fraction == 0.0, V.clipped_fraction, 0.0,
+                          V.clipped_fraction, 0.0,
                           "values escaping the truncation ball"))
     bary_norm = float(np.max(np.abs(barycenter(V))))
     rows.append(audit_row("barycenter_bounded", "young_measure.barycenter",
-                          bary_norm <= cfg.young.radius, bary_norm,
-                          cfg.young.radius))
+                          bary_norm, cfg.young.radius))
     out.write_json("reports/ym.json",
                    {"experiment": "ym", "seed": cfg.seed, "rows": rows})
     return rows
@@ -332,7 +321,7 @@ def _blowup_report(out: RunDirectory, cfg: RunConfig, experiment: str,
     """One failing row for a run that lost resolution, plus its partial trace."""
     if tag is not None and err.partial is not None:
         err.partial.write_csv(out.path(f"traces/{tag}.csv"))
-    rows = [audit_row(f"blowup_{experiment}", "ns_solver.run_path", False,
+    rows = [audit_row(f"blowup_{experiment}", "ns_solver.run_path",
                       float("inf"), 0.0, f"blow-up: {err}")]
     out.write_json(f"reports/{experiment}.json",
                    {"experiment": experiment, "seed": cfg.seed, "rows": rows})
@@ -342,7 +331,7 @@ def _blowup_report(out: RunDirectory, cfg: RunConfig, experiment: str,
 # -- martingale ---------------------------------------------------------------
 
 
-def _run_martingale(cfg: RunConfig, out: RunDirectory, threads: int):
+def _run_martingale(cfg: RunConfig, out: RunDirectory):
     fields = _test_fields(cfg.grid)
     pairs = cfg.martingale.pairs
     hists = cfg.martingale.histories
@@ -369,8 +358,8 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory, threads: int):
                 for r in rep["rows"]:
                     rows.append(audit_row(
                         f"martingale_{phi_name}_s{s:g}_t{t:g}_{hist}_{r['name']}",
-                        "limit_verifier.martingale_test", r["passed"],
-                        abs(r["mean"]), r["ci_half"],
+                        "limit_verifier.martingale_test",
+                        abs(r["mean"]), r["tolerance"],
                         f"se={r['se']:.3e}"))
     out.write_json("reports/martingale.json",
                    {"experiment": "martingale", "seed": cfg.seed, "rows": rows,
@@ -381,7 +370,7 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory, threads: int):
 # -- weakstrong ----------------------------------------------------------------
 
 
-def _run_weakstrong(cfg: RunConfig, out: RunDirectory, threads: int):
+def _run_weakstrong(cfg: RunConfig, out: RunDirectory):
     from dataclasses import replace
 
     part = _partition(cfg)
@@ -404,26 +393,25 @@ def _run_weakstrong(cfg: RunConfig, out: RunDirectory, threads: int):
     rows = []
     f0_max = max(float(np.max(rep["per_eps"][e]["f0"])) for e in cfg.eps_values)
     rows.append(audit_row("initial_relative_energy", "weak_strong.relative_energy",
-                          f0_max <= 1e-12, f0_max, 1e-12,
+                          f0_max, 1e-12,
                           "identical data and noise force F(0) = 0"))
     f_min = min(float(np.min(rep["per_eps"][e]["f_matrix"]))
                 for e in cfg.eps_values)
     rows.append(audit_row("relative_energy_nonnegative",
-                          "weak_strong.relative_energy", f_min >= -1e-12,
-                          -f_min, 1e-12))
+                          "weak_strong.relative_energy", -f_min, 1e-12))
     gap = max(rep["per_eps"][e]["max_forms_gap_rel"] for e in cfg.eps_values)
     rows.append(audit_row("two_forms_agree", "weak_strong.relative_energy",
-                          gap <= 0.02, gap, 0.02))
+                          gap, 0.02))
     mono = rep["monotone"]
     worst = max((-r["mean_drop"] - 1.96 * r["se"] for r in mono["rows"]),
                 default=0.0)
     rows.append(audit_row("sup_F_monotone_along_ladder",
-                          "weak_strong.gronwall_audit", mono["passed"], worst,
-                          0.0, f"sup_by_eps={mono['sup_by_eps']}"))
+                          "weak_strong.gronwall_audit", worst, 0.0,
+                          f"sup_by_eps={mono['sup_by_eps']}"))
     for eps in cfg.eps_values:
         audit = rep["per_eps"][eps]["gronwall"]
         rows.append(audit_row(f"gronwall_envelope_eps{eps:g}",
-                              "weak_strong.gronwall_audit", audit["passed"],
+                              "weak_strong.gronwall_audit",
                               -audit["min_margin"], 0.0,
                               f"slack={audit['slack']} level={audit['level']:.3g}"))
 

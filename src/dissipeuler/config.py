@@ -8,11 +8,12 @@ mandatory so no run ever depends on ambient entropy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .forcing import ForcingMode, ForcingOperator, default_forcing
-from .solver import InitialCondition, SolverConfig
-from .spectral import TorusGrid
+from .forcing import ForcingError, ForcingMode, ForcingOperator, default_forcing
+from .solver import InitialCondition, SolverConfig, SolverError
+from .spectral import SpectralError, TorusGrid
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
 
@@ -23,20 +24,46 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _require(raw, path, key, kind=None):
+_REQUIRED = object()
+
+
+def _get(raw, path, key, kind, default=_REQUIRED):
+    """raw[key] checked by ``_check``; ``default`` when the key is absent."""
+    where = f"{path}.{key}" if path else key
     if key not in raw:
-        raise ConfigError(f"{path}.{key}" if path else key, "required field missing")
-    val = raw[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"{path}.{key}" if path else key,
-                          f"expected {getattr(kind, '__name__', kind)}, got {type(val).__name__}")
+        if default is _REQUIRED:
+            raise ConfigError(where, "required field missing")
+        return default
+    return _check(raw[key], where, kind)
+
+
+def _check(val, where, kind):
+    """val as kind: int, bool, str, list, dict, or float (any finite number).
+
+    A bool is not a number here, and an int for a float field converts.
+    """
+    number = kind is float
+    ok = isinstance(val, (int, float) if number else kind) and (
+        kind is bool or not isinstance(val, bool))
+    if not ok:
+        expected = "number" if number else kind.__name__
+        raise ConfigError(where, f"expected {expected}, got {type(val).__name__}")
+    if number:
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ConfigError(where, "number out of range") from None
+        if not math.isfinite(val):
+            raise ConfigError(where, f"must be finite, got {val}")
     return val
 
 
-def _optional(raw, path, key, default, kind=None):
-    if key not in raw:
-        return default
-    return _require(raw, path, key, kind)
+def _count(raw, path, key, default=_REQUIRED):
+    """A whole number >= 1."""
+    val = _get(raw, path, key, int, default)
+    if val < 1:
+        raise ConfigError(f"{path}.{key}", f"must be >= 1, got {val}")
+    return val
 
 
 def _no_unknown(raw, path, allowed):
@@ -52,6 +79,14 @@ def _positive(value, path):
     return value
 
 
+def _grid(dim, n, dim_path, n_path) -> TorusGrid:
+    try:
+        return TorusGrid(dim, n)
+    except SpectralError as err:
+        raise ConfigError(dim_path if dim not in (2, 3) else n_path,
+                          str(err)) from None
+
+
 def check_seed(seed: int) -> int:
     """A seed keys the 64-bit counter-based generator: 0 <= seed < 2**64."""
     if not 0 <= seed < 2 ** 64:
@@ -64,7 +99,6 @@ class ToleranceSet:
     energy_defect_c: float = 1.0
     gronwall_slack: float = 0.05
     martingale_alpha: float = 0.05
-    cauchy_strict: bool = True
 
 
 @dataclass(frozen=True)
@@ -136,22 +170,24 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
         "experiment", "grid", "time", "viscosity", "forcing", "initial",
         "ensemble", "young", "tolerances", "martingale", "reference", "solver",
     })
-    declared = _optional(raw, "", "experiment", experiment, str)
+    declared = _get(raw, "", "experiment", str, experiment)
     if declared != experiment:
         raise ConfigError("experiment",
                           f"config declares {declared!r} but the subcommand is {experiment!r}")
 
-    g = _require(raw, "", "grid", dict)
+    g = _get(raw, "", "grid", dict)
     _no_unknown(g, "grid", {"dim", "n"})
-    grid = TorusGrid(_require(g, "grid", "dim", int), _require(g, "grid", "n", int))
+    grid = _grid(_get(g, "grid", "dim", int), _get(g, "grid", "n", int),
+                 "grid.dim", "grid.n")
 
-    t = _require(raw, "", "time", dict)
+    t = _get(raw, "", "time", dict)
     _no_unknown(t, "time", {"dt", "horizon"})
-    dt = _positive(float(_require(t, "time", "dt", (int, float))), "time.dt")
-    horizon = float(_require(t, "time", "horizon", (int, float)))
+    dt = _positive(_get(t, "time", "dt", float), "time.dt")
+    horizon = _get(t, "time", "horizon", float)
     if horizon < 0:
         raise ConfigError("time.horizon", "must be >= 0")
-    if abs(horizon / dt - round(horizon / dt)) > 1e-9:
+    steps = horizon / dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ConfigError("time.horizon",
                           f"must be a whole number of steps of dt={dt:g}, got {horizon:g}")
 
@@ -161,23 +197,21 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
         raise ConfigError("forcing", "martingale experiment needs forcing")
     initial = _parse_initial(raw)
 
-    ens = _require(raw, "", "ensemble", dict)
+    ens = _get(raw, "", "ensemble", dict)
     _no_unknown(ens, "ensemble", {"paths", "seed"})
-    paths = _require(ens, "ensemble", "paths", int)
-    if paths < 1:
-        raise ConfigError("ensemble.paths", "need at least one path")
-    seed = check_seed(_require(ens, "ensemble", "seed", int))
+    paths = _count(ens, "ensemble", "paths")
+    seed = check_seed(_get(ens, "ensemble", "seed", int))
 
     young = _parse_young(raw, grid)
     tol = _parse_tolerances(raw)
     mart = _parse_martingale(raw, horizon)
     ref = _parse_reference(raw, grid, experiment)
 
-    s = _optional(raw, "", "solver", {}, dict)
+    s = _get(raw, "", "solver", dict, {})
     _no_unknown(s, "solver", {"blowup_ceiling", "cfl_number", "transport"})
-    blowup = float(_optional(s, "solver", "blowup_ceiling", 1e3, (int, float)))
-    cfl = float(_optional(s, "solver", "cfl_number", 0.5, (int, float)))
-    transport = _optional(s, "solver", "transport", True, bool)
+    blowup = _get(s, "solver", "blowup_ceiling", float, 1e3)
+    cfl = _get(s, "solver", "cfl_number", float, 0.5)
+    transport = _get(s, "solver", "transport", bool, True)
 
     return RunConfig(experiment=experiment, grid=grid, dt=dt, horizon=horizon,
                      eps_values=eps_values, forcing=forcing, initial=initial,
@@ -187,13 +221,14 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
 
 
 def _parse_viscosity(raw, experiment):
-    v = _require(raw, "", "viscosity", dict)
+    v = _get(raw, "", "viscosity", dict)
     _no_unknown(v, "viscosity", {"eps", "ladder"})
     if "ladder" in v and "eps" in v:
         raise ConfigError("viscosity", "give either eps or ladder, not both")
     if experiment in ("vanish", "weakstrong"):
-        ladder = _require(v, "viscosity", "ladder", list)
-        eps = tuple(float(x) for x in ladder)
+        ladder = _get(v, "viscosity", "ladder", list)
+        eps = tuple(_check(x, f"viscosity.ladder[{i}]", float)
+                    for i, x in enumerate(ladder))
         if len(eps) < 2:
             raise ConfigError("viscosity.ladder", "need at least two entries")
         if any(x <= 0 for x in eps):
@@ -201,123 +236,126 @@ def _parse_viscosity(raw, experiment):
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("viscosity.ladder", "must be strictly decreasing")
         return eps
-    eps = float(_require(v, "viscosity", "eps", (int, float)))
+    eps = _get(v, "viscosity", "eps", float)
     if eps < 0:
         raise ConfigError("viscosity.eps", "must be >= 0")
     return (eps,)
 
 
 def _parse_forcing(raw, grid):
-    f = _optional(raw, "", "forcing", None, dict)
+    f = _get(raw, "", "forcing", dict, None)
     if f is None:
         return None
     _no_unknown(f, "forcing", {"preset", "sigma", "modes"})
-    if "modes" in f:
-        modes = []
-        for i, m in enumerate(_require(f, "forcing", "modes", list)):
-            path = f"forcing.modes[{i}]"
-            _no_unknown(m, path, {"k", "direction", "sigma", "parity"})
-            try:
-                modes.append(ForcingMode(
-                    tuple(_require(m, path, "k", list)),
-                    tuple(_require(m, path, "direction", list)),
-                    float(_require(m, path, "sigma", (int, float))),
-                    _optional(m, path, "parity", "cos", str)))
-            except ValueError as err:
-                raise ConfigError(path, str(err)) from err
-        op = ForcingOperator(tuple(modes))
-    elif _optional(f, "forcing", "preset", None, str) == "default":
-        op = default_forcing(grid.dim,
-                             float(_optional(f, "forcing", "sigma", 0.5,
-                                             (int, float))))
-    else:
-        raise ConfigError("forcing", "need modes or preset='default'")
     try:
+        if "modes" in f:
+            op = ForcingOperator(tuple(
+                _parse_mode(m, f"forcing.modes[{i}]")
+                for i, m in enumerate(_get(f, "forcing", "modes", list))))
+        elif _get(f, "forcing", "preset", str, None) == "default":
+            op = default_forcing(grid.dim,
+                                 _get(f, "forcing", "sigma", float, 0.5))
+        else:
+            raise ConfigError("forcing", "need modes or preset='default'")
         op.check_resolved(grid)
-    except ValueError as err:
+    except ForcingError as err:
         raise ConfigError("forcing", str(err)) from err
     return op
 
 
+def _parse_mode(m, path) -> ForcingMode:
+    m = _check(m, path, dict)
+    _no_unknown(m, path, {"k", "direction", "sigma", "parity"})
+    k = tuple(_check(x, f"{path}.k[{j}]", int)
+              for j, x in enumerate(_get(m, path, "k", list)))
+    direction = tuple(_check(x, f"{path}.direction[{j}]", float)
+                      for j, x in enumerate(_get(m, path, "direction", list)))
+    try:
+        return ForcingMode(k, direction, _get(m, path, "sigma", float),
+                           _get(m, path, "parity", str, "cos"))
+    except (ForcingError, OverflowError) as err:
+        raise ConfigError(path, str(err)) from err
+
+
 def _parse_initial(raw):
-    i = _optional(raw, "", "initial", {"kind": "taylor_green"}, dict)
+    i = _get(raw, "", "initial", dict, {"kind": "taylor_green"})
     _no_unknown(i, "initial", {"kind", "amplitude", "k_max", "decay"})
     try:
         return InitialCondition(
-            _optional(i, "initial", "kind", "taylor_green", str),
-            amplitude=float(_optional(i, "initial", "amplitude", 1.0, (int, float))),
-            k_max=_optional(i, "initial", "k_max", 3, int),
-            decay=float(_optional(i, "initial", "decay", 2.0, (int, float))))
-    except RuntimeError as err:
+            _get(i, "initial", "kind", str, "taylor_green"),
+            amplitude=_get(i, "initial", "amplitude", float, 1.0),
+            k_max=_get(i, "initial", "k_max", int, 3),
+            decay=_get(i, "initial", "decay", float, 2.0))
+    except SolverError as err:
         raise ConfigError("initial.kind", str(err)) from err
 
 
 def _parse_young(raw, grid):
-    y = _optional(raw, "", "young", {}, dict)
+    y = _get(raw, "", "young", dict, {})
     _no_unknown(y, "young", {"time_cells", "space_cells", "radius",
                              "bins_per_axis", "sphere_bins",
                              "snapshots_per_slab"})
     spec = YoungSpec(
-        time_cells=_optional(y, "young", "time_cells", 4, int),
-        space_cells=_optional(y, "young", "space_cells", 8, int),
-        radius=float(_optional(y, "young", "radius", 4.0, (int, float))),
-        bins_per_axis=_optional(y, "young", "bins_per_axis", 16, int),
-        sphere_bins=_optional(y, "young", "sphere_bins", 32, int),
-        snapshots_per_slab=_optional(y, "young", "snapshots_per_slab", 4, int))
+        time_cells=_count(y, "young", "time_cells", 4),
+        space_cells=_count(y, "young", "space_cells", 8),
+        radius=_positive(_get(y, "young", "radius", float, 4.0), "young.radius"),
+        bins_per_axis=_count(y, "young", "bins_per_axis", 16),
+        sphere_bins=_count(y, "young", "sphere_bins", 32),
+        snapshots_per_slab=_count(y, "young", "snapshots_per_slab", 4))
     if grid.n % spec.space_cells != 0:
         raise ConfigError("young.space_cells", f"must divide grid n={grid.n}")
-    _positive(spec.radius, "young.radius")
     return spec
 
 
 def _parse_tolerances(raw):
-    t = _optional(raw, "", "tolerances", {}, dict)
+    t = _get(raw, "", "tolerances", dict, {})
     _no_unknown(t, "tolerances", {"energy_defect_c", "gronwall_slack",
-                                  "martingale_alpha", "cauchy_strict"})
-    return ToleranceSet(
-        energy_defect_c=_positive(float(_optional(
-            t, "tolerances", "energy_defect_c", 1.0, (int, float))),
-            "tolerances.energy_defect_c"),
-        gronwall_slack=_positive(float(_optional(
-            t, "tolerances", "gronwall_slack", 0.05, (int, float))),
-            "tolerances.gronwall_slack"),
-        martingale_alpha=_positive(float(_optional(
-            t, "tolerances", "martingale_alpha", 0.05, (int, float))),
-            "tolerances.martingale_alpha"),
-        cauchy_strict=_optional(t, "tolerances", "cauchy_strict", True, bool))
+                                  "martingale_alpha"})
+    return ToleranceSet(**{
+        key: _positive(_get(t, "tolerances", key, float, default),
+                       f"tolerances.{key}")
+        for key, default in (("energy_defect_c", 1.0), ("gronwall_slack", 0.05),
+                             ("martingale_alpha", 0.05))})
 
 
 def _parse_martingale(raw, horizon):
-    m = _optional(raw, "", "martingale", {}, dict)
+    m = _get(raw, "", "martingale", dict, {})
     _no_unknown(m, "martingale", {"pairs", "histories", "linear_paths"})
-    pairs_raw = _optional(m, "martingale", "pairs",
-                          [[horizon / 4, horizon / 2]], list)
+    pairs_raw = _get(m, "martingale", "pairs", list,
+                     [[horizon / 4, horizon / 2]])
     pairs = []
     for i, p in enumerate(pairs_raw):
-        if len(p) != 2 or not 0 <= p[0] < p[1] <= horizon:
-            raise ConfigError(f"martingale.pairs[{i}]",
-                              "need 0 <= s < t <= horizon")
-        pairs.append((float(p[0]), float(p[1])))
-    histories = tuple(_optional(m, "martingale", "histories", ["one"], list))
+        where = f"martingale.pairs[{i}]"
+        p = _check(p, where, list)
+        if len(p) != 2:
+            raise ConfigError(where, "need [s, t]")
+        s, t = (_check(x, f"{where}[{j}]", float) for j, x in enumerate(p))
+        if not 0 <= s < t <= horizon:
+            raise ConfigError(where, "need 0 <= s < t <= horizon")
+        pairs.append((s, t))
+    histories = tuple(_get(m, "martingale", "histories", list, ["one"]))
     for h in histories:
         if h not in ("one", "clamp_pair", "clamp_beta"):
             raise ConfigError("martingale.histories", f"unknown history {h!r}")
     return MartingaleSpec(pairs=tuple(pairs), histories=histories,
-                          linear_paths=_optional(m, "martingale",
-                                                 "linear_paths", 10_000, int))
+                          linear_paths=_count(m, "martingale", "linear_paths",
+                                              10_000))
 
 
 def _parse_reference(raw, grid, experiment):
-    r = _optional(raw, "", "reference", {}, dict)
+    r = _get(raw, "", "reference", dict, {})
     _no_unknown(r, "reference", {"n", "dt_factor", "tail_tol", "level"})
     spec = ReferenceSpec(
-        n=_optional(r, "reference", "n", 4 * grid.n, int),
-        dt_factor=_optional(r, "reference", "dt_factor", 4, int),
-        tail_tol=float(_optional(r, "reference", "tail_tol", 1e-6, (int, float))),
-        level=(float(r["level"]) if "level" in r else None))
+        n=_get(r, "reference", "n", int, 4 * grid.n),
+        dt_factor=_get(r, "reference", "dt_factor", int, 4),
+        tail_tol=_get(r, "reference", "tail_tol", float, 1e-6),
+        level=_get(r, "reference", "level", float, None))
     if experiment == "weakstrong":
+        _grid(grid.dim, spec.n, "reference.n", "reference.n")
         if spec.n % grid.n != 0:
             raise ConfigError("reference.n", f"must be a multiple of grid n={grid.n}")
         if spec.dt_factor < 1 or spec.dt_factor & (spec.dt_factor - 1):
             raise ConfigError("reference.dt_factor", "must be a power of two")
+        if spec.level is not None:
+            _positive(spec.level, "reference.level")
     return spec

@@ -5,14 +5,13 @@ to ``sigma_k * g_k`` where ``g_k`` is a unit-L2, divergence-free
 trigonometric mode (direction orthogonal to the wavevector).  Noise
 increments are a pure function of ``(seed, path_id, mode, step)`` through a
 Philox counter-based generator, so one Wiener path can be replayed
-bit-exactly across viscosities, resolutions and thread counts.  Time
-refinement halves dt by Brownian-bridge subdivision of the stored coarse
-increments, keeping all dt levels on the same path.
+bit-exactly across viscosities and resolutions.  Time refinement halves dt
+by Brownian-bridge subdivision of the stored coarse increments, keeping all
+dt levels on the same path.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,25 +262,6 @@ class WienerPath:
         out = np.zeros((self.steps + 1, self.n_modes))
         np.cumsum(self.increments, axis=0, out=out[1:])
         return out
-
-    def u0_norm(self, t: float) -> float:
-        """Weighted path norm (sum_k beta_k(t)^2 / k^2)^(1/2), modes 1-indexed."""
-        if t < -1e-12 or t > self.horizon + 1e-12:
-            raise ForcingError(f"t={t} outside path horizon {self.horizon}")
-        n = int(round(t / self.dt))
-        beta = self.increments[:n].sum(axis=0)
-        weights = 1.0 / (1.0 + np.arange(self.n_modes)) ** 2
-        return float(np.sqrt(np.sum(beta ** 2 * weights)))
-
-
-def export_increments_csv(path, wiener: WienerPath) -> None:
-    """CSV with columns (path_id, k, n, dW)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "k", "n", "dW"])
-        for n in range(wiener.steps):
-            for k in range(wiener.n_modes):
-                w.writerow([wiener.path_id, k, n, repr(float(wiener.increments[n, k]))])
 
 
 def default_forcing(dim: int, sigma: float = 0.5) -> ForcingOperator:

@@ -19,7 +19,6 @@ tested against history weights h evaluated at the earlier time.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +83,13 @@ class LadderResult:
 
 def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                radius: float, snapshot_times=None, bins_per_axis: int = 16,
-               sphere_bins: int = 32, threads: int = 1) -> LadderResult:
+               sphere_bins: int = 32) -> LadderResult:
     """Run every rung on shared noise and estimate the family measure.
 
     The family measure pools the tail (last half) of the ladder; per-rung
     measures pool the ensemble at that viscosity.  Blow-ups abort a single
-    (eps, path) job and the ladder continues without it.  (eps, path) jobs
-    are independent; with threads > 1 they run on a pool and are reduced in
-    fixed key order, so results never depend on the worker count.
+    (eps, path) run and the ladder continues without it.  Runs go one after
+    another in (eps, path) order.
     """
     base = ladder.base
     if snapshot_times is None:
@@ -101,18 +99,13 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
         for pid in ladder.path_ids
     } if base.forcing is not None else {pid: None for pid in ladder.path_ids}
 
-    def job(eps, pid):
-        return guarded_run(base.with_eps(eps), ladder.seed, pid,
-                           path=paths[pid], snapshot_times=snapshot_times)
-
-    keys = [(eps, pid) for eps in ladder.eps_values for pid in ladder.path_ids]
-    results = run_jobs(keys, job, threads)
-
     runs, blowups = {}, {}
     for eps in ladder.eps_values:
+        cfg = base.with_eps(eps)
         good = []
         for pid in ladder.path_ids:
-            run, err = results[(eps, pid)]
+            run, err = guarded_run(cfg, ladder.seed, pid, path=paths[pid],
+                                   snapshot_times=snapshot_times)
             if err is not None:
                 blowups.setdefault(eps, []).append((pid, str(err)))
             else:
@@ -142,20 +135,6 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                  for a, b in zip(usable, usable[1:])]
     return LadderResult(ladder, runs, measures, family, distances,
                         bary_defect, blowups)
-
-
-def run_jobs(keys, job, threads: int = 1) -> dict:
-    """{key: job(*key)} for independent jobs, reduced in key order.
-
-    With threads > 1 the jobs run on a pool; the result never depends on
-    the worker count.
-    """
-    keys = list(keys)
-    if threads <= 1:
-        return {key: job(*key) for key in keys}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(key, pool.submit(job, *key)) for key in keys]
-        return {key: fut.result() for key, fut in futures}
 
 
 def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
@@ -201,41 +180,40 @@ def forcing_pairings(phi: SpectralField, forcing: ForcingOperator) -> np.ndarray
         for k in range(forcing.rank)])
 
 
-def momentum_residual(V: GeneralizedYoungMeasure, traj: Trajectory,
+def momentum_residual(traj: Trajectory, partition: CellPartition,
                       forcing: ForcingOperator | None, path: WienerPath | None,
                       phi: SpectralField, t: float, eps: float = 0.0) -> dict:
     """Absolute residual of the weak momentum balance up to time t.
 
-    All convective terms are measure pairings (sample-exact when V retains
-    its source trajectory); the stochastic integral uses the exact mode
-    pairings times the Wiener coordinates.  The viscous contribution for
-    eps > 0 runs is reported separately.  t must be a slab boundary of V's
-    partition.
+    The convective term pairs the trajectory's samples pointwise with
+    grad phi; the stochastic integral uses the exact mode pairings times the
+    Wiener coordinates.  The viscous contribution for eps > 0 runs is
+    reported separately.  t must be a slab boundary of the partition.
     """
-    part = V.partition
-    ratio = (t - part.t0) / part.slab_duration
+    ratio = (t - partition.t0) / partition.slab_duration
     n_slabs = int(round(ratio))
-    if abs(ratio - n_slabs) > 1e-9 or not 0 <= n_slabs <= part.n_t:
+    if abs(ratio - n_slabs) > 1e-9 or not 0 <= n_slabs <= partition.n_t:
         raise LimitError(f"t={t} is not a slab boundary of the partition")
 
     u_t = _snapshot_at(traj, t)
-    u_0 = _snapshot_at(traj, part.t0)
+    u_0 = _snapshot_at(traj, partition.t0)
     drift = inner_product(u_t, phi) - inner_product(u_0, phi)
 
     grad_phi = gradient_physical(phi)
-    convective = _windowed_tensor_pairing(V, traj, grad_phi, n_slabs)
+    convective = _windowed_tensor_pairing(traj, grad_phi, partition, n_slabs)
 
     stochastic = 0.0
     if forcing is not None and path is not None:
         c = forcing_pairings(phi, forcing)
-        n = int(round((t - part.t0) / path.dt))
+        n = int(round((t - partition.t0) / path.dt))
         beta = path.increments[:n].sum(axis=0)
         stochastic = float(c @ beta)
 
     viscous = 0.0
     if eps > 0:
         lap_phi = SpectralField(phi.grid, -phi.grid.k_squared() * phi.coeffs)
-        viscous = eps * _windowed_scalar_pairing(traj, lap_phi, part, n_slabs)
+        viscous = eps * _windowed_scalar_pairing(traj, lap_phi, partition,
+                                                 n_slabs)
 
     residual = drift - convective - stochastic - viscous
     return {"residual": abs(residual), "drift": drift, "convective": convective,
@@ -260,42 +238,23 @@ def _left_point_weights(times: np.ndarray, t_end: float) -> np.ndarray:
     return w
 
 
-def _windowed_tensor_pairing(V, traj, grad_phi, n_slabs) -> float:
-    """int_0^t [<nu, xi x xi> + <nu_inf, xi x xi> dlam] : grad phi.
+def _windowed_tensor_pairing(traj, grad_phi, part, n_slabs) -> float:
+    """int_0^t <u x u, grad phi> over the trajectory's samples.
 
-    Uses the source samples when available (pointwise in x with left-point
-    time weights, so the discrete weak form of the scheme cancels exactly),
-    otherwise the cell moments with cell-averaged grad phi.
+    Pointwise in x with left-point time weights, so the discrete weak form
+    of the scheme cancels exactly.
     """
-    part = V.partition
     dim = part.dim
-    if V.source is not None:
-        src = V.source
-        gp = grad_phi.reshape(dim, dim, -1)
-        t_end = part.t0 + n_slabs * part.slab_duration
-        weights = _left_point_weights(np.asarray(src.times, dtype=float), t_end)
-        total = 0.0
-        npts = int(np.prod(src.values.shape[2:]))
-        for m in range(src.n_snapshots):
-            if weights[m] == 0.0:
-                continue
-            acc = tensor_pairing(src.values[m].reshape(dim, -1), gp)
-            total += acc * weights[m] * (2 * np.pi) ** dim / npts
-        return total
-
-    # cell-moment route with grad phi averaged per space cell
-    gp_cell = np.moveaxis(part.block_mean(grad_phi), -1, 0)
+    gp = grad_phi.reshape(dim, dim, -1)
+    t_end = part.t0 + n_slabs * part.slab_duration
+    weights = _left_point_weights(np.asarray(traj.times, dtype=float), t_end)
     total = 0.0
-    for s in range(n_slabs):
-        lo = s * part.n_space
-        hi = lo + part.n_space
-        nu = V.slab(s)
-        osc = nu.per_cell(part.n_space, nu.sec)
-        total += float(np.einsum("cij,cij->", osc, gp_cell)) * part.cell_volume
-        inf = V.nu_inf.cells(lo, hi)
-        conc = inf.per_cell(part.n_space, inf.sec)
-        total += float(np.einsum("cij,cij->",
-                                 conc * V.lam_mass[lo:hi, None, None], gp_cell))
+    npts = int(np.prod(traj.values.shape[2:]))
+    for m in range(traj.n_snapshots):
+        if weights[m] == 0.0:
+            continue
+        acc = tensor_pairing(traj.values[m].reshape(dim, -1), gp)
+        total += acc * weights[m] * (2 * np.pi) ** dim / npts
     return total
 
 
@@ -436,8 +395,9 @@ def _ci_row(name: str, samples: np.ndarray, z: float,
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n))
     half = z * se
+    tol = half + atol
     return {"name": name, "mean": mean, "se": se, "ci_half": half,
-            "passed": bool(abs(mean) <= half + atol)}
+            "tolerance": tol, "passed": bool(abs(mean) <= tol)}
 
 
 def linear_model_functionals(forcing: ForcingOperator, phi: SpectralField,
@@ -473,13 +433,6 @@ def linear_model_functionals_multi(forcing: ForcingOperator,
                 m_s=m_s, m_t=m_t, beta_s=beta[si].copy(),
                 beta_t=beta[ti].copy(), pair_s=u0_pairing + m_s))
     return out, c
-
-
-def solver_functionals(cfg: SolverConfig, phi: SpectralField, seed: int,
-                       path_ids, s: float, t: float):
-    """Full-model functionals via a recorder observer on each run."""
-    by_pair, c = solver_functionals_multi(cfg, phi, seed, path_ids, [(s, t)])
-    return by_pair[(s, t)], c
 
 
 def solver_functionals_multi(cfg: SolverConfig, phi: SpectralField, seed: int,
@@ -549,31 +502,3 @@ def energy_inequality_limit(family: GeneralizedYoungMeasure, traces,
         "tolerance": tol,
         "passed": bool(max_defect <= tol),
     }
-
-
-# -- time regularity diagnostic ----------------------------------------------
-
-
-def holder_seminorm(times: np.ndarray, values: np.ndarray,
-                    alpha: float = 0.4) -> float:
-    """Discrete C^alpha seminorm max |f(t) - f(s)| / |t - s|^alpha."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    worst = 0.0
-    for i in range(len(times)):
-        dt = times[i + 1:] - times[i]
-        dv = np.abs(values[i + 1:] - values[i])
-        if len(dt):
-            worst = max(worst, float(np.max(dv / dt ** alpha)))
-    return worst
-
-
-def w32_normalize(phi: SpectralField) -> SpectralField:
-    """Scale so the W^{3,2} norm is one; pairings then read in W^{-3,2}."""
-    grid = phi.grid
-    weight = (1.0 + grid.k_squared()) ** 3
-    norm_sq = float(np.sum(weight * (np.abs(phi.coeffs) ** 2).sum(axis=0)))
-    norm_sq *= grid.volume / grid.n ** (2 * grid.dim)
-    if norm_sq == 0:
-        raise LimitError("cannot normalize the zero field")
-    return phi * (1.0 / np.sqrt(norm_sq))

@@ -3,8 +3,7 @@
 Every run writes into its own directory: the echoed config, CSV traces,
 JSON reports, field snapshots, and finally ``manifest.json`` holding the
 SHA-256 of every artifact.  Nothing time- or host-dependent is ever
-written, so reruns with the same config and seed are byte-identical
-regardless of worker count.
+written, so reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations

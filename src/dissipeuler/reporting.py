@@ -1,8 +1,9 @@
 """Audit report rows and the plain-text run summary.
 
 Every row names the operation that produced it, the measured value, the
-tolerance it was held to, and the margin; reports are JSON in the artifact
-tree and render as a pass/fail table.
+tolerance it was held to, and the margin; a row passes iff its value is
+at most its tolerance.  Reports are JSON in the artifact tree and render as
+a pass/fail table.
 """
 
 from __future__ import annotations
@@ -13,17 +14,24 @@ from pathlib import Path
 from .manifest import read_manifest, verify_manifest
 
 
-def audit_row(name: str, module: str, passed: bool, value: float,
-              tolerance: float, detail: str = "") -> dict:
+def audit_row(name: str, module: str, value: float, tolerance: float,
+              detail: str = "") -> dict:
+    """One audit result; it passes iff value <= tolerance."""
+    value, tolerance = float(value), float(tolerance)
     return {
         "audit": name,
         "module": module,
-        "pass": bool(passed),
-        "value": float(value),
-        "tolerance": float(tolerance),
-        "margin": float(tolerance - value),
+        "pass": row_passes(value, tolerance),
+        "value": value,
+        "tolerance": tolerance,
+        "margin": tolerance - value,
         "detail": detail,
     }
+
+
+def row_passes(value: float, tolerance: float) -> bool:
+    """The one pass rule of every audit row (NaN fails)."""
+    return bool(value <= tolerance)
 
 
 def all_passed(rows) -> bool:
@@ -35,6 +43,8 @@ def render_report(artifact_dir) -> str:
 
     Every artifact is checked against its manifest hash first: a missing or
     altered artifact is listed with its problem and the run reads FAIL.
+    Each row's status is recomputed from its value and tolerance; the
+    stored pass flag is not trusted.
     """
     root = Path(artifact_dir)
     manifest = read_manifest(root)
@@ -62,8 +72,9 @@ def render_report(artifact_dir) -> str:
         lines.append(f"  {'audit':{width}} {'module':34} {'value':>12} "
                      f"{'tolerance':>12} {'status':>8}")
         for r in rows:
-            status = "pass" if r["pass"] else "FAIL"
-            ok = ok and r["pass"]
+            passed = row_passes(r["value"], r["tolerance"])
+            status = "pass" if passed else "FAIL"
+            ok = ok and passed
             lines.append(f"  {r['audit'][:width]:{width}} {r['module'][:34]:34} "
                          f"{r['value']:12.4e} {r['tolerance']:12.4e} {status:>8}")
     lines.append("")

@@ -252,18 +252,6 @@ class SpectralField:
     def to_physical(self) -> np.ndarray:
         return half_to_physical(self.grid, _half(self.coeffs))
 
-    def hermitian_defect(self) -> float:
-        """Max |imag| of the point values; 0 for genuinely real fields.
-
-        The imaginary part of the point values is the real field with
-        coefficients (c(k) - conj(c(-k))) / 2i.
-        """
-        c = self.coeffs
-        neg = (-np.arange(self.grid.n)) % self.grid.n
-        c_neg = c[(Ellipsis,) + np.ix_(*[neg] * self.grid.dim)]
-        imag = (c - np.conj(c_neg)) / 2j
-        return float(np.max(np.abs(half_to_physical(self.grid, _half(imag)))))
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -276,11 +264,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * a)
 
     __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        """Pointwise sup norm max_x |u(x)| (euclidean over components)."""
-        phys = self.to_physical()
-        return float(np.sqrt((phys ** 2).sum(axis=0).max()))
 
 
 # -- core operations ----------------------------------------------------
@@ -338,11 +321,6 @@ def energy_and_grad_norm_sq(f: SpectralField) -> tuple:
             float(np.sum(grid.ops.k2 * power)) * scale)
 
 
-def grad_norm_sq(f: SpectralField) -> float:
-    """||grad u||_{L^2}^2 via Parseval (sum over components and derivatives)."""
-    return energy_and_grad_norm_sq(f)[1]
-
-
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L^2(T^dim) inner product, Parseval-exact."""
     grid = f.grid
@@ -383,18 +361,16 @@ def _convective_with_sup(u: SpectralField):
     ops = grid.ops
     phys = half_to_physical(grid, _half(u.coeffs) * ops.mask_half)
     sup = float(np.sqrt((phys ** 2).sum(axis=0).max()))
-    out = _project(ops.ks_half, ops.inv_k2_half,
-                   _neg_div_products(grid, phys, truncate=True))
+    out = _project(ops.ks_half, ops.inv_k2_half, _neg_div_products(grid, phys))
     return SpectralField(grid, _complete(grid, out)), sup
 
 
-def _neg_div_products(grid: TorusGrid, phys: np.ndarray,
-                      truncate: bool = False) -> np.ndarray:
-    """Half spectrum of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
+def _neg_div_products(grid: TorusGrid, phys: np.ndarray) -> np.ndarray:
+    """Dealiased half spectrum of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
 
     ``phys`` holds the point values of u.  Each product u_i u_j (i <= j) is
-    formed pointwise once, truncated to the dealias mask when ``truncate``,
-    then differentiated spectrally.  Accumulating the negative keeps the
+    formed pointwise once, truncated to the dealias mask, then
+    differentiated spectrally.  Accumulating the negative keeps the
     transport term sign-exact, signed zeros included.
     """
     ops = grid.ops
@@ -402,8 +378,7 @@ def _neg_div_products(grid: TorusGrid, phys: np.ndarray,
     for i in range(grid.dim):
         for j in range(i, grid.dim):
             prod_hat = _rfft(grid, phys[i] * phys[j])
-            if truncate:
-                prod_hat *= ops.mask_half
+            prod_hat *= ops.mask_half
             out[i] -= 1j * ops.dks_half[j] * prod_hat
             if i != j:
                 out[j] -= 1j * ops.dks_half[i] * prod_hat

@@ -21,18 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import WienerPath
-from .limits import _left_point_weights
 from .solver import SolverConfig, SolverRun, Trajectory, run_path
 from .spectral import (
     SpectralField,
     TorusGrid,
-    _neg_div_products,
     gradient_physical,
-    half_to_physical,
     l2_norm_sq,
     resample,
     tail_energy_fraction,
-    tensor_pairing,
 )
 from .young import (
     CellPartition,
@@ -107,20 +103,13 @@ def _slab_snapshots(ref: StrongReference, part: CellPartition,
     return sel
 
 
-def _cell_average(ref: StrongReference, part: CellPartition, slab: int,
-                  of=None) -> np.ndarray:
-    """Slab mean of a reference quantity averaged over the space cells.
-
-    ``of`` maps a snapshot field to point values of shape q + grid.shape
-    (default: the velocity itself); returns (n_space,) + q.
-    """
+def _cell_average(ref: StrongReference, part: CellPartition,
+                  slab: int) -> np.ndarray:
+    """Slab mean of the reference velocity per space cell, (n_space, dim)."""
     sel = _slab_snapshots(ref, part, slab)
     acc = 0.0
     for m in sel:
-        vals = ref.traj.values[m]
-        if of is not None:
-            vals = of(SpectralField.from_physical(ref.grid, vals))
-        acc = acc + part.block_mean(vals)
+        acc = acc + part.block_mean(ref.traj.values[m])
     return np.ascontiguousarray(np.moveaxis(acc / len(sel), -1, 0))
 
 
@@ -169,86 +158,6 @@ def initial_relative_energy(u0: SpectralField, v0: SpectralField) -> float:
         return 0.5 * l2_norm_sq(u0 - v0)
     fine, coarse = (u0, v0) if u0.grid.n > v0.grid.n else (v0, u0)
     return 0.5 * l2_norm_sq(fine - resample(coarse, fine.grid))
-
-
-# -- nonlinear cross term -----------------------------------------------------
-
-
-def crossterm_identity_check(V: GeneralizedYoungMeasure, ref: StrongReference,
-                             t_end: float) -> dict:
-    """Residual of the relative-energy cross-term identity up to t_end.
-
-    For divergence-free fields,
-        int <nu, (xi - v) x (xi - v)> : grad v
-      = int <nu, xi x xi> : grad v  -  int div(v x v) . <nu, xi>,
-    which is how the transport terms recombine in the Gronwall closure.
-    Sample-exact for dirac embeds (source trajectory retained), cell-moment
-    based otherwise.
-    """
-    part = V.partition
-    if V.source is not None:
-        return _crossterm_pointwise(V, ref, t_end)
-
-    # cell-moment route: all factors averaged per cell
-    n_slabs = int(round((t_end - part.t0) / part.slab_duration))
-    lhs_a1 = rhs = a3 = 0.0
-    for slab in range(n_slabs):
-        gv = _cell_average(ref, part, slab, gradient_physical)  # grad v
-        dv = _cell_average(ref, part, slab)                     # v
-        dvv = _cell_average(ref, part, slab, _div_outer)        # div(v x v)
-        nu = V.slab(slab)
-        sec = nu.per_cell(part.n_space, nu.sec)
-        mean = nu.per_cell(part.n_space, nu.mean)
-        lhs_a1 += np.einsum("cij,cij->", sec, gv) * part.cell_volume
-        a3 += -np.einsum("ci,ci->", dvv, mean) * part.cell_volume
-        # <nu, (xi-v)(xi-v)> = sec - mean x v - v x mean + v x v
-        shifted = (sec - np.einsum("ci,cj->cij", mean, dv)
-                   - np.einsum("ci,cj->cij", dv, mean)
-                   + np.einsum("ci,cj->cij", dv, dv))
-        rhs += np.einsum("cij,cij->", shifted, gv) * part.cell_volume
-    return {"lhs": lhs_a1 + a3, "rhs": rhs, "residual": abs(lhs_a1 + a3 - rhs)}
-
-
-def _crossterm_pointwise(V, ref, t_end) -> dict:
-    part = V.partition
-    dim = part.dim
-    src = V.source
-    nw = src.grid.n
-    stride = ref.grid.n // nw
-    if stride * nw != ref.grid.n:
-        raise WeakStrongError("weak grid must divide the reference grid")
-    ref_at = {float(t): m for m, t in enumerate(ref.traj.times)}
-    quad_w = (2.0 * np.pi) ** dim / nw ** dim
-
-    times = np.asarray(src.times, dtype=float)
-    lhs_a1 = a3 = rhs = 0.0
-    for m, (tm, w) in enumerate(zip(times, _left_point_weights(times, t_end))):
-        if w == 0.0:
-            continue
-        if float(tm) not in ref_at:
-            raise WeakStrongError(f"reference lacks a snapshot at t={tm}")
-        mv = ref_at[float(tm)]
-        vfield = SpectralField.from_physical(ref.grid, ref.traj.values[mv])
-        grad_v = gradient_physical(vfield)
-        div_vv = _div_outer(vfield)
-        sub = (slice(None), slice(None, None, stride)) + \
-              (slice(None, None, stride),) * (dim - 1)
-        v = ref.traj.values[mv][sub]
-        gv = grad_v[(slice(None),) + sub].reshape(dim, dim, -1)
-        dvv = div_vv[sub]
-        u = src.values[m]
-        a1_t = tensor_pairing(u.reshape(dim, -1), gv)
-        rhs_t = tensor_pairing((u - v).reshape(dim, -1), gv)
-        a3_t = -sum(float(np.sum(dvv[i] * u[i])) for i in range(dim))
-        lhs_a1 += w * quad_w * a1_t
-        a3 += w * quad_w * a3_t
-        rhs += w * quad_w * rhs_t
-    return {"lhs": lhs_a1 + a3, "rhs": rhs, "residual": abs(lhs_a1 + a3 - rhs)}
-
-
-def _div_outer(v: SpectralField) -> np.ndarray:
-    """Physical values of div(v x v), shape (dim,) + grid.shape."""
-    return -half_to_physical(v.grid, _neg_div_products(v.grid, v.to_physical()))
 
 
 # -- Gronwall audit -----------------------------------------------------------
@@ -303,75 +212,6 @@ def _stopped(f_matrix: np.ndarray, times: np.ndarray, tau: np.ndarray,
 # -- orchestration ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakStrongSetup:
-    """One weak-vs-reference comparison setup sharing data and noise."""
-
-    weak: SolverConfig
-    reference: SolverConfig
-    seed: int
-    tail_tol: float = 1e-6
-
-    def __post_init__(self):
-        r = self.reference
-        w = self.weak
-        if r.grid.n % w.grid.n != 0:
-            raise WeakStrongError("reference grid must refine the weak grid")
-        ratio = w.dt / r.dt
-        if abs(ratio - round(ratio)) > 1e-9 or int(round(ratio)) < 1:
-            raise WeakStrongError("reference dt must divide the weak dt")
-        if int(round(ratio)) & (int(round(ratio)) - 1):
-            raise WeakStrongError("dt refinement must be a power of two")
-
-    @property
-    def dt_ratio(self) -> int:
-        return int(round(self.weak.dt / self.reference.dt))
-
-
-def compare_path(setup: WeakStrongSetup, path_id: int,
-                 partition: CellPartition, radius: float,
-                 snapshot_times, bins_per_axis: int = 16,
-                 reference: StrongReference | None = None,
-                 ref_initial: SpectralField | None = None) -> dict:
-    """Run weak and reference on one shared path; relative energy per slab.
-
-    A prebuilt reference (same seed/path) can be passed to amortize the
-    fine run across a viscosity ladder.
-    """
-    weak_path = None
-    if setup.weak.forcing is not None:
-        weak_path = WienerPath.sample(setup.seed, path_id,
-                                      setup.weak.forcing.rank, setup.weak.dt,
-                                      setup.weak.steps)
-
-    weak_run = run_path(setup.weak, setup.seed, path_id, path=weak_path,
-                        snapshot_times=snapshot_times)
-    if reference is None:
-        ref_path = weak_path.refined(setup.dt_ratio) if weak_path is not None else None
-        ref_run = run_path(setup.reference, setup.seed, path_id, path=ref_path,
-                           snapshot_times=snapshot_times)
-        reference = build_reference(ref_run, tail_tol=setup.tail_tol)
-        ref_initial = ref_run.snapshots[0]
-    elif ref_initial is None:
-        ref_initial = SpectralField.from_physical(reference.grid,
-                                                  reference.traj.values[0])
-
-    V = dirac_embed(weak_run.trajectory(), partition, radius,
-                    bins_per_axis=bins_per_axis)
-    f0 = initial_relative_energy(weak_run.snapshots[0], ref_initial)
-    slabs = [relative_energy(V, reference, s) for s in range(partition.n_t)]
-    return {
-        "path_id": path_id,
-        "f0": f0,
-        "slabs": slabs,
-        "measure_F": np.array([s["measure_form"] for s in slabs]),
-        "expanded_F": np.array([s["expanded_form"] for s in slabs]),
-        "reference": reference,
-        "weak_run": weak_run,
-        "measure": V,
-    }
-
-
 def weak_strong_ladder(eps_values, weak_base: SolverConfig,
                        reference_cfg: SolverConfig, seed: int, path_ids,
                        partition: CellPartition, radius: float,
@@ -380,24 +220,30 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
                        tail_tol: float = 1e-6) -> dict:
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
-    The resolved reference is integrated once per path and reused for every
-    viscosity.  Returns per-eps relative-energy matrices, the Gronwall
-    report, and the paired monotonicity diagnostics along the ladder.
+    Each path's Wiener path is sampled once; the weak runs use it at every
+    viscosity and the resolved reference, integrated once per path, uses
+    its Brownian-bridge refinement.  Returns per-eps relative-energy
+    matrices, the Gronwall report, and the paired monotonicity diagnostics
+    along the ladder.  The reference must refine the weak grid and divide
+    its dt by a power of two; both are checked before any integration.
     """
-    path_ids = list(path_ids)
-    setups = {eps: WeakStrongSetup(weak=weak_base.with_eps(eps),
-                                   reference=reference_cfg, seed=seed,
-                                   tail_tol=tail_tol)
-              for eps in eps_values}
-    base_setup = setups[eps_values[0]]
+    if reference_cfg.grid.n % weak_base.grid.n != 0:
+        raise WeakStrongError("reference grid must refine the weak grid")
+    ratio = weak_base.dt / reference_cfg.dt
+    dt_ratio = int(round(ratio))
+    if abs(ratio - dt_ratio) > 1e-9 or dt_ratio < 1:
+        raise WeakStrongError("reference dt must divide the weak dt")
+    if dt_ratio & (dt_ratio - 1):
+        raise WeakStrongError("dt refinement must be a power of two")
 
-    refs, ref_ics = {}, {}
+    path_ids = list(path_ids)
+    paths, refs, ref_ics = {}, {}, {}
     for pid in path_ids:
-        ref_path = None
-        if reference_cfg.forcing is not None:
-            weak_path = WienerPath.sample(seed, pid, weak_base.rank,
-                                          weak_base.dt, weak_base.steps)
-            ref_path = weak_path.refined(base_setup.dt_ratio)
+        paths[pid] = WienerPath.sample(seed, pid, weak_base.rank, weak_base.dt,
+                                       weak_base.steps) \
+            if weak_base.forcing is not None else None
+        ref_path = paths[pid].refined(dt_ratio) \
+            if paths[pid] is not None else None
         ref_run = run_path(reference_cfg, seed, pid, path=ref_path,
                            snapshot_times=snapshot_times)
         refs[pid] = build_reference(ref_run, tail_tol=tail_tol)
@@ -411,15 +257,20 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
 
     per_eps = {}
     for eps in eps_values:
+        weak_cfg = weak_base.with_eps(eps)
         f_rows, f0s, gaps = [], [], []
         for pid in path_ids:
-            out = compare_path(setups[eps], pid, partition, radius,
-                               snapshot_times, bins_per_axis,
-                               reference=refs[pid], ref_initial=ref_ics[pid])
-            f_rows.append(out["measure_F"])
-            f0s.append(out["f0"])
+            weak_run = run_path(weak_cfg, seed, pid, path=paths[pid],
+                                snapshot_times=snapshot_times)
+            V = dirac_embed(weak_run.trajectory(), partition, radius,
+                            bins_per_axis=bins_per_axis)
+            slabs = [relative_energy(V, refs[pid], s)
+                     for s in range(partition.n_t)]
+            f_rows.append(np.array([s["measure_form"] for s in slabs]))
+            f0s.append(initial_relative_energy(weak_run.snapshots[0],
+                                               ref_ics[pid]))
             gaps.append(max(s["forms_gap"] / max(s["scale"], 1e-300)
-                            for s in out["slabs"]))
+                            for s in slabs))
         f_matrix = np.stack(f_rows)
         audit = gronwall_audit(slab_times, f_matrix, np.asarray(f0s), taus,
                                level, slack)

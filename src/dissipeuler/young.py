@@ -31,12 +31,10 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .solver import Trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -174,22 +172,6 @@ class TestIntegrand:
         return self.f_inf(unit)
 
 
-def g2_norm(integrand: TestIntegrand, dim: int, samples: int = 4001) -> float:
-    """Numeric sup of (1 - |xi|)^2 |f(xi / (1 - |xi|))| over the unit ball.
-
-    Finite exactly for quadratic-growth integrands; evaluated on radial
-    rays through ray directions fixed per axis and diagonal.
-    """
-    rs = np.linspace(0.0, 1.0 - 1e-6, samples)
-    dirs = list(np.eye(dim)) + [np.ones(dim) / np.sqrt(dim)]
-    worst = 0.0
-    for d in dirs:
-        xi = rs[:, None] / (1.0 - rs[:, None]) * d[None, :]
-        vals = (1.0 - rs) ** 2 * np.abs(integrand.eval(xi))
-        worst = max(worst, float(np.max(vals)))
-    return worst
-
-
 @dataclass(frozen=True)
 class BinEntries:
     """The occupied (cell, bin) entries of a per-cell histogram.
@@ -262,7 +244,6 @@ class GeneralizedYoungMeasure:
     nu_inf: BinEntries       # concentration-angle histogram, sphere_bins bins
     clipped_fraction: float = 0.0
     empty_cells: int = 0
-    source: Trajectory | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.lam_mass.setflags(write=False)
@@ -292,11 +273,6 @@ class GeneralizedYoungMeasure:
         """Oscillation entries of one time slab, space cells numbered from 0."""
         lo = slab * self.partition.n_space
         return self.nu.cells(lo, lo + self.partition.n_space)
-
-    def second_moment(self) -> float:
-        """Space-time integral of <nu, |xi|^2>; finite by construction."""
-        tr = np.trace(self.nu.sec, axis1=1, axis2=2)
-        return float((self.nu.mass * tr).sum() * self.partition.cell_volume)
 
 
 # -- construction ----------------------------------------------------------
@@ -374,8 +350,8 @@ class _MomentSums:
 
 
 def _build(trajectories, partition: CellPartition, radius: float,
-           bins_per_axis: int, sphere_bins: int, clip: bool,
-           source=None) -> GeneralizedYoungMeasure:
+           bins_per_axis: int, sphere_bins: int,
+           clip: bool) -> GeneralizedYoungMeasure:
     if radius <= 0:
         raise YoungMeasureError("truncation radius must be positive")
     dim = partition.dim
@@ -465,20 +441,19 @@ def _build(trajectories, partition: CellPartition, radius: float,
     return GeneralizedYoungMeasure(
         partition=partition, radius=radius, bins_per_axis=bins_per_axis,
         sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
-        clipped_fraction=clipped / total, empty_cells=len(empty),
-        source=source)
+        clipped_fraction=clipped / total, empty_cells=len(empty))
 
 
-def dirac_embed(traj: Trajectory, partition: CellPartition, radius: float,
+def dirac_embed(traj, partition: CellPartition, radius: float,
                 bins_per_axis: int = 16, sphere_bins: int = 32) -> GeneralizedYoungMeasure:
-    """Embed one trajectory as (delta_u, 0, 0) on the cell partition.
+    """Embed one trajectory (a ``solver.Trajectory``) as (delta_u, 0, 0).
 
     Values beyond the truncation radius are clipped into the edge bins and
     counted in ``clipped_fraction`` rather than feeding the concentration
     part, mirroring the embedding of square-integrable fields.
     """
     return _build([traj], partition, radius, bins_per_axis, sphere_bins,
-                  clip=True, source=traj)
+                  clip=True)
 
 
 def estimate_from_family(family, partition: CellPartition, radius: float,

@@ -7,7 +7,7 @@ import pytest
 
 from dissipeuler.cli import main
 from dissipeuler.config import ConfigError, parse_config
-from dissipeuler.manifest import read_manifest, verify_manifest
+from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -143,6 +143,36 @@ class TestSchema:
         assert main(["martingale", "--config", str(cfg), "--out", str(out)]) == 2
         assert "forcing" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,section,key,value,field", [
+        ("simulate", "grid", "n", 7, "grid.n"),
+        ("simulate", "grid", "dim", 4, "grid.dim"),
+        ("ym", "young", "space_cells", 0, "young.space_cells"),
+        ("martingale", "martingale", "pairs", [5], "martingale.pairs[0]"),
+        ("ym", "young", "bins_per_axis", 0, "young.bins_per_axis"),
+        ("ym", "young", "time_cells", 0, "young.time_cells"),
+        ("ym", "young", "snapshots_per_slab", 0, "young.snapshots_per_slab"),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
+                                     section, key, value, field):
+        raw = forced_config(paths=1)
+        raw["experiment"] = experiment
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, experiment)
+        assert err.value.path == field
+        out = tmp_path / "run"
+        assert main([experiment, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cauchy_strict_is_not_a_field(self):
+        raw = zero_config()
+        raw["tolerances"] = {"cauchy_strict": False}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "simulate")
+        assert err.value.path == "tolerances.cauchy_strict"
 
     def test_valid_config_parses(self):
         cfg = parse_config(forced_config(), "simulate")
@@ -295,6 +325,27 @@ class TestReportCommand:
         assert "reports/ym.json: hash mismatch" in text
         assert text.endswith("overall: FAIL\n")
 
+    def test_resealed_edit_fails_on_value_against_tolerance(self, tmp_path,
+                                                             capsys):
+        # the manifest vouches for the edited report, so only the
+        # recomputed value <= tolerance rule can catch the forged pass
+        out = tmp_path / "run"
+        assert main(["ym", "--config", str(write_config(tmp_path, ym_config())),
+                     "--out", str(out)]) == 0
+        path = out / "reports" / "ym.json"
+        report = json.loads(path.read_text())
+        row = report["rows"][0]
+        row.update({"pass": True, "value": 2.0 * row["tolerance"] + 1.0})
+        path.write_text(json.dumps(report))
+        (out / "manifest.json").unlink()
+        RunDirectory(out).finalize()
+        assert verify_manifest(out) == []
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert text.endswith("overall: FAIL\n")
+        assert sum(" FAIL" in line for line in text.splitlines()[:-1]) == 1
+
     def test_verify_manifest_detects_tamper(self, tmp_path):
         cfg = write_config(tmp_path, forced_config(paths=1))
         out = tmp_path / "run"
@@ -362,7 +413,7 @@ class TestCrash:
     def test_crash_exits_3_without_manifest(self, tmp_path, capsys, monkeypatch):
         import dissipeuler.cli as cli
 
-        def boom(cfg, out, threads):
+        def boom(cfg, out):
             raise RuntimeError("injected fault")
         monkeypatch.setattr(cli, "_run_ym", boom)
         out = tmp_path / "run"
@@ -466,8 +517,8 @@ class TestVanishCli:
         seen = []
         residual = cli.momentum_residual
 
-        def spy(V, traj, forcing, path, phi, **kw):
-            rep = residual(V, traj, forcing, path, phi, **kw)
+        def spy(traj, partition, forcing, path, phi, **kw):
+            rep = residual(traj, partition, forcing, path, phi, **kw)
             seen.append((path, rep["residual"]))
             return rep
         monkeypatch.setattr(cli, "momentum_residual", spy)

@@ -12,7 +12,6 @@ from dissipeuler.forcing import (
     WienerPath,
     apply_noise,
     default_forcing,
-    export_increments_csv,
     sample_increments,
 )
 from dissipeuler.spectral import TorusGrid, divergence_defect, inner_product, l2_norm_sq
@@ -185,32 +184,6 @@ class TestIncrementStreams:
 
 
 class TestWienerPath:
-    def test_u0_norm_at_zero(self):
-        p = WienerPath.sample(37, 0, 3, 0.1, 10)
-        assert p.u0_norm(0.0) == 0.0
-
-    def test_u0_norm_single_mode_hand_value(self):
-        # beta_1(t) = 2 with weight 1/1^2 gives exactly 2
-        inc = np.array([[2.0]])
-        p = WienerPath(0, 0, 1.0, inc)
-        assert p.u0_norm(1.0) == pytest.approx(2.0)
-
-    def test_u0_norm_mean_square_monte_carlo(self):
-        # E[u0_norm(t)^2] = t * sum_k 1/k^2 over active modes
-        n_modes, dt, steps = 4, 0.05, 20
-        t = dt * steps
-        vals = np.empty(4000)
-        for pid in range(vals.size):
-            p = WienerPath.sample(41, pid, n_modes, dt, steps)
-            vals[pid] = p.u0_norm(t) ** 2
-        expected = t * sum(1.0 / k ** 2 for k in range(1, n_modes + 1))
-        assert abs(vals.mean() - expected) / expected < 0.05
-
-    def test_rejects_time_outside_horizon(self):
-        p = WienerPath.sample(43, 0, 2, 0.1, 10)
-        with pytest.raises(ForcingError):
-            p.u0_norm(2.0)
-
     def test_coordinates_start_at_zero(self):
         p = WienerPath.sample(47, 1, 2, 0.1, 16)
         beta = p.coordinates()
@@ -250,13 +223,3 @@ class TestBrownianBridge:
         x2 = f2.increments[0::2] - 0.5 * f1.increments
         assert not np.allclose(x1[: 8], x2[: 8])
 
-
-def test_export_csv_round_trip(tmp_path):
-    p = WienerPath.sample(71, 2, 2, 0.1, 4)
-    out = tmp_path / "path.csv"
-    export_increments_csv(out, p)
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "path_id,k,n,dW"
-    assert len(rows) == 1 + 4 * 2
-    first = rows[1].split(",")
-    assert first[0] == "2" and float(first[3]) == p.increments[0, 0]

@@ -12,13 +12,11 @@ from dissipeuler.limits import (
     ViscosityLadder,
     energy_inequality_limit,
     forcing_pairings,
-    holder_seminorm,
     linear_model_functionals,
     martingale_test,
     momentum_residual,
     run_ladder,
-    solver_functionals,
-    w32_normalize,
+    solver_functionals_multi,
 )
 from dissipeuler.solver import InitialCondition, SolverConfig, run_path
 from dissipeuler.spectral import SpectralField, TorusGrid
@@ -103,31 +101,30 @@ class TestMomentumResidual:
         path = WienerPath.sample(13, 0, cfg.rank, dt, cfg.steps)
         run = run_path(cfg, 13, 0, path=path)
         part = CellPartition(2, n, 4, 4, 0.0, horizon)
-        V = dirac_embed(run.trajectory(), part, radius=6.0)
-        return cfg, path, run, part, V
+        return cfg, path, run, part
 
     def test_zero_time_window(self):
-        cfg, path, run, part, V = self.setup_run()
+        cfg, path, run, part = self.setup_run()
         phi = div_free_phi(cfg.grid)
-        out = momentum_residual(V, run.trajectory(), cfg.forcing, path, phi,
+        out = momentum_residual(run.trajectory(), part, cfg.forcing, path, phi,
                                 t=0.0)
         assert out["residual"] == 0.0
 
     def test_inviscid_residual_is_machine_zero(self):
         # with eps = 0 and every step sampled, the scheme satisfies the
         # discrete weak form identically
-        cfg, path, run, part, V = self.setup_run(eps=0.0)
+        cfg, path, run, part = self.setup_run(eps=0.0)
         phi = div_free_phi(cfg.grid)
-        out = momentum_residual(V, run.trajectory(), cfg.forcing, path, phi,
+        out = momentum_residual(run.trajectory(), part, cfg.forcing, path, phi,
                                 t=0.25)
         assert out["residual"] < 1e-12
 
     def test_viscous_residual_first_order(self):
         residuals = []
         for k, dt in enumerate((1.0 / 64, 1.0 / 128, 1.0 / 256)):
-            cfg, path, run, part, V = self.setup_run(eps=0.2, dt=dt)
+            cfg, path, run, part = self.setup_run(eps=0.2, dt=dt)
             phi = div_free_phi(cfg.grid)
-            out = momentum_residual(V, run.trajectory(), cfg.forcing, path,
+            out = momentum_residual(run.trajectory(), part, cfg.forcing, path,
                                     phi, t=0.25, eps=0.2)
             residuals.append(out["residual"])
         orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
@@ -135,11 +132,11 @@ class TestMomentumResidual:
 
     def test_oracle_equivalence_with_classical_weak_form(self):
         # independent trajectory-side evaluation of every term
-        cfg, path, run, part, V = self.setup_run(eps=0.0)
+        cfg, path, run, part = self.setup_run(eps=0.0)
         phi = div_free_phi(cfg.grid)
         traj = run.trajectory()
         t = 0.25
-        out = momentum_residual(V, traj, cfg.forcing, path, phi, t=t)
+        out = momentum_residual(traj, part, cfg.forcing, path, phi, t=t)
 
         grid = cfg.grid
         gp = np.zeros((2, 2) + grid.shape)
@@ -163,10 +160,10 @@ class TestMomentumResidual:
         assert abs(out["residual"] - classical) < 1e-10
 
     def test_rejects_off_slab_time(self):
-        cfg, path, run, part, V = self.setup_run()
+        cfg, path, run, part = self.setup_run()
         phi = div_free_phi(cfg.grid)
         with pytest.raises(LimitError):
-            momentum_residual(V, run.trajectory(), cfg.forcing, path, phi,
+            momentum_residual(run.trajectory(), part, cfg.forcing, path, phi,
                               t=0.1)
 
 
@@ -224,8 +221,10 @@ class TestMartingale:
         fast, c = linear_model_functionals(forcing, phi, seed=19,
                                            path_ids=range(3), dt=cfg.dt,
                                            steps=cfg.steps, s=0.25, t=0.5)
-        slow, c2 = solver_functionals(cfg, phi, seed=19, path_ids=range(3),
-                                      s=0.25, t=0.5)
+        by_pair, c2 = solver_functionals_multi(cfg, phi, seed=19,
+                                               path_ids=range(3),
+                                               pairs=[(0.25, 0.5)])
+        slow = by_pair[(0.25, 0.5)]
         assert np.allclose(c, c2)
         for a, b in zip(fast, slow):
             assert a.m_s == pytest.approx(b.m_s, abs=1e-10)
@@ -237,8 +236,10 @@ class TestMartingale:
             eps=0.05, dt=1.0 / 64, horizon=0.5,
             initial=InitialCondition("taylor_green", amplitude=0.3))
         phi = div_free_phi(cfg.grid)
-        ens, c = solver_functionals(cfg, phi, seed=23, path_ids=range(64),
-                                    s=0.125, t=0.25)
+        by_pair, c = solver_functionals_multi(cfg, phi, seed=23,
+                                              path_ids=range(64),
+                                              pairs=[(0.125, 0.25)])
+        ens = by_pair[(0.125, 0.25)]
         stat = MartingaleStat("phi", 0.125, 0.25, history="clamp_pair")
         rep = martingale_test(stat, ens, c, n_tests=6)
         assert rep["passed"], rep
@@ -287,35 +288,6 @@ class TestEnergyInequalityLimit:
         assert rep["passed"]
         # dissipative dynamics: the compensated slab process really decreases
         assert rep["max_defect"] <= 0.0
-
-
-class TestDiagnostics:
-    def test_holder_seminorm_linear_function(self):
-        t = np.linspace(0.0, 1.0, 9)
-        v = 3.0 * t
-        # sup |3 dt| / dt^0.5 attained on the largest gap
-        assert holder_seminorm(t, v, alpha=0.5) == pytest.approx(3.0)
-
-    def test_holder_bounded_along_ladder(self):
-        cfg = base_config(n=16, horizon=0.5)
-        phi = w32_normalize(div_free_phi(cfg.grid))
-        norms = []
-        for eps in (0.1, 0.05, 0.025):
-            rec = FunctionalRecorder(phi, eps, cfg.dt)
-            run_path(cfg.with_eps(eps), 31, 0, snapshot_times=[],
-                     observers=(rec,))
-            times = np.arange(len(rec.pairings)) * cfg.dt
-            norms.append(holder_seminorm(times, np.asarray(rec.pairings),
-                                         alpha=0.4))
-        assert max(norms) < 10.0 * min(norms)
-
-    def test_w32_normalize(self):
-        grid = TorusGrid(2, 16)
-        phi = w32_normalize(div_free_phi(grid, amp=7.0))
-        weight = (1.0 + grid.k_squared()) ** 3
-        norm_sq = float(np.sum(weight * (np.abs(phi.coeffs) ** 2).sum(axis=0)))
-        norm_sq *= grid.volume / grid.n ** 4
-        assert norm_sq == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFamilyEnergyAlongLadder:

@@ -1,4 +1,4 @@
-"""Relative energy, stopping times, cross-term identity, Gronwall envelope."""
+"""Relative energy, stopping times, Gronwall envelope, the ladder audit."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ import pytest
 from dissipeuler.forcing import default_forcing
 from dissipeuler.solver import InitialCondition, SolverConfig, Trajectory, run_path
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, single_mode, taylor_green
+import dissipeuler.weakstrong as weakstrong
 from dissipeuler.weakstrong import (
     weak_strong_ladder,
     WeakStrongError,
-    WeakStrongSetup,
     build_reference,
-    compare_path,
-    crossterm_identity_check,
     gronwall_audit,
     initial_relative_energy,
     ladder_monotone_within_ci,
@@ -20,8 +18,6 @@ from dissipeuler.weakstrong import (
     stopping_time,
 )
 from dissipeuler.young import CellPartition, dirac_embed, estimate_from_family
-
-TWO_PI = 2.0 * np.pi
 
 
 def steady_run(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, snapshot_times=None,
@@ -155,49 +151,6 @@ class TestStoppingTime:
         assert p_stop <= bound + mc_err
 
 
-class TestCrossTerm:
-    def test_constant_reference_both_sides_zero(self):
-        grid = TorusGrid(2, 32)
-        times = snapshot_grid(0.25, 2)
-        weak = steady_run(grid, amp=0.5, snapshot_times=times)
-        part = CellPartition(2, 32, 2, 8, 0.0, 0.25)
-        V = dirac_embed(weak.trajectory(), part, radius=3.0)
-
-        const = np.zeros((2,) + grid.shape)
-        const[0] = 0.7
-        ref_traj = Trajectory(grid, np.asarray(times, dtype=float),
-                              np.stack([const] * len(times)))
-        ref = type(build_reference(weak))(
-            traj=ref_traj, grad_sup=np.zeros(len(times)),
-            energy_sq=np.full(len(times), 0.49 * TWO_PI ** 2), horizon=0.25)
-        out = crossterm_identity_check(V, ref, t_end=0.25)
-        assert abs(out["lhs"]) < 1e-12
-        assert abs(out["rhs"]) < 1e-12
-
-    def test_taylor_green_pair_machine_residual(self):
-        times = snapshot_grid(0.25, 2)
-        weak = steady_run(TorusGrid(2, 32), amp=0.6, snapshot_times=times)
-        refr = steady_run(TorusGrid(2, 64), amp=1.0, snapshot_times=times)
-        part = CellPartition(2, 32, 2, 8, 0.0, 0.25)
-        V = dirac_embed(weak.trajectory(), part, radius=3.0)
-        ref = build_reference(refr)
-        out = crossterm_identity_check(V, ref, t_end=0.25)
-        assert out["residual"] <= 1e-6
-        assert abs(out["lhs"]) > 0 or abs(out["rhs"]) >= 0
-
-    def test_scaled_reference_consistent(self):
-        times = snapshot_grid(0.25, 2, dt=1.0 / 64)
-        weak = steady_run(TorusGrid(2, 32), amp=0.6, dt=1.0 / 64,
-                          snapshot_times=times)
-        part = CellPartition(2, 32, 2, 8, 0.0, 0.25)
-        V = dirac_embed(weak.trajectory(), part, radius=3.0)
-        for amp in (0.5, 1.0, 1.5):
-            ref = build_reference(steady_run(TorusGrid(2, 64), amp=amp,
-                                             dt=1.0 / 64, snapshot_times=times))
-            out = crossterm_identity_check(V, ref, t_end=0.25)
-            assert out["residual"] <= 1e-6
-
-
 class TestGronwallAudit:
     def test_exact_exponential_zero_margin(self):
         times = np.linspace(0.0, 1.0, 9)
@@ -216,13 +169,15 @@ class TestGronwallAudit:
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
         cfg = SolverConfig(grid=grid, forcing=forcing, eps=0.0, dt=1.0 / 32,
                            horizon=0.25, initial=ic)
-        setup = WeakStrongSetup(weak=cfg, reference=cfg, seed=53)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
-        out = compare_path(setup, 0, part, radius=4.0, snapshot_times=times)
-        assert out["f0"] == 0.0
-        e0 = out["weak_run"].trace.energy[0]
-        assert np.all(out["measure_F"] <= 0.02 * e0)
-        assert np.all(out["measure_F"] >= 0.0)
+        rep = weak_strong_ladder((0.0,), cfg, cfg, seed=53, path_ids=[0],
+                                 partition=part, radius=4.0,
+                                 snapshot_times=times)
+        out = rep["per_eps"][0.0]
+        assert out["f0"][0] == 0.0
+        e0 = run_path(cfg, 53, 0, snapshot_times=[]).trace.energy[0]
+        assert np.all(out["f_matrix"][0] <= 0.02 * e0)
+        assert np.all(out["f_matrix"][0] >= 0.0)
 
     def test_monotone_in_level(self):
         times = np.linspace(0.0, 0.5, 5)
@@ -295,16 +250,38 @@ class TestLadderComparison:
             assert np.all(rep["per_eps"][eps]["f0"] == 0.0)
             assert rep["per_eps"][eps]["gronwall"]["passed"]
 
-    def test_setup_validation(self):
+    def test_setup_validation(self, monkeypatch):
         grid = TorusGrid(2, 16)
         fine = TorusGrid(2, 32)
         ic = InitialCondition("zero")
         weak = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
                             horizon=0.25, initial=ic)
-        bad_dt = SolverConfig(grid=fine, forcing=None, eps=0.0, dt=1.0 / 48,
-                              horizon=0.25, initial=ic)
-        with pytest.raises(WeakStrongError):
-            WeakStrongSetup(weak=weak, reference=bad_dt, seed=1)
-        bad_grid = SolverConfig(grid=TorusGrid(2, 16), forcing=None, eps=0.0,
-                                dt=1.0 / 64, horizon=0.25, initial=ic)
-        WeakStrongSetup(weak=weak, reference=bad_grid, seed=1)  # same grid ok
+        part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
+        times = snapshot_grid(0.25, 2)
+
+        def ladder(reference):
+            return weak_strong_ladder((0.1,), weak, reference, seed=1,
+                                      path_ids=[0], partition=part,
+                                      radius=4.0, snapshot_times=times,
+                                      level=1.0)
+
+        runs = []
+        real_run_path = weakstrong.run_path
+
+        def counting_run_path(*args, **kwargs):
+            runs.append(args)
+            return real_run_path(*args, **kwargs)
+        monkeypatch.setattr(weakstrong, "run_path", counting_run_path)
+        bad = [SolverConfig(grid=fine, forcing=None, eps=0.0, dt=dt,
+                            horizon=0.25, initial=ic)
+               for dt in (1.0 / 48, 3.0 / 32, 1.0 / 96)]
+        bad.append(SolverConfig(grid=TorusGrid(2, 8), forcing=None, eps=0.0,
+                                dt=1.0 / 64, horizon=0.25, initial=ic))
+        for reference in bad:
+            with pytest.raises(WeakStrongError):
+                ladder(reference)
+        assert runs == []  # rejected before any integration
+        same_grid = SolverConfig(grid=TorusGrid(2, 16), forcing=None, eps=0.0,
+                                 dt=1.0 / 64, horizon=0.25, initial=ic)
+        ladder(same_grid)  # same grid ok
+        assert len(runs) == 2

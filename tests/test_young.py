@@ -13,7 +13,6 @@ from dissipeuler.young import (
     dirac_embed,
     energy_of,
     estimate_from_family,
-    g2_norm,
     measure_to_dict,
     pairing,
     quadratic_dictionary,
@@ -326,7 +325,9 @@ class TestEnergyAndDistance:
                                 [0.0, 0.5, 1.0])
         V = dirac_embed(traj, part, 2.0)
         horizon = part.t1 - part.t0
-        assert V.second_moment() <= l2_norm_sq(u) * horizon * (1 + 1e-10)
+        # space-time integral of <nu, |xi|^2>, finite by construction
+        second_moment = pairing(V, ENERGY)
+        assert second_moment <= l2_norm_sq(u) * horizon * (1 + 1e-10)
 
     def test_distance_self_is_zero(self):
         grid = TorusGrid(2, 16)
@@ -363,18 +364,6 @@ class TestEnergyAndDistance:
     def test_dictionary_size(self):
         assert len(quadratic_dictionary(2)) >= 20
         assert len(quadratic_dictionary(3)) >= 20
-
-
-class TestG2Norm:
-    def test_energy_integrand_norm(self):
-        # (1-r)^2 (r/(1-r))^2 -> sup r^2 = 1
-        assert g2_norm(ENERGY, 2) == pytest.approx(1.0, abs=1e-3)
-
-    def test_linear_integrand_vanishing_recession(self):
-        b = np.array([1.0, 0.0])
-        f = TestIntegrand("xi0", quad=(np.zeros((2, 2)), b, 0.0))
-        # (1-r)^2 * r/(1-r) = r(1-r) -> sup 1/4
-        assert g2_norm(f, 2) == pytest.approx(0.25, abs=1e-3)
 
 
 class TestExport:
