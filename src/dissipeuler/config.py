@@ -7,6 +7,7 @@ mandatory so no run ever depends on ambient entropy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -14,8 +15,11 @@ from dataclasses import dataclass
 from .forcing import ForcingError, ForcingMode, ForcingOperator, default_forcing
 from .solver import InitialCondition, SolverConfig, SolverError
 from .spectral import SpectralError, TorusGrid
+from .young import CellPartition
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
+# the snapshot times loop over time_cells * snapshots_per_slab samples
+MAX_SNAPSHOTS_PER_SLAB = 2 ** 16
 
 
 class ConfigError(ValueError):
@@ -153,6 +157,23 @@ class RunConfig:
                             cfl_number=self.cfl_number,
                             transport=self.transport)
 
+    @functools.cached_property
+    def partition(self) -> CellPartition:
+        return CellPartition(self.grid.dim, self.grid.n, self.young.time_cells,
+                             self.young.space_cells, 0.0, self.horizon)
+
+    @functools.cached_property
+    def snapshot_times(self) -> tuple:
+        """Mid-slab samples for the measure plus both endpoints for drift terms."""
+        part_dur = self.horizon / self.young.time_cells
+        out = {0.0, round(self.horizon / self.dt) * self.dt}
+        for s in range(self.young.time_cells):
+            lo = s * part_dur
+            for j in range(self.young.snapshots_per_slab):
+                frac = (j + 0.5) / self.young.snapshots_per_slab
+                out.add(round((lo + frac * part_dur) / self.dt) * self.dt)
+        return tuple(sorted(out))
+
 
 def load_config(path, experiment: str) -> RunConfig:
     with open(path) as fh:
@@ -195,7 +216,7 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
     forcing = _parse_forcing(raw, grid)
     if experiment == "martingale" and forcing is None:
         raise ConfigError("forcing", "martingale experiment needs forcing")
-    initial = _parse_initial(raw)
+    initial = _parse_initial(raw, grid)
 
     ens = _get(raw, "", "ensemble", dict)
     _no_unknown(ens, "ensemble", {"paths", "seed"})
@@ -213,11 +234,35 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
     cfl = _get(s, "solver", "cfl_number", float, 0.5)
     transport = _get(s, "solver", "transport", bool, True)
 
-    return RunConfig(experiment=experiment, grid=grid, dt=dt, horizon=horizon,
-                     eps_values=eps_values, forcing=forcing, initial=initial,
-                     paths=paths, seed=seed, young=young, tolerances=tol,
-                     martingale=mart, reference=ref, blowup_ceiling=blowup,
-                     cfl_number=cfl, transport=transport)
+    cfg = RunConfig(experiment=experiment, grid=grid, dt=dt, horizon=horizon,
+                    eps_values=eps_values, forcing=forcing, initial=initial,
+                    paths=paths, seed=seed, young=young, tolerances=tol,
+                    martingale=mart, reference=ref, blowup_ceiling=blowup,
+                    cfl_number=cfl, transport=transport)
+    if experiment in ("vanish", "ym", "weakstrong"):
+        _check_time_cells(cfg, round(steps))
+    return cfg
+
+
+def _check_time_cells(cfg: RunConfig, steps: int) -> None:
+    """Every time cell of the measure partition holds a snapshot, by
+    ``slab_of``, as the measure build requires.
+
+    Snapshots lie on the steps + 1 step times, so more cells than that
+    fail before the snapshot times are formed.
+    """
+    if cfg.young.snapshots_per_slab > MAX_SNAPSHOTS_PER_SLAB:
+        raise ConfigError("young.snapshots_per_slab",
+                          f"must be <= {MAX_SNAPSHOTS_PER_SLAB}")
+    cells = cfg.young.time_cells
+    if cells > steps + 1:
+        raise ConfigError("young.time_cells",
+                          f"must be <= {steps + 1}, the step times at dt={cfg.dt:g}")
+    missing = cells - len({cfg.partition.slab_of(t) for t in cfg.snapshot_times})
+    if missing:
+        raise ConfigError("young.time_cells",
+                          f"{missing} of {cells} time cells get no snapshot "
+                          f"at dt={cfg.dt:g}; use fewer cells")
 
 
 def _parse_viscosity(raw, experiment):
@@ -277,17 +322,23 @@ def _parse_mode(m, path) -> ForcingMode:
         raise ConfigError(path, str(err)) from err
 
 
-def _parse_initial(raw):
+def _parse_initial(raw, grid):
     i = _get(raw, "", "initial", dict, {"kind": "taylor_green"})
     _no_unknown(i, "initial", {"kind", "amplitude", "k_max", "decay"})
     try:
-        return InitialCondition(
+        init = InitialCondition(
             _get(i, "initial", "kind", str, "taylor_green"),
             amplitude=_get(i, "initial", "amplitude", float, 1.0),
             k_max=_get(i, "initial", "k_max", int, 3),
             decay=_get(i, "initial", "decay", float, 2.0))
     except SolverError as err:
         raise ConfigError("initial.kind", str(err)) from err
+    cut = grid.dealias_cutoff()
+    if init.kind == "random_spectrum" and not 1 <= init.k_max <= cut:
+        raise ConfigError("initial.k_max",
+                          f"must be in [1, {cut}], the dealias cutoff of "
+                          f"n={grid.n}, got {init.k_max}")
+    return init
 
 
 def _parse_young(raw, grid):

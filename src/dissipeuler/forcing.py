@@ -119,9 +119,9 @@ class ForcingOperator:
         """Sparse coefficients of sigma_k g_k as ``(index, values)``.
 
         ``index`` holds the flat indices, into coefficient arrays of shape
-        (dim,) + grid.shape, where some sigma_k g_k is nonzero: the +-k
-        coefficients of each mode.  ``values[k]`` are the coefficients of
-        sigma_k g_k there, shape (K, len(index)).
+        (dim,) + grid.spectral_shape, where some sigma_k g_k is nonzero: the
+        stored ones of the +-k coefficients of each mode.  ``values[k]`` are
+        the coefficients of sigma_k g_k there, shape (K, len(index)).
         """
         dense = np.stack([m.sigma * self.mode_field(grid, i).coeffs.ravel()
                           for i, m in enumerate(self.modes)])
@@ -140,7 +140,7 @@ def apply_noise(phi: ForcingOperator, increments: np.ndarray,
     if increments.shape != (phi.rank,):
         raise ForcingError(f"expected {phi.rank} increments, got {increments.shape}")
     index, values = phi.noise_support(grid)
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     coeffs.flat[index] = increments @ values
     return SpectralField(grid, coeffs)
 

@@ -30,6 +30,7 @@ from .spectral import (
     SpectralField,
     gradient_physical,
     inner_product,
+    laplacian,
     tensor_pairing,
 )
 from .young import (
@@ -211,9 +212,8 @@ def momentum_residual(traj: Trajectory, partition: CellPartition,
 
     viscous = 0.0
     if eps > 0:
-        lap_phi = SpectralField(phi.grid, -phi.grid.k_squared() * phi.coeffs)
-        viscous = eps * _windowed_scalar_pairing(traj, lap_phi, partition,
-                                                 n_slabs)
+        viscous = eps * _windowed_scalar_pairing(traj, laplacian(phi),
+                                                 partition, n_slabs)
 
     residual = drift - convective - stochastic - viscous
     return {"residual": abs(residual), "drift": drift, "convective": convective,
@@ -289,7 +289,7 @@ class FunctionalRecorder:
         self.transport = transport
         grid = phi.grid
         self._grad_phi = gradient_physical(phi).reshape(grid.dim, grid.dim, -1)
-        self._lap_phi = SpectralField(grid, -grid.k_squared() * phi.coeffs)
+        self._lap_phi = laplacian(phi)
         self._quad_w = grid.volume / grid.n ** grid.dim
         self.pairings = []
         self.visc_int = [0.0]
@@ -394,9 +394,9 @@ def _ci_row(name: str, samples: np.ndarray, z: float,
     n = len(samples)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n))
-    half = z * se
-    tol = half + atol
-    return {"name": name, "mean": mean, "se": se, "ci_half": half,
+    ci = z * se
+    tol = ci + atol
+    return {"name": name, "mean": mean, "se": se, "ci": ci,
             "tolerance": tol, "passed": bool(abs(mean) <= tol)}
 
 

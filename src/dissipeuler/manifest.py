@@ -26,7 +26,8 @@ def sha256_file(path: Path) -> str:
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Compact JSON with sorted keys: one byte sequence per payload."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class RunDirectory:

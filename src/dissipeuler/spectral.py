@@ -1,34 +1,33 @@
 """Fourier representation of periodic vector fields on the torus.
 
 Velocity fields live on ``[0, 2*pi)^dim`` (dim 2 or 3) and are stored as
-full complex FFT coefficient arrays, one block per velocity component, in
-numpy ``fftn`` layout (unnormalized forward transform).  Everything here is
-a pure function: divergence-free (Leray) projection, spectral derivatives,
-the dealiased convective term, Parseval inner products, and a small binary
-snapshot format.
+the real half spectrum of their point values, one block per velocity
+component, in ``rfftn`` layout (unnormalized forward transform; the last
+axis keeps wavenumbers 0..n/2).  Everything here is a pure function:
+divergence-free (Leray) projection, spectral derivatives, the dealiased
+convective term, Parseval inner products, and a small binary snapshot
+format.
 
 Conventions
 -----------
 * Coefficients ``c[i, k1, .., kd]`` satisfy
-  ``u_i(x) = n^{-dim} * sum_k c[i, k] exp(i k.x)``.
-* Real-valued fields have Hermitian-symmetric coefficients; constructors
-  enforce this.
+  ``u_i(x) = n^{-dim} * sum_k c[i, k] exp(i k.x)`` over all k, the
+  coefficient at a k with negative last component being the conjugate of
+  the stored one at -k (the field is real).
 * The quadratic nonlinearity is dealiased by the 2/3 rule with strict
   cutoff ``|k_j| <= n//3 - (1 if 3 | n else 0)`` chosen so that aliased
   images of products of retained modes never fold back onto retained modes.
-* Storage stays in the full ``fftn`` layout everywhere, but the transforms
-  run on the real half spectrum (last axis ``n//2 + 1``) through
-  ``scipy.fft.rfftn``/``irfftn``, in this module only.  ``_complete``
-  rebuilds the full layout from a half spectrum by Hermitian symmetry.
+* Sums over the full spectrum (Parseval) weight each stored coefficient by
+  the number of full-spectrum coefficients it stands for: 1 on the last-axis
+  columns 0 and n/2, 2 elsewhere.
 * The Fourier multipliers of a grid (wavenumbers, |k|^2, 1/|k|^2, the
-  dealias mask and their half-spectrum slices) are built once per
-  ``TorusGrid`` and shared read-only.
+  dealias mask and the Parseval weight) are built once per ``TorusGrid``
+  and shared read-only.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -38,7 +37,7 @@ import scipy.fft
 TWO_PI = 2.0 * np.pi
 
 _SNAPSHOT_MAGIC = b"DEFLD\x00"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 
 
 class SpectralError(ValueError):
@@ -65,6 +64,11 @@ class TorusGrid:
         return (self.n,) * self.dim
 
     @property
+    def spectral_shape(self) -> tuple:
+        """Shape of one coefficient block: ``rfftn`` output order."""
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
+
+    @property
     def volume(self) -> float:
         return TWO_PI ** self.dim
 
@@ -81,20 +85,10 @@ class TorusGrid:
         """The grid's Fourier multipliers, built on first use."""
         return GridOperators(self)
 
-    def wavenumbers(self) -> tuple:
-        """Integer wavenumber array per axis, fftn layout, shape broadcastable."""
-        return self.ops.ks
-
-    def k_squared(self) -> np.ndarray:
-        return self.ops.k2
-
     def dealias_cutoff(self) -> int:
         # strict 2/3 rule: with cutoff K, alias images of quadratic products
         # land at |k| >= n - 2K > K
         return (self.n - 1) // 3
-
-    def dealias_mask(self) -> np.ndarray:
-        return self.ops.mask
 
     def points(self) -> tuple:
         """Physical grid coordinates, one broadcastable array per axis."""
@@ -108,54 +102,40 @@ class TorusGrid:
 
 
 class GridOperators:
-    """Read-only Fourier multipliers of one grid.
+    """Read-only Fourier multipliers of one grid, on the coefficient layout.
 
-    Full-layout arrays (``ks``, ``k2``, ``inv_k2``, ``mask``) act on
-    ``SpectralField.coeffs``; the ``*_half`` arrays are their slices on the
-    half spectrum that the real transforms produce.  ``dks_half`` are the
-    derivative wavenumbers: the Nyquist wavenumber of each axis is 0 there,
-    as ``real(ifftn(1j * k * c))`` implies for a real field.  ``mirror``
-    pairs slices of the missing half with the half-spectrum slices at -k.
+    ``ks`` are the wavenumbers per axis (broadcastable; the Nyquist index
+    holds -n/2), ``dks`` the derivative wavenumbers, whose Nyquist entry is
+    0 on every axis as ``real(ifftn(1j * k * c))`` implies for a real field.
+    ``weight`` counts the full-spectrum coefficients each stored one stands
+    for in a Parseval sum.
     """
 
     def __init__(self, grid: TorusGrid):
         n, dim = grid.n, grid.dim
         k1 = np.fft.fftfreq(n, d=1.0 / n)
-        dk1 = k1.copy()
-        dk1[n // 2] = 0.0
-        half = slice(0, n // 2 + 1)
 
         def per_axis(k):
             out = []
             for axis in range(dim):
+                kk = k if axis < dim - 1 else k[: n // 2 + 1]
                 shape = [1] * dim
-                shape[axis] = n
-                out.append(k.reshape(shape))
+                shape[axis] = kk.size
+                out.append(kk.reshape(shape))
             return tuple(out)
 
         self.ks = per_axis(k1)
+        self.dks = tuple(np.where(k == -(n // 2), 0.0, k) for k in self.ks)
         self.k2 = sum(k ** 2 for k in self.ks)
         self.inv_k2 = 1.0 / np.where(self.k2 == 0, 1.0, self.k2)
         cut = grid.dealias_cutoff()
-        self.mask = np.ones(grid.shape, dtype=bool)
+        self.mask = np.ones(grid.spectral_shape, dtype=bool)
         for k in self.ks:
             self.mask &= np.abs(k) <= cut
-        dks = per_axis(dk1)
-        self.ks_half = self.ks[:-1] + (self.ks[-1][..., half],)
-        self.dks_half = dks[:-1] + (dks[-1][..., half],)
-        self.inv_k2_half = self.inv_k2[..., half]
-        self.mask_half = self.mask[..., half]
-        # -k of index j is index (n - j) % n: index 0 maps to itself, the
-        # rest reverses; one (destination, source) slice pair per block
-        tail = (slice(n // 2 + 1, None),)
-        tail_src = (slice(n // 2 - 1, 0, -1),)
-        self.mirror = tuple(
-            (dst + tail, tuple(slice(0, 1) if b.stop == 1 else slice(None, 0, -1)
-                               for b in dst) + tail_src)
-            for dst in itertools.product((slice(0, 1), slice(1, None)),
-                                         repeat=dim - 1))
-        for arr in (*self.ks, self.k2, self.inv_k2, self.mask, *self.ks_half,
-                    *self.dks_half, self.inv_k2_half, self.mask_half):
+        self.weight = np.full(self.ks[-1].shape, 2.0)
+        self.weight[..., 0] = self.weight[..., n // 2] = 1.0
+        for arr in (*self.ks, *self.dks, self.k2, self.inv_k2, self.mask,
+                    self.weight):
             arr.setflags(write=False)
 
 
@@ -173,33 +153,19 @@ def half_to_physical(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(half, s=grid.shape, axes=_axes(grid))
 
 
-def _half(c: np.ndarray) -> np.ndarray:
-    """The half spectrum (last axis n//2 + 1) of full-layout coefficients."""
-    return c[..., : c.shape[-1] // 2 + 1]
-
-
-def _complete(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
-    """Full fftn-layout coefficients of a real field from its half spectrum."""
-    full = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
-    full[..., : half.shape[-1]] = half
-    for dst, src in grid.ops.mirror:
-        np.conjugate(half[(Ellipsis,) + src], out=full[(Ellipsis,) + dst])
-    return full
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Divergence-free-capable vector field as complex Fourier coefficients.
 
-    ``coeffs`` has shape ``(dim,) + (n,)*dim``.  Instances are immutable;
-    all operations return new fields.
+    ``coeffs`` has shape ``(dim,) + grid.spectral_shape``.  Instances are
+    immutable; all operations return new fields.
     """
 
     grid: TorusGrid
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expect = (self.grid.dim,) + self.grid.shape
+        expect = (self.grid.dim,) + self.grid.spectral_shape
         if self.coeffs.shape != expect:
             raise SpectralError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {expect}"
@@ -218,20 +184,22 @@ class SpectralField:
             raise SpectralError(
                 f"value shape {values.shape} does not match grid"
             )
-        return SpectralField(grid, _complete(grid, _rfft(grid, values)))
+        return SpectralField(grid, _rfft(grid, values))
 
     @staticmethod
     def zero(grid: TorusGrid) -> "SpectralField":
-        return SpectralField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
+        return SpectralField(grid, np.zeros((grid.dim,) + grid.spectral_shape,
+                                            dtype=np.complex128))
 
     @staticmethod
     def from_modes(grid: TorusGrid, modes) -> "SpectralField":
         """Build a real field from ``{wavevector: complex amplitude vector}``.
 
         Each entry contributes ``a * exp(i k.x) + conj(a) * exp(-i k.x)``
-        so the result is real by construction.
+        so the result is real by construction; of the pair, the coefficients
+        at a last component >= 0 are stored (both when it is 0).
         """
-        c = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+        c = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
         scale = grid.n ** grid.dim
         for k, amp in modes.items():
             k = tuple(int(x) for x in k)
@@ -240,17 +208,18 @@ class SpectralField:
                 raise SpectralError("mode amplitude must be a dim-vector")
             if any(abs(x) > grid.n // 2 - 1 for x in k):
                 raise SpectralError(f"mode {k} not representable on n={grid.n}")
-            idx = tuple(x % grid.n for x in k)
-            cidx = tuple((-x) % grid.n for x in k)
-            for i in range(grid.dim):
-                c[(i,) + idx] += amp[i] * scale
-                c[(i,) + cidx] += np.conj(amp[i]) * scale
+            idx = (slice(None),) + tuple(x % grid.n for x in k)
+            cidx = (slice(None),) + tuple(-x % grid.n for x in k)
+            if k[-1] >= 0:
+                c[idx] += amp * scale
+            if k[-1] <= 0:
+                c[cidx] += np.conj(amp) * scale
         return SpectralField(grid, c)
 
     # -- views ---------------------------------------------------------
 
     def to_physical(self) -> np.ndarray:
-        return half_to_physical(self.grid, _half(self.coeffs))
+        return half_to_physical(self.grid, self.coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -274,13 +243,13 @@ def leray_project(f: SpectralField) -> SpectralField:
 
     The k = 0 mode (mean flow) passes through unchanged.
     """
-    ops = f.grid.ops
-    return SpectralField(f.grid, _project(ops.ks, ops.inv_k2, f.coeffs))
+    return SpectralField(f.grid, _project(f.grid.ops, f.coeffs))
 
 
-def _project(ks: tuple, inv_k2: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """c - k (k.c) / |k|^2 on any layout the multipliers broadcast to."""
-    factor = sum(ks[j] * c[j] for j in range(len(ks))) * inv_k2
+def _project(ops: GridOperators, c: np.ndarray) -> np.ndarray:
+    """c - k (k.c) / |k|^2 on a coefficient array."""
+    ks = ops.ks
+    factor = sum(ks[j] * c[j] for j in range(len(ks))) * ops.inv_k2
     out = np.empty_like(c)
     for j in range(len(ks)):
         out[j] = c[j] - ks[j] * factor
@@ -289,13 +258,12 @@ def _project(ks: tuple, inv_k2: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def divergence_defect(f: SpectralField) -> float:
     """Relative size of k.u_hat over nonzero modes (0 when solenoidal)."""
-    grid = f.grid
-    ks = grid.wavenumbers()
-    kdotu = sum(ks[j] * f.coeffs[j] for j in range(grid.dim))
-    norm = float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    ops = f.grid.ops
+    kdotu = sum(k * c for k, c in zip(ops.ks, f.coeffs))
+    norm = float(np.sqrt(np.sum(ops.weight * np.abs(f.coeffs) ** 2)))
     if norm == 0.0:
         return 0.0
-    return float(np.sqrt(np.sum(np.abs(kdotu) ** 2))) / norm
+    return float(np.sqrt(np.sum(ops.weight * np.abs(kdotu) ** 2))) / norm
 
 
 def gradient_physical(f: SpectralField) -> np.ndarray:
@@ -304,10 +272,9 @@ def gradient_physical(f: SpectralField) -> np.ndarray:
     Exact for the trigonometric interpolant.
     """
     grid = f.grid
-    half = _half(f.coeffs)
-    out = np.empty((grid.dim,) + half.shape, dtype=np.complex128)
-    for j, k in enumerate(grid.ops.dks_half):
-        out[:, j] = 1j * k * half
+    out = np.empty((grid.dim,) + f.coeffs.shape, dtype=np.complex128)
+    for j, k in enumerate(grid.ops.dks):
+        out[:, j] = 1j * k * f.coeffs
     return half_to_physical(grid, out)
 
 
@@ -315,7 +282,7 @@ def energy_and_grad_norm_sq(f: SpectralField) -> tuple:
     """(0.5 ||u||^2, ||grad u||^2) via Parseval from one pass over |c|^2."""
     grid = f.grid
     c = f.coeffs
-    power = (c.real ** 2 + c.imag ** 2).sum(axis=0)
+    power = (c.real ** 2 + c.imag ** 2).sum(axis=0) * grid.ops.weight
     scale = grid.volume / grid.n ** (2 * grid.dim)
     return (0.5 * float(power.sum()) * scale,
             float(np.sum(grid.ops.k2 * power)) * scale)
@@ -326,7 +293,7 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     grid = f.grid
     if g.grid != grid:
         raise SpectralError("fields live on different grids")
-    s = float(np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
+    s = float(np.sum((f.coeffs * np.conj(g.coeffs)).real * grid.ops.weight))
     return s * grid.volume / grid.n ** (2 * grid.dim)
 
 
@@ -342,6 +309,11 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.ops.mask)
 
 
+def laplacian(f: SpectralField) -> SpectralField:
+    """Spectral Laplacian: u_hat -> -|k|^2 u_hat."""
+    return SpectralField(f.grid, -f.grid.ops.k2 * f.coeffs)
+
+
 def convective_term(u: SpectralField) -> SpectralField:
     """Leray-projected, dealiased divergence-form transport -P div(u x u).
 
@@ -353,20 +325,16 @@ def convective_term(u: SpectralField) -> SpectralField:
 
 
 def _convective_with_sup(u: SpectralField):
-    """Convective term plus max_x |u| (reuses the inverse transform).
-
-    Projects on the half spectrum and completes the full layout once.
-    """
+    """Convective term plus max_x |u| (reuses the inverse transform)."""
     grid = u.grid
-    ops = grid.ops
-    phys = half_to_physical(grid, _half(u.coeffs) * ops.mask_half)
+    phys = half_to_physical(grid, u.coeffs * grid.ops.mask)
     sup = float(np.sqrt((phys ** 2).sum(axis=0).max()))
-    out = _project(ops.ks_half, ops.inv_k2_half, _neg_div_products(grid, phys))
-    return SpectralField(grid, _complete(grid, out)), sup
+    out = _project(grid.ops, _neg_div_products(grid, phys))
+    return SpectralField(grid, out), sup
 
 
 def _neg_div_products(grid: TorusGrid, phys: np.ndarray) -> np.ndarray:
-    """Dealiased half spectrum of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
+    """Dealiased coefficients of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
 
     ``phys`` holds the point values of u.  Each product u_i u_j (i <= j) is
     formed pointwise once, truncated to the dealias mask, then
@@ -374,14 +342,14 @@ def _neg_div_products(grid: TorusGrid, phys: np.ndarray) -> np.ndarray:
     transport term sign-exact, signed zeros included.
     """
     ops = grid.ops
-    out = np.zeros((grid.dim,) + ops.mask_half.shape, dtype=np.complex128)
+    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
             prod_hat = _rfft(grid, phys[i] * phys[j])
-            prod_hat *= ops.mask_half
-            out[i] -= 1j * ops.dks_half[j] * prod_hat
+            prod_hat *= ops.mask
+            out[i] -= 1j * ops.dks[j] * prod_hat
             if i != j:
-                out[j] -= 1j * ops.dks_half[i] * prod_hat
+                out[j] -= 1j * ops.dks[i] * prod_hat
     return out
 
 
@@ -413,13 +381,11 @@ def resample(f: SpectralField, grid_new: TorusGrid) -> SpectralField:
     if grid_new.dim != grid.dim:
         raise SpectralError("resample cannot change the dimension")
     span = min(grid.n, grid_new.n) // 2 - 1
-    out = np.zeros((grid.dim,) + grid_new.shape, dtype=np.complex128)
+    out = np.zeros((grid.dim,) + grid_new.spectral_shape, dtype=np.complex128)
     scale = (grid_new.n / grid.n) ** grid.dim
-    idx_old, idx_new = [], []
-    for axis in range(grid.dim):
-        ks = np.concatenate([np.arange(0, span + 1), np.arange(-span, 0)])
-        idx_old.append(ks % grid.n)
-        idx_new.append(ks % grid_new.n)
+    ks = np.concatenate([np.arange(0, span + 1), np.arange(-span, 0)])
+    idx_old = [ks % grid.n] * (grid.dim - 1) + [np.arange(0, span + 1)]
+    idx_new = [ks % grid_new.n] * (grid.dim - 1) + [np.arange(0, span + 1)]
     mesh_old = np.ix_(range(grid.dim), *idx_old)
     mesh_new = np.ix_(range(grid.dim), *idx_new)
     out[mesh_new] = f.coeffs[mesh_old] * scale
@@ -428,12 +394,12 @@ def resample(f: SpectralField, grid_new: TorusGrid) -> SpectralField:
 
 def tail_energy_fraction(f: SpectralField) -> float:
     """Energy fraction above the dealias cutoff; resolution diagnostic."""
-    mask = f.grid.ops.mask
-    e2 = (np.abs(f.coeffs) ** 2).sum(axis=0)
+    ops = f.grid.ops
+    e2 = (np.abs(f.coeffs) ** 2).sum(axis=0) * ops.weight
     total = float(e2.sum())
     if total == 0.0:
         return 0.0
-    return float(e2[~mask].sum()) / total
+    return float(e2[~ops.mask].sum()) / total
 
 
 # -- named fields --------------------------------------------------------
@@ -465,14 +431,17 @@ def single_mode(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
 
 # -- snapshot file format -------------------------------------------------
 #
-# Version 1 layout, little endian throughout:
+# Version 2 layout, little endian throughout:
 #   magic   6 bytes  b"DEFLD\x00"
 #   version u16
 #   dim     u8
 #   n       u32
 #   time    f64
-#   data    dim * n^dim complex coefficients as (re, im) f64 pairs in
-#           row-major (C) wavevector order, component-major.
+#   data    dim * n^(dim-1) * (n//2 + 1) complex coefficients (the half
+#           spectrum, ``grid.spectral_shape`` per component) as (re, im) f64
+#           pairs in row-major (C) wavevector order, component-major.
+# Version 1 held the full ``fftn`` layout, dim * n^dim coefficients; its
+# first n//2 + 1 entries along the last axis are the version 2 data.
 
 
 def write_field(path, f: SpectralField, time: float) -> None:
@@ -495,14 +464,15 @@ def read_field(path):
             raise SpectralError(f"truncated snapshot: expected a 15-byte "
                                 f"header, got {len(header)} bytes")
         version, dim, n, time = struct.unpack("<HBId", header)
-        if version != _SNAPSHOT_VERSION:
+        if version not in (1, _SNAPSHOT_VERSION):
             raise SpectralError(f"unsupported snapshot version {version}")
         grid = TorusGrid(dim, n)
-        count = 2 * dim * n ** dim
+        shape = (dim,) + (grid.shape if version == 1 else grid.spectral_shape)
+        count = 2 * int(np.prod(shape))
         data = fh.read(count * 8)
         if len(data) != count * 8:
             raise SpectralError(f"truncated snapshot: expected {count * 8} "
                                 f"data bytes, got {len(data)}")
         raw = np.frombuffer(data, dtype="<f8", count=count)
-        coeffs = raw.astype(np.float64).view(np.complex128).reshape((dim,) + grid.shape)
-        return SpectralField(grid, coeffs.copy()), time
+        coeffs = raw.astype(np.float64).view(np.complex128).reshape(shape)
+        return SpectralField(grid, coeffs[..., : n // 2 + 1].copy()), time

@@ -23,10 +23,9 @@ their occupied entries (``BinEntries``: sorted flat keys cell * bins + bin
 with mass, mean and second moment per entry), and the build, the pairings,
 the barycenter and the slab energies run over those entries.  Only the
 concentration mass ``lam_mass`` is one dense value per cell.  The dense
-(n_cells, bins, ...) arrays ``nu_mass``, ``nu_mean``, ``nu_sec``,
-``inf_mass``, ``inf_mean`` and ``inf_sec`` remain as read-only views built
-on first access, for inspection and tests; nothing in the package reads
-them.
+(n_cells, bins) bin masses ``nu_mass`` and ``inf_mass`` remain as
+read-only views built on first access, for inspection and tests; nothing
+in the package reads them.
 """
 
 from __future__ import annotations
@@ -218,19 +217,17 @@ class BinEntries:
                                     minlength=n_cells)
         return out.reshape((n_cells,) + q)
 
-    def dense(self, n_cells: int, name: str) -> np.ndarray:
-        """One stored quantity as a read-only (n_cells, n_bins, ...) array."""
-        vals = getattr(self, name)
-        out = np.zeros((n_cells * self.n_bins,) + vals.shape[1:])
-        out[self.key] = vals
-        out = out.reshape((n_cells, self.n_bins) + vals.shape[1:])
+    def dense(self, n_cells: int) -> np.ndarray:
+        """The masses as a read-only (n_cells, n_bins) array."""
+        out = np.zeros(n_cells * self.n_bins)
+        out[self.key] = self.mass
+        out = out.reshape(n_cells, self.n_bins)
         out.setflags(write=False)
         return out
 
 
-def _dense_view(part: str, name: str):
-    return cached_property(
-        lambda V: getattr(V, part).dense(V.partition.n_cells, name))
+def _dense_mass(part: str):
+    return cached_property(lambda V: getattr(V, part).dense(V.partition.n_cells))
 
 
 @dataclass(frozen=True)
@@ -248,13 +245,9 @@ class GeneralizedYoungMeasure:
     def __post_init__(self):
         self.lam_mass.setflags(write=False)
 
-    # dense (n_cells, bins, ...) views of the entries, built on first access
-    nu_mass = _dense_view("nu", "mass")
-    nu_mean = _dense_view("nu", "mean")
-    nu_sec = _dense_view("nu", "sec")
-    inf_mass = _dense_view("nu_inf", "mass")
-    inf_mean = _dense_view("nu_inf", "mean")
-    inf_sec = _dense_view("nu_inf", "sec")
+    # dense (n_cells, bins) bin masses, built on first access
+    nu_mass = _dense_mass("nu")
+    inf_mass = _dense_mass("nu_inf")
 
     @property
     def dim(self) -> int:
@@ -450,7 +443,7 @@ def dirac_embed(traj, partition: CellPartition, radius: float,
 
     Values beyond the truncation radius are clipped into the edge bins and
     counted in ``clipped_fraction`` rather than feeding the concentration
-    part, mirroring the embedding of square-integrable fields.
+    part, as in the embedding of square-integrable fields.
     """
     return _build([traj], partition, radius, bins_per_axis, sphere_bins,
                   clip=True)

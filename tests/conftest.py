@@ -20,9 +20,9 @@ def random_divfree_field(grid: TorusGrid, rng: np.random.Generator,
     vals = rng.standard_normal((grid.dim,) + grid.shape) * scale
     f = SpectralField.from_physical(grid, vals)
     cut = grid.dealias_cutoff()
-    k2 = grid.k_squared()
+    k2 = grid.ops.k2
     # smooth decay keeps fields resolution-independent and well inside the band
-    filt = np.exp(-2.0 * k2 / cut ** 2) * grid.dealias_mask()
+    filt = np.exp(-2.0 * k2 / cut ** 2) * grid.ops.mask
     return leray_project(SpectralField(grid, f.coeffs * filt))
 
 
@@ -31,6 +31,31 @@ def random_field(grid: TorusGrid, rng: np.random.Generator,
     """Random smooth field with a nonzero gradient part."""
     vals = rng.standard_normal((grid.dim,) + grid.shape) * scale
     f = SpectralField.from_physical(grid, vals)
-    k2 = grid.k_squared()
+    k2 = grid.ops.k2
     filt = np.exp(-2.0 * k2 / grid.dealias_cutoff() ** 2)
     return SpectralField(grid, f.coeffs * filt)
+
+
+def full_wavenumbers(grid: TorusGrid) -> tuple:
+    """Integer wavenumbers per axis in np.fft.fftn layout, broadcastable."""
+    k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    return tuple(k1.reshape([grid.n if a == axis else 1 for a in range(grid.dim)])
+                 for axis in range(grid.dim))
+
+
+def coeff_at(f: SpectralField, k) -> np.ndarray:
+    """Our coefficient vector at wavevector k: the stored one at k, or the
+    conjugate of the one stored at -k when k_last < 0."""
+    n = f.grid.n
+    if k[-1] < 0:
+        return np.conj(f.coeffs[(slice(None),) + tuple(-q % n for q in k)])
+    return f.coeffs[(slice(None),) + tuple(q % n for q in k)]
+
+
+def full_layout(f: SpectralField) -> np.ndarray:
+    """Full np.fft.fftn-layout coefficients of f, each read by coeff_at."""
+    k1 = np.fft.fftfreq(f.grid.n, d=1.0 / f.grid.n).astype(int)
+    out = np.empty((f.grid.dim,) + f.grid.shape, dtype=np.complex128)
+    for idx in np.ndindex(f.grid.shape):
+        out[(slice(None),) + idx] = coeff_at(f, tuple(k1[i] for i in idx))
+    return out

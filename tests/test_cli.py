@@ -152,6 +152,11 @@ class TestSchema:
         ("ym", "young", "bins_per_axis", 0, "young.bins_per_axis"),
         ("ym", "young", "time_cells", 0, "young.time_cells"),
         ("ym", "young", "snapshots_per_slab", 0, "young.snapshots_per_slab"),
+        ("ym", "young", "snapshots_per_slab", 2 ** 16 + 1,
+         "young.snapshots_per_slab"),
+        ("ym", "young", "time_cells", 64, "young.time_cells"),
+        ("simulate", "initial", "k_max", 6, "initial.k_max"),
+        ("simulate", "initial", "k_max", 0, "initial.k_max"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -166,6 +171,43 @@ class TestSchema:
                      "--out", str(out)]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["vanish", "ym", "weakstrong"])
+    def test_time_cell_without_snapshot_exits_2(self, tmp_path, capsys,
+                                                experiment):
+        # 8 steps and one snapshot per slab of 8: rounded to the step grid,
+        # three slabs get none, which the measure build would fail on
+        raw = forced_config(paths=1)
+        raw["experiment"] = experiment
+        if experiment != "ym":
+            raw["viscosity"] = {"ladder": [0.1, 0.05]}
+        raw["young"] = {"time_cells": 8, "space_cells": 4,
+                        "snapshots_per_slab": 1}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, experiment)
+        assert err.value.path == "young.time_cells"
+        assert "3 of 8 time cells" in str(err.value)
+        out = tmp_path / "run"
+        assert main([experiment, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert "config error: young.time_cells:" in capsys.readouterr().err
+        assert not out.exists()
+        raw["young"]["snapshots_per_slab"] = 2
+        assert parse_config(raw, experiment).partition.n_t == 8
+
+    def test_k_max_bounds_only_the_random_spectrum(self):
+        # the cutoff of n = 8 is 2, below the default k_max 3
+        raw = zero_config()
+        raw["grid"]["n"] = 8
+        for kind in ("zero", "taylor_green", "single_mode"):
+            raw["initial"] = {"kind": kind}
+            assert parse_config(raw, "simulate").initial.k_max == 3
+        raw["initial"] = {"kind": "random_spectrum"}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "simulate")
+        assert err.value.path == "initial.k_max"
+        raw["initial"]["k_max"] = 2
+        assert parse_config(raw, "simulate").initial.k_max == 2
 
     def test_cauchy_strict_is_not_a_field(self):
         raw = zero_config()

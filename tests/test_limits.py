@@ -58,7 +58,8 @@ class TestLadder:
         traj = res.runs[0.1][0].trajectory()
         Vd = dirac_embed(traj, part, 3.0)
         assert np.allclose(res.family.nu_mass, Vd.nu_mass)
-        assert np.allclose(res.family.nu_mean, Vd.nu_mean)
+        assert np.array_equal(res.family.nu.key, Vd.nu.key)
+        assert np.allclose(res.family.nu.mean, Vd.nu.mean)
         assert res.family.lam_total() == 0.0
 
     def test_deterministic_ladder_cauchy_decrease(self):

@@ -21,8 +21,6 @@ EXCEPTIONS = {
     "EnergyTrace.defect": "the energy-inequality defect over one [s, t], "
                           "the oracle of max_positive_defect",
     "TorusGrid.dof": "read by the benchmark tracer's run_path counters",
-    "TorusGrid.dealias_mask": "public accessor of the cached dealias mask, "
-                              "beside wavenumbers() and k_squared()",
     "CellPartition.total_volume": "the total-mass oracle of the pairing tests",
     "GeneralizedYoungMeasure.lam_total": "the concentration-mass oracle of "
                                          "the measure tests",

@@ -27,7 +27,13 @@ from dissipeuler.spectral import (
     write_field,
 )
 
-from conftest import random_divfree_field, random_field
+from conftest import (
+    coeff_at,
+    full_layout,
+    full_wavenumbers,
+    random_divfree_field,
+    random_field,
+)
 
 
 def field_from_values(grid, *components):
@@ -172,12 +178,12 @@ class TestConvectiveTerm:
         for i in range(2):
             for j in range(2):
                 prods[i, j] = vals[i] * vals[j]
-        k = fine.wavenumbers()
+        k = full_wavenumbers(fine)
         div_hat = np.zeros((2,) + fine.shape, dtype=np.complex128)
         for i in range(2):
             for j in range(2):
                 div_hat[i] += 1j * k[j] * np.fft.fftn(prods[i, j])
-        k2 = fine.k_squared()
+        k2 = k[0] ** 2 + k[1] ** 2
         k2safe = np.where(k2 == 0, 1.0, k2)
         kdot = k[0] * div_hat[0] + k[1] * div_hat[1]
         proj = np.empty_like(div_hat)
@@ -190,7 +196,7 @@ class TestConvectiveTerm:
         for kx in range(-10, 11):
             for ky in range(-10, 11):
                 a_ref = proj[:, kx % nf, ky % nf] / nf ** 2
-                a_our = ours.coeffs[:, kx % nc, ky % nc] / nc ** 2
+                a_our = coeff_at(ours, (kx, ky)) / nc ** 2
                 assert np.max(np.abs(a_ref - a_our)) < 1e-8
 
         # Taylor-Green transports itself onto a pure gradient: P div(u x u) = 0
@@ -208,15 +214,20 @@ class TestConvectiveTerm:
             kk = np.array(k, dtype=float)
             a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             modes[k] = 0.3 * (a - kk * (kk @ a) / (kk @ kk))
-        u_fine = SpectralField.from_modes(fine, modes)
-        vals = np.real(np.fft.ifftn(u_fine.coeffs, axes=(1, 2, 3)))
+        # point values a e^{ik.x} + conj(a) e^{-ik.x} summed over the modes
+        x = fine.points()
+        vals = np.zeros((3,) + fine.shape)
+        for q, a in modes.items():
+            phase = np.exp(1j * sum(qj * xj for qj, xj in zip(q, x)))
+            for i in range(3):
+                vals[i] += 2.0 * np.real(a[i] * phase)
 
-        k = fine.wavenumbers()
+        k = full_wavenumbers(fine)
         div_hat = np.zeros((3,) + fine.shape, dtype=np.complex128)
         for i in range(3):
             for j in range(3):
                 div_hat[i] += 1j * k[j] * np.fft.fftn(vals[i] * vals[j])
-        k2 = fine.k_squared()
+        k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
         k2safe = np.where(k2 == 0, 1.0, k2)
         kdot = sum(k[j] * div_hat[j] for j in range(3))
         proj = np.empty_like(div_hat)
@@ -230,12 +241,13 @@ class TestConvectiveTerm:
         worst = 0.0
         for q in itertools.product(span, span, span):
             a_ref = proj[(slice(None),) + tuple(x % nf for x in q)] / nf ** 3
-            a_our = ours.coeffs[(slice(None),) + tuple(x % nc for x in q)] / nc ** 3
+            a_our = coeff_at(ours, q) / nc ** 3
             worst = max(worst, float(np.max(np.abs(a_ref - a_our))))
         assert worst < 1e-12
         # nothing outside the dealiased band
-        outside = ours.coeffs * ~coarse.dealias_mask()
-        assert np.max(np.abs(outside)) == 0.0
+        kc = full_wavenumbers(coarse)
+        inside = (np.abs(kc[0]) <= cut) & (np.abs(kc[1]) <= cut) & (np.abs(kc[2]) <= cut)
+        assert np.max(np.abs(full_layout(ours) * ~inside)) == 0.0
 
     def test_combination_mode_hand_oracle(self):
         # u = TG + a*(sin x2, 0). By hand: div(u x u) =
@@ -268,7 +280,7 @@ class TestConvectiveTerm:
             raw = raw - kk * (kk @ raw) / (kk @ kk)
             add_mode(kvec, raw)
 
-        assert np.max(np.abs(got.coeffs - expected)) / scale < 1e-12
+        assert np.max(np.abs(full_layout(got) - expected)) / scale < 1e-12
 
 
 class TestInnerProduct:
@@ -311,7 +323,7 @@ class TestRoundTrips:
 
     def test_from_modes_is_real(self, grid2d):
         f = SpectralField.from_modes(grid2d, {(2, 1): np.array([0.3 + 0.1j, -0.2])})
-        assert np.max(np.abs(np.fft.ifftn(f.coeffs, axes=(1, 2)).imag)) < 1e-13
+        assert np.max(np.abs(np.fft.ifftn(full_layout(f), axes=(1, 2)).imag)) < 1e-13
 
     def test_snapshot_round_trip(self, tmp_path, grid2d):
         rng = np.random.default_rng(17)
@@ -334,7 +346,7 @@ class TestRoundTrips:
         p = tmp_path / "field.bin"
         write_field(p, f, 0.5)
         full = p.read_bytes()
-        want = 2 * grid2d.dof * 8
+        want = 16 * grid2d.dim * grid2d.n * (grid2d.n // 2 + 1)
         assert len(full) == 21 + want
         p.write_bytes(full[:-8])
         with pytest.raises(SpectralError) as err:
@@ -345,15 +357,39 @@ class TestRoundTrips:
         with pytest.raises(SpectralError):
             read_field(p)
 
-    def test_snapshot_v1_bytes(self, tmp_path, grid2d):
-        # format v1 on disk: header then the full fftn-layout coefficients
-        f = taylor_green(grid2d)
+    def test_snapshot_v1_bytes(self, tmp_path):
+        # format v1 on disk: header then the full fftn-layout coefficients,
+        # written here by hand; it reads back as the same field
+        for dim, n in ((2, 32), (3, 16)):
+            grid = TorusGrid(dim, n)
+            f = random_divfree_field(grid, np.random.default_rng(41 + dim))
+            full = np.fft.fftn(f.to_physical(), axes=tuple(range(1, dim + 1)))
+            p = tmp_path / f"field{dim}.bin"
+            p.write_bytes(b"DEFLD\x00" + struct.pack("<HBId", 1, dim, n, 0.25)
+                          + full.astype("<c16").tobytes())
+            g, t = read_field(p)
+            assert t == 0.25 and g.grid == grid
+            assert np.array_equal(g.coeffs, full[..., : n // 2 + 1])
+            scale = np.max(np.abs(f.coeffs))
+            assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_snapshot_v2_bytes(self, tmp_path, dim, n):
+        # format v2 on disk: header then the half spectrum, last axis
+        # n//2 + 1, component-major in C order
+        grid = TorusGrid(dim, n)
+        f = taylor_green(grid)
         p = tmp_path / "field.bin"
         write_field(p, f, 0.25)
         raw = p.read_bytes()
         assert raw[:6] == b"DEFLD\x00"
-        assert raw[6:21] == struct.pack("<HBId", 1, 2, 32, 0.25)
-        assert raw[21:] == np.ascontiguousarray(f.coeffs).astype("<c16").tobytes()
+        assert raw[6:21] == struct.pack("<HBId", 2, dim, n, 0.25)
+        assert len(raw) == 21 + 16 * dim * n ** (dim - 1) * (n // 2 + 1)
+        data = np.frombuffer(raw[21:], dtype="<c16").reshape(
+            (dim,) + (n,) * (dim - 1) + (n // 2 + 1,))
+        assert np.array_equal(data, f.coeffs)
+        full = np.fft.fftn(f.to_physical(), axes=tuple(range(1, dim + 1)))
+        assert np.max(np.abs(data - full[..., : n // 2 + 1])) < 1e-12 * n ** dim
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_transforms_match_complex_fft(self, dim, n):
@@ -364,11 +400,13 @@ class TestRoundTrips:
         vals = np.random.default_rng(31 + dim).standard_normal((dim,) + grid.shape)
         f = SpectralField.from_physical(grid, vals)
         ref = np.fft.fftn(vals, axes=axes)
-        assert np.max(np.abs(f.coeffs - ref)) < 1e-13 * np.max(np.abs(ref))
-        back = np.real(np.fft.ifftn(f.coeffs, axes=axes))
+        full = full_layout(f)
+        assert np.max(np.abs(full - ref)) < 1e-13 * np.max(np.abs(ref))
+        back = np.real(np.fft.ifftn(full, axes=axes))
         assert np.max(np.abs(f.to_physical() - back)) < 1e-14 * np.max(np.abs(back))
+        k = full_wavenumbers(grid)
         grad_ref = np.real(np.fft.ifftn(
-            np.stack([[1j * grid.wavenumbers()[j] * f.coeffs[i] for j in range(dim)]
+            np.stack([[1j * k[j] * full[i] for j in range(dim)]
                       for i in range(dim)]), axes=tuple(a + 1 for a in axes)))
         grad = gradient_physical(f)
         assert np.max(np.abs(grad - grad_ref)) < 1e-13 * np.max(np.abs(grad_ref))
@@ -377,30 +415,111 @@ class TestRoundTrips:
 class TestOperatorBundle:
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_cached_arrays_are_read_only(self, dim, n):
-        grid = TorusGrid(dim, n)
-        arrays = list(grid.wavenumbers()) + [grid.k_squared(), grid.dealias_mask()]
+        ops = TorusGrid(dim, n).ops
+        arrays = [*ops.ks, *ops.dks, ops.k2, ops.inv_k2, ops.mask, ops.weight]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1
 
     def test_cached_once_per_grid(self):
         grid = TorusGrid(2, 32)
-        assert grid.k_squared() is grid.k_squared()
-        assert grid.dealias_mask() is grid.dealias_mask()
-        assert grid.wavenumbers()[0] is grid.wavenumbers()[0]
+        assert grid.ops is grid.ops
+        assert grid.ops.k2 is grid.ops.k2
 
     def test_bundle_matches_definitions(self):
+        # the half spectrum of the fftn layout: last axis 0..n/2 with -n/2
+        # at Nyquist, as np.fft.fftfreq orders it
         grid = TorusGrid(3, 16)
+        ops = grid.ops
+        assert grid.spectral_shape == (16, 16, 9)
         k1 = np.fft.fftfreq(16, d=1.0 / 16)
-        ks = grid.wavenumbers()
+        kf = full_wavenumbers(grid)
+        ks = kf[:2] + (kf[2][..., :9],)
         for axis in range(3):
-            assert ks[axis].shape[axis] == 16
-            assert np.array_equal(ks[axis].ravel(), k1)
+            assert ops.ks[axis].shape == ks[axis].shape
+            assert np.array_equal(ops.ks[axis], ks[axis])
+            dk = ks[axis].copy()
+            dk[np.abs(dk) == 8] = 0.0
+            assert np.array_equal(ops.dks[axis], dk)
+        assert np.array_equal(ops.ks[2].ravel(), np.append(np.arange(8), -8))
+        assert np.array_equal(ops.ks[0].ravel(), k1)
         k2 = ks[0] ** 2 + ks[1] ** 2 + ks[2] ** 2
-        assert np.array_equal(grid.k_squared(), k2)
+        assert np.array_equal(ops.k2, k2)
         cut = grid.dealias_cutoff()
         mask = (np.abs(ks[0]) <= cut) & (np.abs(ks[1]) <= cut) & (np.abs(ks[2]) <= cut)
-        assert np.array_equal(grid.dealias_mask(), mask)
+        assert np.array_equal(ops.mask, mask)
+        assert np.array_equal(ops.weight.ravel(), [1.0] + [2.0] * 7 + [1.0])
+
+
+def white_field(grid, seed):
+    """Real field with energy on every mode, Nyquist planes included."""
+    vals = np.random.default_rng(seed).standard_normal((grid.dim,) + grid.shape)
+    return SpectralField.from_physical(grid, vals), vals
+
+
+class TestHalfSpectrum:
+    GRIDS = [(2, 32), (3, 16)]
+
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_parseval_sums_match_full_spectrum(self, dim, n):
+        grid = TorusGrid(dim, n)
+        axes = tuple(range(1, dim + 1))
+        f, fv = white_field(grid, 61 + dim)
+        g, gv = white_field(grid, 71 + dim)
+        full_f, full_g = np.fft.fftn(fv, axes=axes), np.fft.fftn(gv, axes=axes)
+        assert np.max(np.abs(f.coeffs[..., 0])) > 0
+        assert np.max(np.abs(f.coeffs[..., n // 2])) > 0
+        scale = grid.volume / n ** (2 * dim)
+        k = full_wavenumbers(grid)
+        k2 = sum(kj ** 2 for kj in k)
+        power = (np.abs(full_f) ** 2).sum(axis=0)
+
+        def close(a, b):
+            return abs(a - b) <= 1e-13 * abs(b)
+
+        assert close(inner_product(f, g),
+                     float(np.real(np.sum(full_f * np.conj(full_g)))) * scale)
+        energy, grad = energy_and_grad_norm_sq(f)
+        assert close(energy, 0.5 * float(power.sum()) * scale)
+        assert close(grad, float(np.sum(k2 * power)) * scale)
+        cut = grid.dealias_cutoff()
+        inside = np.ones(grid.shape, dtype=bool)
+        for kj in k:
+            inside &= np.abs(kj) <= cut
+        assert close(tail_energy_fraction(f),
+                     float(power[~inside].sum()) / float(power.sum()))
+        # the Nyquist index of an axis other than the last holds -n/2 for
+        # both k and -k, so k.u there is not the mirror image: leave them out
+        keep = np.ones(grid.shape, dtype=bool)
+        for kj in k[:-1]:
+            keep &= np.abs(kj) != n // 2
+        f = SpectralField(grid, f.coeffs * keep[..., : n // 2 + 1])
+        full_f = full_f * keep
+        kdotu = sum(k[j] * full_f[j] for j in range(dim))
+        want = np.sqrt(np.sum(np.abs(kdotu) ** 2) / np.sum(np.abs(full_f) ** 2))
+        assert close(divergence_defect(f), float(want))
+
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_from_modes_matches_rfftn_of_analytic_field(self, dim, n):
+        # last wavevector component 0, > 0 and < 0
+        if dim == 2:
+            ks = [(2, 0), (-1, 0), (1, 3), (-2, 1), (2, -3), (0, -1)]
+        else:
+            ks = [(1, -2, 0), (0, 1, 0), (1, 2, 3), (-2, 0, 1), (2, 1, -3),
+                  (0, 0, -1)]
+        rng = np.random.default_rng(83 + dim)
+        modes = {q: rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                 for q in ks}
+        grid = TorusGrid(dim, n)
+        vals = np.zeros((dim,) + grid.shape)
+        for q, a in modes.items():
+            phase = np.exp(1j * sum(qj * xj for qj, xj in zip(q, grid.points())))
+            for i in range(dim):
+                vals[i] += 2.0 * np.real(a[i] * phase)
+        f = SpectralField.from_modes(grid, modes)
+        ref = np.fft.rfftn(vals, axes=tuple(range(1, dim + 1)))
+        assert f.coeffs.shape == ref.shape
+        assert np.max(np.abs(f.coeffs - ref)) < 1e-12 * n ** dim
 
 
 class TestDiagnostics:

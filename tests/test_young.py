@@ -89,7 +89,7 @@ class TestDiracEmbed:
             occ = np.nonzero(V.nu_mass[cell])[0]
             assert len(occ) == 1
             assert V.nu_mass[cell, occ[0]] == pytest.approx(1.0)
-            assert np.allclose(V.nu_mean[cell, occ[0]], [0.3, -0.4])
+            assert np.allclose(V.nu.mean[V.nu.cell == cell], [[0.3, -0.4]])
 
     def test_barycenter_is_cell_average(self):
         grid = TorusGrid(2, 32)
@@ -138,8 +138,9 @@ class TestFamilyEstimator:
         Vf = estimate_from_family([traj], part, radius=2.0)
         Vd = dirac_embed(traj, part, radius=2.0)
         assert np.allclose(Vf.nu_mass, Vd.nu_mass)
-        assert np.allclose(Vf.nu_mean, Vd.nu_mean)
-        assert np.allclose(Vf.nu_sec, Vd.nu_sec)
+        assert np.array_equal(Vf.nu.key, Vd.nu.key)
+        assert np.allclose(Vf.nu.mean, Vd.nu.mean)
+        assert np.allclose(Vf.nu.sec, Vd.nu.sec)
         assert Vf.lam_total() == 0.0
 
     def test_oscillation_family_recovers_two_point_measure(self):
@@ -197,8 +198,9 @@ class TestFamilyEstimator:
         total_inf = (V.inf_mass * V.lam_mass[:, None]).sum(axis=0)
         e1_bin = np.argmax(total_inf)
         assert total_inf[e1_bin] == pytest.approx(V.lam_total(), rel=1e-12)
-        mean_dir = V.inf_mean[V.lam_mass > 0, e1_bin]
-        assert np.allclose(mean_dir, [1.0, 0.0])
+        at_e1 = V.nu_inf.key % V.nu_inf.n_bins == e1_bin
+        assert np.array_equal(V.nu_inf.cell[at_e1], np.flatnonzero(V.lam_mass > 0))
+        assert np.allclose(V.nu_inf.mean[at_e1], [1.0, 0.0])
 
     def test_pure_concentration_barycenter_zero_energy_is_lambda(self):
         grid = TorusGrid(2, 64)
@@ -225,7 +227,8 @@ class TestFamilyEstimator:
         Va = estimate_from_family([t1, t2], part, 2.0)
         Vb = estimate_from_family([t2, t1], part, 2.0)
         assert np.allclose(Va.nu_mass, Vb.nu_mass)
-        assert np.allclose(Va.nu_mean, Vb.nu_mean)
+        assert np.array_equal(Va.nu.key, Vb.nu.key)
+        assert np.allclose(Va.nu.mean, Vb.nu.mean)
         assert np.allclose(Va.lam_mass, Vb.lam_mass)
 
 
@@ -440,8 +443,9 @@ class TestThreeDimensionalMeasures:
         total_inf = (V.inf_mass * V.lam_mass[:, None]).sum(axis=0)
         top = int(np.argmax(total_inf))
         assert total_inf[top] == pytest.approx(V.lam_total(), rel=1e-12)
-        dirs = V.inf_mean[V.lam_mass > 0, top]
-        assert np.allclose(dirs, [0.0, 0.0, 1.0])
+        at_top = V.nu_inf.key % V.nu_inf.n_bins == top
+        assert np.array_equal(V.nu_inf.cell[at_top], np.flatnonzero(V.lam_mass > 0))
+        assert np.allclose(V.nu_inf.mean[at_top], [0.0, 0.0, 1.0])
 
     def test_3d_pairing_volume(self):
         grid = TorusGrid(3, 16)
@@ -677,8 +681,7 @@ class TestEntriesMatchDenseOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_dense_views(self, case):
         V, ref = _build_both(case)
-        for name in ("nu_mass", "nu_mean", "nu_sec", "inf_mass", "inf_mean",
-                     "inf_sec"):
+        for name in ("nu_mass", "inf_mass"):
             view = getattr(V, name)
             assert view.shape == ref[name].shape
             assert not view.flags.writeable
