@@ -10,7 +10,10 @@ Subcommands name the experiment kinds::
     dissipeuler report     --dir  DIR
 
 Every run writes an append-only artifact directory (echoed config, CSV
-traces, JSON reports, field snapshots) sealed by a SHA-256 manifest.  Runs
+traces, field snapshots, diagnostics) sealed by a SHA-256 manifest.  Each
+experiment returns its audit rows, most of them built by the library
+function that computes the audited value, and ``main`` alone writes them
+to ``reports/<experiment>.json``, the only place a verdict is stored.  Runs
 are sequential: the (viscosity, path) runs of an experiment go one after
 another in fixed order.  ``--threads N`` is accepted for compatibility and
 ignored.  Exit status is 0 iff every enabled audit passed, 1 on an audit
@@ -92,7 +95,10 @@ def main(argv=None) -> int:
         "weakstrong": _run_weakstrong,
     }[args.command]
     try:
-        rows = runner(cfg, out)
+        rows, extras = runner(cfg, out)
+        out.write_json(f"reports/{args.command}.json",
+                       {"experiment": args.command, "seed": cfg.seed,
+                        "rows": rows, **extras})
     except Exception as err:  # a fault in the program, not a failed audit
         traceback.print_exc()
         print(f"crash: {type(err).__name__}: {err}", file=sys.stderr)
@@ -167,9 +173,7 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory):
         val = run.trace.max_positive_defect()
         rows.append(audit_row(f"energy_defect_{tag}", "ns_solver.energy_audit",
                               val, tol))
-    out.write_json("reports/simulate.json",
-                   {"experiment": "simulate", "seed": cfg.seed, "rows": rows})
-    return rows
+    return rows, {}
 
 
 # -- vanish ------------------------------------------------------------------
@@ -196,10 +200,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
                    for eps, failures in res.blowups.items()
                    for pid, msg in failures]
     if res.family is None:
-        out.write_json("reports/vanish.json", {"experiment": "vanish",
-                                               "seed": cfg.seed,
-                                               "rows": blowup_rows})
-        return blowup_rows
+        return blowup_rows, {}
 
     for eps, V in res.measures.items():
         out.write_json(f"measures/eps{eps:g}.json", measure_to_dict(V))
@@ -216,28 +217,19 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
     traces = [r.trace for eps in tail for r in res.runs[eps]]
     finest = res.runs[usable[-1]][0]
     tol = finest.trace.tolerance(cfg.tolerances.energy_defect_c)
-    limit_rep = energy_inequality_limit(res.family, traces, cfg.forcing, tol)
-    out.write_json("details/energy_limit.json", limit_rep)
-    rows.append(audit_row("energy_inequality_family",
-                          "limit_verifier.energy_inequality_limit",
-                          limit_rep["max_defect"], tol))
-    rows.append(audit_row("no_positive_jumps",
-                          "limit_verifier.energy_inequality_limit",
-                          limit_rep["max_positive_jump"], tol))
+    limit_rows, details = energy_inequality_limit(res.family, traces,
+                                                  cfg.forcing, tol)
+    out.write_json("details/energy_limit.json", details)
+    rows += limit_rows
 
     traces_by_eps = {eps: [r.trace for r in res.runs[eps]] for eps in usable}
-    moment = apriori_moment_report(traces_by_eps, p=3.0)
-    rows.append(audit_row("apriori_moment_uniform",
-                          "ns_solver.apriori_monitor", moment["worst_gap"], 0.0,
-                          f"moments={['%.5g' % r['moment'] for r in moment['rows']]}"))
+    rows += apriori_moment_report(traces_by_eps, p=3.0)[0]
 
     phi = _test_fields(cfg.grid)[0][1]
-    finest_eps = usable[-1]
-    V_f = res.measures[finest_eps]
     path = WienerPath.sample(cfg.seed, finest.path_id, base.rank, cfg.dt,
                              base.steps) if cfg.forcing is not None else None
     mom = momentum_residual(finest.trajectory(), part, cfg.forcing, path, phi,
-                            t=cfg.horizon, eps=finest_eps)
+                            t=cfg.horizon, eps=usable[-1])
     sample_gap = part.slab_duration / cfg.young.snapshots_per_slab
     mom_tol = cfg.tolerances.energy_defect_c * sample_gap \
         * (1.0 + finest.trace.initial_energy)
@@ -245,10 +237,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
                           "limit_verifier.momentum_residual",
                           mom["residual"], mom_tol))
 
-    rows += blowup_rows
-    out.write_json("reports/vanish.json",
-                   {"experiment": "vanish", "seed": cfg.seed, "rows": rows})
-    return rows
+    return rows + blowup_rows, {}
 
 
 # -- ym ----------------------------------------------------------------------
@@ -261,7 +250,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
     run, err = guarded_run(cfg.solver_config(eps), cfg.seed, 0,
                            snapshot_times=snaps)
     if err is not None:
-        return _blowup_report(out, cfg, "ym", err, f"eps{eps:g}_path0000")
+        return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
     traj = run.trajectory()
     V = dirac_embed(traj, part, cfg.young.radius,
                     bins_per_axis=cfg.young.bins_per_axis,
@@ -289,21 +278,16 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
     bary_norm = float(np.max(np.abs(barycenter(V))))
     rows.append(audit_row("barycenter_bounded", "young_measure.barycenter",
                           bary_norm, cfg.young.radius))
-    out.write_json("reports/ym.json",
-                   {"experiment": "ym", "seed": cfg.seed, "rows": rows})
-    return rows
+    return rows, {}
 
 
-def _blowup_report(out: RunDirectory, cfg: RunConfig, experiment: str,
-                   err: BlowUpError, tag: str | None = None):
+def _blowup_report(out: RunDirectory, experiment: str, err: BlowUpError,
+                   tag: str | None = None):
     """One failing row for a run that lost resolution, plus its partial trace."""
     if tag is not None and err.partial is not None:
         err.partial.write_csv(out.path(f"traces/{tag}.csv"))
-    rows = [audit_row(f"blowup_{experiment}", "ns_solver.run_path",
-                      float("inf"), 0.0, f"blow-up: {err}")]
-    out.write_json(f"reports/{experiment}.json",
-                   {"experiment": experiment, "seed": cfg.seed, "rows": rows})
-    return rows
+    return [audit_row(f"blowup_{experiment}", "ns_solver.run_path",
+                      float("inf"), 0.0, f"blow-up: {err}")], {}
 
 
 # -- martingale ---------------------------------------------------------------
@@ -319,9 +303,12 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
     rows = []
     for phi_name, phi in fields:
         if cfg.transport:
-            by_pair, c = solver_functionals_multi(
-                cfg.solver_config(cfg.eps_values[0]), phi, cfg.seed,
-                range(cfg.paths), pairs)
+            try:
+                by_pair, c = solver_functionals_multi(
+                    cfg.solver_config(cfg.eps_values[0]), phi, cfg.seed,
+                    range(cfg.paths), pairs)
+            except BlowUpError as err:
+                return _blowup_report(out, "martingale", err)
         else:
             by_pair, c = linear_model_functionals_multi(
                 cfg.forcing, phi, cfg.seed,
@@ -330,19 +317,10 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
         for (s, t) in pairs:
             for hist in hists:
                 stat = MartingaleStat(phi_name, s, t, history=hist)
-                rep = martingale_test(stat, by_pair[(s, t)], c,
-                                      n_tests=n_tests,
-                                      alpha=cfg.tolerances.martingale_alpha)
-                for r in rep["rows"]:
-                    rows.append(audit_row(
-                        f"martingale_{phi_name}_s{s:g}_t{t:g}_{hist}_{r['name']}",
-                        "limit_verifier.martingale_test",
-                        abs(r["mean"]), r["tolerance"],
-                        f"se={r['se']:.3e}"))
-    out.write_json("reports/martingale.json",
-                   {"experiment": "martingale", "seed": cfg.seed, "rows": rows,
-                    "n_tests": n_tests})
-    return rows
+                rows += martingale_test(stat, by_pair[(s, t)], c,
+                                        n_tests=n_tests,
+                                        alpha=cfg.tolerances.martingale_alpha)[0]
+    return rows, {"n_tests": n_tests}
 
 
 # -- weakstrong ----------------------------------------------------------------
@@ -359,48 +337,19 @@ def _run_weakstrong(cfg: RunConfig, out: RunDirectory):
                       dt=cfg.dt / cfg.reference.dt_factor)
 
     try:
-        rep = weak_strong_ladder(
+        rows, rep = weak_strong_ladder(
             cfg.eps_values, weak_base, ref_cfg, cfg.seed, range(cfg.paths),
             part, cfg.young.radius, snaps, level=cfg.reference.level,
             slack=cfg.tolerances.gronwall_slack,
             bins_per_axis=cfg.young.bins_per_axis,
             tail_tol=cfg.reference.tail_tol)
     except BlowUpError as err:
-        return _blowup_report(out, cfg, "weakstrong", err)
-
-    rows = []
-    f0_max = max(float(np.max(rep["per_eps"][e]["f0"])) for e in cfg.eps_values)
-    rows.append(audit_row("initial_relative_energy", "weak_strong.relative_energy",
-                          f0_max, 1e-12,
-                          "identical data and noise force F(0) = 0"))
-    f_min = min(float(np.min(rep["per_eps"][e]["f_matrix"]))
-                for e in cfg.eps_values)
-    rows.append(audit_row("relative_energy_nonnegative",
-                          "weak_strong.relative_energy", -f_min, 1e-12))
-    gap = max(rep["per_eps"][e]["max_forms_gap_rel"] for e in cfg.eps_values)
-    rows.append(audit_row("two_forms_agree", "weak_strong.relative_energy",
-                          gap, 0.02))
-    mono = rep["monotone"]
-    worst = max((-r["mean_drop"] - 1.96 * r["se"] for r in mono["rows"]),
-                default=0.0)
-    rows.append(audit_row("sup_F_monotone_along_ladder",
-                          "weak_strong.gronwall_audit", worst, 0.0,
-                          f"sup_by_eps={mono['sup_by_eps']}"))
-    for eps in cfg.eps_values:
-        audit = rep["per_eps"][eps]["gronwall"]
-        rows.append(audit_row(f"gronwall_envelope_eps{eps:g}",
-                              "weak_strong.gronwall_audit",
-                              -audit["min_margin"], 0.0,
-                              f"slack={audit['slack']} level={audit['level']:.3g}"))
-
-    out.write_json("reports/weakstrong.json",
-                   {"experiment": "weakstrong", "seed": cfg.seed, "rows": rows,
-                    "stopping_times": [float(x) for x in rep["stopping_times"]],
-                    "sup_by_eps": mono["sup_by_eps"],
-                    "relative_energy": {
-                        f"{eps:g}": rep["per_eps"][eps]["gronwall"]
-                        for eps in cfg.eps_values}})
-    return rows
+        return _blowup_report(out, "weakstrong", err)
+    return rows, {
+        "stopping_times": [float(x) for x in rep["stopping_times"]],
+        "sup_by_eps": rep["monotone"]["sup_by_eps"],
+        "relative_energy": {f"{eps:g}": rep["per_eps"][eps]["gronwall"]
+                            for eps in cfg.eps_values}}
 
 
 if __name__ == "__main__":

@@ -165,14 +165,8 @@ class RunConfig:
     @functools.cached_property
     def snapshot_times(self) -> tuple:
         """Mid-slab samples for the measure plus both endpoints for drift terms."""
-        part_dur = self.horizon / self.young.time_cells
-        out = {0.0, round(self.horizon / self.dt) * self.dt}
-        for s in range(self.young.time_cells):
-            lo = s * part_dur
-            for j in range(self.young.snapshots_per_slab):
-                frac = (j + 0.5) / self.young.snapshots_per_slab
-                out.add(round((lo + frac * part_dur) / self.dt) * self.dt)
-        return tuple(sorted(out))
+        mids = self.partition.sample_times(self.dt, self.young.snapshots_per_slab)
+        return tuple(sorted({0.0, round(self.horizon / self.dt) * self.dt, *mids}))
 
 
 def load_config(path, experiment: str) -> RunConfig:
@@ -204,9 +198,7 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
     t = _get(raw, "", "time", dict)
     _no_unknown(t, "time", {"dt", "horizon"})
     dt = _positive(_get(t, "time", "dt", float), "time.dt")
-    horizon = _get(t, "time", "horizon", float)
-    if horizon < 0:
-        raise ConfigError("time.horizon", "must be >= 0")
+    horizon = _positive(_get(t, "time", "horizon", float), "time.horizon")
     steps = horizon / dt
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ConfigError("time.horizon",

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .forcing import ForcingOperator, WienerPath
+from .reporting import audit_row
 from .solver import BlowUpError, SolverConfig, Trajectory, run_path
 from .spectral import (
     SpectralField,
@@ -36,7 +37,6 @@ from .spectral import (
 from .young import (
     CellPartition,
     GeneralizedYoungMeasure,
-    barycenter,
     estimate_from_family,
     slab_energies,
     weakstar_distance,
@@ -69,17 +69,11 @@ class ViscosityLadder:
 
 @dataclass
 class LadderResult:
-    ladder: ViscosityLadder
     runs: dict                     # eps -> list of SolverRun
     measures: dict                 # eps -> pooled GeneralizedYoungMeasure
     family: GeneralizedYoungMeasure | None   # None if every path blew up
     cauchy_distances: list         # successive weak* distances
-    barycenter_defect: float       # max |barycenter - cell average| over eps
     blowups: dict                  # eps -> list of (path_id, message)
-
-    @property
-    def finest_eps(self) -> float:
-        return self.ladder.eps_values[-1]
 
 
 def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
@@ -90,11 +84,12 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     The family measure pools the tail (last half) of the ladder; per-rung
     measures pool the ensemble at that viscosity.  Blow-ups abort a single
     (eps, path) run and the ladder continues without it.  Runs go one after
-    another in (eps, path) order.
+    another in (eps, path) order.  Without ``snapshot_times`` each slab is
+    sampled at four mid-interval times.
     """
     base = ladder.base
     if snapshot_times is None:
-        snapshot_times = _default_snapshots(partition, base.dt)
+        snapshot_times = partition.sample_times(base.dt, 4)
     paths = {
         pid: WienerPath.sample(ladder.seed, pid, base.rank, base.dt, base.steps)
         for pid in ladder.path_ids
@@ -113,17 +108,10 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                 good.append(run)
         runs[eps] = good
 
-    measures = {}
-    bary_defect = 0.0
-    for eps, eps_runs in runs.items():
-        if not eps_runs:
-            continue
-        trajs = [r.trajectory() for r in eps_runs]
-        measures[eps] = estimate_from_family(
-            trajs, partition, radius, bins_per_axis, sphere_bins)
-        if len(trajs) == 1:
-            bary_defect = max(bary_defect,
-                              _barycenter_defect(measures[eps], trajs[0], partition))
+    measures = {eps: estimate_from_family([r.trajectory() for r in eps_runs],
+                                          partition, radius, bins_per_axis,
+                                          sphere_bins)
+                for eps, eps_runs in runs.items() if eps_runs}
 
     usable = [eps for eps in ladder.eps_values if eps in measures]
     tail = usable[len(usable) // 2:]
@@ -134,8 +122,7 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
 
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
-    return LadderResult(ladder, runs, measures, family, distances,
-                        bary_defect, blowups)
+    return LadderResult(runs, measures, family, distances, blowups)
 
 
 def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
@@ -144,30 +131,6 @@ def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
         return run_path(cfg, seed, path_id, **kwargs), None
     except BlowUpError as err:
         return None, err
-
-
-def _default_snapshots(partition: CellPartition, dt: float):
-    """Four sample times per slab, snapped onto the step grid."""
-    out = []
-    for s in range(partition.n_t):
-        lo = partition.t0 + s * partition.slab_duration
-        for frac in (0.125, 0.375, 0.625, 0.875):
-            t = lo + frac * partition.slab_duration
-            out.append(round(t / dt) * dt)
-    return sorted(set(out))
-
-
-def _barycenter_defect(V, traj, partition) -> float:
-    bary = barycenter(V).reshape(partition.n_t, partition.n_space, -1)
-    worst = 0.0
-    slabs = np.array([partition.slab_of(float(t)) for t in traj.times])
-    for s in range(partition.n_t):
-        sel = slabs == s
-        if not sel.any():
-            continue
-        avg = partition.block_mean(traj.values[sel]).mean(axis=0).T
-        worst = max(worst, float(np.max(np.abs(bary[s] - avg))))
-    return worst
 
 
 # -- momentum residual ------------------------------------------------------
@@ -354,12 +317,13 @@ def history_weight(stat: MartingaleStat, pf: PathFunctionals) -> float:
 
 
 def martingale_test(stat: MartingaleStat, ensemble, c: np.ndarray,
-                    n_tests: int = 1, alpha: float = 0.05) -> dict:
+                    n_tests: int = 1, alpha: float = 0.05):
     """Monte Carlo check of the three martingale identities at (s, t).
 
     ``ensemble`` is a list of PathFunctionals from independent paths, ``c``
-    the forcing pairings <Phi e_k, phi>.  Passes when zero lies in every
-    Bonferroni-corrected confidence interval.
+    the forcing pairings <Phi e_k, phi>.  Returns one audit row per
+    identity, each holding |mean| to the Bonferroni-corrected confidence
+    half-width, and the diagnostics {"z"}.
     """
     if len(ensemble) < 32:
         raise LimitError(f"ensemble of {len(ensemble)} is too small (need >= 32)")
@@ -373,31 +337,23 @@ def martingale_test(stat: MartingaleStat, ensemble, c: np.ndarray,
     beta_s = np.stack([pf.beta_s for pf in ensemble])
     beta_t = np.stack([pf.beta_t for pf in ensemble])
 
-    rows = []
-    rows.append(_ci_row("increment", h * (m_t - m_s), z))
-    rows.append(_ci_row("quadratic_variation",
-                        h * (m_t ** 2 - m_s ** 2 - n_qv), z))
+    prefix = f"martingale_{stat.phi_name}_s{stat.s:g}_t{stat.t:g}_{stat.history}_"
+    rows = [_ci_row(prefix + "increment", h * (m_t - m_s), z),
+            _ci_row(prefix + "quadratic_variation",
+                    h * (m_t ** 2 - m_s ** 2 - n_qv), z)]
     for k in range(len(c)):
         cross = h * (m_t * beta_t[:, k] - m_s * beta_s[:, k] - c[k] * dt_span)
-        rows.append(_ci_row(f"cross_variation_k{k}", cross, z))
-    return {
-        "stat": {"phi": stat.phi_name, "s": stat.s, "t": stat.t,
-                 "history": stat.history},
-        "z": z,
-        "rows": rows,
-        "passed": all(r["passed"] for r in rows),
-    }
+        rows.append(_ci_row(prefix + f"cross_variation_k{k}", cross, z))
+    return rows, {"z": z}
 
 
 def _ci_row(name: str, samples: np.ndarray, z: float,
             atol: float = 1e-10) -> dict:
-    n = len(samples)
+    """|mean| held to the confidence half-width z * se (plus atol)."""
     mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n))
-    ci = z * se
-    tol = ci + atol
-    return {"name": name, "mean": mean, "se": se, "ci": ci,
-            "tolerance": tol, "passed": bool(abs(mean) <= tol)}
+    se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
+    return audit_row(name, "limit_verifier.martingale_test", abs(mean),
+                     z * se + atol, f"se={se:.3e}")
 
 
 def linear_model_functionals(forcing: ForcingOperator, phi: SpectralField,
@@ -460,14 +416,16 @@ def solver_functionals_multi(cfg: SolverConfig, phi: SpectralField, seed: int,
 
 
 def energy_inequality_limit(family: GeneralizedYoungMeasure, traces,
-                            forcing: ForcingOperator | None,
-                            tol: float) -> dict:
+                            forcing: ForcingOperator | None, tol: float):
     """Slab-averaged energy inequality audit for the family measure.
 
     Implements the mollified form: compare slab energies of the measure
     against the Ito input and the tail-averaged stochastic integral, then
     require the compensated slab process to be non-increasing within tol
-    (energetic sinks allowed, no positive jumps).
+    (energetic sinks allowed, no positive jumps).  Returns the rows
+    ``energy_inequality_family`` (largest pairwise defect) and
+    ``no_positive_jumps`` (largest signed jump, 0 for a single slab), and
+    the slab energies, compensated process and pairwise defects.
     """
     part = family.partition
     e_slab = slab_energies(family)
@@ -491,14 +449,10 @@ def energy_inequality_limit(family: GeneralizedYoungMeasure, traces,
             defects.append({"s_slab": si, "t_slab": ti,
                             "defect": float(g[ti] - g[si])})
     max_defect = max((d["defect"] for d in defects), default=0.0)
-    jumps = np.diff(g)
-    max_jump = float(np.max(jumps)) if len(jumps) else 0.0
-    return {
-        "slab_energy": [float(x) for x in e_slab],
-        "compensated": [float(x) for x in g],
-        "defects": defects,
-        "max_defect": float(max_defect),
-        "max_positive_jump": max(0.0, max_jump),
-        "tolerance": tol,
-        "passed": bool(max_defect <= tol),
-    }
+    max_jump = float(np.max(np.diff(g))) if part.n_t > 1 else 0.0
+    module = "limit_verifier.energy_inequality_limit"
+    rows = [audit_row("energy_inequality_family", module, max_defect, tol),
+            audit_row("no_positive_jumps", module, max_jump, tol)]
+    return rows, {"slab_energy": [float(x) for x in e_slab],
+                  "compensated": [float(x) for x in g],
+                  "defects": defects}

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forcing import ForcingOperator, WienerPath, auxiliary_normals
+from .reporting import audit_row
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -369,13 +370,14 @@ def _snapshot_index_set(snapshot_times, times) -> set:
 # -- ensemble moment monitor ----------------------------------------------
 
 
-def apriori_moment_report(traces_by_eps: dict, p: float, z: float = 1.96) -> dict:
+def apriori_moment_report(traces_by_eps: dict, p: float, z: float = 1.96):
     """Monte Carlo check that E[(sup_t E_t + eps int ||grad u||^2)^p] is
     uniform along the viscosity ladder (non-increasing within CI).
 
-    ``worst_gap`` is the largest rise of the moment from one rung to the
-    next beyond the combined confidence half-widths ``ci``, floored at 0;
-    the ladder passes when it is 0.
+    Returns the row ``apriori_moment_uniform``, whose value is the largest
+    signed rise of the moment from one rung to the next beyond the combined
+    confidence half-widths ``ci`` (0 for a single rung), and the
+    diagnostics {"p", "rows"} with one moment row per rung.
 
     ``traces_by_eps`` maps eps -> list of EnergyTrace with shared noise
     seeds across entries.  Requires p > 2 to match the moment assumption on
@@ -397,8 +399,9 @@ def apriori_moment_report(traces_by_eps: dict, p: float, z: float = 1.96) -> dic
         se = float(x.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         rows.append({"eps": eps, "paths": n, "moment": float(x.mean()),
                      "se": se, "ci": z * se})
-    worst = 0.0
-    for a, b in zip(rows, rows[1:]):
-        slack = float(np.hypot(a["ci"], b["ci"]))
-        worst = max(worst, b["moment"] - a["moment"] - slack)
-    return {"p": p, "rows": rows, "worst_gap": worst}
+    gaps = [b["moment"] - a["moment"] - float(np.hypot(a["ci"], b["ci"]))
+            for a, b in zip(rows, rows[1:])]
+    worst = float(np.max(gaps)) if gaps else 0.0
+    row = audit_row("apriori_moment_uniform", "ns_solver.apriori_monitor",
+                    worst, 0.0, f"moments={['%.5g' % r['moment'] for r in rows]}")
+    return [row], {"p": p, "rows": rows}

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import WienerPath
+from .reporting import audit_row
 from .solver import SolverConfig, SolverRun, Trajectory, run_path
 from .spectral import (
     SpectralField,
@@ -164,12 +165,13 @@ def initial_relative_energy(u0: SpectralField, v0: SpectralField) -> float:
 
 
 def gronwall_audit(times: np.ndarray, f_matrix: np.ndarray, f0: np.ndarray,
-                   tau: np.ndarray, level: float, slack: float) -> dict:
+                   tau: np.ndarray, level: float, slack: float, eps: float = 0.0):
     """Check E[F(t and tau_L)] <= (E[F(0)] + slack) exp(L t) per time.
 
     f_matrix[p, i] is path p's relative energy at times[i]; beyond the
-    path's stopping time the value freezes (the stopped process).  Reports
-    envelope margins and the stopped supremum.
+    path's stopping time the value freezes (the stopped process).  Returns
+    the row ``gronwall_envelope_eps<eps>`` (minus the smallest envelope
+    margin) and the envelope, stopped means, margin and stopped supremum.
     """
     times = np.asarray(times, dtype=float)
     f_matrix = np.asarray(f_matrix, dtype=float)
@@ -178,16 +180,17 @@ def gronwall_audit(times: np.ndarray, f_matrix: np.ndarray, f0: np.ndarray,
         raise WeakStrongError("relative-energy matrix shape mismatch")
     mean_f = _stopped(f_matrix, times, tau, f0).mean(axis=0)
     envelope = (float(np.mean(f0)) + slack) * np.exp(level * times)
-    margins = envelope - mean_f
-    return {
+    min_margin = float(np.min(envelope - mean_f))
+    row = audit_row(f"gronwall_envelope_eps{eps:g}", "weak_strong.gronwall_audit",
+                    -min_margin, 0.0, f"slack={slack} level={level:.3g}")
+    return [row], {
         "times": [float(t) for t in times],
         "mean_stopped_F": [float(x) for x in mean_f],
         "envelope": [float(x) for x in envelope],
-        "min_margin": float(np.min(margins)),
+        "min_margin": min_margin,
         "sup_mean_F": float(np.max(mean_f)),
         "level": level,
         "slack": slack,
-        "passed": bool(np.all(margins >= 0.0)),
     }
 
 
@@ -217,15 +220,18 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
                        partition: CellPartition, radius: float,
                        snapshot_times, level: float | None = None,
                        slack: float = 0.0, bins_per_axis: int = 16,
-                       tail_tol: float = 1e-6) -> dict:
+                       tail_tol: float = 1e-6):
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
     Each path's Wiener path is sampled once; the weak runs use it at every
     viscosity and the resolved reference, integrated once per path, uses
-    its Brownian-bridge refinement.  Returns per-eps relative-energy
-    matrices, the Gronwall report, and the paired monotonicity diagnostics
-    along the ladder.  The reference must refine the weak grid and divide
-    its dt by a power of two; both are checked before any integration.
+    its Brownian-bridge refinement.  Returns the audit rows (F(0) = 0,
+    F >= 0, agreement of the two forms of F, the monotone ladder and one
+    Gronwall envelope per eps) and the diagnostics: per-eps relative-energy
+    matrices with their Gronwall diagnostics, the stopping times and the
+    paired monotonicity diagnostics along the ladder.  The reference must
+    refine the weak grid and divide its dt by a power of two; both are
+    checked before any integration.
     """
     if reference_cfg.grid.n % weak_base.grid.n != 0:
         raise WeakStrongError("reference grid must refine the weak grid")
@@ -255,7 +261,7 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
     slab_times = partition.t0 + (np.arange(partition.n_t) + 1.0) \
         * partition.slab_duration
 
-    per_eps = {}
+    per_eps, gronwall_rows = {}, []
     for eps in eps_values:
         weak_cfg = weak_base.with_eps(eps)
         f_rows, f0s, gaps = [], [], []
@@ -272,8 +278,9 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
             gaps.append(max(s["forms_gap"] / max(s["scale"], 1e-300)
                             for s in slabs))
         f_matrix = np.stack(f_rows)
-        audit = gronwall_audit(slab_times, f_matrix, np.asarray(f0s), taus,
-                               level, slack)
+        rows, audit = gronwall_audit(slab_times, f_matrix, np.asarray(f0s), taus,
+                                     level, slack, eps)
+        gronwall_rows += rows
         per_eps[eps] = {
             "f_matrix": f_matrix,
             "f0": np.asarray(f0s),
@@ -281,33 +288,49 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
             "gronwall": audit,
             "sup_mean_F": audit["sup_mean_F"],
         }
-    return {
+    mono_rows, monotone = ladder_monotone_within_ci(per_eps, list(eps_values),
+                                                    taus, slab_times)
+    module = "weak_strong.relative_energy"
+    rows = [
+        audit_row("initial_relative_energy", module,
+                  max(float(np.max(e["f0"])) for e in per_eps.values()), 1e-12,
+                  "identical data and noise force F(0) = 0"),
+        audit_row("relative_energy_nonnegative", module,
+                  -min(float(np.min(e["f_matrix"])) for e in per_eps.values()),
+                  1e-12),
+        audit_row("two_forms_agree", module,
+                  max(e["max_forms_gap_rel"] for e in per_eps.values()), 0.02),
+        *mono_rows, *gronwall_rows]
+    return rows, {
         "eps_values": list(eps_values),
         "level": level,
         "slack": slack,
         "stopping_times": taus,
         "per_eps": per_eps,
-        "monotone": ladder_monotone_within_ci(per_eps, list(eps_values), taus,
-                                              slab_times),
+        "monotone": monotone,
     }
 
 
 def ladder_monotone_within_ci(per_eps: dict, eps_values, taus,
-                              slab_times, z: float = 1.96) -> dict:
-    """Paired test that sup_t E[F(t and tau)] does not increase as eps drops."""
+                              slab_times, z: float = 1.96):
+    """Paired test that sup_t E[F(t and tau)] does not increase as eps drops.
+
+    Returns the row ``sup_F_monotone_along_ladder``, whose value is the
+    largest drop of the stopped supremum beyond z standard errors (0 for a
+    single rung), and the diagnostics {"rows", "sup_by_eps"}.
+    """
     sups = {eps: _stopped(per_eps[eps]["f_matrix"], slab_times, taus,
                           per_eps[eps]["f0"]).max(axis=1)
             for eps in eps_values}
-    rows = []
-    ok = True
+    pairs = []
     for a, b in zip(eps_values, eps_values[1:]):
         diff = sups[a] - sups[b]     # should be >= 0: larger eps, larger F
         n = len(diff)
         se = float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        mean = float(diff.mean())
-        passed = bool(mean >= -z * se)
-        ok = ok and passed
-        rows.append({"from_eps": a, "to_eps": b, "mean_drop": mean,
-                     "se": se, "passed": passed})
-    return {"rows": rows, "passed": ok,
-            "sup_by_eps": {e: float(np.mean(sups[e])) for e in eps_values}}
+        pairs.append({"from_eps": a, "to_eps": b, "mean_drop": float(diff.mean()),
+                      "se": se})
+    sup_by_eps = {e: float(np.mean(sups[e])) for e in eps_values}
+    worst = max((-r["mean_drop"] - z * r["se"] for r in pairs), default=0.0)
+    row = audit_row("sup_F_monotone_along_ladder", "weak_strong.gronwall_audit",
+                    worst, 0.0, f"sup_by_eps={sup_by_eps}")
+    return [row], {"rows": pairs, "sup_by_eps": sup_by_eps}

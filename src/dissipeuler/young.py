@@ -93,6 +93,12 @@ class CellPartition:
     def total_volume(self) -> float:
         return TWO_PI ** self.dim * (self.t1 - self.t0)
 
+    def sample_times(self, dt: float, per_slab: int) -> list:
+        """per_slab evenly spaced mid-interval times per slab, on the step grid."""
+        dur = self.slab_duration
+        return sorted({round((self.t0 + s * dur + (j + 0.5) / per_slab * dur) / dt) * dt
+                       for s in range(self.n_t) for j in range(per_slab)})
+
     def slab_of(self, t: float) -> int:
         s = int((t - self.t0) / self.slab_duration)
         return min(max(s, 0), self.n_t - 1)

@@ -24,6 +24,7 @@ from dissipeuler.limits import (
     run_ladder,
     solver_functionals_multi,
 )
+from dissipeuler.reporting import all_passed
 from dissipeuler.solver import InitialCondition, SolverConfig, Trajectory, run_path
 from dissipeuler.spectral import (
     TorusGrid,
@@ -285,8 +286,8 @@ def test_criterion_5_martingale_identification(announce):
     _check(failures, float(np.sum(c ** 2)) > 0.1, "test field decoupled from noise")
     for history in ("one", "clamp_beta"):
         stat = MartingaleStat("phi1", 0.25, 0.75, history=history)
-        rep = martingale_test(stat, ens, c, n_tests=12)
-        _check(failures, rep["passed"], f"linear model stats ({history})")
+        rows, _ = martingale_test(stat, ens, c, n_tests=12)
+        _check(failures, all_passed(rows), f"linear model stats ({history})")
     m_t = np.array([p.m_t for p in ens])
     m_s = np.array([p.m_s for p in ens])
     qv_err = abs(np.mean((m_t - m_s) ** 2) - float(np.sum(c ** 2)) * 0.5) \
@@ -308,10 +309,10 @@ def test_criterion_5_martingale_identification(announce):
                                                 pairs)
         for (s, t) in pairs:
             stat = MartingaleStat(name, s, t, history="clamp_pair")
-            rep = martingale_test(stat, by_pair[(s, t)], c_n, n_tests=n_tests)
-            _check(failures, rep["passed"],
+            rows, _ = martingale_test(stat, by_pair[(s, t)], c_n, n_tests=n_tests)
+            _check(failures, all_passed(rows),
                    f"nonlinear stats {name} ({s},{t}): "
-                   + str([r for r in rep["rows"] if not r["passed"]]))
+                   + str([r for r in rows if not r["pass"]]))
 
     elapsed = time.time() - t0
     ok = not failures and elapsed < budget
@@ -377,10 +378,11 @@ def test_criterion_7_weak_strong_uniqueness(announce):
     part = CellPartition(2, 32, n_t, 32, 0.0, horizon)
     slack = 0.02
 
-    rep = weak_strong_ladder(eps_ladder, weak, ref, seed=909,
-                             path_ids=range(64), partition=part, radius=4.0,
-                             snapshot_times=times, slack=slack,
-                             bins_per_axis=8)
+    rows, rep = weak_strong_ladder(eps_ladder, weak, ref, seed=909,
+                                   path_ids=range(64), partition=part,
+                                   radius=4.0, snapshot_times=times,
+                                   slack=slack, bins_per_axis=8)
+    by_name = {r["audit"]: r for r in rows}
 
     for eps in eps_ladder:
         pe = rep["per_eps"][eps]
@@ -390,10 +392,10 @@ def test_criterion_7_weak_strong_uniqueness(announce):
         _check(failures, fmin >= -1e-12, f"F < 0 ({fmin:.2e}) at eps {eps}")
         _check(failures, pe["max_forms_gap_rel"] <= 0.02,
                f"forms gap {pe['max_forms_gap_rel']:.4f} at eps {eps}")
-        _check(failures, pe["gronwall"]["passed"],
+        _check(failures, all_passed([by_name[f"gronwall_envelope_eps{eps:g}"]]),
                f"Gronwall envelope violated at eps {eps} "
                f"(margin {pe['gronwall']['min_margin']:.4f}, slack {slack})")
-    _check(failures, rep["monotone"]["passed"],
+    _check(failures, all_passed([by_name["sup_F_monotone_along_ladder"]]),
            f"sup F not monotone within CI: {rep['monotone']['rows']}")
 
     elapsed = time.time() - t0

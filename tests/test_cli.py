@@ -8,6 +8,7 @@ import pytest
 from dissipeuler.cli import main
 from dissipeuler.config import ConfigError, parse_config
 from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
+from dissipeuler.reporting import all_passed
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -157,6 +158,7 @@ class TestSchema:
         ("ym", "young", "time_cells", 64, "young.time_cells"),
         ("simulate", "initial", "k_max", 6, "initial.k_max"),
         ("simulate", "initial", "k_max", 0, "initial.k_max"),
+        ("simulate", "time", "horizon", 0.0, "time.horizon"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -423,7 +425,9 @@ class TestWeakStrongCli:
         assert "0.1" in payload["relative_energy"]
         env = payload["relative_energy"]["0.1"]
         assert len(env["mean_stopped_F"]) == 2
-        assert env["passed"]
+        assert "passed" not in env
+        by_name = {r["audit"]: r for r in payload["rows"]}
+        assert all_passed([by_name["gronwall_envelope_eps0.1"]])
 
 
     def test_weakstrong_blowup_seals_manifest(self, tmp_path):
@@ -448,6 +452,20 @@ class TestWeakStrongCli:
         assert verify_manifest(out) == []
         rows = json.loads((out / "reports" / "weakstrong.json").read_text())["rows"]
         assert len(rows) == 1
+        assert not rows[0]["pass"] and "blow-up" in rows[0]["detail"]
+
+
+class TestMartingaleCli:
+    def test_martingale_blowup_seals_manifest(self, tmp_path):
+        raw = forced_config(paths=32, seed=777)
+        raw["experiment"] = "martingale"
+        raw["solver"] = {"blowup_ceiling": 1e-3}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["martingale", "--config", str(cfg), "--out", str(out)]) == 1
+        assert verify_manifest(out) == []
+        rows = json.loads((out / "reports" / "martingale.json").read_text())["rows"]
+        assert [r["audit"] for r in rows] == ["blowup_martingale"]
         assert not rows[0]["pass"] and "blow-up" in rows[0]["detail"]
 
 

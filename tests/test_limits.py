@@ -18,9 +18,10 @@ from dissipeuler.limits import (
     run_ladder,
     solver_functionals_multi,
 )
+from dissipeuler.reporting import all_passed
 from dissipeuler.solver import InitialCondition, SolverConfig, run_path
 from dissipeuler.spectral import SpectralField, TorusGrid
-from dissipeuler.young import CellPartition, dirac_embed
+from dissipeuler.young import CellPartition, barycenter, dirac_embed
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,11 +77,19 @@ class TestLadder:
         assert d[0] > d[1] > d[2]
 
     def test_barycenter_consistency(self):
+        # one path per rung: each rung's barycenter is the per-slab,
+        # per-cell average of that path's samples
         cfg = base_config(n=16, horizon=0.25)
         ladder = ViscosityLadder((0.1, 0.05), cfg, seed=7)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, radius=4.0)
-        assert res.barycenter_defect < 1e-12
+        for eps, (run,) in res.runs.items():
+            traj = run.trajectory()
+            bary = barycenter(res.measures[eps]).reshape(part.n_t, part.n_space, -1)
+            slabs = np.array([part.slab_of(float(t)) for t in traj.times])
+            for s in range(part.n_t):
+                avg = part.block_mean(traj.values[slabs == s]).mean(axis=0).T
+                assert np.max(np.abs(bary[s] - avg)) < 1e-12
 
     def test_shared_noise_bit_exact(self):
         cfg = base_config(n=16, horizon=0.25)
@@ -184,9 +193,9 @@ class TestMartingale:
         pf = [PathFunctionals(m_s=0.0, m_t=0.0, beta_s=np.zeros(1),
                               beta_t=np.zeros(1), pair_s=0.0)] * 32
         stat = MartingaleStat("phi", 0.0625, 0.125)
-        rep = martingale_test(stat, pf, c=np.zeros(1))
-        assert rep["passed"]
-        assert all(r["mean"] == 0.0 for r in rep["rows"])
+        rows, _ = martingale_test(stat, pf, c=np.zeros(1))
+        assert all_passed(rows)
+        assert all(r["value"] == 0.0 for r in rows)
 
     def test_linear_model_ito_oracle(self):
         # transport off, eps = 0: M_t = sum c_k beta_k(t) exactly, so the
@@ -201,8 +210,8 @@ class TestMartingale:
         assert float(np.sum(c ** 2)) > 0.1  # phi genuinely sees the noise
         for history in ("one", "clamp_beta"):
             stat = MartingaleStat("phi", 0.25, 0.75, history=history)
-            rep = martingale_test(stat, ens, c, n_tests=12)
-            assert rep["passed"], rep
+            rows, _ = martingale_test(stat, ens, c, n_tests=12)
+            assert all_passed(rows), rows
 
         # direct quadratic-variation check against N_t
         m_t = np.array([p.m_t for p in ens])
@@ -242,8 +251,8 @@ class TestMartingale:
                                               pairs=[(0.125, 0.25)])
         ens = by_pair[(0.125, 0.25)]
         stat = MartingaleStat("phi", 0.125, 0.25, history="clamp_pair")
-        rep = martingale_test(stat, ens, c, n_tests=6)
-        assert rep["passed"], rep
+        rows, _ = martingale_test(stat, ens, c, n_tests=6)
+        assert all_passed(rows), rows
 
     def test_small_ensemble_rejected(self):
         stat = MartingaleStat("phi", 0.0, 1.0)
@@ -269,10 +278,10 @@ class TestEnergyInequalityLimit:
         run = run_path(cfg, 1, 0)
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
         V = dirac_embed(run.trajectory(), part, radius=1.0)
-        rep = energy_inequality_limit(V, [run.trace], None, tol=1e-12)
-        assert rep["passed"]
-        assert rep["max_defect"] == 0.0
-        assert rep["max_positive_jump"] == 0.0
+        rows, _ = energy_inequality_limit(V, [run.trace], None, tol=1e-12)
+        assert all_passed(rows)
+        values = {r["audit"]: r["value"] for r in rows}
+        assert values == {"energy_inequality_family": 0.0, "no_positive_jumps": 0.0}
 
     def test_deterministic_ladder_defects_nonpositive(self):
         grid = TorusGrid(2, 32)
@@ -285,10 +294,11 @@ class TestEnergyInequalityLimit:
         res = run_ladder(ladder, part, radius=3.0)
         traces = [r.trace for eps in (0.05, 0.025) for r in res.runs[eps]]
         tol = res.runs[0.025][0].trace.tolerance(c=1.0)
-        rep = energy_inequality_limit(res.family, traces, None, tol=tol)
-        assert rep["passed"]
+        rows, _ = energy_inequality_limit(res.family, traces, None, tol=tol)
+        assert all_passed(rows)
         # dissipative dynamics: the compensated slab process really decreases
-        assert rep["max_defect"] <= 0.0
+        assert rows[0]["audit"] == "energy_inequality_family"
+        assert rows[0]["value"] <= 0.0
 
 
 class TestFamilyEnergyAlongLadder:

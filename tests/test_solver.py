@@ -9,6 +9,7 @@ from dissipeuler.forcing import (
     WienerPath,
     default_forcing,
 )
+from dissipeuler.reporting import all_passed
 from dissipeuler.solver import (
     BlowUpError,
     CflError,
@@ -252,14 +253,14 @@ class TestAprioriMonitor:
     def test_deterministic_inviscid_moment_is_e0_power(self):
         cfg = make_config(eps=0.0, horizon=0.125)
         run = run_path(cfg, 1, 0, snapshot_times=[])
-        rep = apriori_moment_report({0.0: [run.trace]}, p=3.0)
+        _, rep = apriori_moment_report({0.0: [run.trace]}, p=3.0)
         e0 = run.trace.energy[0]
         assert rep["rows"][0]["moment"] == pytest.approx(e0 ** 3, rel=1e-10)
 
     def test_deterministic_viscous_moment_closed_form(self):
         cfg = make_config(eps=0.05, horizon=0.125)
         run = run_path(cfg, 1, 0, snapshot_times=[])
-        rep = apriori_moment_report({0.05: [run.trace]}, p=2.5)
+        _, rep = apriori_moment_report({0.05: [run.trace]}, p=2.5)
         expected = (np.max(run.trace.energy) + run.trace.dissipation[-1]) ** 2.5
         assert rep["rows"][0]["moment"] == pytest.approx(expected, rel=1e-12)
 
@@ -272,8 +273,8 @@ class TestAprioriMonitor:
                               forcing=forcing)
             traces[eps] = [run_path(cfg, 31, pid, snapshot_times=[]).trace
                            for pid in range(16)]
-        rep = apriori_moment_report(traces, p=3.0)
-        assert rep["worst_gap"] == 0.0
+        rows, rep = apriori_moment_report(traces, p=3.0)
+        assert all_passed(rows)
         assert [r["eps"] for r in rep["rows"]] == [0.1, 0.05, 0.025]
 
     def test_stronger_forcing_raises_bound(self):
@@ -285,7 +286,7 @@ class TestAprioriMonitor:
                               forcing=forcing)
             traces = [run_path(cfg, 37, pid, snapshot_times=[]).trace
                       for pid in range(16)]
-            reports.append(apriori_moment_report({0.05: traces}, p=3.0))
+            reports.append(apriori_moment_report({0.05: traces}, p=3.0)[1])
         assert reports[1]["rows"][0]["moment"] > reports[0]["rows"][0]["moment"]
 
     def test_rejects_low_moment_order(self):

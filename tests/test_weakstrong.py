@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dissipeuler.forcing import default_forcing
+from dissipeuler.reporting import all_passed
 from dissipeuler.solver import InitialCondition, SolverConfig, Trajectory, run_path
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, single_mode, taylor_green
 import dissipeuler.weakstrong as weakstrong
@@ -158,8 +159,8 @@ class TestGronwallAudit:
         f0 = np.full(4, 0.3)
         f = 0.3 * np.exp(level * times)[None, :].repeat(4, axis=0)
         tau = np.full(4, 1.0)
-        rep = gronwall_audit(times, f, f0, tau, level, slack=0.0)
-        assert rep["passed"]
+        rows, rep = gronwall_audit(times, f, f0, tau, level, slack=0.0)
+        assert all_passed(rows)
         assert rep["min_margin"] == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_runs_f_within_binning_floor(self):
@@ -170,7 +171,7 @@ class TestGronwallAudit:
         cfg = SolverConfig(grid=grid, forcing=forcing, eps=0.0, dt=1.0 / 32,
                            horizon=0.25, initial=ic)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
-        rep = weak_strong_ladder((0.0,), cfg, cfg, seed=53, path_ids=[0],
+        _, rep = weak_strong_ladder((0.0,), cfg, cfg, seed=53, path_ids=[0],
                                  partition=part, radius=4.0,
                                  snapshot_times=times)
         out = rep["per_eps"][0.0]
@@ -187,8 +188,8 @@ class TestGronwallAudit:
         tau = np.full(6, 0.5)
         passed = []
         for level in (0.5, 1.0, 2.0, 4.0):
-            rep = gronwall_audit(times, f, f0, tau, level, slack=0.05)
-            passed.append(rep["passed"])
+            rows, _ = gronwall_audit(times, f, f0, tau, level, slack=0.05)
+            passed.append(all_passed(rows))
         for a, b in zip(passed, passed[1:]):
             assert b or not a  # pass never flips to fail as L grows
 
@@ -197,10 +198,10 @@ class TestGronwallAudit:
         f = np.array([[0.0, 0.1, 5.0, 9.0]])
         f0 = np.array([0.0])
         tau = np.array([0.25])
-        rep = gronwall_audit(times, f, f0, tau, level=1.0, slack=0.2)
+        rows, rep = gronwall_audit(times, f, f0, tau, level=1.0, slack=0.2)
         # values after tau are frozen at F(tau), so the blow-up is invisible
         assert rep["sup_mean_F"] == pytest.approx(0.1)
-        assert rep["passed"]
+        assert all_passed(rows)
 
 
     def test_stopped_before_first_slab_holds_f0_in_both_audits(self):
@@ -214,12 +215,13 @@ class TestGronwallAudit:
             0.05: {"f_matrix": np.array([[0.3, 0.9, 0.6, 0.5],
                                          [0.4, 1.0, 0.7, 0.6]]), "f0": f0},
         }
-        mono = ladder_monotone_within_ci(per_eps, [0.1, 0.05], tau, slab_times)
+        rows, mono = ladder_monotone_within_ci(per_eps, [0.1, 0.05], tau,
+                                               slab_times)
         assert mono["sup_by_eps"] == {0.1: pytest.approx(0.02),
                                       0.05: pytest.approx(0.02)}
-        assert mono["passed"]
+        assert all_passed(rows)
         for eps, entry in per_eps.items():
-            rep = gronwall_audit(slab_times, entry["f_matrix"], f0, tau,
+            _, rep = gronwall_audit(slab_times, entry["f_matrix"], f0, tau,
                                  level=1.0, slack=0.0)
             assert rep["sup_mean_F"] == pytest.approx(mono["sup_by_eps"][eps])
 
@@ -240,15 +242,18 @@ class TestLadderComparison:
                             horizon=horizon, initial=ic)
         ref = SolverConfig(grid=fine, forcing=forcing, eps=0.0, dt=1.0 / 64,
                            horizon=horizon, initial=ic)
-        rep = weak_strong_ladder((0.2, 0.05, 0.0125), weak, ref, seed=59,
-                                 path_ids=range(4), partition=part, radius=4.0,
-                                 snapshot_times=times, slack=0.05)
+        rows, rep = weak_strong_ladder((0.2, 0.05, 0.0125), weak, ref, seed=59,
+                                       path_ids=range(4), partition=part,
+                                       radius=4.0, snapshot_times=times,
+                                       slack=0.05)
         sup = rep["monotone"]["sup_by_eps"]
         assert sup[0.2] > sup[0.05]
-        assert rep["monotone"]["passed"]
+        # the monotone-ladder row and one Gronwall envelope row per eps
+        gronwall = [r for r in rows if r["module"] == "weak_strong.gronwall_audit"]
+        assert len(gronwall) == 4
+        assert all_passed(gronwall)
         for eps in (0.2, 0.05, 0.0125):
             assert np.all(rep["per_eps"][eps]["f0"] == 0.0)
-            assert rep["per_eps"][eps]["gronwall"]["passed"]
 
     def test_setup_validation(self, monkeypatch):
         grid = TorusGrid(2, 16)
