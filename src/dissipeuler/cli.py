@@ -30,7 +30,6 @@ import traceback
 import numpy as np
 
 from .config import ConfigError, RunConfig, check_seed, load_config
-from .forcing import WienerPath
 from .limits import (
     MartingaleStat,
     ViscosityLadder,
@@ -207,35 +206,33 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
     out.write_json("measures/family.json", measure_to_dict(res.family))
 
     d = res.cauchy_distances
-    worst_rise = max((b - a for a, b in zip(d, d[1:])), default=-min(d) if d else 0.0)
+    worst_rise = float(np.max(np.diff(d))) if len(d) > 1 \
+        else (-d[0] if d else 0.0)
     rows.append(audit_row(
         "cauchy_distance_decreasing", "limit_verifier.run_ladder",
         worst_rise, 0.0, f"distances={['%.5g' % x for x in d]}"))
 
-    usable = [eps for eps in cfg.eps_values if eps in res.measures]
-    tail = usable[len(usable) // 2:]
-    traces = [r.trace for eps in tail for r in res.runs[eps]]
-    finest = res.runs[usable[-1]][0]
+    traces = [r.trace for eps in res.tail for r in res.runs[eps]]
+    finest = res.runs[res.tail[-1]][0]
     tol = finest.trace.tolerance(cfg.tolerances.energy_defect_c)
     limit_rows, details = energy_inequality_limit(res.family, traces,
                                                   cfg.forcing, tol)
     out.write_json("details/energy_limit.json", details)
     rows += limit_rows
 
-    traces_by_eps = {eps: [r.trace for r in res.runs[eps]] for eps in usable}
+    traces_by_eps = {eps: [r.trace for r in res.runs[eps]]
+                     for eps in res.measures}
     rows += apriori_moment_report(traces_by_eps, p=3.0)[0]
 
     phi = _test_fields(cfg.grid)[0][1]
-    path = WienerPath.sample(cfg.seed, finest.path_id, base.rank, cfg.dt,
-                             base.steps) if cfg.forcing is not None else None
-    mom = momentum_residual(finest.trajectory(), part, cfg.forcing, path, phi,
-                            t=cfg.horizon, eps=usable[-1])
+    residual = momentum_residual(finest, cfg.forcing,
+                                 res.paths[finest.path_id], phi, t=cfg.horizon)
     sample_gap = part.slab_duration / cfg.young.snapshots_per_slab
     mom_tol = cfg.tolerances.energy_defect_c * sample_gap \
         * (1.0 + finest.trace.initial_energy)
     rows.append(audit_row("momentum_residual_finest",
                           "limit_verifier.momentum_residual",
-                          mom["residual"], mom_tol))
+                          residual, mom_tol))
 
     return rows + blowup_rows, {}
 

@@ -330,6 +330,13 @@ def _parse_initial(raw, grid):
         raise ConfigError("initial.k_max",
                           f"must be in [1, {cut}], the dealias cutoff of "
                           f"n={grid.n}, got {init.k_max}")
+    if init.kind == "random_spectrum":
+        try:
+            (grid.dim ** 0.5 * init.k_max) ** -init.decay
+        except OverflowError:
+            raise ConfigError("initial.decay",
+                              f"|k|^-decay overflows at |k| = sqrt(dim) "
+                              f"k_max for decay={init.decay:g}") from None
     return init
 
 

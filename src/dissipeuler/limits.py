@@ -14,7 +14,10 @@ The martingale side checks that the path functional
 behaves like the stochastic integral it must equal: zero conditional
 increments, quadratic variation N_t = sum_k <Phi e_k, phi>^2 t, and cross
 variation N^k_t = <Phi e_k, phi> t against the k-th Wiener coordinate, all
-tested against history weights h evaluated at the earlier time.
+tested against history weights h evaluated at the earlier time.  One
+``FunctionalRecorder`` computes M_t for both these statistics (observing
+every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
+(replaying a run's snapshots).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from scipy.special import ndtri
 
 from .forcing import ForcingOperator, WienerPath
 from .reporting import audit_row
-from .solver import BlowUpError, SolverConfig, Trajectory, run_path
+from .solver import BlowUpError, SolverConfig, SolverRun, run_path
 from .spectral import (
     SpectralField,
     gradient_physical,
@@ -74,6 +77,8 @@ class LadderResult:
     family: GeneralizedYoungMeasure | None   # None if every path blew up
     cauchy_distances: list         # successive weak* distances
     blowups: dict                  # eps -> list of (path_id, message)
+    tail: list                     # rungs the family pools, coarse to fine
+    paths: dict                    # path_id -> shared WienerPath (or None)
 
 
 def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
@@ -81,11 +86,11 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                sphere_bins: int = 32) -> LadderResult:
     """Run every rung on shared noise and estimate the family measure.
 
-    The family measure pools the tail (last half) of the ladder; per-rung
-    measures pool the ensemble at that viscosity.  Blow-ups abort a single
-    (eps, path) run and the ladder continues without it.  Runs go one after
-    another in (eps, path) order.  Without ``snapshot_times`` each slab is
-    sampled at four mid-interval times.
+    The family measure pools the tail, the last half of the rungs with a
+    surviving run; per-rung measures pool the ensemble at that viscosity.
+    Blow-ups abort a single (eps, path) run and the ladder continues without
+    it.  Runs go one after another in (eps, path) order.  Without
+    ``snapshot_times`` each slab is sampled at four mid-interval times.
     """
     base = ladder.base
     if snapshot_times is None:
@@ -122,7 +127,8 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
 
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
-    return LadderResult(runs, measures, family, distances, blowups)
+    return LadderResult(runs, measures, family, distances, blowups, tail,
+                        paths)
 
 
 def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
@@ -144,94 +150,35 @@ def forcing_pairings(phi: SpectralField, forcing: ForcingOperator) -> np.ndarray
         for k in range(forcing.rank)])
 
 
-def momentum_residual(traj: Trajectory, partition: CellPartition,
-                      forcing: ForcingOperator | None, path: WienerPath | None,
-                      phi: SpectralField, t: float, eps: float = 0.0) -> dict:
-    """Absolute residual of the weak momentum balance up to time t.
+def momentum_residual(run: SolverRun, forcing: ForcingOperator | None,
+                      path: WienerPath | None, phi: SpectralField,
+                      t: float) -> float:
+    """|M_t - <Phi W(t), phi>| for one run, from its snapshots up to time t.
 
-    The convective term pairs the trajectory's samples pointwise with
-    grad phi; the stochastic integral uses the exact mode pairings times the
-    Wiener coordinates.  The viscous contribution for eps > 0 runs is
-    reported separately.  t must be a slab boundary of the partition.
+    The run's spectral snapshots on [0, t] replay through a
+    ``FunctionalRecorder`` at the run's viscosity and transport setting, so
+    M_t is the same left-point functional the martingale statistics use; the
+    stochastic integral is the exact mode pairings times the Wiener
+    coordinates.  Both 0 and t must be snapshot times of the run.
     """
-    ratio = (t - partition.t0) / partition.slab_duration
-    n_slabs = int(round(ratio))
-    if abs(ratio - n_slabs) > 1e-9 or not 0 <= n_slabs <= partition.n_t:
-        raise LimitError(f"t={t} is not a slab boundary of the partition")
-
-    u_t = _snapshot_at(traj, t)
-    u_0 = _snapshot_at(traj, partition.t0)
-    drift = inner_product(u_t, phi) - inner_product(u_0, phi)
-
-    grad_phi = gradient_physical(phi)
-    convective = _windowed_tensor_pairing(traj, grad_phi, partition, n_slabs)
+    times = np.asarray(run.snapshot_times, dtype=float)
+    if not (len(times) and abs(times[0]) <= 1e-9
+            and np.any(np.abs(times - t) <= 1e-9)):
+        raise LimitError(f"run needs snapshots at t=0 and t={t}")
+    rec = FunctionalRecorder(phi, run.config.eps,
+                             transport=run.config.transport)
+    for n, (tm, u) in enumerate(zip(times, run.snapshots)):
+        if tm > t + 1e-9:
+            break
+        rec.on_state(n, tm, u)
+    m_t = float(rec.martingale_series()[-1])
 
     stochastic = 0.0
     if forcing is not None and path is not None:
         c = forcing_pairings(phi, forcing)
-        n = int(round((t - partition.t0) / path.dt))
-        beta = path.increments[:n].sum(axis=0)
+        beta = path.increments[:int(round(t / path.dt))].sum(axis=0)
         stochastic = float(c @ beta)
-
-    viscous = 0.0
-    if eps > 0:
-        viscous = eps * _windowed_scalar_pairing(traj, laplacian(phi),
-                                                 partition, n_slabs)
-
-    residual = drift - convective - stochastic - viscous
-    return {"residual": abs(residual), "drift": drift, "convective": convective,
-            "stochastic": stochastic, "viscous": viscous}
-
-
-def _snapshot_at(traj: Trajectory, t: float) -> SpectralField:
-    idx = int(np.argmin(np.abs(traj.times - t)))
-    if abs(traj.times[idx] - t) > 1e-9:
-        raise LimitError(f"trajectory has no snapshot at t={t}")
-    return SpectralField.from_physical(traj.grid, traj.values[idx])
-
-
-def _left_point_weights(times: np.ndarray, t_end: float) -> np.ndarray:
-    """Left-point quadrature weights on [times[0], t_end] per sample."""
-    w = np.zeros(len(times))
-    for m, tm in enumerate(times):
-        if tm >= t_end - 1e-12:
-            continue
-        t_next = times[m + 1] if m + 1 < len(times) else t_end
-        w[m] = min(float(t_next), t_end) - float(tm)
-    return w
-
-
-def _windowed_tensor_pairing(traj, grad_phi, part, n_slabs) -> float:
-    """int_0^t <u x u, grad phi> over the trajectory's samples.
-
-    Pointwise in x with left-point time weights, so the discrete weak form
-    of the scheme cancels exactly.
-    """
-    dim = part.dim
-    gp = grad_phi.reshape(dim, dim, -1)
-    t_end = part.t0 + n_slabs * part.slab_duration
-    weights = _left_point_weights(np.asarray(traj.times, dtype=float), t_end)
-    total = 0.0
-    npts = int(np.prod(traj.values.shape[2:]))
-    for m in range(traj.n_snapshots):
-        if weights[m] == 0.0:
-            continue
-        acc = tensor_pairing(traj.values[m].reshape(dim, -1), gp)
-        total += acc * weights[m] * (2 * np.pi) ** dim / npts
-    return total
-
-
-def _windowed_scalar_pairing(traj, test_field, part, n_slabs) -> float:
-    """int_0^t <u, test_field> with left-point weights on the sample times."""
-    t_end = part.t0 + n_slabs * part.slab_duration
-    weights = _left_point_weights(np.asarray(traj.times, dtype=float), t_end)
-    total = 0.0
-    for m in range(traj.n_snapshots):
-        if weights[m] == 0.0:
-            continue
-        u = SpectralField.from_physical(traj.grid, traj.values[m])
-        total += inner_product(u, test_field) * weights[m]
-    return total
+    return abs(m_t - stochastic)
 
 
 # -- martingale statistics ---------------------------------------------------
@@ -240,40 +187,41 @@ def _windowed_scalar_pairing(traj, test_field, part, n_slabs) -> float:
 class FunctionalRecorder:
     """Observer accumulating the ingredients of M_t along one trajectory.
 
-    Left-point quadrature in time matches the explicit scheme; the
-    convective pairing reads <u x u, grad phi> pointwise on the grid.
+    Each observed state is weighted by the gap to the next observed time
+    (left-point quadrature), which matches the explicit scheme when every
+    step is observed; the convective pairing reads <u x u, grad phi>
+    pointwise on the grid.
     """
 
-    def __init__(self, phi: SpectralField, eps: float, dt: float,
-                 transport: bool = True):
+    def __init__(self, phi: SpectralField, eps: float, transport: bool = True):
         self.phi = phi
         self.eps = eps
-        self.dt = dt
         self.transport = transport
         grid = phi.grid
         self._grad_phi = gradient_physical(phi).reshape(grid.dim, grid.dim, -1)
         self._lap_phi = laplacian(phi)
         self._quad_w = grid.volume / grid.n ** grid.dim
+        self.times = []
         self.pairings = []
-        self.visc_int = [0.0]
-        self.conv_int = [0.0]
+        self._visc = []
+        self._conv = []
 
     def on_state(self, n, t, u):
+        self.times.append(float(t))
         self.pairings.append(inner_product(u, self.phi))
         if self.transport:
             phys = u.to_physical().reshape(u.grid.dim, -1)
-            conv = tensor_pairing(phys, self._grad_phi) * self._quad_w
+            self._conv.append(tensor_pairing(phys, self._grad_phi) * self._quad_w)
         else:
-            conv = 0.0
-        self.conv_int.append(self.conv_int[-1] + self.dt * conv)
-        self.visc_int.append(self.visc_int[-1]
-                             + self.dt * inner_product(u, self._lap_phi))
+            self._conv.append(0.0)
+        self._visc.append(inner_product(u, self._lap_phi))
 
     def martingale_series(self) -> np.ndarray:
+        """M at every observed time; the last state only closes the window."""
         p = np.asarray(self.pairings)
-        nvals = len(p)
-        visc = np.asarray(self.visc_int[:nvals])
-        conv = np.asarray(self.conv_int[:nvals])
+        gaps = np.diff(self.times)
+        visc = np.concatenate(([0.0], np.cumsum(gaps * self._visc[:-1])))
+        conv = np.concatenate(([0.0], np.cumsum(gaps * self._conv[:-1])))
         return p - p[0] - self.eps * visc - conv
 
 
@@ -400,7 +348,7 @@ def solver_functionals_multi(cfg: SolverConfig, phi: SpectralField, seed: int,
     out = {key: [] for key in idx}
     for pid in path_ids:
         path = WienerPath.sample(seed, pid, cfg.forcing.rank, cfg.dt, cfg.steps)
-        rec = FunctionalRecorder(phi, cfg.eps, cfg.dt, transport=cfg.transport)
+        rec = FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
         run_path(cfg, seed, pid, path=path, snapshot_times=[], observers=(rec,))
         m = rec.martingale_series()
         beta = path.coordinates()
@@ -448,7 +396,8 @@ def energy_inequality_limit(family: GeneralizedYoungMeasure, traces,
         for ti in range(si + 1, part.n_t):
             defects.append({"s_slab": si, "t_slab": ti,
                             "defect": float(g[ti] - g[si])})
-    max_defect = max((d["defect"] for d in defects), default=0.0)
+    max_defect = float(np.max([d["defect"] for d in defects])) \
+        if defects else 0.0
     max_jump = float(np.max(np.diff(g))) if part.n_t > 1 else 0.0
     module = "limit_verifier.energy_inequality_limit"
     rows = [audit_row("energy_inequality_family", module, max_defect, tol),

@@ -198,7 +198,7 @@ class EnergyTrace:
         """max over all grid pairs s < t of defect(s, t), floored at 0."""
         g = self.compensated()
         running_min = np.minimum.accumulate(g[:-1])
-        return float(max(0.0, np.max(g[1:] - running_min)))
+        return float(np.max(g[1:] - running_min, initial=0.0))
 
     def tolerance(self, c: float = 1.0) -> float:
         dt = float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
@@ -335,12 +335,12 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
             dw = None
         u, sup = step(u, dw, cfg)
         if cfg.transport:
-            if sup > cfg.blowup_ceiling or (
-                    sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):
+            blown = not sup <= cfg.blowup_ceiling   # a NaN sup is a blow-up
+            if blown or (sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):
                 partial = EnergyTrace(times[: n + 1], energy[: n + 1],
                                       dissipation[: n + 1], ito_input[: n + 1],
                                       stochastic[: n + 1], e0)
-                if sup > cfg.blowup_ceiling:
+                if blown:
                     raise BlowUpError(
                         f"sup |u| = {sup:.3e} exceeded ceiling at t = {times[n + 1]:.4f}",
                         time=times[n + 1], sup=sup, partial=partial)

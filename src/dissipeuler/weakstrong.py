@@ -330,7 +330,8 @@ def ladder_monotone_within_ci(per_eps: dict, eps_values, taus,
         pairs.append({"from_eps": a, "to_eps": b, "mean_drop": float(diff.mean()),
                       "se": se})
     sup_by_eps = {e: float(np.mean(sups[e])) for e in eps_values}
-    worst = max((-r["mean_drop"] - z * r["se"] for r in pairs), default=0.0)
+    worst = float(np.max([-r["mean_drop"] - z * r["se"] for r in pairs])) \
+        if pairs else 0.0
     row = audit_row("sup_F_monotone_along_ladder", "weak_strong.gronwall_audit",
                     worst, 0.0, f"sup_by_eps={sup_by_eps}")
     return [row], {"rows": pairs, "sup_by_eps": sup_by_eps}

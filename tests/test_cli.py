@@ -159,6 +159,7 @@ class TestSchema:
         ("simulate", "initial", "k_max", 6, "initial.k_max"),
         ("simulate", "initial", "k_max", 0, "initial.k_max"),
         ("simulate", "time", "horizon", 0.0, "time.horizon"),
+        ("simulate", "initial", "decay", -1000.0, "initial.decay"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -577,10 +578,10 @@ class TestVanishCli:
         seen = []
         residual = cli.momentum_residual
 
-        def spy(traj, partition, forcing, path, phi, **kw):
-            rep = residual(traj, partition, forcing, path, phi, **kw)
-            seen.append((path, rep["residual"]))
-            return rep
+        def spy(run, forcing, path, phi, **kw):
+            value = residual(run, forcing, path, phi, **kw)
+            seen.append((path, value))
+            return value
         monkeypatch.setattr(cli, "momentum_residual", spy)
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "run"
@@ -597,3 +598,32 @@ class TestVanishCli:
         by_name = {r["audit"]: r for r in rows}
         assert by_name["momentum_residual_finest"]["value"] == value
         assert {f"blowup_eps0.1_path{p}" for p in range(3)} <= set(by_name)
+
+    def test_vanish_nan_distance_fails_cauchy_row(self, tmp_path,
+                                                  monkeypatch):
+        # a NaN after two finite distances must reach the row: a maximum
+        # that skips it reads -0.1 and passes
+        import dissipeuler.cli as cli
+        raw = {
+            "experiment": "vanish",
+            "grid": {"dim": 2, "n": 16},
+            "time": {"dt": 0.03125, "horizon": 0.25},
+            "viscosity": {"ladder": [0.1, 0.05, 0.025]},
+            "forcing": {"preset": "default", "sigma": 0.1},
+            "initial": {"kind": "random_spectrum", "amplitude": 0.3, "k_max": 2},
+            "ensemble": {"paths": 2, "seed": 4242},
+            "young": {"time_cells": 2, "space_cells": 4, "radius": 4.0},
+        }
+        ladder = cli.run_ladder
+
+        def nan_distances(*args, **kw):
+            res = ladder(*args, **kw)
+            res.cauchy_distances = [0.2, 0.1, float("nan")]
+            return res
+        monkeypatch.setattr(cli, "run_ladder", nan_distances)
+        out = tmp_path / "run"
+        assert main(["vanish", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 1
+        rows = json.loads((out / "reports" / "vanish.json").read_text())["rows"]
+        row = {r["audit"]: r for r in rows}["cauchy_distance_decreasing"]
+        assert np.isnan(row["value"]) and not row["pass"]

@@ -1,5 +1,7 @@
 """Viscosity ladder, momentum residual, martingale identification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,50 +105,52 @@ class TestLadder:
 
 
 class TestMomentumResidual:
-    def setup_run(self, eps=0.0, n=32, dt=1.0 / 64, horizon=0.25):
+    def setup_run(self, eps=0.0, n=32, dt=1.0 / 64, horizon=0.25,
+                  snapshot_times=None):
         cfg = base_config(n=n, dt=dt, horizon=horizon)
         cfg = cfg.with_eps(eps) if eps > 0 else SolverConfig(
             grid=cfg.grid, forcing=cfg.forcing, eps=0.0, dt=dt,
             horizon=horizon, initial=cfg.initial)
         path = WienerPath.sample(13, 0, cfg.rank, dt, cfg.steps)
-        run = run_path(cfg, 13, 0, path=path)
-        part = CellPartition(2, n, 4, 4, 0.0, horizon)
-        return cfg, path, run, part
+        run = run_path(cfg, 13, 0, path=path, snapshot_times=snapshot_times)
+        return cfg, path, run
 
     def test_zero_time_window(self):
-        cfg, path, run, part = self.setup_run()
+        cfg, path, run = self.setup_run()
         phi = div_free_phi(cfg.grid)
-        out = momentum_residual(run.trajectory(), part, cfg.forcing, path, phi,
-                                t=0.0)
-        assert out["residual"] == 0.0
+        assert momentum_residual(run, cfg.forcing, path, phi, t=0.0) == 0.0
 
     def test_inviscid_residual_is_machine_zero(self):
         # with eps = 0 and every step sampled, the scheme satisfies the
         # discrete weak form identically
-        cfg, path, run, part = self.setup_run(eps=0.0)
+        cfg, path, run = self.setup_run(eps=0.0)
         phi = div_free_phi(cfg.grid)
-        out = momentum_residual(run.trajectory(), part, cfg.forcing, path, phi,
-                                t=0.25)
-        assert out["residual"] < 1e-12
+        assert momentum_residual(run, cfg.forcing, path, phi, t=0.25) < 1e-12
 
     def test_viscous_residual_first_order(self):
         residuals = []
         for k, dt in enumerate((1.0 / 64, 1.0 / 128, 1.0 / 256)):
-            cfg, path, run, part = self.setup_run(eps=0.2, dt=dt)
+            cfg, path, run = self.setup_run(eps=0.2, dt=dt)
             phi = div_free_phi(cfg.grid)
-            out = momentum_residual(run.trajectory(), part, cfg.forcing, path,
-                                    phi, t=0.25, eps=0.2)
-            residuals.append(out["residual"])
+            residuals.append(momentum_residual(run, cfg.forcing, path, phi,
+                                               t=0.25))
         orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
         assert np.all(orders >= 0.9)
 
-    def test_oracle_equivalence_with_classical_weak_form(self):
+    # every step, and the CLI's sampling: two mid-slab times per slab of
+    # CellPartition(2, 32, 4, 4, 0, 0.25) plus both endpoints
+    @pytest.mark.parametrize("snapshot_times", [
+        None,
+        sorted({0.0, 0.25,
+                *CellPartition(2, 32, 4, 4, 0.0, 0.25).sample_times(1.0 / 64, 2)}),
+    ], ids=["every_step", "slab_mids"])
+    def test_oracle_equivalence_with_classical_weak_form(self, snapshot_times):
         # independent trajectory-side evaluation of every term
-        cfg, path, run, part = self.setup_run(eps=0.0)
+        cfg, path, run = self.setup_run(eps=0.0, snapshot_times=snapshot_times)
         phi = div_free_phi(cfg.grid)
         traj = run.trajectory()
         t = 0.25
-        out = momentum_residual(traj, part, cfg.forcing, path, phi, t=t)
+        residual = momentum_residual(run, cfg.forcing, path, phi, t=t)
 
         grid = cfg.grid
         gp = np.zeros((2, 2) + grid.shape)
@@ -167,14 +171,19 @@ class TestMomentumResidual:
         c = forcing_pairings(phi, cfg.forcing)
         stoch = float(c @ path.increments[: int(round(t / cfg.dt))].sum(axis=0))
         classical = abs(drift - conv - stoch)
-        assert abs(out["residual"] - classical) < 1e-10
+        assert abs(residual - classical) < 1e-10
 
     def test_rejects_off_slab_time(self):
-        cfg, path, run, part = self.setup_run()
+        cfg, path, run = self.setup_run()
         phi = div_free_phi(cfg.grid)
         with pytest.raises(LimitError):
-            momentum_residual(run.trajectory(), part, cfg.forcing, path, phi,
-                              t=0.1)
+            momentum_residual(run, cfg.forcing, path, phi, t=0.1)
+
+    def test_rejects_run_without_snapshot_at_zero(self):
+        cfg, path, run = self.setup_run(snapshot_times=[0.125, 0.25])
+        phi = div_free_phi(cfg.grid)
+        with pytest.raises(LimitError):
+            momentum_residual(run, cfg.forcing, path, phi, t=0.25)
 
 
 class TestMartingale:
@@ -185,7 +194,7 @@ class TestMartingale:
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.0, dt=1.0 / 32,
                            horizon=0.25, initial=InitialCondition("taylor_green"))
         phi = div_free_phi(grid)
-        rec = FunctionalRecorder(phi, 0.0, cfg.dt)
+        rec = FunctionalRecorder(phi, 0.0)
         run_path(cfg, 1, 0, snapshot_times=[], observers=(rec,))
         m = rec.martingale_series()
         assert np.max(np.abs(m)) < 1e-12
@@ -282,6 +291,23 @@ class TestEnergyInequalityLimit:
         assert all_passed(rows)
         values = {r["audit"]: r["value"] for r in rows}
         assert values == {"energy_inequality_family": 0.0, "no_positive_jumps": 0.0}
+
+    def test_nan_slab_fails_family_row(self):
+        # a NaN compensated energy in the last slab follows finite pairwise
+        # defects; the largest defect must be NaN, not the finite 0
+        grid = TorusGrid(2, 16)
+        cfg = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
+                           horizon=0.5, initial=InitialCondition("zero"))
+        run = run_path(cfg, 1, 0)
+        part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
+        V = dirac_embed(run.trajectory(), part, radius=1.0)
+        stochastic = run.trace.stochastic.copy()
+        stochastic[-1] = np.nan
+        trace = replace(run.trace, stochastic=stochastic)
+        rows, _ = energy_inequality_limit(V, [trace], None, tol=1e-12)
+        values = {r["audit"]: r["value"] for r in rows}
+        assert np.isnan(values["energy_inequality_family"])
+        assert not all_passed(rows)
 
     def test_deterministic_ladder_defects_nonpositive(self):
         grid = TorusGrid(2, 32)

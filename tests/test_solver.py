@@ -1,5 +1,7 @@
 """Stepper, energy trace, audit defects, and a priori moment monitor."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from dissipeuler.forcing import (
     WienerPath,
     default_forcing,
 )
-from dissipeuler.reporting import all_passed
+from dissipeuler.reporting import all_passed, row_passes
 from dissipeuler.solver import (
     BlowUpError,
     CflError,
@@ -97,6 +99,16 @@ class TestStep:
         with pytest.raises(BlowUpError) as err:
             run_path(cfg, seed=1, path_id=0, snapshot_times=[])
         assert err.value.sup > 0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_state_is_a_blowup(self):
+        # amplitude 1e308 * |k|^2 overflows: the initial state is NaN, whose
+        # sup fails every comparison with the ceiling
+        cfg = make_config(grid=TorusGrid(2, 16), initial=InitialCondition(
+            "random_spectrum", amplitude=1e308, k_max=2, decay=-2.0))
+        with pytest.raises(BlowUpError) as err:
+            run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+        assert np.isnan(err.value.sup)
 
     def test_cfl_guard(self):
         cfg = make_config(dt=0.5, horizon=1.0)
@@ -191,6 +203,16 @@ class TestEnergyAudit:
         run = run_path(cfg, 1, 0, snapshot_times=[])
         assert run.trace.defect(0.0, 0.25) == 0.0
         assert run.trace.max_positive_defect() == 0.0
+
+    def test_nan_energy_fails_defect_row(self):
+        cfg = make_config(eps=0.05, horizon=0.25)
+        run = run_path(cfg, 1, 0, snapshot_times=[])
+        energy = run.trace.energy.copy()
+        energy[len(energy) // 2] = np.nan
+        trace = replace(run.trace, energy=energy)
+        value = trace.max_positive_defect()
+        assert np.isnan(value)
+        assert not row_passes(value, trace.tolerance(c=1.0))
 
     def test_decaying_mode_defect_first_order(self):
         # left-point quadrature of the dissipation leaves an O(dt) defect

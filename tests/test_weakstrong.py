@@ -225,6 +225,22 @@ class TestGronwallAudit:
                                  level=1.0, slack=0.0)
             assert rep["sup_mean_F"] == pytest.approx(mono["sup_by_eps"][eps])
 
+    def test_nan_on_last_rung_fails_monotone(self):
+        # the first pair drops by 0.1 (value -0.1); a NaN F on the last rung
+        # must reach the row rather than be skipped by the maximum
+        slab_times = np.array([0.25, 0.5])
+        tau = np.ones(2)
+        f0 = np.zeros(2)
+        per_eps = {
+            0.1: {"f_matrix": np.full((2, 2), 0.3), "f0": f0},
+            0.05: {"f_matrix": np.full((2, 2), 0.2), "f0": f0},
+            0.025: {"f_matrix": np.full((2, 2), np.nan), "f0": f0},
+        }
+        rows, _ = ladder_monotone_within_ci(per_eps, [0.1, 0.05, 0.025], tau,
+                                            slab_times)
+        assert np.isnan(rows[0]["value"])
+        assert not all_passed(rows)
+
 
 class TestLadderComparison:
     def test_relative_energy_decreases_with_viscosity(self):
