@@ -294,23 +294,20 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
     fields = _test_fields(cfg.grid)
     pairs = cfg.martingale.pairs
     hists = cfg.martingale.histories
-    rank = cfg.forcing.rank
-    n_tests = len(fields) * len(pairs) * len(hists) * (2 + rank)
-
+    n_tests = len(fields) * len(pairs) * len(hists) * (2 + cfg.forcing.rank)
+    if cfg.transport:
+        try:
+            functionals = solver_functionals_multi(
+                cfg.solver_config(cfg.eps_values[0]), fields, cfg.seed,
+                range(cfg.paths), pairs)
+        except BlowUpError as err:
+            return _blowup_report(out, "martingale", err)
+    else:
+        functionals = linear_model_functionals_multi(
+            cfg.forcing, fields, cfg.seed, range(cfg.martingale.linear_paths),
+            cfg.dt, int(round(cfg.horizon / cfg.dt)), pairs)
     rows = []
-    for phi_name, phi in fields:
-        if cfg.transport:
-            try:
-                by_pair, c = solver_functionals_multi(
-                    cfg.solver_config(cfg.eps_values[0]), phi, cfg.seed,
-                    range(cfg.paths), pairs)
-            except BlowUpError as err:
-                return _blowup_report(out, "martingale", err)
-        else:
-            by_pair, c = linear_model_functionals_multi(
-                cfg.forcing, phi, cfg.seed,
-                range(cfg.martingale.linear_paths), cfg.dt,
-                int(round(cfg.horizon / cfg.dt)), pairs)
+    for phi_name, (by_pair, c) in functionals.items():
         for (s, t) in pairs:
             for hist in hists:
                 stat = MartingaleStat(phi_name, s, t, history=hist)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .forcing import ForcingError, ForcingMode, ForcingOperator, default_forcing
+from .limits import MIN_MARTINGALE_PATHS
 from .solver import InitialCondition, SolverConfig, SolverError
 from .spectral import SpectralError, TorusGrid
 from .young import CellPartition
@@ -217,7 +218,7 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
 
     young = _parse_young(raw, grid)
     tol = _parse_tolerances(raw)
-    mart = _parse_martingale(raw, horizon)
+    mart = _parse_martingale(raw, horizon, dt if experiment == "martingale" else None)
     ref = _parse_reference(raw, grid, experiment)
 
     s = _get(raw, "", "solver", dict, {})
@@ -233,6 +234,11 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
                     cfl_number=cfl, transport=transport)
     if experiment in ("vanish", "ym", "weakstrong"):
         _check_time_cells(cfg, round(steps))
+    if experiment == "martingale":   # after the parsers, which name a bad field first
+        where, n = ("ensemble.paths", paths) if transport \
+            else ("martingale.linear_paths", mart.linear_paths)
+        if n < MIN_MARTINGALE_PATHS:
+            raise ConfigError(where, f"need >= {MIN_MARTINGALE_PATHS} paths, got {n}")
     return cfg
 
 
@@ -368,7 +374,7 @@ def _parse_tolerances(raw):
                              ("martingale_alpha", 0.05))})
 
 
-def _parse_martingale(raw, horizon):
+def _parse_martingale(raw, horizon, dt):   # dt given: pairs must be whole steps
     m = _get(raw, "", "martingale", dict, {})
     _no_unknown(m, "martingale", {"pairs", "histories", "linear_paths"})
     pairs_raw = _get(m, "martingale", "pairs", list,
@@ -382,6 +388,8 @@ def _parse_martingale(raw, horizon):
         s, t = (_check(x, f"{where}[{j}]", float) for j, x in enumerate(p))
         if not 0 <= s < t <= horizon:
             raise ConfigError(where, "need 0 <= s < t <= horizon")
+        if dt and any(abs(x / dt - round(x / dt)) > 1e-9 for x in (s, t)):
+            raise ConfigError(where, f"s and t must be whole numbers of steps of dt={dt:g}")
         pairs.append((s, t))
     histories = tuple(_get(m, "martingale", "histories", list, ["one"]))
     for h in histories:

@@ -17,7 +17,8 @@ variation N^k_t = <Phi e_k, phi> t against the k-th Wiener coordinate, all
 tested against history weights h evaluated at the earlier time.  One
 ``FunctionalRecorder`` computes M_t for both these statistics (observing
 every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
-(replaying a run's snapshots).
+(replaying a run's snapshots).  A martingale ensemble integrates each path
+once, one recorder per test field, into arrays over paths at each (s, t).
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .young import (
 
 class LimitError(ValueError):
     pass
+
+
+MIN_MARTINGALE_PATHS = 32   # smallest ensemble the martingale test accepts
 
 
 # -- ladder ----------------------------------------------------------------
@@ -229,8 +233,6 @@ class FunctionalRecorder:
 class MartingaleStat:
     """One (phi, s, t) martingale test specification."""
 
-    __test__ = False
-
     phi_name: str
     s: float
     t: float
@@ -245,52 +247,42 @@ class MartingaleStat:
             raise LimitError(f"unknown history functional {self.history!r}")
 
 
-@dataclass
-class PathFunctionals:
-    """Per-path values entering the martingale statistics."""
+@dataclass(frozen=True)
+class EnsembleFunctionals:
+    """Values entering the martingale statistics at one (s, t), over P paths."""
 
-    m_s: float
-    m_t: float
-    beta_s: np.ndarray
-    beta_t: np.ndarray
-    pair_s: float          # <u(s), phi>, for the clamped history weight
-
-
-def history_weight(stat: MartingaleStat, pf: PathFunctionals) -> float:
-    if stat.history == "one":
-        return 1.0
-    if stat.history == "clamp_pair":
-        return float(np.clip(pf.pair_s, -1.0, 1.0))
-    return float(np.clip(pf.beta_s[0], -1.0, 1.0))
+    m_s: np.ndarray        # (P,) M at s
+    m_t: np.ndarray        # (P,) M at t
+    beta_s: np.ndarray     # (P, K) Wiener coordinates at s
+    beta_t: np.ndarray     # (P, K) Wiener coordinates at t
+    pair_s: np.ndarray     # (P,) <u(s), phi>, for the clamped history weight
 
 
-def martingale_test(stat: MartingaleStat, ensemble, c: np.ndarray,
-                    n_tests: int = 1, alpha: float = 0.05):
+def martingale_test(stat: MartingaleStat, ens: EnsembleFunctionals,
+                    c: np.ndarray, n_tests: int = 1, alpha: float = 0.05):
     """Monte Carlo check of the three martingale identities at (s, t).
 
-    ``ensemble`` is a list of PathFunctionals from independent paths, ``c``
-    the forcing pairings <Phi e_k, phi>.  Returns one audit row per
-    identity, each holding |mean| to the Bonferroni-corrected confidence
-    half-width, and the diagnostics {"z"}.
+    ``ens`` holds the functionals of at least ``MIN_MARTINGALE_PATHS``
+    independent paths, ``c`` the forcing pairings <Phi e_k, phi>.  Returns
+    one audit row per identity, each holding |mean| to the
+    Bonferroni-corrected confidence half-width, and the diagnostics {"z"}.
     """
-    if len(ensemble) < 32:
-        raise LimitError(f"ensemble of {len(ensemble)} is too small (need >= 32)")
+    paths = len(ens.m_t)
+    if paths < MIN_MARTINGALE_PATHS:
+        raise LimitError(f"ensemble of {paths} is too small (need >= {MIN_MARTINGALE_PATHS})")
     z = float(ndtri(1.0 - alpha / (2.0 * max(1, n_tests))))
     dt_span = stat.t - stat.s
     n_qv = float(np.sum(c ** 2)) * dt_span
 
-    h = np.array([history_weight(stat, pf) for pf in ensemble])
-    m_s = np.array([pf.m_s for pf in ensemble])
-    m_t = np.array([pf.m_t for pf in ensemble])
-    beta_s = np.stack([pf.beta_s for pf in ensemble])
-    beta_t = np.stack([pf.beta_t for pf in ensemble])
+    h = np.clip({"one": np.ones(paths), "clamp_pair": ens.pair_s,
+                 "clamp_beta": ens.beta_s[:, 0]}[stat.history], -1.0, 1.0)
 
     prefix = f"martingale_{stat.phi_name}_s{stat.s:g}_t{stat.t:g}_{stat.history}_"
-    rows = [_ci_row(prefix + "increment", h * (m_t - m_s), z),
+    rows = [_ci_row(prefix + "increment", h * (ens.m_t - ens.m_s), z),
             _ci_row(prefix + "quadratic_variation",
-                    h * (m_t ** 2 - m_s ** 2 - n_qv), z)]
+                    h * (ens.m_t ** 2 - ens.m_s ** 2 - n_qv), z)]
     for k in range(len(c)):
-        cross = h * (m_t * beta_t[:, k] - m_s * beta_s[:, k] - c[k] * dt_span)
+        cross = h * (ens.m_t * ens.beta_t[:, k] - ens.m_s * ens.beta_s[:, k] - c[k] * dt_span)
         rows.append(_ci_row(prefix + f"cross_variation_k{k}", cross, z))
     return rows, {"z": z}
 
@@ -304,60 +296,59 @@ def _ci_row(name: str, samples: np.ndarray, z: float,
                      z * se + atol, f"se={se:.3e}")
 
 
-def linear_model_functionals(forcing: ForcingOperator, phi: SpectralField,
-                             seed: int, path_ids, dt: float, steps: int,
-                             s: float, t: float, u0_pairing: float = 0.0):
+def _by_pair(m, pairings, beta, pairs, dt: float) -> dict:
+    """{(s, t): EnsembleFunctionals} from per-path series over the steps."""
+    out = {}
+    for s, t in pairs:
+        if any(abs(x / dt - round(x / dt)) > 1e-9 for x in (s, t)):
+            raise LimitError(f"pair ({s:g}, {t:g}) is off the step grid of dt={dt:g}")
+        si, ti = round(s / dt), round(t / dt)
+        out[(s, t)] = EnsembleFunctionals(m[:, si], m[:, ti], beta[:, si],
+                                          beta[:, ti], pairings[:, si])
+    return out
+
+
+def linear_model_functionals_multi(forcing: ForcingOperator, fields, seed: int,
+                                   path_ids, dt: float, steps: int, pairs) -> dict:
     """Exact transport-off functionals: M_t = sum_k c_k beta_k(t).
 
     With transport disabled and eps = 0 the stepper reduces to
-    u(t) = u(0) + Phi W(t), so M computed from the trajectory side equals
-    the stochastic integral identically; this fast path evaluates it from
-    the increments alone.  Returns (ensemble, c).
+    u(t) = u(0) + Phi W(t), so M from the trajectory side equals the
+    stochastic integral identically; this fast path evaluates it from the
+    increments, with <u(0), phi> = 0.  Returns {name: (by_pair, c)}.
     """
-    by_pair, c = linear_model_functionals_multi(
-        forcing, phi, seed, path_ids, dt, steps, [(s, t)], u0_pairing)
-    return by_pair[(s, t)], c
+    beta = np.stack([WienerPath.sample(seed, pid, forcing.rank, dt, steps).coordinates()
+                     for pid in path_ids])
+    out = {}
+    for name, phi in fields:
+        c = forcing_pairings(phi, forcing)
+        m = np.vecdot(beta, c)   # row-wise dots: the bits of c @ beta[n], unlike beta @ c
+        out[name] = (_by_pair(m, m, beta, pairs, dt), c)
+    return out
 
 
-def linear_model_functionals_multi(forcing: ForcingOperator,
-                                   phi: SpectralField, seed: int, path_ids,
-                                   dt: float, steps: int, pairs,
-                                   u0_pairing: float = 0.0):
-    """Transport-off functionals at several (s, t) pairs per path."""
-    c = forcing_pairings(phi, forcing)
-    idx = {(s, t): (int(round(s / dt)), int(round(t / dt))) for s, t in pairs}
-    out = {key: [] for key in idx}
-    for pid in path_ids:
-        path = WienerPath.sample(seed, pid, forcing.rank, dt, steps)
-        beta = path.coordinates()
-        for key, (si, ti) in idx.items():
-            m_s = float(c @ beta[si])
-            m_t = float(c @ beta[ti])
-            out[key].append(PathFunctionals(
-                m_s=m_s, m_t=m_t, beta_s=beta[si].copy(),
-                beta_t=beta[ti].copy(), pair_s=u0_pairing + m_s))
-    return out, c
-
-
-def solver_functionals_multi(cfg: SolverConfig, phi: SpectralField, seed: int,
-                             path_ids, pairs):
-    """Full-model functionals at several (s, t) pairs from one run per path."""
-    idx = {(s, t): (int(round(s / cfg.dt)), int(round(t / cfg.dt)))
-           for s, t in pairs}
-    c = forcing_pairings(phi, cfg.forcing)
-    out = {key: [] for key in idx}
+def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
+                             pairs) -> dict:
+    """Full-model functionals: each path is integrated once, with one
+    ``FunctionalRecorder`` per ``(name, phi)`` of ``fields`` observing every
+    step.  Returns {name: (by_pair, c)}; a blow-up propagates.
+    """
+    runs = []
     for pid in path_ids:
         path = WienerPath.sample(seed, pid, cfg.forcing.rank, cfg.dt, cfg.steps)
-        rec = FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
-        run_path(cfg, seed, pid, path=path, snapshot_times=[], observers=(rec,))
-        m = rec.martingale_series()
-        beta = path.coordinates()
-        for key, (si, ti) in idx.items():
-            out[key].append(PathFunctionals(
-                m_s=float(m[si]), m_t=float(m[ti]),
-                beta_s=beta[si].copy(), beta_t=beta[ti].copy(),
-                pair_s=rec.pairings[si]))
-    return out, c
+        recs = [FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
+                for _, phi in fields]
+        run_path(cfg, seed, pid, path=path, snapshot_times=[], observers=recs)
+        # keep the series, not the recorders and their test-field tables
+        runs.append((path.coordinates(), [(r.martingale_series(), r.pairings) for r in recs]))
+    beta = np.stack([b for b, _ in runs])
+    out = {}
+    for f, (name, phi) in enumerate(fields):
+        m = np.stack([series[f][0] for _, series in runs])
+        pairings = np.array([series[f][1] for _, series in runs])
+        out[name] = (_by_pair(m, pairings, beta, pairs, cfg.dt),
+                     forcing_pairings(phi, cfg.forcing))
+    return out
 
 
 # -- limit energy inequality -------------------------------------------------

@@ -315,9 +315,16 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     want = _snapshot_index_set(snapshot_times, times)
     snaps, snap_times = [], []
 
+    def trace_to(n):   # the energy budget of the first n grid times
+        return EnergyTrace(times[:n], energy[:n], dissipation[:n],
+                           ito_input[:n], stochastic[:n], e0)
+
     vol_scale = grid.volume / grid.n ** (2 * grid.dim)
     for n in range(steps + 1):
         energy[n], grad_sq = energy_and_grad_norm_sq(u)
+        if not (cfg.transport or np.isfinite(energy[n])):   # no sup to test
+            raise BlowUpError(f"non-finite energy {energy[n]:.3e} at t = {times[n]:.4f}",
+                              time=times[n], partial=trace_to(n + 1))
         if n in want:
             snaps.append(u)
             snap_times.append(times[n])
@@ -337,9 +344,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
         if cfg.transport:
             blown = not sup <= cfg.blowup_ceiling   # a NaN sup is a blow-up
             if blown or (sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):
-                partial = EnergyTrace(times[: n + 1], energy[: n + 1],
-                                      dissipation[: n + 1], ito_input[: n + 1],
-                                      stochastic[: n + 1], e0)
+                partial = trace_to(n + 1)
                 if blown:
                     raise BlowUpError(
                         f"sup |u| = {sup:.3e} exceeded ceiling at t = {times[n + 1]:.4f}",
@@ -349,9 +354,8 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
                     f"dt = {cfg.dt:.3e} > {cfg.cfl_number} dx / {sup:.3e}",
                     time=times[n + 1], sup=sup, partial=partial)
 
-    trace = EnergyTrace(times, energy, dissipation, ito_input, stochastic, e0)
-    return SolverRun(cfg, trace, tuple(snaps), np.asarray(snap_times), u,
-                     path_id)
+    return SolverRun(cfg, trace_to(steps + 1), tuple(snaps),
+                     np.asarray(snap_times), u, path_id)
 
 
 def _snapshot_index_set(snapshot_times, times) -> set:

@@ -19,7 +19,7 @@ from dissipeuler.forcing import (
 from dissipeuler.limits import (
     MartingaleStat,
     ViscosityLadder,
-    linear_model_functionals,
+    linear_model_functionals_multi,
     martingale_test,
     run_ladder,
     solver_functionals_multi,
@@ -278,19 +278,18 @@ def test_criterion_5_martingale_identification(announce):
     # linear (transport-off) model: exact Ito oracles at 1e4 paths
     grid = TorusGrid(2, 16)
     forcing = default_forcing(2, sigma=0.5)
-    phi = _test_fields(grid)[0][1]
+    phi_name, phi = _test_fields(grid)[0]
     dt, steps = 1.0 / 64, 64
-    ens, c = linear_model_functionals(forcing, phi, seed=5050,
-                                      path_ids=range(10_000), dt=dt,
-                                      steps=steps, s=0.25, t=0.75)
+    by_pair, c = linear_model_functionals_multi(
+        forcing, [(phi_name, phi)], seed=5050, path_ids=range(10_000), dt=dt,
+        steps=steps, pairs=[(0.25, 0.75)])[phi_name]
+    ens = by_pair[(0.25, 0.75)]
     _check(failures, float(np.sum(c ** 2)) > 0.1, "test field decoupled from noise")
     for history in ("one", "clamp_beta"):
         stat = MartingaleStat("phi1", 0.25, 0.75, history=history)
         rows, _ = martingale_test(stat, ens, c, n_tests=12)
         _check(failures, all_passed(rows), f"linear model stats ({history})")
-    m_t = np.array([p.m_t for p in ens])
-    m_s = np.array([p.m_s for p in ens])
-    qv_err = abs(np.mean((m_t - m_s) ** 2) - float(np.sum(c ** 2)) * 0.5) \
+    qv_err = abs(np.mean((ens.m_t - ens.m_s) ** 2) - float(np.sum(c ** 2)) * 0.5) \
         / (float(np.sum(c ** 2)) * 0.5)
     _check(failures, qv_err <= 0.05, f"quadratic variation rel err {qv_err:.4f}")
 
@@ -304,9 +303,8 @@ def test_criterion_5_martingale_identification(announce):
     fields = _test_fields(grid_n)
     n_tests = len(fields) * len(pairs) * (2 + forcing_n.rank)
     _check(failures, n_tests <= 24, f"test grid too large: {n_tests}")
-    for name, phi_n in fields:
-        by_pair, c_n = solver_functionals_multi(cfg, phi_n, 777, range(256),
-                                                pairs)
+    functionals = solver_functionals_multi(cfg, fields, 777, range(256), pairs)
+    for name, (by_pair, c_n) in functionals.items():
         for (s, t) in pairs:
             stat = MartingaleStat(name, s, t, history="clamp_pair")
             rows, _ = martingale_test(stat, by_pair[(s, t)], c_n, n_tests=n_tests)

@@ -160,6 +160,7 @@ class TestSchema:
         ("simulate", "initial", "k_max", 0, "initial.k_max"),
         ("simulate", "time", "horizon", 0.0, "time.horizon"),
         ("simulate", "initial", "decay", -1000.0, "initial.decay"),
+        ("martingale", "martingale", "pairs", [[0.1, 0.2]], "martingale.pairs[0]"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -174,6 +175,38 @@ class TestSchema:
                      "--out", str(out)]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("transport,field", [
+        (True, "ensemble.paths"), (False, "martingale.linear_paths")])
+    def test_small_martingale_ensemble_exits_2(self, tmp_path, capsys,
+                                               transport, field):
+        # the ensemble the statistics would run on has 8 paths; the other
+        # count is large enough, so only the one in use is checked
+        raw = forced_config(paths=8 if transport else 64)
+        raw["experiment"] = "martingale"
+        raw["martingale"] = {"linear_paths": 64 if transport else 8}
+        raw["solver"] = {"transport": transport}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "martingale")
+        assert err.value.path == field
+        out = tmp_path / "run"
+        assert main(["martingale", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert f"config error: {field}: need >= 32 paths, got 8" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_off_grid_pairs_checked_only_for_martingale(self):
+        # 0.1 is 3.2 steps of dt = 1/32; experiments that never read the
+        # pairs accept them
+        raw = forced_config(paths=32)
+        raw["martingale"] = {"pairs": [[0.0625, 0.125], [0.1, 0.2]]}
+        assert parse_config(raw, "simulate").martingale.pairs[1] == (0.1, 0.2)
+        raw["experiment"] = "martingale"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "martingale")
+        assert err.value.path == "martingale.pairs[1]"
+        assert "whole numbers of steps" in str(err.value)
 
     @pytest.mark.parametrize("experiment", ["vanish", "ym", "weakstrong"])
     def test_time_cell_without_snapshot_exits_2(self, tmp_path, capsys,
@@ -294,6 +327,23 @@ class TestSimulateCli:
         assert not report["rows"][0]["pass"]
         assert "blow-up" in report["rows"][0]["detail"]
 
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_state_without_transport_is_a_blowup(self, tmp_path):
+        raw = zero_config()
+        raw["viscosity"] = {"eps": 0.05}
+        raw["initial"] = {"kind": "random_spectrum", "amplitude": 1e308,
+                          "k_max": 2, "decay": -2.0}
+        raw["solver"] = {"transport": False}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert verify_manifest(out) == []
+        rows = json.loads((out / "reports" / "simulate.json").read_text())["rows"]
+        assert [r["audit"] for r in rows] == ["energy_defect_eps0.05_path0000"]
+        assert rows[0]["value"] == float("inf") and not rows[0]["pass"]
+        assert rows[0]["detail"] == "blow-up: non-finite energy nan at t = 0.0000"
+        assert (out / "traces" / "eps0.05_path0000.csv").exists()
 
     def test_cfl_violation_is_failing_row_with_sealed_manifest(self, tmp_path):
         raw = zero_config()
@@ -468,6 +518,25 @@ class TestMartingaleCli:
         rows = json.loads((out / "reports" / "martingale.json").read_text())["rows"]
         assert [r["audit"] for r in rows] == ["blowup_martingale"]
         assert not rows[0]["pass"] and "blow-up" in rows[0]["detail"]
+
+
+    def test_one_run_per_path_for_every_field(self, tmp_path, monkeypatch):
+        # both test fields are recorded from one integration of each path
+        import dissipeuler.limits as limits
+        real_run_path, calls = limits.run_path, []
+
+        def spy(cfg, seed, path_id, **kw):
+            calls.append(path_id)
+            return real_run_path(cfg, seed, path_id, **kw)
+        monkeypatch.setattr(limits, "run_path", spy)
+        raw = forced_config(paths=32, seed=777)
+        raw["experiment"] = "martingale"
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["martingale", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        assert calls == list(range(32))
+        rows = json.loads((out / "reports" / "martingale.json").read_text())["rows"]
+        assert {r["audit"].split("_")[1] for r in rows} == {"phi1", "phi2"}
 
 
 class TestCrash:

@@ -38,7 +38,7 @@ def _full_schema(experiment):
             {"k": [0, 1], "direction": [1, 0], "sigma": 0.2}]},
         "initial": {"kind": "random_spectrum", "amplitude": 0.3, "k_max": 2,
                     "decay": 2.0},
-        "ensemble": {"paths": 2, "seed": 5},
+        "ensemble": {"paths": 32, "seed": 5},
         "young": {"time_cells": 2, "space_cells": 4, "radius": 4.0,
                   "bins_per_axis": 8, "sphere_bins": 16,
                   "snapshots_per_slab": 2},

@@ -8,13 +8,14 @@ import pytest
 from dissipeuler.forcing import WienerPath, default_forcing
 from dissipeuler.limits import (
     FunctionalRecorder,
+    MIN_MARTINGALE_PATHS,
+    EnsembleFunctionals,
     LimitError,
     MartingaleStat,
-    PathFunctionals,
     ViscosityLadder,
     energy_inequality_limit,
     forcing_pairings,
-    linear_model_functionals,
+    linear_model_functionals_multi,
     martingale_test,
     momentum_residual,
     run_ladder,
@@ -199,10 +200,11 @@ class TestMartingale:
         m = rec.martingale_series()
         assert np.max(np.abs(m)) < 1e-12
 
-        pf = [PathFunctionals(m_s=0.0, m_t=0.0, beta_s=np.zeros(1),
-                              beta_t=np.zeros(1), pair_s=0.0)] * 32
+        ens = EnsembleFunctionals(m_s=np.zeros(32), m_t=np.zeros(32),
+                                  beta_s=np.zeros((32, 1)),
+                                  beta_t=np.zeros((32, 1)), pair_s=np.zeros(32))
         stat = MartingaleStat("phi", 0.0625, 0.125)
-        rows, _ = martingale_test(stat, pf, c=np.zeros(1))
+        rows, _ = martingale_test(stat, ens, c=np.zeros(1))
         assert all_passed(rows)
         assert all(r["value"] == 0.0 for r in rows)
 
@@ -213,9 +215,10 @@ class TestMartingale:
         forcing = default_forcing(2, sigma=0.5)
         phi = div_free_phi(grid)
         dt, steps = 1.0 / 64, 64
-        ens, c = linear_model_functionals(forcing, phi, seed=17,
-                                          path_ids=range(10_000), dt=dt,
-                                          steps=steps, s=0.25, t=0.75)
+        by_pair, c = linear_model_functionals_multi(
+            forcing, [("phi", phi)], seed=17, path_ids=range(10_000), dt=dt,
+            steps=steps, pairs=[(0.25, 0.75)])["phi"]
+        ens = by_pair[(0.25, 0.75)]
         assert float(np.sum(c ** 2)) > 0.1  # phi genuinely sees the noise
         for history in ("one", "clamp_beta"):
             stat = MartingaleStat("phi", 0.25, 0.75, history=history)
@@ -223,9 +226,7 @@ class TestMartingale:
             assert all_passed(rows), rows
 
         # direct quadratic-variation check against N_t
-        m_t = np.array([p.m_t for p in ens])
-        m_s = np.array([p.m_s for p in ens])
-        qv = np.mean((m_t - m_s) ** 2)
+        qv = np.mean((ens.m_t - ens.m_s) ** 2)
         expected = float(np.sum(c ** 2)) * 0.5
         assert qv == pytest.approx(expected, rel=0.05)
 
@@ -236,28 +237,44 @@ class TestMartingale:
         cfg = SolverConfig(grid=grid, forcing=forcing, eps=0.0, dt=1.0 / 32,
                            horizon=0.5, initial=InitialCondition("zero"),
                            transport=False)
-        phi = div_free_phi(grid)
-        fast, c = linear_model_functionals(forcing, phi, seed=19,
-                                           path_ids=range(3), dt=cfg.dt,
-                                           steps=cfg.steps, s=0.25, t=0.5)
-        by_pair, c2 = solver_functionals_multi(cfg, phi, seed=19,
+        fields = [("phi", div_free_phi(grid))]
+        fast_by_pair, c = linear_model_functionals_multi(
+            forcing, fields, seed=19, path_ids=range(3), dt=cfg.dt,
+            steps=cfg.steps, pairs=[(0.25, 0.5)])["phi"]
+        by_pair, c2 = solver_functionals_multi(cfg, fields, seed=19,
                                                path_ids=range(3),
-                                               pairs=[(0.25, 0.5)])
-        slow = by_pair[(0.25, 0.5)]
+                                               pairs=[(0.25, 0.5)])["phi"]
+        fast, slow = fast_by_pair[(0.25, 0.5)], by_pair[(0.25, 0.5)]
         assert np.allclose(c, c2)
-        for a, b in zip(fast, slow):
-            assert a.m_s == pytest.approx(b.m_s, abs=1e-10)
-            assert a.m_t == pytest.approx(b.m_t, abs=1e-10)
+        assert np.allclose(fast.m_s, slow.m_s, rtol=0, atol=1e-10)
+        assert np.allclose(fast.m_t, slow.m_t, rtol=0, atol=1e-10)
+        assert np.array_equal(fast.beta_t, slow.beta_t)
+
+    def test_linear_model_matches_per_path_loop(self):
+        # the ensemble arrays equal the per-path dot products c . beta(t)
+        grid = TorusGrid(2, 16)
+        forcing = default_forcing(2, sigma=0.5)
+        dt, steps, pair = 1.0 / 64, 32, (0.25, 0.5)
+        by_pair, c = linear_model_functionals_multi(
+            forcing, [("phi", div_free_phi(grid))], seed=31, path_ids=range(5),
+            dt=dt, steps=steps, pairs=[pair])["phi"]
+        ens = by_pair[pair]
+        for p in range(5):
+            beta = WienerPath.sample(31, p, forcing.rank, dt, steps).coordinates()
+            assert ens.m_s[p] == float(c @ beta[16])
+            assert ens.m_t[p] == float(c @ beta[32])
+            assert ens.pair_s[p] == ens.m_s[p]
+            assert np.array_equal(ens.beta_s[p], beta[16])
+            assert np.array_equal(ens.beta_t[p], beta[32])
 
     def test_nonlinear_ensemble_passes(self):
         cfg = SolverConfig(
             grid=TorusGrid(2, 16), forcing=default_forcing(2, sigma=0.3),
             eps=0.05, dt=1.0 / 64, horizon=0.5,
             initial=InitialCondition("taylor_green", amplitude=0.3))
-        phi = div_free_phi(cfg.grid)
-        by_pair, c = solver_functionals_multi(cfg, phi, seed=23,
-                                              path_ids=range(64),
-                                              pairs=[(0.125, 0.25)])
+        by_pair, c = solver_functionals_multi(cfg, [("phi", div_free_phi(cfg.grid))],
+                                              seed=23, path_ids=range(64),
+                                              pairs=[(0.125, 0.25)])["phi"]
         ens = by_pair[(0.125, 0.25)]
         stat = MartingaleStat("phi", 0.125, 0.25, history="clamp_pair")
         rows, _ = martingale_test(stat, ens, c, n_tests=6)
@@ -265,8 +282,43 @@ class TestMartingale:
 
     def test_small_ensemble_rejected(self):
         stat = MartingaleStat("phi", 0.0, 1.0)
-        with pytest.raises(LimitError):
-            martingale_test(stat, [], c=np.zeros(1))
+        p = MIN_MARTINGALE_PATHS - 1
+        ens = EnsembleFunctionals(m_s=np.zeros(p), m_t=np.ones(p),
+                                  beta_s=np.zeros((p, 1)), beta_t=np.ones((p, 1)),
+                                  pair_s=np.zeros(p))
+        with pytest.raises(LimitError, match="too small"):
+            martingale_test(stat, ens, c=np.zeros(1))
+
+    def test_fields_share_one_run_per_path(self):
+        # one run recording two fields gives each field the arrays of a run
+        # recording it alone
+        cfg = SolverConfig(
+            grid=TorusGrid(2, 16), forcing=default_forcing(2, sigma=0.3),
+            eps=0.05, dt=1.0 / 32, horizon=0.25,
+            initial=InitialCondition("taylor_green", amplitude=0.3))
+        fields = [("phi1", div_free_phi(cfg.grid)),
+                  ("phi2", div_free_phi(cfg.grid, k=(0, 2), parity="cos"))]
+        pairs = [(0.0625, 0.125), (0.125, 0.25)]
+        both = solver_functionals_multi(cfg, fields, 29, range(4), pairs)
+        assert list(both) == ["phi1", "phi2"]
+        for field in fields:
+            alone = solver_functionals_multi(cfg, [field], 29, range(4), pairs)
+            by_pair, c = both[field[0]]
+            by_pair_alone, c_alone = alone[field[0]]
+            assert np.array_equal(c, c_alone)
+            for pair in pairs:
+                for key in ("m_s", "m_t", "beta_s", "beta_t", "pair_s"):
+                    got = getattr(by_pair[pair], key)
+                    want = getattr(by_pair_alone[pair], key)
+                    assert got.shape[0] == 4
+                    assert np.array_equal(got, want), (field[0], pair, key)
+
+    def test_pair_off_the_step_grid_rejected(self):
+        grid = TorusGrid(2, 16)
+        with pytest.raises(LimitError, match="step grid"):
+            linear_model_functionals_multi(
+                default_forcing(2), [("phi", div_free_phi(grid))], seed=1,
+                path_ids=range(2), dt=1.0 / 64, steps=32, pairs=[(0.1, 0.2)])
 
     def test_nqv_linear_in_time(self):
         grid = TorusGrid(2, 16)

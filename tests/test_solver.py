@@ -110,6 +110,21 @@ class TestStep:
             run_path(cfg, seed=1, path_id=0, snapshot_times=[])
         assert np.isnan(err.value.sup)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_state_without_transport_is_a_blowup(self):
+        # no transport, so no sup to test: the non-finite energy names the
+        # blow-up, and the partial trace ends at the state that lost it
+        cfg = make_config(grid=TorusGrid(2, 16), transport=False,
+                          initial=InitialCondition("random_spectrum",
+                                                   amplitude=1e308, k_max=2,
+                                                   decay=-2.0))
+        with pytest.raises(BlowUpError) as err:
+            run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+        assert err.value.sup is None and err.value.time == 0.0
+        assert str(err.value).startswith("non-finite energy")
+        assert len(err.value.partial.times) == 1
+        assert not np.isfinite(err.value.partial.energy[-1])
+
     def test_cfl_guard(self):
         cfg = make_config(dt=0.5, horizon=1.0)
         with pytest.raises(CflError):
