@@ -117,17 +117,16 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                 good.append(run)
         runs[eps] = good
 
-    measures = {eps: estimate_from_family([r.trajectory() for r in eps_runs],
+    measures = {eps: estimate_from_family((r.trajectory() for r in eps_runs),
                                           partition, radius, bins_per_axis,
                                           sphere_bins)
                 for eps, eps_runs in runs.items() if eps_runs}
 
     usable = [eps for eps in ladder.eps_values if eps in measures]
     tail = usable[len(usable) // 2:]
-    family_trajs = [r.trajectory() for eps in tail for r in runs[eps]]
-    family = estimate_from_family(family_trajs, partition, radius,
-                                  bins_per_axis, sphere_bins) \
-        if family_trajs else None
+    family = estimate_from_family((r.trajectory() for eps in tail for r in runs[eps]),
+                                  partition, radius, bins_per_axis, sphere_bins) \
+        if tail else None
 
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
@@ -194,7 +193,9 @@ class FunctionalRecorder:
     Each observed state is weighted by the gap to the next observed time
     (left-point quadrature), which matches the explicit scheme when every
     step is observed; the convective pairing reads <u x u, grad phi>
-    pointwise on the grid.
+    pointwise on the grid.  The state at step 0 starts a new run: it binds
+    fresh series lists (earlier ones stay valid, as they are never cleared)
+    and keeps the test-field tables, so one recorder serves every path.
     """
 
     def __init__(self, phi: SpectralField, eps: float, transport: bool = True):
@@ -205,12 +206,10 @@ class FunctionalRecorder:
         self._grad_phi = gradient_physical(phi).reshape(grid.dim, grid.dim, -1)
         self._lap_phi = laplacian(phi)
         self._quad_w = grid.volume / grid.n ** grid.dim
-        self.times = []
-        self.pairings = []
-        self._visc = []
-        self._conv = []
 
     def on_state(self, n, t, u):
+        if n == 0:
+            self.times, self.pairings, self._visc, self._conv = [], [], [], []
         self.times.append(float(t))
         self.pairings.append(inner_product(u, self.phi))
         if self.transport:
@@ -330,16 +329,16 @@ def linear_model_functionals_multi(forcing: ForcingOperator, fields, seed: int,
 def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
                              pairs) -> dict:
     """Full-model functionals: each path is integrated once, with one
-    ``FunctionalRecorder`` per ``(name, phi)`` of ``fields`` observing every
-    step.  Returns {name: (by_pair, c)}; a blow-up propagates.
+    ``FunctionalRecorder`` per ``(name, phi)`` of ``fields``, built once for
+    all paths, observing every step.  Returns {name: (by_pair, c)}; a
+    blow-up propagates.
     """
+    recs = [FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
+            for _, phi in fields]
     runs = []
     for pid in path_ids:
         path = WienerPath.sample(seed, pid, cfg.forcing.rank, cfg.dt, cfg.steps)
-        recs = [FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
-                for _, phi in fields]
         run_path(cfg, seed, pid, path=path, snapshot_times=[], observers=recs)
-        # keep the series, not the recorders and their test-field tables
         runs.append((path.coordinates(), [(r.martingale_series(), r.pairings) for r in recs]))
     beta = np.stack([b for b, _ in runs])
     out = {}

@@ -3,8 +3,10 @@
 The "strong" solution is operationally a resolved reference: a run on a
 finer grid with smaller dt, zero viscosity, and the same Wiener path
 (Brownian-bridge refined), declared valid up to the first time its spectral
-tail carries more than a configured energy fraction.  Against it the
-relative energy
+tail carries more than a configured energy fraction.  As soon as it
+finishes, the reference is reduced on the audit's partition to what the
+relative energy reads per time slab: its slab-mean velocity per space cell
+and its slab-mean ||v||^2.  Against it the relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -22,10 +24,9 @@ import numpy as np
 
 from .forcing import WienerPath
 from .reporting import audit_row
-from .solver import SolverConfig, SolverRun, Trajectory, run_path
+from .solver import SolverConfig, SolverRun, run_path
 from .spectral import (
     SpectralField,
-    TorusGrid,
     gradient_physical,
     l2_norm_sq,
     resample,
@@ -45,73 +46,65 @@ class WeakStrongError(ValueError):
 
 @dataclass(frozen=True)
 class StrongReference:
-    """Resolved reference trajectory with its regularity traces."""
+    """Resolved reference run reduced to its regularity traces and per-slab means."""
 
-    traj: Trajectory
-    grad_sup: np.ndarray       # ||grad v(t)||_inf at snapshot times
-    energy_sq: np.ndarray      # ||v(t)||_{L^2}^2 at snapshot times
-    horizon: float             # declared life span (resolution diagnostic)
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.traj.grid
+    times: np.ndarray           # snapshot times
+    grad_sup: np.ndarray        # ||grad v(t)||_inf at snapshot times
+    horizon: float              # declared life span (resolution diagnostic)
+    cell_mean: np.ndarray       # (n_t, n_space, dim) slab mean of v per space cell
+    slab_energy_sq: np.ndarray  # (n_t,) slab mean of ||v(t)||_{L^2}^2
 
     def grad_sup_max(self) -> float:
         return float(np.max(self.grad_sup))
 
 
-def build_reference(run: SolverRun, tail_tol: float = 1e-6) -> StrongReference:
-    """Wrap a solver run as a strong reference.
+def build_reference(run: SolverRun, partition: CellPartition,
+                    tail_tol: float = 1e-6) -> StrongReference:
+    """Reduce a solver run on ``partition`` to a strong reference.
 
     The horizon is the first snapshot time at which the dealias-band energy
     fraction exceeds tail_tol (the reference is no longer trusted as a
-    classical solution there); otherwise the full run horizon.
+    classical solution there); otherwise the full run horizon.  Each time
+    slab keeps the mean over its snapshots of the space-cell averages of v
+    and of ||v||^2, the two quantities the relative energy reads; a slab
+    without a snapshot is an error.
     """
     if len(run.snapshots) == 0:
         raise WeakStrongError("reference run carries no snapshots")
-    grad_sup = np.empty(len(run.snapshots))
-    energy_sq = np.empty(len(run.snapshots))
+    times = np.asarray(run.snapshot_times, dtype=float)
+    grad_sup = np.empty(len(times))
     horizon = float(run.config.horizon)
     for i, f in enumerate(run.snapshots):
         tensor = gradient_physical(f)
         grad_sup[i] = float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max()))
-        energy_sq[i] = l2_norm_sq(f)
-        if tail_energy_fraction(f) > tail_tol and horizon >= run.snapshot_times[i]:
-            horizon = float(run.snapshot_times[i])
-    return StrongReference(run.trajectory(), grad_sup, energy_sq, horizon)
+        if tail_energy_fraction(f) > tail_tol and horizon >= times[i]:
+            horizon = float(times[i])
+    slabs = np.array([partition.slab_of(float(t)) for t in times])
+    cell_mean, slab_energy_sq = [], []
+    for s in range(partition.n_t):
+        sel = np.flatnonzero(slabs == s)
+        if not len(sel):
+            raise WeakStrongError(f"reference has no snapshots in slab {s}")
+        acc = 0.0
+        for m in sel:
+            acc = acc + partition.block_mean(run.snapshots[m].to_physical())
+        cell_mean.append(np.ascontiguousarray(np.moveaxis(acc / len(sel), -1, 0)))
+        slab_energy_sq.append(np.mean([l2_norm_sq(run.snapshots[m]) for m in sel]))
+    return StrongReference(times, grad_sup, horizon, np.stack(cell_mean),
+                           np.array(slab_energy_sq))
 
 
 def stopping_time(ref: StrongReference, level: float) -> float:
     """First snapshot time with ||grad v||_inf > level, else the horizon."""
     if level <= 0:
         raise WeakStrongError("threshold must be positive")
-    for t, g in zip(ref.traj.times, ref.grad_sup):
+    for t, g in zip(ref.times, ref.grad_sup):
         if g > level and t <= ref.horizon:
             return float(t)
     return ref.horizon
 
 
 # -- relative energy ---------------------------------------------------------
-
-
-def _slab_snapshots(ref: StrongReference, part: CellPartition,
-                    slab: int) -> list:
-    """Indices of the reference snapshots inside one time slab."""
-    sel = [m for m, t in enumerate(ref.traj.times)
-           if part.slab_of(float(t)) == slab]
-    if not sel:
-        raise WeakStrongError(f"reference has no snapshots in slab {slab}")
-    return sel
-
-
-def _cell_average(ref: StrongReference, part: CellPartition,
-                  slab: int) -> np.ndarray:
-    """Slab mean of the reference velocity per space cell, (n_space, dim)."""
-    sel = _slab_snapshots(ref, part, slab)
-    acc = 0.0
-    for m in sel:
-        acc = acc + part.block_mean(ref.traj.values[m])
-    return np.ascontiguousarray(np.moveaxis(acc / len(sel), -1, 0))
 
 
 def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
@@ -126,7 +119,9 @@ def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
     part = V.partition
     if not 0 <= slab < part.n_t:
         raise WeakStrongError(f"slab {slab} out of range")
-    vbar = _cell_average(ref, part, slab)
+    if ref.cell_mean.shape != (part.n_t, part.n_space, V.dim):
+        raise WeakStrongError("reference was reduced on another partition")
+    vbar = ref.cell_mean[slab]
     nu = V.slab(slab)
     vc = vbar[nu.cell]
 
@@ -137,8 +132,7 @@ def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
                 @ np.ones(part.n_space)) * part.space_volume
     measure_form = 0.5 * osc + 0.5 * V.lam_t(slab)
 
-    sel = _slab_snapshots(ref, part, slab)
-    v_sq = float(np.mean([ref.energy_sq[m] for m in sel]))
+    v_sq = float(ref.slab_energy_sq[slab])
     bary = nu.per_cell(part.n_space, nu.mean)
     cross = float(np.einsum("ci,ci->", bary, vbar)) * part.space_volume
     e_slab = energy_of(V, slab)
@@ -223,15 +217,16 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
                        tail_tol: float = 1e-6):
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
-    Each path's Wiener path is sampled once; the weak runs use it at every
-    viscosity and the resolved reference, integrated once per path, uses
-    its Brownian-bridge refinement.  Returns the audit rows (F(0) = 0,
-    F >= 0, agreement of the two forms of F, the monotone ladder and one
-    Gronwall envelope per eps) and the diagnostics: per-eps relative-energy
-    matrices with their Gronwall diagnostics, the stopping times and the
-    paired monotonicity diagnostics along the ladder.  The reference must
-    refine the weak grid and divide its dt by a power of two; both are
-    checked before any integration.
+    One pass per path: sample its Wiener path once, run the reference on
+    its Brownian-bridge refinement and reduce it on the partition, then run
+    and compare every rung on the path itself; F(0) is taken once per path.
+    Returns the audit rows (F(0) = 0, F >= 0, agreement of the two forms of
+    F, the monotone ladder and one Gronwall envelope per eps) and the
+    diagnostics: per-eps relative-energy matrices with their Gronwall
+    diagnostics, the stopping times and the paired monotonicity diagnostics
+    along the ladder.  Checked before any integration: the reference refines
+    the weak grid and divides its dt by a power of two, and the snapshot
+    times hold t = 0 and reach every time slab.
     """
     if reference_cfg.grid.n % weak_base.grid.n != 0:
         raise WeakStrongError("reference grid must refine the weak grid")
@@ -241,59 +236,58 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
         raise WeakStrongError("reference dt must divide the weak dt")
     if dt_ratio & (dt_ratio - 1):
         raise WeakStrongError("dt refinement must be a power of two")
+    if not any(abs(float(t)) <= 1e-9 for t in snapshot_times):
+        raise WeakStrongError("snapshot times must include t = 0, where F(0) is read")
+    empty = set(range(partition.n_t)) - {partition.slab_of(float(t)) for t in snapshot_times}
+    if empty:
+        raise WeakStrongError(f"time slabs {sorted(empty)} hold no snapshot")
 
-    path_ids = list(path_ids)
-    paths, refs, ref_ics = {}, {}, {}
+    cfgs = [weak_base.with_eps(eps) for eps in eps_values]
+    refs, f0 = [], []
+    f_rows, gaps = [[] for _ in cfgs], [[] for _ in cfgs]
     for pid in path_ids:
-        paths[pid] = WienerPath.sample(seed, pid, weak_base.rank, weak_base.dt,
-                                       weak_base.steps) \
+        path = WienerPath.sample(seed, pid, weak_base.rank, weak_base.dt,
+                                 weak_base.steps) \
             if weak_base.forcing is not None else None
-        ref_path = paths[pid].refined(dt_ratio) \
-            if paths[pid] is not None else None
-        ref_run = run_path(reference_cfg, seed, pid, path=ref_path,
+        ref_run = run_path(reference_cfg, seed, pid,
+                           path=path.refined(dt_ratio) if path is not None else None,
                            snapshot_times=snapshot_times)
-        refs[pid] = build_reference(ref_run, tail_tol=tail_tol)
-        ref_ics[pid] = ref_run.snapshots[0]
-
-    if level is None:
-        level = 1.05 * max(refs[pid].grad_sup_max() for pid in path_ids)
-    taus = np.array([stopping_time(refs[pid], level) for pid in path_ids])
-    slab_times = partition.t0 + (np.arange(partition.n_t) + 1.0) \
-        * partition.slab_duration
-
-    per_eps, gronwall_rows = {}, []
-    for eps in eps_values:
-        weak_cfg = weak_base.with_eps(eps)
-        f_rows, f0s, gaps = [], [], []
-        for pid in path_ids:
-            weak_run = run_path(weak_cfg, seed, pid, path=paths[pid],
+        refs.append(build_reference(ref_run, partition, tail_tol))
+        v0 = ref_run.snapshots[0]
+        del ref_run   # only the reduced reference and v(0) outlive the run
+        for r, cfg in enumerate(cfgs):
+            weak_run = run_path(cfg, seed, pid, path=path,
                                 snapshot_times=snapshot_times)
+            if r == 0:
+                f0.append(initial_relative_energy(weak_run.snapshots[0], v0))
             V = dirac_embed(weak_run.trajectory(), partition, radius,
                             bins_per_axis=bins_per_axis)
-            slabs = [relative_energy(V, refs[pid], s)
+            slabs = [relative_energy(V, refs[-1], s)
                      for s in range(partition.n_t)]
-            f_rows.append(np.array([s["measure_form"] for s in slabs]))
-            f0s.append(initial_relative_energy(weak_run.snapshots[0],
-                                               ref_ics[pid]))
-            gaps.append(max(s["forms_gap"] / max(s["scale"], 1e-300)
-                            for s in slabs))
-        f_matrix = np.stack(f_rows)
-        rows, audit = gronwall_audit(slab_times, f_matrix, np.asarray(f0s), taus,
-                                     level, slack, eps)
+            f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
+            gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
+                               for s in slabs))
+
+    if level is None:
+        level = 1.05 * max(ref.grad_sup_max() for ref in refs)
+    taus = np.array([stopping_time(ref, level) for ref in refs])
+    slab_times = partition.t0 + (np.arange(partition.n_t) + 1.0) \
+        * partition.slab_duration
+    f0 = np.asarray(f0)
+    per_eps, gronwall_rows = {}, []
+    for eps, f_rows_eps, gaps_eps in zip(eps_values, f_rows, gaps):
+        f_matrix = np.stack(f_rows_eps)
+        rows, audit = gronwall_audit(slab_times, f_matrix, f0, taus, level,
+                                     slack, eps)
         gronwall_rows += rows
-        per_eps[eps] = {
-            "f_matrix": f_matrix,
-            "f0": np.asarray(f0s),
-            "max_forms_gap_rel": float(np.max(gaps)),
-            "gronwall": audit,
-            "sup_mean_F": audit["sup_mean_F"],
-        }
+        per_eps[eps] = {"f_matrix": f_matrix, "f0": f0,
+                        "max_forms_gap_rel": float(np.max(gaps_eps)),
+                        "gronwall": audit, "sup_mean_F": audit["sup_mean_F"]}
     mono_rows, monotone = ladder_monotone_within_ci(per_eps, list(eps_values),
                                                     taus, slab_times)
     module = "weak_strong.relative_energy"
     rows = [
-        audit_row("initial_relative_energy", module,
-                  max(float(np.max(e["f0"])) for e in per_eps.values()), 1e-12,
+        audit_row("initial_relative_energy", module, float(np.max(f0)), 1e-12,
                   "identical data and noise force F(0) = 0"),
         audit_row("relative_energy_nonnegative", module,
                   -min(float(np.min(e["f_matrix"])) for e in per_eps.values()),

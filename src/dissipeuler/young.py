@@ -462,11 +462,10 @@ def estimate_from_family(family, partition: CellPartition, radius: float,
 
     Samples with |u| <= R populate the oscillation histograms; the rest
     contribute quadrature-weighted |u|^2 mass to the concentration measure
-    and their directions to the sphere histogram.
+    and their directions to the sphere histogram.  ``family`` is iterated
+    once, so a generator streams its trajectories one at a time; an empty
+    family has no samples and is rejected.
     """
-    family = list(family)
-    if not family:
-        raise YoungMeasureError("family must contain at least one trajectory")
     return _build(family, partition, radius, bins_per_axis, sphere_bins,
                   clip=False)
 

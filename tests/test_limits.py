@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dissipeuler.forcing import WienerPath, default_forcing
+import dissipeuler.limits as limits
 from dissipeuler.limits import (
     FunctionalRecorder,
     MIN_MARTINGALE_PATHS,
@@ -312,6 +313,26 @@ class TestMartingale:
                     want = getattr(by_pair_alone[pair], key)
                     assert got.shape[0] == 4
                     assert np.array_equal(got, want), (field[0], pair, key)
+
+    def test_field_tables_built_once_per_field(self, monkeypatch):
+        # one recorder per field serves every path: its state at step 0
+        # starts fresh series and keeps the test-field tables
+        calls = []
+        real = limits.gradient_physical
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(limits, "gradient_physical", counting)
+        cfg = SolverConfig(
+            grid=TorusGrid(2, 16), forcing=default_forcing(2, sigma=0.3),
+            eps=0.05, dt=1.0 / 32, horizon=0.25,
+            initial=InitialCondition("taylor_green", amplitude=0.3))
+        fields = [("phi1", div_free_phi(cfg.grid)),
+                  ("phi2", div_free_phi(cfg.grid, k=(0, 2), parity="cos"))]
+        out = solver_functionals_multi(cfg, fields, 37, range(32), [(0.125, 0.25)])
+        assert len(calls) == 2
+        assert out["phi1"][0][(0.125, 0.25)].m_t.shape == (32,)
 
     def test_pair_off_the_step_grid_rejected(self):
         grid = TorusGrid(2, 16)

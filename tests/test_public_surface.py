@@ -5,7 +5,8 @@ counts as used if its name is referenced in ``src/`` outside its own
 definition, if ``tests/test_acceptance.py`` imports it, or if it is a
 trace target of the benchmark (``TARGETS`` in ``perfbench/child.py``).
 Anything else is dead weight: wire it into an experiment or delete it.
-The exceptions below are kept on purpose.
+The exceptions below are kept on purpose.  Likewise every name a module
+of ``src/`` imports must be read in that module.
 """
 
 import ast
@@ -89,3 +90,21 @@ def test_every_public_definition_is_used():
 def test_exceptions_are_current():
     # an exception that is now used, or no longer defined, must leave the list
     assert sorted(_unused()) == sorted(EXCEPTIONS)
+
+
+def _unused_imports(tree) -> list:
+    """Names an import binds that the module never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    refs = _references(tree)
+    return [name for name in bound if refs[name] == 0]
+
+
+def test_every_import_is_read():
+    unused = {p.name: _unused_imports(ast.parse(p.read_text()))
+              for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in unused.items() if v} == {}

@@ -43,8 +43,8 @@ class TestRelativeEnergy:
         grid = TorusGrid(2, 32)
         times = snapshot_grid(0.25, 2)
         run = steady_run(grid, snapshot_times=times)
-        ref = build_reference(run)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
+        ref = build_reference(run, part)
         V = dirac_embed(run.trajectory(), part, radius=3.0)
         e = 0.5 * l2_norm_sq(taylor_green(grid))
         for slab in range(part.n_t):
@@ -62,7 +62,7 @@ class TestRelativeEnergy:
 
         zero_run = steady_run(grid, dt=0.5, horizon=1.0, kind="zero",
                               snapshot_times=[0.0, 0.5, 1.0])
-        ref = build_reference(zero_run)
+        ref = build_reference(zero_run, part)
         out = relative_energy(V, ref, 0)
         assert out["measure_form"] == pytest.approx(0.5 * V.lam_t(0))
 
@@ -75,8 +75,8 @@ class TestRelativeEnergy:
                                                     amplitude=0.3, k_max=2))
         run = run_path(cfg, 41, 0, snapshot_times=times)
         ref_run = steady_run(grid, amp=0.7, snapshot_times=times)
-        ref = build_reference(ref_run)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
+        ref = build_reference(ref_run, part)
         V = dirac_embed(run.trajectory(), part, radius=4.0)
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
@@ -86,8 +86,8 @@ class TestRelativeEnergy:
     def test_nonnegative_on_ensemble(self):
         grid = TorusGrid(2, 16)
         times = snapshot_grid(0.25, 2)
-        ref = build_reference(steady_run(grid, amp=0.5, snapshot_times=times))
         part = CellPartition(2, 16, 2, 8, 0.0, 0.25)
+        ref = build_reference(steady_run(grid, amp=0.5, snapshot_times=times), part)
         for pid in range(5):
             cfg = SolverConfig(grid=grid, forcing=default_forcing(2, 0.3),
                                eps=0.02, dt=1.0 / 32, horizon=0.25,
@@ -112,22 +112,63 @@ class TestRelativeEnergy:
         assert initial_relative_energy(a, b) == pytest.approx(direct, rel=1e-12)
 
 
+class TestReference:
+    def test_cell_mean_is_slab_mean_of_block_means(self):
+        # the reduction is today's slab average, exactly: block means summed
+        # over the slab's snapshots in time order, then divided
+        grid = TorusGrid(2, 32)
+        times = snapshot_grid(0.25, 2, per_slab=3)
+        cfg = SolverConfig(grid=grid, forcing=default_forcing(2, sigma=0.2),
+                           eps=0.0, dt=1.0 / 32, horizon=0.25,
+                           initial=InitialCondition("random_spectrum",
+                                                    amplitude=0.3, k_max=2))
+        run = run_path(cfg, 61, 0, snapshot_times=times)
+        part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
+        ref = build_reference(run, part)
+        assert np.array_equal(ref.times, run.snapshot_times)
+        for s in range(part.n_t):
+            sel = [m for m, t in enumerate(times) if part.slab_of(t) == s]
+            acc = 0.0
+            for m in sel:
+                acc = acc + part.block_mean(run.snapshots[m].to_physical())
+            want = np.moveaxis(acc / len(sel), -1, 0)
+            assert np.array_equal(ref.cell_mean[s], want)
+            assert ref.slab_energy_sq[s] == np.mean(
+                [l2_norm_sq(run.snapshots[m]) for m in sel])
+
+    def test_slab_without_snapshot_rejected(self):
+        grid = TorusGrid(2, 16)
+        run = steady_run(grid, snapshot_times=[0.0, 0.25])
+        with pytest.raises(WeakStrongError, match="no snapshots in slab 1"):
+            build_reference(run, CellPartition(2, 16, 4, 4, 0.0, 0.25))
+
+    def test_relative_energy_rejects_other_partition(self):
+        grid = TorusGrid(2, 16)
+        run = steady_run(grid, snapshot_times=snapshot_grid(0.25, 2))
+        ref = build_reference(run, CellPartition(2, 16, 2, 4, 0.0, 0.25))
+        V = dirac_embed(run.trajectory(), CellPartition(2, 16, 2, 8, 0.0, 0.25),
+                        radius=3.0)
+        with pytest.raises(WeakStrongError, match="another partition"):
+            relative_energy(V, ref, 0)
+
+
 class TestStoppingTime:
     def test_level_above_max_returns_horizon(self):
         grid = TorusGrid(2, 32)
         run = steady_run(grid, snapshot_times=snapshot_grid(0.25, 2))
-        ref = build_reference(run)
+        ref = build_reference(run, CellPartition(2, 32, 2, 16, 0.0, 0.25))
         assert stopping_time(ref, ref.grad_sup_max() + 1.0) == 0.25
 
     def test_tiny_level_stops_immediately(self):
         grid = TorusGrid(2, 32)
         run = steady_run(grid, snapshot_times=snapshot_grid(0.25, 2))
-        ref = build_reference(run)
-        assert stopping_time(ref, 1e-9) == ref.traj.times[0]
+        ref = build_reference(run, CellPartition(2, 32, 2, 16, 0.0, 0.25))
+        assert stopping_time(ref, 1e-9) == ref.times[0]
 
     def test_rejects_nonpositive_level(self):
         grid = TorusGrid(2, 32)
-        ref = build_reference(steady_run(grid, snapshot_times=[0.0, 0.25]))
+        ref = build_reference(steady_run(grid, snapshot_times=[0.0, 0.25]),
+                              CellPartition(2, 32, 2, 16, 0.0, 0.25))
         with pytest.raises(WeakStrongError):
             stopping_time(ref, 0.0)
 
@@ -135,6 +176,7 @@ class TestStoppingTime:
         # P[tau_L < horizon] <= E[sup ||grad v||_inf] / L
         grid = TorusGrid(2, 16)
         times = snapshot_grid(0.25, 2)
+        part = CellPartition(2, 16, 2, 8, 0.0, 0.25)
         sups, stops = [], []
         level = 1.1
         for pid in range(48):
@@ -142,7 +184,7 @@ class TestStoppingTime:
                                eps=0.0, dt=1.0 / 32, horizon=0.25,
                                initial=InitialCondition("random_spectrum",
                                                         amplitude=0.25))
-            ref = build_reference(run_path(cfg, 47, pid, snapshot_times=times))
+            ref = build_reference(run_path(cfg, 47, pid, snapshot_times=times), part)
             sups.append(ref.grad_sup_max())
             stops.append(stopping_time(ref, level) < ref.horizon)
         p_stop = np.mean(stops)
@@ -243,9 +285,16 @@ class TestGronwallAudit:
 
 
 class TestLadderComparison:
-    def test_relative_energy_decreases_with_viscosity(self):
+    def test_relative_energy_decreases_with_viscosity(self, monkeypatch):
         # point-level space cells isolate the weak-vs-reference gap from the
         # oscillation floor a coarse partition would add
+        f0_calls = []
+        real_f0 = weakstrong.initial_relative_energy
+
+        def counting_f0(*args):
+            f0_calls.append(args)
+            return real_f0(*args)
+        monkeypatch.setattr(weakstrong, "initial_relative_energy", counting_f0)
         grid = TorusGrid(2, 16)
         fine = TorusGrid(2, 32)
         horizon = 0.5
@@ -270,6 +319,7 @@ class TestLadderComparison:
         assert all_passed(gronwall)
         for eps in (0.2, 0.05, 0.0125):
             assert np.all(rep["per_eps"][eps]["f0"] == 0.0)
+        assert len(f0_calls) == 4  # once per path: u(0) does not depend on eps
 
     def test_setup_validation(self, monkeypatch):
         grid = TorusGrid(2, 16)
@@ -306,3 +356,25 @@ class TestLadderComparison:
                                  dt=1.0 / 64, horizon=0.25, initial=ic)
         ladder(same_grid)  # same grid ok
         assert len(runs) == 2
+
+    @pytest.mark.parametrize("times, match", [
+        ([0.0625, 0.1875, 0.25], "t = 0"),
+        ([0.0, 0.0625, 0.09375], r"slabs \[1\] hold no snapshot"),
+    ])
+    def test_snapshot_times_checked_before_integration(self, monkeypatch,
+                                                       times, match):
+        # F(0) reads each run's first snapshot and F every slab's snapshots
+        grid, fine = TorusGrid(2, 16), TorusGrid(2, 32)
+        ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
+        weak = SolverConfig(grid=grid, forcing=default_forcing(2, 0.2), eps=0.1,
+                            dt=1.0 / 32, horizon=0.25, initial=ic)
+        ref = SolverConfig(grid=fine, forcing=default_forcing(2, 0.2), eps=0.0,
+                           dt=1.0 / 64, horizon=0.25, initial=ic)
+        part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before the snapshot check")
+        monkeypatch.setattr(weakstrong, "run_path", no_run)
+        with pytest.raises(WeakStrongError, match=match):
+            weak_strong_ladder((0.1,), weak, ref, seed=1, path_ids=[0],
+                               partition=part, radius=4.0, snapshot_times=times)

@@ -1,5 +1,7 @@
 """Young measure estimators: embedding, oscillation/concentration, pairing."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -216,8 +218,33 @@ class TestFamilyEstimator:
 
     def test_empty_family_rejected(self):
         grid = TorusGrid(2, 16)
-        with pytest.raises(YoungMeasureError):
+        with pytest.raises(YoungMeasureError, match="no samples"):
             estimate_from_family([], make_partition(grid), 1.0)
+        with pytest.raises(YoungMeasureError, match="no samples"):
+            estimate_from_family(iter([]), make_partition(grid), 1.0)
+
+    def test_generator_family_is_streamed(self):
+        # a generator is read one trajectory at a time: when the next one is
+        # made, at most the one just read is still alive, and the measure
+        # equals the one built from the same trajectories in a list
+        grid = TorusGrid(2, 16)
+        part = make_partition(grid)
+        times = [0.0, 0.25, 0.5, 0.75, 1.0]
+        rng = np.random.default_rng(5)
+        values = [rng.standard_normal((len(times), 2) + grid.shape) for _ in range(5)]
+        alive = []
+
+        def family():
+            for vals in values:
+                assert sum(ref() is not None for ref in alive) <= 1
+                traj = Trajectory(grid, np.asarray(times), vals.copy())
+                alive.append(weakref.ref(traj))
+                yield traj
+        streamed = estimate_from_family(family(), part, radius=2.0)
+        listed = estimate_from_family(
+            [Trajectory(grid, np.asarray(times), v) for v in values], part, radius=2.0)
+        assert len(alive) == 5
+        assert measure_to_dict(streamed) == measure_to_dict(listed)
 
     def test_permutation_invariance(self):
         grid = TorusGrid(2, 16)
