@@ -190,10 +190,9 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
                      sphere_bins=cfg.young.sphere_bins)
 
     rows = []
-    for eps in cfg.eps_values:
-        for run in res.runs.get(eps, []):
-            run.trace.write_csv(
-                out.path(f"traces/eps{eps:g}_path{run.path_id:04d}.csv"))
+    for eps, survivors in res.traces.items():
+        for pid, trace in survivors:
+            trace.write_csv(out.path(f"traces/eps{eps:g}_path{pid:04d}.csv"))
     blowup_rows = [audit_row(f"blowup_eps{eps:g}_path{pid}", "ns_solver.run_path",
                              float("inf"), 0.0, msg)
                    for eps, failures in res.blowups.items()
@@ -212,15 +211,15 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
         "cauchy_distance_decreasing", "limit_verifier.run_ladder",
         worst_rise, 0.0, f"distances={['%.5g' % x for x in d]}"))
 
-    traces = [r.trace for eps in res.tail for r in res.runs[eps]]
-    finest = res.runs[res.tail[-1]][0]
+    traces = [trace for eps in res.tail for _, trace in res.traces[eps]]
+    finest = res.finest
     tol = finest.trace.tolerance(cfg.tolerances.energy_defect_c)
     limit_rows, details = energy_inequality_limit(res.family, traces,
                                                   cfg.forcing, tol)
     out.write_json("details/energy_limit.json", details)
     rows += limit_rows
 
-    traces_by_eps = {eps: [r.trace for r in res.runs[eps]]
+    traces_by_eps = {eps: [trace for _, trace in res.traces[eps]]
                      for eps in res.measures}
     rows += apriori_moment_report(traces_by_eps, p=3.0)[0]
 

@@ -21,6 +21,11 @@ from .young import CellPartition
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
 # the snapshot times loop over time_cells * snapshots_per_slab samples
 MAX_SNAPSHOTS_PER_SLAB = 2 ** 16
+# ceiling on the bytes one run retains, estimated from the config alone so
+# that a config loads or fails the same way on every host
+MAX_RUN_BYTES = 8 * 2 ** 30
+# vector fields a step holds beside its snapshots (state, products, transforms)
+WORKING_FIELDS = 16
 
 
 class ConfigError(ValueError):
@@ -239,7 +244,32 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
             else ("martingale.linear_paths", mart.linear_paths)
         if n < MIN_MARTINGALE_PATHS:
             raise ConfigError(where, f"need >= {MIN_MARTINGALE_PATHS} paths, got {n}")
+    _check_run_bytes(cfg)
     return cfg
+
+
+def _check_run_bytes(cfg: RunConfig) -> None:
+    """The largest run of the experiment fits under ``MAX_RUN_BYTES``.
+
+    Runs are integrated one at a time and a viscosity ladder streams its
+    runs into the measures, so what an experiment holds is about one run:
+    its snapshots, each a half spectrum plus its physical values in the
+    run's trajectory, and ``WORKING_FIELDS`` half-spectrum fields.  The run
+    is on the largest grid the experiment integrates, ``reference.n`` for
+    weakstrong; simulate and martingale runs keep no snapshots.
+    """
+    dim = cfg.grid.dim
+    where, n = ("reference.n", cfg.reference.n) if cfg.experiment == "weakstrong" \
+        else ("grid.n", cfg.grid.n)
+    snapshots = len(cfg.snapshot_times) \
+        if cfg.experiment in ("vanish", "ym", "weakstrong") else 0
+    half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
+    physical = 8 * dim * n ** dim
+    need = snapshots * (half + physical) + WORKING_FIELDS * half
+    if need > MAX_RUN_BYTES:
+        raise ConfigError(where, f"a run at n={n} in {dim}D retains about "
+                                 f"{need / 2 ** 30:.1f} GiB, above the "
+                                 f"{MAX_RUN_BYTES / 2 ** 30:g} GiB ceiling")
 
 
 def _check_time_cells(cfg: RunConfig, steps: int) -> None:

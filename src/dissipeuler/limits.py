@@ -41,7 +41,7 @@ from .spectral import (
 from .young import (
     CellPartition,
     GeneralizedYoungMeasure,
-    estimate_from_family,
+    YoungAccumulator,
     slab_energies,
     weakstar_distance,
 )
@@ -76,13 +76,14 @@ class ViscosityLadder:
 
 @dataclass
 class LadderResult:
-    runs: dict                     # eps -> list of SolverRun
+    traces: dict                   # eps -> list of (path_id, EnergyTrace) of its survivors
     measures: dict                 # eps -> pooled GeneralizedYoungMeasure
-    family: GeneralizedYoungMeasure | None   # None if every path blew up
+    family: GeneralizedYoungMeasure | None   # None if no tail run survived
     cauchy_distances: list         # successive weak* distances
     blowups: dict                  # eps -> list of (path_id, message)
     tail: list                     # rungs the family pools, coarse to fine
     paths: dict                    # path_id -> shared WienerPath (or None)
+    finest: SolverRun | None       # first surviving run of tail[-1], whole
 
 
 def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
@@ -90,11 +91,18 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                sphere_bins: int = 32) -> LadderResult:
     """Run every rung on shared noise and estimate the family measure.
 
-    The family measure pools the tail, the last half of the rungs with a
+    Runs go one after another in (eps, path) order and stream: each
+    surviving run's trajectory is built once and added to its rung's
+    ``YoungAccumulator`` and, for a tail rung, to the family's, and then
+    the run's snapshots are dropped.  The tail is the last half of the
+    configured rungs, ``eps_values[len // 2:]``, less any rung without a
     surviving run; per-rung measures pool the ensemble at that viscosity.
     Blow-ups abort a single (eps, path) run and the ladder continues without
-    it.  Runs go one after another in (eps, path) order.  Without
-    ``snapshot_times`` each slab is sampled at four mid-interval times.
+    it.  The result keeps every survivor's energy trace with its path id,
+    the measures and one whole run, ``finest``, the first survivor of the
+    finest tail rung, whose snapshots the momentum residual reads; so the
+    snapshots in memory are about one run's.  Without ``snapshot_times``
+    each slab is sampled at four mid-interval times.
     """
     base = ladder.base
     if snapshot_times is None:
@@ -104,34 +112,41 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
         for pid in ladder.path_ids
     } if base.forcing is not None else {pid: None for pid in ladder.path_ids}
 
-    runs, blowups = {}, {}
+    def accumulator():
+        return YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
+
+    configured_tail = ladder.eps_values[len(ladder.eps_values) // 2:]
+    pooled = accumulator()
+    traces, measures, blowups, tail, finest = {}, {}, {}, [], None
     for eps in ladder.eps_values:
         cfg = base.with_eps(eps)
-        good = []
+        in_tail = eps in configured_tail
+        rung = accumulator()
+        traces[eps] = []
         for pid in ladder.path_ids:
             run, err = guarded_run(cfg, ladder.seed, pid, path=paths[pid],
                                    snapshot_times=snapshot_times)
             if err is not None:
                 blowups.setdefault(eps, []).append((pid, str(err)))
-            else:
-                good.append(run)
-        runs[eps] = good
+                continue
+            traj = run.trajectory()
+            rung.add(traj)
+            if in_tail:
+                pooled.add(traj)
+                if not traces[eps]:
+                    finest = run
+            traces[eps].append((pid, run.trace))
+        if traces[eps]:
+            measures[eps] = rung.measure()
+            if in_tail:
+                tail.append(eps)
 
-    measures = {eps: estimate_from_family((r.trajectory() for r in eps_runs),
-                                          partition, radius, bins_per_axis,
-                                          sphere_bins)
-                for eps, eps_runs in runs.items() if eps_runs}
-
-    usable = [eps for eps in ladder.eps_values if eps in measures]
-    tail = usable[len(usable) // 2:]
-    family = estimate_from_family((r.trajectory() for eps in tail for r in runs[eps]),
-                                  partition, radius, bins_per_axis, sphere_bins) \
-        if tail else None
-
+    family = pooled.measure() if tail else None
+    usable = list(measures)
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
-    return LadderResult(runs, measures, family, distances, blowups, tail,
-                        paths)
+    return LadderResult(traces, measures, family, distances, blowups, tail,
+                        paths, finest)
 
 
 def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):

@@ -26,6 +26,13 @@ concentration mass ``lam_mass`` is one dense value per cell.  The dense
 (n_cells, bins) bin masses ``nu_mass`` and ``inf_mass`` remain as
 read-only views built on first access, for inspection and tests; nothing
 in the package reads them.
+
+Every measure comes from one ``YoungAccumulator``: ``add`` bins one
+trajectory's snapshots into per-entry moment sums and keeps nothing of the
+trajectory, and ``measure`` normalizes the sums once at the end.
+``dirac_embed`` and ``estimate_from_family`` are loops over it, and a
+caller that produces trajectories one at a time (the viscosity ladder)
+feeds it directly, so no build needs a whole family in memory.
 """
 
 from __future__ import annotations
@@ -348,99 +355,127 @@ class _MomentSums:
         return self.keys[order], self.w[order], self.v[order], self.vv[order]
 
 
-def _build(trajectories, partition: CellPartition, radius: float,
-           bins_per_axis: int, sphere_bins: int,
-           clip: bool) -> GeneralizedYoungMeasure:
-    if radius <= 0:
-        raise YoungMeasureError("truncation radius must be positive")
-    dim = partition.dim
-    n_cells = partition.n_cells
-    n_bins = bins_per_axis ** dim
+class YoungAccumulator:
+    """The one measure build: ``add`` trajectories, then ``measure`` once.
 
-    osc = _MomentSums(n_cells * n_bins, dim)
-    conc = _MomentSums(n_cells * sphere_bins, dim)
-    samples_per_cell = np.zeros(n_cells)
-    below_per_cell = np.zeros(n_cells)
-    clipped = 0
-    total = 0
+    ``add`` bins every snapshot of a trajectory that falls inside the
+    partition window into running moment sums and keeps nothing of the
+    trajectory itself; ``measure`` normalizes the sums into a
+    ``GeneralizedYoungMeasure`` once, after the last ``add``.  With ``clip``
+    values beyond the truncation radius are clipped into the edge bins (the
+    embedding of one square-integrable field); without it they feed the
+    concentration part.  The sums depend only on the order of the added
+    trajectories, so a caller that streams them gets the bits of one call
+    over the whole family.
+    """
 
-    space_idx = partition.space_cell_index()
-    for traj in trajectories:
-        if traj.grid.n != partition.grid_n or traj.grid.dim != dim:
+    def __init__(self, partition: CellPartition, radius: float,
+                 bins_per_axis: int = 16, sphere_bins: int = 32,
+                 clip: bool = False):
+        if radius <= 0:
+            raise YoungMeasureError("truncation radius must be positive")
+        self.partition = partition
+        self.radius = radius
+        self.bins_per_axis = bins_per_axis
+        self.sphere_bins = sphere_bins
+        self.clip = clip
+        n_cells = partition.n_cells
+        self._n_bins = bins_per_axis ** partition.dim
+        self._osc = _MomentSums(n_cells * self._n_bins, partition.dim)
+        self._conc = _MomentSums(n_cells * sphere_bins, partition.dim)
+        self._samples_per_cell = np.zeros(n_cells)
+        self._below_per_cell = np.zeros(n_cells)
+        self._space_idx = partition.space_cell_index()
+        self._clipped = 0
+        self._total = 0
+
+    def add(self, traj) -> None:
+        """Bin the snapshots of one ``solver.Trajectory``."""
+        part = self.partition
+        dim, n_cells, n_bins = part.dim, part.n_cells, self._n_bins
+        radius, bins_per_axis = self.radius, self.bins_per_axis
+        if traj.grid.n != part.grid_n or traj.grid.dim != dim:
             raise YoungMeasureError("trajectory grid does not match partition")
         for m in range(traj.n_snapshots):
             t = float(traj.times[m])
-            if t < partition.t0 - 1e-12 or t > partition.t1 + 1e-12:
+            if t < part.t0 - 1e-12 or t > part.t1 + 1e-12:
                 continue
-            slab = partition.slab_of(t)
-            cell = slab * partition.n_space + space_idx
+            cell = part.slab_of(t) * part.n_space + self._space_idx
             vals = traj.values[m].reshape(dim, -1).T  # (npts, dim)
-            total += len(vals)
-            samples_per_cell += np.bincount(cell, minlength=n_cells)
+            self._total += len(vals)
+            self._samples_per_cell += np.bincount(cell, minlength=n_cells)
 
-            if clip:
+            if self.clip:
                 over = np.abs(vals) > radius
-                clipped += int(np.any(over, axis=1).sum())
+                self._clipped += int(np.any(over, axis=1).sum())
                 use = np.clip(vals, -radius * (1 - 1e-12), radius * (1 - 1e-12))
-                below_per_cell += np.bincount(cell, minlength=n_cells)
-                osc.add(cell * n_bins + _bin_of_values(use, radius, bins_per_axis),
-                        use)
+                self._below_per_cell += np.bincount(cell, minlength=n_cells)
+                self._osc.add(cell * n_bins + _bin_of_values(use, radius, bins_per_axis),
+                              use)
             else:
                 speed = np.sqrt((vals ** 2).sum(axis=1))
                 below = speed <= radius
                 if below.any():
                     vb = vals[below]
                     cb = cell[below]
-                    below_per_cell += np.bincount(cb, minlength=n_cells)
-                    osc.add(cb * n_bins + _bin_of_values(vb, radius, bins_per_axis),
-                            vb)
+                    self._below_per_cell += np.bincount(cb, minlength=n_cells)
+                    self._osc.add(cb * n_bins + _bin_of_values(vb, radius, bins_per_axis),
+                                  vb)
                 above = ~below
                 if above.any():
                     ca = cell[above]
                     units = vals[above] / speed[above][:, None]
-                    conc.add(ca * sphere_bins + _sphere_bin(units, sphere_bins, dim),
-                             units, speed[above] ** 2)
+                    self._conc.add(
+                        ca * self.sphere_bins + _sphere_bin(units, self.sphere_bins, dim),
+                        units, speed[above] ** 2)
 
-    if total == 0:
-        raise YoungMeasureError("no samples fall inside the partition window")
-    if np.any(samples_per_cell == 0):
-        raise YoungMeasureError(
-            "partition has cells without samples; refine snapshots or coarsen")
+    def measure(self) -> GeneralizedYoungMeasure:
+        """The measure of every sample added; call it once, after the last add."""
+        part = self.partition
+        dim, n_cells, n_bins = part.dim, part.n_cells, self._n_bins
+        sphere_bins = self.sphere_bins
+        if self._total == 0:
+            raise YoungMeasureError("no samples fall inside the partition window")
+        if np.any(self._samples_per_cell == 0):
+            raise YoungMeasureError(
+                "partition has cells without samples; refine snapshots or coarsen")
 
-    # oscillation part: per-cell probability with bin moments; a
-    # pure-concentration cell gets unit mass at the origin bin
-    has_below = below_per_cell > 0
-    empty = np.flatnonzero(~has_below)
-    origin_bin = int(_bin_of_values(np.zeros((1, dim)), radius, bins_per_axis)[0])
-    osc.add(empty * n_bins + origin_bin, np.zeros((len(empty), dim)),
-            np.zeros(len(empty)))
-    keys, w, v, vv = osc.by_key()
-    cell = keys // n_bins
-    occupied = w > 0
-    mean = np.zeros_like(v)
-    sec = np.zeros_like(vv)
-    np.divide(v, w[:, None], out=mean, where=occupied[:, None])
-    np.divide(vv, w[:, None, None], out=sec, where=occupied[:, None, None])
-    mass = np.ones_like(w)
-    np.divide(w, below_per_cell[cell], out=mass, where=has_below[cell])
-    nu = BinEntries(n_bins, keys, mass, mean, sec)
+        # oscillation part: per-cell probability with bin moments; a
+        # pure-concentration cell gets unit mass at the origin bin
+        below_per_cell = self._below_per_cell
+        has_below = below_per_cell > 0
+        empty = np.flatnonzero(~has_below)
+        origin_bin = int(_bin_of_values(np.zeros((1, dim)), self.radius,
+                                        self.bins_per_axis)[0])
+        self._osc.add(empty * n_bins + origin_bin, np.zeros((len(empty), dim)),
+                      np.zeros(len(empty)))
+        keys, w, v, vv = self._osc.by_key()
+        cell = keys // n_bins
+        occupied = w > 0
+        mean = np.zeros_like(v)
+        sec = np.zeros_like(vv)
+        np.divide(v, w[:, None], out=mean, where=occupied[:, None])
+        np.divide(vv, w[:, None, None], out=sec, where=occupied[:, None, None])
+        mass = np.ones_like(w)
+        np.divide(w, below_per_cell[cell], out=mass, where=has_below[cell])
+        nu = BinEntries(n_bins, keys, mass, mean, sec)
 
-    # concentration part: quadrature weight per sample is cellvol / samples
-    keys, w, v, vv = conc.by_key()
-    cell = keys // sphere_bins
-    cell_weight = (partition.cell_volume / samples_per_cell)[cell]
-    w = w * cell_weight
-    v = v * cell_weight[:, None]
-    vv = vv * cell_weight[:, None, None]
-    # (a bincount of no entries is an integer array)
-    lam_mass = np.bincount(cell, weights=w, minlength=n_cells).astype(float)
-    nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[cell], v / w[:, None],
-                        vv / w[:, None, None])
+        # concentration part: quadrature weight per sample is cellvol / samples
+        keys, w, v, vv = self._conc.by_key()
+        cell = keys // sphere_bins
+        cell_weight = (part.cell_volume / self._samples_per_cell)[cell]
+        w = w * cell_weight
+        v = v * cell_weight[:, None]
+        vv = vv * cell_weight[:, None, None]
+        # (a bincount of no entries is an integer array)
+        lam_mass = np.bincount(cell, weights=w, minlength=n_cells).astype(float)
+        nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[cell], v / w[:, None],
+                            vv / w[:, None, None])
 
-    return GeneralizedYoungMeasure(
-        partition=partition, radius=radius, bins_per_axis=bins_per_axis,
-        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
-        clipped_fraction=clipped / total, empty_cells=len(empty))
+        return GeneralizedYoungMeasure(
+            partition=part, radius=self.radius, bins_per_axis=self.bins_per_axis,
+            sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+            clipped_fraction=self._clipped / self._total, empty_cells=len(empty))
 
 
 def dirac_embed(traj, partition: CellPartition, radius: float,
@@ -451,8 +486,10 @@ def dirac_embed(traj, partition: CellPartition, radius: float,
     counted in ``clipped_fraction`` rather than feeding the concentration
     part, as in the embedding of square-integrable fields.
     """
-    return _build([traj], partition, radius, bins_per_axis, sphere_bins,
-                  clip=True)
+    acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins,
+                           clip=True)
+    acc.add(traj)
+    return acc.measure()
 
 
 def estimate_from_family(family, partition: CellPartition, radius: float,
@@ -466,8 +503,10 @@ def estimate_from_family(family, partition: CellPartition, radius: float,
     once, so a generator streams its trajectories one at a time; an empty
     family has no samples and is rejected.
     """
-    return _build(family, partition, radius, bins_per_axis, sphere_bins,
-                  clip=False)
+    acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
+    for traj in family:
+        acc.add(traj)
+    return acc.measure()
 
 
 # -- pairings and reductions ----------------------------------------------

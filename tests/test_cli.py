@@ -196,6 +196,33 @@ class TestSchema:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_above_memory_ceiling_exits_2(self, tmp_path, capsys):
+        # one field of a 3D 2048^3 grid is 206 GB; the loader rejects the
+        # config before anything is built or integrated
+        raw = zero_config()
+        raw["grid"] = {"dim": 3, "n": 2048}
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert "config error: grid.n: a run at n=2048 in 3D" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reference_above_memory_ceiling_names_reference_n(self):
+        # weakstrong holds one run on the reference grid; 8192^2 with its
+        # snapshots is above the ceiling, 2048^2 below it
+        raw = forced_config(paths=1)
+        raw["experiment"] = "weakstrong"
+        raw["viscosity"] = {"ladder": [0.1, 0.05]}
+        raw["young"] = {"time_cells": 2, "space_cells": 4}
+        raw["reference"] = {"n": 8192}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "weakstrong")
+        assert err.value.path == "reference.n"
+        assert "GiB ceiling" in str(err.value)
+        raw["reference"] = {"n": 2048}
+        assert parse_config(raw, "weakstrong").reference.n == 2048
+
     def test_off_grid_pairs_checked_only_for_martingale(self):
         # 0.1 is 3.2 steps of dt = 1/32; experiments that never read the
         # pairs accept them

@@ -1,6 +1,6 @@
 """Viscosity ladder, momentum residual, martingale identification."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,9 +23,14 @@ from dissipeuler.limits import (
     solver_functionals_multi,
 )
 from dissipeuler.reporting import all_passed
-from dissipeuler.solver import InitialCondition, SolverConfig, run_path
+from dissipeuler.solver import InitialCondition, SolverConfig, SolverRun, run_path
 from dissipeuler.spectral import SpectralField, TorusGrid
-from dissipeuler.young import CellPartition, barycenter, dirac_embed
+from dissipeuler.young import (
+    CellPartition,
+    barycenter,
+    dirac_embed,
+    estimate_from_family,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,6 +51,33 @@ def base_config(n=32, dt=1.0 / 64, horizon=0.5, sigma=0.2, amp=0.4):
         initial=InitialCondition("random_spectrum", amplitude=amp, k_max=2))
 
 
+def _rerun(ladder, part, eps, pid, paths):
+    """Run (eps, pid) of a ladder again, as ``run_ladder`` runs it."""
+    return run_path(ladder.base.with_eps(eps), ladder.seed, pid, path=paths[pid],
+                    snapshot_times=part.sample_times(ladder.base.dt, 4))
+
+
+def _assert_same_bits(V, W):
+    """Two measures agree bit for bit in every stored array."""
+    pairs = [(V.lam_mass, W.lam_mass)]
+    for a, b in ((V.nu, W.nu), (V.nu_inf, W.nu_inf)):
+        pairs += [(getattr(a, k), getattr(b, k)) for k in ("key", "mass", "mean", "sec")]
+    for x, y in pairs:
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def _held_runs(obj) -> list:
+    """Every SolverRun reachable through dicts, lists and tuples of obj."""
+    if isinstance(obj, SolverRun):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [r for x in obj for r in _held_runs(x)]
+    return []
+
+
 class TestLadder:
     def test_rejects_non_decreasing(self):
         with pytest.raises(LimitError):
@@ -60,7 +92,7 @@ class TestLadder:
         ladder = ViscosityLadder((0.1,), cfg, seed=3)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, radius=3.0)
-        traj = res.runs[0.1][0].trajectory()
+        traj = res.finest.trajectory()
         Vd = dirac_embed(traj, part, 3.0)
         assert np.allclose(res.family.nu_mass, Vd.nu_mass)
         assert np.array_equal(res.family.nu.key, Vd.nu.key)
@@ -87,8 +119,8 @@ class TestLadder:
         ladder = ViscosityLadder((0.1, 0.05), cfg, seed=7)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, radius=4.0)
-        for eps, (run,) in res.runs.items():
-            traj = run.trajectory()
+        for eps in res.measures:
+            traj = _rerun(ladder, part, eps, 0, res.paths).trajectory()
             bary = barycenter(res.measures[eps]).reshape(part.n_t, part.n_space, -1)
             slabs = np.array([part.slab_of(float(t)) for t in traj.times])
             for s in range(part.n_t):
@@ -101,9 +133,59 @@ class TestLadder:
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, radius=4.0)
         # identical Ito input trace; stochastic integrals differ through u
-        t0, t1 = res.runs[0.1][0].trace, res.runs[0.05][0].trace
+        t0, t1 = res.traces[0.1][0][1], res.traces[0.05][0][1]
         assert np.array_equal(t0.ito_input, t1.ito_input)
         assert not np.array_equal(t0.stochastic, t1.stochastic)
+
+
+class TestStreamingLadder:
+    def setup_ladder(self):
+        # radius 0.3 splits the samples between oscillation and concentration
+        cfg = base_config(n=16, horizon=0.25)
+        ladder = ViscosityLadder((0.1, 0.05), cfg, seed=17, path_ids=(0, 1))
+        part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
+        return ladder, part, run_ladder(ladder, part, radius=0.3)
+
+    def test_measures_equal_rerun_families(self):
+        ladder, part, res = self.setup_ladder()
+        assert res.tail == [0.05]
+        assert res.family.lam_total() > 0.0
+        for eps in ladder.eps_values:
+            want = estimate_from_family(
+                (_rerun(ladder, part, eps, pid, res.paths).trajectory()
+                 for pid in ladder.path_ids), part, 0.3)
+            _assert_same_bits(res.measures[eps], want)
+        want = estimate_from_family(
+            (_rerun(ladder, part, eps, pid, res.paths).trajectory()
+             for eps in res.tail for pid in ladder.path_ids), part, 0.3)
+        _assert_same_bits(res.family, want)
+
+    def test_result_holds_one_run_with_snapshots(self):
+        ladder, part, res = self.setup_ladder()
+        whole = [r for f in fields(res) for r in _held_runs(getattr(res, f.name))
+                 if r.snapshots]
+        assert len(whole) <= 1
+        assert res.finest.config.eps == 0.05 and res.finest.path_id == 0
+        assert [[pid for pid, _ in res.traces[eps]] for eps in ladder.eps_values] \
+            == [[0, 1], [0, 1]]
+
+    def test_tail_is_configured_half_less_blown_rungs(self):
+        # the noise grows past sup |u| = 0.4 only at eps = 0.01, on both
+        # paths; the tail is the configured last half (2, 0.01) less that
+        # rung, where the last half of the surviving rungs would be (4, 2)
+        cfg = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, sigma=2.0),
+                           eps=8.0, dt=1.0 / 64, horizon=0.5,
+                           initial=InitialCondition("zero"), blowup_ceiling=0.4)
+        ladder = ViscosityLadder((8.0, 4.0, 2.0, 0.01), cfg, seed=3, path_ids=(0, 1))
+        part = CellPartition(2, 16, 2, 2, 0.0, 0.5)
+        res = run_ladder(ladder, part, radius=4.0)
+        assert list(res.blowups) == [0.01]
+        assert [pid for pid, _ in res.blowups[0.01]] == [0, 1]
+        assert list(res.measures) == [8.0, 4.0, 2.0]
+        assert res.tail == [2.0]
+        assert res.finest.config.eps == 2.0
+        _assert_same_bits(res.family, res.measures[2.0])
+        assert len(res.cauchy_distances) == 2
 
 
 class TestMomentumResidual:
@@ -391,8 +473,8 @@ class TestEnergyInequalityLimit:
         ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=29)
         part = CellPartition(2, 32, 4, 4, 0.0, 0.5)
         res = run_ladder(ladder, part, radius=3.0)
-        traces = [r.trace for eps in (0.05, 0.025) for r in res.runs[eps]]
-        tol = res.runs[0.025][0].trace.tolerance(c=1.0)
+        traces = [tr for eps in (0.05, 0.025) for _, tr in res.traces[eps]]
+        tol = res.traces[0.025][0][1].tolerance(c=1.0)
         rows, _ = energy_inequality_limit(res.family, traces, None, tol=tol)
         assert all_passed(rows)
         # dissipative dynamics: the compensated slab process really decreases
@@ -407,7 +489,7 @@ class TestFamilyEnergyAlongLadder:
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, radius=6.0)
         from dissipeuler.young import slab_energies
-        sup_path = max(float(np.max(r.trace.energy))
-                       for eps in (0.1, 0.05) for r in res.runs[eps])
+        sup_path = max(float(np.max(tr.energy))
+                       for eps in (0.1, 0.05) for _, tr in res.traces[eps])
         for e in slab_energies(res.family):
             assert e <= sup_path * (1 + 1e-10)
