@@ -247,8 +247,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
                            snapshot_times=snaps)
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
-    traj = run.trajectory()
-    V = dirac_embed(traj, part, cfg.young.radius,
+    V = dirac_embed(run.trajectory, part, cfg.young.radius,
                     bins_per_axis=cfg.young.bins_per_axis,
                     sphere_bins=cfg.young.sphere_bins)
     out.write_json("measures/run.json", measure_to_dict(V))

@@ -12,7 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .forcing import ForcingError, ForcingMode, ForcingOperator, default_forcing
+from .forcing import (
+    ForcingError,
+    ForcingMode,
+    ForcingOperator,
+    UnresolvedModeError,
+    default_forcing,
+)
 from .limits import MIN_MARTINGALE_PATHS
 from .solver import InitialCondition, SolverConfig, SolverError
 from .spectral import SpectralError, TorusGrid
@@ -256,7 +262,9 @@ def _check_run_bytes(cfg: RunConfig) -> None:
     its snapshots, each a half spectrum plus its physical values in the
     run's trajectory, and ``WORKING_FIELDS`` half-spectrum fields.  The run
     is on the largest grid the experiment integrates, ``reference.n`` for
-    weakstrong; simulate and martingale runs keep no snapshots.
+    weakstrong; simulate and martingale runs keep no snapshots.  For
+    weakstrong this is an upper bound: its reference run is reduced as it
+    runs and keeps no snapshots, and its weak runs are on the coarser grid.
     """
     dim = cfg.grid.dim
     where, n = ("reference.n", cfg.reference.n) if cfg.experiment == "weakstrong" \
@@ -331,6 +339,8 @@ def _parse_forcing(raw, grid):
         else:
             raise ConfigError("forcing", "need modes or preset='default'")
         op.check_resolved(grid)
+    except UnresolvedModeError as err:   # the presets lie in every band
+        raise ConfigError(f"forcing.modes[{err.index}]", str(err)) from err
     except ForcingError as err:
         raise ConfigError("forcing", str(err)) from err
     return op

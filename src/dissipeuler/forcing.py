@@ -32,6 +32,14 @@ class ForcingError(ValueError):
     pass
 
 
+class UnresolvedModeError(ForcingError):
+    """A forcing mode lies outside the dealias band of a grid."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class ForcingMode:
     """One forcing component: wavevector, transverse direction, amplitude.
@@ -94,14 +102,20 @@ class ForcingOperator:
         return float(sum(m.sigma ** 2 for m in self.modes))
 
     def check_resolved(self, grid: TorusGrid) -> None:
+        """Every mode lies in the dealias band |k_j| <= grid.dealias_cutoff().
+
+        A mode beyond it would put energy that the dealiased convective
+        term never sees, and would break the solver's invariant that every
+        state lies in the band.
+        """
         if grid.dim != self.dim:
             raise ForcingError("forcing dimension does not match grid")
-        limit = grid.n // 2 - 1
-        for m in self.modes:
-            if any(abs(q) > limit for q in m.k):
-                raise ForcingError(
-                    f"forcing mode {m.k} exceeds Nyquist limit of n={grid.n}"
-                )
+        cutoff = grid.dealias_cutoff()
+        for i, m in enumerate(self.modes):
+            if any(abs(q) > cutoff for q in m.k):
+                raise UnresolvedModeError(
+                    i, f"forcing mode {m.k} lies outside the dealias band "
+                       f"|k_j| <= {cutoff} of n={grid.n}")
 
     def mode_field(self, grid: TorusGrid, idx: int) -> SpectralField:
         """The unit-L2 field g_k for one mode: direction * trig(k.x) * sqrt(2/vol)."""

@@ -92,11 +92,11 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     """Run every rung on shared noise and estimate the family measure.
 
     Runs go one after another in (eps, path) order and stream: each
-    surviving run's trajectory is built once and added to its rung's
-    ``YoungAccumulator`` and, for a tail rung, to the family's, and then
-    the run's snapshots are dropped.  The tail is the last half of the
-    configured rungs, ``eps_values[len // 2:]``, less any rung without a
-    surviving run; per-rung measures pool the ensemble at that viscosity.
+    surviving run's trajectory (the point values ``run_path`` captured) is
+    added to its rung's ``YoungAccumulator`` and, for a tail rung, to the
+    family's, and then the run is dropped.  The tail is the last half of
+    the configured rungs, ``eps_values[len // 2:]``, less any rung without
+    a surviving run; per-rung measures pool the ensemble at that viscosity.
     Blow-ups abort a single (eps, path) run and the ladder continues without
     it.  The result keeps every survivor's energy trace with its path id,
     the measures and one whole run, ``finest``, the first survivor of the
@@ -129,13 +129,13 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
             if err is not None:
                 blowups.setdefault(eps, []).append((pid, str(err)))
                 continue
-            traj = run.trajectory()
-            rung.add(traj)
+            rung.add(run.trajectory)
             if in_tail:
-                pooled.add(traj)
+                pooled.add(run.trajectory)
                 if not traces[eps]:
                     finest = run
             traces[eps].append((pid, run.trace))
+            del run   # released before the next run, unless it is ``finest``
         if traces[eps]:
             measures[eps] = rung.measure()
             if in_tail:
@@ -173,22 +173,23 @@ def momentum_residual(run: SolverRun, forcing: ForcingOperator | None,
                       t: float) -> float:
     """|M_t - <Phi W(t), phi>| for one run, from its snapshots up to time t.
 
-    The run's spectral snapshots on [0, t] replay through a
-    ``FunctionalRecorder`` at the run's viscosity and transport setting, so
-    M_t is the same left-point functional the martingale statistics use; the
-    stochastic integral is the exact mode pairings times the Wiener
+    The run's snapshots on [0, t], with their point values, replay through
+    a ``FunctionalRecorder`` at the run's viscosity and transport setting,
+    so M_t is the same left-point functional the martingale statistics use;
+    the stochastic integral is the exact mode pairings times the Wiener
     coordinates.  Both 0 and t must be snapshot times of the run.
     """
-    times = np.asarray(run.snapshot_times, dtype=float)
+    times = np.asarray(run.trajectory.times, dtype=float)
     if not (len(times) and abs(times[0]) <= 1e-9
             and np.any(np.abs(times - t) <= 1e-9)):
         raise LimitError(f"run needs snapshots at t=0 and t={t}")
     rec = FunctionalRecorder(phi, run.config.eps,
                              transport=run.config.transport)
-    for n, (tm, u) in enumerate(zip(times, run.snapshots)):
+    for n, (tm, u, phys) in enumerate(zip(times, run.snapshots,
+                                          run.trajectory.values)):
         if tm > t + 1e-9:
             break
-        rec.on_state(n, tm, u)
+        rec.on_state(n, tm, u, phys)
     m_t = float(rec.martingale_series()[-1])
 
     stochastic = 0.0
@@ -208,7 +209,9 @@ class FunctionalRecorder:
     Each observed state is weighted by the gap to the next observed time
     (left-point quadrature), which matches the explicit scheme when every
     step is observed; the convective pairing reads <u x u, grad phi>
-    pointwise on the grid.  The state at step 0 starts a new run: it binds
+    pointwise on the grid, from the point values that come with each state,
+    so the recorder makes no transform per state (only one, of grad phi,
+    when it is built).  The state at step 0 starts a new run: it binds
     fresh series lists (earlier ones stay valid, as they are never cleared)
     and keeps the test-field tables, so one recorder serves every path.
     """
@@ -222,14 +225,15 @@ class FunctionalRecorder:
         self._lap_phi = laplacian(phi)
         self._quad_w = grid.volume / grid.n ** grid.dim
 
-    def on_state(self, n, t, u):
+    def on_state(self, n, t, u, phys):
+        """Record state ``u`` at step ``n``, time ``t``, with point values ``phys``."""
         if n == 0:
             self.times, self.pairings, self._visc, self._conv = [], [], [], []
         self.times.append(float(t))
         self.pairings.append(inner_product(u, self.phi))
         if self.transport:
-            phys = u.to_physical().reshape(u.grid.dim, -1)
-            self._conv.append(tensor_pairing(phys, self._grad_phi) * self._quad_w)
+            pts = phys.reshape(u.grid.dim, -1)
+            self._conv.append(tensor_pairing(pts, self._grad_phi) * self._quad_w)
         else:
             self._conv.append(0.0)
         self._visc.append(inner_product(u, self._lap_phi))

@@ -32,7 +32,6 @@ from .spectral import (
     _convective_with_sup,
     dealias,
     energy_and_grad_norm_sq,
-    half_to_physical,
     laplacian_decay_factor,
     leray_project,
     single_mode,
@@ -156,8 +155,8 @@ class SolverConfig:
 
     @functools.cached_property
     def viscous_factor(self) -> np.ndarray:
-        """exp(-eps |k|^2 dt), built once per configuration."""
-        out = laplacian_decay_factor(self.grid, self.eps, self.dt)
+        """exp(-eps |k|^2 dt) as complex numbers, built once per configuration."""
+        out = laplacian_decay_factor(self.grid, self.eps, self.dt).astype(np.complex128)
         out.setflags(write=False)
         return out
 
@@ -248,26 +247,24 @@ class Trajectory:
 class SolverRun:
     config: SolverConfig
     trace: EnergyTrace
-    snapshots: tuple          # SpectralField at snapshot_times
-    snapshot_times: np.ndarray
+    snapshots: tuple          # SpectralField at trajectory.times
+    trajectory: Trajectory    # the same snapshots' point values
     final: SpectralField
     path_id: int
 
-    def trajectory(self) -> Trajectory:
-        """The snapshots in physical space, by one batched transform."""
-        grid = self.config.grid
-        vals = half_to_physical(grid, np.stack([f.coeffs for f in self.snapshots]))
-        return Trajectory(grid, np.asarray(self.snapshot_times), vals)
 
-
-def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig) -> tuple:
+def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
+         phys: np.ndarray | None = None) -> tuple:
     """One Euler-Maruyama step with exact viscous integrating factor.
 
     Returns (new field, max_x |u| of the dealiased input); the sup is 0
-    without transport.  The noise is added at its sparse support only.
+    without transport.  ``phys`` holds the point values of u when the
+    caller has them (u then lies in the dealias band), so the transport
+    term makes no inverse transform.  The noise is added at its sparse
+    support only.
     """
     if cfg.transport:
-        conv, sup = _convective_with_sup(u)
+        conv, sup = _convective_with_sup(u, phys)
         drift = u.coeffs + cfg.dt * conv.coeffs
     else:
         sup = 0.0
@@ -287,7 +284,14 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
 
     A pre-sampled ``path`` (e.g. shared across viscosities or refined by
     Brownian bridge) overrides local sampling; its dt must match cfg.
-    Observers receive (step_index, time, field) at every recorded state.
+    Observers receive (step_index, time, field, point values) at every
+    recorded state.
+
+    Every state lies in the dealias band (the initial field is dealiased
+    and the forcing modes lie inside the band), so its point values come
+    from one inverse transform, computed once per state where anything
+    reads them: the transport term and its sup, the observers and the
+    snapshot capture, which keeps them as the run's ``trajectory``.
     """
     grid = cfg.grid
     steps = cfg.steps
@@ -317,6 +321,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
 
     want = _snapshot_index_set(snapshot_times, times)
     snaps, snap_times = [], []
+    snap_values = np.empty((len(want), grid.dim) + grid.shape)
 
     def trace_to(n):   # the energy budget of the first n grid times
         return EnergyTrace(times[:n], energy[:n], dissipation[:n],
@@ -328,11 +333,15 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
         if not (cfg.transport or np.isfinite(energy[n])):   # no sup to test
             raise BlowUpError(f"non-finite energy {energy[n]:.3e} at t = {times[n]:.4f}",
                               time=times[n], partial=trace_to(n + 1))
+        phys = None
+        if observers or n in want or (cfg.transport and n < steps):
+            phys = u.to_physical()
         if n in want:
+            snap_values[len(snaps)] = phys
             snaps.append(u)
             snap_times.append(times[n])
         for obs in observers:
-            obs.on_state(n, times[n], u)
+            obs.on_state(n, times[n], u, phys)
         if n == steps:
             break
         if cfg.eps > 0:
@@ -343,7 +352,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
             stochastic[n + 1] = stochastic[n] + float(pair @ dw)
         else:
             dw = None
-        u, sup = step(u, dw, cfg)
+        u, sup = step(u, dw, cfg, phys)
         if cfg.transport:
             blown = not sup <= cfg.blowup_ceiling   # a NaN sup is a blow-up
             if blown or (sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):
@@ -357,8 +366,9 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
                     f"dt = {cfg.dt:.3e} > {cfg.cfl_number} dx / {sup:.3e}",
                     time=times[n + 1], sup=sup, partial=partial)
 
-    return SolverRun(cfg, trace_to(steps + 1), tuple(snaps),
-                     np.asarray(snap_times), u, path_id)
+    trajectory = Trajectory(grid, np.asarray(snap_times), snap_values)
+    return SolverRun(cfg, trace_to(steps + 1), tuple(snaps), trajectory, u,
+                     path_id)
 
 
 def _snapshot_index_set(snapshot_times, times) -> set:

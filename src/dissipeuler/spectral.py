@@ -22,7 +22,11 @@ Conventions
   columns 0 and n/2, 2 elsewhere.
 * The Fourier multipliers of a grid (wavenumbers, |k|^2, 1/|k|^2, the
   dealias mask and the Parseval weight) are built once per ``TorusGrid``
-  and shared read-only.
+  and shared read-only, together with complex copies of the ones that
+  multiply coefficients, so no step casts a real or boolean multiplier.
+* A time step costs two transforms: one inverse transform of the state to
+  its point values, which the caller may already hold and pass in, and one
+  forward transform of all dim(dim+1)/2 products u_i u_j stacked.
 """
 
 from __future__ import annotations
@@ -108,7 +112,10 @@ class GridOperators:
     holds -n/2), ``dks`` the derivative wavenumbers, whose Nyquist entry is
     0 on every axis as ``real(ifftn(1j * k * c))`` implies for a real field.
     ``weight`` counts the full-spectrum coefficients each stored one stands
-    for in a Parseval sum.
+    for in a Parseval sum.  ``mask_c``, ``ks_c``, ``inv_k2_c`` and ``ik``
+    (``1j * dks``) are complex copies for multiplying coefficients: they
+    hold the values numpy would cast to on every use, so products with them
+    carry the same bits.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -134,8 +141,13 @@ class GridOperators:
             self.mask &= np.abs(k) <= cut
         self.weight = np.full(self.ks[-1].shape, 2.0)
         self.weight[..., 0] = self.weight[..., n // 2] = 1.0
+        self.mask_c = self.mask.astype(np.complex128)
+        self.ks_c = tuple(k.astype(np.complex128) for k in self.ks)
+        self.inv_k2_c = self.inv_k2.astype(np.complex128)
+        self.ik = tuple(1j * k for k in self.dks)
         for arr in (*self.ks, *self.dks, self.k2, self.inv_k2, self.mask,
-                    self.weight):
+                    self.weight, self.mask_c, *self.ks_c, self.inv_k2_c,
+                    *self.ik):
             arr.setflags(write=False)
 
 
@@ -248,8 +260,8 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 def _project(ops: GridOperators, c: np.ndarray) -> np.ndarray:
     """c - k (k.c) / |k|^2 on a coefficient array."""
-    ks = ops.ks
-    factor = sum(ks[j] * c[j] for j in range(len(ks))) * ops.inv_k2
+    ks = ops.ks_c
+    factor = sum(ks[j] * c[j] for j in range(len(ks))) * ops.inv_k2_c
     out = np.empty_like(c)
     for j in range(len(ks)):
         out[j] = c[j] - ks[j] * factor
@@ -273,8 +285,8 @@ def gradient_physical(f: SpectralField) -> np.ndarray:
     """
     grid = f.grid
     out = np.empty((grid.dim,) + f.coeffs.shape, dtype=np.complex128)
-    for j, k in enumerate(grid.ops.dks):
-        out[:, j] = 1j * k * f.coeffs
+    for j, ik in enumerate(grid.ops.ik):
+        out[:, j] = ik * f.coeffs
     return half_to_physical(grid, out)
 
 
@@ -306,7 +318,7 @@ def kinetic_energy(f: SpectralField) -> float:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.ops.mask)
+    return SpectralField(f.grid, f.coeffs * f.grid.ops.mask_c)
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -324,10 +336,17 @@ def convective_term(u: SpectralField) -> SpectralField:
     return conv
 
 
-def _convective_with_sup(u: SpectralField):
-    """Convective term plus max_x |u| (reuses the inverse transform)."""
+def _convective_with_sup(u: SpectralField, phys: np.ndarray | None = None):
+    """Convective term plus max_x |u| of the dealiased u.
+
+    ``phys`` holds the point values of u when the caller already has them;
+    u must then lie in the dealias band, as every state of
+    ``solver.run_path`` does.  Without it they come from one inverse
+    transform of the dealiased coefficients.
+    """
     grid = u.grid
-    phys = half_to_physical(grid, u.coeffs * grid.ops.mask)
+    if phys is None:
+        phys = half_to_physical(grid, u.coeffs * grid.ops.mask_c)
     sup = float(np.sqrt((phys ** 2).sum(axis=0).max()))
     out = _project(grid.ops, _neg_div_products(grid, phys))
     return SpectralField(grid, out), sup
@@ -337,19 +356,23 @@ def _neg_div_products(grid: TorusGrid, phys: np.ndarray) -> np.ndarray:
     """Dealiased coefficients of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
 
     ``phys`` holds the point values of u.  Each product u_i u_j (i <= j) is
-    formed pointwise once, truncated to the dealias mask, then
-    differentiated spectrally.  Accumulating the negative keeps the
-    transport term sign-exact, signed zeros included.
+    formed pointwise once into one stack, which one forward transform takes
+    to the half spectrum; the products are then truncated to the dealias
+    mask and differentiated spectrally.  Accumulating the negative keeps
+    the transport term sign-exact, signed zeros included.
     """
     ops = grid.ops
+    pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
+    prods = np.empty((len(pairs),) + grid.shape)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(phys[i], phys[j], out=prods[p])
+    prod_hat = _rfft(grid, prods)
+    prod_hat *= ops.mask_c
     out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            prod_hat = _rfft(grid, phys[i] * phys[j])
-            prod_hat *= ops.mask
-            out[i] -= 1j * ops.dks[j] * prod_hat
-            if i != j:
-                out[j] -= 1j * ops.dks[i] * prod_hat
+    for p, (i, j) in enumerate(pairs):
+        out[i] -= ops.ik[j] * prod_hat[p]
+        if i != j:
+            out[j] -= ops.ik[i] * prod_hat[p]
     return out
 
 

@@ -3,10 +3,11 @@
 The "strong" solution is operationally a resolved reference: a run on a
 finer grid with smaller dt, zero viscosity, and the same Wiener path
 (Brownian-bridge refined), declared valid up to the first time its spectral
-tail carries more than a configured energy fraction.  As soon as it
-finishes, the reference is reduced on the audit's partition to what the
+tail carries more than a configured energy fraction.  While it runs, an
+observer reduces the reference on the audit's partition to what the
 relative energy reads per time slab: its slab-mean velocity per space cell
-and its slab-mean ||v||^2.  Against it the relative energy
+and its slab-mean ||v||^2, so the run keeps no snapshot.  Against it the
+relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -58,40 +59,81 @@ class StrongReference:
         return float(np.max(self.grad_sup))
 
 
+class ReferenceReduction:
+    """Observer reducing a reference run on ``partition`` as it runs.
+
+    At each observed state whose time is one of ``snapshot_times`` it reads
+    ||grad v||_inf, the spectral tail fraction, the space-cell averages of
+    the point values and ||v||^2, and keeps nothing else of the state but
+    the first one (v(0), which F(0) reads).  The horizon is the first such
+    time at which the dealias-band energy fraction exceeds tail_tol (the
+    reference is no longer trusted as a classical solution there);
+    otherwise ``horizon``.  ``reference`` then gives each time slab the
+    mean over its snapshots of the cell averages and of ||v||^2, the two
+    quantities the relative energy reads; a slab without a snapshot, or a
+    snapshot time no state was observed at, is an error.
+    """
+
+    def __init__(self, partition: CellPartition, snapshot_times,
+                 horizon: float, tail_tol: float = 1e-6):
+        self.partition = partition
+        self.tail_tol = tail_tol
+        self.horizon = float(horizon)
+        self.first = None
+        self._wanted = np.asarray(snapshot_times, dtype=float)
+        self._seen = np.zeros(len(self._wanted), dtype=bool)
+        self._times, self._grad_sup = [], []
+        self._sums, self._norms = {}, {}   # per slab, in time order
+
+    def on_state(self, n, t, v, phys):
+        hit = np.abs(self._wanted - t) <= 1e-9
+        if not hit.any():
+            return
+        self._seen |= hit
+        if self.first is None:
+            self.first = v
+        tensor = gradient_physical(v)
+        self._grad_sup.append(float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max())))
+        if tail_energy_fraction(v) > self.tail_tol and self.horizon >= t:
+            self.horizon = float(t)
+        self._times.append(t)
+        slab = self.partition.slab_of(float(t))
+        self._sums[slab] = self._sums.get(slab, 0.0) + self.partition.block_mean(phys)
+        self._norms.setdefault(slab, []).append(l2_norm_sq(v))
+
+    def reference(self) -> StrongReference:
+        if not self._times:
+            raise WeakStrongError("reference run carries no snapshots")
+        if not self._seen.all():
+            raise WeakStrongError(f"snapshot times {self._wanted[~self._seen].tolist()} "
+                                  "are not on the reference step grid")
+        cell_mean, slab_energy_sq = [], []
+        for s in range(self.partition.n_t):
+            if s not in self._sums:
+                raise WeakStrongError(f"reference has no snapshots in slab {s}")
+            count = len(self._norms[s])
+            cell_mean.append(np.ascontiguousarray(
+                np.moveaxis(self._sums[s] / count, -1, 0)))
+            slab_energy_sq.append(np.mean(self._norms[s]))
+        return StrongReference(np.asarray(self._times, dtype=float),
+                               np.array(self._grad_sup), self.horizon,
+                               np.stack(cell_mean), np.array(slab_energy_sq))
+
+
 def build_reference(run: SolverRun, partition: CellPartition,
                     tail_tol: float = 1e-6) -> StrongReference:
-    """Reduce a solver run on ``partition`` to a strong reference.
+    """Reduce a finished solver run on ``partition`` to a strong reference.
 
-    The horizon is the first snapshot time at which the dealias-band energy
-    fraction exceeds tail_tol (the reference is no longer trusted as a
-    classical solution there); otherwise the full run horizon.  Each time
-    slab keeps the mean over its snapshots of the space-cell averages of v
-    and of ||v||^2, the two quantities the relative energy reads; a slab
-    without a snapshot is an error.
+    The run's snapshots, with their point values, replay through a
+    ``ReferenceReduction``, so the result has the bits of a reduction that
+    observed the run as it ran.
     """
-    if len(run.snapshots) == 0:
-        raise WeakStrongError("reference run carries no snapshots")
-    times = np.asarray(run.snapshot_times, dtype=float)
-    grad_sup = np.empty(len(times))
-    horizon = float(run.config.horizon)
-    for i, f in enumerate(run.snapshots):
-        tensor = gradient_physical(f)
-        grad_sup[i] = float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max()))
-        if tail_energy_fraction(f) > tail_tol and horizon >= times[i]:
-            horizon = float(times[i])
-    slabs = np.array([partition.slab_of(float(t)) for t in times])
-    cell_mean, slab_energy_sq = [], []
-    for s in range(partition.n_t):
-        sel = np.flatnonzero(slabs == s)
-        if not len(sel):
-            raise WeakStrongError(f"reference has no snapshots in slab {s}")
-        acc = 0.0
-        for m in sel:
-            acc = acc + partition.block_mean(run.snapshots[m].to_physical())
-        cell_mean.append(np.ascontiguousarray(np.moveaxis(acc / len(sel), -1, 0)))
-        slab_energy_sq.append(np.mean([l2_norm_sq(run.snapshots[m]) for m in sel]))
-    return StrongReference(times, grad_sup, horizon, np.stack(cell_mean),
-                           np.array(slab_energy_sq))
+    times = run.trajectory.times
+    reduction = ReferenceReduction(partition, times, run.config.horizon, tail_tol)
+    for n, (t, v, phys) in enumerate(zip(times, run.snapshots,
+                                         run.trajectory.values)):
+        reduction.on_state(n, t, v, phys)
+    return reduction.reference()
 
 
 def stopping_time(ref: StrongReference, level: float) -> float:
@@ -218,8 +260,9 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
     One pass per path: sample its Wiener path once, run the reference on
-    its Brownian-bridge refinement and reduce it on the partition, then run
-    and compare every rung on the path itself; F(0) is taken once per path.
+    its Brownian-bridge refinement, reducing it on the partition as it
+    runs, then run and compare every rung on the path itself; F(0) is taken
+    once per path.
     Returns the audit rows (F(0) = 0, F >= 0, agreement of the two forms of
     F, the monotone ladder and one Gronwall envelope per eps) and the
     diagnostics: per-eps relative-energy matrices with their Gronwall
@@ -249,24 +292,27 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
         path = WienerPath.sample(seed, pid, weak_base.rank, weak_base.dt,
                                  weak_base.steps) \
             if weak_base.forcing is not None else None
-        ref_run = run_path(reference_cfg, seed, pid,
-                           path=path.refined(dt_ratio) if path is not None else None,
-                           snapshot_times=snapshot_times)
-        refs.append(build_reference(ref_run, partition, tail_tol))
-        v0 = ref_run.snapshots[0]
-        del ref_run   # only the reduced reference and v(0) outlive the run
+        # the reference is reduced as it runs and keeps no snapshots
+        reduction = ReferenceReduction(partition, snapshot_times,
+                                       reference_cfg.horizon, tail_tol)
+        run_path(reference_cfg, seed, pid,
+                 path=path.refined(dt_ratio) if path is not None else None,
+                 snapshot_times=[], observers=(reduction,))
+        refs.append(reduction.reference())
+        v0 = reduction.first
         for r, cfg in enumerate(cfgs):
             weak_run = run_path(cfg, seed, pid, path=path,
                                 snapshot_times=snapshot_times)
             if r == 0:
                 f0.append(initial_relative_energy(weak_run.snapshots[0], v0))
-            V = dirac_embed(weak_run.trajectory(), partition, radius,
+            V = dirac_embed(weak_run.trajectory, partition, radius,
                             bins_per_axis=bins_per_axis)
             slabs = [relative_energy(V, refs[-1], s)
                      for s in range(partition.n_t)]
             f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
             gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
                                for s in slabs))
+        del weak_run, V   # released before the next path's reference run
 
     if level is None:
         level = 1.05 * max(ref.grad_sup_max() for ref in refs)

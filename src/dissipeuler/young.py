@@ -29,7 +29,10 @@ in the package reads them.
 
 Every measure comes from one ``YoungAccumulator``: ``add`` bins one
 trajectory's snapshots into per-entry moment sums and keeps nothing of the
-trajectory, and ``measure`` normalizes the sums once at the end.
+trajectory, and ``measure`` normalizes the sums once at the end.  The sums
+live in one table per time slab, and a snapshot's samples stay
+component-major, (dim, npts) as the trajectory stores them, so binning a
+snapshot touches only its own slab's entries.
 ``dirac_embed`` and ``estimate_from_family`` are loops over it, and a
 caller that produces trajectories one at a time (the viscosity ladder)
 feeds it directly, so no build needs a whole family in memory.
@@ -314,11 +317,14 @@ def _sphere_bin(units: np.ndarray, sphere_bins: int, dim: int) -> np.ndarray:
 
 
 class _MomentSums:
-    """Weight, first- and second-moment sums per occupied key.
+    """Weight, first- and second-moment sums per occupied key of one slab.
 
-    Keys get a slot when they first occur.  ``add`` sums one snapshot with
-    one bincount per moment and adds it to the running totals, so every
-    total associates as a dense accumulation over all keys would.
+    Keys get a slot when they first occur.  ``add`` sums one snapshot of
+    component-major (dim, npts) samples with one bincount per moment and
+    adds it to the running totals, so every total associates as a dense
+    accumulation over all keys would.  Totals start at +0.0 and a bincount
+    never returns -0.0, so a total never becomes -0.0 and the += 0.0 a
+    table skips for the snapshots of other slabs would change no bit.
     """
 
     def __init__(self, size: int, dim: int):
@@ -338,21 +344,32 @@ class _MomentSums:
                 for a in (self.w, self.v, self.vv))
         s = self.slot[keys]
         n = len(self.keys)
-        w = np.ones(len(values)) if weights is None else weights
-        self.w += np.bincount(s, weights=w, minlength=n)
-        for i in range(values.shape[1]):
-            self.v[:, i] += np.bincount(s, weights=w * values[:, i], minlength=n)
-            for j in range(i, values.shape[1]):
-                contrib = np.bincount(s, weights=w * values[:, i] * values[:, j],
+        # unit weights leave each weighted value bit-identical to the value
+        weighted = values if weights is None else weights * values
+        self.w += np.bincount(s, weights=weights, minlength=n)
+        for i in range(len(values)):
+            self.v[:, i] += np.bincount(s, weights=weighted[i], minlength=n)
+            for j in range(i, len(values)):
+                contrib = np.bincount(s, weights=weighted[i] * values[j],
                                       minlength=n)
                 self.vv[:, i, j] += contrib
                 if i != j:
                     self.vv[:, j, i] += contrib
 
-    def by_key(self):
-        """Sorted keys with their sums (E,), (E, dim), (E, dim, dim)."""
+    def by_key(self, offset: int):
+        """Sorted keys plus ``offset`` with their sums (E,), (E, dim), (E, dim, dim)."""
         order = np.argsort(self.keys)
-        return self.keys[order], self.w[order], self.v[order], self.vv[order]
+        return self.keys[order] + offset, self.w[order], self.v[order], self.vv[order]
+
+
+def _by_key(tables: list, span: int):
+    """The per-slab tables' sorted entries as one table over global keys.
+
+    Slab s holds the keys s * span ... (s + 1) * span - 1, so concatenating
+    in slab order keeps the keys sorted.
+    """
+    parts = [t.by_key(s * span) for s, t in enumerate(tables)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 class YoungAccumulator:
@@ -366,7 +383,8 @@ class YoungAccumulator:
     embedding of one square-integrable field); without it they feed the
     concentration part.  The sums depend only on the order of the added
     trajectories, so a caller that streams them gets the bits of one call
-    over the whole family.
+    over the whole family.  Each time slab has its own moment tables, keyed
+    by space cell and bin within the slab.
     """
 
     def __init__(self, partition: CellPartition, radius: float,
@@ -379,60 +397,66 @@ class YoungAccumulator:
         self.bins_per_axis = bins_per_axis
         self.sphere_bins = sphere_bins
         self.clip = clip
-        n_cells = partition.n_cells
-        self._n_bins = bins_per_axis ** partition.dim
-        self._osc = _MomentSums(n_cells * self._n_bins, partition.dim)
-        self._conc = _MomentSums(n_cells * sphere_bins, partition.dim)
-        self._samples_per_cell = np.zeros(n_cells)
-        self._below_per_cell = np.zeros(n_cells)
+        dim, n_space = partition.dim, partition.n_space
+        self._n_bins = bins_per_axis ** dim
+        self._osc = [_MomentSums(n_space * self._n_bins, dim)
+                     for _ in range(partition.n_t)]
+        self._conc = [_MomentSums(n_space * sphere_bins, dim)
+                      for _ in range(partition.n_t)]
+        self._samples_per_cell = np.zeros(partition.n_cells)
+        self._below_per_cell = np.zeros(partition.n_cells)
         self._space_idx = partition.space_cell_index()
+        self._space_count = np.bincount(self._space_idx, minlength=n_space)
         self._clipped = 0
         self._total = 0
 
     def add(self, traj) -> None:
         """Bin the snapshots of one ``solver.Trajectory``."""
         part = self.partition
-        dim, n_cells, n_bins = part.dim, part.n_cells, self._n_bins
+        dim, n_space, n_bins = part.dim, part.n_space, self._n_bins
         radius, bins_per_axis = self.radius, self.bins_per_axis
         if traj.grid.n != part.grid_n or traj.grid.dim != dim:
             raise YoungMeasureError("trajectory grid does not match partition")
+        cell = self._space_idx   # space cell of every sample, within its slab
         for m in range(traj.n_snapshots):
             t = float(traj.times[m])
             if t < part.t0 - 1e-12 or t > part.t1 + 1e-12:
                 continue
-            cell = part.slab_of(t) * part.n_space + self._space_idx
-            vals = traj.values[m].reshape(dim, -1).T  # (npts, dim)
-            self._total += len(vals)
-            self._samples_per_cell += np.bincount(cell, minlength=n_cells)
+            slab = part.slab_of(t)
+            in_slab = slice(slab * n_space, (slab + 1) * n_space)
+            vals = traj.values[m].reshape(dim, -1)  # (dim, npts)
+            self._total += vals.shape[1]
+            self._samples_per_cell[in_slab] += self._space_count
 
             if self.clip:
                 over = np.abs(vals) > radius
-                self._clipped += int(np.any(over, axis=1).sum())
-                use = np.clip(vals, -radius * (1 - 1e-12), radius * (1 - 1e-12))
-                self._below_per_cell += np.bincount(cell, minlength=n_cells)
-                self._osc.add(cell * n_bins + _bin_of_values(use, radius, bins_per_axis),
-                              use)
+                self._clipped += int(np.any(over, axis=0).sum())
+                vb = np.clip(vals, -radius * (1 - 1e-12), radius * (1 - 1e-12))
+                cb = cell
             else:
-                speed = np.sqrt((vals ** 2).sum(axis=1))
+                speed = np.sqrt((vals ** 2).sum(axis=0))
                 below = speed <= radius
-                if below.any():
-                    vb = vals[below]
-                    cb = cell[below]
-                    self._below_per_cell += np.bincount(cb, minlength=n_cells)
-                    self._osc.add(cb * n_bins + _bin_of_values(vb, radius, bins_per_axis),
-                                  vb)
-                above = ~below
-                if above.any():
-                    ca = cell[above]
-                    units = vals[above] / speed[above][:, None]
-                    self._conc.add(
-                        ca * self.sphere_bins + _sphere_bin(units, self.sphere_bins, dim),
-                        units, speed[above] ** 2)
+                vb, cb = vals, cell
+                if not below.all():
+                    above = ~below
+                    sa = np.compress(above, speed)
+                    units = np.compress(above, vals, axis=1) / sa
+                    self._conc[slab].add(
+                        np.compress(above, cell) * self.sphere_bins
+                        + _sphere_bin(units.T, self.sphere_bins, dim),
+                        units, sa ** 2)
+                    vb, cb = np.compress(below, vals, axis=1), np.compress(below, cell)
+            self._below_per_cell[in_slab] += (
+                self._space_count if cb is cell
+                else np.bincount(cb, minlength=n_space))
+            if len(cb):
+                self._osc[slab].add(
+                    cb * n_bins + _bin_of_values(vb.T, radius, bins_per_axis), vb)
 
     def measure(self) -> GeneralizedYoungMeasure:
         """The measure of every sample added; call it once, after the last add."""
         part = self.partition
-        dim, n_cells, n_bins = part.dim, part.n_cells, self._n_bins
+        dim, n_cells, n_space, n_bins = part.dim, part.n_cells, part.n_space, self._n_bins
         sphere_bins = self.sphere_bins
         if self._total == 0:
             raise YoungMeasureError("no samples fall inside the partition window")
@@ -447,9 +471,11 @@ class YoungAccumulator:
         empty = np.flatnonzero(~has_below)
         origin_bin = int(_bin_of_values(np.zeros((1, dim)), self.radius,
                                         self.bins_per_axis)[0])
-        self._osc.add(empty * n_bins + origin_bin, np.zeros((len(empty), dim)),
-                      np.zeros(len(empty)))
-        keys, w, v, vv = self._osc.by_key()
+        for slab, table in enumerate(self._osc):
+            local = empty[empty // n_space == slab] - slab * n_space
+            table.add(local * n_bins + origin_bin, np.zeros((dim, len(local))),
+                      np.zeros(len(local)))
+        keys, w, v, vv = _by_key(self._osc, n_space * n_bins)
         cell = keys // n_bins
         occupied = w > 0
         mean = np.zeros_like(v)
@@ -461,7 +487,7 @@ class YoungAccumulator:
         nu = BinEntries(n_bins, keys, mass, mean, sec)
 
         # concentration part: quadrature weight per sample is cellvol / samples
-        keys, w, v, vv = self._conc.by_key()
+        keys, w, v, vv = _by_key(self._conc, n_space * sphere_bins)
         cell = keys // sphere_bins
         cell_weight = (part.cell_volume / self._samples_per_cell)[cell]
         w = w * cell_weight

@@ -136,6 +136,21 @@ class TestSchema:
         assert "time.horizon" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_forcing_outside_dealias_band_exits_2(self, tmp_path, capsys):
+        # (6, 0) is below the Nyquist limit 7 of n = 16 but above its
+        # dealias cutoff 5; the second mode is the one named
+        raw = zero_config()
+        raw["forcing"] = {"modes": [
+            {"k": [1, 0], "direction": [0, 1], "sigma": 0.1},
+            {"k": [6, 0], "direction": [0, 1], "sigma": 0.1}]}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "forcing.modes[1]" in capsys.readouterr().err
+        assert not out.exists()
+        raw["forcing"]["modes"][1]["k"] = [5, 0]
+        assert parse_config(raw, "simulate").forcing.rank == 2
+
     def test_martingale_without_forcing_exits_2(self, tmp_path, capsys):
         raw = zero_config()
         raw["experiment"] = "martingale"

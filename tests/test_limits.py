@@ -92,7 +92,7 @@ class TestLadder:
         ladder = ViscosityLadder((0.1,), cfg, seed=3)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, radius=3.0)
-        traj = res.finest.trajectory()
+        traj = res.finest.trajectory
         Vd = dirac_embed(traj, part, 3.0)
         assert np.allclose(res.family.nu_mass, Vd.nu_mass)
         assert np.array_equal(res.family.nu.key, Vd.nu.key)
@@ -120,7 +120,7 @@ class TestLadder:
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, radius=4.0)
         for eps in res.measures:
-            traj = _rerun(ladder, part, eps, 0, res.paths).trajectory()
+            traj = _rerun(ladder, part, eps, 0, res.paths).trajectory
             bary = barycenter(res.measures[eps]).reshape(part.n_t, part.n_space, -1)
             slabs = np.array([part.slab_of(float(t)) for t in traj.times])
             for s in range(part.n_t):
@@ -152,11 +152,11 @@ class TestStreamingLadder:
         assert res.family.lam_total() > 0.0
         for eps in ladder.eps_values:
             want = estimate_from_family(
-                (_rerun(ladder, part, eps, pid, res.paths).trajectory()
+                (_rerun(ladder, part, eps, pid, res.paths).trajectory
                  for pid in ladder.path_ids), part, 0.3)
             _assert_same_bits(res.measures[eps], want)
         want = estimate_from_family(
-            (_rerun(ladder, part, eps, pid, res.paths).trajectory()
+            (_rerun(ladder, part, eps, pid, res.paths).trajectory
              for eps in res.tail for pid in ladder.path_ids), part, 0.3)
         _assert_same_bits(res.family, want)
 
@@ -232,7 +232,7 @@ class TestMomentumResidual:
         # independent trajectory-side evaluation of every term
         cfg, path, run = self.setup_run(eps=0.0, snapshot_times=snapshot_times)
         phi = div_free_phi(cfg.grid)
-        traj = run.trajectory()
+        traj = run.trajectory
         t = 0.25
         residual = momentum_residual(run, cfg.forcing, path, phi, t=t)
 
@@ -441,7 +441,7 @@ class TestEnergyInequalityLimit:
                            horizon=0.5, initial=InitialCondition("zero"))
         run = run_path(cfg, 1, 0)
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(run.trajectory(), part, radius=1.0)
+        V = dirac_embed(run.trajectory, part, radius=1.0)
         rows, _ = energy_inequality_limit(V, [run.trace], None, tol=1e-12)
         assert all_passed(rows)
         values = {r["audit"]: r["value"] for r in rows}
@@ -455,7 +455,7 @@ class TestEnergyInequalityLimit:
                            horizon=0.5, initial=InitialCondition("zero"))
         run = run_path(cfg, 1, 0)
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(run.trajectory(), part, radius=1.0)
+        V = dirac_embed(run.trajectory, part, radius=1.0)
         stochastic = run.trace.stochastic.copy()
         stochastic[-1] = np.nan
         trace = replace(run.trace, stochastic=stochastic)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from dissipeuler.forcing import (
     ForcingMode,
@@ -11,6 +12,7 @@ from dissipeuler.forcing import (
     WienerPath,
     default_forcing,
 )
+from dissipeuler.limits import FunctionalRecorder
 from dissipeuler.reporting import all_passed, row_passes
 from dissipeuler.solver import (
     BlowUpError,
@@ -167,7 +169,7 @@ class TestRunPath:
     def test_snapshots_at_requested_times(self):
         cfg = make_config()
         run = run_path(cfg, 1, 0, snapshot_times=[0.0, 0.125, 0.25])
-        assert list(run.snapshot_times) == [0.0, 0.125, 0.25]
+        assert list(run.trajectory.times) == [0.0, 0.125, 0.25]
         assert len(run.snapshots) == 3
 
     def test_rejects_off_grid_snapshot(self):
@@ -197,7 +199,7 @@ class TestItoPairing:
         states = []
 
         class Keep:
-            def on_state(self, n, t, u):
+            def on_state(self, n, t, u, phys):
                 states.append(u)
 
         run = run_path(cfg, 3, 1, snapshot_times=[], observers=(Keep(),))
@@ -210,6 +212,63 @@ class TestItoPairing:
                 for i, u in enumerate(states[:-1])]
         assert np.all(got != 0.0)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def in_band_forcing(dim, n):
+    """Default forcing plus one custom mode at the dealias cutoff."""
+    cut = TorusGrid(dim, n).dealias_cutoff()
+    extra = ForcingMode((cut, 1), (1.0, -cut), 0.2, "sin") if dim == 2 \
+        else ForcingMode((cut, 0, 1), (0.0, 1.0, 0.0), 0.2, "sin")
+    return ForcingOperator(default_forcing(dim, 0.3).modes + (extra,))
+
+
+class TestPointValues:
+    """run_path transforms each state once and hands the values around."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_states_in_band_and_values_exact(self, dim, n):
+        grid = TorusGrid(dim, n)
+        cfg = make_config(grid=grid, eps=0.02, dt=1.0 / 64, horizon=0.125,
+                          forcing=in_band_forcing(dim, n),
+                          initial=InitialCondition("random_spectrum", 0.5))
+        seen = []
+
+        class Keep:
+            def on_state(self, n, t, u, phys):
+                seen.append((u, phys.copy()))
+
+        times = [0.0, 0.0625, 0.125]
+        run = run_path(cfg, 5, 2, snapshot_times=times, observers=(Keep(),))
+        assert len(seen) == cfg.steps + 1
+        outside = ~grid.ops.mask
+        for u, phys in seen:
+            assert np.all(u.coeffs[:, outside] == 0)
+            assert np.array_equal(phys.view(np.uint64),
+                                  u.to_physical().view(np.uint64))
+        snap_steps = [round(t / cfg.dt) for t in times]
+        assert np.array_equal(run.trajectory.values,
+                              np.stack([seen[k][1] for k in snap_steps]))
+        assert np.array_equal(run.trajectory.times, times)
+
+    @pytest.mark.parametrize("observers,snapshot_times", [
+        (0, []), (0, None), (1, [0.0, 0.25]), (3, None)])
+    def test_one_inverse_and_one_forward_transform_per_step(
+            self, monkeypatch, observers, snapshot_times):
+        grid = TorusGrid(2, 32)
+        cfg = make_config(grid=grid, eps=0.02, dt=1.0 / 64, horizon=0.25,
+                          forcing=default_forcing(2, 0.3),
+                          initial=InitialCondition("random_spectrum", 0.5))
+        phi = SpectralField.from_modes(grid, {(0, 1): np.array([0.5j, 0.0])})
+        recs = [FunctionalRecorder(phi, cfg.eps) for _ in range(observers)]
+        calls = {"rfftn": 0, "irfftn": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        run_path(cfg, 1, 0, snapshot_times=snapshot_times, observers=recs)
+        assert calls["rfftn"] == cfg.steps
+        assert cfg.steps <= calls["irfftn"] <= cfg.steps + 1
 
 
 class TestEnergyAudit:

@@ -9,6 +9,7 @@ from dissipeuler.solver import InitialCondition, SolverConfig, Trajectory, run_p
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, single_mode, taylor_green
 import dissipeuler.weakstrong as weakstrong
 from dissipeuler.weakstrong import (
+    ReferenceReduction,
     weak_strong_ladder,
     WeakStrongError,
     build_reference,
@@ -45,7 +46,7 @@ class TestRelativeEnergy:
         run = steady_run(grid, snapshot_times=times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
         ref = build_reference(run, part)
-        V = dirac_embed(run.trajectory(), part, radius=3.0)
+        V = dirac_embed(run.trajectory, part, radius=3.0)
         e = 0.5 * l2_norm_sq(taylor_green(grid))
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
@@ -77,7 +78,7 @@ class TestRelativeEnergy:
         ref_run = steady_run(grid, amp=0.7, snapshot_times=times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
         ref = build_reference(ref_run, part)
-        V = dirac_embed(run.trajectory(), part, radius=4.0)
+        V = dirac_embed(run.trajectory, part, radius=4.0)
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
             scale = max(out["measure_form"], out["expanded_form"])
@@ -94,7 +95,7 @@ class TestRelativeEnergy:
                                initial=InitialCondition("random_spectrum",
                                                         amplitude=0.4))
             run = run_path(cfg, 43, pid, snapshot_times=times)
-            V = dirac_embed(run.trajectory(), part, radius=4.0)
+            V = dirac_embed(run.trajectory, part, radius=4.0)
             for slab in range(part.n_t):
                 assert relative_energy(V, ref, slab)["measure_form"] >= 0.0
 
@@ -125,7 +126,7 @@ class TestReference:
         run = run_path(cfg, 61, 0, snapshot_times=times)
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
         ref = build_reference(run, part)
-        assert np.array_equal(ref.times, run.snapshot_times)
+        assert np.array_equal(ref.times, run.trajectory.times)
         for s in range(part.n_t):
             sel = [m for m, t in enumerate(times) if part.slab_of(t) == s]
             acc = 0.0
@@ -135,6 +136,37 @@ class TestReference:
             assert np.array_equal(ref.cell_mean[s], want)
             assert ref.slab_energy_sq[s] == np.mean(
                 [l2_norm_sq(run.snapshots[m]) for m in sel])
+
+    def test_reduction_while_running_matches_replay(self):
+        # the ladder reduces its reference as it runs, keeping no snapshot;
+        # build_reference replays a finished run: the bits agree
+        grid = TorusGrid(2, 32)
+        times = snapshot_grid(0.25, 2, per_slab=3)
+        cfg = SolverConfig(grid=grid, forcing=default_forcing(2, sigma=0.2),
+                           eps=0.0, dt=1.0 / 64, horizon=0.25,
+                           initial=InitialCondition("random_spectrum",
+                                                    amplitude=0.3, k_max=2))
+        part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
+        finished = run_path(cfg, 61, 0, snapshot_times=times)
+        want = build_reference(finished, part, tail_tol=1e-9)
+        live = ReferenceReduction(part, times, cfg.horizon, tail_tol=1e-9)
+        run = run_path(cfg, 61, 0, snapshot_times=[], observers=(live,))
+        got = live.reference()
+        assert not run.snapshots
+        assert np.array_equal(live.first.coeffs, finished.snapshots[0].coeffs)
+        for name in ("times", "grad_sup", "cell_mean", "slab_energy_sq"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.horizon == want.horizon
+
+    def test_snapshot_time_off_the_step_grid_rejected(self):
+        grid = TorusGrid(2, 16)
+        cfg = SolverConfig(grid=grid, forcing=None, eps=0.0, dt=1.0 / 32,
+                           horizon=0.25, initial=InitialCondition("taylor_green"))
+        live = ReferenceReduction(CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                                  [0.0, 0.1, 0.1875], cfg.horizon)
+        run_path(cfg, 1, 0, snapshot_times=[], observers=(live,))
+        with pytest.raises(WeakStrongError, match="step grid"):
+            live.reference()
 
     def test_slab_without_snapshot_rejected(self):
         grid = TorusGrid(2, 16)
@@ -146,7 +178,7 @@ class TestReference:
         grid = TorusGrid(2, 16)
         run = steady_run(grid, snapshot_times=snapshot_grid(0.25, 2))
         ref = build_reference(run, CellPartition(2, 16, 2, 4, 0.0, 0.25))
-        V = dirac_embed(run.trajectory(), CellPartition(2, 16, 2, 8, 0.0, 0.25),
+        V = dirac_embed(run.trajectory, CellPartition(2, 16, 2, 8, 0.0, 0.25),
                         radius=3.0)
         with pytest.raises(WeakStrongError, match="another partition"):
             relative_energy(V, ref, 0)
