@@ -43,7 +43,7 @@ from .limits import (
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, apriori_moment_report
+from .solver import BlowUpError, apriori_moment_report, step_index
 from .spectral import SpectralField, TorusGrid, kinetic_energy, write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
@@ -303,7 +303,7 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
     else:
         functionals = linear_model_functionals_multi(
             cfg.forcing, fields, cfg.seed, range(cfg.martingale.linear_paths),
-            cfg.dt, int(round(cfg.horizon / cfg.dt)), pairs)
+            cfg.dt, step_index(cfg.horizon, cfg.dt), pairs)
     rows = []
     for phi_name, (by_pair, c) in functionals.items():
         for (s, t) in pairs:

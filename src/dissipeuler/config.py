@@ -20,7 +20,7 @@ from .forcing import (
     default_forcing,
 )
 from .limits import MIN_MARTINGALE_PATHS
-from .solver import InitialCondition, SolverConfig, SolverError
+from .solver import InitialCondition, SolverConfig, SolverError, step_index
 from .spectral import SpectralError, TorusGrid
 from .young import CellPartition
 
@@ -211,10 +211,11 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
     _no_unknown(t, "time", {"dt", "horizon"})
     dt = _positive(_get(t, "time", "dt", float), "time.dt")
     horizon = _positive(_get(t, "time", "horizon", float), "time.horizon")
-    steps = horizon / dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-        raise ConfigError("time.horizon",
-                          f"must be a whole number of steps of dt={dt:g}, got {horizon:g}")
+    try:
+        steps = step_index(horizon, dt)
+    except SolverError:
+        raise ConfigError("time.horizon", f"must be a whole number of steps "
+                                          f"of dt={dt:g}, got {horizon:g}") from None
 
     eps_values = _parse_viscosity(raw, experiment)
     forcing = _parse_forcing(raw, grid)
@@ -244,7 +245,7 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
                     martingale=mart, reference=ref, blowup_ceiling=blowup,
                     cfl_number=cfl, transport=transport)
     if experiment in ("vanish", "ym", "weakstrong"):
-        _check_time_cells(cfg, round(steps))
+        _check_time_cells(cfg, steps)
     if experiment == "martingale":   # after the parsers, which name a bad field first
         where, n = ("ensemble.paths", paths) if transport \
             else ("martingale.linear_paths", mart.linear_paths)
@@ -255,25 +256,27 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
 
 
 def _check_run_bytes(cfg: RunConfig) -> None:
-    """The largest run of the experiment fits under ``MAX_RUN_BYTES``.
+    """Every run of the experiment fits under ``MAX_RUN_BYTES``.
 
     Runs are integrated one at a time and a viscosity ladder streams its
     runs into the measures, so what an experiment holds is about one run:
     its snapshots, each a half spectrum plus its physical values in the
-    run's trajectory, and ``WORKING_FIELDS`` half-spectrum fields.  The run
-    is on the largest grid the experiment integrates, ``reference.n`` for
-    weakstrong; simulate and martingale runs keep no snapshots.  For
-    weakstrong this is an upper bound: its reference run is reduced as it
-    runs and keeps no snapshots, and its weak runs are on the coarser grid.
+    run's trajectory, and ``WORKING_FIELDS`` half-spectrum fields on its
+    grid.  Simulate and martingale runs and the weakstrong reference run
+    on ``reference.n`` keep no snapshots.
     """
     dim = cfg.grid.dim
-    where, n = ("reference.n", cfg.reference.n) if cfg.experiment == "weakstrong" \
-        else ("grid.n", cfg.grid.n)
+
+    def retained(n, snapshots):
+        half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
+        return snapshots * (half + 8 * dim * n ** dim) + WORKING_FIELDS * half
+
     snapshots = len(cfg.snapshot_times) \
         if cfg.experiment in ("vanish", "ym", "weakstrong") else 0
-    half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
-    physical = 8 * dim * n ** dim
-    need = snapshots * (half + physical) + WORKING_FIELDS * half
+    runs = [(retained(cfg.grid.n, snapshots), "grid.n", cfg.grid.n)]
+    if cfg.experiment == "weakstrong":
+        runs.append((retained(cfg.reference.n, 0), "reference.n", cfg.reference.n))
+    need, where, n = max(runs)
     if need > MAX_RUN_BYTES:
         raise ConfigError(where, f"a run at n={n} in {dim}D retains about "
                                  f"{need / 2 ** 30:.1f} GiB, above the "
@@ -428,8 +431,12 @@ def _parse_martingale(raw, horizon, dt):   # dt given: pairs must be whole steps
         s, t = (_check(x, f"{where}[{j}]", float) for j, x in enumerate(p))
         if not 0 <= s < t <= horizon:
             raise ConfigError(where, "need 0 <= s < t <= horizon")
-        if dt and any(abs(x / dt - round(x / dt)) > 1e-9 for x in (s, t)):
-            raise ConfigError(where, f"s and t must be whole numbers of steps of dt={dt:g}")
+        try:
+            for x in (s, t) if dt else ():
+                step_index(x, dt)
+        except SolverError:
+            raise ConfigError(where, "s and t must be whole numbers of steps "
+                                     f"of dt={dt:g}") from None
         pairs.append((s, t))
     histories = tuple(_get(m, "martingale", "histories", list, ["one"]))
     for h in histories:

@@ -30,7 +30,7 @@ from scipy.special import ndtri
 
 from .forcing import ForcingOperator, WienerPath
 from .reporting import audit_row
-from .solver import BlowUpError, SolverConfig, SolverRun, run_path
+from .solver import BlowUpError, SolverConfig, SolverRun, run_path, step_index
 from .spectral import (
     SpectralField,
     gradient_physical,
@@ -177,25 +177,24 @@ def momentum_residual(run: SolverRun, forcing: ForcingOperator | None,
     a ``FunctionalRecorder`` at the run's viscosity and transport setting,
     so M_t is the same left-point functional the martingale statistics use;
     the stochastic integral is the exact mode pairings times the Wiener
-    coordinates.  Both 0 and t must be snapshot times of the run.
+    coordinates of the run's ``path``.  Both 0 and t must be snapshot times
+    of the run, matched to its steps by ``step_index``.
     """
-    times = np.asarray(run.trajectory.times, dtype=float)
-    if not (len(times) and abs(times[0]) <= 1e-9
-            and np.any(np.abs(times - t) <= 1e-9)):
+    times, dt = run.trajectory.times, run.config.dt
+    last = step_index(t, dt, run.config.steps, LimitError)
+    steps = [step_index(tm, dt) for tm in times]
+    if not (steps and steps[0] == 0 and last in steps):
         raise LimitError(f"run needs snapshots at t=0 and t={t}")
     rec = FunctionalRecorder(phi, run.config.eps,
                              transport=run.config.transport)
-    for n, (tm, u, phys) in enumerate(zip(times, run.snapshots,
-                                          run.trajectory.values)):
-        if tm > t + 1e-9:
-            break
-        rec.on_state(n, tm, u, phys)
+    for n in range(steps.index(last) + 1):
+        rec.on_state(n, times[n], run.snapshots[n], run.trajectory.values[n])
     m_t = float(rec.martingale_series()[-1])
 
     stochastic = 0.0
     if forcing is not None and path is not None:
         c = forcing_pairings(phi, forcing)
-        beta = path.increments[:int(round(t / path.dt))].sum(axis=0)
+        beta = path.increments[:last].sum(axis=0)
         stochastic = float(c @ beta)
     return abs(m_t - stochastic)
 
@@ -318,9 +317,7 @@ def _by_pair(m, pairings, beta, pairs, dt: float) -> dict:
     """{(s, t): EnsembleFunctionals} from per-path series over the steps."""
     out = {}
     for s, t in pairs:
-        if any(abs(x / dt - round(x / dt)) > 1e-9 for x in (s, t)):
-            raise LimitError(f"pair ({s:g}, {t:g}) is off the step grid of dt={dt:g}")
-        si, ti = round(s / dt), round(t / dt)
+        si, ti = (step_index(x, dt, m.shape[1] - 1, LimitError) for x in (s, t))
         out[(s, t)] = EnsembleFunctionals(m[:, si], m[:, ti], beta[:, si],
                                           beta[:, ti], pairings[:, si])
     return out

@@ -63,19 +63,20 @@ def render_report(artifact_dir) -> str:
         lines.append("no report files recorded")
         return "\n".join(lines)
 
-    width = 44
     ok = True
     for rel in report_files:
         payload = json.loads((root / rel).read_text())
         rows = payload.get("rows", [])
+        aw = max([len("audit")] + [len(r["audit"]) for r in rows])
+        mw = max([len("module")] + [len(r["module"]) for r in rows])
         lines.append(f"\n{rel}:")
-        lines.append(f"  {'audit':{width}} {'module':34} {'value':>12} "
+        lines.append(f"  {'audit':{aw}} {'module':{mw}} {'value':>12} "
                      f"{'tolerance':>12} {'status':>8}")
         for r in rows:
             passed = row_passes(r["value"], r["tolerance"])
             status = "pass" if passed else "FAIL"
             ok = ok and passed
-            lines.append(f"  {r['audit'][:width]:{width}} {r['module'][:34]:34} "
+            lines.append(f"  {r['audit']:{aw}} {r['module']:{mw}} "
                          f"{r['value']:12.4e} {r['tolerance']:12.4e} {status:>8}")
     lines.append("")
     lines.append("overall: " + ("PASS" if ok else "FAIL"))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -207,10 +208,8 @@ class EnergyTrace:
     def _index(self, t: float) -> int:
         if len(self.times) < 2:
             raise SolverError("trace holds a single entry; no time pairs exist")
-        idx = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-9:
-            raise SolverError(f"time {t} is not on the trace grid")
-        return idx
+        return step_index(t - self.times[0], self.times[1] - self.times[0],
+                          len(self.times) - 1)
 
     def write_csv(self, path) -> None:
         defects = self.defect_series()
@@ -253,14 +252,30 @@ class SolverRun:
     path_id: int
 
 
+def step_index(t: float, dt: float, steps: int | None = None,
+               error: type = SolverError) -> int:
+    """The step n whose time n dt lies within 1e-9 of a step of time t.
+
+    The one rule that maps a time to a step of a run: a time off the step
+    grid, before step 0 or (given ``steps``) after step ``steps`` raises
+    ``error``.
+    """
+    x = t / dt
+    n = round(x) if math.isfinite(x) else -1
+    if n < 0 or abs(x - n) > 1e-9 or (steps is not None and n > steps):
+        bound = f"0..{steps}" if steps is not None else ">= 0"
+        raise error(f"time {t!r} is not on the step grid of dt={dt:g} (steps {bound})")
+    return n
+
+
 def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
-         phys: np.ndarray | None = None) -> tuple:
+         phys: np.ndarray | None) -> tuple:
     """One Euler-Maruyama step with exact viscous integrating factor.
 
-    Returns (new field, max_x |u| of the dealiased input); the sup is 0
-    without transport.  ``phys`` holds the point values of u when the
-    caller has them (u then lies in the dealias band), so the transport
-    term makes no inverse transform.  The noise is added at its sparse
+    ``phys`` holds the point values of u, which lies in the dealias band;
+    the transport term reads them and makes no inverse transform, and
+    without transport they are not read.  Returns (new field, max_x |u|);
+    the sup is 0 without transport.  The noise is added at its sparse
     support only.
     """
     if cfg.transport:
@@ -284,8 +299,8 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
 
     A pre-sampled ``path`` (e.g. shared across viscosities or refined by
     Brownian bridge) overrides local sampling; its dt must match cfg.
-    Observers receive (step_index, time, field, point values) at every
-    recorded state.
+    Observers receive (step n, time, field, point values) at every
+    recorded state; ``snapshot_times`` map to steps by ``step_index``.
 
     Every state lies in the dealias band (the initial field is dealiased
     and the forcing modes lie inside the band), so its point values come
@@ -319,7 +334,8 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     ito_input = 0.5 * hs2 * times
     stochastic = np.zeros(steps + 1)
 
-    want = _snapshot_index_set(snapshot_times, times)
+    want = set(range(steps + 1)) if snapshot_times is None \
+        else {step_index(t, cfg.dt, steps) for t in snapshot_times}
     snaps, snap_times = [], []
     snap_values = np.empty((len(want), grid.dim) + grid.shape)
 
@@ -369,19 +385,6 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     trajectory = Trajectory(grid, np.asarray(snap_times), snap_values)
     return SolverRun(cfg, trace_to(steps + 1), tuple(snaps), trajectory, u,
                      path_id)
-
-
-def _snapshot_index_set(snapshot_times, times) -> set:
-    if snapshot_times is None:
-        return set(range(len(times)))
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
-    out = set()
-    for t in snapshot_times:
-        idx = int(round(t / dt))
-        if idx < 0 or idx >= len(times) or abs(times[idx] - t) > 1e-9:
-            raise SolverError(f"snapshot time {t} is not on the step grid")
-        out.add(idx)
-    return out
 
 
 # -- ensemble moment monitor ----------------------------------------------

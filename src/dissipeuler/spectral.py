@@ -24,9 +24,10 @@ Conventions
   dealias mask and the Parseval weight) are built once per ``TorusGrid``
   and shared read-only, together with complex copies of the ones that
   multiply coefficients, so no step casts a real or boolean multiplier.
-* A time step costs two transforms: one inverse transform of the state to
-  its point values, which the caller may already hold and pass in, and one
-  forward transform of all dim(dim+1)/2 products u_i u_j stacked.
+* The transport kernel reads the point values of a dealias-band field and
+  makes one forward transform of all dim(dim+1)/2 products u_i u_j stacked;
+  a run transforms each state once, so a step costs two transforms, and
+  ``convective_term`` dealiases and transforms any other field for it.
 """
 
 from __future__ import annotations
@@ -330,23 +331,20 @@ def convective_term(u: SpectralField) -> SpectralField:
     """Leray-projected, dealiased divergence-form transport -P div(u x u).
 
     For divergence-free u this equals the projection of -(grad u) u and is
-    L^2-orthogonal to u (energy-neutral transport).
+    L^2-orthogonal to u (energy-neutral transport).  The kernel reads the
+    point values of the dealiased u, from one inverse transform.
     """
-    conv, _ = _convective_with_sup(u)
+    conv, _ = _convective_with_sup(u, dealias(u).to_physical())
     return conv
 
 
-def _convective_with_sup(u: SpectralField, phys: np.ndarray | None = None):
-    """Convective term plus max_x |u| of the dealiased u.
+def _convective_with_sup(u: SpectralField, phys: np.ndarray):
+    """Convective term plus max_x |u| from the point values ``phys`` of u.
 
-    ``phys`` holds the point values of u when the caller already has them;
-    u must then lie in the dealias band, as every state of
-    ``solver.run_path`` does.  Without it they come from one inverse
-    transform of the dealiased coefficients.
+    u lies in the dealias band, as every state of ``solver.run_path`` does
+    (``convective_term`` dealiases any other field first).
     """
     grid = u.grid
-    if phys is None:
-        phys = half_to_physical(grid, u.coeffs * grid.ops.mask_c)
     sup = float(np.sqrt((phys ** 2).sum(axis=0).max()))
     out = _project(grid.ops, _neg_div_products(grid, phys))
     return SpectralField(grid, out), sup
@@ -463,8 +461,6 @@ def single_mode(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
 #   data    dim * n^(dim-1) * (n//2 + 1) complex coefficients (the half
 #           spectrum, ``grid.spectral_shape`` per component) as (re, im) f64
 #           pairs in row-major (C) wavevector order, component-major.
-# Version 1 held the full ``fftn`` layout, dim * n^dim coefficients; its
-# first n//2 + 1 entries along the last axis are the version 2 data.
 
 
 def write_field(path, f: SpectralField, time: float) -> None:
@@ -487,10 +483,10 @@ def read_field(path):
             raise SpectralError(f"truncated snapshot: expected a 15-byte "
                                 f"header, got {len(header)} bytes")
         version, dim, n, time = struct.unpack("<HBId", header)
-        if version not in (1, _SNAPSHOT_VERSION):
+        if version != _SNAPSHOT_VERSION:
             raise SpectralError(f"unsupported snapshot version {version}")
         grid = TorusGrid(dim, n)
-        shape = (dim,) + (grid.shape if version == 1 else grid.spectral_shape)
+        shape = (dim,) + grid.spectral_shape
         count = 2 * int(np.prod(shape))
         data = fh.read(count * 8)
         if len(data) != count * 8:
@@ -498,4 +494,4 @@ def read_field(path):
                                 f"data bytes, got {len(data)}")
         raw = np.frombuffer(data, dtype="<f8", count=count)
         coeffs = raw.astype(np.float64).view(np.complex128).reshape(shape)
-        return SpectralField(grid, coeffs[..., : n // 2 + 1].copy()), time
+        return SpectralField(grid, coeffs), time

@@ -3,11 +3,11 @@
 The "strong" solution is operationally a resolved reference: a run on a
 finer grid with smaller dt, zero viscosity, and the same Wiener path
 (Brownian-bridge refined), declared valid up to the first time its spectral
-tail carries more than a configured energy fraction.  While it runs, an
-observer reduces the reference on the audit's partition to what the
-relative energy reads per time slab: its slab-mean velocity per space cell
-and its slab-mean ||v||^2, so the run keeps no snapshot.  Against it the
-relative energy
+tail carries more than a configured energy fraction.  ``build_reference``
+integrates it once per path and, while it runs, reduces it on the audit's
+partition to what the relative energy reads per time slab: its slab-mean
+velocity per space cell and its slab-mean ||v||^2, so the run keeps no
+snapshot.  Against it the relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .forcing import WienerPath
 from .reporting import audit_row
-from .solver import SolverConfig, SolverRun, run_path
+from .solver import SolverConfig, run_path, step_index
 from .spectral import (
     SpectralField,
     gradient_physical,
@@ -62,7 +62,7 @@ class StrongReference:
 class ReferenceReduction:
     """Observer reducing a reference run on ``partition`` as it runs.
 
-    At each observed state whose time is one of ``snapshot_times`` it reads
+    At each observed state whose step is one of ``snapshot_steps`` it reads
     ||grad v||_inf, the spectral tail fraction, the space-cell averages of
     the point values and ||v||^2, and keeps nothing else of the state but
     the first one (v(0), which F(0) reads).  The horizon is the first such
@@ -70,26 +70,23 @@ class ReferenceReduction:
     reference is no longer trusted as a classical solution there);
     otherwise ``horizon``.  ``reference`` then gives each time slab the
     mean over its snapshots of the cell averages and of ||v||^2, the two
-    quantities the relative energy reads; a slab without a snapshot, or a
-    snapshot time no state was observed at, is an error.
+    quantities the relative energy reads; a slab without a snapshot is an
+    error.
     """
 
-    def __init__(self, partition: CellPartition, snapshot_times,
+    def __init__(self, partition: CellPartition, snapshot_steps,
                  horizon: float, tail_tol: float = 1e-6):
         self.partition = partition
         self.tail_tol = tail_tol
         self.horizon = float(horizon)
         self.first = None
-        self._wanted = np.asarray(snapshot_times, dtype=float)
-        self._seen = np.zeros(len(self._wanted), dtype=bool)
+        self._steps = frozenset(snapshot_steps)
         self._times, self._grad_sup = [], []
         self._sums, self._norms = {}, {}   # per slab, in time order
 
     def on_state(self, n, t, v, phys):
-        hit = np.abs(self._wanted - t) <= 1e-9
-        if not hit.any():
+        if n not in self._steps:
             return
-        self._seen |= hit
         if self.first is None:
             self.first = v
         tensor = gradient_physical(v)
@@ -104,9 +101,6 @@ class ReferenceReduction:
     def reference(self) -> StrongReference:
         if not self._times:
             raise WeakStrongError("reference run carries no snapshots")
-        if not self._seen.all():
-            raise WeakStrongError(f"snapshot times {self._wanted[~self._seen].tolist()} "
-                                  "are not on the reference step grid")
         cell_mean, slab_energy_sq = [], []
         for s in range(self.partition.n_t):
             if s not in self._sums:
@@ -120,20 +114,23 @@ class ReferenceReduction:
                                np.stack(cell_mean), np.array(slab_energy_sq))
 
 
-def build_reference(run: SolverRun, partition: CellPartition,
-                    tail_tol: float = 1e-6) -> StrongReference:
-    """Reduce a finished solver run on ``partition`` to a strong reference.
+def build_reference(cfg: SolverConfig, seed: int, path_id: int,
+                    partition: CellPartition, snapshot_times,
+                    path: WienerPath | None = None,
+                    tail_tol: float = 1e-6) -> tuple:
+    """Integrate a reference run and reduce it on ``partition`` as it runs.
 
-    The run's snapshots, with their point values, replay through a
-    ``ReferenceReduction``, so the result has the bits of a reduction that
-    observed the run as it ran.
+    Returns (StrongReference, v(0)).  The snapshot times map to steps of
+    ``cfg`` by ``step_index`` before the run starts, so a time off its step
+    grid fails before any integration.  The run, on ``path`` if given,
+    keeps no snapshot.
     """
-    times = run.trajectory.times
-    reduction = ReferenceReduction(partition, times, run.config.horizon, tail_tol)
-    for n, (t, v, phys) in enumerate(zip(times, run.snapshots,
-                                         run.trajectory.values)):
-        reduction.on_state(n, t, v, phys)
-    return reduction.reference()
+    steps = {step_index(t, cfg.dt, cfg.steps, WeakStrongError)
+             for t in snapshot_times}
+    reduction = ReferenceReduction(partition, steps, cfg.horizon, tail_tol)
+    run_path(cfg, seed, path_id, path=path, snapshot_times=[],
+             observers=(reduction,))
+    return reduction.reference(), reduction.first
 
 
 def stopping_time(ref: StrongReference, level: float) -> float:
@@ -259,17 +256,16 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
                        tail_tol: float = 1e-6):
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
-    One pass per path: sample its Wiener path once, run the reference on
-    its Brownian-bridge refinement, reducing it on the partition as it
-    runs, then run and compare every rung on the path itself; F(0) is taken
-    once per path.
+    One pass per path: sample its Wiener path once, build the reference on
+    its Brownian-bridge refinement, then run and compare every rung on the
+    path itself; F(0) is taken once per path.
     Returns the audit rows (F(0) = 0, F >= 0, agreement of the two forms of
     F, the monotone ladder and one Gronwall envelope per eps) and the
     diagnostics: per-eps relative-energy matrices with their Gronwall
     diagnostics, the stopping times and the paired monotonicity diagnostics
     along the ladder.  Checked before any integration: the reference refines
     the weak grid and divides its dt by a power of two, and the snapshot
-    times hold t = 0 and reach every time slab.
+    times lie on the weak step grid, hold t = 0 and reach every time slab.
     """
     if reference_cfg.grid.n % weak_base.grid.n != 0:
         raise WeakStrongError("reference grid must refine the weak grid")
@@ -279,7 +275,8 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
         raise WeakStrongError("reference dt must divide the weak dt")
     if dt_ratio & (dt_ratio - 1):
         raise WeakStrongError("dt refinement must be a power of two")
-    if not any(abs(float(t)) <= 1e-9 for t in snapshot_times):
+    if 0 not in {step_index(t, weak_base.dt, weak_base.steps, WeakStrongError)
+                 for t in snapshot_times}:
         raise WeakStrongError("snapshot times must include t = 0, where F(0) is read")
     empty = set(range(partition.n_t)) - {partition.slab_of(float(t)) for t in snapshot_times}
     if empty:
@@ -292,14 +289,11 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
         path = WienerPath.sample(seed, pid, weak_base.rank, weak_base.dt,
                                  weak_base.steps) \
             if weak_base.forcing is not None else None
-        # the reference is reduced as it runs and keeps no snapshots
-        reduction = ReferenceReduction(partition, snapshot_times,
-                                       reference_cfg.horizon, tail_tol)
-        run_path(reference_cfg, seed, pid,
-                 path=path.refined(dt_ratio) if path is not None else None,
-                 snapshot_times=[], observers=(reduction,))
-        refs.append(reduction.reference())
-        v0 = reduction.first
+        ref, v0 = build_reference(
+            reference_cfg, seed, pid, partition, snapshot_times,
+            path=path.refined(dt_ratio) if path is not None else None,
+            tail_tol=tail_tol)
+        refs.append(ref)
         for r, cfg in enumerate(cfgs):
             weak_run = run_path(cfg, seed, pid, path=path,
                                 snapshot_times=snapshot_times)
@@ -307,7 +301,7 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
                 f0.append(initial_relative_energy(weak_run.snapshots[0], v0))
             V = dirac_embed(weak_run.trajectory, partition, radius,
                             bins_per_axis=bins_per_axis)
-            slabs = [relative_energy(V, refs[-1], s)
+            slabs = [relative_energy(V, ref, s)
                      for s in range(partition.n_t)]
             f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
             gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)

@@ -8,7 +8,7 @@ import pytest
 from dissipeuler.cli import main
 from dissipeuler.config import ConfigError, parse_config
 from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
-from dissipeuler.reporting import all_passed
+from dissipeuler.reporting import all_passed, audit_row
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -238,6 +238,24 @@ class TestSchema:
         raw["reference"] = {"n": 2048}
         assert parse_config(raw, "weakstrong").reference.n == 2048
 
+    def test_reference_run_charged_its_working_fields_only(self, tmp_path,
+                                                          capsys):
+        # the reference run keeps no snapshots: its 16 working fields are
+        # about 6.05 GiB at 256^3, under the ceiling, and 48 GiB at 512^3
+        raw = forced_config(paths=1)
+        raw.update(experiment="weakstrong", grid={"dim": 3, "n": 32},
+                   viscosity={"ladder": [0.1, 0.05]},
+                   young={"time_cells": 2, "space_cells": 4},
+                   reference={"n": 256})
+        assert parse_config(raw, "weakstrong").reference.n == 256
+        raw["reference"] = {"n": 512}
+        out = tmp_path / "run"
+        assert main(["weakstrong", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert "config error: reference.n: a run at n=512 in 3D" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_grid_pairs_checked_only_for_martingale(self):
         # 0.1 is 3.2 steps of dt = 1/32; experiments that never read the
         # pairs accept them
@@ -444,6 +462,21 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "MISSING" in text
         assert "reports/simulate.json" in text
+
+    def test_long_names_print_in_full(self, tmp_path, capsys):
+        # two audits that differ only after character 44, and a module name
+        # longer than 34 characters, each print whole
+        out = RunDirectory(tmp_path / "run")
+        stem = "martingale_phi1_s0.125_t0.25_clamp_pair_cross_variation_k"
+        module = "limit_verifier.energy_inequality_limit"
+        rows = [audit_row(stem + "0", module, 0.0, 1.0),
+                audit_row(stem + "1", module, 0.0, 1.0)]
+        out.write_json("reports/martingale.json", {"rows": rows})
+        out.finalize()
+        assert main(["report", "--dir", str(out.root)]) == 0
+        text = capsys.readouterr().out
+        for k in (0, 1):
+            assert f"  {stem}{k} {module} " in text
 
     def test_edited_report_fails(self, tmp_path, capsys):
         out = tmp_path / "run"

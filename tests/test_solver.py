@@ -12,7 +12,8 @@ from dissipeuler.forcing import (
     WienerPath,
     default_forcing,
 )
-from dissipeuler.limits import FunctionalRecorder
+from dissipeuler.config import ConfigError, parse_config
+from dissipeuler.limits import FunctionalRecorder, LimitError, _by_pair
 from dissipeuler.reporting import all_passed, row_passes
 from dissipeuler.solver import (
     BlowUpError,
@@ -27,12 +28,16 @@ from dissipeuler.solver import (
 from dissipeuler.spectral import (
     SpectralField,
     TorusGrid,
+    dealias,
     divergence_defect,
     inner_product,
     kinetic_energy,
     l2_norm_sq,
     single_mode,
 )
+
+from dissipeuler.weakstrong import WeakStrongError, build_reference
+from dissipeuler.young import CellPartition
 
 from conftest import random_divfree_field
 
@@ -50,7 +55,7 @@ class TestStep:
         cfg = make_config(initial=InitialCondition("zero"))
         u = SpectralField.zero(cfg.grid)
         for _ in range(5):
-            u, _ = step(u, None, cfg)
+            u, _ = step(u, None, cfg, dealias(u).to_physical())
         assert np.max(np.abs(u.coeffs)) == 0.0
 
     def test_single_mode_exact_heat_decay(self):
@@ -62,7 +67,7 @@ class TestStep:
         u = single_mode(cfg.grid)
         e0 = kinetic_energy(u)
         for _ in range(steps):
-            u, _ = step(u, None, cfg)
+            u, _ = step(u, None, cfg, dealias(u).to_physical())
         t = steps * dt
         expected = e0 * np.exp(-2.0 * eps * t)
         assert kinetic_energy(u) == pytest.approx(expected, rel=1e-8)
@@ -83,7 +88,7 @@ class TestStep:
             cfg = make_config(grid=grid, dt=dt, horizon=0.25)
             u = u0
             for _ in range(cfg.steps):
-                u, _ = step(u, None, cfg)
+                u, _ = step(u, None, cfg, dealias(u).to_physical())
             errors.append(abs(kinetic_energy(u) - kinetic_energy(u0)))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 0.9)
@@ -93,7 +98,8 @@ class TestStep:
         path = WienerPath.sample(5, 0, cfg.rank, cfg.dt, cfg.steps)
         u = cfg.initial.sample(cfg.grid, 5, 0)
         for n in range(cfg.steps):
-            u, _ = step(u, path.increments[n], cfg)
+            u, _ = step(u, path.increments[n], cfg,
+                        dealias(u).to_physical())
             assert divergence_defect(u) < 1e-12
 
     def test_blowup_raises(self):
@@ -269,6 +275,56 @@ class TestPointValues:
         run_path(cfg, 1, 0, snapshot_times=snapshot_times, observers=recs)
         assert calls["rfftn"] == cfg.steps
         assert cfg.steps <= calls["irfftn"] <= cfg.steps + 1
+
+
+DT, HORIZON = 1.0 / 64, 0.25   # 16 steps
+STEP_TABLE = [   # (time, whether it is a step of DT within HORIZON)
+    (0.125, True),
+    (0.125 + 2e-8 * DT, False),   # 2e-8 of a step off the grid
+    (-DT, False),
+    (HORIZON + DT, False),
+]
+
+
+@pytest.mark.parametrize("t,on_grid", STEP_TABLE)
+def test_every_reader_maps_a_time_to_a_step_alike(t, on_grid):
+    # the loader, run_path, the martingale pairs and the reference build
+    # all accept or reject a time by step_index
+    def accepts(call, error):
+        try:
+            call()
+        except error:
+            return False
+        return True
+
+    def loader(**kw):
+        raw = {"experiment": "martingale", "grid": {"dim": 2, "n": 16},
+               "time": {"dt": DT, "horizon": HORIZON}, "viscosity": {"eps": 0.05},
+               "forcing": {"preset": "default"},
+               "ensemble": {"paths": 32, "seed": 1}}
+        for key, val in kw.items():
+            raw[key] = dict(raw.get(key, {}), **val)
+        return lambda: parse_config(raw, "martingale")
+
+    pair = (0.0, t) if t > 0 else (t, HORIZON)
+    cfg = make_config(grid=TorusGrid(2, 16), dt=DT, horizon=HORIZON,
+                      initial=InitialCondition("zero"))
+    m, beta = np.zeros((1, cfg.steps + 1)), np.zeros((1, cfg.steps + 1, 1))
+    verdicts = {
+        "loader pairs": accepts(loader(martingale={"pairs": [list(pair)]}),
+                                ConfigError),
+        "run_path": accepts(lambda: run_path(cfg, 1, 0, snapshot_times=[t]),
+                            SolverError),
+        "_by_pair": accepts(lambda: _by_pair(m, m, beta, [pair], DT), LimitError),
+        "build_reference": accepts(
+            lambda: build_reference(cfg, 1, 0, CellPartition(2, 16, 1, 2, 0.0, HORIZON),
+                                    [0.0, t]),
+            WeakStrongError),
+    }
+    if t <= HORIZON:   # a horizon bounds itself
+        verdicts["loader horizon"] = accepts(loader(time={"horizon": t}),
+                                             ConfigError)
+    assert verdicts == dict.fromkeys(verdicts, on_grid)
 
 
 class TestEnergyAudit:

@@ -359,21 +359,16 @@ class TestRoundTrips:
         with pytest.raises(SpectralError):
             read_field(p)
 
-    def test_snapshot_v1_bytes(self, tmp_path):
-        # format v1 on disk: header then the full fftn-layout coefficients,
-        # written here by hand; it reads back as the same field
-        for dim, n in ((2, 32), (3, 16)):
-            grid = TorusGrid(dim, n)
-            f = random_divfree_field(grid, np.random.default_rng(41 + dim))
-            full = np.fft.fftn(f.to_physical(), axes=tuple(range(1, dim + 1)))
-            p = tmp_path / f"field{dim}.bin"
-            p.write_bytes(b"DEFLD\x00" + struct.pack("<HBId", 1, dim, n, 0.25)
-                          + full.astype("<c16").tobytes())
-            g, t = read_field(p)
-            assert t == 0.25 and g.grid == grid
-            assert np.array_equal(g.coeffs, full[..., : n // 2 + 1])
-            scale = np.max(np.abs(f.coeffs))
-            assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-13 * scale
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_snapshot_other_version_rejected(self, tmp_path, grid2d, version):
+        # version 2 is the one format; a header naming another is refused
+        p = tmp_path / "field.bin"
+        write_field(p, taylor_green(grid2d), 0.25)
+        raw = bytearray(p.read_bytes())
+        raw[6:8] = struct.pack("<H", version)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(SpectralError, match="unsupported snapshot version"):
+            read_field(p)
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_snapshot_v2_bytes(self, tmp_path, dim, n):
@@ -538,7 +533,8 @@ class TestDiagnostics:
     def test_convective_reports_sup_norm(self, grid2d):
         # the solver's blow-up and CFL checks read this pointwise sup
         u = single_mode(grid2d, 2.0)
-        assert _convective_with_sup(u)[1] == pytest.approx(2.0, rel=1e-10)
+        assert _convective_with_sup(u, dealias(u).to_physical())[1] \
+            == pytest.approx(2.0, rel=1e-10)
 
 
 def per_product_convective(u):
@@ -570,14 +566,17 @@ class TestStackedKernel:
     def test_matches_per_product_loop_bit_for_bit(self, dim, n):
         grid = TorusGrid(dim, n)
         rng = np.random.default_rng(7 * n + dim)
-        # a field with energy on every mode, so masking matters, and its
-        # dealiased part, whose point values the solver hands over
+        # a field with energy on every mode, which convective_term dealiases
+        # and transforms, and its dealiased part, whose point values the
+        # solver hands over
         u = SpectralField.from_physical(
             grid, rng.standard_normal((dim,) + grid.shape))
         band = dealias(u)
-        for field, phys in ((u, None), (band, band.to_physical())):
-            want, want_sup = per_product_convective(field)
-            got, got_sup = _convective_with_sup(field, phys)
-            assert np.array_equal(got.coeffs.view(np.uint64),
-                                  want.view(np.uint64))
-            assert got_sup == want_sup
+        want, _ = per_product_convective(u)
+        assert np.array_equal(convective_term(u).coeffs.view(np.uint64),
+                              want.view(np.uint64))
+        want, want_sup = per_product_convective(band)
+        got, got_sup = _convective_with_sup(band, band.to_physical())
+        assert np.array_equal(got.coeffs.view(np.uint64),
+                              want.view(np.uint64))
+        assert got_sup == want_sup

@@ -9,7 +9,6 @@ from dissipeuler.solver import InitialCondition, SolverConfig, Trajectory, run_p
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, single_mode, taylor_green
 import dissipeuler.weakstrong as weakstrong
 from dissipeuler.weakstrong import (
-    ReferenceReduction,
     weak_strong_ladder,
     WeakStrongError,
     build_reference,
@@ -22,11 +21,23 @@ from dissipeuler.weakstrong import (
 from dissipeuler.young import CellPartition, dirac_embed, estimate_from_family
 
 
+def steady_config(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, kind="taylor_green"):
+    return SolverConfig(grid=grid, forcing=None, eps=0.0, dt=dt, horizon=horizon,
+                        initial=InitialCondition(kind, amplitude=amp))
+
+
 def steady_run(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, snapshot_times=None,
                kind="taylor_green"):
-    cfg = SolverConfig(grid=grid, forcing=None, eps=0.0, dt=dt, horizon=horizon,
-                       initial=InitialCondition(kind, amplitude=amp))
-    return run_path(cfg, 1, 0, snapshot_times=snapshot_times)
+    return run_path(steady_config(grid, amp, dt, horizon, kind), 1, 0,
+                    snapshot_times=snapshot_times)
+
+
+def steady_reference(grid, partition, snapshot_times, amp=1.0, dt=1.0 / 32,
+                     horizon=0.25, kind="taylor_green"):
+    """The reference ``build_reference`` integrates for ``steady_run``."""
+    ref, _ = build_reference(steady_config(grid, amp, dt, horizon, kind), 1, 0,
+                             partition, snapshot_times)
+    return ref
 
 
 def snapshot_grid(horizon, n_t, per_slab=2, dt=1.0 / 32):
@@ -45,7 +56,7 @@ class TestRelativeEnergy:
         times = snapshot_grid(0.25, 2)
         run = steady_run(grid, snapshot_times=times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
-        ref = build_reference(run, part)
+        ref = steady_reference(grid, part, times)
         V = dirac_embed(run.trajectory, part, radius=3.0)
         e = 0.5 * l2_norm_sq(taylor_green(grid))
         for slab in range(part.n_t):
@@ -61,9 +72,8 @@ class TestRelativeEnergy:
         traj = Trajectory(grid, np.array([0.0, 1.0]), np.stack([vals] * 2))
         V = estimate_from_family([traj], part, radius=2.0)
 
-        zero_run = steady_run(grid, dt=0.5, horizon=1.0, kind="zero",
-                              snapshot_times=[0.0, 0.5, 1.0])
-        ref = build_reference(zero_run, part)
+        ref = steady_reference(grid, part, [0.0, 0.5, 1.0], dt=0.5, horizon=1.0,
+                               kind="zero")
         out = relative_energy(V, ref, 0)
         assert out["measure_form"] == pytest.approx(0.5 * V.lam_t(0))
 
@@ -75,9 +85,8 @@ class TestRelativeEnergy:
                            initial=InitialCondition("random_spectrum",
                                                     amplitude=0.3, k_max=2))
         run = run_path(cfg, 41, 0, snapshot_times=times)
-        ref_run = steady_run(grid, amp=0.7, snapshot_times=times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
-        ref = build_reference(ref_run, part)
+        ref = steady_reference(grid, part, times, amp=0.7)
         V = dirac_embed(run.trajectory, part, radius=4.0)
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
@@ -88,7 +97,7 @@ class TestRelativeEnergy:
         grid = TorusGrid(2, 16)
         times = snapshot_grid(0.25, 2)
         part = CellPartition(2, 16, 2, 8, 0.0, 0.25)
-        ref = build_reference(steady_run(grid, amp=0.5, snapshot_times=times), part)
+        ref = steady_reference(grid, part, times, amp=0.5)
         for pid in range(5):
             cfg = SolverConfig(grid=grid, forcing=default_forcing(2, 0.3),
                                eps=0.02, dt=1.0 / 32, horizon=0.25,
@@ -125,7 +134,7 @@ class TestReference:
                                                     amplitude=0.3, k_max=2))
         run = run_path(cfg, 61, 0, snapshot_times=times)
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
-        ref = build_reference(run, part)
+        ref, _ = build_reference(cfg, 61, 0, part, times)
         assert np.array_equal(ref.times, run.trajectory.times)
         for s in range(part.n_t):
             sel = [m for m, t in enumerate(times) if part.slab_of(t) == s]
@@ -137,47 +146,35 @@ class TestReference:
             assert ref.slab_energy_sq[s] == np.mean(
                 [l2_norm_sq(run.snapshots[m]) for m in sel])
 
-    def test_reduction_while_running_matches_replay(self):
-        # the ladder reduces its reference as it runs, keeping no snapshot;
-        # build_reference replays a finished run: the bits agree
+    def test_v0_is_the_first_state(self):
         grid = TorusGrid(2, 32)
-        times = snapshot_grid(0.25, 2, per_slab=3)
-        cfg = SolverConfig(grid=grid, forcing=default_forcing(2, sigma=0.2),
-                           eps=0.0, dt=1.0 / 64, horizon=0.25,
-                           initial=InitialCondition("random_spectrum",
-                                                    amplitude=0.3, k_max=2))
+        cfg = steady_config(grid, amp=0.5)
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
-        finished = run_path(cfg, 61, 0, snapshot_times=times)
-        want = build_reference(finished, part, tail_tol=1e-9)
-        live = ReferenceReduction(part, times, cfg.horizon, tail_tol=1e-9)
-        run = run_path(cfg, 61, 0, snapshot_times=[], observers=(live,))
-        got = live.reference()
-        assert not run.snapshots
-        assert np.array_equal(live.first.coeffs, finished.snapshots[0].coeffs)
-        for name in ("times", "grad_sup", "cell_mean", "slab_energy_sq"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert got.horizon == want.horizon
+        _, v0 = build_reference(cfg, 1, 0, part, snapshot_grid(0.25, 2))
+        first = run_path(cfg, 1, 0, snapshot_times=[0.0]).snapshots[0]
+        assert np.array_equal(v0.coeffs, first.coeffs)
 
-    def test_snapshot_time_off_the_step_grid_rejected(self):
-        grid = TorusGrid(2, 16)
-        cfg = SolverConfig(grid=grid, forcing=None, eps=0.0, dt=1.0 / 32,
-                           horizon=0.25, initial=InitialCondition("taylor_green"))
-        live = ReferenceReduction(CellPartition(2, 16, 2, 4, 0.0, 0.25),
-                                  [0.0, 0.1, 0.1875], cfg.horizon)
-        run_path(cfg, 1, 0, snapshot_times=[], observers=(live,))
+    def test_snapshot_time_off_the_step_grid_rejected(self, monkeypatch):
+        # the times map to steps before the run: none is integrated
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before the snapshot check")
+        monkeypatch.setattr(weakstrong, "run_path", no_run)
         with pytest.raises(WeakStrongError, match="step grid"):
-            live.reference()
+            build_reference(steady_config(TorusGrid(2, 16)), 1, 0,
+                            CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                            [0.0, 0.1, 0.1875])
 
     def test_slab_without_snapshot_rejected(self):
         grid = TorusGrid(2, 16)
-        run = steady_run(grid, snapshot_times=[0.0, 0.25])
         with pytest.raises(WeakStrongError, match="no snapshots in slab 1"):
-            build_reference(run, CellPartition(2, 16, 4, 4, 0.0, 0.25))
+            steady_reference(grid, CellPartition(2, 16, 4, 4, 0.0, 0.25),
+                             [0.0, 0.25])
 
     def test_relative_energy_rejects_other_partition(self):
         grid = TorusGrid(2, 16)
-        run = steady_run(grid, snapshot_times=snapshot_grid(0.25, 2))
-        ref = build_reference(run, CellPartition(2, 16, 2, 4, 0.0, 0.25))
+        times = snapshot_grid(0.25, 2)
+        run = steady_run(grid, snapshot_times=times)
+        ref = steady_reference(grid, CellPartition(2, 16, 2, 4, 0.0, 0.25), times)
         V = dirac_embed(run.trajectory, CellPartition(2, 16, 2, 8, 0.0, 0.25),
                         radius=3.0)
         with pytest.raises(WeakStrongError, match="another partition"):
@@ -187,20 +184,20 @@ class TestReference:
 class TestStoppingTime:
     def test_level_above_max_returns_horizon(self):
         grid = TorusGrid(2, 32)
-        run = steady_run(grid, snapshot_times=snapshot_grid(0.25, 2))
-        ref = build_reference(run, CellPartition(2, 32, 2, 16, 0.0, 0.25))
+        ref = steady_reference(grid, CellPartition(2, 32, 2, 16, 0.0, 0.25),
+                               snapshot_grid(0.25, 2))
         assert stopping_time(ref, ref.grad_sup_max() + 1.0) == 0.25
 
     def test_tiny_level_stops_immediately(self):
         grid = TorusGrid(2, 32)
-        run = steady_run(grid, snapshot_times=snapshot_grid(0.25, 2))
-        ref = build_reference(run, CellPartition(2, 32, 2, 16, 0.0, 0.25))
+        ref = steady_reference(grid, CellPartition(2, 32, 2, 16, 0.0, 0.25),
+                               snapshot_grid(0.25, 2))
         assert stopping_time(ref, 1e-9) == ref.times[0]
 
     def test_rejects_nonpositive_level(self):
         grid = TorusGrid(2, 32)
-        ref = build_reference(steady_run(grid, snapshot_times=[0.0, 0.25]),
-                              CellPartition(2, 32, 2, 16, 0.0, 0.25))
+        ref = steady_reference(grid, CellPartition(2, 32, 2, 16, 0.0, 0.25),
+                               [0.0, 0.25])
         with pytest.raises(WeakStrongError):
             stopping_time(ref, 0.0)
 
@@ -216,7 +213,7 @@ class TestStoppingTime:
                                eps=0.0, dt=1.0 / 32, horizon=0.25,
                                initial=InitialCondition("random_spectrum",
                                                         amplitude=0.25))
-            ref = build_reference(run_path(cfg, 47, pid, snapshot_times=times), part)
+            ref, _ = build_reference(cfg, 47, pid, part, times)
             sups.append(ref.grad_sup_max())
             stops.append(stopping_time(ref, level) < ref.horizon)
         p_stop = np.mean(stops)
@@ -389,9 +386,28 @@ class TestLadderComparison:
         ladder(same_grid)  # same grid ok
         assert len(runs) == 2
 
+    def test_one_reference_build_per_path(self, monkeypatch):
+        calls = []
+        real = weakstrong.build_reference
+
+        def spy(cfg, seed, path_id, *args, **kwargs):
+            calls.append(path_id)
+            return real(cfg, seed, path_id, *args, **kwargs)
+        monkeypatch.setattr(weakstrong, "build_reference", spy)
+        ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
+        weak = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.2),
+                            eps=0.1, dt=1.0 / 32, horizon=0.25, initial=ic)
+        ref = SolverConfig(grid=TorusGrid(2, 32), forcing=default_forcing(2, 0.2),
+                           eps=0.0, dt=1.0 / 64, horizon=0.25, initial=ic)
+        weak_strong_ladder((0.1, 0.05), weak, ref, seed=1, path_ids=[0, 1, 2],
+                           partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                           radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
+        assert calls == [0, 1, 2]
+
     @pytest.mark.parametrize("times, match", [
         ([0.0625, 0.1875, 0.25], "t = 0"),
         ([0.0, 0.0625, 0.09375], r"slabs \[1\] hold no snapshot"),
+        ([0.0, 0.1, 0.1875], "step grid"),
     ])
     def test_snapshot_times_checked_before_integration(self, monkeypatch,
                                                        times, match):
