@@ -37,14 +37,14 @@ from .limits import (
     guarded_run,
     linear_model_functionals_multi,
     martingale_test,
-    momentum_residual,
+    probe_fields,
     run_ladder,
     solver_functionals_multi,
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, apriori_moment_report, step_index
-from .spectral import SpectralField, TorusGrid, kinetic_energy, write_field
+from .solver import BlowUpError, Snapshots, apriori_moment_report, step_index
+from .spectral import TorusGrid, write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
     TestIntegrand,
@@ -131,22 +131,6 @@ def _override_seed(cfg: RunConfig, seed: int) -> RunConfig:
     return replace(cfg, seed=check_seed(seed))
 
 
-def _test_fields(grid):
-    """Two fixed divergence-free low-mode test functions.
-
-    Parities are chosen to overlap the default forcing modes so the
-    stochastic pairings <Phi e_k, phi> are nontrivial.
-    """
-    d1 = np.zeros(grid.dim, dtype=complex)
-    d1[0] = 0.5 / 1j          # sin(k1 . x) e_1
-    d2 = np.zeros(grid.dim, dtype=complex)
-    d2[1] = 0.5               # cos(k2 . x) e_2
-    k1 = (0, 1) if grid.dim == 2 else (0, 1, 0)
-    k2 = (1, 0) if grid.dim == 2 else (1, 0, 0)
-    return [("phi1", SpectralField.from_modes(grid, {k1: d1})),
-            ("phi2", SpectralField.from_modes(grid, {k2: d2}))]
-
-
 # -- simulate ----------------------------------------------------------------
 
 
@@ -156,7 +140,7 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory):
 
     rows = []
     for pid in range(cfg.paths):
-        run, err = guarded_run(scfg, cfg.seed, pid, snapshot_times=[])
+        run, err = guarded_run(scfg, cfg.seed, pid)
         tag = f"eps{eps:g}_path{pid:04d}"
         if err is not None:
             if err.partial is not None:
@@ -212,8 +196,8 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
         worst_rise, 0.0, f"distances={['%.5g' % x for x in d]}"))
 
     traces = [trace for eps in res.tail for _, trace in res.traces[eps]]
-    finest = res.finest
-    tol = finest.trace.tolerance(cfg.tolerances.energy_defect_c)
+    _, _, finest_trace, residual = res.finest
+    tol = finest_trace.tolerance(cfg.tolerances.energy_defect_c)
     limit_rows, details = energy_inequality_limit(res.family, traces,
                                                   cfg.forcing, tol)
     out.write_json("details/energy_limit.json", details)
@@ -223,12 +207,9 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
                      for eps in res.measures}
     rows += apriori_moment_report(traces_by_eps, p=3.0)[0]
 
-    phi = _test_fields(cfg.grid)[0][1]
-    residual = momentum_residual(finest, cfg.forcing,
-                                 res.paths[finest.path_id], phi, t=cfg.horizon)
     sample_gap = part.slab_duration / cfg.young.snapshots_per_slab
     mom_tol = cfg.tolerances.energy_defect_c * sample_gap \
-        * (1.0 + finest.trace.initial_energy)
+        * (1.0 + finest_trace.initial_energy)
     rows.append(audit_row("momentum_residual_finest",
                           "limit_verifier.momentum_residual",
                           residual, mom_tol))
@@ -242,12 +223,12 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
 def _run_ym(cfg: RunConfig, out: RunDirectory):
     eps = cfg.eps_values[0]
     part = cfg.partition
-    snaps = cfg.snapshot_times
-    run, err = guarded_run(cfg.solver_config(eps), cfg.seed, 0,
-                           snapshot_times=snaps)
+    scfg = cfg.solver_config(eps)
+    snaps = Snapshots(scfg, cfg.snapshot_times)
+    run, err = guarded_run(scfg, cfg.seed, 0, observers=(snaps,))
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
-    V = dirac_embed(run.trajectory, part, cfg.young.radius,
+    V = dirac_embed(snaps.trajectory, part, cfg.young.radius,
                     bins_per_axis=cfg.young.bins_per_axis,
                     sphere_bins=cfg.young.sphere_bins)
     out.write_json("measures/run.json", measure_to_dict(V))
@@ -257,7 +238,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
     dim = cfg.grid.dim
     energy_f = TestIntegrand("speed2", quad=(np.eye(dim), np.zeros(dim), 0.0))
     got = pairing(V, energy_f)
-    want = float(np.mean([2.0 * kinetic_energy(s) for s in run.snapshots])
+    want = float(np.mean(2.0 * run.trace.energy[sorted(snaps.steps)])
                  * cfg.horizon)
     err = abs(got - want) / max(abs(want), 1e-300)
     rows.append(audit_row("pairing_vs_quadrature", "young_measure.pairing",
@@ -289,7 +270,7 @@ def _blowup_report(out: RunDirectory, experiment: str, err: BlowUpError,
 
 
 def _run_martingale(cfg: RunConfig, out: RunDirectory):
-    fields = _test_fields(cfg.grid)
+    fields = probe_fields(cfg.grid)
     pairs = cfg.martingale.pairs
     hists = cfg.martingale.histories
     n_tests = len(fields) * len(pairs) * len(hists) * (2 + cfg.forcing.rank)

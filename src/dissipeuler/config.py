@@ -19,7 +19,7 @@ from .forcing import (
     UnresolvedModeError,
     default_forcing,
 )
-from .limits import MIN_MARTINGALE_PATHS
+from .limits import MIN_MARTINGALE_PATHS, MartingaleStat
 from .solver import InitialCondition, SolverConfig, SolverError, step_index
 from .spectral import SpectralError, TorusGrid
 from .young import CellPartition
@@ -178,7 +178,8 @@ class RunConfig:
     def snapshot_times(self) -> tuple:
         """Mid-slab samples for the measure plus both endpoints for drift terms."""
         mids = self.partition.sample_times(self.dt, self.young.snapshots_per_slab)
-        return tuple(sorted({0.0, round(self.horizon / self.dt) * self.dt, *mids}))
+        end = step_index(self.horizon, self.dt) * self.dt
+        return tuple(sorted({0.0, end, *mids}))
 
 
 def load_config(path, experiment: str) -> RunConfig:
@@ -260,16 +261,16 @@ def _check_run_bytes(cfg: RunConfig) -> None:
 
     Runs are integrated one at a time and a viscosity ladder streams its
     runs into the measures, so what an experiment holds is about one run:
-    its snapshots, each a half spectrum plus its physical values in the
-    run's trajectory, and ``WORKING_FIELDS`` half-spectrum fields on its
-    grid.  Simulate and martingale runs and the weakstrong reference run
-    on ``reference.n`` keep no snapshots.
+    its snapshots, each the point values of one state, and
+    ``WORKING_FIELDS`` half-spectrum fields on its grid.  Simulate and
+    martingale runs and the weakstrong reference run on ``reference.n``
+    keep no snapshots.
     """
     dim = cfg.grid.dim
 
     def retained(n, snapshots):
         half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
-        return snapshots * (half + 8 * dim * n ** dim) + WORKING_FIELDS * half
+        return snapshots * 8 * dim * n ** dim + WORKING_FIELDS * half
 
     snapshots = len(cfg.snapshot_times) \
         if cfg.experiment in ("vanish", "ym", "weakstrong") else 0
@@ -440,7 +441,7 @@ def _parse_martingale(raw, horizon, dt):   # dt given: pairs must be whole steps
         pairs.append((s, t))
     histories = tuple(_get(m, "martingale", "histories", list, ["one"]))
     for h in histories:
-        if h not in ("one", "clamp_pair", "clamp_beta"):
+        if h not in MartingaleStat.HISTORY_KINDS:
             raise ConfigError("martingale.histories", f"unknown history {h!r}")
     return MartingaleSpec(pairs=tuple(pairs), histories=histories,
                           linear_paths=_count(m, "martingale", "linear_paths",

@@ -17,8 +17,9 @@ variation N^k_t = <Phi e_k, phi> t against the k-th Wiener coordinate, all
 tested against history weights h evaluated at the earlier time.  One
 ``FunctionalRecorder`` computes M_t for both these statistics (observing
 every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
-(replaying a run's snapshots).  A martingale ensemble integrates each path
-once, one recorder per test field, into arrays over paths at each (s, t).
+(observing a ladder run at its snapshot steps).  A martingale ensemble
+integrates each path once, one recorder per test field, into arrays over
+paths at each (s, t).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from scipy.special import ndtri
 
 from .forcing import ForcingOperator, WienerPath
 from .reporting import audit_row
-from .solver import BlowUpError, SolverConfig, SolverRun, run_path, step_index
+from .solver import BlowUpError, SolverConfig, Snapshots, run_path, step_index
 from .spectral import (
     SpectralField,
     gradient_physical,
@@ -82,31 +83,32 @@ class LadderResult:
     cauchy_distances: list         # successive weak* distances
     blowups: dict                  # eps -> list of (path_id, message)
     tail: list                     # rungs the family pools, coarse to fine
-    paths: dict                    # path_id -> shared WienerPath (or None)
-    finest: SolverRun | None       # first surviving run of tail[-1], whole
+    finest: tuple | None           # (eps, path_id, trace, momentum residual)
 
 
 def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
-               radius: float, snapshot_times=None, bins_per_axis: int = 16,
+               radius: float, snapshot_times, bins_per_axis: int = 16,
                sphere_bins: int = 32) -> LadderResult:
     """Run every rung on shared noise and estimate the family measure.
 
-    Runs go one after another in (eps, path) order and stream: each
-    surviving run's trajectory (the point values ``run_path`` captured) is
-    added to its rung's ``YoungAccumulator`` and, for a tail rung, to the
-    family's, and then the run is dropped.  The tail is the last half of
-    the configured rungs, ``eps_values[len // 2:]``, less any rung without
-    a surviving run; per-rung measures pool the ensemble at that viscosity.
-    Blow-ups abort a single (eps, path) run and the ladder continues without
-    it.  The result keeps every survivor's energy trace with its path id,
-    the measures and one whole run, ``finest``, the first survivor of the
-    finest tail rung, whose snapshots the momentum residual reads; so the
-    snapshots in memory are about one run's.  Without ``snapshot_times``
-    each slab is sampled at four mid-interval times.
+    Runs go one after another in (eps, path) order and stream: a
+    ``Snapshots`` observer keeps each run's point values at
+    ``snapshot_times``, which are added to its rung's ``YoungAccumulator``
+    and, for a tail rung, to the family's, and then dropped.  The tail is
+    the last half of the configured rungs, ``eps_values[len // 2:]``, less
+    any rung without a surviving run; per-rung measures pool the ensemble
+    at that viscosity.  Blow-ups abort a single (eps, path) run and the
+    ladder continues without it.  The result keeps every survivor's energy
+    trace with its path id and the measures.  The first survivor of each
+    tail rung also feeds a ``FunctionalRecorder`` (first ``probe_fields``
+    field) at the snapshot steps, which must hold step 0; ``finest`` holds
+    that of the finest tail rung with its residual at the last snapshot.
     """
     base = ladder.base
-    if snapshot_times is None:
-        snapshot_times = partition.sample_times(base.dt, 4)
+    snaps = Snapshots(base, snapshot_times)
+    phi = probe_fields(base.grid)[0][1]
+    recorders = {eps: FunctionalRecorder(phi, eps, base.transport, snaps.steps)
+                 for eps in ladder.eps_values[len(ladder.eps_values) // 2:]}
     paths = {
         pid: WienerPath.sample(ladder.seed, pid, base.rank, base.dt, base.steps)
         for pid in ladder.path_ids
@@ -115,38 +117,40 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     def accumulator():
         return YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
 
-    configured_tail = ladder.eps_values[len(ladder.eps_values) // 2:]
     pooled = accumulator()
-    traces, measures, blowups, tail, finest = {}, {}, {}, [], None
+    traces, measures, blowups, tail = {}, {}, {}, []
     for eps in ladder.eps_values:
         cfg = base.with_eps(eps)
-        in_tail = eps in configured_tail
+        rec = recorders.get(eps)
         rung = accumulator()
         traces[eps] = []
         for pid in ladder.path_ids:
+            watch = (snaps, rec) if rec is not None and not traces[eps] else (snaps,)
             run, err = guarded_run(cfg, ladder.seed, pid, path=paths[pid],
-                                   snapshot_times=snapshot_times)
+                                   observers=watch)
             if err is not None:
                 blowups.setdefault(eps, []).append((pid, str(err)))
                 continue
-            rung.add(run.trajectory)
-            if in_tail:
-                pooled.add(run.trajectory)
-                if not traces[eps]:
-                    finest = run
+            rung.add(snaps.trajectory)
+            if rec is not None:
+                pooled.add(snaps.trajectory)
             traces[eps].append((pid, run.trace))
-            del run   # released before the next run, unless it is ``finest``
         if traces[eps]:
             measures[eps] = rung.measure()
-            if in_tail:
+            if rec is not None:
                 tail.append(eps)
 
-    family = pooled.measure() if tail else None
+    family, finest = None, None
+    if tail:   # the finest tail rung's recorder holds its first survivor
+        family = pooled.measure()
+        pid, trace = traces[tail[-1]][0]
+        finest = (tail[-1], pid, trace,
+                  momentum_residual(recorders[tail[-1]], base.forcing, paths[pid]))
     usable = list(measures)
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
     return LadderResult(traces, measures, family, distances, blowups, tail,
-                        paths, finest)
+                        finest)
 
 
 def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
@@ -160,6 +164,22 @@ def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
 # -- momentum residual ------------------------------------------------------
 
 
+def probe_fields(grid) -> list:
+    """Two fixed divergence-free low-mode test functions, as (name, phi).
+
+    Parities are chosen to overlap the default forcing modes so the
+    stochastic pairings <Phi e_k, phi> are nontrivial.
+    """
+    d1 = np.zeros(grid.dim, dtype=complex)
+    d1[0] = 0.5 / 1j          # sin(k1 . x) e_1
+    d2 = np.zeros(grid.dim, dtype=complex)
+    d2[1] = 0.5               # cos(k2 . x) e_2
+    k1 = (0, 1) if grid.dim == 2 else (0, 1, 0)
+    k2 = (1, 0) if grid.dim == 2 else (1, 0, 0)
+    return [("phi1", SpectralField.from_modes(grid, {k1: d1})),
+            ("phi2", SpectralField.from_modes(grid, {k2: d2}))]
+
+
 def forcing_pairings(phi: SpectralField, forcing: ForcingOperator) -> np.ndarray:
     """<sigma_k g_k, phi> for every forcing mode."""
     grid = phi.grid
@@ -168,34 +188,22 @@ def forcing_pairings(phi: SpectralField, forcing: ForcingOperator) -> np.ndarray
         for k in range(forcing.rank)])
 
 
-def momentum_residual(run: SolverRun, forcing: ForcingOperator | None,
-                      path: WienerPath | None, phi: SpectralField,
-                      t: float) -> float:
-    """|M_t - <Phi W(t), phi>| for one run, from its snapshots up to time t.
+def momentum_residual(rec: FunctionalRecorder, forcing: ForcingOperator | None,
+                      path: WienerPath | None) -> float:
+    """|M_t - <Phi W(t), phi>| of the run ``rec`` last observed, at its last
+    observed time t.
 
-    The run's snapshots on [0, t], with their point values, replay through
-    a ``FunctionalRecorder`` at the run's viscosity and transport setting,
-    so M_t is the same left-point functional the martingale statistics use;
-    the stochastic integral is the exact mode pairings times the Wiener
-    coordinates of the run's ``path``.  Both 0 and t must be snapshot times
-    of the run, matched to its steps by ``step_index``.
+    M_t is the recorder's left-point functional, the one the martingale
+    statistics use; the stochastic integral is the exact pairings of the
+    forcing modes with ``rec.phi`` times the Wiener coordinates of ``path``
+    at t.
     """
-    times, dt = run.trajectory.times, run.config.dt
-    last = step_index(t, dt, run.config.steps, LimitError)
-    steps = [step_index(tm, dt) for tm in times]
-    if not (steps and steps[0] == 0 and last in steps):
-        raise LimitError(f"run needs snapshots at t=0 and t={t}")
-    rec = FunctionalRecorder(phi, run.config.eps,
-                             transport=run.config.transport)
-    for n in range(steps.index(last) + 1):
-        rec.on_state(n, times[n], run.snapshots[n], run.trajectory.values[n])
     m_t = float(rec.martingale_series()[-1])
-
     stochastic = 0.0
     if forcing is not None and path is not None:
-        c = forcing_pairings(phi, forcing)
+        last = step_index(rec.times[-1], path.dt)
         beta = path.increments[:last].sum(axis=0)
-        stochastic = float(c @ beta)
+        stochastic = float(forcing_pairings(rec.phi, forcing) @ beta)
     return abs(m_t - stochastic)
 
 
@@ -205,17 +213,23 @@ def momentum_residual(run: SolverRun, forcing: ForcingOperator | None,
 class FunctionalRecorder:
     """Observer accumulating the ingredients of M_t along one trajectory.
 
-    Each observed state is weighted by the gap to the next observed time
-    (left-point quadrature), which matches the explicit scheme when every
-    step is observed; the convective pairing reads <u x u, grad phi>
-    pointwise on the grid, from the point values that come with each state,
-    so the recorder makes no transform per state (only one, of grad phi,
-    when it is built).  The state at step 0 starts a new run: it binds
-    fresh series lists (earlier ones stay valid, as they are never cleared)
-    and keeps the test-field tables, so one recorder serves every path.
+    It observes ``steps`` of a run (every step if None), which must hold
+    step 0, where M starts.  Each observed state is weighted by the gap to
+    the next observed time (left-point quadrature), which matches the
+    explicit scheme when every step is observed; the convective pairing
+    reads <u x u, grad phi> pointwise on the grid, from the point values
+    that come with each state, so the recorder makes no transform per state
+    (only one, of grad phi, when it is built).  The state at step 0 starts
+    a new run: it binds fresh series lists (earlier ones stay valid, as
+    they are never cleared) and keeps the test-field tables, so one
+    recorder serves every path.
     """
 
-    def __init__(self, phi: SpectralField, eps: float, transport: bool = True):
+    def __init__(self, phi: SpectralField, eps: float, transport: bool = True,
+                 steps=None):
+        if steps is not None and 0 not in steps:
+            raise LimitError("a recorder must observe step 0, where M starts")
+        self.steps = steps
         self.phi = phi
         self.eps = eps
         self.transport = transport
@@ -354,7 +368,7 @@ def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
     runs = []
     for pid in path_ids:
         path = WienerPath.sample(seed, pid, cfg.forcing.rank, cfg.dt, cfg.steps)
-        run_path(cfg, seed, pid, path=path, snapshot_times=[], observers=recs)
+        run_path(cfg, seed, pid, path=path, observers=recs)
         runs.append((path.coordinates(), [(r.martingale_series(), r.pairings) for r in recs]))
     beta = np.stack([b for b, _ in runs])
     out = {}

@@ -14,6 +14,9 @@ tracked per step:
 The energy-inequality defect over [s, t] is G(t) - G(s) for the compensated
 process G = E + D - I - M, which an admissible path keeps non-increasing up
 to discretization noise.
+
+A run keeps only its configuration, this trace and its final state; its
+states are read by observers (``run_path``), such as ``Snapshots``.
 """
 
 from __future__ import annotations
@@ -138,14 +141,13 @@ class SolverConfig:
             raise SolverError("dt must be positive")
         if self.eps < 0:
             raise SolverError("viscosity must be >= 0")
-        if self.horizon < 0:
-            raise SolverError("horizon must be >= 0")
+        self.steps   # the horizon must be a step >= 0, by ``step_index``
         if self.forcing is not None:
             self.forcing.check_resolved(self.grid)
 
-    @property
+    @functools.cached_property
     def steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return step_index(self.horizon, self.dt)
 
     @property
     def rank(self) -> int:
@@ -246,10 +248,34 @@ class Trajectory:
 class SolverRun:
     config: SolverConfig
     trace: EnergyTrace
-    snapshots: tuple          # SpectralField at trajectory.times
-    trajectory: Trajectory    # the same snapshots' point values
     final: SpectralField
-    path_id: int
+
+
+class Snapshots:
+    """Observer keeping a run's point values at ``times`` as a ``Trajectory``.
+
+    The times map to steps of ``cfg`` by ``step_index`` when the observer
+    is built, so a time off the step grid fails before any run.  Each run
+    fills a fresh buffer, so one observer serves run after run and a
+    ``trajectory`` taken after a run stays valid while later runs go on.
+    """
+
+    def __init__(self, cfg: SolverConfig, times):
+        self.steps = frozenset(step_index(t, cfg.dt, cfg.steps) for t in times)
+        self._shape = (len(self.steps), cfg.grid.dim) + cfg.grid.shape
+        self._grid = cfg.grid
+        self._first = min(self.steps, default=0)
+        self._times, self._values = [], np.empty(self._shape)
+
+    def on_state(self, n, t, u, phys):
+        if n == self._first:   # a run starts
+            self._times, self._values = [], np.empty(self._shape)
+        self._values[len(self._times)] = phys
+        self._times.append(t)
+
+    @property
+    def trajectory(self) -> Trajectory:
+        return Trajectory(self._grid, np.asarray(self._times), self._values)
 
 
 def step_index(t: float, dt: float, steps: int | None = None,
@@ -292,21 +318,24 @@ def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
     return SpectralField(cfg.grid, drift), sup
 
 
+def initial_state(cfg: SolverConfig, seed: int, path_id: int) -> SpectralField:
+    """The state ``run_path`` starts from: the projected, dealiased draw."""
+    return dealias(leray_project(cfg.initial.sample(cfg.grid, seed, path_id)))
+
+
 def run_path(cfg: SolverConfig, seed: int, path_id: int,
-             path: WienerPath | None = None,
-             snapshot_times=None, observers=()) -> SolverRun:
+             path: WienerPath | None = None, observers=()) -> SolverRun:
     """Integrate one trajectory; deterministic given (cfg, seed, path_id).
 
     A pre-sampled ``path`` (e.g. shared across viscosities or refined by
     Brownian bridge) overrides local sampling; its dt must match cfg.
-    Observers receive (step n, time, field, point values) at every
-    recorded state; ``snapshot_times`` map to steps by ``step_index``.
+    Each observer's ``on_state`` receives (step n, time, field, point
+    values) at the steps in the observer's ``steps`` (every step if None).
 
     Every state lies in the dealias band (the initial field is dealiased
     and the forcing modes lie inside the band), so its point values come
-    from one inverse transform, computed once per state where anything
-    reads them: the transport term and its sup, the observers and the
-    snapshot capture, which keeps them as the run's ``trajectory``.
+    from one inverse transform, computed once per state and only where
+    something reads them: the transport term and its sup, or an observer.
     """
     grid = cfg.grid
     steps = cfg.steps
@@ -325,7 +354,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     else:
         hs2 = 0.0
 
-    u = dealias(leray_project(cfg.initial.sample(grid, seed, path_id)))
+    u = initial_state(cfg, seed, path_id)
     e0 = energy_and_grad_norm_sq(u)[0]
 
     times = np.arange(steps + 1) * cfg.dt
@@ -333,11 +362,6 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     dissipation = np.zeros(steps + 1)
     ito_input = 0.5 * hs2 * times
     stochastic = np.zeros(steps + 1)
-
-    want = set(range(steps + 1)) if snapshot_times is None \
-        else {step_index(t, cfg.dt, steps) for t in snapshot_times}
-    snaps, snap_times = [], []
-    snap_values = np.empty((len(want), grid.dim) + grid.shape)
 
     def trace_to(n):   # the energy budget of the first n grid times
         return EnergyTrace(times[:n], energy[:n], dissipation[:n],
@@ -349,14 +373,9 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
         if not (cfg.transport or np.isfinite(energy[n])):   # no sup to test
             raise BlowUpError(f"non-finite energy {energy[n]:.3e} at t = {times[n]:.4f}",
                               time=times[n], partial=trace_to(n + 1))
-        phys = None
-        if observers or n in want or (cfg.transport and n < steps):
-            phys = u.to_physical()
-        if n in want:
-            snap_values[len(snaps)] = phys
-            snaps.append(u)
-            snap_times.append(times[n])
-        for obs in observers:
+        readers = [obs for obs in observers if obs.steps is None or n in obs.steps]
+        phys = u.to_physical() if readers or (cfg.transport and n < steps) else None
+        for obs in readers:
             obs.on_state(n, times[n], u, phys)
         if n == steps:
             break
@@ -382,9 +401,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
                     f"dt = {cfg.dt:.3e} > {cfg.cfl_number} dx / {sup:.3e}",
                     time=times[n + 1], sup=sup, partial=partial)
 
-    trajectory = Trajectory(grid, np.asarray(snap_times), snap_values)
-    return SolverRun(cfg, trace_to(steps + 1), tuple(snaps), trajectory, u,
-                     path_id)
+    return SolverRun(cfg, trace_to(steps + 1), u)
 
 
 # -- ensemble moment monitor ----------------------------------------------

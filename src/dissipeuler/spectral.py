@@ -314,10 +314,6 @@ def l2_norm_sq(f: SpectralField) -> float:
     return inner_product(f, f)
 
 
-def kinetic_energy(f: SpectralField) -> float:
-    return 0.5 * l2_norm_sq(f)
-
-
 def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.ops.mask_c)
 

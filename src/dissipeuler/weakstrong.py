@@ -7,7 +7,8 @@ tail carries more than a configured energy fraction.  ``build_reference``
 integrates it once per path and, while it runs, reduces it on the audit's
 partition to what the relative energy reads per time slab: its slab-mean
 velocity per space cell and its slab-mean ||v||^2, so the run keeps no
-snapshot.  Against it the relative energy
+snapshot.  F(0) compares the two runs' initial states, ``initial_state``
+of each configuration.  Against the reference the relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .forcing import WienerPath
 from .reporting import audit_row
-from .solver import SolverConfig, run_path, step_index
+from .solver import Snapshots, SolverConfig, initial_state, run_path, step_index
 from .spectral import (
     SpectralField,
     gradient_physical,
@@ -62,16 +63,15 @@ class StrongReference:
 class ReferenceReduction:
     """Observer reducing a reference run on ``partition`` as it runs.
 
-    At each observed state whose step is one of ``snapshot_steps`` it reads
+    It observes the steps ``snapshot_steps``; at each it reads
     ||grad v||_inf, the spectral tail fraction, the space-cell averages of
-    the point values and ||v||^2, and keeps nothing else of the state but
-    the first one (v(0), which F(0) reads).  The horizon is the first such
-    time at which the dealias-band energy fraction exceeds tail_tol (the
-    reference is no longer trusted as a classical solution there);
-    otherwise ``horizon``.  ``reference`` then gives each time slab the
-    mean over its snapshots of the cell averages and of ||v||^2, the two
-    quantities the relative energy reads; a slab without a snapshot is an
-    error.
+    the point values and ||v||^2, and keeps nothing of the state.  The
+    horizon is the first such time at which the dealias-band energy
+    fraction exceeds tail_tol (the reference is no longer trusted as a
+    classical solution there); otherwise ``horizon``.  ``reference`` then
+    gives each time slab the mean over its snapshots of the cell averages
+    and of ||v||^2, the two quantities the relative energy reads; a slab
+    without a snapshot is an error.
     """
 
     def __init__(self, partition: CellPartition, snapshot_steps,
@@ -79,16 +79,11 @@ class ReferenceReduction:
         self.partition = partition
         self.tail_tol = tail_tol
         self.horizon = float(horizon)
-        self.first = None
-        self._steps = frozenset(snapshot_steps)
+        self.steps = frozenset(snapshot_steps)
         self._times, self._grad_sup = [], []
         self._sums, self._norms = {}, {}   # per slab, in time order
 
     def on_state(self, n, t, v, phys):
-        if n not in self._steps:
-            return
-        if self.first is None:
-            self.first = v
         tensor = gradient_physical(v)
         self._grad_sup.append(float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max())))
         if tail_energy_fraction(v) > self.tail_tol and self.horizon >= t:
@@ -99,8 +94,6 @@ class ReferenceReduction:
         self._norms.setdefault(slab, []).append(l2_norm_sq(v))
 
     def reference(self) -> StrongReference:
-        if not self._times:
-            raise WeakStrongError("reference run carries no snapshots")
         cell_mean, slab_energy_sq = [], []
         for s in range(self.partition.n_t):
             if s not in self._sums:
@@ -117,20 +110,18 @@ class ReferenceReduction:
 def build_reference(cfg: SolverConfig, seed: int, path_id: int,
                     partition: CellPartition, snapshot_times,
                     path: WienerPath | None = None,
-                    tail_tol: float = 1e-6) -> tuple:
+                    tail_tol: float = 1e-6) -> StrongReference:
     """Integrate a reference run and reduce it on ``partition`` as it runs.
 
-    Returns (StrongReference, v(0)).  The snapshot times map to steps of
-    ``cfg`` by ``step_index`` before the run starts, so a time off its step
-    grid fails before any integration.  The run, on ``path`` if given,
-    keeps no snapshot.
+    The snapshot times map to steps of ``cfg`` by ``step_index`` before the
+    run starts, so a time off its step grid fails before any integration.
+    The run, on ``path`` if given, keeps no snapshot.
     """
     steps = {step_index(t, cfg.dt, cfg.steps, WeakStrongError)
              for t in snapshot_times}
     reduction = ReferenceReduction(partition, steps, cfg.horizon, tail_tol)
-    run_path(cfg, seed, path_id, path=path, snapshot_times=[],
-             observers=(reduction,))
-    return reduction.reference(), reduction.first
+    run_path(cfg, seed, path_id, path=path, observers=(reduction,))
+    return reduction.reference()
 
 
 def stopping_time(ref: StrongReference, level: float) -> float:
@@ -258,14 +249,14 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
 
     One pass per path: sample its Wiener path once, build the reference on
     its Brownian-bridge refinement, then run and compare every rung on the
-    path itself; F(0) is taken once per path.
+    path itself; F(0) is taken once per path, from the initial states.
     Returns the audit rows (F(0) = 0, F >= 0, agreement of the two forms of
     F, the monotone ladder and one Gronwall envelope per eps) and the
     diagnostics: per-eps relative-energy matrices with their Gronwall
     diagnostics, the stopping times and the paired monotonicity diagnostics
     along the ladder.  Checked before any integration: the reference refines
     the weak grid and divides its dt by a power of two, and the snapshot
-    times lie on the weak step grid, hold t = 0 and reach every time slab.
+    times lie on the weak step grid and reach every time slab.
     """
     if reference_cfg.grid.n % weak_base.grid.n != 0:
         raise WeakStrongError("reference grid must refine the weak grid")
@@ -275,38 +266,37 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
         raise WeakStrongError("reference dt must divide the weak dt")
     if dt_ratio & (dt_ratio - 1):
         raise WeakStrongError("dt refinement must be a power of two")
-    if 0 not in {step_index(t, weak_base.dt, weak_base.steps, WeakStrongError)
-                 for t in snapshot_times}:
-        raise WeakStrongError("snapshot times must include t = 0, where F(0) is read")
+    for t in snapshot_times:
+        step_index(t, weak_base.dt, weak_base.steps, WeakStrongError)
     empty = set(range(partition.n_t)) - {partition.slab_of(float(t)) for t in snapshot_times}
     if empty:
         raise WeakStrongError(f"time slabs {sorted(empty)} hold no snapshot")
 
     cfgs = [weak_base.with_eps(eps) for eps in eps_values]
+    snaps = Snapshots(weak_base, snapshot_times)
     refs, f0 = [], []
     f_rows, gaps = [[] for _ in cfgs], [[] for _ in cfgs]
     for pid in path_ids:
         path = WienerPath.sample(seed, pid, weak_base.rank, weak_base.dt,
                                  weak_base.steps) \
             if weak_base.forcing is not None else None
-        ref, v0 = build_reference(
+        ref = build_reference(
             reference_cfg, seed, pid, partition, snapshot_times,
             path=path.refined(dt_ratio) if path is not None else None,
             tail_tol=tail_tol)
         refs.append(ref)
+        f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
+                                          initial_state(reference_cfg, seed, pid)))
         for r, cfg in enumerate(cfgs):
-            weak_run = run_path(cfg, seed, pid, path=path,
-                                snapshot_times=snapshot_times)
-            if r == 0:
-                f0.append(initial_relative_energy(weak_run.snapshots[0], v0))
-            V = dirac_embed(weak_run.trajectory, partition, radius,
+            run_path(cfg, seed, pid, path=path, observers=(snaps,))
+            V = dirac_embed(snaps.trajectory, partition, radius,
                             bins_per_axis=bins_per_axis)
             slabs = [relative_energy(V, ref, s)
                      for s in range(partition.n_t)]
             f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
             gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
                                for s in slabs))
-        del weak_run, V   # released before the next path's reference run
+        del V   # released before the next path's reference run
 
     if level is None:
         level = 1.05 * max(ref.grad_sup_max() for ref in refs)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from dissipeuler.cli import _test_fields, main
+from dissipeuler.cli import main
 from dissipeuler.forcing import (
     WienerPath,
     default_forcing,
@@ -21,6 +21,7 @@ from dissipeuler.limits import (
     ViscosityLadder,
     linear_model_functionals_multi,
     martingale_test,
+    probe_fields,
     run_ladder,
     solver_functionals_multi,
 )
@@ -189,7 +190,7 @@ def test_criterion_3_energy_inequality(announce):
         for pid in range(n_paths):
             path = WienerPath.sample(3030, pid, forcing.rank, base_dt,
                                      base_steps).refined(2 ** lev)
-            run = run_path(cfg, 3030, pid, path=path, snapshot_times=[])
+            run = run_path(cfg, 3030, pid, path=path)
             defect = run.trace.max_positive_defect()
             tol = run.trace.tolerance(c=c_tol)
             _check(failures, defect <= tol,
@@ -278,7 +279,7 @@ def test_criterion_5_martingale_identification(announce):
     # linear (transport-off) model: exact Ito oracles at 1e4 paths
     grid = TorusGrid(2, 16)
     forcing = default_forcing(2, sigma=0.5)
-    phi_name, phi = _test_fields(grid)[0]
+    phi_name, phi = probe_fields(grid)[0]
     dt, steps = 1.0 / 64, 64
     by_pair, c = linear_model_functionals_multi(
         forcing, [(phi_name, phi)], seed=5050, path_ids=range(10_000), dt=dt,
@@ -300,7 +301,7 @@ def test_criterion_5_martingale_identification(announce):
                        horizon=0.5,
                        initial=InitialCondition("taylor_green", amplitude=0.3))
     pairs = [(0.125, 0.25), (0.25, 0.375)]
-    fields = _test_fields(grid_n)
+    fields = probe_fields(grid_n)
     n_tests = len(fields) * len(pairs) * (2 + forcing_n.rank)
     _check(failures, n_tests <= 24, f"test grid too large: {n_tests}")
     functionals = solver_functionals_multi(cfg, fields, 777, range(256), pairs)
@@ -328,12 +329,14 @@ def test_criterion_6_vanishing_viscosity_cauchy(announce):
     horizon, dt = 0.5, 1.0 / 128
     eps_ladder = (0.1, 0.05, 0.025, 0.0125)
     part = CellPartition(2, 64, 4, 8, 0.0, horizon)
+    # four mid-slab samples per slab plus both endpoints, as the CLI takes
+    times = sorted({0.0, horizon, *part.sample_times(dt, 4)})
     ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
 
     cfg_det = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=dt,
                            horizon=horizon, initial=ic)
     res_det = run_ladder(ViscosityLadder(eps_ladder, cfg_det, seed=2024),
-                         part, radius=4.0)
+                         part, 4.0, times)
     d = res_det.cauchy_distances
     _check(failures, all(a > b for a, b in zip(d, d[1:])),
            f"deterministic distances not strictly decreasing: {d}")
@@ -342,7 +345,7 @@ def test_criterion_6_vanishing_viscosity_cauchy(announce):
                            eps=0.1, dt=dt, horizon=horizon, initial=ic)
     res_sto = run_ladder(ViscosityLadder(eps_ladder, cfg_sto, seed=2024,
                                          path_ids=tuple(range(8))),
-                         part, radius=4.0)
+                         part, 4.0, times)
     d = res_sto.cauchy_distances
     _check(failures, all(a > b for a, b in zip(d, d[1:])),
            f"stochastic distances not strictly decreasing: {d}")

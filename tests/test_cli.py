@@ -706,7 +706,7 @@ class TestVanishCli:
 
     def test_vanish_names_survivors_by_path_id(self, tmp_path, monkeypatch):
         # paths 0-2 blow up at every rung; only path 3 survives
-        import dissipeuler.cli as cli
+        import dissipeuler.limits as limits
         from dissipeuler.forcing import WienerPath
         raw = {
             "experiment": "vanish",
@@ -720,13 +720,13 @@ class TestVanishCli:
             "solver": {"blowup_ceiling": 3},
         }
         seen = []
-        residual = cli.momentum_residual
+        residual = limits.momentum_residual
 
-        def spy(run, forcing, path, phi, **kw):
-            value = residual(run, forcing, path, phi, **kw)
+        def spy(rec, forcing, path):
+            value = residual(rec, forcing, path)
             seen.append((path, value))
             return value
-        monkeypatch.setattr(cli, "momentum_residual", spy)
+        monkeypatch.setattr(limits, "momentum_residual", spy)
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "run"
         assert main(["vanish", "--config", str(cfg), "--out", str(out)]) == 1

@@ -19,11 +19,19 @@ from dissipeuler.limits import (
     linear_model_functionals_multi,
     martingale_test,
     momentum_residual,
+    probe_fields,
     run_ladder,
     solver_functionals_multi,
 )
 from dissipeuler.reporting import all_passed
-from dissipeuler.solver import InitialCondition, SolverConfig, SolverRun, run_path
+from dissipeuler.solver import (
+    InitialCondition,
+    Snapshots,
+    SolverConfig,
+    SolverError,
+    SolverRun,
+    run_path,
+)
 from dissipeuler.spectral import SpectralField, TorusGrid
 from dissipeuler.young import (
     CellPartition,
@@ -51,10 +59,26 @@ def base_config(n=32, dt=1.0 / 64, horizon=0.5, sigma=0.2, amp=0.4):
         initial=InitialCondition("random_spectrum", amplitude=amp, k_max=2))
 
 
-def _rerun(ladder, part, eps, pid, paths):
-    """Run (eps, pid) of a ladder again, as ``run_ladder`` runs it."""
-    return run_path(ladder.base.with_eps(eps), ladder.seed, pid, path=paths[pid],
-                    snapshot_times=part.sample_times(ladder.base.dt, 4))
+def ladder_times(part, dt):
+    """Four mid-slab samples per slab plus both endpoints, as the CLI takes."""
+    return sorted({part.t0, part.t1, *part.sample_times(dt, 4)})
+
+
+def _rerun(ladder, part, eps, pid):
+    """The trajectory of (eps, pid) of a ladder, run again as ``run_ladder``
+    runs it (on the same Wiener path, which run_path samples alike)."""
+    snaps = Snapshots(ladder.base, ladder_times(part, ladder.base.dt))
+    run_path(ladder.base.with_eps(eps), ladder.seed, pid, observers=(snaps,))
+    return snaps.trajectory
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("integrated before the check")
+
+
+def every_step(cfg):
+    """A ``Snapshots`` observer of every step of a run of ``cfg``."""
+    return Snapshots(cfg, np.arange(cfg.steps + 1) * cfg.dt)
 
 
 def _assert_same_bits(V, W):
@@ -91,8 +115,8 @@ class TestLadder:
         cfg = base_config(n=16, horizon=0.25)
         ladder = ViscosityLadder((0.1,), cfg, seed=3)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, radius=3.0)
-        traj = res.finest.trajectory
+        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        traj = _rerun(ladder, part, 0.1, 0)
         Vd = dirac_embed(traj, part, 3.0)
         assert np.allclose(res.family.nu_mass, Vd.nu_mass)
         assert np.array_equal(res.family.nu.key, Vd.nu.key)
@@ -107,7 +131,7 @@ class TestLadder:
                                                     amplitude=0.4, k_max=2))
         ladder = ViscosityLadder((0.1, 0.05, 0.025, 0.0125), cfg, seed=5)
         part = CellPartition(2, 32, 2, 4, 0.0, 0.5)
-        res = run_ladder(ladder, part, radius=3.0)
+        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
         d = res.cauchy_distances
         assert len(d) == 3
         assert d[0] > d[1] > d[2]
@@ -118,9 +142,9 @@ class TestLadder:
         cfg = base_config(n=16, horizon=0.25)
         ladder = ViscosityLadder((0.1, 0.05), cfg, seed=7)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, radius=4.0)
+        res = run_ladder(ladder, part, 4.0, ladder_times(part, cfg.dt))
         for eps in res.measures:
-            traj = _rerun(ladder, part, eps, 0, res.paths).trajectory
+            traj = _rerun(ladder, part, eps, 0)
             bary = barycenter(res.measures[eps]).reshape(part.n_t, part.n_space, -1)
             slabs = np.array([part.slab_of(float(t)) for t in traj.times])
             for s in range(part.n_t):
@@ -131,7 +155,7 @@ class TestLadder:
         cfg = base_config(n=16, horizon=0.25)
         ladder = ViscosityLadder((0.1, 0.05), cfg, seed=11, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, radius=4.0)
+        res = run_ladder(ladder, part, 4.0, ladder_times(part, cfg.dt))
         # identical Ito input trace; stochastic integrals differ through u
         t0, t1 = res.traces[0.1][0][1], res.traces[0.05][0][1]
         assert np.array_equal(t0.ito_input, t1.ito_input)
@@ -144,7 +168,8 @@ class TestStreamingLadder:
         cfg = base_config(n=16, horizon=0.25)
         ladder = ViscosityLadder((0.1, 0.05), cfg, seed=17, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        return ladder, part, run_ladder(ladder, part, radius=0.3)
+        return ladder, part, run_ladder(ladder, part, 0.3,
+                                        ladder_times(part, cfg.dt))
 
     def test_measures_equal_rerun_families(self):
         ladder, part, res = self.setup_ladder()
@@ -152,20 +177,18 @@ class TestStreamingLadder:
         assert res.family.lam_total() > 0.0
         for eps in ladder.eps_values:
             want = estimate_from_family(
-                (_rerun(ladder, part, eps, pid, res.paths).trajectory
+                (_rerun(ladder, part, eps, pid)
                  for pid in ladder.path_ids), part, 0.3)
             _assert_same_bits(res.measures[eps], want)
         want = estimate_from_family(
-            (_rerun(ladder, part, eps, pid, res.paths).trajectory
+            (_rerun(ladder, part, eps, pid)
              for eps in res.tail for pid in ladder.path_ids), part, 0.3)
         _assert_same_bits(res.family, want)
 
-    def test_result_holds_one_run_with_snapshots(self):
+    def test_result_holds_no_run(self):
         ladder, part, res = self.setup_ladder()
-        whole = [r for f in fields(res) for r in _held_runs(getattr(res, f.name))
-                 if r.snapshots]
-        assert len(whole) <= 1
-        assert res.finest.config.eps == 0.05 and res.finest.path_id == 0
+        assert [r for f in fields(res) for r in _held_runs(getattr(res, f.name))] == []
+        assert res.finest[:2] == (0.05, 0)
         assert [[pid for pid, _ in res.traces[eps]] for eps in ladder.eps_values] \
             == [[0, 1], [0, 1]]
 
@@ -178,12 +201,12 @@ class TestStreamingLadder:
                            initial=InitialCondition("zero"), blowup_ceiling=0.4)
         ladder = ViscosityLadder((8.0, 4.0, 2.0, 0.01), cfg, seed=3, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.5)
-        res = run_ladder(ladder, part, radius=4.0)
+        res = run_ladder(ladder, part, 4.0, ladder_times(part, cfg.dt))
         assert list(res.blowups) == [0.01]
         assert [pid for pid, _ in res.blowups[0.01]] == [0, 1]
         assert list(res.measures) == [8.0, 4.0, 2.0]
         assert res.tail == [2.0]
-        assert res.finest.config.eps == 2.0
+        assert res.finest[0] == 2.0
         _assert_same_bits(res.family, res.measures[2.0])
         assert len(res.cauchy_distances) == 2
 
@@ -191,33 +214,35 @@ class TestStreamingLadder:
 class TestMomentumResidual:
     def setup_run(self, eps=0.0, n=32, dt=1.0 / 64, horizon=0.25,
                   snapshot_times=None):
+        """A run observed by a recorder of the first probe field, at the
+        steps of ``snapshot_times`` (every step if None), and by a
+        ``Snapshots`` observer of the same steps."""
         cfg = base_config(n=n, dt=dt, horizon=horizon)
         cfg = cfg.with_eps(eps) if eps > 0 else SolverConfig(
             grid=cfg.grid, forcing=cfg.forcing, eps=0.0, dt=dt,
             horizon=horizon, initial=cfg.initial)
+        snaps = every_step(cfg) if snapshot_times is None \
+            else Snapshots(cfg, snapshot_times)
+        rec = FunctionalRecorder(div_free_phi(cfg.grid), eps, steps=snaps.steps)
         path = WienerPath.sample(13, 0, cfg.rank, dt, cfg.steps)
-        run = run_path(cfg, 13, 0, path=path, snapshot_times=snapshot_times)
-        return cfg, path, run
+        run_path(cfg, 13, 0, path=path, observers=(rec, snaps))
+        return cfg, path, rec, snaps.trajectory
 
     def test_zero_time_window(self):
-        cfg, path, run = self.setup_run()
-        phi = div_free_phi(cfg.grid)
-        assert momentum_residual(run, cfg.forcing, path, phi, t=0.0) == 0.0
+        cfg, path, rec, _ = self.setup_run(snapshot_times=[0.0])
+        assert momentum_residual(rec, cfg.forcing, path) == 0.0
 
     def test_inviscid_residual_is_machine_zero(self):
         # with eps = 0 and every step sampled, the scheme satisfies the
         # discrete weak form identically
-        cfg, path, run = self.setup_run(eps=0.0)
-        phi = div_free_phi(cfg.grid)
-        assert momentum_residual(run, cfg.forcing, path, phi, t=0.25) < 1e-12
+        cfg, path, rec, _ = self.setup_run(eps=0.0)
+        assert momentum_residual(rec, cfg.forcing, path) < 1e-12
 
     def test_viscous_residual_first_order(self):
         residuals = []
-        for k, dt in enumerate((1.0 / 64, 1.0 / 128, 1.0 / 256)):
-            cfg, path, run = self.setup_run(eps=0.2, dt=dt)
-            phi = div_free_phi(cfg.grid)
-            residuals.append(momentum_residual(run, cfg.forcing, path, phi,
-                                               t=0.25))
+        for dt in (1.0 / 64, 1.0 / 128, 1.0 / 256):
+            cfg, path, rec, _ = self.setup_run(eps=0.2, dt=dt)
+            residuals.append(momentum_residual(rec, cfg.forcing, path))
         orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
         assert np.all(orders >= 0.9)
 
@@ -230,11 +255,11 @@ class TestMomentumResidual:
     ], ids=["every_step", "slab_mids"])
     def test_oracle_equivalence_with_classical_weak_form(self, snapshot_times):
         # independent trajectory-side evaluation of every term
-        cfg, path, run = self.setup_run(eps=0.0, snapshot_times=snapshot_times)
-        phi = div_free_phi(cfg.grid)
-        traj = run.trajectory
+        cfg, path, rec, traj = self.setup_run(eps=0.0,
+                                              snapshot_times=snapshot_times)
+        phi = rec.phi
         t = 0.25
-        residual = momentum_residual(run, cfg.forcing, path, phi, t=t)
+        residual = momentum_residual(rec, cfg.forcing, path)
 
         grid = cfg.grid
         gp = np.zeros((2, 2) + grid.shape)
@@ -257,17 +282,58 @@ class TestMomentumResidual:
         classical = abs(drift - conv - stoch)
         assert abs(residual - classical) < 1e-10
 
-    def test_rejects_off_slab_time(self):
-        cfg, path, run = self.setup_run()
-        phi = div_free_phi(cfg.grid)
-        with pytest.raises(LimitError):
-            momentum_residual(run, cfg.forcing, path, phi, t=0.1)
+    def test_rejects_off_slab_time(self, monkeypatch):
+        # the residual is read at the last snapshot time of a ladder; a
+        # time off the step grid fails before any run
+        monkeypatch.setattr(limits, "run_path", _no_run)
+        cfg = base_config(n=16, horizon=0.25)
+        with pytest.raises(SolverError, match="step grid"):
+            run_ladder(ViscosityLadder((0.1,), cfg, seed=1),
+                       CellPartition(2, 16, 2, 2, 0.0, 0.25), 4.0, [0.0, 0.1])
 
-    def test_rejects_run_without_snapshot_at_zero(self):
-        cfg, path, run = self.setup_run(snapshot_times=[0.125, 0.25])
-        phi = div_free_phi(cfg.grid)
-        with pytest.raises(LimitError):
-            momentum_residual(run, cfg.forcing, path, phi, t=0.25)
+    def test_rejects_run_without_snapshot_at_zero(self, monkeypatch):
+        # M starts at u(0): a recorder, and so a ladder, needs step 0
+        with pytest.raises(LimitError, match="step 0"):
+            FunctionalRecorder(div_free_phi(TorusGrid(2, 16)), 0.1, steps={8, 16})
+        monkeypatch.setattr(limits, "run_path", _no_run)
+        cfg = base_config(n=16, horizon=0.25)
+        with pytest.raises(LimitError, match="step 0"):
+            run_ladder(ViscosityLadder((0.1,), cfg, seed=1),
+                       CellPartition(2, 16, 2, 2, 0.0, 0.25), 4.0, [0.125, 0.25])
+
+    def test_ladder_residual_equals_a_replay(self):
+        # the residual run_ladder records live equals, bit for bit, a
+        # fresh recorder fed the stored states of the same run afterwards
+        cfg = base_config(n=16, horizon=0.25)
+        ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=19, path_ids=(0, 1))
+        part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
+        times = ladder_times(part, cfg.dt)
+        res = run_ladder(ladder, part, 4.0, times)
+        eps, pid, trace, residual = res.finest
+        assert (eps, pid) == (0.025, 0)
+
+        class Store:
+            steps = Snapshots(cfg, times).steps
+
+            def __init__(self):
+                self.states = []
+
+            def on_state(self, n, t, u, phys):
+                self.states.append((n, t, u, phys.copy()))
+
+        store = Store()
+        path = WienerPath.sample(ladder.seed, pid, cfg.rank, cfg.dt, cfg.steps)
+        run_path(cfg.with_eps(eps), ladder.seed, pid, path=path, observers=(store,))
+        phi = probe_fields(cfg.grid)[0][1]
+        rec = FunctionalRecorder(phi, eps, transport=cfg.transport)
+        for state in store.states:
+            rec.on_state(*state)
+        last = store.states[-1][0]
+        beta = path.increments[:last].sum(axis=0)
+        replayed = abs(float(rec.martingale_series()[-1])
+                       - float(forcing_pairings(phi, cfg.forcing) @ beta))
+        assert residual > 0.0
+        assert residual.hex() == replayed.hex()
 
 
 class TestMartingale:
@@ -279,7 +345,7 @@ class TestMartingale:
                            horizon=0.25, initial=InitialCondition("taylor_green"))
         phi = div_free_phi(grid)
         rec = FunctionalRecorder(phi, 0.0)
-        run_path(cfg, 1, 0, snapshot_times=[], observers=(rec,))
+        run_path(cfg, 1, 0, observers=(rec,))
         m = rec.martingale_series()
         assert np.max(np.abs(m)) < 1e-12
 
@@ -439,9 +505,10 @@ class TestEnergyInequalityLimit:
         grid = TorusGrid(2, 16)
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
                            horizon=0.5, initial=InitialCondition("zero"))
-        run = run_path(cfg, 1, 0)
+        snaps = every_step(cfg)
+        run = run_path(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(run.trajectory, part, radius=1.0)
+        V = dirac_embed(snaps.trajectory, part, radius=1.0)
         rows, _ = energy_inequality_limit(V, [run.trace], None, tol=1e-12)
         assert all_passed(rows)
         values = {r["audit"]: r["value"] for r in rows}
@@ -453,9 +520,10 @@ class TestEnergyInequalityLimit:
         grid = TorusGrid(2, 16)
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
                            horizon=0.5, initial=InitialCondition("zero"))
-        run = run_path(cfg, 1, 0)
+        snaps = every_step(cfg)
+        run = run_path(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(run.trajectory, part, radius=1.0)
+        V = dirac_embed(snaps.trajectory, part, radius=1.0)
         stochastic = run.trace.stochastic.copy()
         stochastic[-1] = np.nan
         trace = replace(run.trace, stochastic=stochastic)
@@ -472,7 +540,7 @@ class TestEnergyInequalityLimit:
                                                     amplitude=0.4, k_max=2))
         ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=29)
         part = CellPartition(2, 32, 4, 4, 0.0, 0.5)
-        res = run_ladder(ladder, part, radius=3.0)
+        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
         traces = [tr for eps in (0.05, 0.025) for _, tr in res.traces[eps]]
         tol = res.traces[0.025][0][1].tolerance(c=1.0)
         rows, _ = energy_inequality_limit(res.family, traces, None, tol=tol)
@@ -487,7 +555,7 @@ class TestFamilyEnergyAlongLadder:
         cfg = base_config(n=16, horizon=0.25)
         ladder = ViscosityLadder((0.1, 0.05), cfg, seed=61, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, radius=6.0)
+        res = run_ladder(ladder, part, 6.0, ladder_times(part, cfg.dt))
         from dissipeuler.young import slab_energies
         sup_path = max(float(np.max(tr.energy))
                        for eps in (0.1, 0.05) for _, tr in res.traces[eps])

@@ -19,9 +19,11 @@ from dissipeuler.solver import (
     BlowUpError,
     CflError,
     InitialCondition,
+    Snapshots,
     SolverConfig,
     SolverError,
     apriori_moment_report,
+    initial_state,
     run_path,
     step,
 )
@@ -31,7 +33,6 @@ from dissipeuler.spectral import (
     dealias,
     divergence_defect,
     inner_product,
-    kinetic_energy,
     l2_norm_sq,
     single_mode,
 )
@@ -65,16 +66,16 @@ class TestStep:
         cfg = make_config(eps=eps, dt=dt, horizon=steps * dt,
                           initial=InitialCondition("single_mode"))
         u = single_mode(cfg.grid)
-        e0 = kinetic_energy(u)
+        e0 = 0.5 * l2_norm_sq(u)
         for _ in range(steps):
             u, _ = step(u, None, cfg, dealias(u).to_physical())
         t = steps * dt
         expected = e0 * np.exp(-2.0 * eps * t)
-        assert kinetic_energy(u) == pytest.approx(expected, rel=1e-8)
+        assert 0.5 * l2_norm_sq(u) == pytest.approx(expected, rel=1e-8)
 
     def test_taylor_green_steady_energy(self):
         cfg = make_config(eps=0.0)
-        run = run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+        run = run_path(cfg, seed=1, path_id=0)
         drift = np.abs(run.trace.energy - run.trace.energy[0])
         assert np.max(drift) < 1e-10
 
@@ -89,7 +90,7 @@ class TestStep:
             u = u0
             for _ in range(cfg.steps):
                 u, _ = step(u, None, cfg, dealias(u).to_physical())
-            errors.append(abs(kinetic_energy(u) - kinetic_energy(u0)))
+            errors.append(abs(0.5 * l2_norm_sq(u) - 0.5 * l2_norm_sq(u0)))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 0.9)
 
@@ -105,7 +106,7 @@ class TestStep:
     def test_blowup_raises(self):
         cfg = make_config(blowup_ceiling=0.5)
         with pytest.raises(BlowUpError) as err:
-            run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+            run_path(cfg, seed=1, path_id=0)
         assert err.value.sup > 0.5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -115,7 +116,7 @@ class TestStep:
         cfg = make_config(grid=TorusGrid(2, 16), initial=InitialCondition(
             "random_spectrum", amplitude=1e308, k_max=2, decay=-2.0))
         with pytest.raises(BlowUpError) as err:
-            run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+            run_path(cfg, seed=1, path_id=0)
         assert np.isnan(err.value.sup)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -127,7 +128,7 @@ class TestStep:
                                                    amplitude=1e308, k_max=2,
                                                    decay=-2.0))
         with pytest.raises(BlowUpError) as err:
-            run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+            run_path(cfg, seed=1, path_id=0)
         assert err.value.sup is None and err.value.time == 0.0
         assert str(err.value).startswith("non-finite energy")
         assert len(err.value.partial.times) == 1
@@ -136,7 +137,7 @@ class TestStep:
     def test_cfl_guard(self):
         cfg = make_config(dt=0.5, horizon=1.0)
         with pytest.raises(CflError):
-            run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+            run_path(cfg, seed=1, path_id=0)
 
 
 class TestRunPath:
@@ -145,19 +146,19 @@ class TestRunPath:
         run = run_path(cfg, seed=1, path_id=0)
         assert len(run.trace.times) == 1
         u0 = cfg.initial.sample(cfg.grid, 1, 0)
-        assert run.trace.energy[0] == pytest.approx(kinetic_energy(u0), rel=1e-12)
+        assert run.trace.energy[0] == pytest.approx(0.5 * l2_norm_sq(u0), rel=1e-12)
 
     def test_viscous_unforced_energy_monotone(self):
         cfg = make_config(eps=0.05)
-        run = run_path(cfg, seed=1, path_id=0, snapshot_times=[])
+        run = run_path(cfg, seed=1, path_id=0)
         diffs = np.diff(run.trace.energy)
         assert np.all(diffs <= 1e-10)
 
     def test_deterministic_given_keys(self):
         cfg = make_config(eps=0.02, forcing=default_forcing(2),
                           initial=InitialCondition("random_spectrum", amplitude=0.4))
-        a = run_path(cfg, seed=9, path_id=3, snapshot_times=[])
-        b = run_path(cfg, seed=9, path_id=3, snapshot_times=[])
+        a = run_path(cfg, seed=9, path_id=3)
+        b = run_path(cfg, seed=9, path_id=3)
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
         assert np.array_equal(a.trace.stochastic, b.trace.stochastic)
 
@@ -168,20 +169,38 @@ class TestRunPath:
         p1 = WienerPath.sample(7, 1, forcing.rank, cfg.dt, cfg.steps)
         p2 = WienerPath.sample(7, 1, forcing.rank, cfg.dt, cfg.steps)
         assert np.array_equal(p1.increments, p2.increments)
-        r1 = run_path(cfg.with_eps(0.1), 7, 1, path=p1, snapshot_times=[])
-        r2 = run_path(cfg.with_eps(0.0125), 7, 1, path=p2, snapshot_times=[])
+        r1 = run_path(cfg.with_eps(0.1), 7, 1, path=p1)
+        r2 = run_path(cfg.with_eps(0.0125), 7, 1, path=p2)
         assert not np.array_equal(r1.final.coeffs, r2.final.coeffs)
 
     def test_snapshots_at_requested_times(self):
         cfg = make_config()
-        run = run_path(cfg, 1, 0, snapshot_times=[0.0, 0.125, 0.25])
-        assert list(run.trajectory.times) == [0.0, 0.125, 0.25]
-        assert len(run.snapshots) == 3
+        snaps = Snapshots(cfg, [0.0, 0.125, 0.25])
+        run_path(cfg, 1, 0, observers=(snaps,))
+        assert list(snaps.trajectory.times) == [0.0, 0.125, 0.25]
+        assert snaps.trajectory.n_snapshots == 3
 
     def test_rejects_off_grid_snapshot(self):
         cfg = make_config()
         with pytest.raises(SolverError):
-            run_path(cfg, 1, 0, snapshot_times=[0.1234])
+            Snapshots(cfg, [0.1234])
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_initial_state_is_the_state_at_step_0(self, dim, n):
+        cfg = make_config(grid=TorusGrid(dim, n), dt=1.0 / 64, horizon=1.0 / 32,
+                          forcing=default_forcing(dim, 0.3),
+                          initial=InitialCondition("random_spectrum", 0.5))
+        seen = []
+
+        class First:
+            steps = {0}
+
+            def on_state(self, n, t, u, phys):
+                seen.append(u)
+
+        run_path(cfg, 4, 2, observers=(First(),))
+        assert len(seen) == 1
+        assert seen[0].coeffs.tobytes() == initial_state(cfg, 4, 2).coeffs.tobytes()
 
 
 class TestItoPairing:
@@ -205,10 +224,12 @@ class TestItoPairing:
         states = []
 
         class Keep:
+            steps = None
+
             def on_state(self, n, t, u, phys):
                 states.append(u)
 
-        run = run_path(cfg, 3, 1, snapshot_times=[], observers=(Keep(),))
+        run = run_path(cfg, 3, 1, observers=(Keep(),))
         path = WienerPath.sample(3, 1, forcing.rank, cfg.dt, cfg.steps)
         g = [m.sigma * forcing.mode_field(cfg.grid, k)
              for k, m in enumerate(modes)]
@@ -240,11 +261,14 @@ class TestPointValues:
         seen = []
 
         class Keep:
+            steps = None
+
             def on_state(self, n, t, u, phys):
                 seen.append((u, phys.copy()))
 
         times = [0.0, 0.0625, 0.125]
-        run = run_path(cfg, 5, 2, snapshot_times=times, observers=(Keep(),))
+        snaps = Snapshots(cfg, times)
+        run_path(cfg, 5, 2, observers=(Keep(), snaps))
         assert len(seen) == cfg.steps + 1
         outside = ~grid.ops.mask
         for u, phys in seen:
@@ -252,29 +276,45 @@ class TestPointValues:
             assert np.array_equal(phys.view(np.uint64),
                                   u.to_physical().view(np.uint64))
         snap_steps = [round(t / cfg.dt) for t in times]
-        assert np.array_equal(run.trajectory.values,
+        assert np.array_equal(snaps.trajectory.values,
                               np.stack([seen[k][1] for k in snap_steps]))
-        assert np.array_equal(run.trajectory.times, times)
+        assert np.array_equal(snaps.trajectory.times, times)
 
+    # ``observers`` recorders read every step, a ``Snapshots`` observer
+    # (none if None) the steps of ``snapshot_times``; each case runs with
+    # transport on and off
     @pytest.mark.parametrize("observers,snapshot_times", [
-        (0, []), (0, None), (1, [0.0, 0.25]), (3, None)])
+        (0, []), (0, None), (1, [0.0, 0.25]), (3, None), (0, [0.0, 0.25])])
     def test_one_inverse_and_one_forward_transform_per_step(
             self, monkeypatch, observers, snapshot_times):
         grid = TorusGrid(2, 32)
-        cfg = make_config(grid=grid, eps=0.02, dt=1.0 / 64, horizon=0.25,
-                          forcing=default_forcing(2, 0.3),
-                          initial=InitialCondition("random_spectrum", 0.5))
         phi = SpectralField.from_modes(grid, {(0, 1): np.array([0.5j, 0.0])})
-        recs = [FunctionalRecorder(phi, cfg.eps) for _ in range(observers)]
         calls = {"rfftn": 0, "irfftn": 0}
         for name in calls:
             def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kw):
                 calls[_name] += 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(scipy.fft, name, counted)
-        run_path(cfg, 1, 0, snapshot_times=snapshot_times, observers=recs)
-        assert calls["rfftn"] == cfg.steps
-        assert cfg.steps <= calls["irfftn"] <= cfg.steps + 1
+        for transport in (True, False):
+            cfg = make_config(grid=grid, eps=0.02, dt=1.0 / 64, horizon=0.25,
+                              forcing=default_forcing(2, 0.3), transport=transport,
+                              initial=InitialCondition("random_spectrum", 0.5))
+            obs = [FunctionalRecorder(phi, cfg.eps, transport)
+                   for _ in range(observers)]
+            if snapshot_times is not None:
+                obs.append(Snapshots(cfg, snapshot_times))
+            read = set(range(cfg.steps + 1)) if observers \
+                else set(obs[0].steps) if obs else set()
+            calls.update(rfftn=0, irfftn=0)   # count the run's transforms only
+            run_path(cfg, 1, 0, observers=obs)
+            if transport:   # the transport term transforms every state but the last
+                assert calls["rfftn"] == cfg.steps
+                assert calls["irfftn"] == cfg.steps + (cfg.steps in read)
+            else:           # only the states an observer reads
+                assert calls["rfftn"] == 0
+                assert calls["irfftn"] == len(read)
+            if snapshot_times is not None:
+                assert list(obs[-1].trajectory.times) == snapshot_times
 
 
 DT, HORIZON = 1.0 / 64, 0.25   # 16 steps
@@ -288,8 +328,8 @@ STEP_TABLE = [   # (time, whether it is a step of DT within HORIZON)
 
 @pytest.mark.parametrize("t,on_grid", STEP_TABLE)
 def test_every_reader_maps_a_time_to_a_step_alike(t, on_grid):
-    # the loader, run_path, the martingale pairs and the reference build
-    # all accept or reject a time by step_index
+    # the loader, SolverConfig, Snapshots, the martingale pairs and the
+    # reference build all accept or reject a time by step_index
     def accepts(call, error):
         try:
             call()
@@ -313,8 +353,7 @@ def test_every_reader_maps_a_time_to_a_step_alike(t, on_grid):
     verdicts = {
         "loader pairs": accepts(loader(martingale={"pairs": [list(pair)]}),
                                 ConfigError),
-        "run_path": accepts(lambda: run_path(cfg, 1, 0, snapshot_times=[t]),
-                            SolverError),
+        "Snapshots": accepts(lambda: Snapshots(cfg, [t]), SolverError),
         "_by_pair": accepts(lambda: _by_pair(m, m, beta, [pair], DT), LimitError),
         "build_reference": accepts(
             lambda: build_reference(cfg, 1, 0, CellPartition(2, 16, 1, 2, 0.0, HORIZON),
@@ -324,19 +363,21 @@ def test_every_reader_maps_a_time_to_a_step_alike(t, on_grid):
     if t <= HORIZON:   # a horizon bounds itself
         verdicts["loader horizon"] = accepts(loader(time={"horizon": t}),
                                              ConfigError)
+        verdicts["SolverConfig"] = accepts(
+            lambda: make_config(grid=cfg.grid, dt=DT, horizon=t), SolverError)
     assert verdicts == dict.fromkeys(verdicts, on_grid)
 
 
 class TestEnergyAudit:
     def test_zero_solution_zero_defect(self):
         cfg = make_config(initial=InitialCondition("zero"), horizon=0.25)
-        run = run_path(cfg, 1, 0, snapshot_times=[])
+        run = run_path(cfg, 1, 0)
         assert run.trace.defect(0.0, 0.25) == 0.0
         assert run.trace.max_positive_defect() == 0.0
 
     def test_nan_energy_fails_defect_row(self):
         cfg = make_config(eps=0.05, horizon=0.25)
-        run = run_path(cfg, 1, 0, snapshot_times=[])
+        run = run_path(cfg, 1, 0)
         energy = run.trace.energy.copy()
         energy[len(energy) // 2] = np.nan
         trace = replace(run.trace, energy=energy)
@@ -350,7 +391,7 @@ class TestEnergyAudit:
         for dt in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             cfg = make_config(eps=0.3, dt=dt, horizon=0.5,
                               initial=InitialCondition("single_mode"))
-            run = run_path(cfg, 1, 0, snapshot_times=[])
+            run = run_path(cfg, 1, 0)
             defects.append(abs(run.trace.defect(0.0, 0.5)))
         orders = np.log2(np.array(defects[:-1]) / np.array(defects[1:]))
         assert np.all(orders >= 0.9)
@@ -372,7 +413,7 @@ class TestEnergyAudit:
             for pid in range(n_paths):
                 path = WienerPath.sample(21, pid, forcing.rank, base_dt,
                                          int(round(0.5 / base_dt))).refined(2 ** lev)
-                run = run_path(cfg, 21, pid, path=path, snapshot_times=[])
+                run = run_path(cfg, 21, pid, path=path)
                 vals.append(run.trace.max_positive_defect())
             levels.append(np.mean(vals))
         orders = np.log2(np.array(levels[:-1]) / np.array(levels[1:]))
@@ -380,12 +421,12 @@ class TestEnergyAudit:
         # every path honours the sqrt(dt) tolerance at the base level
         cfg = make_config(grid=grid, eps=0.05, dt=base_dt, horizon=0.5,
                           forcing=forcing, initial=initial)
-        run = run_path(cfg, 21, 0, snapshot_times=[])
+        run = run_path(cfg, 21, 0)
         assert run.trace.max_positive_defect() <= run.trace.tolerance(c=1.0)
 
     def test_defect_requires_ordered_grid_times(self):
         cfg = make_config(horizon=0.25)
-        run = run_path(cfg, 1, 0, snapshot_times=[])
+        run = run_path(cfg, 1, 0)
         with pytest.raises(SolverError):
             run.trace.defect(0.25, 0.0)
         with pytest.raises(SolverError):
@@ -393,7 +434,7 @@ class TestEnergyAudit:
 
     def test_trace_csv_columns(self, tmp_path):
         cfg = make_config(horizon=1.0 / 16, forcing=default_forcing(2))
-        run = run_path(cfg, 3, 0, snapshot_times=[])
+        run = run_path(cfg, 3, 0)
         out = tmp_path / "trace.csv"
         run.trace.write_csv(out)
         lines = out.read_text().strip().splitlines()
@@ -404,14 +445,14 @@ class TestEnergyAudit:
 class TestAprioriMonitor:
     def test_deterministic_inviscid_moment_is_e0_power(self):
         cfg = make_config(eps=0.0, horizon=0.125)
-        run = run_path(cfg, 1, 0, snapshot_times=[])
+        run = run_path(cfg, 1, 0)
         _, rep = apriori_moment_report({0.0: [run.trace]}, p=3.0)
         e0 = run.trace.energy[0]
         assert rep["rows"][0]["moment"] == pytest.approx(e0 ** 3, rel=1e-10)
 
     def test_deterministic_viscous_moment_closed_form(self):
         cfg = make_config(eps=0.05, horizon=0.125)
-        run = run_path(cfg, 1, 0, snapshot_times=[])
+        run = run_path(cfg, 1, 0)
         _, rep = apriori_moment_report({0.05: [run.trace]}, p=2.5)
         expected = (np.max(run.trace.energy) + run.trace.dissipation[-1]) ** 2.5
         assert rep["rows"][0]["moment"] == pytest.approx(expected, rel=1e-12)
@@ -423,7 +464,7 @@ class TestAprioriMonitor:
         for eps in (0.1, 0.05, 0.025):
             cfg = make_config(grid=grid, eps=eps, dt=1.0 / 32, horizon=0.5,
                               forcing=forcing)
-            traces[eps] = [run_path(cfg, 31, pid, snapshot_times=[]).trace
+            traces[eps] = [run_path(cfg, 31, pid).trace
                            for pid in range(16)]
         rows, rep = apriori_moment_report(traces, p=3.0)
         assert all_passed(rows)
@@ -436,7 +477,7 @@ class TestAprioriMonitor:
             forcing = default_forcing(2, sigma=sigma)
             cfg = make_config(grid=grid, eps=0.05, dt=1.0 / 32, horizon=0.5,
                               forcing=forcing)
-            traces = [run_path(cfg, 37, pid, snapshot_times=[]).trace
+            traces = [run_path(cfg, 37, pid).trace
                       for pid in range(16)]
             reports.append(apriori_moment_report({0.05: traces}, p=3.0)[1])
         assert reports[1]["rows"][0]["moment"] > reports[0]["rows"][0]["moment"]
@@ -492,7 +533,7 @@ class TestWeakConvergenceProxy:
             for pid in range(n_paths):
                 path = WienerPath.sample(71, pid, forcing.rank, base_dt,
                                          base_steps).refined(2 ** lev)
-                run = run_path(cfg, 71, pid, snapshot_times=[], path=path)
+                run = run_path(cfg, 71, pid, path=path)
                 vals.append(run.trace.energy[-1])
             means.append(np.mean(vals))
         diffs = np.abs(np.diff(means))
@@ -507,6 +548,6 @@ class TestThreeDimensional:
                           forcing=default_forcing(3, sigma=0.1),
                           initial=InitialCondition("taylor_green",
                                                    amplitude=0.3))
-        run = run_path(cfg, 91, 0, snapshot_times=[])
+        run = run_path(cfg, 91, 0)
         assert run.trace.max_positive_defect() <= run.trace.tolerance(c=1.0)
         assert divergence_defect(run.final) < 1e-12

@@ -19,7 +19,6 @@ from dissipeuler.spectral import (
     gradient_physical,
     half_to_physical,
     inner_product,
-    kinetic_energy,
     l2_norm_sq,
     leray_project,
     read_field,
@@ -309,10 +308,6 @@ class TestInnerProduct:
         phys = f.to_physical()
         quad = np.sum(phys ** 2) * grid2d.dx ** 2
         assert l2_norm_sq(f) == pytest.approx(quad, rel=1e-12)
-
-    def test_kinetic_energy(self, grid2d):
-        u = taylor_green(grid2d)
-        assert kinetic_energy(u) == pytest.approx(0.5 * l2_norm_sq(u))
 
 
 class TestRoundTrips:

@@ -5,7 +5,15 @@ import pytest
 
 from dissipeuler.forcing import default_forcing
 from dissipeuler.reporting import all_passed
-from dissipeuler.solver import InitialCondition, SolverConfig, Trajectory, run_path
+from dissipeuler.solver import (
+    InitialCondition,
+    Snapshots,
+    SolverConfig,
+    SolverError,
+    Trajectory,
+    initial_state,
+    run_path,
+)
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, single_mode, taylor_green
 import dissipeuler.weakstrong as weakstrong
 from dissipeuler.weakstrong import (
@@ -26,18 +34,24 @@ def steady_config(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, kind="taylor_green")
                         initial=InitialCondition(kind, amplitude=amp))
 
 
-def steady_run(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, snapshot_times=None,
+def observed(cfg, seed, path_id, snapshot_times):
+    """The trajectory of a run of ``cfg`` at ``snapshot_times``."""
+    snaps = Snapshots(cfg, snapshot_times)
+    run_path(cfg, seed, path_id, observers=(snaps,))
+    return snaps.trajectory
+
+
+def steady_run(grid, snapshot_times, amp=1.0, dt=1.0 / 32, horizon=0.25,
                kind="taylor_green"):
-    return run_path(steady_config(grid, amp, dt, horizon, kind), 1, 0,
-                    snapshot_times=snapshot_times)
+    return observed(steady_config(grid, amp, dt, horizon, kind), 1, 0,
+                    snapshot_times)
 
 
 def steady_reference(grid, partition, snapshot_times, amp=1.0, dt=1.0 / 32,
                      horizon=0.25, kind="taylor_green"):
     """The reference ``build_reference`` integrates for ``steady_run``."""
-    ref, _ = build_reference(steady_config(grid, amp, dt, horizon, kind), 1, 0,
-                             partition, snapshot_times)
-    return ref
+    return build_reference(steady_config(grid, amp, dt, horizon, kind), 1, 0,
+                           partition, snapshot_times)
 
 
 def snapshot_grid(horizon, n_t, per_slab=2, dt=1.0 / 32):
@@ -54,10 +68,10 @@ class TestRelativeEnergy:
     def test_self_comparison_within_binning_floor(self):
         grid = TorusGrid(2, 32)
         times = snapshot_grid(0.25, 2)
-        run = steady_run(grid, snapshot_times=times)
+        traj = steady_run(grid, times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
         ref = steady_reference(grid, part, times)
-        V = dirac_embed(run.trajectory, part, radius=3.0)
+        V = dirac_embed(traj, part, radius=3.0)
         e = 0.5 * l2_norm_sq(taylor_green(grid))
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
@@ -84,10 +98,10 @@ class TestRelativeEnergy:
                            eps=0.05, dt=1.0 / 32, horizon=0.25,
                            initial=InitialCondition("random_spectrum",
                                                     amplitude=0.3, k_max=2))
-        run = run_path(cfg, 41, 0, snapshot_times=times)
+        traj = observed(cfg, 41, 0, times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
         ref = steady_reference(grid, part, times, amp=0.7)
-        V = dirac_embed(run.trajectory, part, radius=4.0)
+        V = dirac_embed(traj, part, radius=4.0)
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
             scale = max(out["measure_form"], out["expanded_form"])
@@ -103,8 +117,7 @@ class TestRelativeEnergy:
                                eps=0.02, dt=1.0 / 32, horizon=0.25,
                                initial=InitialCondition("random_spectrum",
                                                         amplitude=0.4))
-            run = run_path(cfg, 43, pid, snapshot_times=times)
-            V = dirac_embed(run.trajectory, part, radius=4.0)
+            V = dirac_embed(observed(cfg, 43, pid, times), part, radius=4.0)
             for slab in range(part.n_t):
                 assert relative_energy(V, ref, slab)["measure_form"] >= 0.0
 
@@ -132,27 +145,47 @@ class TestReference:
                            eps=0.0, dt=1.0 / 32, horizon=0.25,
                            initial=InitialCondition("random_spectrum",
                                                     amplitude=0.3, k_max=2))
-        run = run_path(cfg, 61, 0, snapshot_times=times)
+        states = []
+
+        class Keep:
+            steps = Snapshots(cfg, times).steps
+
+            def on_state(self, n, t, u, phys):
+                states.append((t, u))
+
+        run_path(cfg, 61, 0, observers=(Keep(),))
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
-        ref, _ = build_reference(cfg, 61, 0, part, times)
-        assert np.array_equal(ref.times, run.trajectory.times)
+        ref = build_reference(cfg, 61, 0, part, times)
+        assert np.array_equal(ref.times, [t for t, _ in states])
         for s in range(part.n_t):
             sel = [m for m, t in enumerate(times) if part.slab_of(t) == s]
             acc = 0.0
             for m in sel:
-                acc = acc + part.block_mean(run.snapshots[m].to_physical())
+                acc = acc + part.block_mean(states[m][1].to_physical())
             want = np.moveaxis(acc / len(sel), -1, 0)
             assert np.array_equal(ref.cell_mean[s], want)
             assert ref.slab_energy_sq[s] == np.mean(
-                [l2_norm_sq(run.snapshots[m]) for m in sel])
+                [l2_norm_sq(states[m][1]) for m in sel])
 
-    def test_v0_is_the_first_state(self):
-        grid = TorusGrid(2, 32)
-        cfg = steady_config(grid, amp=0.5)
-        part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
-        _, v0 = build_reference(cfg, 1, 0, part, snapshot_grid(0.25, 2))
-        first = run_path(cfg, 1, 0, snapshot_times=[0.0]).snapshots[0]
-        assert np.array_equal(v0.coeffs, first.coeffs)
+    def test_v0_is_the_first_state(self, monkeypatch):
+        # F(0) reads v(0) as initial_state: the state the reference starts from
+        cfg = SolverConfig(grid=TorusGrid(2, 32), forcing=default_forcing(2, 0.2),
+                           eps=0.0, dt=1.0 / 64, horizon=0.25,
+                           initial=InitialCondition("random_spectrum", 0.3))
+        first = []
+
+        class First:
+            steps = {0}
+
+            def on_state(self, n, t, v, phys):
+                first.append(v)
+
+        def run_path_and_first(*args, observers, **kwargs):
+            return run_path(*args, observers=(*observers, First()), **kwargs)
+        monkeypatch.setattr(weakstrong, "run_path", run_path_and_first)
+        build_reference(cfg, 1, 0, CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                        snapshot_grid(0.25, 2))
+        assert np.array_equal(first[0].coeffs, initial_state(cfg, 1, 0).coeffs)
 
     def test_snapshot_time_off_the_step_grid_rejected(self, monkeypatch):
         # the times map to steps before the run: none is integrated
@@ -173,9 +206,9 @@ class TestReference:
     def test_relative_energy_rejects_other_partition(self):
         grid = TorusGrid(2, 16)
         times = snapshot_grid(0.25, 2)
-        run = steady_run(grid, snapshot_times=times)
+        traj = steady_run(grid, times)
         ref = steady_reference(grid, CellPartition(2, 16, 2, 4, 0.0, 0.25), times)
-        V = dirac_embed(run.trajectory, CellPartition(2, 16, 2, 8, 0.0, 0.25),
+        V = dirac_embed(traj, CellPartition(2, 16, 2, 8, 0.0, 0.25),
                         radius=3.0)
         with pytest.raises(WeakStrongError, match="another partition"):
             relative_energy(V, ref, 0)
@@ -213,7 +246,7 @@ class TestStoppingTime:
                                eps=0.0, dt=1.0 / 32, horizon=0.25,
                                initial=InitialCondition("random_spectrum",
                                                         amplitude=0.25))
-            ref, _ = build_reference(cfg, 47, pid, part, times)
+            ref = build_reference(cfg, 47, pid, part, times)
             sups.append(ref.grad_sup_max())
             stops.append(stopping_time(ref, level) < ref.horizon)
         p_stop = np.mean(stops)
@@ -247,7 +280,7 @@ class TestGronwallAudit:
                                  snapshot_times=times)
         out = rep["per_eps"][0.0]
         assert out["f0"][0] == 0.0
-        e0 = run_path(cfg, 53, 0, snapshot_times=[]).trace.energy[0]
+        e0 = run_path(cfg, 53, 0).trace.energy[0]
         assert np.all(out["f_matrix"][0] <= 0.02 * e0)
         assert np.all(out["f_matrix"][0] >= 0.0)
 
@@ -372,9 +405,12 @@ class TestLadderComparison:
             runs.append(args)
             return real_run_path(*args, **kwargs)
         monkeypatch.setattr(weakstrong, "run_path", counting_run_path)
+        with pytest.raises(SolverError, match="step grid"):   # 0.25 is 8/3 steps
+            SolverConfig(grid=fine, forcing=None, eps=0.0, dt=3.0 / 32,
+                         horizon=0.25, initial=ic)
         bad = [SolverConfig(grid=fine, forcing=None, eps=0.0, dt=dt,
                             horizon=0.25, initial=ic)
-               for dt in (1.0 / 48, 3.0 / 32, 1.0 / 96)]
+               for dt in (1.0 / 48, 1.0 / 96)]
         bad.append(SolverConfig(grid=TorusGrid(2, 8), forcing=None, eps=0.0,
                                 dt=1.0 / 64, horizon=0.25, initial=ic))
         for reference in bad:
@@ -405,13 +441,13 @@ class TestLadderComparison:
         assert calls == [0, 1, 2]
 
     @pytest.mark.parametrize("times, match", [
-        ([0.0625, 0.1875, 0.25], "t = 0"),
+        ([0.0, 0.125, 0.28125], r"steps 0\.\.8"),   # past the horizon
         ([0.0, 0.0625, 0.09375], r"slabs \[1\] hold no snapshot"),
         ([0.0, 0.1, 0.1875], "step grid"),
     ])
     def test_snapshot_times_checked_before_integration(self, monkeypatch,
                                                        times, match):
-        # F(0) reads each run's first snapshot and F every slab's snapshots
+        # F reads every slab's snapshots
         grid, fine = TorusGrid(2, 16), TorusGrid(2, 32)
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
         weak = SolverConfig(grid=grid, forcing=default_forcing(2, 0.2), eps=0.1,
