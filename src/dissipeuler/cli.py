@@ -23,13 +23,12 @@ failure, 2 on a configuration error and 3 on a crash.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, check_seed, load_config
+from .config import ConfigError, RunConfig, load_config
 from .limits import (
     MartingaleStat,
     ViscosityLadder,
@@ -44,7 +43,7 @@ from .limits import (
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
 from .solver import BlowUpError, Snapshots, apriori_moment_report, step_index
-from .spectral import TorusGrid, write_field
+from .spectral import write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
     TestIntegrand,
@@ -67,9 +66,7 @@ def main(argv=None) -> int:
         print(text)
         return 0 if text.endswith("overall: PASS") else 1
     try:
-        cfg = load_config(args.config, args.command)
-        if args.seed is not None:
-            cfg = _override_seed(cfg, args.seed)
+        cfg, raw = load_config(args.config, args.command, args.seed)
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -79,11 +76,6 @@ def main(argv=None) -> int:
     except Exception as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    from pathlib import Path
-    raw = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw.setdefault("ensemble", {})["seed"] = args.seed
     out.write_json("config.echo.json", raw)
 
     runner = {
@@ -124,11 +116,6 @@ def _build_parser():
     rep = sub.add_parser("report")
     rep.add_argument("--dir", required=True)
     return parser
-
-
-def _override_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    from dataclasses import replace
-    return replace(cfg, seed=check_seed(seed))
 
 
 # -- simulate ----------------------------------------------------------------
@@ -300,22 +287,14 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
 
 
 def _run_weakstrong(cfg: RunConfig, out: RunDirectory):
-    from dataclasses import replace
-
-    part = cfg.partition
-    snaps = cfg.snapshot_times
-    weak_base = cfg.solver_config(cfg.eps_values[0])
-    ref_grid = TorusGrid(cfg.grid.dim, cfg.reference.n)
-    ref_cfg = replace(weak_base, grid=ref_grid, eps=0.0,
-                      dt=cfg.dt / cfg.reference.dt_factor)
-
     try:
         rows, rep = weak_strong_ladder(
-            cfg.eps_values, weak_base, ref_cfg, cfg.seed, range(cfg.paths),
-            part, cfg.young.radius, snaps, level=cfg.reference.level,
+            cfg.eps_values, cfg.solver_config(cfg.eps_values[0]),
+            cfg.reference.n, cfg.reference.dt_factor, cfg.seed,
+            range(cfg.paths), cfg.partition, cfg.young.radius,
+            cfg.snapshot_times, level=cfg.reference.level,
             slack=cfg.tolerances.gronwall_slack,
-            bins_per_axis=cfg.young.bins_per_axis,
-            tail_tol=cfg.reference.tail_tol)
+            bins_per_axis=cfg.young.bins_per_axis)
     except BlowUpError as err:
         return _blowup_report(out, "weakstrong", err)
     return rows, {

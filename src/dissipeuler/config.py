@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .forcing import (
     ForcingError,
@@ -138,7 +138,6 @@ class MartingaleSpec:
 class ReferenceSpec:
     n: int = 128
     dt_factor: int = 4
-    tail_tol: float = 1e-6
     level: float | None = None
 
 
@@ -182,13 +181,22 @@ class RunConfig:
         return tuple(sorted({0.0, end, *mids}))
 
 
-def load_config(path, experiment: str) -> RunConfig:
+def load_config(path, experiment: str, seed: int | None = None):
+    """The config at ``path`` for ``experiment`` and the JSON it was read from.
+
+    The file is read once.  A ``seed`` replaces ``ensemble.seed`` in both,
+    once the file has loaded as written.
+    """
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError("<file>", f"invalid JSON: {err}") from err
-    return parse_config(raw, experiment)
+    cfg = parse_config(raw, experiment)
+    if seed is not None:
+        cfg = replace(cfg, seed=check_seed(seed))
+        raw["ensemble"]["seed"] = seed
+    return cfg, raw
 
 
 def parse_config(raw: dict, experiment: str) -> RunConfig:
@@ -231,13 +239,15 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
 
     young = _parse_young(raw, grid)
     tol = _parse_tolerances(raw)
-    mart = _parse_martingale(raw, horizon, dt if experiment == "martingale" else None)
+    mart = _parse_martingale(raw, horizon, dt, steps, experiment == "martingale")
     ref = _parse_reference(raw, grid, experiment)
 
     s = _get(raw, "", "solver", dict, {})
     _no_unknown(s, "solver", {"blowup_ceiling", "cfl_number", "transport"})
-    blowup = _get(s, "solver", "blowup_ceiling", float, 1e3)
-    cfl = _get(s, "solver", "cfl_number", float, 0.5)
+    blowup = _positive(_get(s, "solver", "blowup_ceiling", float, 1e3),
+                       "solver.blowup_ceiling")
+    cfl = _positive(_get(s, "solver", "cfl_number", float, 0.5),
+                    "solver.cfl_number")
     transport = _get(s, "solver", "transport", bool, True)
 
     cfg = RunConfig(experiment=experiment, grid=grid, dt=dt, horizon=horizon,
@@ -418,11 +428,16 @@ def _parse_tolerances(raw):
                              ("martingale_alpha", 0.05))})
 
 
-def _parse_martingale(raw, horizon, dt):   # dt given: pairs must be whole steps
+def _parse_martingale(raw, horizon, dt, steps, on_grid):
+    """The martingale section; with ``on_grid`` pairs must be whole steps.
+
+    The default pair (floor(steps / 4) dt, floor(steps / 2) dt) lies on the
+    step grid.
+    """
     m = _get(raw, "", "martingale", dict, {})
     _no_unknown(m, "martingale", {"pairs", "histories", "linear_paths"})
     pairs_raw = _get(m, "martingale", "pairs", list,
-                     [[horizon / 4, horizon / 2]])
+                     [[steps // 4 * dt, steps // 2 * dt]])
     pairs = []
     for i, p in enumerate(pairs_raw):
         where = f"martingale.pairs[{i}]"
@@ -433,7 +448,7 @@ def _parse_martingale(raw, horizon, dt):   # dt given: pairs must be whole steps
         if not 0 <= s < t <= horizon:
             raise ConfigError(where, "need 0 <= s < t <= horizon")
         try:
-            for x in (s, t) if dt else ():
+            for x in (s, t) if on_grid else ():
                 step_index(x, dt)
         except SolverError:
             raise ConfigError(where, "s and t must be whole numbers of steps "
@@ -450,11 +465,10 @@ def _parse_martingale(raw, horizon, dt):   # dt given: pairs must be whole steps
 
 def _parse_reference(raw, grid, experiment):
     r = _get(raw, "", "reference", dict, {})
-    _no_unknown(r, "reference", {"n", "dt_factor", "tail_tol", "level"})
+    _no_unknown(r, "reference", {"n", "dt_factor", "level"})
     spec = ReferenceSpec(
         n=_get(r, "reference", "n", int, 4 * grid.n),
         dt_factor=_get(r, "reference", "dt_factor", int, 4),
-        tail_tol=_get(r, "reference", "tail_tol", float, 1e-6),
         level=_get(r, "reference", "level", float, None))
     if experiment == "weakstrong":
         _grid(grid.dim, spec.n, "reference.n", "reference.n")

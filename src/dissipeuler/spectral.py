@@ -409,16 +409,6 @@ def resample(f: SpectralField, grid_new: TorusGrid) -> SpectralField:
     return SpectralField(grid_new, out)
 
 
-def tail_energy_fraction(f: SpectralField) -> float:
-    """Energy fraction above the dealias cutoff; resolution diagnostic."""
-    ops = f.grid.ops
-    e2 = (np.abs(f.coeffs) ** 2).sum(axis=0) * ops.weight
-    total = float(e2.sum())
-    if total == 0.0:
-        return 0.0
-    return float(e2[~ops.mask].sum()) / total
-
-
 # -- named fields --------------------------------------------------------
 
 

@@ -1,9 +1,10 @@
 """Pathwise weak-strong uniqueness audit via the relative energy.
 
-The "strong" solution is operationally a resolved reference: a run on a
-finer grid with smaller dt, zero viscosity, and the same Wiener path
-(Brownian-bridge refined), declared valid up to the first time its spectral
-tail carries more than a configured energy fraction.  ``build_reference``
+The "strong" solution is operationally a resolved reference: the weak
+run's configuration on a finer grid with dt divided by a power of two, zero
+viscosity, and the same Wiener path (Brownian-bridge refined).  Every state
+lies in the dealias band, so the reference is trusted up to its horizon;
+only the stopping time tau_L below cuts it short.  ``build_reference``
 integrates it once per path and, while it runs, reduces it on the audit's
 partition to what the relative energy reads per time slab: its slab-mean
 velocity per space cell and its slab-mean ||v||^2, so the run keeps no
@@ -20,7 +21,7 @@ the expanded form E(t) + 0.5 ||v||^2 - <u, v>.  A Gronwall envelope
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,10 +30,10 @@ from .reporting import audit_row
 from .solver import Snapshots, SolverConfig, initial_state, run_path, step_index
 from .spectral import (
     SpectralField,
+    TorusGrid,
     gradient_physical,
     l2_norm_sq,
     resample,
-    tail_energy_fraction,
 )
 from .young import (
     CellPartition,
@@ -52,7 +53,7 @@ class StrongReference:
 
     times: np.ndarray           # snapshot times
     grad_sup: np.ndarray        # ||grad v(t)||_inf at snapshot times
-    horizon: float              # declared life span (resolution diagnostic)
+    horizon: float              # the reference run's horizon
     cell_mean: np.ndarray       # (n_t, n_space, dim) slab mean of v per space cell
     slab_energy_sq: np.ndarray  # (n_t,) slab mean of ||v(t)||_{L^2}^2
 
@@ -64,20 +65,16 @@ class ReferenceReduction:
     """Observer reducing a reference run on ``partition`` as it runs.
 
     It observes the steps ``snapshot_steps``; at each it reads
-    ||grad v||_inf, the spectral tail fraction, the space-cell averages of
-    the point values and ||v||^2, and keeps nothing of the state.  The
-    horizon is the first such time at which the dealias-band energy
-    fraction exceeds tail_tol (the reference is no longer trusted as a
-    classical solution there); otherwise ``horizon``.  ``reference`` then
-    gives each time slab the mean over its snapshots of the cell averages
-    and of ||v||^2, the two quantities the relative energy reads; a slab
-    without a snapshot is an error.
+    ||grad v||_inf, the space-cell averages of the point values and
+    ||v||^2, and keeps nothing of the state.  ``reference`` then gives
+    each time slab the mean over its snapshots of the cell averages and of
+    ||v||^2, the two quantities the relative energy reads; a slab without a
+    snapshot is an error.
     """
 
     def __init__(self, partition: CellPartition, snapshot_steps,
-                 horizon: float, tail_tol: float = 1e-6):
+                 horizon: float):
         self.partition = partition
-        self.tail_tol = tail_tol
         self.horizon = float(horizon)
         self.steps = frozenset(snapshot_steps)
         self._times, self._grad_sup = [], []
@@ -86,8 +83,6 @@ class ReferenceReduction:
     def on_state(self, n, t, v, phys):
         tensor = gradient_physical(v)
         self._grad_sup.append(float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max())))
-        if tail_energy_fraction(v) > self.tail_tol and self.horizon >= t:
-            self.horizon = float(t)
         self._times.append(t)
         slab = self.partition.slab_of(float(t))
         self._sums[slab] = self._sums.get(slab, 0.0) + self.partition.block_mean(phys)
@@ -109,8 +104,7 @@ class ReferenceReduction:
 
 def build_reference(cfg: SolverConfig, seed: int, path_id: int,
                     partition: CellPartition, snapshot_times,
-                    path: WienerPath | None = None,
-                    tail_tol: float = 1e-6) -> StrongReference:
+                    path: WienerPath | None = None) -> StrongReference:
     """Integrate a reference run and reduce it on ``partition`` as it runs.
 
     The snapshot times map to steps of ``cfg`` by ``step_index`` before the
@@ -119,7 +113,7 @@ def build_reference(cfg: SolverConfig, seed: int, path_id: int,
     """
     steps = {step_index(t, cfg.dt, cfg.steps, WeakStrongError)
              for t in snapshot_times}
-    reduction = ReferenceReduction(partition, steps, cfg.horizon, tail_tol)
+    reduction = ReferenceReduction(partition, steps, cfg.horizon)
     run_path(cfg, seed, path_id, path=path, observers=(reduction,))
     return reduction.reference()
 
@@ -129,7 +123,7 @@ def stopping_time(ref: StrongReference, level: float) -> float:
     if level <= 0:
         raise WeakStrongError("threshold must be positive")
     for t, g in zip(ref.times, ref.grad_sup):
-        if g > level and t <= ref.horizon:
+        if g > level:
             return float(t)
     return ref.horizon
 
@@ -239,33 +233,37 @@ def _stopped(f_matrix: np.ndarray, times: np.ndarray, tau: np.ndarray,
 # -- orchestration ------------------------------------------------------------
 
 
-def weak_strong_ladder(eps_values, weak_base: SolverConfig,
-                       reference_cfg: SolverConfig, seed: int, path_ids,
+def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
+                       dt_factor: int, seed: int, path_ids,
                        partition: CellPartition, radius: float,
                        snapshot_times, level: float | None = None,
-                       slack: float = 0.0, bins_per_axis: int = 16,
-                       tail_tol: float = 1e-6):
+                       slack: float = 0.0, bins_per_axis: int = 16):
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
-    One pass per path: sample its Wiener path once, build the reference on
-    its Brownian-bridge refinement, then run and compare every rung on the
-    path itself; F(0) is taken once per path, from the initial states.
-    Returns the audit rows (F(0) = 0, F >= 0, agreement of the two forms of
-    F, the monotone ladder and one Gronwall envelope per eps) and the
-    diagnostics: per-eps relative-energy matrices with their Gronwall
-    diagnostics, the stopping times and the paired monotonicity diagnostics
-    along the ladder.  Checked before any integration: the reference refines
-    the weak grid and divides its dt by a power of two, and the snapshot
-    times lie on the weak step grid and reach every time slab.
+    The reference is ``weak_base`` on the grid of size ``ref_n`` with zero
+    viscosity and dt divided by ``dt_factor``.  One pass per path: sample
+    its Wiener path once, build the reference on its Brownian-bridge
+    refinement, then run and compare every rung on the path itself; F(0) is
+    taken once per path, from the initial states.  Returns the audit rows
+    (F(0) = 0, F >= 0, agreement of the two forms of F, the monotone ladder
+    and one Gronwall envelope per eps) and the diagnostics: per-eps
+    relative-energy matrices with their Gronwall diagnostics, the stopping
+    times and the paired monotonicity diagnostics along the ladder.
+    Checked before any integration: the ladder is non-empty and strictly
+    decreasing, the reference refines the weak grid and divides its dt by
+    a power of two, and the snapshot times lie on the weak step grid and
+    reach every time slab.
     """
-    if reference_cfg.grid.n % weak_base.grid.n != 0:
+    eps_values = tuple(eps_values)
+    if not eps_values or any(b >= a for a, b in zip(eps_values, eps_values[1:])):
+        raise WeakStrongError("ladder must be non-empty and strictly "
+                              f"decreasing, got {eps_values}")
+    if ref_n % weak_base.grid.n != 0:
         raise WeakStrongError("reference grid must refine the weak grid")
-    ratio = weak_base.dt / reference_cfg.dt
-    dt_ratio = int(round(ratio))
-    if abs(ratio - dt_ratio) > 1e-9 or dt_ratio < 1:
-        raise WeakStrongError("reference dt must divide the weak dt")
-    if dt_ratio & (dt_ratio - 1):
+    if dt_factor < 1 or dt_factor & (dt_factor - 1):
         raise WeakStrongError("dt refinement must be a power of two")
+    reference_cfg = replace(weak_base, grid=TorusGrid(weak_base.grid.dim, ref_n),
+                            eps=0.0, dt=weak_base.dt / dt_factor)
     for t in snapshot_times:
         step_index(t, weak_base.dt, weak_base.steps, WeakStrongError)
     empty = set(range(partition.n_t)) - {partition.slab_of(float(t)) for t in snapshot_times}
@@ -282,8 +280,7 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig,
             if weak_base.forcing is not None else None
         ref = build_reference(
             reference_cfg, seed, pid, partition, snapshot_times,
-            path=path.refined(dt_ratio) if path is not None else None,
-            tail_tol=tail_tol)
+            path=path.refined(dt_factor) if path is not None else None)
         refs.append(ref)
         f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
                                           initial_state(reference_cfg, seed, pid)))

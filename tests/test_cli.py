@@ -1,10 +1,15 @@
 """Config schema, artifact determinism, reporting, CLI exit codes."""
 
+import builtins
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dissipeuler.cli as cli
 from dissipeuler.cli import main
 from dissipeuler.config import ConfigError, parse_config
 from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
@@ -176,6 +181,11 @@ class TestSchema:
         ("simulate", "time", "horizon", 0.0, "time.horizon"),
         ("simulate", "initial", "decay", -1000.0, "initial.decay"),
         ("martingale", "martingale", "pairs", [[0.1, 0.2]], "martingale.pairs[0]"),
+        ("simulate", "solver", "cfl_number", -1.0, "solver.cfl_number"),
+        ("simulate", "solver", "cfl_number", 0.0, "solver.cfl_number"),
+        ("simulate", "solver", "blowup_ceiling", -1.0, "solver.blowup_ceiling"),
+        ("simulate", "solver", "blowup_ceiling", 0.0, "solver.blowup_ceiling"),
+        ("simulate", "reference", "tail_tol", -1.0, "reference.tail_tol"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -255,6 +265,14 @@ class TestSchema:
         assert "config error: reference.n: a run at n=512 in 3D" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_pairs_lie_on_the_step_grid(self):
+        # 6 steps: the default pair is (1, 3) steps, not (1.5, 3) steps
+        raw = forced_config(paths=32)
+        raw["experiment"] = "martingale"
+        raw["time"] = {"dt": 1.0 / 12, "horizon": 0.5}
+        assert parse_config(raw, "martingale").martingale.pairs == \
+            ((1.0 / 12, 3.0 / 12),)
 
     def test_off_grid_pairs_checked_only_for_martingale(self):
         # 0.1 is 3.2 steps of dt = 1/32; experiments that never read the
@@ -360,6 +378,35 @@ class TestSimulateCli:
             (out2 / "manifest.json").read_bytes()
         echoed = json.loads((out2 / "config.echo.json").read_text())
         assert echoed["ensemble"]["seed"] == 123456
+
+    def test_config_file_read_once(self, tmp_path, monkeypatch):
+        # one load_config call, looked up through the cli module, reads the
+        # file for the run and for its echo, and applies the seed override
+        cfg = write_config(tmp_path, forced_config(paths=1))
+        opened, loads = [], []
+        real_open, real_load = io.open, cli.load_config
+
+        def spy_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == cfg:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        def spy_load(*args, **kwargs):
+            loads.append(args)
+            return real_load(*args, **kwargs)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(io, "open", spy_open)
+        monkeypatch.setattr(cli, "load_config", spy_load)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
+        assert len(opened) == 1
+        assert len(loads) == 1
+        echoed = json.loads((out / "config.echo.json").read_text())
+        assert echoed == dict(forced_config(paths=1),
+                              ensemble={"paths": 1, "seed": 5})
+        report = json.loads((out / "reports" / "simulate.json").read_text())
+        assert report["seed"] == 5
 
     def test_bad_config_exit_2(self, tmp_path):
         raw = zero_config()

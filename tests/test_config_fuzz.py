@@ -46,7 +46,7 @@ def _full_schema(experiment):
                        "martingale_alpha": 0.05},
         "martingale": {"pairs": [[0.0625, 0.125]],
                        "histories": ["one", "clamp_beta"], "linear_paths": 64},
-        "reference": {"n": 32, "dt_factor": 2, "tail_tol": 1e-6, "level": 5.0},
+        "reference": {"n": 32, "dt_factor": 2, "level": 5.0},
         "solver": {"blowup_ceiling": 100.0, "cfl_number": 0.5,
                    "transport": True},
     }

@@ -23,7 +23,6 @@ from dissipeuler.spectral import (
     leray_project,
     read_field,
     single_mode,
-    tail_energy_fraction,
     taylor_green,
     write_field,
 )
@@ -474,12 +473,6 @@ class TestHalfSpectrum:
         energy, grad = energy_and_grad_norm_sq(f)
         assert close(energy, 0.5 * float(power.sum()) * scale)
         assert close(grad, float(np.sum(k2 * power)) * scale)
-        cut = grid.dealias_cutoff()
-        inside = np.ones(grid.shape, dtype=bool)
-        for kj in k:
-            inside &= np.abs(kj) <= cut
-        assert close(tail_energy_fraction(f),
-                     float(power[~inside].sum()) / float(power.sum()))
         # the Nyquist index of an axis other than the last holds -n/2 for
         # both k and -k, so k.u there is not the mirror image: leave them out
         keep = np.ones(grid.shape, dtype=bool)
@@ -515,16 +508,6 @@ class TestHalfSpectrum:
 
 
 class TestDiagnostics:
-    def test_tail_energy_zero_for_band_limited(self, grid2d):
-        rng = np.random.default_rng(19)
-        u = random_divfree_field(grid2d, rng)
-        assert tail_energy_fraction(dealias(u)) == 0.0
-
-    def test_tail_energy_detects_high_modes(self, grid2d):
-        hi = grid2d.dealias_cutoff() + 2
-        f = SpectralField.from_modes(grid2d, {(hi, 0): np.array([0.0, 1.0])})
-        assert tail_energy_fraction(f) == pytest.approx(1.0)
-
     def test_convective_reports_sup_norm(self, grid2d):
         # the solver's blow-up and CFL checks read this pointwise sup
         u = single_mode(grid2d, 2.0)

@@ -9,7 +9,6 @@ from dissipeuler.solver import (
     InitialCondition,
     Snapshots,
     SolverConfig,
-    SolverError,
     Trajectory,
     initial_state,
     run_path,
@@ -275,9 +274,9 @@ class TestGronwallAudit:
         cfg = SolverConfig(grid=grid, forcing=forcing, eps=0.0, dt=1.0 / 32,
                            horizon=0.25, initial=ic)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
-        _, rep = weak_strong_ladder((0.0,), cfg, cfg, seed=53, path_ids=[0],
-                                 partition=part, radius=4.0,
-                                 snapshot_times=times)
+        _, rep = weak_strong_ladder((0.0,), cfg, 32, 1, seed=53, path_ids=[0],
+                                    partition=part, radius=4.0,
+                                    snapshot_times=times)
         out = rep["per_eps"][0.0]
         assert out["f0"][0] == 0.0
         e0 = run_path(cfg, 53, 0).trace.energy[0]
@@ -358,7 +357,6 @@ class TestLadderComparison:
             return real_f0(*args)
         monkeypatch.setattr(weakstrong, "initial_relative_energy", counting_f0)
         grid = TorusGrid(2, 16)
-        fine = TorusGrid(2, 32)
         horizon = 0.5
         times = snapshot_grid(horizon, 4, dt=1.0 / 32)
         forcing = default_forcing(2, sigma=0.1)
@@ -367,9 +365,7 @@ class TestLadderComparison:
         part = CellPartition(2, 16, 4, 16, 0.0, horizon)
         weak = SolverConfig(grid=grid, forcing=forcing, eps=0.2, dt=1.0 / 32,
                             horizon=horizon, initial=ic)
-        ref = SolverConfig(grid=fine, forcing=forcing, eps=0.0, dt=1.0 / 64,
-                           horizon=horizon, initial=ic)
-        rows, rep = weak_strong_ladder((0.2, 0.05, 0.0125), weak, ref, seed=59,
+        rows, rep = weak_strong_ladder((0.2, 0.05, 0.0125), weak, 32, 2, seed=59,
                                        path_ids=range(4), partition=part,
                                        radius=4.0, snapshot_times=times,
                                        slack=0.05)
@@ -384,17 +380,15 @@ class TestLadderComparison:
         assert len(f0_calls) == 4  # once per path: u(0) does not depend on eps
 
     def test_setup_validation(self, monkeypatch):
-        grid = TorusGrid(2, 16)
-        fine = TorusGrid(2, 32)
-        ic = InitialCondition("zero")
-        weak = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
-                            horizon=0.25, initial=ic)
+        weak = SolverConfig(grid=TorusGrid(2, 16), forcing=None, eps=0.1,
+                            dt=1.0 / 32, horizon=0.25,
+                            initial=InitialCondition("zero"))
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
         times = snapshot_grid(0.25, 2)
 
-        def ladder(reference):
-            return weak_strong_ladder((0.1,), weak, reference, seed=1,
-                                      path_ids=[0], partition=part,
+        def ladder(ref_n, dt_factor):
+            return weak_strong_ladder((0.1,), weak, ref_n, dt_factor,
+                                      seed=1, path_ids=[0], partition=part,
                                       radius=4.0, snapshot_times=times,
                                       level=1.0)
 
@@ -405,29 +399,37 @@ class TestLadderComparison:
             runs.append(args)
             return real_run_path(*args, **kwargs)
         monkeypatch.setattr(weakstrong, "run_path", counting_run_path)
-        with pytest.raises(SolverError, match="step grid"):   # 0.25 is 8/3 steps
-            SolverConfig(grid=fine, forcing=None, eps=0.0, dt=3.0 / 32,
-                         horizon=0.25, initial=ic)
-        bad = [SolverConfig(grid=fine, forcing=None, eps=0.0, dt=dt,
-                            horizon=0.25, initial=ic)
-               for dt in (1.0 / 48, 1.0 / 96)]
-        bad.append(SolverConfig(grid=TorusGrid(2, 8), forcing=None, eps=0.0,
-                                dt=1.0 / 64, horizon=0.25, initial=ic))
-        for reference in bad:
-            with pytest.raises(WeakStrongError):
-                ladder(reference)
+        for ref_n, dt_factor, match in [(32, 3, "power of two"),
+                                        (32, 0, "power of two"),
+                                        (8, 2, "refine the weak grid")]:
+            with pytest.raises(WeakStrongError, match=match):
+                ladder(ref_n, dt_factor)
         assert runs == []  # rejected before any integration
-        same_grid = SolverConfig(grid=TorusGrid(2, 16), forcing=None, eps=0.0,
-                                 dt=1.0 / 64, horizon=0.25, initial=ic)
-        ladder(same_grid)  # same grid ok
+        ladder(16, 2)  # same grid ok
         assert len(runs) == 2
 
+    @pytest.mark.parametrize("eps_values", [
+        (), (0.05, 0.1), (0.1, 0.1), (0.1, 0.05, 0.05)])
+    def test_ladder_not_strictly_decreasing_rejected(self, monkeypatch,
+                                                     eps_values):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before the ladder check")
+        monkeypatch.setattr(weakstrong, "run_path", no_run)
+        weak = SolverConfig(grid=TorusGrid(2, 16), forcing=None, eps=0.1,
+                            dt=1.0 / 32, horizon=0.25,
+                            initial=InitialCondition("zero"))
+        with pytest.raises(WeakStrongError, match="strictly decreasing"):
+            weak_strong_ladder(eps_values, weak, 32, 2, seed=1, path_ids=[0],
+                               partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                               radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
+
     def test_one_reference_build_per_path(self, monkeypatch):
+        # the reference is the weak run refined: grid ref_n, eps 0, dt / factor
         calls = []
         real = weakstrong.build_reference
 
         def spy(cfg, seed, path_id, *args, **kwargs):
-            calls.append(path_id)
+            calls.append((path_id, cfg))
             return real(cfg, seed, path_id, *args, **kwargs)
         monkeypatch.setattr(weakstrong, "build_reference", spy)
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
@@ -435,10 +437,10 @@ class TestLadderComparison:
                             eps=0.1, dt=1.0 / 32, horizon=0.25, initial=ic)
         ref = SolverConfig(grid=TorusGrid(2, 32), forcing=default_forcing(2, 0.2),
                            eps=0.0, dt=1.0 / 64, horizon=0.25, initial=ic)
-        weak_strong_ladder((0.1, 0.05), weak, ref, seed=1, path_ids=[0, 1, 2],
+        weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1, path_ids=[0, 1, 2],
                            partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
                            radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
-        assert calls == [0, 1, 2]
+        assert calls == [(0, ref), (1, ref), (2, ref)]
 
     @pytest.mark.parametrize("times, match", [
         ([0.0, 0.125, 0.28125], r"steps 0\.\.8"),   # past the horizon
@@ -448,17 +450,14 @@ class TestLadderComparison:
     def test_snapshot_times_checked_before_integration(self, monkeypatch,
                                                        times, match):
         # F reads every slab's snapshots
-        grid, fine = TorusGrid(2, 16), TorusGrid(2, 32)
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
-        weak = SolverConfig(grid=grid, forcing=default_forcing(2, 0.2), eps=0.1,
-                            dt=1.0 / 32, horizon=0.25, initial=ic)
-        ref = SolverConfig(grid=fine, forcing=default_forcing(2, 0.2), eps=0.0,
-                           dt=1.0 / 64, horizon=0.25, initial=ic)
+        weak = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.2),
+                            eps=0.1, dt=1.0 / 32, horizon=0.25, initial=ic)
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
 
         def no_run(*args, **kwargs):
             raise AssertionError("integrated before the snapshot check")
         monkeypatch.setattr(weakstrong, "run_path", no_run)
         with pytest.raises(WeakStrongError, match=match):
-            weak_strong_ladder((0.1,), weak, ref, seed=1, path_ids=[0],
+            weak_strong_ladder((0.1,), weak, 32, 2, seed=1, path_ids=[0],
                                partition=part, radius=4.0, snapshot_times=times)
