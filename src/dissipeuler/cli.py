@@ -10,7 +10,8 @@ Subcommands name the experiment kinds::
     dissipeuler report     --dir  DIR
 
 Every run writes an append-only artifact directory (echoed config, CSV
-traces, field snapshots, diagnostics) sealed by a SHA-256 manifest.  Each
+traces, field snapshots, binary Young-measure files, diagnostics) sealed
+by a SHA-256 manifest.  Each
 experiment returns its audit rows, most of them built by the library
 function that computes the audited value, and ``main`` alone writes them
 to ``reports/<experiment>.json``, the only place a verdict is stored.  Runs
@@ -49,8 +50,8 @@ from .young import (
     TestIntegrand,
     barycenter,
     dirac_embed,
-    measure_to_dict,
     pairing,
+    write_measure,
 )
 
 
@@ -172,8 +173,8 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
         return blowup_rows, {}
 
     for eps, V in res.measures.items():
-        out.write_json(f"measures/eps{eps:g}.json", measure_to_dict(V))
-    out.write_json("measures/family.json", measure_to_dict(res.family))
+        write_measure(out.path(f"measures/eps{eps:g}.ym"), V)
+    write_measure(out.path("measures/family.ym"), res.family)
 
     d = res.cauchy_distances
     worst_rise = float(np.max(np.diff(d))) if len(d) > 1 \
@@ -218,7 +219,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
     V = dirac_embed(snaps.trajectory, part, cfg.young.radius,
                     bins_per_axis=cfg.young.bins_per_axis,
                     sphere_bins=cfg.young.sphere_bins)
-    out.write_json("measures/run.json", measure_to_dict(V))
+    write_measure(out.path("measures/run.ym"), V)
     run.trace.write_csv(out.path(f"traces/eps{eps:g}_path0000.csv"))
 
     rows = []

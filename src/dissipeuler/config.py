@@ -129,7 +129,7 @@ class YoungSpec:
 
 @dataclass(frozen=True)
 class MartingaleSpec:
-    pairs: tuple = ((0.125, 0.25),)
+    pairs: tuple
     histories: tuple = ("one",)
     linear_paths: int = 10_000
 
@@ -432,10 +432,13 @@ def _parse_martingale(raw, horizon, dt, steps, on_grid):
     """The martingale section; with ``on_grid`` pairs must be whole steps.
 
     The default pair (floor(steps / 4) dt, floor(steps / 2) dt) lies on the
-    step grid.
+    step grid; it needs at least 2 steps.
     """
     m = _get(raw, "", "martingale", dict, {})
     _no_unknown(m, "martingale", {"pairs", "histories", "linear_paths"})
+    if "pairs" not in m and steps < 2:
+        raise ConfigError("time.horizon", f"{steps} step of dt={dt:g} leaves no "
+                                          "default martingale pair; need >= 2 steps")
     pairs_raw = _get(m, "martingale", "pairs", list,
                      [[steps // 4 * dt, steps // 2 * dt]])
     pairs = []

@@ -36,10 +36,17 @@ snapshot touches only its own slab's entries.
 ``dirac_embed`` and ``estimate_from_family`` are loops over it, and a
 caller that produces trajectories one at a time (the viscosity ladder)
 feeds it directly, so no build needs a whole family in memory.
+
+``write_measure`` exports a measure as one binary file: a magic, a
+version, the partition and build parameters, then the raw ``lam_mass``
+and the key, mass, mean and second-moment arrays of both histograms.
+``read_measure`` reads it back bit for bit.  The test dictionary is not
+stored; ``quadratic_dictionary(dim)`` rebuilds it.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -649,28 +656,73 @@ def weakstar_distance(V1: GeneralizedYoungMeasure, V2: GeneralizedYoungMeasure,
 # -- export ----------------------------------------------------------------
 
 
-def measure_to_dict(V: GeneralizedYoungMeasure) -> dict:
-    """JSON-ready description: partition, R, nonzero histogram entries."""
+_MEASURE_MAGIC = b"DEYMS\x00"
+_MEASURE_VERSION = 1
+# version, dim, grid_n, n_t, n_x, t0, t1, radius, bins_per_axis,
+# sphere_bins, clipped_fraction, empty_cells, nu entries, nu_inf entries
+_MEASURE_HEADER = struct.Struct("<HBIIIdddIIdQQQ")
+
+
+def write_measure(path, V: GeneralizedYoungMeasure) -> None:
+    """Write V as a measure file: header, then the raw entry arrays."""
     part = V.partition
-    nu, inf = V.nu, V.nu_inf
-    nu_entries = [list(e) for e in zip(
-        nu.cell.tolist(), (nu.key % nu.n_bins).tolist(), nu.mass.tolist(),
-        nu.mean.tolist(), nu.sec.reshape(len(nu.key), -1).tolist())]
-    inf_entries = [list(e) for e in zip(
-        inf.cell.tolist(), (inf.key % inf.n_bins).tolist(), inf.mass.tolist(),
-        inf.mean.tolist())]
-    return {
-        "partition": {
-            "dim": part.dim, "grid_n": part.grid_n, "n_t": part.n_t,
-            "n_x": part.n_x, "t0": part.t0, "t1": part.t1,
-        },
-        "radius": V.radius,
-        "bins_per_axis": V.bins_per_axis,
-        "sphere_bins": V.sphere_bins,
-        "clipped_fraction": V.clipped_fraction,
-        "empty_cells": V.empty_cells,
-        "lambda_mass": V.lam_mass.tolist(),
-        "nu": nu_entries,
-        "nu_inf": inf_entries,
-        "dictionary": [label for _, _, label in quadratic_dictionary(part.dim)],
-    }
+    with open(path, "wb") as fh:
+        fh.write(_MEASURE_MAGIC)
+        fh.write(_MEASURE_HEADER.pack(
+            _MEASURE_VERSION, part.dim, part.grid_n, part.n_t, part.n_x, part.t0, part.t1,
+            V.radius, V.bins_per_axis, V.sphere_bins, V.clipped_fraction,
+            V.empty_cells, len(V.nu.key), len(V.nu_inf.key)))
+        fh.write(V.lam_mass.astype("<f8", copy=False).tobytes())
+        for entries in (V.nu, V.nu_inf):
+            fh.write(entries.key.astype("<i8", copy=False).tobytes())
+            for a in (entries.mass, entries.mean, entries.sec):
+                fh.write(a.astype("<f8", copy=False).tobytes())
+
+
+def read_measure(path) -> GeneralizedYoungMeasure:
+    """Read a measure written by ``write_measure``, bit for bit."""
+    with open(path, "rb") as fh:
+        magic = fh.read(6)
+        if magic != _MEASURE_MAGIC:
+            raise YoungMeasureError(f"not a measure file: bad magic {magic!r}")
+        header = fh.read(_MEASURE_HEADER.size)
+        version = int.from_bytes(header[:2], "little")
+        if len(header) >= 2 and version != _MEASURE_VERSION:
+            raise YoungMeasureError(f"unsupported measure version {version}")
+        if len(header) != _MEASURE_HEADER.size:
+            raise YoungMeasureError(
+                f"truncated measure: expected a {_MEASURE_HEADER.size}-byte "
+                f"header, got {len(header)} bytes")
+        data = fh.read()
+    (_, dim, grid_n, n_t, n_x, t0, t1, radius, bins_per_axis, sphere_bins,
+     clipped, empty, n_nu, n_inf) = _MEASURE_HEADER.unpack(header)
+    part = CellPartition(dim, grid_n, n_t, n_x, t0, t1)
+    per_entry = 2 + dim + dim * dim   # key, mass, mean, sec
+    want = 8 * (part.n_cells + (n_nu + n_inf) * per_entry)
+    if len(data) < want:
+        raise YoungMeasureError(f"truncated measure: expected {want} data "
+                                f"bytes, got {len(data)}")
+    if len(data) > want:
+        raise YoungMeasureError(f"{len(data) - want} trailing bytes after the "
+                                f"{want} data bytes of the measure")
+
+    offset = 0
+
+    def take(dtype, shape):
+        nonlocal offset
+        n = int(np.prod(shape, dtype=int))
+        a = np.frombuffer(data, dtype="<" + dtype, count=n, offset=offset)
+        offset += 8 * n
+        return a.astype(dtype, copy=False).reshape(shape)
+
+    def entries(n_bins, n):
+        return BinEntries(n_bins, take("i8", (n,)), take("f8", (n,)),
+                          take("f8", (n, dim)), take("f8", (n, dim, dim)))
+
+    lam_mass = take("f8", (part.n_cells,))
+    nu = entries(bins_per_axis ** dim, n_nu)
+    nu_inf = entries(sphere_bins, n_inf)
+    return GeneralizedYoungMeasure(
+        partition=part, radius=radius, bins_per_axis=bins_per_axis,
+        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+        clipped_fraction=clipped, empty_cells=empty)

@@ -141,6 +141,20 @@ class TestSchema:
         assert "time.horizon" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_step_without_pairs_blames_horizon(self, tmp_path, capsys):
+        # one step leaves no default martingale pair (it would be (0, 0));
+        # the error names the horizon the user wrote, not martingale.pairs
+        raw = zero_config()
+        raw["time"] = {"dt": 0.25, "horizon": 0.25}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "time.horizon" in err and "martingale.pairs" not in err
+        assert not out.exists()
+        raw["martingale"] = {"pairs": [[0.0, 0.25]]}
+        assert parse_config(raw, "simulate").martingale.pairs == ((0.0, 0.25),)
+
     def test_forcing_outside_dealias_band_exits_2(self, tmp_path, capsys):
         # (6, 0) is below the Nyquist limit 7 of n = 16 but above its
         # dealias cutoff 5; the second mode is the one named
@@ -693,26 +707,57 @@ class TestYmCli:
         assert (out / "traces" / "eps0_path0000.csv").exists()
 
 
-class TestVanishCli:
-    def test_vanish_small_run(self, tmp_path):
-        raw = {
-            "experiment": "vanish",
-            "grid": {"dim": 2, "n": 16},
-            "time": {"dt": 0.03125, "horizon": 0.25},
-            "viscosity": {"ladder": [0.1, 0.05, 0.025]},
-            "forcing": {"preset": "default", "sigma": 0.1},
-            "initial": {"kind": "random_spectrum", "amplitude": 0.3, "k_max": 2},
-            "ensemble": {"paths": 2, "seed": 4242},
-            "young": {"time_cells": 2, "space_cells": 4, "radius": 4.0},
-        }
-        cfg = write_config(tmp_path, raw)
-        out = tmp_path / "run"
+SMALL_VANISH = {
+    "experiment": "vanish",
+    "grid": {"dim": 2, "n": 16},
+    "time": {"dt": 0.03125, "horizon": 0.25},
+    "viscosity": {"ladder": [0.1, 0.05, 0.025]},
+    "forcing": {"preset": "default", "sigma": 0.1},
+    "initial": {"kind": "random_spectrum", "amplitude": 0.3, "k_max": 2},
+    "ensemble": {"paths": 2, "seed": 4242},
+    "young": {"time_cells": 2, "space_cells": 4, "radius": 4.0},
+}
+
+
+@pytest.fixture(scope="class")
+def small_vanish(tmp_path_factory):
+    """Two runs of the small vanish config into separate directories."""
+    tmp = tmp_path_factory.mktemp("vanish")
+    cfg = write_config(tmp, SMALL_VANISH)
+    outs = [tmp / "a", tmp / "b"]
+    for out in outs:
         assert main(["vanish", "--config", str(cfg), "--out", str(out)]) == 0
+    return outs
+
+
+class TestVanishCli:
+    def test_vanish_small_run(self, small_vanish):
+        out = small_vanish[0]
         manifest = read_manifest(out)
         names = set(manifest["artifacts"])
-        assert "measures/family.json" in names
+        assert "measures/family.ym" in names
         assert "details/energy_limit.json" in names
         assert any(n.startswith("traces/eps0.1_") for n in names)
+
+    def test_measure_files_reproduce_cauchy_distances(self, small_vanish):
+        # the exported rung measures give back the distances the audit saw
+        from dissipeuler.young import read_measure, weakstar_distance
+        out = small_vanish[0]
+        rungs = [read_measure(out / "measures" / f"eps{eps:g}.ym")
+                 for eps in SMALL_VANISH["viscosity"]["ladder"]]
+        d = [weakstar_distance(a, b) for a, b in zip(rungs, rungs[1:])]
+        rows = json.loads((out / "reports" / "vanish.json").read_text())["rows"]
+        row = {r["audit"]: r for r in rows}["cauchy_distance_decreasing"]
+        assert row["detail"] == f"distances={['%.5g' % x for x in d]}"
+
+    def test_rerun_writes_identical_measures(self, small_vanish):
+        a, b = small_vanish
+        names = sorted(p.name for p in (a / "measures").iterdir())
+        assert names == ["eps0.025.ym", "eps0.05.ym", "eps0.1.ym", "family.ym"]
+        for name in names:
+            assert (a / "measures" / name).read_bytes() == \
+                (b / "measures" / name).read_bytes()
+        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
     def test_vanish_cfl_violation_seals_manifest(self, tmp_path):
         raw = {

@@ -18,6 +18,7 @@ SRC = ROOT / "src" / "dissipeuler"
 
 EXCEPTIONS = {
     "read_field": "reads back the field snapshots the CLI writes",
+    "read_measure": "reads back the measure files the CLI writes",
     "divergence_defect": "the solver-invariant oracle of the tests",
     "EnergyTrace.defect": "the energy-inequality defect over one [s, t], "
                           "the oracle of max_positive_defect",

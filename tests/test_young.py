@@ -1,6 +1,7 @@
 """Young measure estimators: embedding, oscillation/concentration, pairing."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from dissipeuler.young import (
     dirac_embed,
     energy_of,
     estimate_from_family,
-    measure_to_dict,
     pairing,
     quadratic_dictionary,
+    read_measure,
     slab_energies,
     weakstar_distance,
+    write_measure,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -223,10 +225,11 @@ class TestFamilyEstimator:
         with pytest.raises(YoungMeasureError, match="no samples"):
             estimate_from_family(iter([]), make_partition(grid), 1.0)
 
-    def test_generator_family_is_streamed(self):
+    def test_generator_family_is_streamed(self, tmp_path):
         # a generator is read one trajectory at a time: when the next one is
         # made, at most the one just read is still alive, and the measure
-        # equals the one built from the same trajectories in a list
+        # writes the bytes of the one built from the same trajectories in a
+        # list
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         times = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -244,7 +247,10 @@ class TestFamilyEstimator:
         listed = estimate_from_family(
             [Trajectory(grid, np.asarray(times), v) for v in values], part, radius=2.0)
         assert len(alive) == 5
-        assert measure_to_dict(streamed) == measure_to_dict(listed)
+        write_measure(tmp_path / "streamed.ym", streamed)
+        write_measure(tmp_path / "listed.ym", listed)
+        assert (tmp_path / "streamed.ym").read_bytes() == \
+            (tmp_path / "listed.ym").read_bytes()
 
     def test_permutation_invariance(self):
         grid = TorusGrid(2, 16)
@@ -396,21 +402,61 @@ class TestEnergyAndDistance:
         assert len(quadratic_dictionary(3)) >= 20
 
 
-class TestExport:
-    def test_round_trippable_dict(self, tmp_path):
-        import json as _json
+def _assert_same_measure(got, want):
+    """Every array equal with its dtype, shape and bits; every scalar too."""
+    assert got.partition == want.partition
+    for name in ("radius", "bins_per_axis", "sphere_bins", "clipped_fraction",
+                 "empty_cells"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g == w and np.signbit(g) == np.signbit(w), name
+    for t in ("t0", "t1"):
+        assert np.signbit(getattr(got.partition, t)) == \
+            np.signbit(getattr(want.partition, t))
+    pairs = [(got.lam_mass, want.lam_mass)]
+    for part in ("nu", "nu_inf"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.n_bins == w.n_bins
+        pairs += [(getattr(g, a), getattr(w, a)) for a in ("key", "mass", "mean", "sec")]
+    for g, w in pairs:
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()
 
+
+def _written(tmp_path, V, name="m.ym"):
+    path = tmp_path / name
+    write_measure(path, V)
+    return path
+
+
+class TestExport:
+    def test_round_trip_keeps_negative_zero(self, tmp_path):
         grid = TorusGrid(2, 16)
-        part = make_partition(grid)
         traj = constant_trajectory(grid, (0.5, 0.5), [0.0, 1.0])
-        V = dirac_embed(traj, part, 2.0)
-        d = measure_to_dict(V)
-        text = _json.dumps(d, sort_keys=True)
-        back = _json.loads(text)
-        assert back["partition"]["n_t"] == part.n_t
-        assert back["radius"] == 2.0
-        assert len(back["nu"]) == part.n_cells  # one occupied bin per cell
-        assert len(back["dictionary"]) >= 20
+        V = dirac_embed(traj, make_partition(grid), 2.0)
+        lam = V.lam_mass.copy()
+        lam[0] = -0.0
+        V = replace(V, partition=replace(V.partition, t0=-0.0), lam_mass=lam,
+                    clipped_fraction=-0.0)
+        back = read_measure(_written(tmp_path, V))
+        assert np.signbit(back.lam_mass[0]) and np.signbit(back.clipped_fraction)
+        _assert_same_measure(back, V)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda b: b"DEFLD\x00" + b[6:], "bad magic"),
+        (lambda b: b[:6] + (2).to_bytes(2, "little") + b[8:],
+         "unsupported measure version 2"),
+        (lambda b: b[:20], "header"),
+        (lambda b: b[:-8], "truncated measure: expected"),
+        (lambda b: b + b"\x00", "trailing bytes"),
+    ], ids=["foreign_magic", "wrong_version", "truncated_header",
+            "truncated_data", "trailing_bytes"])
+    def test_rejects(self, tmp_path, damage, message):
+        V, _ = _build_both("family_2d")
+        path = _written(tmp_path, V)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(YoungMeasureError, match=message):
+            read_measure(path)
 
 
 class TestBinningBound:
@@ -598,36 +644,6 @@ def _oracle_pairing(ref, part, f, phi):
     return float(weights @ (osc + conc))
 
 
-def _oracle_entries(ref):
-    cells, bins = np.nonzero(ref["nu_mass"])
-    nu = [[int(c), int(b), float(ref["nu_mass"][c, b]),
-           [float(x) for x in ref["nu_mean"][c, b]],
-           [float(x) for x in ref["nu_sec"][c, b].ravel()]]
-          for c, b in zip(cells, bins)]
-    cells, bins = np.nonzero(ref["inf_mass"])
-    inf = [[int(c), int(b), float(ref["inf_mass"][c, b]),
-            [float(x) for x in ref["inf_mean"][c, b]]]
-           for c, b in zip(cells, bins)]
-    return nu, inf
-
-
-def _assert_tree_close(got, want, rtol=1e-14):
-    """Same structure and types; floats within rtol, everything else equal."""
-    assert type(got) is type(want)
-    if isinstance(want, dict):
-        assert got.keys() == want.keys()
-        for k in want:
-            _assert_tree_close(got[k], want[k], rtol)
-    elif isinstance(want, list):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_tree_close(g, w, rtol)
-    elif isinstance(want, float):
-        assert abs(got - want) <= rtol * abs(want)
-    else:
-        assert got == want
-
-
 def _random_family(grid, n_traj, times, scale, seed):
     rng = np.random.default_rng(seed)
     return [Trajectory(grid, np.asarray(times, dtype=float),
@@ -726,10 +742,10 @@ class TestEntriesMatchDenseOracle:
                                                        abs=floor), label
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_measure_to_dict(self, case):
-        V, ref = _build_both(case)
-        d = measure_to_dict(V)
-        nu, inf = _oracle_entries(ref)
-        _assert_tree_close(d["nu"], nu)
-        _assert_tree_close(d["nu_inf"], inf)
-        _assert_tree_close(d["lambda_mass"], [float(x) for x in ref["lam_mass"]])
+    def test_file_round_trip(self, case, tmp_path):
+        # test_entries ties the arrays to the oracle; the file keeps every bit
+        V, _ = _build_both(case)
+        path = _written(tmp_path, V)
+        back = read_measure(path)
+        _assert_same_measure(back, V)
+        assert _written(tmp_path, back, "again.ym").read_bytes() == path.read_bytes()
