@@ -236,9 +236,9 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
     mass_err = float(np.max(np.abs(V.nu.per_cell(part.n_cells) - 1.0)))
     rows.append(audit_row("histogram_normalization",
                           "young_measure.dirac_embed", mass_err, 1e-12))
-    rows.append(audit_row("clipping_fraction", "young_measure.dirac_embed",
-                          V.clipped_fraction, 0.0,
-                          "values escaping the truncation ball"))
+    rows.append(audit_row("concentration_mass", "young_measure.dirac_embed",
+                          V.lam_total(), 0.0,
+                          "quadrature-weighted |u|^2 beyond the truncation ball"))
     bary_norm = float(np.max(np.abs(barycenter(V))))
     rows.append(audit_row("barycenter_bounded", "young_measure.barycenter",
                           bary_norm, cfg.young.radius))
@@ -295,7 +295,8 @@ def _run_weakstrong(cfg: RunConfig, out: RunDirectory):
             range(cfg.paths), cfg.partition, cfg.young.radius,
             cfg.snapshot_times, level=cfg.reference.level,
             slack=cfg.tolerances.gronwall_slack,
-            bins_per_axis=cfg.young.bins_per_axis)
+            bins_per_axis=cfg.young.bins_per_axis,
+            sphere_bins=cfg.young.sphere_bins)
     except BlowUpError as err:
         return _blowup_report(out, "weakstrong", err)
     return rows, {

@@ -478,6 +478,10 @@ def read_field(path):
         if len(data) != count * 8:
             raise SpectralError(f"truncated snapshot: expected {count * 8} "
                                 f"data bytes, got {len(data)}")
+        extra = len(fh.read())
+        if extra:
+            raise SpectralError(f"{extra} trailing bytes after the {count * 8} "
+                                f"data bytes of the snapshot")
         raw = np.frombuffer(data, dtype="<f8", count=count)
         coeffs = raw.astype(np.float64).view(np.complex128).reshape(shape)
         return SpectralField(grid, coeffs), time

@@ -237,7 +237,8 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
                        dt_factor: int, seed: int, path_ids,
                        partition: CellPartition, radius: float,
                        snapshot_times, level: float | None = None,
-                       slack: float = 0.0, bins_per_axis: int = 16):
+                       slack: float = 0.0, bins_per_axis: int = 16,
+                       sphere_bins: int = 32):
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
     The reference is ``weak_base`` on the grid of size ``ref_n`` with zero
@@ -287,7 +288,7 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
         for r, cfg in enumerate(cfgs):
             run_path(cfg, seed, pid, path=path, observers=(snaps,))
             V = dirac_embed(snaps.trajectory, partition, radius,
-                            bins_per_axis=bins_per_axis)
+                            bins_per_axis=bins_per_axis, sphere_bins=sphere_bins)
             slabs = [relative_energy(V, ref, s)
                      for s in range(partition.n_t)]
             f_rows[r].append(np.array([s["measure_form"] for s in slabs]))

@@ -10,12 +10,14 @@ exactly; general integrands are evaluated at bin centroids with an error
 bounded by Lip(f) times the bin diameter.
 
 The truncation radius R splits oscillation from concentration: the limit
-object has no finite-sample definition, so the estimator assigns samples
-with |u| <= R to the oscillation histogram and routes the quadrature-
-weighted mass |u|^2 of the rest to the concentration part, with the
-direction u/|u| binned on the sphere.  Cells whose oscillation histogram
-would be empty get a unit mass at the origin bin so probability
-normalization holds everywhere; such cells are flagged.
+object has no finite-sample definition, so the estimator applies one rule
+to every sample.  A sample with |u| <= R goes to its oscillation bin.  A
+sample with |u| > R routes its quadrature-weighted mass |u|^2 to the
+concentration part, with the direction u/|u| binned on the sphere, and
+keeps its unit share of the oscillation histogram at the origin bin, with
+value 0.  Each cell's histogram is normalized by all of its samples, so it
+is a probability, and 0.5 <nu, |xi|^2> + 0.5 lambda is the sampled energy
+whatever R is.
 
 Storage is sparse: each cell receives about one sample per snapshot, so
 almost every (cell, bin) pair stays empty.  Both histograms keep only
@@ -262,8 +264,6 @@ class GeneralizedYoungMeasure:
     nu: BinEntries           # oscillation histogram, bins_per_axis^dim bins
     lam_mass: np.ndarray     # (n_cells,)
     nu_inf: BinEntries       # concentration-angle histogram, sphere_bins bins
-    clipped_fraction: float = 0.0
-    empty_cells: int = 0
 
     def __post_init__(self):
         self.lam_mass.setflags(write=False)
@@ -385,25 +385,22 @@ class YoungAccumulator:
     ``add`` bins every snapshot of a trajectory that falls inside the
     partition window into running moment sums and keeps nothing of the
     trajectory itself; ``measure`` normalizes the sums into a
-    ``GeneralizedYoungMeasure`` once, after the last ``add``.  With ``clip``
-    values beyond the truncation radius are clipped into the edge bins (the
-    embedding of one square-integrable field); without it they feed the
-    concentration part.  The sums depend only on the order of the added
-    trajectories, so a caller that streams them gets the bits of one call
-    over the whole family.  Each time slab has its own moment tables, keyed
-    by space cell and bin within the slab.
+    ``GeneralizedYoungMeasure`` once, after the last ``add``.  Samples
+    beyond the truncation radius feed the concentration part and count at
+    the origin of the oscillation histogram.  The sums depend only on the
+    order of the added trajectories, so a caller that streams them gets the
+    bits of one call over the whole family.  Each time slab has its own
+    moment tables, keyed by space cell and bin within the slab.
     """
 
     def __init__(self, partition: CellPartition, radius: float,
-                 bins_per_axis: int = 16, sphere_bins: int = 32,
-                 clip: bool = False):
+                 bins_per_axis: int = 16, sphere_bins: int = 32):
         if radius <= 0:
             raise YoungMeasureError("truncation radius must be positive")
         self.partition = partition
         self.radius = radius
         self.bins_per_axis = bins_per_axis
         self.sphere_bins = sphere_bins
-        self.clip = clip
         dim, n_space = partition.dim, partition.n_space
         self._n_bins = bins_per_axis ** dim
         self._osc = [_MomentSums(n_space * self._n_bins, dim)
@@ -411,11 +408,8 @@ class YoungAccumulator:
         self._conc = [_MomentSums(n_space * sphere_bins, dim)
                       for _ in range(partition.n_t)]
         self._samples_per_cell = np.zeros(partition.n_cells)
-        self._below_per_cell = np.zeros(partition.n_cells)
         self._space_idx = partition.space_cell_index()
         self._space_count = np.bincount(self._space_idx, minlength=n_space)
-        self._clipped = 0
-        self._total = 0
 
     def add(self, traj) -> None:
         """Bin the snapshots of one ``solver.Trajectory``."""
@@ -432,66 +426,39 @@ class YoungAccumulator:
             slab = part.slab_of(t)
             in_slab = slice(slab * n_space, (slab + 1) * n_space)
             vals = traj.values[m].reshape(dim, -1)  # (dim, npts)
-            self._total += vals.shape[1]
             self._samples_per_cell[in_slab] += self._space_count
 
-            if self.clip:
-                over = np.abs(vals) > radius
-                self._clipped += int(np.any(over, axis=0).sum())
-                vb = np.clip(vals, -radius * (1 - 1e-12), radius * (1 - 1e-12))
-                cb = cell
-            else:
-                speed = np.sqrt((vals ** 2).sum(axis=0))
-                below = speed <= radius
-                vb, cb = vals, cell
-                if not below.all():
-                    above = ~below
-                    sa = np.compress(above, speed)
-                    units = np.compress(above, vals, axis=1) / sa
-                    self._conc[slab].add(
-                        np.compress(above, cell) * self.sphere_bins
-                        + _sphere_bin(units.T, self.sphere_bins, dim),
-                        units, sa ** 2)
-                    vb, cb = np.compress(below, vals, axis=1), np.compress(below, cell)
-            self._below_per_cell[in_slab] += (
-                self._space_count if cb is cell
-                else np.bincount(cb, minlength=n_space))
-            if len(cb):
-                self._osc[slab].add(
-                    cb * n_bins + _bin_of_values(vb.T, radius, bins_per_axis), vb)
+            speed = np.sqrt((vals ** 2).sum(axis=0))
+            below = speed <= radius
+            vb = vals
+            if not below.all():
+                above = ~below
+                sa = np.compress(above, speed)
+                units = np.compress(above, vals, axis=1) / sa
+                self._conc[slab].add(
+                    np.compress(above, cell) * self.sphere_bins
+                    + _sphere_bin(units.T, self.sphere_bins, dim),
+                    units, sa ** 2)
+                vb = np.where(below, vals, 0.0)
+            self._osc[slab].add(
+                cell * n_bins + _bin_of_values(vb.T, radius, bins_per_axis), vb)
 
     def measure(self) -> GeneralizedYoungMeasure:
         """The measure of every sample added; call it once, after the last add."""
         part = self.partition
-        dim, n_cells, n_space, n_bins = part.dim, part.n_cells, part.n_space, self._n_bins
+        n_cells, n_space, n_bins = part.n_cells, part.n_space, self._n_bins
         sphere_bins = self.sphere_bins
-        if self._total == 0:
+        if not self._samples_per_cell.any():
             raise YoungMeasureError("no samples fall inside the partition window")
         if np.any(self._samples_per_cell == 0):
             raise YoungMeasureError(
                 "partition has cells without samples; refine snapshots or coarsen")
 
-        # oscillation part: per-cell probability with bin moments; a
-        # pure-concentration cell gets unit mass at the origin bin
-        below_per_cell = self._below_per_cell
-        has_below = below_per_cell > 0
-        empty = np.flatnonzero(~has_below)
-        origin_bin = int(_bin_of_values(np.zeros((1, dim)), self.radius,
-                                        self.bins_per_axis)[0])
-        for slab, table in enumerate(self._osc):
-            local = empty[empty // n_space == slab] - slab * n_space
-            table.add(local * n_bins + origin_bin, np.zeros((dim, len(local))),
-                      np.zeros(len(local)))
+        # oscillation part: per-cell probability with bin moments; every
+        # entry holds at least one sample
         keys, w, v, vv = _by_key(self._osc, n_space * n_bins)
-        cell = keys // n_bins
-        occupied = w > 0
-        mean = np.zeros_like(v)
-        sec = np.zeros_like(vv)
-        np.divide(v, w[:, None], out=mean, where=occupied[:, None])
-        np.divide(vv, w[:, None, None], out=sec, where=occupied[:, None, None])
-        mass = np.ones_like(w)
-        np.divide(w, below_per_cell[cell], out=mass, where=has_below[cell])
-        nu = BinEntries(n_bins, keys, mass, mean, sec)
+        nu = BinEntries(n_bins, keys, w / self._samples_per_cell[keys // n_bins],
+                        v / w[:, None], vv / w[:, None, None])
 
         # concentration part: quadrature weight per sample is cellvol / samples
         keys, w, v, vv = _by_key(self._conc, n_space * sphere_bins)
@@ -507,20 +474,17 @@ class YoungAccumulator:
 
         return GeneralizedYoungMeasure(
             partition=part, radius=self.radius, bins_per_axis=self.bins_per_axis,
-            sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
-            clipped_fraction=self._clipped / self._total, empty_cells=len(empty))
+            sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf)
 
 
 def dirac_embed(traj, partition: CellPartition, radius: float,
                 bins_per_axis: int = 16, sphere_bins: int = 32) -> GeneralizedYoungMeasure:
     """Embed one trajectory (a ``solver.Trajectory``) as (delta_u, 0, 0).
 
-    Values beyond the truncation radius are clipped into the edge bins and
-    counted in ``clipped_fraction`` rather than feeding the concentration
-    part, as in the embedding of square-integrable fields.
+    The measure is (delta_u, 0, 0) while |u| <= R; samples beyond the
+    truncation radius feed the concentration part as in any family.
     """
-    acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins,
-                           clip=True)
+    acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
     acc.add(traj)
     return acc.measure()
 
@@ -657,10 +621,10 @@ def weakstar_distance(V1: GeneralizedYoungMeasure, V2: GeneralizedYoungMeasure,
 
 
 _MEASURE_MAGIC = b"DEYMS\x00"
-_MEASURE_VERSION = 1
+_MEASURE_VERSION = 2
 # version, dim, grid_n, n_t, n_x, t0, t1, radius, bins_per_axis,
-# sphere_bins, clipped_fraction, empty_cells, nu entries, nu_inf entries
-_MEASURE_HEADER = struct.Struct("<HBIIIdddIIdQQQ")
+# sphere_bins, nu entries, nu_inf entries
+_MEASURE_HEADER = struct.Struct("<HBIIIdddIIQQ")
 
 
 def write_measure(path, V: GeneralizedYoungMeasure) -> None:
@@ -670,8 +634,8 @@ def write_measure(path, V: GeneralizedYoungMeasure) -> None:
         fh.write(_MEASURE_MAGIC)
         fh.write(_MEASURE_HEADER.pack(
             _MEASURE_VERSION, part.dim, part.grid_n, part.n_t, part.n_x, part.t0, part.t1,
-            V.radius, V.bins_per_axis, V.sphere_bins, V.clipped_fraction,
-            V.empty_cells, len(V.nu.key), len(V.nu_inf.key)))
+            V.radius, V.bins_per_axis, V.sphere_bins, len(V.nu.key),
+            len(V.nu_inf.key)))
         fh.write(V.lam_mass.astype("<f8", copy=False).tobytes())
         for entries in (V.nu, V.nu_inf):
             fh.write(entries.key.astype("<i8", copy=False).tobytes())
@@ -695,7 +659,7 @@ def read_measure(path) -> GeneralizedYoungMeasure:
                 f"header, got {len(header)} bytes")
         data = fh.read()
     (_, dim, grid_n, n_t, n_x, t0, t1, radius, bins_per_axis, sphere_bins,
-     clipped, empty, n_nu, n_inf) = _MEASURE_HEADER.unpack(header)
+     n_nu, n_inf) = _MEASURE_HEADER.unpack(header)
     part = CellPartition(dim, grid_n, n_t, n_x, t0, t1)
     per_entry = 2 + dim + dim * dim   # key, mass, mean, sec
     want = 8 * (part.n_cells + (n_nu + n_inf) * per_entry)
@@ -724,5 +688,4 @@ def read_measure(path) -> GeneralizedYoungMeasure:
     nu_inf = entries(sphere_bins, n_inf)
     return GeneralizedYoungMeasure(
         partition=part, radius=radius, bins_per_axis=bins_per_axis,
-        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
-        clipped_fraction=clipped, empty_cells=empty)
+        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf)

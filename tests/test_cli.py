@@ -616,6 +616,35 @@ class TestWeakStrongCli:
         by_name = {r["audit"]: r for r in payload["rows"]}
         assert all_passed([by_name["gronwall_envelope_eps0.1"]])
 
+    def test_weakstrong_embeds_with_configured_sphere_bins(self, tmp_path,
+                                                           monkeypatch):
+        import dissipeuler.weakstrong as weakstrong
+
+        seen = []
+        real = weakstrong.dirac_embed
+
+        def spy(*args, **kwargs):
+            V = real(*args, **kwargs)
+            seen.append(V.sphere_bins)
+            return V
+        monkeypatch.setattr(weakstrong, "dirac_embed", spy)
+        raw = {
+            "experiment": "weakstrong",
+            "grid": {"dim": 2, "n": 16},
+            "time": {"dt": 0.03125, "horizon": 0.25},
+            "viscosity": {"ladder": [0.1, 0.025]},
+            "initial": {"kind": "taylor_green", "amplitude": 0.2},
+            "ensemble": {"paths": 1, "seed": 606},
+            "young": {"time_cells": 2, "space_cells": 16, "radius": 4.0,
+                      "bins_per_axis": 8, "sphere_bins": 12,
+                      "snapshots_per_slab": 2},
+            "reference": {"n": 32, "dt_factor": 2},
+        }
+        out = tmp_path / "run"
+        assert main(["weakstrong", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) in (0, 1)
+        assert seen == [12, 12]
+
 
     def test_weakstrong_blowup_seals_manifest(self, tmp_path):
         raw = {
@@ -705,6 +734,18 @@ class TestYmCli:
         assert len(rows) == 1
         assert not rows[0]["pass"] and "CFL violated" in rows[0]["detail"]
         assert (out / "traces" / "eps0_path0000.csv").exists()
+
+    def test_field_beyond_radius_fails_concentration_mass(self, tmp_path):
+        raw = ym_config()
+        raw["young"]["radius"] = 0.05
+        out = tmp_path / "run"
+        assert main(["ym", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 1
+        assert verify_manifest(out) == []
+        rows = json.loads((out / "reports" / "ym.json").read_text())["rows"]
+        failed = {r["audit"]: r for r in rows if not r["pass"]}
+        assert list(failed) == ["concentration_mass"]
+        assert failed["concentration_mass"]["value"] > 0.0
 
 
 SMALL_VANISH = {

@@ -24,8 +24,6 @@ EXCEPTIONS = {
                           "the oracle of max_positive_defect",
     "TorusGrid.dof": "read by the benchmark tracer's run_path counters",
     "CellPartition.total_volume": "the total-mass oracle of the pairing tests",
-    "GeneralizedYoungMeasure.lam_total": "the concentration-mass oracle of "
-                                         "the measure tests",
 }
 
 

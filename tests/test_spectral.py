@@ -352,6 +352,9 @@ class TestRoundTrips:
         p.write_bytes(full[:12])
         with pytest.raises(SpectralError):
             read_field(p)
+        p.write_bytes(full + bytes(8))
+        with pytest.raises(SpectralError, match=f"8 trailing bytes after the {want}"):
+            read_field(p)
 
     @pytest.mark.parametrize("version", [1, 3])
     def test_snapshot_other_version_rejected(self, tmp_path, grid2d, version):

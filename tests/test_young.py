@@ -87,7 +87,6 @@ class TestDiracEmbed:
         traj = constant_trajectory(grid, (0.3, -0.4), [0.0, 0.5, 1.0])
         V = dirac_embed(traj, part, radius=2.0)
         assert V.lam_total() == 0.0
-        assert V.clipped_fraction == 0.0
         # exactly one occupied bin per cell, carrying the exact value
         for cell in range(part.n_cells):
             occ = np.nonzero(V.nu_mass[cell])[0]
@@ -122,13 +121,21 @@ class TestDiracEmbed:
         got = pairing(V, ENERGY)
         assert got == pytest.approx(l2_norm_sq(u), rel=2e-2)
 
-    def test_clipping_reported_not_silent(self):
+    def test_escaped_constant_is_pure_concentration(self):
+        # every sample of (3, 0) escapes R = 2: lambda carries |u|^2 = 9 per
+        # unit volume and nu is the Dirac mass at 0 in every cell
+        from dissipeuler.young import _bin_of_values
+
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         traj = constant_trajectory(grid, (3.0, 0.0), [0.0, 1.0])
         V = dirac_embed(traj, part, radius=2.0)
-        assert V.clipped_fraction == 1.0
-        assert V.lam_total() == 0.0
+        assert V.lam_total() == pytest.approx(9 * part.total_volume, rel=1e-12)
+        origin = int(_bin_of_values(np.zeros((1, 2)), 2.0, V.bins_per_axis)[0])
+        assert np.array_equal(V.nu.key, np.arange(part.n_cells) * V.nu.n_bins + origin)
+        assert np.all(V.nu.mass == 1.0)
+        assert not V.nu.mean.any() and not V.nu.sec.any()
+        assert np.allclose(V.nu_inf.mean, [1.0, 0.0])
 
 
 class TestFamilyEstimator:
@@ -405,8 +412,7 @@ class TestEnergyAndDistance:
 def _assert_same_measure(got, want):
     """Every array equal with its dtype, shape and bits; every scalar too."""
     assert got.partition == want.partition
-    for name in ("radius", "bins_per_axis", "sphere_bins", "clipped_fraction",
-                 "empty_cells"):
+    for name in ("radius", "bins_per_axis", "sphere_bins"):
         g, w = getattr(got, name), getattr(want, name)
         assert g == w and np.signbit(g) == np.signbit(w), name
     for t in ("t0", "t1"):
@@ -436,23 +442,24 @@ class TestExport:
         V = dirac_embed(traj, make_partition(grid), 2.0)
         lam = V.lam_mass.copy()
         lam[0] = -0.0
-        V = replace(V, partition=replace(V.partition, t0=-0.0), lam_mass=lam,
-                    clipped_fraction=-0.0)
+        V = replace(V, partition=replace(V.partition, t0=-0.0), lam_mass=lam)
         back = read_measure(_written(tmp_path, V))
-        assert np.signbit(back.lam_mass[0]) and np.signbit(back.clipped_fraction)
+        assert np.signbit(back.lam_mass[0]) and np.signbit(back.partition.t0)
         _assert_same_measure(back, V)
 
     @pytest.mark.parametrize("damage, message", [
         (lambda b: b"DEFLD\x00" + b[6:], "bad magic"),
-        (lambda b: b[:6] + (2).to_bytes(2, "little") + b[8:],
-         "unsupported measure version 2"),
+        (lambda b: b[:6] + (1).to_bytes(2, "little") + b[8:],
+         "unsupported measure version 1"),
+        (lambda b: b[:6] + (3).to_bytes(2, "little") + b[8:],
+         "unsupported measure version 3"),
         (lambda b: b[:20], "header"),
         (lambda b: b[:-8], "truncated measure: expected"),
         (lambda b: b + b"\x00", "trailing bytes"),
-    ], ids=["foreign_magic", "wrong_version", "truncated_header",
+    ], ids=["foreign_magic", "wrong_version", "newer_version", "truncated_header",
             "truncated_data", "trailing_bytes"])
     def test_rejects(self, tmp_path, damage, message):
-        V, _ = _build_both("family_2d")
+        V = _build("family_2d")
         path = _written(tmp_path, V)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(YoungMeasureError, match=message):
@@ -549,8 +556,7 @@ def _oracle_scatter(values, flat_idx, size, mass, sum_v, sum_vv, weights=None):
                 sum_vv[:, j, i] += contrib
 
 
-def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins,
-                  clip):
+def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins):
     """Dense (n_cells, bins, ...) arrays of the measure, accumulated per bin."""
     from dissipeuler.young import _bin_of_values, _sphere_bin
 
@@ -564,8 +570,6 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins,
     lam_v = np.zeros((n_cells * sphere_bins, dim))
     lam_vv = np.zeros((n_cells * sphere_bins, dim, dim))
     samples_per_cell = np.zeros(n_cells)
-    below_per_cell = np.zeros(n_cells)
-    clipped = total = 0
     space_idx = partition.space_cell_index()
     for traj in trajectories:
         for m in range(traj.n_snapshots):
@@ -574,23 +578,13 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins,
                 continue
             cell = partition.slab_of(t) * partition.n_space + space_idx
             vals = traj.values[m].reshape(dim, -1).T
-            total += len(vals)
             samples_per_cell += np.bincount(cell, minlength=n_cells)
-            if clip:
-                clipped += int(np.any(np.abs(vals) > radius, axis=1).sum())
-                use = np.clip(vals, -radius * (1 - 1e-12), radius * (1 - 1e-12))
-                below_per_cell += np.bincount(cell, minlength=n_cells)
-                flat = cell * n_bins + _bin_of_values(use, radius, bins_per_axis)
-                _oracle_scatter(use, flat, n_cells * n_bins, nu_w, nu_v, nu_vv)
-                continue
             speed = np.sqrt((vals ** 2).sum(axis=1))
             below = speed <= radius
-            if below.any():
-                below_per_cell += np.bincount(cell[below], minlength=n_cells)
-                flat = cell[below] * n_bins + _bin_of_values(
-                    vals[below], radius, bins_per_axis)
-                _oracle_scatter(vals[below], flat, n_cells * n_bins, nu_w, nu_v,
-                                nu_vv)
+            # an escaped sample counts in nu at the origin, with value 0
+            use = np.where(below[:, None], vals, 0.0)
+            flat = cell * n_bins + _bin_of_values(use, radius, bins_per_axis)
+            _oracle_scatter(use, flat, n_cells * n_bins, nu_w, nu_v, nu_vv)
             above = ~below
             if above.any():
                 units = vals[above] / speed[above][:, None]
@@ -606,11 +600,7 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins,
               where=occupied[..., None])
     np.divide(nu_vv.reshape(nu_sec.shape), nu_w[..., None, None], out=nu_sec,
               where=occupied[..., None, None])
-    nu_mass = np.zeros_like(nu_w)
-    has_below = below_per_cell > 0
-    np.divide(nu_w, below_per_cell[:, None], out=nu_mass, where=has_below[:, None])
-    origin = int(_bin_of_values(np.zeros((1, dim)), radius, bins_per_axis)[0])
-    nu_mass[~has_below, origin] = 1.0
+    nu_mass = nu_w / samples_per_cell[:, None]
 
     cell_weight = partition.cell_volume / samples_per_cell
     lam_w = lam_w.reshape(n_cells, sphere_bins) * cell_weight[:, None]
@@ -629,8 +619,7 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins,
               where=(lam_mass > 0)[:, None])
     return {"nu_mass": nu_mass, "nu_mean": nu_mean, "nu_sec": nu_sec,
             "lam_mass": lam_mass, "inf_mass": inf_mass, "inf_mean": inf_mean,
-            "inf_sec": inf_sec, "clipped_fraction": clipped / total,
-            "empty_cells": int((~has_below).sum())}
+            "inf_sec": inf_sec}
 
 
 def _oracle_pairing(ref, part, f, phi):
@@ -652,7 +641,7 @@ def _random_family(grid, n_traj, times, scale, seed):
             for _ in range(n_traj)]
 
 
-def _clipped_embed_case():
+def _escaped_embed_case():
     grid = TorusGrid(2, 16)
     traj = _random_family(grid, 1, [0.0, 0.25, 0.5, 0.75, 1.0], 1.0, 1)[0]
     return [traj], make_partition(grid, n_t=2, n_x=4), 1.5, 8, 16, True
@@ -678,22 +667,27 @@ def _pure_concentration_case():
 
 
 ORACLE_CASES = {
-    "dirac_clipped": _clipped_embed_case,
+    "dirac_clipped": _escaped_embed_case,
     "family_2d": _family_case(2),
     "family_3d": _family_case(3),
     "pure_concentration": _pure_concentration_case,
 }
 
 
+def _build(case, radius=None):
+    """The case's measure, at its own radius unless one is given."""
+    trajs, part, case_radius, bins, sphere, embed = ORACLE_CASES[case]()
+    radius = case_radius if radius is None else radius
+    if embed:
+        return dirac_embed(trajs[0], part, radius, bins_per_axis=bins,
+                           sphere_bins=sphere)
+    return estimate_from_family(trajs, part, radius, bins_per_axis=bins,
+                                sphere_bins=sphere)
+
+
 def _build_both(case):
-    trajs, part, radius, bins, sphere, clip = ORACLE_CASES[case]()
-    if clip:
-        V = dirac_embed(trajs[0], part, radius, bins_per_axis=bins,
-                        sphere_bins=sphere)
-    else:
-        V = estimate_from_family(trajs, part, radius, bins_per_axis=bins,
-                                 sphere_bins=sphere)
-    return V, _oracle_build(trajs, part, radius, bins, sphere, clip)
+    trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
+    return _build(case), _oracle_build(trajs, part, radius, bins, sphere)
 
 
 class TestEntriesMatchDenseOracle:
@@ -711,15 +705,31 @@ class TestEntriesMatchDenseOracle:
                                            rtol=1e-14, atol=0)
         np.testing.assert_allclose(V.lam_mass, ref["lam_mass"], rtol=1e-14,
                                    atol=0)
-        assert V.clipped_fraction == ref["clipped_fraction"]
-        assert V.empty_cells == ref["empty_cells"]
 
     def test_cases_cover_clipping_concentration_and_empty_cells(self):
-        assert _build_both("dirac_clipped")[0].clipped_fraction > 0
+        # samples beyond R in a single-trajectory embedding, concentration
+        # in 2D and 3D families, and cells whose every sample escaped, so
+        # that nu is the Dirac mass at 0 there
+        def escaped_only(V):
+            tr = np.trace(V.nu.sec, axis1=1, axis2=2)
+            return int((V.nu.per_cell(V.partition.n_cells, tr) == 0).sum())
+
+        assert _build("dirac_clipped").lam_total() > 0
         for case in ("family_2d", "family_3d"):
-            V, _ = _build_both(case)
-            assert V.lam_total() > 0 and V.empty_cells == 0
-        assert _build_both("pure_concentration")[0].empty_cells == 2
+            V = _build(case)
+            assert V.lam_total() > 0 and escaped_only(V) == 0
+        assert escaped_only(_build("pure_concentration")) == 2
+
+    @pytest.mark.parametrize("case", ["dirac_clipped", "family_2d", "family_3d"])
+    def test_slab_energies_do_not_depend_on_radius(self, case):
+        # 0.5 <nu, |xi|^2> + 0.5 lambda is the sampled energy at any R: the
+        # case's radius, which samples exceed, and one that none exceeds
+        trajs = ORACLE_CASES[case]()[0]
+        sup = max(float(np.sqrt((t.values ** 2).sum(axis=1)).max()) for t in trajs)
+        escaped, inside = _build(case), _build(case, radius=2.0 * sup)
+        assert escaped.lam_total() > 0 and inside.lam_total() == 0.0
+        np.testing.assert_allclose(slab_energies(escaped), slab_energies(inside),
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_dense_views(self, case):
