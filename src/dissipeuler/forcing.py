@@ -8,14 +8,21 @@ Philox counter-based generator, so one Wiener path can be replayed
 bit-exactly across viscosities and resolutions.  Time refinement halves dt
 by Brownian-bridge subdivision of the stored coarse increments, keeping all
 dt levels on the same path.
+
+Normals come from uniforms by cephes' inverse normal CDF ``ndtri``,
+ported to numpy with cephes' branch points, polynomial evaluation order
+and libm logarithms (``math.log``; numpy's vectorized ``log`` rounds some
+arguments differently), so every draw has the bits of the C routine.  The
+port costs a fixed ~0.1 ms a call, so each sampler draws the raw words of
+all its modes (and paths) first and makes one inverse-CDF call on them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .spectral import SpectralField, TorusGrid
 
@@ -159,7 +166,107 @@ def apply_noise(phi: ForcingOperator, increments: np.ndarray,
     return SpectralField(grid, coeffs)
 
 
+# -- inverse normal CDF -----------------------------------------------------
+
+# cephes ndtri: a rational function of (p - 1/2)^2 on the centre
+# exp(-2) < p < 1 - exp(-2); on the tails one of x = sqrt(-2 log p) and
+# 1/x, switching at x = 8.  Each pair holds the Horner coefficients of the
+# numerator P and the denominator Q, highest degree first.  Q's leading 1,
+# implicit in cephes' p1evl, is written out: 1 * t is t, so the loop makes
+# cephes' operations.
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_BLOCK = 1 << 16   # values per pass, bounding the temporaries
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_CENTRE = (
+    (-5.99633501014107895267e1, 9.80010754185999661536e1,
+     -5.66762857469070293439e1, 1.39312609387279679503e1,
+     -1.23916583867381258016e0),
+    (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+     8.63602421390890590575e1, -2.25462687854119370527e2,
+     2.00260212380060660359e2, -8.20372256168333339912e1,
+     1.59056225126211695515e1, -1.18331621121330003142e0))
+_NDTRI_NEAR = (   # 2 <= x < 8
+    (4.05544892305962419923e0, 3.15251094599893866154e1,
+     5.71628192246421288162e1, 4.40805073893200834700e1,
+     1.46849561928858024014e1, 2.18663306850790267539e0,
+     -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+     -8.57456785154685413611e-4),
+    (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+     4.13172038254672030440e1, 1.50425385692907503408e1,
+     2.50464946208309415979e0, -1.42182922854787788574e-1,
+     -3.80806407691578277194e-2, -9.33259480895457427372e-4))
+_NDTRI_FAR = (    # x >= 8
+    (3.23774891776946035970e0, 6.91522889068984211695e0,
+     3.93881025292474443415e0, 1.33303460815807542389e0,
+     2.01485389549179081538e-1, 1.23716634817820021358e-2,
+     3.01581553508235416007e-4, 2.65806974686737550832e-6,
+     6.23974539184983293730e-9),
+    (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+     1.37702099489081330271e0, 2.16236993594496635890e-1,
+     1.34204006088543189037e-2, 3.28014464682127739104e-4,
+     2.89247864745380683936e-6, 6.79019408009981274425e-9))
+
+
+def _horner(t: np.ndarray, coeffs: tuple) -> np.ndarray:
+    acc = np.full_like(t, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _rational(t: np.ndarray, pq: tuple) -> np.ndarray:
+    """t * P(t) / Q(t) in cephes' order of operations."""
+    out = _horner(t, pq[0])
+    out *= t
+    out /= _horner(t, pq[1])
+    return out
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """libm's log of each entry, which numpy's vectorized log is not."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def ndtri(p) -> np.ndarray:
+    """Inverse of the standard normal CDF, elementwise, with the bits of
+    cephes' ``ndtri``: -inf at 0, +inf at 1, nan outside [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.empty(p.shape)
+    flat, flat_out = p.ravel(), out.reshape(-1)
+    for lo in range(0, flat.size, _NDTRI_BLOCK):
+        flat_out[lo:lo + _NDTRI_BLOCK] = _ndtri_block(flat[lo:lo + _NDTRI_BLOCK])
+    return out
+
+
+def _ndtri_block(p: np.ndarray) -> np.ndarray:
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)   # the tail mass, then the result
+    centre = y > _EXP_M2
+    tail = (y > 0.0) & ~centre
+    edge = ~(centre | tail)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    r = _rational(z, _NDTRI_NEAR)
+    far = x >= 8.0
+    if far.any():
+        r[far] = _rational(z[far], _NDTRI_FAR)
+    x -= _libm_log(x) / x
+    x -= r
+    yc = y[centre] - 0.5
+    r = _rational(yc * yc, _NDTRI_CENTRE)
+    r *= yc
+    r += yc
+    r *= _SQRT_2PI        # (yc + yc * r) * sqrt(2 pi)
+    y[centre] = r
+    y[tail] = np.where(upper[tail], x, -x)
+    y[edge] = np.where(y[edge] == 0.0, np.where(upper[edge], np.inf, -np.inf), np.nan)
+    return y
+
+
 # -- counter-based increment streams --------------------------------------
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _raw_words(seed: int, path_id: int, mode: int, start: int, count: int,
@@ -169,14 +276,30 @@ def _raw_words(seed: int, path_id: int, mode: int, start: int, count: int,
     bg = np.random.Philox(key=key, counter=counter)
     return bg.random_raw(4 * count)[::4]
 
-def _normals(seed: int, path_id: int, mode: int, start: int, count: int,
-             stream: int = _STREAM_BASE) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0)
-    raw = _raw_words(seed, path_id, mode, start, count, stream)
-    # 53-bit uniform strictly inside (0, 1), then exact inverse CDF
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
-    return ndtri(u)
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """53-bit uniforms strictly inside (0, 1): the top 53 bits of each word
+    plus half an ulp.  The one word whose top bits are all set would round
+    to 1.0 (an infinite normal) and is held just below it."""
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _increments(seed: int, path_ids, n_modes: int, dt: float, start: int,
+                stop: int, stream: int = _STREAM_BASE) -> np.ndarray:
+    """N(0, dt) draws of steps start..stop - 1 of every mode of every path,
+    shape (len(path_ids), stop - start, n_modes), by one ``ndtri`` call."""
+    if dt <= 0:
+        raise ForcingError("dt must be positive")
+    if stop < start:
+        raise ForcingError("empty or negative step range")
+    words = np.empty((len(path_ids), stop - start, n_modes), dtype=np.uint64)
+    for p, path_id in enumerate(path_ids):
+        for k in range(n_modes):
+            words[p, :, k] = _raw_words(seed, path_id, k, start, stop - start, stream)
+    out = ndtri(_uniforms(words))
+    out *= np.sqrt(dt)
+    return out
 
 
 def auxiliary_normals(seed: int, path_id: int, tag: int, count: int) -> np.ndarray:
@@ -185,7 +308,7 @@ def auxiliary_normals(seed: int, path_id: int, tag: int, count: int) -> np.ndarr
     Pure in (seed, path_id, tag); used for reproducible initial-condition
     sampling without perturbing the Wiener increments.
     """
-    return _normals(seed, path_id, tag, 0, count, _STREAM_AUX)
+    return ndtri(_uniforms(_raw_words(seed, path_id, tag, 0, count, _STREAM_AUX)))
 
 
 def sample_increments(seed: int, path_id: int, n_modes: int, dt: float,
@@ -195,15 +318,7 @@ def sample_increments(seed: int, path_id: int, n_modes: int, dt: float,
     Pure in (seed, path_id, k, n): identical output for identical keys
     regardless of call order, chunking, or thread count.
     """
-    if dt <= 0:
-        raise ForcingError("dt must be positive")
-    if stop < start:
-        raise ForcingError("empty or negative step range")
-    out = np.empty((stop - start, n_modes))
-    root = np.sqrt(dt)
-    for k in range(n_modes):
-        out[:, k] = root * _normals(seed, path_id, k, start, stop - start)
-    return out
+    return _increments(seed, (path_id,), n_modes, dt, start, stop)[0]
 
 
 @dataclass(frozen=True)
@@ -241,6 +356,14 @@ class WienerPath:
         inc = sample_increments(seed, path_id, n_modes, dt, 0, steps)
         return WienerPath(seed, path_id, dt, inc)
 
+    @staticmethod
+    def sample_many(seed: int, path_ids, n_modes: int, dt: float,
+                    steps: int) -> tuple:
+        """``sample`` of each id, bit for bit, drawn together."""
+        inc = _increments(seed, path_ids, n_modes, dt, 0, steps)
+        return tuple(WienerPath(seed, pid, dt, inc[p])
+                     for p, pid in enumerate(path_ids))
+
     def refine(self) -> "WienerPath":
         """Halve dt by Brownian-bridge subdivision; keeps the coarse sums.
 
@@ -249,12 +372,8 @@ class WienerPath:
         so every dt level reproduces the same underlying path.
         """
         half = 0.5 * self.increments
-        xi = np.empty_like(self.increments)
-        root = np.sqrt(self.dt / 4.0)
-        stream = self.level + 1
-        for k in range(self.n_modes):
-            xi[:, k] = root * _normals(self.seed, self.path_id, k, 0,
-                                       self.steps, stream)
+        xi = _increments(self.seed, (self.path_id,), self.n_modes,
+                         self.dt / 4.0, 0, self.steps, self.level + 1)[0]
         fine = np.empty((2 * self.steps, self.n_modes))
         fine[0::2] = half + xi
         fine[1::2] = half - xi

@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .forcing import ForcingOperator, WienerPath
+from .forcing import ForcingOperator, WienerPath, ndtri
 from .reporting import audit_row
 from .solver import BlowUpError, SolverConfig, Snapshots, run_path, step_index
 from .spectral import (
@@ -346,8 +345,8 @@ def linear_model_functionals_multi(forcing: ForcingOperator, fields, seed: int,
     stochastic integral identically; this fast path evaluates it from the
     increments, with <u(0), phi> = 0.  Returns {name: (by_pair, c)}.
     """
-    beta = np.stack([WienerPath.sample(seed, pid, forcing.rank, dt, steps).coordinates()
-                     for pid in path_ids])
+    beta = np.stack([path.coordinates() for path in
+                     WienerPath.sample_many(seed, path_ids, forcing.rank, dt, steps)])
     out = {}
     for name, phi in fields:
         c = forcing_pairings(phi, forcing)

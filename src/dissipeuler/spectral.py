@@ -28,6 +28,13 @@ Conventions
   makes one forward transform of all dim(dim+1)/2 products u_i u_j stacked;
   a run transforms each state once, so a step costs two transforms, and
   ``convective_term`` dealiases and transforms any other field for it.
+* Transforms are numpy's one-axis passes in a fixed order: the forward
+  transform runs ``rfft`` over the last axis, then ``fft`` over axes
+  -dim .. -2 in that order; the inverse runs ``ifft`` over axes -dim .. -2,
+  then ``irfft`` over the last axis.  This is the order of pocketfft's own
+  multi-axis real transforms, whose bits it reproduces;
+  ``numpy.fft.rfftn`` runs its complex passes in the reverse order and
+  rounds differently in 3D.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -152,18 +158,20 @@ class GridOperators:
             arr.setflags(write=False)
 
 
-def _axes(grid: TorusGrid) -> tuple:
-    return tuple(range(-grid.dim, 0))
-
-
 def _rfft(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Half spectrum of real point values over the trailing grid axes."""
-    return scipy.fft.rfftn(values, axes=_axes(grid))
+    out = np.fft.rfft(values, axis=-1)
+    for axis in range(-grid.dim, -1):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
 
 
 def half_to_physical(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """Real point values from a half spectrum over the trailing grid axes."""
-    return scipy.fft.irfftn(half, s=grid.shape, axes=_axes(grid))
+    tmp = np.fft.ifft(half, axis=-grid.dim)
+    for axis in range(1 - grid.dim, -1):
+        np.fft.ifft(tmp, axis=axis, out=tmp)
+    return np.fft.irfft(tmp, n=grid.n, axis=-1)
 
 
 @dataclass(frozen=True)

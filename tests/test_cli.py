@@ -4,6 +4,8 @@ import builtins
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -587,23 +589,25 @@ class TestReportCommand:
         assert issues and issues[0][1] == "hash mismatch"
 
 
+SMALL_WEAKSTRONG = {
+    "experiment": "weakstrong",
+    "grid": {"dim": 2, "n": 16},
+    "time": {"dt": 0.03125, "horizon": 0.25},
+    "viscosity": {"ladder": [0.1, 0.025]},
+    "forcing": {"preset": "default", "sigma": 0.1},
+    "initial": {"kind": "random_spectrum", "amplitude": 0.2,
+                "k_max": 2, "decay": 3.0},
+    "ensemble": {"paths": 3, "seed": 606},
+    "young": {"time_cells": 2, "space_cells": 16, "radius": 4.0,
+              "bins_per_axis": 8, "snapshots_per_slab": 2},
+    "reference": {"n": 32, "dt_factor": 2},
+    "tolerances": {"gronwall_slack": 0.05},
+}
+
+
 class TestWeakStrongCli:
     def test_weakstrong_small_run(self, tmp_path):
-        raw = {
-            "experiment": "weakstrong",
-            "grid": {"dim": 2, "n": 16},
-            "time": {"dt": 0.03125, "horizon": 0.25},
-            "viscosity": {"ladder": [0.1, 0.025]},
-            "forcing": {"preset": "default", "sigma": 0.1},
-            "initial": {"kind": "random_spectrum", "amplitude": 0.2,
-                        "k_max": 2, "decay": 3.0},
-            "ensemble": {"paths": 3, "seed": 606},
-            "young": {"time_cells": 2, "space_cells": 16, "radius": 4.0,
-                      "bins_per_axis": 8, "snapshots_per_slab": 2},
-            "reference": {"n": 32, "dt_factor": 2},
-            "tolerances": {"gronwall_slack": 0.05},
-        }
-        cfg = write_config(tmp_path, raw)
+        cfg = write_config(tmp_path, SMALL_WEAKSTRONG)
         out = tmp_path / "run"
         assert main(["weakstrong", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "reports" / "weakstrong.json").read_text())
@@ -904,3 +908,33 @@ class TestVanishCli:
         rows = json.loads((out / "reports" / "vanish.json").read_text())["rows"]
         row = {r["audit"]: r for r in rows}["cauchy_distance_decreasing"]
         assert np.isnan(row["value"]) and not row["pass"]
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the one runtime dependency: importing scipy would add about
+    # 0.3 s and 20 MB to every command's setup
+    martingale = forced_config(paths=32)
+    martingale["experiment"] = "martingale"
+    commands = []
+    for raw in (forced_config(), SMALL_VANISH, ym_config(), martingale,
+                SMALL_WEAKSTRONG):
+        name = raw["experiment"]
+        cfg = write_config(tmp_path, raw, f"{name}.json")
+        commands.append([name, "--config", str(cfg), "--out", str(tmp_path / name)])
+    commands.append(["report", "--dir", str(tmp_path / "simulate")])
+    script = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import dissipeuler.cli as cli\n"
+        "on_import = scipy_modules()\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([on_import, codes, scipy_modules()]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, check=True)
+    on_import, codes, after_runs = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert on_import == [] and after_runs == []

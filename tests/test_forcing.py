@@ -10,8 +10,12 @@ from dissipeuler.forcing import (
     ForcingMode,
     ForcingOperator,
     WienerPath,
+    _raw_words,
+    _uniforms,
     apply_noise,
+    auxiliary_normals,
     default_forcing,
+    ndtri,
     sample_increments,
 )
 from dissipeuler.spectral import TorusGrid, divergence_defect, inner_product, l2_norm_sq
@@ -225,3 +229,80 @@ class TestBrownianBridge:
         x2 = f2.increments[0::2] - 0.5 * f1.increments
         assert not np.allclose(x1[: 8], x2[: 8])
 
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def grid_uniforms(top):
+    """The uniforms of the words whose top 53 bits are ``top``."""
+    return _uniforms(np.asarray(top, dtype=np.uint64) << np.uint64(11))
+
+
+class TestInverseNormalCdf:
+    def test_word_to_uniform(self):
+        words = np.array([0, 2 ** 64 - 1, 2 ** 64 - 2049], dtype=np.uint64)
+        u = _uniforms(words)
+        z = ndtri(u)
+        assert np.all(np.isfinite(z[:2]))
+        assert z[0] < -8.0 < 8.0 < z[1]
+        # the half-ulp offset rounds only the all-ones word up to 1.0
+        plain = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
+        assert plain[1] == 1.0 and u[1] == np.nextafter(1.0, 0.0)
+        assert np.array_equal(bits(u[[0, 2]]), bits(plain[[0, 2]]))
+
+    def test_special_values(self):
+        z = ndtri(np.array([0.0, 1.0, -0.5, 1.5, np.nan, 0.5]))
+        assert z[0] == -np.inf and z[1] == np.inf
+        assert np.all(np.isnan(z[2:5])) and z[5] == 0.0
+        assert ndtri(np.zeros((0, 3))).shape == (0, 3)
+        assert float(ndtri(0.975)) == pytest.approx(1.959963984540054, rel=1e-15)
+
+    def test_matches_scipy_on_philox_uniforms(self):
+        special = pytest.importorskip("scipy.special")
+        bg = np.random.Philox(key=np.array([2025, 7], dtype=np.uint64))
+        for _ in range(10):   # 10^7 uniforms, in chunks
+            u = _uniforms(bg.random_raw(1_000_000))
+            assert np.array_equal(bits(ndtri(u)), bits(special.ndtri(u)))
+
+    def test_matches_scipy_at_the_grid_ends(self):
+        # the 10^5 smallest and largest grid uniforms reach x = sqrt(-2 log p)
+        # of 8.65, past the x = 8 switch, on both tails
+        special = pytest.importorskip("scipy.special")
+        top = np.arange(100_000, dtype=np.uint64)
+        u = np.concatenate([grid_uniforms(top),
+                            grid_uniforms(np.uint64(2 ** 53 - 1) - top)])
+        z = ndtri(u)
+        assert np.sum(z < -8.0) > 0 and np.sum(z > 8.0) > 0
+        assert np.array_equal(bits(z), bits(special.ndtri(u)))
+
+    def test_matches_scipy_at_the_branch_points(self):
+        special = pytest.importorskip("scipy.special")
+        steps = np.arange(-1000, 1001)
+        e = np.exp(-2.0)
+        u = np.concatenate([e + steps * np.spacing(e),
+                            (1.0 - e) + steps * np.spacing(1.0 - e),
+                            [0.5, 1e-300, 5e-324, np.nextafter(1.0, 0.0)]])
+        assert np.array_equal(bits(ndtri(u)), bits(special.ndtri(u)))
+
+    def test_stacked_draws_equal_per_mode_and_per_path_draws(self):
+        def per_mode(seed, pid, k, start, count, stream, var):
+            words = _raw_words(seed, pid, k, start, count, stream)
+            return np.sqrt(var) * ndtri(_uniforms(words))
+
+        inc = sample_increments(37, 3, 4, 0.1, 5, 29)
+        for k in range(4):
+            assert np.array_equal(bits(inc[:, k]), bits(per_mode(37, 3, k, 5, 24, 0, 0.1)))
+        path = WienerPath.sample(37, 3, 4, 0.1, 24)
+        fine = path.refine()
+        for k in range(4):
+            xi = per_mode(37, 3, k, 0, 24, 1, 0.1 / 4.0)
+            assert np.array_equal(bits(fine.increments[0::2, k]),
+                                  bits(0.5 * path.increments[:, k] + xi))
+        many = WienerPath.sample_many(37, [3, 0, 8], 4, 0.1, 24)
+        for one, pid in zip(many, [3, 0, 8]):
+            assert one.path_id == pid
+            assert np.array_equal(bits(one.increments),
+                                  bits(WienerPath.sample(37, pid, 4, 0.1, 24).increments))
+        aux = auxiliary_normals(37, 3, 2, 50)
+        assert np.array_equal(bits(aux[:10]), bits(auxiliary_normals(37, 3, 2, 10)))
