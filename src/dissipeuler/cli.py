@@ -29,7 +29,7 @@ import traceback
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import EXPERIMENTS, ConfigError, RunConfig, load_config
 from .limits import (
     MartingaleStat,
     ViscosityLadder,
@@ -43,7 +43,7 @@ from .limits import (
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, Snapshots, apriori_moment_report, step_index
+from .solver import BlowUpError, Snapshots, apriori_moment_report
 from .spectral import write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
@@ -106,7 +106,7 @@ def _build_parser():
         description="spectral experiments for stochastically forced "
                     "incompressible flow on the torus")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "vanish", "ym", "martingale", "weakstrong"):
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None,
@@ -124,11 +124,9 @@ def _build_parser():
 
 def _run_simulate(cfg: RunConfig, out: RunDirectory):
     eps = cfg.eps_values[0]
-    scfg = cfg.solver_config(eps)
-
     rows = []
     for pid in range(cfg.paths):
-        run, err = guarded_run(scfg, cfg.seed, pid)
+        run, err = guarded_run(cfg.solver, cfg.seed, pid)
         tag = f"eps{eps:g}_path{pid:04d}"
         if err is not None:
             if err.partial is not None:
@@ -139,7 +137,7 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory):
             continue
         run.trace.write_csv(out.path(f"traces/{tag}.csv"))
         write_field(out.path(f"fields/final_{tag}.field"), run.final,
-                    cfg.horizon)
+                    cfg.solver.horizon)
         tol = run.trace.tolerance(cfg.tolerances.energy_defect_c)
         val = run.trace.max_positive_defect()
         rows.append(audit_row(f"energy_defect_{tag}", "ns_solver.energy_audit",
@@ -153,8 +151,7 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory):
 def _run_vanish(cfg: RunConfig, out: RunDirectory):
     part = cfg.partition
     snaps = cfg.snapshot_times
-    base = cfg.solver_config(cfg.eps_values[0])
-    ladder = ViscosityLadder(cfg.eps_values, base, cfg.seed,
+    ladder = ViscosityLadder(cfg.eps_values, cfg.solver, cfg.seed,
                              tuple(range(cfg.paths)))
 
     res = run_ladder(ladder, part, cfg.young.radius, snapshot_times=snaps,
@@ -187,7 +184,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
     _, _, finest_trace, residual = res.finest
     tol = finest_trace.tolerance(cfg.tolerances.energy_defect_c)
     limit_rows, details = energy_inequality_limit(res.family, traces,
-                                                  cfg.forcing, tol)
+                                                  cfg.solver.forcing, tol)
     out.write_json("details/energy_limit.json", details)
     rows += limit_rows
 
@@ -211,9 +208,8 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
 def _run_ym(cfg: RunConfig, out: RunDirectory):
     eps = cfg.eps_values[0]
     part = cfg.partition
-    scfg = cfg.solver_config(eps)
-    snaps = Snapshots(scfg, cfg.snapshot_times)
-    run, err = guarded_run(scfg, cfg.seed, 0, observers=(snaps,))
+    snaps = Snapshots(cfg.solver, cfg.snapshot_times)
+    run, err = guarded_run(cfg.solver, cfg.seed, 0, observers=(snaps,))
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
     V = dirac_embed(snaps.trajectory, part, cfg.young.radius,
@@ -223,11 +219,11 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
     run.trace.write_csv(out.path(f"traces/eps{eps:g}_path0000.csv"))
 
     rows = []
-    dim = cfg.grid.dim
+    dim = cfg.solver.grid.dim
     energy_f = TestIntegrand("speed2", quad=(np.eye(dim), np.zeros(dim), 0.0))
     got = pairing(V, energy_f)
     want = float(np.mean(2.0 * run.trace.energy[sorted(snaps.steps)])
-                 * cfg.horizon)
+                 * cfg.solver.horizon)
     err = abs(got - want) / max(abs(want), 1e-300)
     rows.append(audit_row("pairing_vs_quadrature", "young_measure.pairing",
                           err, 0.02,
@@ -258,21 +254,21 @@ def _blowup_report(out: RunDirectory, experiment: str, err: BlowUpError,
 
 
 def _run_martingale(cfg: RunConfig, out: RunDirectory):
-    fields = probe_fields(cfg.grid)
+    scfg = cfg.solver
+    fields = probe_fields(scfg.grid)
     pairs = cfg.martingale.pairs
     hists = cfg.martingale.histories
-    n_tests = len(fields) * len(pairs) * len(hists) * (2 + cfg.forcing.rank)
-    if cfg.transport:
+    n_tests = len(fields) * len(pairs) * len(hists) * (2 + scfg.rank)
+    if scfg.transport:
         try:
             functionals = solver_functionals_multi(
-                cfg.solver_config(cfg.eps_values[0]), fields, cfg.seed,
-                range(cfg.paths), pairs)
+                scfg, fields, cfg.seed, range(cfg.paths), pairs)
         except BlowUpError as err:
             return _blowup_report(out, "martingale", err)
     else:
         functionals = linear_model_functionals_multi(
-            cfg.forcing, fields, cfg.seed, range(cfg.martingale.linear_paths),
-            cfg.dt, step_index(cfg.horizon, cfg.dt), pairs)
+            scfg.forcing, fields, cfg.seed, range(cfg.martingale.linear_paths),
+            scfg.dt, scfg.steps, pairs)
     rows = []
     for phi_name, (by_pair, c) in functionals.items():
         for (s, t) in pairs:
@@ -290,7 +286,7 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
 def _run_weakstrong(cfg: RunConfig, out: RunDirectory):
     try:
         rows, rep = weak_strong_ladder(
-            cfg.eps_values, cfg.solver_config(cfg.eps_values[0]),
+            cfg.eps_values, cfg.solver,
             cfg.reference.n, cfg.reference.dt_factor, cfg.seed,
             range(cfg.paths), cfg.partition, cfg.young.radius,
             cfg.snapshot_times, level=cfg.reference.level,

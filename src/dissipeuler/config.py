@@ -3,6 +3,12 @@
 The config file is plain JSON with a closed schema: unknown keys are errors
 reported with their full field path, required fields likewise.  A seed is
 mandatory so no run ever depends on ambient entropy.
+
+The settings dataclasses are the schema of the sections they are built
+from (``_section``): a section's keys, their JSON types and their defaults
+are the fields of its dataclass, so each default is written once, on its
+field.  A run's solver settings are one ``SolverConfig``, at the first
+viscosity of the run.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .forcing import (
     ForcingError,
@@ -25,6 +31,8 @@ from .spectral import SpectralError, TorusGrid
 from .young import CellPartition
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
+# the experiments that build Young measures from snapshots of their runs
+MEASURE_EXPERIMENTS = ("vanish", "ym", "weakstrong")
 # the snapshot times loop over time_cells * snapshots_per_slab samples
 MAX_SNAPSHOTS_PER_SLAB = 2 ** 16
 # ceiling on the bytes one run retains, estimated from the config alone so
@@ -53,6 +61,11 @@ def _get(raw, path, key, kind, default=_REQUIRED):
     return _check(raw[key], where, kind)
 
 
+def _given(raw, path, key, kind):
+    """{key: raw[key]} checked by ``_check``, or {} to keep the callee's default."""
+    return {key: _get(raw, path, key, kind)} if key in raw else {}
+
+
 def _check(val, where, kind):
     """val as kind: int, bool, str, list, dict, or float (any finite number).
 
@@ -74,12 +87,31 @@ def _check(val, where, kind):
     return val
 
 
-def _count(raw, path, key, default=_REQUIRED):
+def _section(raw, name, cls, own=()):
+    """Keyword arguments for dataclass ``cls`` from section ``raw[name]``, if any.
+
+    The section's keys are the fields of ``cls`` that have a default, each
+    read as the JSON type of its default (a tuple from a JSON list) and
+    taking the default when absent, plus the keys in ``own``, which are
+    passed on as written for the caller to read.  Fields the caller
+    supplies have no default and are not keys.
+    """
+    sec = _get(raw, "", name, dict, {})
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    _no_unknown(sec, name, {*defaults, *own})
+    out = {key: sec[key] for key in own if key in sec}
+    for key, default in defaults.items():
+        kind = type(default)
+        val = _get(sec, name, key, list if kind is tuple else kind, default)
+        out[key] = tuple(val) if kind is tuple else val
+    return out
+
+
+def _count(value, path):
     """A whole number >= 1."""
-    val = _get(raw, path, key, int, default)
-    if val < 1:
-        raise ConfigError(f"{path}.{key}", f"must be >= 1, got {val}")
-    return val
+    if value < 1:
+        raise ConfigError(path, f"must be >= 1, got {value}")
+    return value
 
 
 def _no_unknown(raw, path, allowed):
@@ -136,49 +168,35 @@ class MartingaleSpec:
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    n: int = 128
-    dt_factor: int = 4
-    level: float | None = None
+    n: int
+    dt_factor: int
+    level: float | None
 
 
 @dataclass(frozen=True)
 class RunConfig:
     experiment: str
-    grid: TorusGrid
-    dt: float
-    horizon: float
+    solver: SolverConfig         # at eps_values[0]
     eps_values: tuple            # single entry for simulate/ym/martingale
-    forcing: ForcingOperator | None
-    initial: InitialCondition
     paths: int
     seed: int
     young: YoungSpec
     tolerances: ToleranceSet
     martingale: MartingaleSpec
     reference: ReferenceSpec
-    blowup_ceiling: float = 1e3
-    cfl_number: float = 0.5
-    transport: bool = True
-
-    def solver_config(self, eps: float) -> SolverConfig:
-        return SolverConfig(grid=self.grid, forcing=self.forcing, eps=eps,
-                            dt=self.dt, horizon=self.horizon,
-                            initial=self.initial,
-                            blowup_ceiling=self.blowup_ceiling,
-                            cfl_number=self.cfl_number,
-                            transport=self.transport)
 
     @functools.cached_property
     def partition(self) -> CellPartition:
-        return CellPartition(self.grid.dim, self.grid.n, self.young.time_cells,
-                             self.young.space_cells, 0.0, self.horizon)
+        grid = self.solver.grid
+        return CellPartition(grid.dim, grid.n, self.young.time_cells,
+                             self.young.space_cells, 0.0, self.solver.horizon)
 
     @functools.cached_property
     def snapshot_times(self) -> tuple:
         """Mid-slab samples for the measure plus both endpoints for drift terms."""
-        mids = self.partition.sample_times(self.dt, self.young.snapshots_per_slab)
-        end = step_index(self.horizon, self.dt) * self.dt
-        return tuple(sorted({0.0, end, *mids}))
+        dt = self.solver.dt
+        mids = self.partition.sample_times(dt, self.young.snapshots_per_slab)
+        return tuple(sorted({0.0, self.solver.steps * dt, *mids}))
 
 
 def load_config(path, experiment: str, seed: int | None = None):
@@ -187,10 +205,10 @@ def load_config(path, experiment: str, seed: int | None = None):
     The file is read once.  A ``seed`` replaces ``ensemble.seed`` in both,
     once the file has loaded as written.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise ConfigError("<file>", f"invalid JSON: {err}") from err
     cfg = parse_config(raw, experiment)
     if seed is not None:
@@ -202,6 +220,7 @@ def load_config(path, experiment: str, seed: int | None = None):
 def parse_config(raw: dict, experiment: str) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
+    _check(raw, "<file>", dict)
     _no_unknown(raw, "", {
         "experiment", "grid", "time", "viscosity", "forcing", "initial",
         "ensemble", "young", "tolerances", "martingale", "reference", "solver",
@@ -234,7 +253,7 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
 
     ens = _get(raw, "", "ensemble", dict)
     _no_unknown(ens, "ensemble", {"paths", "seed"})
-    paths = _count(ens, "ensemble", "paths")
+    paths = _count(_get(ens, "ensemble", "paths", int), "ensemble.paths")
     seed = check_seed(_get(ens, "ensemble", "seed", int))
 
     young = _parse_young(raw, grid)
@@ -242,23 +261,19 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
     mart = _parse_martingale(raw, horizon, dt, steps, experiment == "martingale")
     ref = _parse_reference(raw, grid, experiment)
 
-    s = _get(raw, "", "solver", dict, {})
-    _no_unknown(s, "solver", {"blowup_ceiling", "cfl_number", "transport"})
-    blowup = _positive(_get(s, "solver", "blowup_ceiling", float, 1e3),
-                       "solver.blowup_ceiling")
-    cfl = _positive(_get(s, "solver", "cfl_number", float, 0.5),
-                    "solver.cfl_number")
-    transport = _get(s, "solver", "transport", bool, True)
+    s = _section(raw, "solver", SolverConfig)
+    _positive(s["blowup_ceiling"], "solver.blowup_ceiling")
+    _positive(s["cfl_number"], "solver.cfl_number")
+    solver = SolverConfig(grid=grid, forcing=forcing, eps=eps_values[0], dt=dt,
+                          horizon=horizon, initial=initial, **s)
 
-    cfg = RunConfig(experiment=experiment, grid=grid, dt=dt, horizon=horizon,
-                    eps_values=eps_values, forcing=forcing, initial=initial,
+    cfg = RunConfig(experiment=experiment, solver=solver, eps_values=eps_values,
                     paths=paths, seed=seed, young=young, tolerances=tol,
-                    martingale=mart, reference=ref, blowup_ceiling=blowup,
-                    cfl_number=cfl, transport=transport)
-    if experiment in ("vanish", "ym", "weakstrong"):
-        _check_time_cells(cfg, steps)
+                    martingale=mart, reference=ref)
+    if experiment in MEASURE_EXPERIMENTS:
+        _check_time_cells(cfg)
     if experiment == "martingale":   # after the parsers, which name a bad field first
-        where, n = ("ensemble.paths", paths) if transport \
+        where, n = ("ensemble.paths", paths) if solver.transport \
             else ("martingale.linear_paths", mart.linear_paths)
         if n < MIN_MARTINGALE_PATHS:
             raise ConfigError(where, f"need >= {MIN_MARTINGALE_PATHS} paths, got {n}")
@@ -276,15 +291,16 @@ def _check_run_bytes(cfg: RunConfig) -> None:
     martingale runs and the weakstrong reference run on ``reference.n``
     keep no snapshots.
     """
-    dim = cfg.grid.dim
+    grid = cfg.solver.grid
+    dim = grid.dim
 
     def retained(n, snapshots):
         half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
         return snapshots * 8 * dim * n ** dim + WORKING_FIELDS * half
 
     snapshots = len(cfg.snapshot_times) \
-        if cfg.experiment in ("vanish", "ym", "weakstrong") else 0
-    runs = [(retained(cfg.grid.n, snapshots), "grid.n", cfg.grid.n)]
+        if cfg.experiment in MEASURE_EXPERIMENTS else 0
+    runs = [(retained(grid.n, snapshots), "grid.n", grid.n)]
     if cfg.experiment == "weakstrong":
         runs.append((retained(cfg.reference.n, 0), "reference.n", cfg.reference.n))
     need, where, n = max(runs)
@@ -294,7 +310,7 @@ def _check_run_bytes(cfg: RunConfig) -> None:
                                  f"{MAX_RUN_BYTES / 2 ** 30:g} GiB ceiling")
 
 
-def _check_time_cells(cfg: RunConfig, steps: int) -> None:
+def _check_time_cells(cfg: RunConfig) -> None:
     """Every time cell of the measure partition holds a snapshot, by
     ``slab_of``, as the measure build requires.
 
@@ -304,15 +320,15 @@ def _check_time_cells(cfg: RunConfig, steps: int) -> None:
     if cfg.young.snapshots_per_slab > MAX_SNAPSHOTS_PER_SLAB:
         raise ConfigError("young.snapshots_per_slab",
                           f"must be <= {MAX_SNAPSHOTS_PER_SLAB}")
-    cells = cfg.young.time_cells
+    cells, steps, dt = cfg.young.time_cells, cfg.solver.steps, cfg.solver.dt
     if cells > steps + 1:
         raise ConfigError("young.time_cells",
-                          f"must be <= {steps + 1}, the step times at dt={cfg.dt:g}")
+                          f"must be <= {steps + 1}, the step times at dt={dt:g}")
     missing = cells - len({cfg.partition.slab_of(t) for t in cfg.snapshot_times})
     if missing:
         raise ConfigError("young.time_cells",
                           f"{missing} of {cells} time cells get no snapshot "
-                          f"at dt={cfg.dt:g}; use fewer cells")
+                          f"at dt={dt:g}; use fewer cells")
 
 
 def _parse_viscosity(raw, experiment):
@@ -348,8 +364,7 @@ def _parse_forcing(raw, grid):
                 _parse_mode(m, f"forcing.modes[{i}]")
                 for i, m in enumerate(_get(f, "forcing", "modes", list))))
         elif _get(f, "forcing", "preset", str, None) == "default":
-            op = default_forcing(grid.dim,
-                                 _get(f, "forcing", "sigma", float, 0.5))
+            op = default_forcing(grid.dim, **_given(f, "forcing", "sigma", float))
         else:
             raise ConfigError("forcing", "need modes or preset='default'")
         op.check_resolved(grid)
@@ -369,20 +384,14 @@ def _parse_mode(m, path) -> ForcingMode:
                       for j, x in enumerate(_get(m, path, "direction", list)))
     try:
         return ForcingMode(k, direction, _get(m, path, "sigma", float),
-                           _get(m, path, "parity", str, "cos"))
+                           **_given(m, path, "parity", str))
     except (ForcingError, OverflowError) as err:
         raise ConfigError(path, str(err)) from err
 
 
 def _parse_initial(raw, grid):
-    i = _get(raw, "", "initial", dict, {"kind": "taylor_green"})
-    _no_unknown(i, "initial", {"kind", "amplitude", "k_max", "decay"})
     try:
-        init = InitialCondition(
-            _get(i, "initial", "kind", str, "taylor_green"),
-            amplitude=_get(i, "initial", "amplitude", float, 1.0),
-            k_max=_get(i, "initial", "k_max", int, 3),
-            decay=_get(i, "initial", "decay", float, 2.0))
+        init = InitialCondition(**_section(raw, "initial", InitialCondition))
     except SolverError as err:
         raise ConfigError("initial.kind", str(err)) from err
     cut = grid.dealias_cutoff()
@@ -401,31 +410,24 @@ def _parse_initial(raw, grid):
 
 
 def _parse_young(raw, grid):
-    y = _get(raw, "", "young", dict, {})
-    _no_unknown(y, "young", {"time_cells", "space_cells", "radius",
-                             "bins_per_axis", "sphere_bins",
-                             "snapshots_per_slab"})
-    spec = YoungSpec(
-        time_cells=_count(y, "young", "time_cells", 4),
-        space_cells=_count(y, "young", "space_cells", 8),
-        radius=_positive(_get(y, "young", "radius", float, 4.0), "young.radius"),
-        bins_per_axis=_count(y, "young", "bins_per_axis", 16),
-        sphere_bins=_count(y, "young", "sphere_bins", 32),
-        snapshots_per_slab=_count(y, "young", "snapshots_per_slab", 4))
+    spec = YoungSpec(**_section(raw, "young", YoungSpec))
+    for key in ("time_cells", "space_cells", "bins_per_axis", "sphere_bins",
+                "snapshots_per_slab"):
+        _count(getattr(spec, key), f"young.{key}")
+    _positive(spec.radius, "young.radius")
     if grid.n % spec.space_cells != 0:
         raise ConfigError("young.space_cells", f"must divide grid n={grid.n}")
     return spec
 
 
 def _parse_tolerances(raw):
-    t = _get(raw, "", "tolerances", dict, {})
-    _no_unknown(t, "tolerances", {"energy_defect_c", "gronwall_slack",
-                                  "martingale_alpha"})
-    return ToleranceSet(**{
-        key: _positive(_get(t, "tolerances", key, float, default),
-                       f"tolerances.{key}")
-        for key, default in (("energy_defect_c", 1.0), ("gronwall_slack", 0.05),
-                             ("martingale_alpha", 0.05))})
+    tol = ToleranceSet(**_section(raw, "tolerances", ToleranceSet))
+    for f in fields(tol):
+        _positive(getattr(tol, f.name), f"tolerances.{f.name}")
+    if not tol.martingale_alpha < 1:   # a level: 1 - alpha / (2 n_tests) > 0
+        raise ConfigError("tolerances.martingale_alpha",
+                          f"must be < 1, got {tol.martingale_alpha}")
+    return tol
 
 
 def _parse_martingale(raw, horizon, dt, steps, on_grid):
@@ -434,13 +436,12 @@ def _parse_martingale(raw, horizon, dt, steps, on_grid):
     The default pair (floor(steps / 4) dt, floor(steps / 2) dt) lies on the
     step grid; it needs at least 2 steps.
     """
-    m = _get(raw, "", "martingale", dict, {})
-    _no_unknown(m, "martingale", {"pairs", "histories", "linear_paths"})
+    m = _section(raw, "martingale", MartingaleSpec, own=("pairs",))
     if "pairs" not in m and steps < 2:
         raise ConfigError("time.horizon", f"{steps} step of dt={dt:g} leaves no "
                                           "default martingale pair; need >= 2 steps")
-    pairs_raw = _get(m, "martingale", "pairs", list,
-                     [[steps // 4 * dt, steps // 2 * dt]])
+    pairs_raw = _check(m.pop("pairs", [[steps // 4 * dt, steps // 2 * dt]]),
+                       "martingale.pairs", list)
     pairs = []
     for i, p in enumerate(pairs_raw):
         where = f"martingale.pairs[{i}]"
@@ -457,13 +458,11 @@ def _parse_martingale(raw, horizon, dt, steps, on_grid):
             raise ConfigError(where, "s and t must be whole numbers of steps "
                                      f"of dt={dt:g}") from None
         pairs.append((s, t))
-    histories = tuple(_get(m, "martingale", "histories", list, ["one"]))
-    for h in histories:
+    for h in m["histories"]:
         if h not in MartingaleStat.HISTORY_KINDS:
             raise ConfigError("martingale.histories", f"unknown history {h!r}")
-    return MartingaleSpec(pairs=tuple(pairs), histories=histories,
-                          linear_paths=_count(m, "martingale", "linear_paths",
-                                              10_000))
+    _count(m["linear_paths"], "martingale.linear_paths")
+    return MartingaleSpec(pairs=tuple(pairs), **m)
 
 
 def _parse_reference(raw, grid, experiment):

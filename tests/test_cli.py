@@ -1,6 +1,7 @@
 """Config schema, artifact determinism, reporting, CLI exit codes."""
 
 import builtins
+import dataclasses
 import io
 import json
 import os
@@ -13,9 +14,18 @@ import pytest
 
 import dissipeuler.cli as cli
 from dissipeuler.cli import main
-from dissipeuler.config import ConfigError, parse_config
+from dissipeuler.config import (
+    ConfigError,
+    MartingaleSpec,
+    ReferenceSpec,
+    RunConfig,
+    ToleranceSet,
+    YoungSpec,
+    parse_config,
+)
 from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
 from dissipeuler.reporting import all_passed, audit_row
+from dissipeuler.solver import InitialCondition, SolverConfig
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -170,7 +180,7 @@ class TestSchema:
         assert "forcing.modes[1]" in capsys.readouterr().err
         assert not out.exists()
         raw["forcing"]["modes"][1]["k"] = [5, 0]
-        assert parse_config(raw, "simulate").forcing.rank == 2
+        assert parse_config(raw, "simulate").solver.forcing.rank == 2
 
     def test_martingale_without_forcing_exits_2(self, tmp_path, capsys):
         raw = zero_config()
@@ -202,6 +212,10 @@ class TestSchema:
         ("simulate", "solver", "blowup_ceiling", -1.0, "solver.blowup_ceiling"),
         ("simulate", "solver", "blowup_ceiling", 0.0, "solver.blowup_ceiling"),
         ("simulate", "reference", "tail_tol", -1.0, "reference.tail_tol"),
+        ("simulate", "tolerances", "martingale_alpha", 1.0,
+         "tolerances.martingale_alpha"),
+        ("simulate", "tolerances", "martingale_alpha", 1000.0,
+         "tolerances.martingale_alpha"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -331,13 +345,13 @@ class TestSchema:
         raw["grid"]["n"] = 8
         for kind in ("zero", "taylor_green", "single_mode"):
             raw["initial"] = {"kind": kind}
-            assert parse_config(raw, "simulate").initial.k_max == 3
+            assert parse_config(raw, "simulate").solver.initial.k_max == 3
         raw["initial"] = {"kind": "random_spectrum"}
         with pytest.raises(ConfigError) as err:
             parse_config(raw, "simulate")
         assert err.value.path == "initial.k_max"
         raw["initial"]["k_max"] = 2
-        assert parse_config(raw, "simulate").initial.k_max == 2
+        assert parse_config(raw, "simulate").solver.initial.k_max == 2
 
     def test_cauchy_strict_is_not_a_field(self):
         raw = zero_config()
@@ -350,7 +364,55 @@ class TestSchema:
         cfg = parse_config(forced_config(), "simulate")
         assert cfg.paths == 2
         assert cfg.eps_values == (0.05,)
-        assert cfg.forcing.rank == 4
+        assert cfg.solver.forcing.rank == 4
+
+    @pytest.mark.parametrize("text", [
+        b"5", b"null", b'"x"', b"[1]", b"[]", b"\xff\xfe{}",
+        pytest.param(b"[" * 10 ** 5 + b"]" * 10 ** 5, id="deep")])
+    def test_config_not_a_json_object_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: <file>: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_absent_sections_take_the_dataclass_defaults(self):
+        raw = {"grid": {"dim": 2, "n": 16},
+               "time": {"dt": 0.0625, "horizon": 0.25},
+               "viscosity": {"eps": 0.0},
+               "ensemble": {"paths": 1, "seed": 1}}
+        cfg = parse_config(raw, "simulate")
+        assert cfg.young == YoungSpec()
+        assert cfg.tolerances == ToleranceSet()
+        assert cfg.reference == ReferenceSpec(4 * 16, 4, None)
+        assert cfg.solver.initial == InitialCondition()
+        assert cfg.solver.forcing is None
+        defaults = {f.name: f.default for cls in (MartingaleSpec, SolverConfig)
+                    for f in dataclasses.fields(cls)}
+        for key in ("histories", "linear_paths"):
+            assert getattr(cfg.martingale, key) == defaults[key]
+        for key in ("blowup_ceiling", "cfl_number", "transport"):
+            assert getattr(cfg.solver, key) == defaults[key]
+
+    @pytest.mark.parametrize("key,value", [
+        ("eps", 0.1), ("grid", {"dim": 2, "n": 16}), ("dt", 0.0625),
+        ("horizon", 0.25), ("forcing", None), ("initial", {"kind": "zero"})])
+    def test_supplied_solver_fields_are_not_keys(self, key, value):
+        raw = zero_config()
+        raw["solver"] = {key: value}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "simulate")
+        assert str(err.value) == f"solver.{key}: unknown key"
+
+    def test_run_config_holds_one_solver_config(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "experiment", "solver", "eps_values", "paths", "seed", "young",
+            "tolerances", "martingale", "reference"]
+        raw = forced_config()
+        raw.update(experiment="vanish", viscosity={"ladder": [0.1, 0.05]},
+                   young={"time_cells": 2, "space_cells": 4})
+        assert parse_config(raw, "vanish").solver.eps == 0.1
 
 
 class TestSimulateCli:
