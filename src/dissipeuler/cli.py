@@ -258,7 +258,7 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
     fields = probe_fields(scfg.grid)
     pairs = cfg.martingale.pairs
     hists = cfg.martingale.histories
-    n_tests = len(fields) * len(pairs) * len(hists) * (2 + scfg.rank)
+    n_tests = len(fields) * len(pairs) * len(hists) * (2 + scfg.forcing.rank)
     if scfg.transport:
         try:
             functionals = solver_functionals_multi(

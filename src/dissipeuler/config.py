@@ -360,9 +360,11 @@ def _parse_forcing(raw, grid):
     _no_unknown(f, "forcing", {"preset", "sigma", "modes"})
     try:
         if "modes" in f:
-            op = ForcingOperator(tuple(
-                _parse_mode(m, f"forcing.modes[{i}]")
-                for i, m in enumerate(_get(f, "forcing", "modes", list))))
+            modes = _get(f, "forcing", "modes", list)
+            if not modes:   # Phi = 0 is written by leaving out the section
+                raise ConfigError("forcing.modes", "need at least one mode")
+            op = ForcingOperator(tuple(_parse_mode(m, f"forcing.modes[{i}]")
+                                       for i, m in enumerate(modes)))
         elif _get(f, "forcing", "preset", str, None) == "default":
             op = default_forcing(grid.dim, **_given(f, "forcing", "sigma", float))
         else:

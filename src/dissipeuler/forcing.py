@@ -2,7 +2,9 @@
 
 The forcing operator maps the k-th coordinate of an abstract Wiener process
 to ``sigma_k * g_k`` where ``g_k`` is a unit-L2, divergence-free
-trigonometric mode (direction orthogonal to the wavevector).  Noise
+trigonometric mode (direction orthogonal to the wavevector).  The unforced
+equations are the case Phi = 0: ``ForcingOperator(())``, of rank 0, whose
+Wiener paths have no modes and whose noise is an empty sum.  Noise
 increments are a pure function of ``(seed, path_id, mode, step)`` through a
 Philox counter-based generator, so one Wiener path can be replayed
 bit-exactly across viscosities and resolutions.  Time refinement halves dt
@@ -83,26 +85,17 @@ class ForcingMode:
 
 @dataclass(frozen=True)
 class ForcingOperator:
-    """Finite-rank operator Phi with divergence-free trigonometric range."""
+    """Finite-rank operator Phi with divergence-free trigonometric range;
+    with no modes it is Phi = 0, of rank 0."""
 
     modes: tuple
 
-    def __post_init__(self):
-        modes = tuple(self.modes)
-        if len(modes) < 1:
-            raise ForcingError("forcing operator needs at least one mode")
-        dims = {len(m.k) for m in modes}
-        if len(dims) != 1:
-            raise ForcingError("all forcing modes must share the dimension")
-        object.__setattr__(self, "modes", modes)
+    def __post_init__(self):   # each mode's dimension is checked against a grid
+        object.__setattr__(self, "modes", tuple(self.modes))
 
     @property
     def rank(self) -> int:
         return len(self.modes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.modes[0].k)
 
     def hs_norm_sq(self) -> float:
         """sum_k sigma_k^2 ||g_k||^2 with unit-norm g_k."""
@@ -115,10 +108,10 @@ class ForcingOperator:
         term never sees, and would break the solver's invariant that every
         state lies in the band.
         """
-        if grid.dim != self.dim:
-            raise ForcingError("forcing dimension does not match grid")
         cutoff = grid.dealias_cutoff()
         for i, m in enumerate(self.modes):
+            if len(m.k) != grid.dim:
+                raise ForcingError(f"forcing mode {m.k} does not match grid dim {grid.dim}")
             if any(abs(q) > cutoff for q in m.k):
                 raise UnresolvedModeError(
                     i, f"forcing mode {m.k} lies outside the dealias band "
@@ -142,12 +135,14 @@ class ForcingOperator:
         ``index`` holds the flat indices, into coefficient arrays of shape
         (dim,) + grid.spectral_shape, where some sigma_k g_k is nonzero: the
         stored ones of the +-k coefficients of each mode.  ``values[k]`` are
-        the coefficients of sigma_k g_k there, shape (K, len(index)).
+        the coefficients of sigma_k g_k there, shape (K, len(index)); both
+        are empty at rank 0.
         """
-        dense = np.stack([m.sigma * self.mode_field(grid, i).coeffs.ravel()
-                          for i, m in enumerate(self.modes)])
-        index = np.flatnonzero(np.any(dense != 0, axis=0))
-        return index, dense[:, index]
+        rows = [m.sigma * self.mode_field(grid, i).coeffs.ravel()
+                for i, m in enumerate(self.modes)]
+        index = np.flatnonzero(sum(row != 0 for row in rows))
+        values = np.array([row[index] for row in rows])
+        return index, values.reshape(self.rank, len(index))
 
 
 def apply_noise(phi: ForcingOperator, increments: np.ndarray,

@@ -108,10 +108,9 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     phi = probe_fields(base.grid)[0][1]
     recorders = {eps: FunctionalRecorder(phi, eps, base.transport, snaps.steps)
                  for eps in ladder.eps_values[len(ladder.eps_values) // 2:]}
-    paths = {
-        pid: WienerPath.sample(ladder.seed, pid, base.rank, base.dt, base.steps)
-        for pid in ladder.path_ids
-    } if base.forcing is not None else {pid: None for pid in ladder.path_ids}
+    paths = {pid: WienerPath.sample(ladder.seed, pid, base.forcing.rank,
+                                    base.dt, base.steps)
+             for pid in ladder.path_ids}
 
     def accumulator():
         return YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
@@ -187,8 +186,8 @@ def forcing_pairings(phi: SpectralField, forcing: ForcingOperator) -> np.ndarray
         for k in range(forcing.rank)])
 
 
-def momentum_residual(rec: FunctionalRecorder, forcing: ForcingOperator | None,
-                      path: WienerPath | None) -> float:
+def momentum_residual(rec: FunctionalRecorder, forcing: ForcingOperator,
+                      path: WienerPath) -> float:
     """|M_t - <Phi W(t), phi>| of the run ``rec`` last observed, at its last
     observed time t.
 
@@ -198,12 +197,9 @@ def momentum_residual(rec: FunctionalRecorder, forcing: ForcingOperator | None,
     at t.
     """
     m_t = float(rec.martingale_series()[-1])
-    stochastic = 0.0
-    if forcing is not None and path is not None:
-        last = step_index(rec.times[-1], path.dt)
-        beta = path.increments[:last].sum(axis=0)
-        stochastic = float(forcing_pairings(rec.phi, forcing) @ beta)
-    return abs(m_t - stochastic)
+    last = step_index(rec.times[-1], path.dt)
+    beta = path.increments[:last].sum(axis=0)
+    return abs(m_t - float(forcing_pairings(rec.phi, forcing) @ beta))
 
 
 # -- martingale statistics ---------------------------------------------------
@@ -383,7 +379,7 @@ def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
 
 
 def energy_inequality_limit(family: GeneralizedYoungMeasure, traces,
-                            forcing: ForcingOperator | None, tol: float):
+                            forcing: ForcingOperator, tol: float):
     """Slab-averaged energy inequality audit for the family measure.
 
     Implements the mollified form: compare slab energies of the measure
@@ -396,7 +392,7 @@ def energy_inequality_limit(family: GeneralizedYoungMeasure, traces,
     """
     part = family.partition
     e_slab = slab_energies(family)
-    hs2 = forcing.hs_norm_sq() if forcing is not None else 0.0
+    hs2 = forcing.hs_norm_sq()
 
     i_slab = np.zeros(part.n_t)
     m_slab = np.zeros(part.n_t)

@@ -15,6 +15,10 @@ The energy-inequality defect over [s, t] is G(t) - G(s) for the compensated
 process G = E + D - I - M, which an admissible path keeps non-increasing up
 to discretization noise.
 
+No forcing is Phi = 0: ``SolverConfig`` stores ``forcing=None`` as the
+rank-0 ``ForcingOperator(())``, so every run samples its Wiener path (of 0
+modes then) and adds its noise one way, and I and M stay +0.0.
+
 A run keeps only its configuration, this trace and its final state; its
 states are read by observers (``run_path``), such as ``Snapshots``.
 """
@@ -127,7 +131,7 @@ class InitialCondition:
 @dataclass(frozen=True)
 class SolverConfig:
     grid: TorusGrid
-    forcing: ForcingOperator | None
+    forcing: ForcingOperator | None   # None is stored as ForcingOperator(())
     eps: float
     dt: float
     horizon: float
@@ -142,16 +146,13 @@ class SolverConfig:
         if self.eps < 0:
             raise SolverError("viscosity must be >= 0")
         self.steps   # the horizon must be a step >= 0, by ``step_index``
-        if self.forcing is not None:
-            self.forcing.check_resolved(self.grid)
+        if self.forcing is None:
+            object.__setattr__(self, "forcing", ForcingOperator(()))
+        self.forcing.check_resolved(self.grid)
 
     @functools.cached_property
     def steps(self) -> int:
         return step_index(self.horizon, self.dt)
-
-    @property
-    def rank(self) -> int:
-        return self.forcing.rank if self.forcing is not None else 0
 
     def with_eps(self, eps: float) -> "SolverConfig":
         return replace(self, eps=eps)
@@ -300,9 +301,10 @@ def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
 
     ``phys`` holds the point values of u, which lies in the dealias band;
     the transport term reads them and makes no inverse transform, and
-    without transport they are not read.  Returns (new field, max_x |u|);
-    the sup is 0 without transport.  The noise is added at its sparse
-    support only.
+    without transport they are not read.  ``dw`` holds the increments of
+    the ``cfg.forcing.rank`` modes.  Returns (new field, max_x |u|); the
+    sup is 0 without transport.  The noise is added at its sparse support
+    only.
     """
     if cfg.transport:
         conv, sup = _convective_with_sup(u, phys)
@@ -310,9 +312,8 @@ def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
     else:
         sup = 0.0
         drift = u.coeffs.copy()
-    if cfg.forcing is not None:
-        index, values = cfg.noise_support
-        drift.flat[index] += np.asarray(dw, dtype=np.float64) @ values
+    index, values = cfg.noise_support
+    drift.flat[index] += np.asarray(dw, dtype=np.float64) @ values
     if cfg.eps > 0:
         drift *= cfg.viscous_factor
     return SpectralField(cfg.grid, drift), sup
@@ -328,7 +329,8 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     """Integrate one trajectory; deterministic given (cfg, seed, path_id).
 
     A pre-sampled ``path`` (e.g. shared across viscosities or refined by
-    Brownian bridge) overrides local sampling; its dt must match cfg.
+    Brownian bridge) overrides local sampling; its dt must match cfg, it
+    must reach the horizon and it must have one mode per forcing mode.
     Each observer's ``on_state`` receives (step n, time, field, point
     values) at the steps in the observer's ``steps`` (every step if None).
 
@@ -339,20 +341,19 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     """
     grid = cfg.grid
     steps = cfg.steps
-    if cfg.forcing is not None:
-        if path is None:
-            path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, steps)
-        if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
-            raise SolverError(f"path dt {path.dt} does not match config dt {cfg.dt}")
-        if path.steps < steps:
-            raise SolverError("Wiener path shorter than the run horizon")
-        index, values = cfg.noise_support
-        # <u, sigma_k g_k> is the weighted sum over the stored coefficients
-        weight = np.broadcast_to(grid.ops.weight, (grid.dim,) + grid.spectral_shape)
-        conj_values = np.conj(values) * weight.take(index)
-        hs2 = cfg.forcing.hs_norm_sq()
-    else:
-        hs2 = 0.0
+    if path is None:
+        path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, steps)
+    if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
+        raise SolverError(f"path dt {path.dt} does not match config dt {cfg.dt}")
+    if path.steps < steps:
+        raise SolverError("Wiener path shorter than the run horizon")
+    if path.n_modes != cfg.forcing.rank:
+        raise SolverError(f"Wiener path has {path.n_modes} modes, the forcing "
+                          f"has {cfg.forcing.rank}")
+    index, values = cfg.noise_support
+    # <u, sigma_k g_k> is the weighted sum over the stored coefficients
+    weight = np.broadcast_to(grid.ops.weight, (grid.dim,) + grid.spectral_shape)
+    conj_values = np.conj(values) * weight.take(index)
 
     u = initial_state(cfg, seed, path_id)
     e0 = energy_and_grad_norm_sq(u)[0]
@@ -360,7 +361,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     times = np.arange(steps + 1) * cfg.dt
     energy = np.empty(steps + 1)
     dissipation = np.zeros(steps + 1)
-    ito_input = 0.5 * hs2 * times
+    ito_input = 0.5 * cfg.forcing.hs_norm_sq() * times
     stochastic = np.zeros(steps + 1)
 
     def trace_to(n):   # the energy budget of the first n grid times
@@ -381,12 +382,9 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
             break
         if cfg.eps > 0:
             dissipation[n + 1] = dissipation[n] + cfg.eps * cfg.dt * grad_sq
-        if cfg.forcing is not None:
-            dw = path.increments[n]
-            pair = (conj_values @ u.coeffs.take(index)).real * vol_scale
-            stochastic[n + 1] = stochastic[n] + float(pair @ dw)
-        else:
-            dw = None
+        dw = path.increments[n]
+        pair = (conj_values @ u.coeffs.take(index)).real * vol_scale
+        stochastic[n + 1] = stochastic[n] + float(pair @ dw)
         u, sup = step(u, dw, cfg, phys)
         if cfg.transport:
             blown = not sup <= cfg.blowup_ceiling   # a NaN sup is a blow-up

@@ -249,7 +249,9 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     (F(0) = 0, F >= 0, agreement of the two forms of F, the monotone ladder
     and one Gronwall envelope per eps) and the diagnostics: per-eps
     relative-energy matrices with their Gronwall diagnostics, the stopping
-    times and the paired monotonicity diagnostics along the ladder.
+    times and the paired monotonicity diagnostics along the ladder.  An
+    unset ``level`` L is 1.05 times the largest ||grad v||_inf of the
+    references; if every reference is flat that is 0, and no path stops.
     Checked before any integration: the ladder is non-empty and strictly
     decreasing, the reference refines the weak grid and divides its dt by
     a power of two, and the snapshot times lie on the weak step grid and
@@ -276,12 +278,10 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     refs, f0 = [], []
     f_rows, gaps = [[] for _ in cfgs], [[] for _ in cfgs]
     for pid in path_ids:
-        path = WienerPath.sample(seed, pid, weak_base.rank, weak_base.dt,
-                                 weak_base.steps) \
-            if weak_base.forcing is not None else None
-        ref = build_reference(
-            reference_cfg, seed, pid, partition, snapshot_times,
-            path=path.refined(dt_factor) if path is not None else None)
+        path = WienerPath.sample(seed, pid, weak_base.forcing.rank, weak_base.dt,
+                                 weak_base.steps)
+        ref = build_reference(reference_cfg, seed, pid, partition, snapshot_times,
+                              path=path.refined(dt_factor))
         refs.append(ref)
         f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
                                           initial_state(reference_cfg, seed, pid)))
@@ -296,9 +296,12 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
                                for s in slabs))
         del V   # released before the next path's reference run
 
-    if level is None:
+    stops = True
+    if level is None:   # flat references give 0: no path stops, and L = 0
         level = 1.05 * max(ref.grad_sup_max() for ref in refs)
-    taus = np.array([stopping_time(ref, level) for ref in refs])
+        stops = level > 0
+    taus = np.array([stopping_time(ref, level) if stops else ref.horizon
+                     for ref in refs])
     slab_times = partition.t0 + (np.arange(partition.n_t) + 1.0) \
         * partition.slab_duration
     f0 = np.asarray(f0)

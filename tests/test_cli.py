@@ -216,6 +216,7 @@ class TestSchema:
          "tolerances.martingale_alpha"),
         ("simulate", "tolerances", "martingale_alpha", 1000.0,
          "tolerances.martingale_alpha"),
+        ("simulate", "forcing", "modes", [], "forcing.modes"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -387,7 +388,7 @@ class TestSchema:
         assert cfg.tolerances == ToleranceSet()
         assert cfg.reference == ReferenceSpec(4 * 16, 4, None)
         assert cfg.solver.initial == InitialCondition()
-        assert cfg.solver.forcing is None
+        assert cfg.solver.forcing.rank == 0
         defaults = {f.name: f.default for cls in (MartingaleSpec, SolverConfig)
                     for f in dataclasses.fields(cls)}
         for key in ("histories", "linear_paths"):
@@ -736,6 +737,26 @@ class TestWeakStrongCli:
         assert len(rows) == 1
         assert not rows[0]["pass"] and "blow-up" in rows[0]["detail"]
 
+    @pytest.mark.parametrize("forcing", [None, {"preset": "default", "sigma": 0.0}],
+                             ids=["unforced", "sigma0"])
+    def test_zero_reference_stops_no_path(self, tmp_path, forcing):
+        # every reference is 0, so the default level 1.05 max ||grad v||_inf
+        # is 0: no path stops and the envelope is flat, L = 0
+        raw = {k: v for k, v in SMALL_WEAKSTRONG.items() if k != "forcing"}
+        raw["initial"] = {"kind": "zero"}
+        if forcing is not None:
+            raw["forcing"] = forcing
+        out = tmp_path / "run"
+        assert main(["weakstrong", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 0
+        assert verify_manifest(out) == []
+        payload = json.loads((out / "reports" / "weakstrong.json").read_text())
+        assert payload["stopping_times"] == [0.25] * 3
+        gronwall = [r for r in payload["rows"]
+                    if r["audit"].startswith("gronwall_envelope")]
+        assert len(gronwall) == 2 and all_passed(gronwall)
+        assert payload["relative_energy"]["0.1"]["level"] == 0.0
+
 
 class TestMartingaleCli:
     def test_martingale_blowup_seals_manifest(self, tmp_path):
@@ -970,6 +991,22 @@ class TestVanishCli:
         rows = json.loads((out / "reports" / "vanish.json").read_text())["rows"]
         row = {r["audit"]: r for r in rows}["cauchy_distance_decreasing"]
         assert np.isnan(row["value"]) and not row["pass"]
+
+
+class TestUnforcedCli:
+    """A config without ``forcing`` runs forced by Phi = 0, of rank 0."""
+
+    @pytest.mark.parametrize("raw", [forced_config(paths=1), SMALL_VANISH,
+                                     ym_config(), SMALL_WEAKSTRONG],
+                             ids=lambda raw: raw["experiment"])
+    def test_run_seals_manifest(self, tmp_path, raw):
+        raw = {k: v for k, v in raw.items() if k != "forcing"}
+        name = raw["experiment"]
+        out = tmp_path / "run"
+        assert main([name, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 0
+        assert verify_manifest(out) == []
+        assert (out / f"reports/{name}.json").exists()
 
 
 def test_no_command_imports_scipy(tmp_path):

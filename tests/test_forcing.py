@@ -76,6 +76,16 @@ class TestApplyNoise:
         f = apply_noise(op, rng.standard_normal(op.rank), grid2d)
         assert divergence_defect(f) < 1e-13
 
+    def test_rank_0_is_no_noise(self, grid2d):
+        f = apply_noise(ForcingOperator(()), np.zeros(0), grid2d)
+        assert f.coeffs.shape == (2,) + grid2d.spectral_shape
+        assert not np.any(f.coeffs)
+
+    def test_rejects_mode_of_another_dimension(self, grid2d):
+        op = ForcingOperator((ForcingMode((1, 0, 0), (0.0, 1.0, 0.0), 1.0),))
+        with pytest.raises(ForcingError, match="does not match grid"):
+            op.check_resolved(grid2d)
+
     def test_rejects_unresolved_mode(self):
         grid = TorusGrid(2, 8)
         op = ForcingOperator((ForcingMode((5, 0), (0.0, 1.0), 1.0),))

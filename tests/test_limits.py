@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dissipeuler.forcing import WienerPath, default_forcing
+from dissipeuler.forcing import ForcingOperator, WienerPath, default_forcing
 import dissipeuler.limits as limits
 from dissipeuler.limits import (
     FunctionalRecorder,
@@ -224,7 +224,7 @@ class TestMomentumResidual:
         snaps = every_step(cfg) if snapshot_times is None \
             else Snapshots(cfg, snapshot_times)
         rec = FunctionalRecorder(div_free_phi(cfg.grid), eps, steps=snaps.steps)
-        path = WienerPath.sample(13, 0, cfg.rank, dt, cfg.steps)
+        path = WienerPath.sample(13, 0, cfg.forcing.rank, dt, cfg.steps)
         run_path(cfg, 13, 0, path=path, observers=(rec, snaps))
         return cfg, path, rec, snaps.trajectory
 
@@ -322,7 +322,7 @@ class TestMomentumResidual:
                 self.states.append((n, t, u, phys.copy()))
 
         store = Store()
-        path = WienerPath.sample(ladder.seed, pid, cfg.rank, cfg.dt, cfg.steps)
+        path = WienerPath.sample(ladder.seed, pid, cfg.forcing.rank, cfg.dt, cfg.steps)
         run_path(cfg.with_eps(eps), ladder.seed, pid, path=path, observers=(store,))
         phi = probe_fields(cfg.grid)[0][1]
         rec = FunctionalRecorder(phi, eps, transport=cfg.transport)
@@ -509,7 +509,7 @@ class TestEnergyInequalityLimit:
         run = run_path(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
         V = dirac_embed(snaps.trajectory, part, radius=1.0)
-        rows, _ = energy_inequality_limit(V, [run.trace], None, tol=1e-12)
+        rows, _ = energy_inequality_limit(V, [run.trace], ForcingOperator(()), tol=1e-12)
         assert all_passed(rows)
         values = {r["audit"]: r["value"] for r in rows}
         assert values == {"energy_inequality_family": 0.0, "no_positive_jumps": 0.0}
@@ -527,7 +527,7 @@ class TestEnergyInequalityLimit:
         stochastic = run.trace.stochastic.copy()
         stochastic[-1] = np.nan
         trace = replace(run.trace, stochastic=stochastic)
-        rows, _ = energy_inequality_limit(V, [trace], None, tol=1e-12)
+        rows, _ = energy_inequality_limit(V, [trace], ForcingOperator(()), tol=1e-12)
         values = {r["audit"]: r["value"] for r in rows}
         assert np.isnan(values["energy_inequality_family"])
         assert not all_passed(rows)
@@ -543,7 +543,7 @@ class TestEnergyInequalityLimit:
         res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
         traces = [tr for eps in (0.05, 0.025) for _, tr in res.traces[eps]]
         tol = res.traces[0.025][0][1].tolerance(c=1.0)
-        rows, _ = energy_inequality_limit(res.family, traces, None, tol=tol)
+        rows, _ = energy_inequality_limit(res.family, traces, ForcingOperator(()), tol=tol)
         assert all_passed(rows)
         # dissipative dynamics: the compensated slab process really decreases
         assert rows[0]["audit"] == "energy_inequality_family"

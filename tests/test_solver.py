@@ -55,7 +55,7 @@ class TestStep:
         cfg = make_config(initial=InitialCondition("zero"))
         u = SpectralField.zero(cfg.grid)
         for _ in range(5):
-            u, _ = step(u, None, cfg, dealias(u).to_physical())
+            u, _ = step(u, np.zeros(0), cfg, dealias(u).to_physical())
         assert np.max(np.abs(u.coeffs)) == 0.0
 
     def test_single_mode_exact_heat_decay(self):
@@ -67,7 +67,7 @@ class TestStep:
         u = single_mode(cfg.grid)
         e0 = 0.5 * l2_norm_sq(u)
         for _ in range(steps):
-            u, _ = step(u, None, cfg, dealias(u).to_physical())
+            u, _ = step(u, np.zeros(0), cfg, dealias(u).to_physical())
         t = steps * dt
         expected = e0 * np.exp(-2.0 * eps * t)
         assert 0.5 * l2_norm_sq(u) == pytest.approx(expected, rel=1e-8)
@@ -88,14 +88,14 @@ class TestStep:
             cfg = make_config(grid=grid, dt=dt, horizon=0.25)
             u = u0
             for _ in range(cfg.steps):
-                u, _ = step(u, None, cfg, dealias(u).to_physical())
+                u, _ = step(u, np.zeros(0), cfg, dealias(u).to_physical())
             errors.append(abs(0.5 * l2_norm_sq(u) - 0.5 * l2_norm_sq(u0)))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 0.9)
 
     def test_divergence_free_every_step(self):
         cfg = make_config(eps=0.01, forcing=default_forcing(2))
-        path = WienerPath.sample(5, 0, cfg.rank, cfg.dt, cfg.steps)
+        path = WienerPath.sample(5, 0, cfg.forcing.rank, cfg.dt, cfg.steps)
         u = cfg.initial.sample(cfg.grid, 5, 0)
         for n in range(cfg.steps):
             u, _ = step(u, path.increments[n], cfg,
@@ -200,6 +200,40 @@ class TestRunPath:
         run_path(cfg, 4, 2, observers=(First(),))
         assert len(seen) == 1
         assert seen[0].coeffs.tobytes() == initial_state(cfg, 4, 2).coeffs.tobytes()
+
+    @pytest.mark.parametrize("forced,n_modes", [(True, 2), (True, 6), (False, 4)])
+    def test_rejects_path_of_another_mode_count(self, forced, n_modes):
+        # fewer and more modes than rank 4, and a 4-mode path for no forcing
+        cfg = make_config(forcing=default_forcing(2) if forced else None)
+        path = WienerPath.sample(3, 0, n_modes, cfg.dt, cfg.steps)
+        with pytest.raises(SolverError) as err:
+            run_path(cfg, 3, 0, path=path)
+        assert f"{n_modes} modes, the forcing has {cfg.forcing.rank}" in str(err.value)
+
+
+class TestUnforced:
+    """A config without forcing is forced by the rank-0 operator."""
+
+    def test_none_is_stored_as_rank_0(self):
+        cfg = make_config()
+        assert cfg.forcing == ForcingOperator(())
+        assert cfg.forcing.rank == 0 and cfg.forcing.hs_norm_sq() == 0.0
+        index, values = cfg.noise_support
+        assert index.shape == (0,) and values.shape == (0, 0)
+
+    def test_ito_input_and_stochastic_integral_are_positive_zero(self):
+        cfg = make_config(eps=0.05, initial=InitialCondition("random_spectrum", 0.4))
+        trace = run_path(cfg, seed=2, path_id=1).trace
+        for series in (trace.ito_input, trace.stochastic):
+            assert series.shape == (cfg.steps + 1,)
+            assert np.all(series == 0.0) and not np.any(np.signbit(series))
+
+    def test_zero_mode_wiener_path(self):
+        n = 8
+        path = WienerPath.sample(5, 2, 0, 1.0 / 16, n)
+        assert path.increments.shape == (n, 0)
+        assert path.refined(4).increments.shape == (4 * n, 0)
+        assert path.coordinates().shape == (n + 1, 0)
 
 
 class TestItoPairing:
