@@ -16,9 +16,10 @@ experiment returns its audit rows, most of them built by the library
 function that computes the audited value, and ``main`` alone writes them
 to ``reports/<experiment>.json``, the only place a verdict is stored.  Runs
 are sequential: the (viscosity, path) runs of an experiment go one after
-another in fixed order.  ``--threads N`` is accepted for compatibility and
-ignored.  Exit status is 0 iff every enabled audit passed, 1 on an audit
-failure, 2 on a configuration error and 3 on a crash.
+another in fixed order, through ``solver.run_ensemble``.  ``--threads N``
+is accepted for compatibility and ignored.  Exit status is 0 iff every
+enabled audit passed, 1 on an audit failure, 2 on a configuration error
+and 3 on a crash.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .limits import (
     MartingaleStat,
     ViscosityLadder,
     energy_inequality_limit,
-    guarded_run,
     linear_model_functionals_multi,
     martingale_test,
     probe_fields,
@@ -43,7 +43,7 @@ from .limits import (
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, Snapshots, apriori_moment_report
+from .solver import BlowUpError, Snapshots, apriori_moment_report, run_ensemble
 from .spectral import write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
@@ -123,11 +123,9 @@ def _build_parser():
 
 
 def _run_simulate(cfg: RunConfig, out: RunDirectory):
-    eps = cfg.eps_values[0]
     rows = []
-    for pid in range(cfg.paths):
-        run, err = guarded_run(cfg.solver, cfg.seed, pid)
-        tag = f"eps{eps:g}_path{pid:04d}"
+    for _, path, run, err in run_ensemble([cfg.solver], cfg.seed, range(cfg.paths)):
+        tag = f"eps{cfg.solver.eps:g}_path{path.path_id:04d}"
         if err is not None:
             if err.partial is not None:
                 err.partial.write_csv(out.path(f"traces/{tag}.csv"))
@@ -150,11 +148,10 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory):
 
 def _run_vanish(cfg: RunConfig, out: RunDirectory):
     part = cfg.partition
-    snaps = cfg.snapshot_times
     ladder = ViscosityLadder(cfg.eps_values, cfg.solver, cfg.seed,
                              tuple(range(cfg.paths)))
 
-    res = run_ladder(ladder, part, cfg.young.radius, snapshot_times=snaps,
+    res = run_ladder(ladder, part, cfg.young.radius, cfg.snapshot_times,
                      bins_per_axis=cfg.young.bins_per_axis,
                      sphere_bins=cfg.young.sphere_bins)
 
@@ -209,7 +206,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory):
     eps = cfg.eps_values[0]
     part = cfg.partition
     snaps = Snapshots(cfg.solver, cfg.snapshot_times)
-    run, err = guarded_run(cfg.solver, cfg.seed, 0, observers=(snaps,))
+    [(_, _, run, err)] = run_ensemble([cfg.solver], cfg.seed, [0], lambda _: (snaps,))
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
     V = dirac_embed(snaps.trajectory, part, cfg.young.radius,

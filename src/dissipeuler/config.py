@@ -363,6 +363,8 @@ def _parse_forcing(raw, grid):
             modes = _get(f, "forcing", "modes", list)
             if not modes:   # Phi = 0 is written by leaving out the section
                 raise ConfigError("forcing.modes", "need at least one mode")
+            if f.keys() & {"preset", "sigma"}:
+                raise ConfigError("forcing", "modes exclude preset and sigma")
             op = ForcingOperator(tuple(_parse_mode(m, f"forcing.modes[{i}]")
                                        for i, m in enumerate(modes)))
         elif _get(f, "forcing", "preset", str, None) == "default":

@@ -16,7 +16,8 @@ ported to numpy with cephes' branch points, polynomial evaluation order
 and libm logarithms (``math.log``; numpy's vectorized ``log`` rounds some
 arguments differently), so every draw has the bits of the C routine.  The
 port costs a fixed ~0.1 ms a call, so each sampler draws the raw words of
-all its modes (and paths) first and makes one inverse-CDF call on them.
+all its modes (and paths) first, from one generator whose counter it sets
+per stream, and makes one inverse-CDF call on them.
 """
 
 from __future__ import annotations
@@ -264,12 +265,27 @@ def _ndtri_block(p: np.ndarray) -> np.ndarray:
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-def _raw_words(seed: int, path_id: int, mode: int, start: int, count: int,
+def _raw_words(seed: int, path_ids, modes, start: int, count: int,
                stream: int) -> np.ndarray:
+    """The words of steps start..start + count - 1 of every (path, mode)
+    stream, shape (len(path_ids), count, len(modes)), from one generator.
+
+    A stream's words are those of a fresh ``Philox(key, counter)`` at the
+    counter (start, mode, path_id, stream): the generator is set to each
+    counter with the empty buffer of a fresh one (``buffer_pos`` 4,
+    ``has_uint32`` 0), which costs a fraction of building a generator.
+    """
     key = np.array([np.uint64(seed), _KEY_SALT], dtype=np.uint64)
-    counter = np.array([start, mode, path_id, stream], dtype=np.uint64)
-    bg = np.random.Philox(key=key, counter=counter)
-    return bg.random_raw(4 * count)[::4]
+    bg = np.random.Philox(key=key)
+    state = bg.state   # a fresh generator's, with its buffer empty
+    words = np.empty((len(path_ids), count, len(modes)), dtype=np.uint64)
+    for p, path_id in enumerate(path_ids):
+        for k, mode in enumerate(modes):
+            state["state"]["counter"] = np.array([start, mode, path_id, stream],
+                                                 dtype=np.uint64)
+            bg.state = state
+            words[p, :, k] = bg.random_raw(4 * count)[::4]
+    return words
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -288,10 +304,7 @@ def _increments(seed: int, path_ids, n_modes: int, dt: float, start: int,
         raise ForcingError("dt must be positive")
     if stop < start:
         raise ForcingError("empty or negative step range")
-    words = np.empty((len(path_ids), stop - start, n_modes), dtype=np.uint64)
-    for p, path_id in enumerate(path_ids):
-        for k in range(n_modes):
-            words[p, :, k] = _raw_words(seed, path_id, k, start, stop - start, stream)
+    words = _raw_words(seed, path_ids, range(n_modes), start, stop - start, stream)
     out = ndtri(_uniforms(words))
     out *= np.sqrt(dt)
     return out
@@ -303,7 +316,8 @@ def auxiliary_normals(seed: int, path_id: int, tag: int, count: int) -> np.ndarr
     Pure in (seed, path_id, tag); used for reproducible initial-condition
     sampling without perturbing the Wiener increments.
     """
-    return ndtri(_uniforms(_raw_words(seed, path_id, tag, 0, count, _STREAM_AUX)))
+    words = _raw_words(seed, (path_id,), (tag,), 0, count, _STREAM_AUX)
+    return ndtri(_uniforms(words[0, :, 0]))
 
 
 def sample_increments(seed: int, path_id: int, n_modes: int, dt: float,

@@ -19,18 +19,20 @@ tested against history weights h evaluated at the earlier time.  One
 every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
 (observing a ladder run at its snapshot steps).  A martingale ensemble
 integrates each path once, one recorder per test field, into arrays over
-paths at each (s, t).
+paths at each (s, t).  The ladder and the martingale ensemble run their
+paths through ``solver.run_ensemble``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .forcing import ForcingOperator, WienerPath, ndtri
 from .reporting import audit_row
-from .solver import BlowUpError, SolverConfig, Snapshots, run_path, step_index
+from .solver import SolverConfig, Snapshots, run_ensemble, step_index
 from .spectral import (
     SpectralField,
     gradient_physical,
@@ -90,7 +92,8 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                sphere_bins: int = 32) -> LadderResult:
     """Run every rung on shared noise and estimate the family measure.
 
-    Runs go one after another in (eps, path) order and stream: a
+    ``solver.run_ensemble`` runs the rungs config-major (every path of one
+    rung, then the next rung) on paths drawn once, and the runs stream: a
     ``Snapshots`` observer keeps each run's point values at
     ``snapshot_times``, which are added to its rung's ``YoungAccumulator``
     and, for a tail rung, to the family's, and then dropped.  The tail is
@@ -108,36 +111,31 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     phi = probe_fields(base.grid)[0][1]
     recorders = {eps: FunctionalRecorder(phi, eps, base.transport, snaps.steps)
                  for eps in ladder.eps_values[len(ladder.eps_values) // 2:]}
-    paths = {pid: WienerPath.sample(ladder.seed, pid, base.forcing.rank,
-                                    base.dt, base.steps)
-             for pid in ladder.path_ids}
 
-    def accumulator():
-        return YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
+    def watch(cfg):   # called before each run, so it sees the rung's survivors
+        rec = recorders.get(cfg.eps)
+        return (snaps,) if rec is None or traces.get(cfg.eps) else (snaps, rec)
 
-    pooled = accumulator()
-    traces, measures, blowups, tail = {}, {}, {}, []
-    for eps in ladder.eps_values:
-        cfg = base.with_eps(eps)
-        rec = recorders.get(eps)
-        rung = accumulator()
+    pooled = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
+    traces, measures, blowups, paths = {}, {}, {}, {}
+    runs = run_ensemble([base.with_eps(eps) for eps in ladder.eps_values],
+                        ladder.seed, ladder.path_ids, watch)
+    for eps, rung_runs in groupby(runs, key=lambda r: r[0].eps):
+        rung = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
         traces[eps] = []
-        for pid in ladder.path_ids:
-            watch = (snaps, rec) if rec is not None and not traces[eps] else (snaps,)
-            run, err = guarded_run(cfg, ladder.seed, pid, path=paths[pid],
-                                   observers=watch)
+        for _, path, run, err in rung_runs:
+            paths[path.path_id] = path
             if err is not None:
-                blowups.setdefault(eps, []).append((pid, str(err)))
+                blowups.setdefault(eps, []).append((path.path_id, str(err)))
                 continue
             rung.add(snaps.trajectory)
-            if rec is not None:
+            if eps in recorders:
                 pooled.add(snaps.trajectory)
-            traces[eps].append((pid, run.trace))
+            traces[eps].append((path.path_id, run.trace))
         if traces[eps]:
             measures[eps] = rung.measure()
-            if rec is not None:
-                tail.append(eps)
 
+    tail = [eps for eps in measures if eps in recorders]
     family, finest = None, None
     if tail:   # the finest tail rung's recorder holds its first survivor
         family = pooled.measure()
@@ -149,14 +147,6 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                  for a, b in zip(usable, usable[1:])]
     return LadderResult(traces, measures, family, distances, blowups, tail,
                         finest)
-
-
-def guarded_run(cfg: SolverConfig, seed: int, path_id: int, **kwargs):
-    """run_path as (run, None), or (None, err) when the path blows up."""
-    try:
-        return run_path(cfg, seed, path_id, **kwargs), None
-    except BlowUpError as err:
-        return None, err
 
 
 # -- momentum residual ------------------------------------------------------
@@ -355,15 +345,15 @@ def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
                              pairs) -> dict:
     """Full-model functionals: each path is integrated once, with one
     ``FunctionalRecorder`` per ``(name, phi)`` of ``fields``, built once for
-    all paths, observing every step.  Returns {name: (by_pair, c)}; a
-    blow-up propagates.
+    all paths, observing every step.  Returns {name: (by_pair, c)}; the
+    first blow-up is raised, and no later path runs.
     """
     recs = [FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
             for _, phi in fields]
     runs = []
-    for pid in path_ids:
-        path = WienerPath.sample(seed, pid, cfg.forcing.rank, cfg.dt, cfg.steps)
-        run_path(cfg, seed, pid, path=path, observers=recs)
+    for _, path, _, err in run_ensemble([cfg], seed, path_ids, lambda _: recs):
+        if err is not None:
+            raise err
         runs.append((path.coordinates(), [(r.martingale_series(), r.pairings) for r in recs]))
     beta = np.stack([b for b, _ in runs])
     out = {}

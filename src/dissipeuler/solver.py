@@ -20,7 +20,10 @@ rank-0 ``ForcingOperator(())``, so every run samples its Wiener path (of 0
 modes then) and adds its noise one way, and I and M stay +0.0.
 
 A run keeps only its configuration, this trace and its final state; its
-states are read by observers (``run_path``), such as ``Snapshots``.
+states are read by observers (``run_path``), such as ``Snapshots``.  Every
+experiment runs its (configuration, path) runs through ``run_ensemble``,
+which draws the Wiener paths once, shares them across configurations and
+reports a blow-up as that run's failure.
 """
 
 from __future__ import annotations
@@ -400,6 +403,30 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
                     time=times[n + 1], sup=sup, partial=partial)
 
     return SolverRun(cfg, trace_to(steps + 1), u)
+
+
+def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: ()):
+    """Run every path of ``path_ids`` at every configuration of ``cfgs``.
+
+    The one loop over an experiment's (configuration, path) runs.  Every
+    path is drawn once, by one ``WienerPath.sample_many`` call at the
+    (dt, steps) of ``cfgs[0]``, and shared bit for bit by the runs of all
+    configurations.  Runs go config-major: every path of one configuration,
+    in ``path_ids`` order, then the next configuration.  ``observers(cfg)``
+    is called just before each run and gives that run's observers.  Yields
+    (cfg, path, run, err) after each run: a run that blows up yields run
+    None and its ``BlowUpError`` as err, and the remaining runs go ahead.
+    """
+    paths = WienerPath.sample_many(seed, path_ids, cfgs[0].forcing.rank,
+                                   cfgs[0].dt, cfgs[0].steps)
+    for cfg in cfgs:
+        for path in paths:
+            try:
+                run = run_path(cfg, seed, path.path_id, path, observers(cfg))
+            except BlowUpError as err:
+                yield cfg, path, None, err
+            else:
+                yield cfg, path, run, None
 
 
 # -- ensemble moment monitor ----------------------------------------------

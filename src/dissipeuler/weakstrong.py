@@ -5,11 +5,12 @@ run's configuration on a finer grid with dt divided by a power of two, zero
 viscosity, and the same Wiener path (Brownian-bridge refined).  Every state
 lies in the dealias band, so the reference is trusted up to its horizon;
 only the stopping time tau_L below cuts it short.  ``build_reference``
-integrates it once per path and, while it runs, reduces it on the audit's
-partition to what the relative energy reads per time slab: its slab-mean
-velocity per space cell and its slab-mean ||v||^2, so the run keeps no
-snapshot.  F(0) compares the two runs' initial states, ``initial_state``
-of each configuration.  Against the reference the relative energy
+integrates it once per path, when the ladder's first rung reaches the path
+(the weak runs go through ``solver.run_ensemble``), and while it runs
+reduces it on the audit's partition to what the relative energy reads per
+time slab: its slab-mean velocity per space cell and its slab-mean
+||v||^2, so the run keeps no snapshot.  F(0) compares the two runs'
+initial states, ``initial_state`` of each configuration.  Against the reference the relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -27,7 +28,8 @@ import numpy as np
 
 from .forcing import WienerPath
 from .reporting import audit_row
-from .solver import Snapshots, SolverConfig, initial_state, run_path, step_index
+from .solver import (Snapshots, SolverConfig, initial_state, run_ensemble,
+                     run_path, step_index)
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -242,10 +244,14 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
     The reference is ``weak_base`` on the grid of size ``ref_n`` with zero
-    viscosity and dt divided by ``dt_factor``.  One pass per path: sample
-    its Wiener path once, build the reference on its Brownian-bridge
-    refinement, then run and compare every rung on the path itself; F(0) is
-    taken once per path, from the initial states.  Returns the audit rows
+    viscosity and dt divided by ``dt_factor``.  ``solver.run_ensemble``
+    draws every Wiener path once and runs the rungs config-major: every
+    path of one rung, then the next rung.  When the first rung's run of a
+    path ends, that path's reference is built on the Brownian-bridge
+    refinement of the path, and F(0) is taken from the initial states,
+    before the run's measure is embedded; every run is then compared with
+    its path's reference.  The first blow-up, of a weak or a reference run,
+    is raised.  Returns the audit rows
     (F(0) = 0, F >= 0, agreement of the two forms of F, the monotone ladder
     and one Gronwall envelope per eps) and the diagnostics: per-eps
     relative-energy matrices with their Gronwall diagnostics, the stopping
@@ -277,24 +283,24 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     snaps = Snapshots(weak_base, snapshot_times)
     refs, f0 = [], []
     f_rows, gaps = [[] for _ in cfgs], [[] for _ in cfgs]
-    for pid in path_ids:
-        path = WienerPath.sample(seed, pid, weak_base.forcing.rank, weak_base.dt,
-                                 weak_base.steps)
-        ref = build_reference(reference_cfg, seed, pid, partition, snapshot_times,
-                              path=path.refined(dt_factor))
-        refs.append(ref)
-        f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
-                                          initial_state(reference_cfg, seed, pid)))
-        for r, cfg in enumerate(cfgs):
-            run_path(cfg, seed, pid, path=path, observers=(snaps,))
-            V = dirac_embed(snaps.trajectory, partition, radius,
-                            bins_per_axis=bins_per_axis, sphere_bins=sphere_bins)
-            slabs = [relative_energy(V, ref, s)
-                     for s in range(partition.n_t)]
-            f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
-            gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
-                               for s in slabs))
-        del V   # released before the next path's reference run
+    runs = run_ensemble(cfgs, seed, path_ids, lambda _: (snaps,))
+    for i, (_, path, _, err) in enumerate(runs):
+        if err is not None:
+            raise err
+        r, p = divmod(i, len(path_ids))   # rung and path, config-major
+        if r == 0:   # the first rung reaches the path: build its reference
+            pid = path.path_id
+            refs.append(build_reference(reference_cfg, seed, pid, partition,
+                                        snapshot_times, path=path.refined(dt_factor)))
+            f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
+                                              initial_state(reference_cfg, seed, pid)))
+        V = dirac_embed(snaps.trajectory, partition, radius,
+                        bins_per_axis=bins_per_axis, sphere_bins=sphere_bins)
+        slabs = [relative_energy(V, refs[p], s) for s in range(partition.n_t)]
+        f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
+        gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
+                           for s in slabs))
+        del V   # released before the next run, and so before a reference run
 
     stops = True
     if level is None:   # flat references give 0: no path stops, and L = 0

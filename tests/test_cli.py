@@ -217,6 +217,8 @@ class TestSchema:
         ("simulate", "tolerances", "martingale_alpha", 1000.0,
          "tolerances.martingale_alpha"),
         ("simulate", "forcing", "modes", [], "forcing.modes"),
+        ("simulate", "forcing", "modes",
+         [{"k": [1, 0], "direction": [0.0, 1.0], "sigma": 0.3}], "forcing"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
@@ -774,13 +776,13 @@ class TestMartingaleCli:
 
     def test_one_run_per_path_for_every_field(self, tmp_path, monkeypatch):
         # both test fields are recorded from one integration of each path
-        import dissipeuler.limits as limits
-        real_run_path, calls = limits.run_path, []
+        import dissipeuler.solver as solver
+        real_run_path, calls = solver.run_path, []
 
-        def spy(cfg, seed, path_id, **kw):
+        def spy(cfg, seed, path_id, *args, **kw):
             calls.append(path_id)
-            return real_run_path(cfg, seed, path_id, **kw)
-        monkeypatch.setattr(limits, "run_path", spy)
+            return real_run_path(cfg, seed, path_id, *args, **kw)
+        monkeypatch.setattr(solver, "run_path", spy)
         raw = forced_config(paths=32, seed=777)
         raw["experiment"] = "martingale"
         cfg = write_config(tmp_path, raw)

@@ -10,6 +10,7 @@ from dissipeuler.forcing import (
     ForcingMode,
     ForcingOperator,
     WienerPath,
+    _STREAM_AUX,
     _raw_words,
     _uniforms,
     apply_noise,
@@ -198,6 +199,23 @@ class TestIncrementStreams:
         assert np.array_equal(serial, threaded)
         assert np.array_equal(serial, sample_increments(31, 9, 2, 0.1, 0, 128))
 
+    @pytest.mark.parametrize("seed", [0, 2, 2 ** 63 + 5, 2 ** 64 - 1])
+    @pytest.mark.parametrize("stream", [0, 2, _STREAM_AUX])
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_one_generator_gives_the_words_of_fresh_generators(self, seed,
+                                                               stream, start):
+        # the sampler resets one generator per stream; each stream's words
+        # are those of a Philox generator built at its own counter
+        path_ids, modes, count = [3, 0, 7], [0, 1, 4], 6
+        words = _raw_words(seed, path_ids, modes, start, count, stream)
+        key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
+        for p, pid in enumerate(path_ids):
+            for k, mode in enumerate(modes):
+                counter = np.array([start, mode, pid, stream], dtype=np.uint64)
+                fresh = np.random.Philox(key=key, counter=counter)
+                assert np.array_equal(words[p, :, k],
+                                      fresh.random_raw(4 * count)[::4])
+
 
 class TestWienerPath:
     def test_coordinates_start_at_zero(self):
@@ -297,7 +315,7 @@ class TestInverseNormalCdf:
 
     def test_stacked_draws_equal_per_mode_and_per_path_draws(self):
         def per_mode(seed, pid, k, start, count, stream, var):
-            words = _raw_words(seed, pid, k, start, count, stream)
+            words = _raw_words(seed, [pid], [k], start, count, stream)[0, :, 0]
             return np.sqrt(var) * ndtri(_uniforms(words))
 
         inc = sample_increments(37, 3, 4, 0.1, 5, 29)

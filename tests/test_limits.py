@@ -7,6 +7,7 @@ import pytest
 
 from dissipeuler.forcing import ForcingOperator, WienerPath, default_forcing
 import dissipeuler.limits as limits
+import dissipeuler.solver as solver
 from dissipeuler.limits import (
     FunctionalRecorder,
     MIN_MARTINGALE_PATHS,
@@ -285,7 +286,7 @@ class TestMomentumResidual:
     def test_rejects_off_slab_time(self, monkeypatch):
         # the residual is read at the last snapshot time of a ladder; a
         # time off the step grid fails before any run
-        monkeypatch.setattr(limits, "run_path", _no_run)
+        monkeypatch.setattr(solver, "run_path", _no_run)
         cfg = base_config(n=16, horizon=0.25)
         with pytest.raises(SolverError, match="step grid"):
             run_ladder(ViscosityLadder((0.1,), cfg, seed=1),
@@ -295,7 +296,7 @@ class TestMomentumResidual:
         # M starts at u(0): a recorder, and so a ladder, needs step 0
         with pytest.raises(LimitError, match="step 0"):
             FunctionalRecorder(div_free_phi(TorusGrid(2, 16)), 0.1, steps={8, 16})
-        monkeypatch.setattr(limits, "run_path", _no_run)
+        monkeypatch.setattr(solver, "run_path", _no_run)
         cfg = base_config(n=16, horizon=0.25)
         with pytest.raises(LimitError, match="step 0"):
             run_ladder(ViscosityLadder((0.1,), cfg, seed=1),

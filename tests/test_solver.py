@@ -23,6 +23,7 @@ from dissipeuler.solver import (
     SolverError,
     apriori_moment_report,
     initial_state,
+    run_ensemble,
     run_path,
     step,
 )
@@ -209,6 +210,51 @@ class TestRunPath:
         with pytest.raises(SolverError) as err:
             run_path(cfg, 3, 0, path=path)
         assert f"{n_modes} modes, the forcing has {cfg.forcing.rank}" in str(err.value)
+
+
+class TestRunEnsemble:
+    def test_config_major_runs_on_shared_paths_past_a_blow_up(self):
+        base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 64, horizon=0.125,
+                           forcing=default_forcing(2, 0.3),
+                           initial=InitialCondition("random_spectrum", 0.3))
+        cfgs = [base.with_eps(0.1), replace(base, eps=0.05, blowup_ceiling=1e-6),
+                base.with_eps(0.025)]
+        path_ids = [4, 1]
+        yielded, calls = [], []
+
+        class Seen:
+            steps = {0}
+            hits = 0
+
+            def on_state(self, n, t, u, phys):
+                self.hits += 1
+
+        def observers(cfg):
+            calls.append((cfg, len(yielded), Seen()))
+            return (calls[-1][2],)
+
+        for item in run_ensemble(cfgs, 5, path_ids, observers):
+            yielded.append(item)
+
+        order = [(cfg, pid) for cfg in cfgs for pid in path_ids]
+        assert [(cfg, path.path_id) for cfg, path, _, _ in yielded] == order
+        # observers(cfg) is called once just before each run, which reads it
+        assert [(cfg, runs_before) for cfg, runs_before, _ in calls] == \
+            [(cfg, i) for i, (cfg, _) in enumerate(order)]
+        assert all(seen.hits == 1 for _, _, seen in calls)
+        for cfg, path, run, err in yielded:
+            lone = WienerPath.sample(5, path.path_id, 4, base.dt, base.steps)
+            assert path.increments.tobytes() == lone.increments.tobytes()
+            assert path is yielded[path_ids.index(path.path_id)][1]
+            if cfg is cfgs[1]:
+                assert run is None and isinstance(err, BlowUpError)
+                continue
+            assert err is None
+            want = run_path(cfg, 5, path.path_id)
+            for name in ("energy", "dissipation", "ito_input", "stochastic"):
+                assert getattr(run.trace, name).tobytes() == \
+                    getattr(want.trace, name).tobytes()
+            assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
 
 
 class TestUnforced:

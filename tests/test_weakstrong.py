@@ -14,6 +14,7 @@ from dissipeuler.solver import (
     run_path,
 )
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, single_mode, taylor_green
+import dissipeuler.solver as solver
 import dissipeuler.weakstrong as weakstrong
 from dissipeuler.weakstrong import (
     weak_strong_ladder,
@@ -393,11 +394,12 @@ class TestLadderComparison:
                                       level=1.0)
 
         runs = []
-        real_run_path = weakstrong.run_path
+        real_run_path = solver.run_path
 
         def counting_run_path(*args, **kwargs):
             runs.append(args)
             return real_run_path(*args, **kwargs)
+        monkeypatch.setattr(solver, "run_path", counting_run_path)
         monkeypatch.setattr(weakstrong, "run_path", counting_run_path)
         for ref_n, dt_factor, match in [(32, 3, "power of two"),
                                         (32, 0, "power of two"),
@@ -414,6 +416,7 @@ class TestLadderComparison:
                                                      eps_values):
         def no_run(*args, **kwargs):
             raise AssertionError("integrated before the ladder check")
+        monkeypatch.setattr(solver, "run_path", no_run)
         monkeypatch.setattr(weakstrong, "run_path", no_run)
         weak = SolverConfig(grid=TorusGrid(2, 16), forcing=None, eps=0.1,
                             dt=1.0 / 32, horizon=0.25,
@@ -457,6 +460,7 @@ class TestLadderComparison:
 
         def no_run(*args, **kwargs):
             raise AssertionError("integrated before the snapshot check")
+        monkeypatch.setattr(solver, "run_path", no_run)
         monkeypatch.setattr(weakstrong, "run_path", no_run)
         with pytest.raises(WeakStrongError, match=match):
             weak_strong_ladder((0.1,), weak, 32, 2, seed=1, path_ids=[0],
