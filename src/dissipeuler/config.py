@@ -9,6 +9,17 @@ from (``_section``): a section's keys, their JSON types and their defaults
 are the fields of its dataclass, so each default is written once, on its
 field.  A run's solver settings are one ``SolverConfig``, at the first
 viscosity of the run.
+
+A rule that the library also applies is not written here again: the
+loader calls the rule of the module that owns it with an ``error`` that
+names the field (``_at``).  These are the ladder's order and positivity
+(``limits.decreasing_rungs``), a martingale pair's 0 <= s < t
+(``limits.check_pair``), the reference grid and dt refinement
+(``weakstrong.check_reference_n``, ``forcing.refinement_halvings``) and
+the snapshot in every time slab (``young.CellPartition.check_slabs``).
+Each such rule compares so that NaN fails.  ``_check_memory`` holds
+a config to a memory ceiling: its largest run, its Wiener paths and its
+Young accumulators' slot tables.
 """
 
 from __future__ import annotations
@@ -24,10 +35,12 @@ from .forcing import (
     ForcingOperator,
     UnresolvedModeError,
     default_forcing,
+    refinement_halvings,
 )
-from .limits import MIN_MARTINGALE_PATHS, MartingaleStat
+from .limits import MIN_MARTINGALE_PATHS, MartingaleStat, check_pair, decreasing_rungs
 from .solver import InitialCondition, SolverConfig, SolverError, step_index
 from .spectral import SpectralError, TorusGrid
+from .weakstrong import check_reference_n
 from .young import CellPartition
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
@@ -35,8 +48,8 @@ EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
 MEASURE_EXPERIMENTS = ("vanish", "ym", "weakstrong")
 # the snapshot times loop over time_cells * snapshots_per_slab samples
 MAX_SNAPSHOTS_PER_SLAB = 2 ** 16
-# ceiling on the bytes one run retains, estimated from the config alone so
-# that a config loads or fails the same way on every host
+# ceiling on the bytes an experiment holds at once, estimated from the
+# config alone so that a config loads or fails the same way on every host
 MAX_RUN_BYTES = 8 * 2 ** 30
 # vector fields a step holds beside its snapshots (state, products, transforms)
 WORKING_FIELDS = 16
@@ -119,6 +132,11 @@ def _no_unknown(raw, path, allowed):
         if key not in allowed:
             where = f"{path}.{key}" if path else key
             raise ConfigError(where, "unknown key")
+
+
+def _at(path):
+    """The ``error`` a rule of the library raises to name field ``path``."""
+    return functools.partial(ConfigError, path)
 
 
 def _positive(value, path):
@@ -277,42 +295,76 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
             else ("martingale.linear_paths", mart.linear_paths)
         if n < MIN_MARTINGALE_PATHS:
             raise ConfigError(where, f"need >= {MIN_MARTINGALE_PATHS} paths, got {n}")
-    _check_run_bytes(cfg)
+    _check_memory(cfg)
     return cfg
 
 
-def _check_run_bytes(cfg: RunConfig) -> None:
-    """Every run of the experiment fits under ``MAX_RUN_BYTES``.
+def _check_memory(cfg: RunConfig) -> None:
+    """What the experiment holds at once fits under ``MAX_RUN_BYTES``.
 
     Runs are integrated one at a time and a viscosity ladder streams its
-    runs into the measures, so what an experiment holds is about one run:
-    its snapshots, each the point values of one state, and
-    ``WORKING_FIELDS`` half-spectrum fields on its grid.  Simulate and
-    martingale runs and the weakstrong reference run on ``reference.n``
-    keep no snapshots.
+    runs into the measures, so an experiment holds about one run beside
+    what serves all its runs.  Three terms are charged:
+
+    * the largest run: its snapshots, each the point values of one state,
+      and ``WORKING_FIELDS`` half-spectrum fields on its grid; simulate and
+      martingale runs and the weakstrong reference run on ``reference.n``
+      keep no snapshots;
+    * the Wiener paths, drawn up front by one ``WienerPath.sample_many``
+      call: 24 bytes per (path, step, mode) over ``ensemble.paths`` paths,
+      ``martingale.linear_paths`` for the transport-off martingale and one
+      path for ym;
+    * the int32 slot tables of the Young accumulators held at once, two in
+      vanish (the family's and a rung's) and one in ym and weakstrong: per
+      time slab and space cell, ``bins_per_axis ** dim`` oscillation slots
+      and ``sphere_bins`` concentration slots.
+
+    A config above the ceiling fails naming the field of the largest term.
     """
-    grid = cfg.solver.grid
+    grid, solver, young = cfg.solver.grid, cfg.solver, cfg.young
     dim = grid.dim
+    measured = cfg.experiment in MEASURE_EXPERIMENTS
 
-    def retained(n, snapshots):
+    def run(n, snapshots, where):
         half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
-        return snapshots * 8 * dim * n ** dim + WORKING_FIELDS * half
+        return (snapshots * 8 * dim * n ** dim + WORKING_FIELDS * half, where,
+                f"a run at n={n} in {dim}D retains")
 
-    snapshots = len(cfg.snapshot_times) \
-        if cfg.experiment in MEASURE_EXPERIMENTS else 0
-    runs = [(retained(grid.n, snapshots), "grid.n", grid.n)]
+    runs = [run(grid.n, len(cfg.snapshot_times) if measured else 0, "grid.n")]
     if cfg.experiment == "weakstrong":
-        runs.append((retained(cfg.reference.n, 0), "reference.n", cfg.reference.n))
-    need, where, n = max(runs)
+        runs.append(run(cfg.reference.n, 0, "reference.n"))
+    if cfg.experiment == "martingale" and not solver.transport:
+        paths, where = cfg.martingale.linear_paths, "martingale.linear_paths"
+    else:
+        paths, where = 1 if cfg.experiment == "ym" else cfg.paths, "ensemble.paths"
+    # the draw holds the raw word, the uniform and the increment of every
+    # (path, step, mode) at once: 24 bytes
+    terms = [max(runs), (24 * paths * solver.steps * solver.forcing.rank, where,
+                         "the Wiener paths drawn up front retain")]
+    if measured:
+        slots = 4 * (2 if cfg.experiment == "vanish" else 1) * cfg.partition.n_cells
+        terms += [(slots * young.bins_per_axis ** dim, "young.bins_per_axis",
+                   "the oscillation slot tables of the Young accumulators retain"),
+                  (slots * young.sphere_bins, "young.sphere_bins",
+                   "the sphere slot tables of the Young accumulators retain")]
+    need = sum(term[0] for term in terms)
     if need > MAX_RUN_BYTES:
-        raise ConfigError(where, f"a run at n={n} in {dim}D retains about "
-                                 f"{need / 2 ** 30:.1f} GiB, above the "
+        size, where, what = max(terms)
+        raise ConfigError(where, f"{what} {_gib(size)}, and the experiment "
+                                 f"{_gib(need)}, above the "
                                  f"{MAX_RUN_BYTES / 2 ** 30:g} GiB ceiling")
+
+
+def _gib(nbytes: int) -> str:
+    """A byte count in GiB for a message, past a float's range as a power of two."""
+    if nbytes < 2 ** 1000:
+        return f"about {nbytes / 2 ** 30:.1f} GiB"
+    return f"over 2**{nbytes.bit_length() - 31} GiB"
 
 
 def _check_time_cells(cfg: RunConfig) -> None:
     """Every time cell of the measure partition holds a snapshot, by
-    ``slab_of``, as the measure build requires.
+    ``CellPartition.check_slabs``, as the measure build requires.
 
     Snapshots lie on the steps + 1 step times, so more cells than that
     fail before the snapshot times are formed.
@@ -324,11 +376,7 @@ def _check_time_cells(cfg: RunConfig) -> None:
     if cells > steps + 1:
         raise ConfigError("young.time_cells",
                           f"must be <= {steps + 1}, the step times at dt={dt:g}")
-    missing = cells - len({cfg.partition.slab_of(t) for t in cfg.snapshot_times})
-    if missing:
-        raise ConfigError("young.time_cells",
-                          f"{missing} of {cells} time cells get no snapshot "
-                          f"at dt={dt:g}; use fewer cells")
+    cfg.partition.check_slabs(cfg.snapshot_times, _at("young.time_cells"))
 
 
 def _parse_viscosity(raw, experiment):
@@ -342,11 +390,7 @@ def _parse_viscosity(raw, experiment):
                     for i, x in enumerate(ladder))
         if len(eps) < 2:
             raise ConfigError("viscosity.ladder", "need at least two entries")
-        if any(x <= 0 for x in eps):
-            raise ConfigError("viscosity.ladder", "entries must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("viscosity.ladder", "must be strictly decreasing")
-        return eps
+        return decreasing_rungs(eps, _at("viscosity.ladder"), above=0)
     eps = _get(v, "viscosity", "eps", float)
     if eps < 0:
         raise ConfigError("viscosity.eps", "must be >= 0")
@@ -453,8 +497,7 @@ def _parse_martingale(raw, horizon, dt, steps, on_grid):
         if len(p) != 2:
             raise ConfigError(where, "need [s, t]")
         s, t = (_check(x, f"{where}[{j}]", float) for j, x in enumerate(p))
-        if not 0 <= s < t <= horizon:
-            raise ConfigError(where, "need 0 <= s < t <= horizon")
+        check_pair(s, t, _at(where), horizon)
         try:
             for x in (s, t) if on_grid else ():
                 step_index(x, dt)
@@ -478,10 +521,8 @@ def _parse_reference(raw, grid, experiment):
         level=_get(r, "reference", "level", float, None))
     if experiment == "weakstrong":
         _grid(grid.dim, spec.n, "reference.n", "reference.n")
-        if spec.n % grid.n != 0:
-            raise ConfigError("reference.n", f"must be a multiple of grid n={grid.n}")
-        if spec.dt_factor < 1 or spec.dt_factor & (spec.dt_factor - 1):
-            raise ConfigError("reference.dt_factor", "must be a power of two")
+        check_reference_n(grid.n, spec.n, _at("reference.n"))
+        refinement_halvings(spec.dt_factor, _at("reference.dt_factor"))
         if spec.level is not None:
             _positive(spec.level, "reference.level")
     return spec

@@ -330,6 +330,14 @@ def sample_increments(seed: int, path_id: int, n_modes: int, dt: float,
     return _increments(seed, (path_id,), n_modes, dt, start, stop)[0]
 
 
+def refinement_halvings(factor: int, error=ForcingError) -> int:
+    """The Brownian-bridge halvings that divide dt by ``factor``, which
+    must be a power of two >= 1 (so not NaN), or ``error``."""
+    if not (factor >= 1 and factor & (factor - 1) == 0):
+        raise error(f"dt refinement factor must be a power of two >= 1, got {factor}")
+    return factor.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class WienerPath:
     """Discretized cylindrical Wiener path for a finite mode set.
@@ -354,10 +362,6 @@ class WienerPath:
     @property
     def n_modes(self) -> int:
         return self.increments.shape[1]
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.steps
 
     @staticmethod
     def sample(seed: int, path_id: int, n_modes: int, dt: float,
@@ -391,12 +395,9 @@ class WienerPath:
 
     def refined(self, factor: int) -> "WienerPath":
         """Refine dt by a power-of-two factor."""
-        if factor < 1 or factor & (factor - 1) != 0:
-            raise ForcingError("refinement factor must be a power of two")
         path = self
-        while factor > 1:
+        for _ in range(refinement_halvings(factor)):
             path = path.refine()
-            factor //= 2
         return path
 
     def coordinates(self) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Vanishing-viscosity harness and martingale-identification statistics.
 
 A viscosity ladder runs the solver at a strictly decreasing sequence of
-viscosities with one bit-identical Wiener path per ensemble member.  The
+positive viscosities with one bit-identical Wiener path per ensemble
+member.  The ladder rule is ``decreasing_rungs``, which the loader and
+the weak-strong ladder call too (the weak-strong ladder without the
+positivity, so it takes an eps = 0 rung); a NaN or infinite rung fails
+it.  The rung configurations are built one at a time as the rungs run,
+and each is released when its rung ends.  The
 family of trajectories feeds the Young-measure estimator; weak* Cauchy
 distances between successive rungs stand in for subsequence extraction,
 since no finite computation can exhibit the limit object itself.
@@ -19,14 +24,16 @@ tested against history weights h evaluated at the earlier time.  One
 every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
 (observing a ladder run at its snapshot steps).  A martingale ensemble
 integrates each path once, one recorder per test field, into arrays over
-paths at each (s, t).  The ladder and the martingale ensemble run their
+paths at each (s, t); a pair needs 0 <= s < t (``check_pair``, the
+loader's rule too).  The ladder and the martingale ensemble run their
 paths through ``solver.run_ensemble``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import islice
 
 import numpy as np
 
@@ -59,6 +66,20 @@ MIN_MARTINGALE_PATHS = 32   # smallest ensemble the martingale test accepts
 # -- ladder ----------------------------------------------------------------
 
 
+def decreasing_rungs(eps_values, error=LimitError, above=-math.inf) -> tuple:
+    """The rungs as floats, or ``error``: non-empty and strictly decreasing
+    from below +inf to ``above``.
+
+    A vanishing-viscosity ladder passes ``above`` 0, so every rung is
+    positive; an infinite or NaN rung fails every ladder.
+    """
+    eps = tuple(float(e) for e in eps_values)
+    bounded = (math.inf, *eps, above)
+    if not eps or not all(a > b for a, b in zip(bounded, bounded[1:])):
+        raise error(f"ladder must be non-empty, strictly decreasing and above {above:g}, got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class ViscosityLadder:
     eps_values: tuple
@@ -67,12 +88,7 @@ class ViscosityLadder:
     path_ids: tuple = (0,)
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_values)
-        if len(eps) < 1 or any(e <= 0 for e in eps):
-            raise LimitError("ladder viscosities must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise LimitError("ladder must be strictly decreasing")
-        object.__setattr__(self, "eps_values", eps)
+        object.__setattr__(self, "eps_values", decreasing_rungs(self.eps_values, above=0))
         object.__setattr__(self, "path_ids", tuple(int(p) for p in self.path_ids))
 
 
@@ -93,8 +109,11 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     """Run every rung on shared noise and estimate the family measure.
 
     ``solver.run_ensemble`` runs the rungs config-major (every path of one
-    rung, then the next rung) on paths drawn once, and the runs stream: a
-    ``Snapshots`` observer keeps each run's point values at
+    rung, then the next rung) on paths drawn once.  It reads each rung's
+    configuration when the rung starts, and ``run_rung`` takes one rung's
+    runs and keeps no run, so a finished rung's configuration (with its
+    cached viscous factor) is free while the next rung runs.  The runs
+    stream: a ``Snapshots`` observer keeps each run's point values at
     ``snapshot_times``, which are added to its rung's ``YoungAccumulator``
     and, for a tail rung, to the family's, and then dropped.  The tail is
     the last half of the configured rungs, ``eps_values[len // 2:]``, less
@@ -118,9 +137,8 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
 
     pooled = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
     traces, measures, blowups, paths = {}, {}, {}, {}
-    runs = run_ensemble([base.with_eps(eps) for eps in ladder.eps_values],
-                        ladder.seed, ladder.path_ids, watch)
-    for eps, rung_runs in groupby(runs, key=lambda r: r[0].eps):
+
+    def run_rung(eps, rung_runs):   # a function: its last run goes when it returns
         rung = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
         traces[eps] = []
         for _, path, run, err in rung_runs:
@@ -134,6 +152,11 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
             traces[eps].append((path.path_id, run.trace))
         if traces[eps]:
             measures[eps] = rung.measure()
+
+    runs = run_ensemble((base.with_eps(eps) for eps in ladder.eps_values),
+                        ladder.seed, ladder.path_ids, watch)
+    for eps in ladder.eps_values:
+        run_rung(eps, islice(runs, len(ladder.path_ids)))
 
     tail = [eps for eps in measures if eps in recorders]
     family, finest = None, None
@@ -245,6 +268,13 @@ class FunctionalRecorder:
         return p - p[0] - self.eps * visc - conv
 
 
+def check_pair(s: float, t: float, error=LimitError, horizon=math.inf) -> None:
+    """A martingale increment from s to t needs 0 <= s < t <= ``horizon``,
+    or ``error``; a NaN time fails."""
+    if not 0 <= s < t <= horizon:
+        raise error(f"need 0 <= s < t <= {horizon:g}, got s={s:g}, t={t:g}")
+
+
 @dataclass(frozen=True)
 class MartingaleStat:
     """One (phi, s, t) martingale test specification."""
@@ -257,8 +287,7 @@ class MartingaleStat:
     HISTORY_KINDS = ("one", "clamp_pair", "clamp_beta")
 
     def __post_init__(self):
-        if not 0 <= self.s < self.t:
-            raise LimitError("need 0 <= s < t")
+        check_pair(self.s, self.t)
         if self.history not in self.HISTORY_KINDS:
             raise LimitError(f"unknown history functional {self.history!r}")
 

@@ -144,10 +144,10 @@ class SolverConfig:
     transport: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise SolverError("dt must be positive")
-        if self.eps < 0:
-            raise SolverError("viscosity must be >= 0")
+        if not self.dt > 0:
+            raise SolverError(f"dt must be positive, got {self.dt}")
+        if not self.eps >= 0:
+            raise SolverError(f"viscosity must be >= 0, got {self.eps}")
         self.steps   # the horizon must be a step >= 0, by ``step_index``
         if self.forcing is None:
             object.__setattr__(self, "forcing", ForcingOperator(()))
@@ -259,13 +259,13 @@ class Snapshots:
     """Observer keeping a run's point values at ``times`` as a ``Trajectory``.
 
     The times map to steps of ``cfg`` by ``step_index`` when the observer
-    is built, so a time off the step grid fails before any run.  Each run
-    fills a fresh buffer, so one observer serves run after run and a
-    ``trajectory`` taken after a run stays valid while later runs go on.
+    is built, so a time off the step grid raises ``error`` before any run.
+    Each run fills a fresh buffer, so one observer serves run after run and
+    a ``trajectory`` taken after a run stays valid while later runs go on.
     """
 
-    def __init__(self, cfg: SolverConfig, times):
-        self.steps = frozenset(step_index(t, cfg.dt, cfg.steps) for t in times)
+    def __init__(self, cfg: SolverConfig, times, error: type = SolverError):
+        self.steps = frozenset(step_index(t, cfg.dt, cfg.steps, error) for t in times)
         self._shape = (len(self.steps), cfg.grid.dim) + cfg.grid.shape
         self._grid = cfg.grid
         self._first = min(self.steps, default=0)
@@ -410,23 +410,27 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: ()):
 
     The one loop over an experiment's (configuration, path) runs.  Every
     path is drawn once, by one ``WienerPath.sample_many`` call at the
-    (dt, steps) of ``cfgs[0]``, and shared bit for bit by the runs of all
-    configurations.  Runs go config-major: every path of one configuration,
-    in ``path_ids`` order, then the next configuration.  ``observers(cfg)``
-    is called just before each run and gives that run's observers.  Yields
+    (rank, dt, steps) of the first configuration, and shared bit for bit
+    by the runs of all configurations.  Runs go config-major: every path of
+    one configuration, in ``path_ids`` order, then the next configuration.
+    ``cfgs`` is read lazily, one configuration when its runs start, and
+    the loop holds neither a configuration nor a run past its last yield,
+    so a caller that keeps neither lets a finished configuration go (with
+    its cached tables) while the next one runs.  ``observers(cfg)`` is
+    called just before each run and gives that run's observers.  Yields
     (cfg, path, run, err) after each run: a run that blows up yields run
     None and its ``BlowUpError`` as err, and the remaining runs go ahead.
     """
-    paths = WienerPath.sample_many(seed, path_ids, cfgs[0].forcing.rank,
-                                   cfgs[0].dt, cfgs[0].steps)
-    for cfg in cfgs:
+    cfgs = iter(cfgs)
+    cfg = next(cfgs)
+    paths = WienerPath.sample_many(seed, path_ids, cfg.forcing.rank, cfg.dt, cfg.steps)
+    while cfg is not None:
         for path in paths:
-            try:
-                run = run_path(cfg, seed, path.path_id, path, observers(cfg))
+            try:   # the run is a temporary of the yield: no name holds it
+                yield cfg, path, run_path(cfg, seed, path.path_id, path, observers(cfg)), None
             except BlowUpError as err:
                 yield cfg, path, None, err
-            else:
-                yield cfg, path, run, None
+        cfg = next(cfgs, None)
 
 
 # -- ensemble moment monitor ----------------------------------------------

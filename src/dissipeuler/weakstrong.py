@@ -18,6 +18,10 @@ is computed two ways per time slab: directly from the measure, and through
 the expanded form E(t) + 0.5 ||v||^2 - <u, v>.  A Gronwall envelope
 (F(0) + slack) exp(L t) with the stopping time tau_L (first time
 ||grad v||_inf exceeds L) closes the audit.
+
+``weak_strong_ladder`` checks its arguments before any run by the rules
+the loader applies to the same fields, each stated once by the module
+that owns it; the reference-grid rule ``check_reference_n`` lives here.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forcing import WienerPath
+from .forcing import WienerPath, refinement_halvings
+from .limits import decreasing_rungs
 from .reporting import audit_row
 from .solver import (Snapshots, SolverConfig, initial_state, run_ensemble,
                      run_path, step_index)
@@ -120,10 +125,18 @@ def build_reference(cfg: SolverConfig, seed: int, path_id: int,
     return reduction.reference()
 
 
+def check_reference_n(weak_n: int, ref_n: int, error=WeakStrongError) -> None:
+    """The reference grid refines the weak one: ``ref_n`` is a multiple of
+    ``weak_n`` (a NaN is not), or ``error``."""
+    if not ref_n % weak_n == 0:
+        raise error(f"reference grid must refine the weak grid: n={ref_n} is "
+                    f"not a multiple of n={weak_n}")
+
+
 def stopping_time(ref: StrongReference, level: float) -> float:
     """First snapshot time with ||grad v||_inf > level, else the horizon."""
-    if level <= 0:
-        raise WeakStrongError("threshold must be positive")
+    if not level > 0:
+        raise WeakStrongError(f"threshold must be positive, got {level}")
     for t, g in zip(ref.times, ref.grad_sup):
         if g > level:
             return float(t)
@@ -258,29 +271,23 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     times and the paired monotonicity diagnostics along the ladder.  An
     unset ``level`` L is 1.05 times the largest ||grad v||_inf of the
     references; if every reference is flat that is 0, and no path stops.
-    Checked before any integration: the ladder is non-empty and strictly
-    decreasing, the reference refines the weak grid and divides its dt by
-    a power of two, and the snapshot times lie on the weak step grid and
-    reach every time slab.
+    Checked before any integration, each by the rule of its owner, which
+    raises ``WeakStrongError`` here: the ladder is non-empty and strictly
+    decreasing (``limits.decreasing_rungs``; an eps = 0 rung is allowed),
+    the reference refines the weak grid (``check_reference_n``) and
+    divides its dt by a power of two (``forcing.refinement_halvings``),
+    and the snapshot times lie on the weak step grid (``Snapshots``) and
+    reach every time slab (``CellPartition.check_slabs``).
     """
-    eps_values = tuple(eps_values)
-    if not eps_values or any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-        raise WeakStrongError("ladder must be non-empty and strictly "
-                              f"decreasing, got {eps_values}")
-    if ref_n % weak_base.grid.n != 0:
-        raise WeakStrongError("reference grid must refine the weak grid")
-    if dt_factor < 1 or dt_factor & (dt_factor - 1):
-        raise WeakStrongError("dt refinement must be a power of two")
+    eps_values = decreasing_rungs(eps_values, WeakStrongError)
+    check_reference_n(weak_base.grid.n, ref_n)
+    refinement_halvings(dt_factor, WeakStrongError)
     reference_cfg = replace(weak_base, grid=TorusGrid(weak_base.grid.dim, ref_n),
                             eps=0.0, dt=weak_base.dt / dt_factor)
-    for t in snapshot_times:
-        step_index(t, weak_base.dt, weak_base.steps, WeakStrongError)
-    empty = set(range(partition.n_t)) - {partition.slab_of(float(t)) for t in snapshot_times}
-    if empty:
-        raise WeakStrongError(f"time slabs {sorted(empty)} hold no snapshot")
+    snaps = Snapshots(weak_base, snapshot_times, WeakStrongError)
+    partition.check_slabs(snapshot_times, WeakStrongError)
 
     cfgs = [weak_base.with_eps(eps) for eps in eps_values]
-    snaps = Snapshots(weak_base, snapshot_times)
     refs, f0 = [], []
     f_rows, gaps = [[] for _ in cfgs], [[] for _ in cfgs]
     runs = run_ensemble(cfgs, seed, path_ids, lambda _: (snaps,))

@@ -122,6 +122,13 @@ class CellPartition:
         s = int((t - self.t0) / self.slab_duration)
         return min(max(s, 0), self.n_t - 1)
 
+    def check_slabs(self, times, error=YoungMeasureError) -> None:
+        """Every time slab holds one of ``times`` by ``slab_of``, or ``error``."""
+        empty = sorted(set(range(self.n_t)) - {self.slab_of(float(t)) for t in times})
+        if empty:
+            raise error(f"time slabs {empty} hold no snapshot ({len(empty)} of "
+                        f"{self.n_t} time cells)")
+
     def space_cell_index(self) -> np.ndarray:
         """Flattened space-cell index for every grid point, shape (grid_n^dim,)."""
         idx1 = np.arange(self.grid_n) // (self.grid_n // self.n_x)
@@ -395,8 +402,8 @@ class YoungAccumulator:
 
     def __init__(self, partition: CellPartition, radius: float,
                  bins_per_axis: int = 16, sphere_bins: int = 32):
-        if radius <= 0:
-            raise YoungMeasureError("truncation radius must be positive")
+        if not radius > 0:
+            raise YoungMeasureError(f"truncation radius must be positive, got {radius}")
         self.partition = partition
         self.radius = radius
         self.bins_per_axis = bins_per_axis

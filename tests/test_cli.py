@@ -27,6 +27,10 @@ from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
 from dissipeuler.reporting import all_passed, audit_row
 from dissipeuler.solver import InitialCondition, SolverConfig
 
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+
 
 def write_config(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
@@ -219,11 +223,19 @@ class TestSchema:
         ("simulate", "forcing", "modes", [], "forcing.modes"),
         ("simulate", "forcing", "modes",
          [{"k": [1, 0], "direction": [0.0, 1.0], "sigma": 0.3}], "forcing"),
+        ("vanish", "viscosity", "ladder", [0.1, 0.1], "viscosity.ladder"),
+        ("vanish", "viscosity", "ladder", [0.1, 0.0], "viscosity.ladder"),
+        ("weakstrong", "reference", "n", 8, "reference.n"),
+        ("weakstrong", "reference", "dt_factor", 3, "reference.dt_factor"),
+        ("weakstrong", "reference", "dt_factor", 0, "reference.dt_factor"),
+        ("weakstrong", "reference", "level", 0.0, "reference.level"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, experiment,
                                      section, key, value, field):
         raw = forced_config(paths=1)
         raw["experiment"] = experiment
+        if experiment in ("vanish", "weakstrong"):
+            raw["viscosity"] = {"ladder": [0.1, 0.05]}
         raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError) as err:
             parse_config(raw, experiment)
@@ -298,6 +310,58 @@ class TestSchema:
         assert "config error: reference.n: a run at n=512 in 3D" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name,section,key,value,field", [
+        ("simulate_demo.json", "ensemble", "paths", 2 ** 24, "ensemble.paths"),
+        ("martingale_linear_demo.json", "martingale", "linear_paths", 2 ** 30,
+         "martingale.linear_paths"),
+        ("martingale_linear_demo.json", "martingale", "linear_paths", 10 ** 400,
+         "martingale.linear_paths")])
+    def test_wiener_paths_above_memory_ceiling_exit_2(self, tmp_path, capsys, name,
+                                                      section, key, value, field):
+        # every path is drawn up front: 2^24 simulate paths of 32 steps by 4
+        # modes, or 2^30 linear paths, at 24 bytes per (path, step, mode) are
+        # far above the ceiling; the loader rejects them before any draw, and
+        # a byte count past a float's range still makes a message
+        raw = json.loads((CONFIGS / name).read_text())
+        raw[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, raw["experiment"])
+        assert err.value.path == field
+        assert "Wiener paths drawn up front" in str(err.value)
+        out = tmp_path / "run"
+        assert main([raw["experiment"], "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert f"config error: {field}: the Wiener paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("bins_per_axis", 2 ** 16),
+                                           ("sphere_bins", 2 ** 30)])
+    def test_young_slot_tables_above_memory_ceiling_exit_2(self, tmp_path,
+                                                           capsys, key, value):
+        # each of the 4 slabs of the ym demo holds a dense int32 slot per
+        # (space cell, bin): 2^16 bins per axis are 2^32 bins in 2D, and
+        # the larger of the two tables is named
+        raw = json.loads((CONFIGS / "ym_demo.json").read_text())
+        raw["young"][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "ym")
+        assert err.value.path == f"young.{key}"
+        out = tmp_path / "run"
+        assert main(["ym", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert f"config error: young.{key}: the " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(
+        [p.name for p in CONFIGS.glob("*.json")] + list(WORKLOADS)))
+    def test_demos_and_workloads_load_under_the_ceiling(self, name):
+        if name in WORKLOADS:
+            raw, experiment = WORKLOADS[name]["config"], WORKLOADS[name]["experiment"]
+        else:
+            raw = json.loads((CONFIGS / name).read_text())
+            experiment = raw["experiment"]
+        assert isinstance(parse_config(raw, experiment), RunConfig)
 
     def test_default_pairs_lie_on_the_step_grid(self):
         # 6 steps: the default pair is (1, 3) steps, not (1.5, 3) steps

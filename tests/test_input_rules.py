@@ -1,0 +1,206 @@
+"""Each input rule is stated once: every reader accepts or rejects alike.
+
+A rule lives in the module that owns the decision and takes the error to
+raise; the loader passes one that names the field, the library entry
+points their own exception types.  Each table below runs one rule's inputs,
+NaN among them, through every reader of the rule.
+"""
+
+import copy
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import dissipeuler.solver as solver
+import dissipeuler.weakstrong as weakstrong
+from dissipeuler.config import ConfigError, parse_config
+from dissipeuler.forcing import ForcingError, WienerPath, default_forcing
+from dissipeuler.limits import LimitError, MartingaleStat, ViscosityLadder
+from dissipeuler.solver import InitialCondition, SolverConfig, SolverError
+from dissipeuler.spectral import TorusGrid
+from dissipeuler.weakstrong import (
+    StrongReference,
+    WeakStrongError,
+    stopping_time,
+    weak_strong_ladder,
+)
+from dissipeuler.young import (
+    CellPartition,
+    YoungAccumulator,
+    YoungMeasureError,
+)
+
+NAN, INF = math.nan, math.inf
+DT, HORIZON = 1.0 / 32, 0.25   # 8 steps
+
+
+class _Ran(Exception):
+    """Raised in place of a run: the reader accepted its input."""
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    def ran(*args, **kwargs):
+        raise _Ran
+    monkeypatch.setattr(solver, "run_path", ran)
+    monkeypatch.setattr(weakstrong, "run_path", ran)
+
+
+def accepts(call, error, field=None):
+    """Whether ``call`` returns (or reaches a run) rather than raise ``error``;
+    a ``ConfigError`` must name ``field`` or an entry of it."""
+    try:
+        call()
+    except _Ran:
+        return True
+    except error as err:
+        if field is not None:
+            assert err.path.split("[")[0] == field, err.path
+        return False
+    return True
+
+
+def raw_config(experiment, **sections):
+    raw = {
+        "experiment": experiment,
+        "grid": {"dim": 2, "n": 16},
+        "time": {"dt": DT, "horizon": HORIZON},
+        "viscosity": {"ladder": [0.1, 0.05]} if experiment in ("vanish", "weakstrong")
+        else {"eps": 0.05},
+        "forcing": {"preset": "default", "sigma": 0.1},
+        "initial": {"kind": "random_spectrum", "amplitude": 0.3, "k_max": 2},
+        "ensemble": {"paths": 32, "seed": 3},
+        "young": {"time_cells": 2, "space_cells": 4, "snapshots_per_slab": 2},
+    }
+    for name, values in sections.items():
+        raw[name] = dict(raw.get(name, {}), **values)
+    return raw
+
+
+def loader(experiment, **sections):
+    raw = raw_config(experiment, **sections)
+    return lambda: parse_config(copy.deepcopy(raw), experiment)
+
+
+WEAK = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.1), eps=0.1,
+                    dt=DT, horizon=HORIZON, initial=InitialCondition("zero"))
+PARTITION = CellPartition(2, 16, 2, 4, 0.0, HORIZON)
+TIMES = [0.0, 0.0625, 0.1875, 0.25]
+
+
+def weak_ladder(eps_values=(0.1, 0.05), ref_n=32, dt_factor=2,
+                partition=PARTITION, times=TIMES):
+    return lambda: weak_strong_ladder(eps_values, WEAK, ref_n, dt_factor, seed=1,
+                                      path_ids=[0], partition=partition,
+                                      radius=4.0, snapshot_times=times)
+
+
+LADDERS = [   # (rungs, strictly decreasing and finite, and every rung > 0)
+    ((0.1, 0.05), True, True),
+    ((0.1, 0.05, 0.025), True, True),
+    ((0.1, 0.0), True, False),
+    ((0.1, 0.1), False, False),
+    ((0.05, 0.1), False, False),
+    ((0.1, 0.05, 0.05), False, False),
+    ((), False, False),
+    ((0.1, NAN), False, False),
+    ((NAN, 0.1), False, False),
+    ((INF, 0.1), False, False),
+]
+
+
+@pytest.mark.parametrize("rungs,decreasing,positive", LADDERS)
+def test_every_reader_checks_a_ladder_alike(no_runs, rungs, decreasing, positive):
+    # the vanishing-viscosity ladder (the loader, ViscosityLadder) also
+    # needs positive rungs; the weak-strong ladder allows an eps = 0 rung
+    ladder = {"ladder": list(rungs)}
+    verdicts = {
+        "loader vanish": accepts(loader("vanish", viscosity=ladder),
+                                 ConfigError, "viscosity.ladder"),
+        "loader weakstrong": accepts(loader("weakstrong", viscosity=ladder),
+                                     ConfigError, "viscosity.ladder"),
+        "ViscosityLadder": accepts(lambda: ViscosityLadder(rungs, WEAK, 1), LimitError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, decreasing and positive)
+    assert accepts(weak_ladder(rungs), WeakStrongError) == decreasing
+
+
+@pytest.mark.parametrize("factor,power_of_two", [
+    (1, True), (2, True), (4, True), (0, False), (3, False), (6, False),
+    (-2, False), (NAN, False)])
+def test_every_reader_checks_a_dt_refinement_alike(no_runs, factor, power_of_two):
+    path = WienerPath.sample(5, 0, 2, DT, 4)
+    verdicts = {
+        "loader": accepts(loader("weakstrong", reference={"dt_factor": factor}),
+                          ConfigError, "reference.dt_factor"),
+        "weak_strong_ladder": accepts(weak_ladder(dt_factor=factor), WeakStrongError),
+        "WienerPath.refined": accepts(lambda: path.refined(factor), ForcingError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, power_of_two)
+
+
+@pytest.mark.parametrize("ref_n,refines", [
+    (16, True), (32, True), (64, True), (8, False), (NAN, False)])
+def test_every_reader_checks_a_reference_grid_alike(no_runs, ref_n, refines):
+    verdicts = {
+        "loader": accepts(loader("weakstrong", reference={"n": ref_n}),
+                          ConfigError, "reference.n"),
+        "weak_strong_ladder": accepts(weak_ladder(ref_n=ref_n), WeakStrongError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, refines)
+
+
+@pytest.mark.parametrize("cells,per_slab,covered", [
+    (2, 1, True), (8, 2, True), (9, 1, True), (8, 1, False), (10, 2, False)])
+def test_every_reader_checks_slab_coverage_alike(no_runs, cells, per_slab,
+                                                 covered):
+    # the snapshot times are those the loader forms for the cells, on the
+    # 8 steps of the run
+    young = {"time_cells": cells, "snapshots_per_slab": per_slab}
+    cfg = parse_config(raw_config("ym"), "ym")
+    cfg = replace(cfg, young=replace(cfg.young, **young))
+    part, times = cfg.partition, list(cfg.snapshot_times)
+    verdicts = {
+        experiment: accepts(loader(experiment, young=young), ConfigError,
+                            "young.time_cells")
+        for experiment in ("vanish", "ym", "weakstrong")}
+    verdicts["CellPartition"] = accepts(lambda: part.check_slabs(times),
+                                        YoungMeasureError)
+    verdicts["weak_strong_ladder"] = accepts(
+        weak_ladder(partition=part, times=times), WeakStrongError)
+    assert verdicts == dict.fromkeys(verdicts, covered)
+
+
+@pytest.mark.parametrize("s,t,ordered", [
+    (0.0, 0.125, True), (0.0625, 0.125, True), (0.125, 0.25, True),
+    (0.125, 0.125, False), (0.125, 0.0625, False), (-0.03125, 0.125, False),
+    (NAN, 0.125, False), (0.0625, NAN, False)])
+def test_every_reader_checks_a_martingale_pair_alike(s, t, ordered):
+    verdicts = {
+        "loader": accepts(loader("martingale", martingale={"pairs": [[s, t]]}),
+                          ConfigError, "martingale.pairs"),
+        "MartingaleStat": accepts(lambda: MartingaleStat("phi", s, t), LimitError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, ordered)
+
+
+class TestNanFails:
+    def test_solver_config_rejects_nan_viscosity(self):
+        # a NaN eps would skip the viscous factor and run as eps = 0
+        with pytest.raises(SolverError, match="viscosity"):
+            replace(WEAK, eps=NAN)
+
+    def test_accumulator_rejects_nan_radius(self):
+        # a NaN radius would send every sample to the concentration part
+        with pytest.raises(YoungMeasureError, match="radius"):
+            YoungAccumulator(PARTITION, NAN)
+
+    def test_stopping_time_rejects_nan_level(self):
+        # a NaN level would never stop
+        ref = StrongReference(np.array(TIMES), np.array([1.0, 2.0, 3.0, 4.0]),
+                              HORIZON, np.zeros((2, 16, 2)), np.zeros(2))
+        assert stopping_time(ref, 2.5) == 0.1875
+        with pytest.raises(WeakStrongError, match="threshold"):
+            stopping_time(ref, NAN)

@@ -1,5 +1,7 @@
 """Viscosity ladder, momentum residual, martingale identification."""
 
+import gc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -111,6 +113,29 @@ class TestLadder:
             ViscosityLadder((0.05, 0.1), base_config(), seed=1)
         with pytest.raises(LimitError):
             ViscosityLadder((0.1, -0.05), base_config(), seed=1)
+
+    def test_finished_rung_config_is_collectable_while_next_rung_runs(
+            self, monkeypatch):
+        # the rung configs are read lazily and no finished run is held, so
+        # a rung's config (with its cached viscous factor) can go as soon
+        # as the next rung starts
+        seen, alive = [], []
+        real_run_path = solver.run_path
+
+        def spy(cfg, *args, **kwargs):
+            gc.collect()
+            alive.append([eps for eps, ref in seen
+                          if eps != cfg.eps and ref() is not None])
+            seen.append((cfg.eps, weakref.ref(cfg)))
+            return real_run_path(cfg, *args, **kwargs)
+        monkeypatch.setattr(solver, "run_path", spy)
+        cfg = base_config(n=16, horizon=0.25)
+        ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=3, path_ids=(0, 1))
+        part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
+        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        assert [eps for eps, _ in seen] == [0.1, 0.1, 0.05, 0.05, 0.025, 0.025]
+        assert alive == [[]] * 6
+        assert list(res.measures) == [0.1, 0.05, 0.025]
 
     def test_single_rung_family_equals_dirac_embed(self):
         cfg = base_config(n=16, horizon=0.25)
