@@ -109,10 +109,11 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     """Run every rung on shared noise and estimate the family measure.
 
     ``solver.run_ensemble`` runs the rungs config-major (every path of one
-    rung, then the next rung) on paths drawn once.  It reads each rung's
-    configuration when the rung starts, and ``run_rung`` takes one rung's
-    runs and keeps no run, so a finished rung's configuration (with its
-    cached viscous factor) is free while the next rung runs.  The runs
+    rung, then the next rung) on paths and initial states drawn once.  It
+    reads each rung's configuration when the rung before starts, and
+    ``run_rung`` takes one rung's runs and keeps no run, so a finished
+    rung's configuration (with its cached viscous factor) is free while
+    the next rung runs.  The runs
     stream: a ``Snapshots`` observer keeps each run's point values at
     ``snapshot_times``, which are added to its rung's ``YoungAccumulator``
     and, for a tail rung, to the family's, and then dropped.  The tail is

@@ -40,7 +40,10 @@ from .reporting import audit_row
 from .spectral import (
     SpectralField,
     TorusGrid,
-    _convective_with_sup,
+    _band_convective,
+    _band_energy_and_grad_norm_sq,
+    _band_to_physical,
+    _Scratch,
     dealias,
     energy_and_grad_norm_sq,
     laplacian_decay_factor,
@@ -162,15 +165,19 @@ class SolverConfig:
 
     @functools.cached_property
     def viscous_factor(self) -> np.ndarray:
-        """exp(-eps |k|^2 dt) as complex numbers, built once per configuration."""
-        out = laplacian_decay_factor(self.grid, self.eps, self.dt).astype(np.complex128)
+        """exp(-eps |k|^2 dt) on the dealias band as complex numbers, built
+        once per configuration."""
+        full = laplacian_decay_factor(self.grid, self.eps, self.dt).astype(np.complex128)
+        out = self.grid.ops.to_band(full)
         out.setflags(write=False)
         return out
 
     @functools.cached_property
     def noise_support(self) -> tuple:
-        """``forcing.noise_support(grid)``, built once per configuration."""
-        return self.forcing.noise_support(self.grid)
+        """``forcing.noise_support(grid)`` with its index mapped to flat
+        positions on the dealias band, built once per configuration."""
+        index, values = self.forcing.noise_support(self.grid)
+        return self.grid.ops.band_positions(index), values
 
 
 @dataclass
@@ -306,20 +313,32 @@ def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
     the transport term reads them and makes no inverse transform, and
     without transport they are not read.  ``dw`` holds the increments of
     the ``cfg.forcing.rank`` modes.  Returns (new field, max_x |u|); the
-    sup is 0 without transport.  The noise is added at its sparse support
-    only.
+    sup is 0 without transport.  The step runs on u's band, as in
+    ``run_path``, and the new field is +0.0 outside it.
+    """
+    ops = cfg.grid.ops
+    band, sup = _band_step(ops.to_band(u.coeffs), dw, cfg, phys, _Scratch(cfg.grid))
+    return SpectralField(cfg.grid, ops.from_band(band)), sup
+
+
+def _band_step(u: np.ndarray, dw: np.ndarray, cfg: SolverConfig,
+               phys: np.ndarray | None, scratch: _Scratch) -> tuple:
+    """``step`` on band coefficients: returns (new band coefficients, sup).
+
+    The transport kernel works in ``scratch``; the new state is a new
+    array.  The noise is added at its sparse support only.
     """
     if cfg.transport:
-        conv, sup = _convective_with_sup(u, phys)
-        drift = u.coeffs + cfg.dt * conv.coeffs
+        conv, sup = _band_convective(cfg.grid, phys, scratch)
+        drift = u + cfg.dt * conv
     else:
         sup = 0.0
-        drift = u.coeffs.copy()
+        drift = u.copy()
     index, values = cfg.noise_support
     drift.flat[index] += np.asarray(dw, dtype=np.float64) @ values
     if cfg.eps > 0:
         drift *= cfg.viscous_factor
-    return SpectralField(cfg.grid, drift), sup
+    return drift, sup
 
 
 def initial_state(cfg: SolverConfig, seed: int, path_id: int) -> SpectralField:
@@ -328,19 +347,28 @@ def initial_state(cfg: SolverConfig, seed: int, path_id: int) -> SpectralField:
 
 
 def run_path(cfg: SolverConfig, seed: int, path_id: int,
-             path: WienerPath | None = None, observers=()) -> SolverRun:
+             path: WienerPath | None = None, observers=(),
+             initial: SpectralField | None = None) -> SolverRun:
     """Integrate one trajectory; deterministic given (cfg, seed, path_id).
 
     A pre-sampled ``path`` (e.g. shared across viscosities or refined by
     Brownian bridge) overrides local sampling; its dt must match cfg, it
     must reach the horizon and it must have one mode per forcing mode.
-    Each observer's ``on_state`` receives (step n, time, field, point
-    values) at the steps in the observer's ``steps`` (every step if None).
+    Likewise a pre-drawn ``initial`` state, which must be
+    ``initial_state(cfg, seed, path_id)``, overrides the draw.  Each
+    observer's ``on_state`` receives (step n, time, field, point values) at
+    the steps in the observer's ``steps`` (every step if None).
 
     Every state lies in the dealias band (the initial field is dealiased
-    and the forcing modes lie inside the band), so its point values come
-    from one inverse transform, computed once per state and only where
+    and the forcing modes lie inside the band), so the run holds only its
+    band coefficients and steps on them.  A state's point values come from
+    one band inverse transform, computed once per state and only where
     something reads them: the transport term and its sup, or an observer.
+    The full-layout field (+0.0 outside the band) is built only for an
+    observer and for ``SolverRun.final``.  The run reuses its transform-
+    sized scratch arrays from step to step, and lets them go while
+    observers read a state, so its peak memory stays that of the
+    observers.
     """
     grid = cfg.grid
     steps = cfg.steps
@@ -353,13 +381,17 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     if path.n_modes != cfg.forcing.rank:
         raise SolverError(f"Wiener path has {path.n_modes} modes, the forcing "
                           f"has {cfg.forcing.rank}")
+    if initial is None:
+        initial = initial_state(cfg, seed, path_id)
+    ops = grid.ops
     index, values = cfg.noise_support
     # <u, sigma_k g_k> is the weighted sum over the stored coefficients
-    weight = np.broadcast_to(grid.ops.weight, (grid.dim,) + grid.spectral_shape)
+    weight = np.broadcast_to(ops.band_weight, (grid.dim,) + ops.band_shape)
     conj_values = np.conj(values) * weight.take(index)
 
-    u = initial_state(cfg, seed, path_id)
-    e0 = energy_and_grad_norm_sq(u)[0]
+    e0 = energy_and_grad_norm_sq(initial)[0]
+    u = ops.to_band(initial.coeffs)
+    del initial   # the run holds its band only
 
     times = np.arange(steps + 1) * cfg.dt
     energy = np.empty(steps + 1)
@@ -372,23 +404,29 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
                            ito_input[:n], stochastic[:n], e0)
 
     vol_scale = grid.volume / grid.n ** (2 * grid.dim)
+    scratch = _Scratch(grid)
     for n in range(steps + 1):
-        energy[n], grad_sq = energy_and_grad_norm_sq(u)
+        energy[n], grad_sq = _band_energy_and_grad_norm_sq(grid, u, scratch.power)
         if not (cfg.transport or np.isfinite(energy[n])):   # no sup to test
             raise BlowUpError(f"non-finite energy {energy[n]:.3e} at t = {times[n]:.4f}",
                               time=times[n], partial=trace_to(n + 1))
         readers = [obs for obs in observers if obs.steps is None or n in obs.steps]
-        phys = u.to_physical() if readers or (cfg.transport and n < steps) else None
-        for obs in readers:
-            obs.on_state(n, times[n], u, phys)
+        phys = _band_to_physical(grid, u, scratch.half[: grid.dim]) \
+            if readers or (cfg.transport and n < steps) else None
+        if readers:
+            field = SpectralField(grid, ops.from_band(u))
+            scratch = None   # the observers' own arrays may take its memory
+            for obs in readers:
+                obs.on_state(n, times[n], field, phys)
+            scratch = _Scratch(grid)
         if n == steps:
             break
         if cfg.eps > 0:
             dissipation[n + 1] = dissipation[n] + cfg.eps * cfg.dt * grad_sq
         dw = path.increments[n]
-        pair = (conj_values @ u.coeffs.take(index)).real * vol_scale
+        pair = (conj_values @ u.take(index)).real * vol_scale
         stochastic[n + 1] = stochastic[n] + float(pair @ dw)
-        u, sup = step(u, dw, cfg, phys)
+        u, sup = _band_step(u, dw, cfg, phys, scratch)
         if cfg.transport:
             blown = not sup <= cfg.blowup_ceiling   # a NaN sup is a blow-up
             if blown or (sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):
@@ -402,7 +440,7 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
                     f"dt = {cfg.dt:.3e} > {cfg.cfl_number} dx / {sup:.3e}",
                     time=times[n + 1], sup=sup, partial=partial)
 
-    return SolverRun(cfg, trace_to(steps + 1), u)
+    return SolverRun(cfg, trace_to(steps + 1), SpectralField(grid, ops.from_band(u)))
 
 
 def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: ()):
@@ -413,24 +451,38 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: ()):
     (rank, dt, steps) of the first configuration, and shared bit for bit
     by the runs of all configurations.  Runs go config-major: every path of
     one configuration, in ``path_ids`` order, then the next configuration.
-    ``cfgs`` is read lazily, one configuration when its runs start, and
-    the loop holds neither a configuration nor a run past its last yield,
-    so a caller that keeps neither lets a finished configuration go (with
-    its cached tables) while the next one runs.  ``observers(cfg)`` is
-    called just before each run and gives that run's observers.  Yields
-    (cfg, path, run, err) after each run: a run that blows up yields run
-    None and its ``BlowUpError`` as err, and the remaining runs go ahead.
+    ``cfgs`` is read one configuration ahead, the next one when this
+    one's runs start, and the loop holds neither a configuration nor a run
+    past its last yield, so a caller that keeps neither lets a finished
+    configuration go (with its cached tables) while the next one runs.
+    ``observers(cfg)`` is called just before each run and gives that run's
+    observers.  Each path's initial state is drawn once by its first run
+    and kept for the next configuration only when that one has the same
+    grid and initial law.  Yields (cfg, path, run, err) after each run: a
+    run that blows up yields run None and its ``BlowUpError`` as err, and
+    the remaining runs go ahead.
     """
     cfgs = iter(cfgs)
     cfg = next(cfgs)
     paths = WienerPath.sample_many(seed, path_ids, cfg.forcing.rank, cfg.dt, cfg.steps)
+    starts = {}   # path id -> initial state, drawn for an earlier configuration
     while cfg is not None:
+        following = next(cfgs, None)
+        keep = following is not None and \
+            (following.grid, following.initial) == (cfg.grid, cfg.initial)
         for path in paths:
+            pid = path.path_id
+            initial = starts.pop(pid, None)
+            if initial is None:
+                initial = initial_state(cfg, seed, pid)
+            if keep:
+                starts[pid] = initial
             try:   # the run is a temporary of the yield: no name holds it
-                yield cfg, path, run_path(cfg, seed, path.path_id, path, observers(cfg)), None
+                yield cfg, path, run_path(cfg, seed, pid, path, observers(cfg),
+                                          initial), None
             except BlowUpError as err:
                 yield cfg, path, None, err
-        cfg = next(cfgs, None)
+        cfg = following
 
 
 # -- ensemble moment monitor ----------------------------------------------

@@ -24,10 +24,18 @@ Conventions
   dealias mask and the Parseval weight) are built once per ``TorusGrid``
   and shared read-only, together with complex copies of the ones that
   multiply coefficients, so no step casts a real or boolean multiplier.
+* The dealias band |k_j| <= K, K = ``dealias_cutoff()``, is also held on
+  its own: a band array has shape ``(dim, 2K+1, .., 2K+1, K+1)``, the rows
+  0..K then n-K..n-1 of each leading axis and the columns 0..K of the
+  last, in that order.  ``GridOperators.to_band`` gathers it from the
+  ``rfftn`` layout and ``from_band`` scatters it back with +0.0 elsewhere.
+  A run of ``solver.run_path`` holds its state as a band array and does
+  its spectral arithmetic there.
 * The transport kernel reads the point values of a dealias-band field and
-  makes one forward transform of all dim(dim+1)/2 products u_i u_j stacked;
-  a run transforms each state once, so a step costs two transforms, and
-  ``convective_term`` dealiases and transforms any other field for it.
+  makes one forward transform of all dim(dim+1)/2 products u_i u_j stacked,
+  to the band; a run transforms each state once, so a step costs two
+  transforms, and ``convective_term`` dealiases and transforms any other
+  field for it.
 * Transforms are numpy's one-axis passes in a fixed order: the forward
   transform runs ``rfft`` over the last axis, then ``fft`` over axes
   -dim .. -2 in that order; the inverse runs ``ifft`` over axes -dim .. -2,
@@ -35,11 +43,19 @@ Conventions
   multi-axis real transforms, whose bits it reproduces;
   ``numpy.fft.rfftn`` runs its complex passes in the reverse order and
   rounds differently in 3D.
+* The band transforms prune those passes: the inverse runs each ``ifft``
+  pass on the band columns only, and on the band rows of the axes still
+  to pass, before the full ``irfft``; the forward runs each ``fft`` pass,
+  after the full ``rfft``, on the band columns and the band rows of the
+  axes already passed, and gathers the band.  A pass over zeros gives
+  +0.0, and each one-axis line is transformed alone, so they carry the
+  bits of the full transforms.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -123,6 +139,12 @@ class GridOperators:
     (``1j * dks``) are complex copies for multiplying coefficients: they
     hold the values numpy would cast to on every use, so products with them
     carry the same bits.
+
+    The dealias band |k_j| <= ``cut`` is held in ``band_shape`` arrays: the
+    rows 0..cut, then n-cut..n-1 of each leading axis and the columns
+    0..cut of the last.  ``to_band`` gathers it, ``from_band`` scatters it
+    back, and ``band_ik``, ``band_ks_c``, ``band_inv_k2_c`` and
+    ``band_weight`` are the multipliers there.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -138,11 +160,12 @@ class GridOperators:
                 out.append(kk.reshape(shape))
             return tuple(out)
 
+        self.n, self.dim, self.spectral_shape = n, dim, grid.spectral_shape
         self.ks = per_axis(k1)
         self.dks = tuple(np.where(k == -(n // 2), 0.0, k) for k in self.ks)
         self.k2 = sum(k ** 2 for k in self.ks)
         self.inv_k2 = 1.0 / np.where(self.k2 == 0, 1.0, self.k2)
-        cut = grid.dealias_cutoff()
+        self.cut = cut = grid.dealias_cutoff()
         self.mask = np.ones(grid.spectral_shape, dtype=bool)
         for k in self.ks:
             self.mask &= np.abs(k) <= cut
@@ -152,10 +175,74 @@ class GridOperators:
         self.ks_c = tuple(k.astype(np.complex128) for k in self.ks)
         self.inv_k2_c = self.inv_k2.astype(np.complex128)
         self.ik = tuple(1j * k for k in self.dks)
+        self.band_shape = (2 * cut + 1,) * (dim - 1) + (cut + 1,)
+        # (full-layout index, band index) of each block of the band: the low
+        # or the high rows of each leading axis, the band columns
+        halves = ((slice(cut + 1), slice(cut + 1)),
+                  (slice(n - cut, n), slice(cut + 1, None)))
+        self._blocks = [((Ellipsis, *(f for f, _ in pick), slice(cut + 1)),
+                         (Ellipsis, *(b for _, b in pick), slice(None)))
+                        for pick in itertools.product(halves, repeat=dim - 1)]
+        # (axis, blocks) of each complex pass of the band transforms: a pass
+        # runs on the band columns, and on the band rows of the axes that
+        # are band-limited at that point: those still to pass backward, and
+        # those passed forward
+        self._inverse_passes = [(axis, self._pass_blocks(range(axis + 1, -1)))
+                                for axis in range(-dim, -1)]
+        self._forward_passes = [(axis, self._pass_blocks(range(-dim, axis)))
+                                for axis in range(-dim, -1)]
+        self.band_ik = tuple(self.to_band(k) for k in self.ik)
+        self.band_ks_c = tuple(self.to_band(k) for k in self.ks_c)
+        self.band_inv_k2_c = self.to_band(self.inv_k2_c)
+        self.band_weight = self.to_band(self.weight)
         for arr in (*self.ks, *self.dks, self.k2, self.inv_k2, self.mask,
-                    self.weight, self.mask_c, *self.ks_c, self.inv_k2_c,
-                    *self.ik):
+                    self.weight, self.mask_c, *self.ks_c, self.inv_k2_c, *self.ik,
+                    *self.band_ik, *self.band_ks_c, self.band_inv_k2_c,
+                    self.band_weight):
             arr.setflags(write=False)
+
+    def to_band(self, a: np.ndarray) -> np.ndarray:
+        """The band entries of ``a`` over its trailing grid axes, as a new
+        array; an axis of length 1 (a broadcast multiplier) stays."""
+        shape = tuple(1 if m == 1 else b
+                      for m, b in zip(a.shape[-self.dim:], self.band_shape))
+        out = np.empty(a.shape[:-self.dim] + shape, dtype=a.dtype)
+        for full, part in self._blocks:
+            out[part] = a[full]
+        return out
+
+    def from_band(self, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients on the ``spectral_shape`` layout that hold ``band``
+        on the band and +0.0 everywhere else, in a new array or in ``out``."""
+        if out is None:
+            out = np.zeros(band.shape[:-self.dim] + self.spectral_shape, dtype=band.dtype)
+        else:
+            out.fill(0)
+        for full, part in self._blocks:
+            out[full] = band[part]
+        return out
+
+    def _pass_blocks(self, band_axes) -> list:
+        """Indexes of the blocks of a half spectrum that hold its band
+        columns and the low or the high band rows of ``band_axes``."""
+        rows = (slice(self.cut + 1), slice(self.n - self.cut, self.n))
+        out = []
+        for pick in itertools.product(rows, repeat=len(band_axes)):
+            index = [slice(None)] * (self.dim - 1) + [slice(self.cut + 1)]
+            for axis, row in zip(band_axes, pick):
+                index[axis] = row
+            out.append((Ellipsis, *index))
+        return out
+
+    def band_positions(self, index: np.ndarray) -> np.ndarray:
+        """Flat positions in a ``(dim,) + band_shape`` array of the flat
+        indices ``index`` into a ``(dim,) + spectral_shape`` array, all of
+        which lie in the band."""
+        full = np.unravel_index(index, (self.dim,) + self.spectral_shape)
+        shift = self.n - 2 * self.cut - 1
+        rows = [np.where(r <= self.cut, r, r - shift) for r in full[1:-1]]
+        return np.ravel_multi_index((full[0], *rows, full[-1]),
+                                    (self.dim,) + self.band_shape)
 
 
 def _rfft(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -172,6 +259,55 @@ def half_to_physical(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     for axis in range(1 - grid.dim, -1):
         np.fft.ifft(tmp, axis=axis, out=tmp)
     return np.fft.irfft(tmp, n=grid.n, axis=-1)
+
+
+def _band_rfft(grid: TorusGrid, values: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The band of ``_rfft(grid, values)``, from pruned complex passes.
+
+    After the full ``rfft`` over the last axis (into ``out`` if given),
+    each ``fft`` pass runs in place on the band columns only, and on the
+    band rows of the axes passed before it; the band is then gathered.
+    """
+    half = np.fft.rfft(values, axis=-1, out=out)
+    for axis, blocks in grid.ops._forward_passes:
+        for index in blocks:
+            view = half[index]
+            np.fft.fft(view, axis=axis, out=view)
+    return grid.ops.to_band(half)
+
+
+def _band_to_physical(grid: TorusGrid, band: np.ndarray,
+                      half: np.ndarray | None = None) -> np.ndarray:
+    """``half_to_physical`` of the coefficients ``from_band(band)``, which
+    are spread into ``half`` if given.
+
+    Each ``ifft`` pass runs in place on the band columns only, and on the
+    band rows of the axes still to pass after it: a pass over zeros would
+    give +0.0 there.  The point values are a new array.
+    """
+    half = grid.ops.from_band(band, half)
+    for axis, blocks in grid.ops._inverse_passes:
+        for index in blocks:
+            view = half[index]
+            np.fft.ifft(view, axis=axis, out=view)
+    return np.fft.irfft(half, n=grid.n, axis=-1)
+
+
+class _Scratch:
+    """The transform-sized arrays one run's band steps overwrite in turn.
+
+    Reused, they spare each step the page faults of fresh arrays, which at
+    128^2 cost about as much as the transforms: the products u_i u_j, the
+    half spectrum of the products (whose first dim blocks also serve the
+    inverse band transform) and the power of the energy sums.
+    """
+
+    def __init__(self, grid: TorusGrid):
+        pairs = grid.dim * (grid.dim + 1) // 2
+        self.prods = np.empty((pairs,) + grid.shape)
+        self.half = np.empty((pairs,) + grid.spectral_shape, dtype=np.complex128)
+        self.power = np.empty(grid.spectral_shape)
 
 
 @dataclass(frozen=True)
@@ -264,13 +400,14 @@ def leray_project(f: SpectralField) -> SpectralField:
 
     The k = 0 mode (mean flow) passes through unchanged.
     """
-    return SpectralField(f.grid, _project(f.grid.ops, f.coeffs))
+    ops = f.grid.ops
+    return SpectralField(f.grid, _project(ops.ks_c, ops.inv_k2_c, f.coeffs))
 
 
-def _project(ops: GridOperators, c: np.ndarray) -> np.ndarray:
-    """c - k (k.c) / |k|^2 on a coefficient array."""
-    ks = ops.ks_c
-    factor = sum(ks[j] * c[j] for j in range(len(ks))) * ops.inv_k2_c
+def _project(ks: tuple, inv_k2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c - k (k.c) / |k|^2 on coefficients, given k and 1/|k|^2 on their
+    layout (the full one or the band)."""
+    factor = sum(ks[j] * c[j] for j in range(len(ks))) * inv_k2
     out = np.empty_like(c)
     for j in range(len(ks)):
         out[j] = c[j] - ks[j] * factor
@@ -301,9 +438,25 @@ def gradient_physical(f: SpectralField) -> np.ndarray:
 
 def energy_and_grad_norm_sq(f: SpectralField) -> tuple:
     """(0.5 ||u||^2, ||grad u||^2) via Parseval from one pass over |c|^2."""
-    grid = f.grid
     c = f.coeffs
-    power = (c.real ** 2 + c.imag ** 2).sum(axis=0) * grid.ops.weight
+    return _energy_sums(f.grid, (c.real ** 2 + c.imag ** 2).sum(axis=0) * f.grid.ops.weight)
+
+
+def _band_energy_and_grad_norm_sq(grid: TorusGrid, band: np.ndarray,
+                                  power: np.ndarray | None = None) -> tuple:
+    """``energy_and_grad_norm_sq`` of the field ``from_band(band)``.
+
+    The band power is scattered into zeros of the full layout (in
+    ``power`` if given), so the sums run over the same entries in the same
+    order, to the same bits.
+    """
+    ops = grid.ops
+    band_power = (band.real ** 2 + band.imag ** 2).sum(axis=0) * ops.band_weight
+    return _energy_sums(grid, ops.from_band(band_power, power))
+
+
+def _energy_sums(grid: TorusGrid, power: np.ndarray) -> tuple:
+    """(0.5 ||u||^2, ||grad u||^2) from the weighted power on the full layout."""
     scale = grid.volume / grid.n ** (2 * grid.dim)
     return (0.5 * float(power.sum()) * scale,
             float(np.sum(grid.ops.k2 * power)) * scale)
@@ -323,7 +476,10 @@ def l2_norm_sq(f: SpectralField) -> float:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.ops.mask_c)
+    """The band part of f: its coefficients there times 1 (as the dealias
+    mask multiplies them), +0.0 everywhere else."""
+    ops = f.grid.ops
+    return SpectralField(f.grid, ops.from_band(ops.to_band(f.coeffs * ops.mask_c)))
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -343,39 +499,46 @@ def convective_term(u: SpectralField) -> SpectralField:
 
 
 def _convective_with_sup(u: SpectralField, phys: np.ndarray):
-    """Convective term plus max_x |u| from the point values ``phys`` of u.
+    """``_band_convective`` of u's point values ``phys``, on the full layout.
 
     u lies in the dealias band, as every state of ``solver.run_path`` does
     (``convective_term`` dealiases any other field first).
     """
-    grid = u.grid
-    sup = float(np.sqrt((phys ** 2).sum(axis=0).max()))
-    out = _project(grid.ops, _neg_div_products(grid, phys))
-    return SpectralField(grid, out), sup
+    conv, sup = _band_convective(u.grid, phys, _Scratch(u.grid))
+    return SpectralField(u.grid, u.grid.ops.from_band(conv)), sup
 
 
-def _neg_div_products(grid: TorusGrid, phys: np.ndarray) -> np.ndarray:
-    """Dealiased coefficients of -div(u x u), i.e. -sum_j i k_j FFT(u_i u_j).
+def _band_convective(grid: TorusGrid, phys: np.ndarray, scratch: _Scratch) -> tuple:
+    """(band coefficients of -P div(u x u), max_x |u|) from the point
+    values ``phys`` of a field u in the dealias band: the one transport
+    kernel of ``convective_term``, ``solver.step`` and ``solver.run_path``.
 
-    ``phys`` holds the point values of u.  Each product u_i u_j (i <= j) is
-    formed pointwise once into one stack, which one forward transform takes
-    to the half spectrum; the products are then truncated to the dealias
-    mask and differentiated spectrally.  Accumulating the negative keeps
-    the transport term sign-exact, signed zeros included.
+    Each product u_i u_j (i <= j) is formed pointwise once into one stack,
+    whose squares give |u|^2 (summed in component order, as the sum over
+    the components of ``phys ** 2``), and which one band forward transform
+    takes to the dealias band (the truncation of the products).  There the
+    products are differentiated spectrally, -sum_j i k_j FFT(u_i u_j):
+    accumulating the negative from +0.0 keeps the transport term
+    sign-exact, signed zeros included, and makes it independent of the
+    signs of zero products.
     """
     ops = grid.ops
     pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
-    prods = np.empty((len(pairs),) + grid.shape)
+    prods = scratch.prods
     for p, (i, j) in enumerate(pairs):
         np.multiply(phys[i], phys[j], out=prods[p])
-    prod_hat = _rfft(grid, prods)
-    prod_hat *= ops.mask_c
-    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    squares = [prods[p] for p, (i, j) in enumerate(pairs) if i == j]
+    sq = squares[0] + squares[1]
+    for square in squares[2:]:
+        sq += square
+    sup = float(np.sqrt(sq.max()))
+    prod_hat = _band_rfft(grid, prods, scratch.half)
+    out = np.zeros((grid.dim,) + ops.band_shape, dtype=np.complex128)
     for p, (i, j) in enumerate(pairs):
-        out[i] -= ops.ik[j] * prod_hat[p]
+        out[i] -= ops.band_ik[j] * prod_hat[p]
         if i != j:
-            out[j] -= ops.ik[i] * prod_hat[p]
-    return out
+            out[j] -= ops.band_ik[i] * prod_hat[p]
+    return _project(ops.band_ks_c, ops.band_inv_k2_c, out), sup
 
 
 def tensor_pairing(u: np.ndarray, g: np.ndarray) -> float:

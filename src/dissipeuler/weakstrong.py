@@ -273,13 +273,18 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     references; if every reference is flat that is 0, and no path stops.
     Checked before any integration, each by the rule of its owner, which
     raises ``WeakStrongError`` here: the ladder is non-empty and strictly
-    decreasing (``limits.decreasing_rungs``; an eps = 0 rung is allowed),
-    the reference refines the weak grid (``check_reference_n``) and
-    divides its dt by a power of two (``forcing.refinement_halvings``),
-    and the snapshot times lie on the weak step grid (``Snapshots``) and
-    reach every time slab (``CellPartition.check_slabs``).
+    decreasing (``limits.decreasing_rungs``) with no negative rung (an
+    eps = 0 rung is allowed), the reference refines the weak grid
+    (``check_reference_n``) and divides its dt by a power of two
+    (``forcing.refinement_halvings``), and the snapshot times lie on the
+    weak step grid (``Snapshots``) and reach every time slab
+    (``CellPartition.check_slabs``).
     """
     eps_values = decreasing_rungs(eps_values, WeakStrongError)
+    negative = [eps for eps in eps_values if eps < 0]   # eps = 0 is allowed
+    if negative:
+        raise WeakStrongError(f"ladder rung {negative[0]!r} is negative; "
+                              f"a viscosity must be >= 0")
     check_reference_n(weak_base.grid.n, ref_n)
     refinement_halvings(dt_factor, WeakStrongError)
     reference_cfg = replace(weak_base, grid=TorusGrid(weak_base.grid.dim, ref_n),

@@ -48,6 +48,7 @@ stored; ``quadratic_dictionary(dim)`` rebuilds it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,8 +124,13 @@ class CellPartition:
         return min(max(s, 0), self.n_t - 1)
 
     def check_slabs(self, times, error=YoungMeasureError) -> None:
-        """Every time slab holds one of ``times`` by ``slab_of``, or ``error``."""
-        empty = sorted(set(range(self.n_t)) - {self.slab_of(float(t)) for t in times})
+        """Every time is finite and every time slab holds one of ``times``
+        by ``slab_of``, or ``error``."""
+        times = [float(t) for t in times]
+        for t in times:
+            if not math.isfinite(t):
+                raise error(f"snapshot time {t!r} is not finite")
+        empty = sorted(set(range(self.n_t)) - {self.slab_of(t) for t in times})
         if empty:
             raise error(f"time slabs {empty} hold no snapshot ({len(empty)} of "
                         f"{self.n_t} time cells)")

@@ -173,6 +173,24 @@ def test_every_reader_checks_slab_coverage_alike(no_runs, cells, per_slab,
     assert verdicts == dict.fromkeys(verdicts, covered)
 
 
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_slab_check_rejects_a_non_finite_time(bad):
+    # the slab of a NaN or infinite time would be int() of it, which raises
+    # a bare ValueError or OverflowError in place of the rule's error
+    part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
+    for error in (YoungMeasureError, WeakStrongError):
+        with pytest.raises(error, match="not finite"):
+            part.check_slabs([0.0, bad, 0.25], error)
+
+
+@pytest.mark.parametrize("rungs,named", [
+    ((0.1, -0.05), "-0.05"), ((0.0, -0.1), "-0.1"), ((-0.05, -0.1), "-0.05")])
+def test_weak_strong_ladder_rejects_a_negative_rung(no_runs, rungs, named):
+    # up front, as the ladder's own error, not as SolverError from a rung config
+    with pytest.raises(WeakStrongError, match=f"rung {named} is negative"):
+        weak_ladder(rungs)()
+
+
 @pytest.mark.parametrize("s,t,ordered", [
     (0.0, 0.125, True), (0.0625, 0.125, True), (0.125, 0.25, True),
     (0.125, 0.125, False), (0.125, 0.0625, False), (-0.03125, 0.125, False),

@@ -24,6 +24,7 @@ EXCEPTIONS = {
                           "the oracle of max_positive_defect",
     "TorusGrid.dof": "read by the benchmark tracer's run_path counters",
     "CellPartition.total_volume": "the total-mass oracle of the pairing tests",
+    "step": "the full-layout oracle of run_path, which steps on the dealias band",
 }
 
 

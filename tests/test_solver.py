@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dissipeuler.solver as solver
 from dissipeuler.forcing import (
     ForcingMode,
     ForcingOperator,
@@ -32,6 +33,7 @@ from dissipeuler.spectral import (
     TorusGrid,
     dealias,
     divergence_defect,
+    energy_and_grad_norm_sq,
     inner_product,
     l2_norm_sq,
     single_mode,
@@ -256,6 +258,33 @@ class TestRunEnsemble:
                     getattr(want.trace, name).tobytes()
             assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
 
+    def test_initial_states_drawn_once_per_grid(self, monkeypatch):
+        # rungs that share a grid and an initial law share each path's draw;
+        # a new grid draws again, and every run keeps the bits of a lone run
+        base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 64, horizon=0.0625,
+                           forcing=default_forcing(2, 0.3),
+                           initial=InitialCondition("random_spectrum", 0.3))
+        fine = replace(base, grid=TorusGrid(2, 32))
+        cfgs = [base.with_eps(0.1), base.with_eps(0.05), fine.with_eps(0.1),
+                fine.with_eps(0.05)]
+        draws = []
+        real_initial_state = solver.initial_state
+
+        def counted(cfg, seed, path_id):
+            draws.append((cfg.grid.n, path_id))
+            return real_initial_state(cfg, seed, path_id)
+        monkeypatch.setattr(solver, "initial_state", counted)
+        runs = [(cfg, path.path_id, run)
+                for cfg, path, run, _ in run_ensemble(cfgs, 5, [4, 1])]
+        assert draws == [(16, 4), (16, 1), (32, 4), (32, 1)]
+        monkeypatch.setattr(solver, "initial_state", real_initial_state)
+        for cfg, pid, run in runs:
+            want = run_path(cfg, 5, pid)
+            for name in ("energy", "dissipation", "stochastic"):
+                assert getattr(run.trace, name).tobytes() == \
+                    getattr(want.trace, name).tobytes()
+            assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
+
 
 class TestUnforced:
     """A config without forcing is forced by the rank-0 operator."""
@@ -395,6 +424,72 @@ class TestPointValues:
                 assert calls["irfft"] == len(read)
             if snapshot_times is not None:
                 assert list(obs[-1].trajectory.times) == snapshot_times
+
+
+BAND_GRIDS = [(2, 8), (2, 32), (2, 128), (3, 8), (3, 16)]
+
+
+def full_layout_run(cfg, seed, path_id):
+    """run_path's budget as a loop of ``step`` on full-layout fields: the
+    oracle of the band loop.  Returns (states, point values, trace arrays)."""
+    grid = cfg.grid
+    path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, cfg.steps)
+    index, values = cfg.forcing.noise_support(grid)
+    weight = np.broadcast_to(grid.ops.weight, (grid.dim,) + grid.spectral_shape)
+    conj_values = np.conj(values) * weight.take(index)
+    vol_scale = grid.volume / grid.n ** (2 * grid.dim)
+    u = initial_state(cfg, seed, path_id)
+    states, points = [], []
+    energy, dissipation, stochastic = [], [0.0], [0.0]
+    for n in range(cfg.steps + 1):
+        e, grad_sq = energy_and_grad_norm_sq(u)
+        energy.append(e)
+        states.append(u)
+        points.append(u.to_physical())
+        if n == cfg.steps:
+            break
+        dissipation.append(dissipation[-1] + cfg.eps * cfg.dt * grad_sq)
+        dw = path.increments[n]
+        pair = (conj_values @ u.coeffs.take(index)).real * vol_scale
+        stochastic.append(stochastic[-1] + float(pair @ dw))
+        u, _ = step(u, dw, cfg, points[-1])
+    return states, points, {"energy": energy, "dissipation": dissipation,
+                            "stochastic": stochastic}
+
+
+class TestBandRun:
+    """run_path steps on the dealias band and keeps every bit of the
+    full-layout step."""
+
+    @pytest.mark.parametrize("transport", [True, False])
+    @pytest.mark.parametrize("dim,n", BAND_GRIDS)
+    def test_matches_a_loop_of_step_bit_for_bit(self, dim, n, transport):
+        grid = TorusGrid(dim, n)
+        cfg = make_config(grid=grid, eps=0.02, dt=1.0 / 256, horizon=6.0 / 256,
+                          forcing=in_band_forcing(dim, n), transport=transport,
+                          initial=InitialCondition("random_spectrum", 0.5))
+        seen = []
+
+        class Keep:
+            steps = None
+
+            def on_state(self, n, t, u, phys):
+                seen.append((u, phys))
+
+        run = run_path(cfg, 5, 1, observers=(Keep(),))
+        states, points, trace = full_layout_run(cfg, 5, 1)
+        assert np.array_equal(run.final.coeffs.view(np.uint64),
+                              states[-1].coeffs.view(np.uint64))
+        for name, want in trace.items():
+            got = getattr(run.trace, name)
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        assert len(seen) == cfg.steps + 1
+        outside = ~grid.ops.mask
+        for (u, phys), want_u, want_phys in zip(seen, states, points):
+            assert np.array_equal(u.coeffs.view(np.uint64), want_u.coeffs.view(np.uint64))
+            assert np.array_equal(phys.view(np.uint64), want_phys.view(np.uint64))
+            # +0.0 outside the band: every bit zero
+            assert not np.any(np.ascontiguousarray(u.coeffs[:, outside]).view(np.uint64))
 
 
 DT, HORIZON = 1.0 / 64, 0.25   # 16 steps

@@ -10,6 +10,8 @@ from dissipeuler.spectral import (
     SpectralError,
     SpectralField,
     TorusGrid,
+    _band_rfft,
+    _band_to_physical,
     _convective_with_sup,
     _rfft,
     convective_term,
@@ -580,3 +582,26 @@ class TestStackedKernel:
         assert np.array_equal(got.coeffs.view(np.uint64),
                               want.view(np.uint64))
         assert got_sup == want_sup
+
+
+class TestBandTransforms:
+    """The pruned transforms of the band carry the bits of the full ones."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (2, 128), (3, 8), (3, 16)])
+    def test_match_the_full_transforms_bit_for_bit(self, dim, n):
+        grid = TorusGrid(dim, n)
+        ops = grid.ops
+        rng = np.random.default_rng(13 * n + dim)
+        for stack in (dim, dim * (dim + 1) // 2):
+            vals = rng.standard_normal((stack,) + grid.shape)
+            band = _band_rfft(grid, vals)
+            assert band.shape == (stack,) + ops.band_shape
+            want = ops.to_band(_rfft(grid, vals))
+            assert np.array_equal(band.view(np.uint64), want.view(np.uint64))
+            band *= rng.standard_normal(band.shape)
+            full = ops.from_band(band)
+            assert np.array_equal(full[:, ops.mask], band.reshape(stack, -1))
+            assert not np.any(np.ascontiguousarray(full[:, ~ops.mask]).view(np.uint64))
+            back = _band_to_physical(grid, band)
+            want = half_to_physical(grid, full)
+            assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
