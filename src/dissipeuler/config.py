@@ -19,7 +19,7 @@ names the field (``_at``).  These are the ladder's order and positivity
 the snapshot in every time slab (``young.CellPartition.check_slabs``).
 Each such rule compares so that NaN fails.  ``_check_memory`` holds
 a config to a memory ceiling: its largest run, its Wiener paths and its
-Young accumulators' slot tables.
+Young accumulators' slot tables and moment sums.
 """
 
 from __future__ import annotations
@@ -295,6 +295,13 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
             else ("martingale.linear_paths", mart.linear_paths)
         if n < MIN_MARTINGALE_PATHS:
             raise ConfigError(where, f"need >= {MIN_MARTINGALE_PATHS} paths, got {n}")
+        if not solver.transport:   # what limits.linear_model_functionals_multi assumes
+            model = "the transport-off martingale reads the linear model, which needs"
+            if solver.eps != 0:
+                raise ConfigError("viscosity.eps", f"{model} eps = 0, got {solver.eps:g}")
+            if initial.kind != "zero":
+                raise ConfigError("initial.kind",
+                                  f"{model} the zero initial state, got {initial.kind!r}")
     _check_memory(cfg)
     return cfg
 
@@ -314,10 +321,11 @@ def _check_memory(cfg: RunConfig) -> None:
       call: 24 bytes per (path, step, mode) over ``ensemble.paths`` paths,
       ``martingale.linear_paths`` for the transport-off martingale and one
       path for ym;
-    * the int32 slot tables of the Young accumulators held at once, two in
-      vanish (the family's and a rung's) and one in ym and weakstrong: per
-      time slab and space cell, ``bins_per_axis ** dim`` oscillation slots
-      and ``sphere_bins`` concentration slots.
+    * the Young accumulators held at once, two in vanish (the family's and
+      a rung's) and one in ym and weakstrong: per time slab and space cell,
+      int32 slot tables of ``bins_per_axis ** dim`` oscillation slots and
+      ``sphere_bins`` concentration slots, and 1 + dim + 2 dim^2 f64 moment
+      sums (the sample count, the first moment and the two second moments).
 
     A config above the ceiling fails naming the field of the largest term.
     """
@@ -342,11 +350,13 @@ def _check_memory(cfg: RunConfig) -> None:
     terms = [max(runs), (24 * paths * solver.steps * solver.forcing.rank, where,
                          "the Wiener paths drawn up front retain")]
     if measured:
-        slots = 4 * (2 if cfg.experiment == "vanish" else 1) * cfg.partition.n_cells
-        terms += [(slots * young.bins_per_axis ** dim, "young.bins_per_axis",
+        cells = (2 if cfg.experiment == "vanish" else 1) * cfg.partition.n_cells
+        terms += [(4 * cells * young.bins_per_axis ** dim, "young.bins_per_axis",
                    "the oscillation slot tables of the Young accumulators retain"),
-                  (slots * young.sphere_bins, "young.sphere_bins",
-                   "the sphere slot tables of the Young accumulators retain")]
+                  (4 * cells * young.sphere_bins, "young.sphere_bins",
+                   "the sphere slot tables of the Young accumulators retain"),
+                  (8 * cells * (1 + dim + 2 * dim * dim), "young.space_cells",
+                   "the per-cell moment sums of the Young accumulators retain")]
     need = sum(term[0] for term in terms)
     if need > MAX_RUN_BYTES:
         size, where, what = max(terms)

@@ -111,17 +111,19 @@ class ReferenceReduction:
 
 def build_reference(cfg: SolverConfig, seed: int, path_id: int,
                     partition: CellPartition, snapshot_times,
-                    path: WienerPath | None = None) -> StrongReference:
+                    path: WienerPath | None = None,
+                    initial: SpectralField | None = None) -> StrongReference:
     """Integrate a reference run and reduce it on ``partition`` as it runs.
 
     The snapshot times map to steps of ``cfg`` by ``step_index`` before the
     run starts, so a time off its step grid fails before any integration.
-    The run, on ``path`` if given, keeps no snapshot.
+    The run, on ``path`` and from ``initial`` (``initial_state`` of the
+    run) if given, keeps no snapshot.
     """
     steps = {step_index(t, cfg.dt, cfg.steps, WeakStrongError)
              for t in snapshot_times}
     reduction = ReferenceReduction(partition, steps, cfg.horizon)
-    run_path(cfg, seed, path_id, path=path, observers=(reduction,))
+    run_path(cfg, seed, path_id, path=path, observers=(reduction,), initial=initial)
     return reduction.reference()
 
 
@@ -161,19 +163,17 @@ def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
     if ref.cell_mean.shape != (part.n_t, part.n_space, V.dim):
         raise WeakStrongError("reference was reduced on another partition")
     vbar = ref.cell_mean[slab]
-    nu = V.slab(slab)
-    vc = vbar[nu.cell]
+    cells = part.slab_cells(slab)
+    first = V.nu_first[cells]
 
-    tr = np.trace(nu.sec, axis1=1, axis2=2)
-    per_entry = (tr - 2.0 * np.einsum("ei,ei->e", nu.mean, vc)
-                 + (vc ** 2).sum(axis=1))
-    osc = float(nu.per_cell(part.n_space, per_entry)
-                @ np.ones(part.n_space)) * part.space_volume
+    # <nu, |xi - v|^2> = tr <nu, xi (x) xi> - 2 <nu, xi>.v + |v|^2 per cell
+    per_cell = (np.trace(V.nu_second[cells], axis1=1, axis2=2)
+                - 2.0 * np.einsum("ci,ci->c", first, vbar) + (vbar ** 2).sum(axis=1))
+    osc = float(per_cell.sum()) * part.space_volume
     measure_form = 0.5 * osc + 0.5 * V.lam_t(slab)
 
     v_sq = float(ref.slab_energy_sq[slab])
-    bary = nu.per_cell(part.n_space, nu.mean)
-    cross = float(np.einsum("ci,ci->", bary, vbar)) * part.space_volume
+    cross = float(np.einsum("ci,ci->", first, vbar)) * part.space_volume
     e_slab = energy_of(V, slab)
     expanded_form = e_slab + 0.5 * v_sq - cross
 
@@ -261,12 +261,13 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     draws every Wiener path once and runs the rungs config-major: every
     path of one rung, then the next rung.  When the first rung's run of a
     path ends, that path's reference is built on the Brownian-bridge
-    refinement of the path, and F(0) is taken from the initial states,
-    before the run's measure is embedded; every run is then compared with
-    its path's reference.  The first blow-up, of a weak or a reference run,
-    is raised.  Returns the audit rows
-    (F(0) = 0, F >= 0, agreement of the two forms of F, the monotone ladder
-    and one Gronwall envelope per eps) and the diagnostics: per-eps
+    refinement of the path, from the one draw of its initial state that F(0)
+    also reads, before the run's measure is embedded; every run is then
+    compared with its path's reference.  F(0) draws the weak initial state
+    once more, since ``run_ensemble`` keeps its own draw to itself.  The
+    first blow-up, of a weak or a reference run, is raised.  Returns the
+    audit rows (F(0) = 0, F >= 0, agreement of the two forms of F, the
+    monotone ladder and one Gronwall envelope per eps) and the diagnostics: per-eps
     relative-energy matrices with their Gronwall diagnostics, the stopping
     times and the paired monotonicity diagnostics along the ladder.  An
     unset ``level`` L is 1.05 times the largest ||grad v||_inf of the
@@ -302,10 +303,11 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
         r, p = divmod(i, len(path_ids))   # rung and path, config-major
         if r == 0:   # the first rung reaches the path: build its reference
             pid = path.path_id
+            v0 = initial_state(reference_cfg, seed, pid)
+            f0.append(initial_relative_energy(initial_state(weak_base, seed, pid), v0))
             refs.append(build_reference(reference_cfg, seed, pid, partition,
-                                        snapshot_times, path=path.refined(dt_factor)))
-            f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
-                                              initial_state(reference_cfg, seed, pid)))
+                                        snapshot_times, path=path.refined(dt_factor),
+                                        initial=v0))
         V = dirac_embed(snaps.trajectory, partition, radius,
                         bins_per_axis=bins_per_axis, sphere_bins=sphere_bins)
         slabs = [relative_energy(V, refs[p], s) for s in range(partition.n_t)]

@@ -1,49 +1,55 @@
 """Cell-discretized generalized Young measures.
 
-A measure here is a triplet per space-time cell: an oscillation histogram
-over the value ball |xi| <= R, a concentration mass (where |u|^2 escapes
-the ball), and a concentration-angle histogram on the unit sphere.  Beyond
-plain bin masses each bin stores the within-bin first and second moments of
-the samples it received, so pairings against integrands that are
-polynomials of degree <= 2 reproduce the underlying sample quadrature
-exactly; general integrands are evaluated at bin centroids with an error
-bounded by Lip(f) times the bin diameter.
+A measure here is a triplet per space-time cell: an oscillation
+distribution nu over the value ball |xi| <= R, a concentration mass lambda
+(where |u|^2 escapes the ball), and a concentration-angle distribution
+nu_inf on the unit sphere.
 
 The truncation radius R splits oscillation from concentration: the limit
 object has no finite-sample definition, so the estimator applies one rule
-to every sample.  A sample with |u| <= R goes to its oscillation bin.  A
-sample with |u| > R routes its quadrature-weighted mass |u|^2 to the
-concentration part, with the direction u/|u| binned on the sphere, and
-keeps its unit share of the oscillation histogram at the origin bin, with
-value 0.  Each cell's histogram is normalized by all of its samples, so it
-is a probability, and 0.5 <nu, |xi|^2> + 0.5 lambda is the sampled energy
-whatever R is.
+to every sample.  A sample with |u| <= R belongs to nu.  A sample with
+|u| > R routes its quadrature-weighted mass |u|^2 to the concentration
+part, with its direction u/|u| in nu_inf, and keeps its unit share of nu
+at the origin, with value 0.  Each cell's nu is normalized by all of its
+samples, so it is a probability, and 0.5 <nu, |xi|^2> + 0.5 lambda is the
+sampled energy whatever R is.
 
-Storage is sparse: each cell receives about one sample per snapshot, so
-almost every (cell, bin) pair stays empty.  Both histograms keep only
-their occupied entries (``BinEntries``: sorted flat keys cell * bins + bin
-with mass, mean and second moment per entry), and the build, the pairings,
-the barycenter and the slab energies run over those entries.  Only the
-concentration mass ``lam_mass`` is one dense value per cell.  The dense
-(n_cells, bins) bin masses ``nu_mass`` and ``inf_mass`` remain as
-read-only views built on first access, for inspection and tests; nothing
-in the package reads them.
+The solution reads its measure only through quadratic quantities: the
+energy and the nonlinear term <nu, xi (x) xi> + lambda <nu_inf, theta (x)
+theta>.  So a measure stores, per cell and exactly as the sample
+quadrature gives them, three dense moment arrays:
+
+* ``nu_first``, <nu, xi>, shape (n_cells, dim);
+* ``nu_second``, <nu, xi (x) xi>, shape (n_cells, dim, dim);
+* ``lam_second``, lambda <nu_inf, theta (x) theta>: the sum of u (x) u
+  over the cell's escaped samples times cell_volume / samples, so its
+  trace is the cell's ``lam_mass``.
+
+Every pairing (against a quadratic ``TestIntegrand``), the weak*
+distance, the barycenter and the slab energies contract these arrays and
+the dense ``lam_mass``.  Beside them the two histograms keep their bin
+masses only, sparse as ``BinEntries`` (sorted flat keys cell * bins + bin
+with a mass each: a cell receives about one sample per snapshot, so almost
+every (cell, bin) pair stays empty).  The masses are read for the
+normalization of nu and by the dense (n_cells, bins) views ``nu_mass``
+and ``inf_mass``, built on first access, for inspection and tests.
 
 Every measure comes from one ``YoungAccumulator``: ``add`` bins one
-trajectory's snapshots into per-entry moment sums and keeps nothing of the
-trajectory, and ``measure`` normalizes the sums once at the end.  The sums
-live in one table per time slab, and a snapshot's samples stay
-component-major, (dim, npts) as the trajectory stores them, so binning a
-snapshot touches only its own slab's entries.
-``dirac_embed`` and ``estimate_from_family`` are loops over it, and a
-caller that produces trajectories one at a time (the viscosity ladder)
-feeds it directly, so no build needs a whole family in memory.
+trajectory's snapshots into bin-mass sums and per-cell moment sums and
+keeps nothing of the trajectory, and ``measure`` normalizes the sums once
+at the end.  The bin masses live in one table per time slab, and a
+snapshot's samples stay component-major, (dim, npts) as the trajectory
+stores them, so binning a snapshot touches only its own slab's entries and
+cells.  ``dirac_embed`` and ``estimate_from_family`` are loops over it,
+and a caller that produces trajectories one at a time (the viscosity
+ladder) feeds it directly, so no build needs a whole family in memory.
 
-``write_measure`` exports a measure as one binary file: a magic, a
-version, the partition and build parameters, then the raw ``lam_mass``
-and the key, mass, mean and second-moment arrays of both histograms.
-``read_measure`` reads it back bit for bit.  The test dictionary is not
-stored; ``quadratic_dictionary(dim)`` rebuilds it.
+``write_measure`` exports a measure as one binary file (version 3): a
+magic, a version, the partition and build parameters, then the raw
+``lam_mass``, ``nu_first``, ``nu_second`` and ``lam_second``, then the
+keys and masses of ``nu`` and of ``nu_inf``.  ``read_measure`` reads it
+back bit for bit.  The test dictionary is not stored;
+``quadratic_dictionary(dim)`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -123,6 +129,10 @@ class CellPartition:
         s = int((t - self.t0) / self.slab_duration)
         return min(max(s, 0), self.n_t - 1)
 
+    def slab_cells(self, slab: int) -> slice:
+        """The cells of one time slab, in the cell order of the measure."""
+        return slice(slab * self.n_space, (slab + 1) * self.n_space)
+
     def check_slabs(self, times, error=YoungMeasureError) -> None:
         """Every time is finite and every time slab holds one of ``times``
         by ``slab_of``, or ``error``."""
@@ -171,89 +181,46 @@ class CellPartition:
 
 @dataclass(frozen=True)
 class TestIntegrand:
-    """Integrand with quadratic growth plus its recession function.
+    """The quadratic integrand f(xi) = xi.A.xi + b.xi + c, given as (A, b, c).
 
-    Quadratic integrands are declared by (A, b, c) meaning
-    f(xi) = xi.A.xi + b.xi + c with recession xi.A.xi on the sphere; they
-    pair exactly against the stored bin moments.  General integrands supply
-    vectorized callables f and f_inf and pair through bin centroids.
+    Its recession function on the unit sphere is theta.A.theta, so it pairs
+    exactly against a measure's moment arrays.
     """
 
     __test__ = False  # not a pytest class
 
     name: str
-    quad: tuple | None = None
-    f: object = None
-    f_inf: object = None
+    quad: tuple
 
     def __post_init__(self):
-        if self.quad is None and (self.f is None or self.f_inf is None):
-            raise YoungMeasureError(
-                f"integrand {self.name!r}: need quad coefficients or (f, f_inf)")
-        if self.quad is not None:
-            a, b, c = self.quad
-            object.__setattr__(self, "quad",
-                               (np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                                float(c)))
-
-    def eval(self, xi: np.ndarray) -> np.ndarray:
-        if self.quad is not None:
-            a, b, c = self.quad
-            return np.einsum("...i,ij,...j->...", xi, a, xi) + xi @ b + c
-        return self.f(xi)
-
-    def eval_recession(self, unit: np.ndarray) -> np.ndarray:
-        if self.quad is not None:
-            a, _, _ = self.quad
-            return np.einsum("...i,ij,...j->...", unit, a, unit)
-        return self.f_inf(unit)
+        a, b, c = self.quad
+        object.__setattr__(self, "quad", (np.asarray(a, dtype=float),
+                                          np.asarray(b, dtype=float), float(c)))
 
 
 @dataclass(frozen=True)
 class BinEntries:
     """The occupied (cell, bin) entries of a per-cell histogram.
 
-    ``key`` is cell * n_bins + bin, strictly increasing; each entry carries
-    its mass and the mean (E, dim) and second moment (E, dim, dim) of the
-    samples it received.
+    ``key`` is cell * n_bins + bin, strictly increasing, and ``mass`` the
+    mass of each entry.
     """
 
     n_bins: int
     key: np.ndarray
     mass: np.ndarray
-    mean: np.ndarray
-    sec: np.ndarray
 
     def __post_init__(self):
-        for name in ("key", "mass", "mean", "sec"):
-            getattr(self, name).setflags(write=False)
+        self.key.setflags(write=False)
+        self.mass.setflags(write=False)
 
     @cached_property
     def cell(self) -> np.ndarray:
         return self.key // self.n_bins
 
-    def cells(self, lo: int, hi: int) -> "BinEntries":
-        """The entries of cells lo..hi-1, with cells renumbered from 0."""
-        a, b = np.searchsorted(self.key, [lo * self.n_bins, hi * self.n_bins])
-        return BinEntries(self.n_bins, self.key[a:b] - lo * self.n_bins,
-                          self.mass[a:b], self.mean[a:b], self.sec[a:b])
-
-    def per_cell(self, n_cells: int, values=None) -> np.ndarray:
-        """Sum of mass * values over each cell's entries.
-
-        ``values`` has shape (E,) + q (default: ones); returns (n_cells,) + q,
-        zero for a cell without entries.
-        """
-        if values is None:
-            values = np.ones(len(self.key))
-        q = values.shape[1:]
-        weighted = self.mass.reshape((-1,) + (1,) * len(q)) * values
-        flat = weighted.reshape(len(self.key), int(np.prod(q, dtype=int)))
-        out = np.empty((n_cells, flat.shape[1]))
-        for j in range(flat.shape[1]):
-            out[:, j] = np.bincount(self.cell, weights=flat[:, j],
-                                    minlength=n_cells)
-        return out.reshape((n_cells,) + q)
+    def per_cell(self, n_cells: int) -> np.ndarray:
+        """The total mass of each cell, shape (n_cells,)."""
+        return np.bincount(self.cell, weights=self.mass, minlength=n_cells)
 
     def dense(self, n_cells: int) -> np.ndarray:
         """The masses as a read-only (n_cells, n_bins) array."""
@@ -277,9 +244,13 @@ class GeneralizedYoungMeasure:
     nu: BinEntries           # oscillation histogram, bins_per_axis^dim bins
     lam_mass: np.ndarray     # (n_cells,)
     nu_inf: BinEntries       # concentration-angle histogram, sphere_bins bins
+    nu_first: np.ndarray     # (n_cells, dim): <nu, xi>
+    nu_second: np.ndarray    # (n_cells, dim, dim): <nu, xi (x) xi>
+    lam_second: np.ndarray   # (n_cells, dim, dim): lambda <nu_inf, theta (x) theta>
 
     def __post_init__(self):
-        self.lam_mass.setflags(write=False)
+        for a in (self.lam_mass, self.nu_first, self.nu_second, self.lam_second):
+            a.setflags(write=False)
 
     # dense (n_cells, bins) bin masses, built on first access
     nu_mass = _dense_mass("nu")
@@ -294,14 +265,8 @@ class GeneralizedYoungMeasure:
 
     def lam_t(self, slab: int) -> float:
         """Concentration mass of one slab normalized by its duration."""
-        lo = slab * self.partition.n_space
-        hi = lo + self.partition.n_space
-        return float(self.lam_mass[lo:hi].sum()) / self.partition.slab_duration
-
-    def slab(self, slab: int) -> BinEntries:
-        """Oscillation entries of one time slab, space cells numbered from 0."""
-        lo = slab * self.partition.n_space
-        return self.nu.cells(lo, lo + self.partition.n_space)
+        cells = self.partition.slab_cells(slab)
+        return float(self.lam_mass[cells].sum()) / self.partition.slab_duration
 
 
 # -- construction ----------------------------------------------------------
@@ -336,50 +301,34 @@ def _sphere_bin(units: np.ndarray, sphere_bins: int, dim: int) -> np.ndarray:
     return band * n_lon + lon
 
 
-class _MomentSums:
-    """Weight, first- and second-moment sums per occupied key of one slab.
+class _MassSums:
+    """Weight sum per occupied key of one slab's histogram.
 
-    Keys get a slot when they first occur.  ``add`` sums one snapshot of
-    component-major (dim, npts) samples with one bincount per moment and
-    adds it to the running totals, so every total associates as a dense
-    accumulation over all keys would.  Totals start at +0.0 and a bincount
-    never returns -0.0, so a total never becomes -0.0 and the += 0.0 a
-    table skips for the snapshots of other slabs would change no bit.
+    Keys get a slot when they first occur.  ``add`` sums one snapshot's
+    weights with one bincount and adds it to the running totals, so every
+    total associates as a dense accumulation over all keys would.  Totals
+    start at +0.0 and a bincount never returns -0.0, so a total never
+    becomes -0.0 and the += 0.0 a table skips for the snapshots of other
+    slabs would change no bit.
     """
 
-    def __init__(self, size: int, dim: int):
+    def __init__(self, size: int):
         self.slot = np.full(size, -1, dtype=np.int32)
         self.keys = np.zeros(0, dtype=np.intp)
         self.w = np.zeros(0)
-        self.v = np.zeros((0, dim))
-        self.vv = np.zeros((0, dim, dim))
 
-    def add(self, keys: np.ndarray, values: np.ndarray, weights=None) -> None:
+    def add(self, keys: np.ndarray, weights=None) -> None:
         new = np.unique(keys[self.slot[keys] < 0])
         if len(new):
             self.slot[new] = np.arange(len(self.keys), len(self.keys) + len(new))
             self.keys = np.concatenate([self.keys, new])
-            self.w, self.v, self.vv = (
-                np.concatenate([a, np.zeros((len(new),) + a.shape[1:])])
-                for a in (self.w, self.v, self.vv))
-        s = self.slot[keys]
-        n = len(self.keys)
-        # unit weights leave each weighted value bit-identical to the value
-        weighted = values if weights is None else weights * values
-        self.w += np.bincount(s, weights=weights, minlength=n)
-        for i in range(len(values)):
-            self.v[:, i] += np.bincount(s, weights=weighted[i], minlength=n)
-            for j in range(i, len(values)):
-                contrib = np.bincount(s, weights=weighted[i] * values[j],
-                                      minlength=n)
-                self.vv[:, i, j] += contrib
-                if i != j:
-                    self.vv[:, j, i] += contrib
+            self.w = np.concatenate([self.w, np.zeros(len(new))])
+        self.w += np.bincount(self.slot[keys], weights=weights, minlength=len(self.keys))
 
     def by_key(self, offset: int):
-        """Sorted keys plus ``offset`` with their sums (E,), (E, dim), (E, dim, dim)."""
+        """Sorted keys plus ``offset`` with their sums."""
         order = np.argsort(self.keys)
-        return self.keys[order] + offset, self.w[order], self.v[order], self.vv[order]
+        return self.keys[order] + offset, self.w[order]
 
 
 def _by_key(tables: list, span: int):
@@ -392,18 +341,35 @@ def _by_key(tables: list, span: int):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def _add_products(out: np.ndarray, cell: np.ndarray, values: np.ndarray) -> None:
+    """Add to out[c] the sum of v (x) v over the samples v of cell c.
+
+    ``values`` is component-major, (dim, npts), with ``cell`` the cell of
+    each sample; ``out`` is (cells, dim, dim) and stays symmetric bit for
+    bit.
+    """
+    for i in range(len(values)):
+        for j in range(i, len(values)):
+            total = np.bincount(cell, weights=values[i] * values[j],
+                                minlength=len(out))
+            out[:, i, j] += total
+            if i != j:
+                out[:, j, i] += total
+
+
 class YoungAccumulator:
     """The one measure build: ``add`` trajectories, then ``measure`` once.
 
     ``add`` bins every snapshot of a trajectory that falls inside the
-    partition window into running moment sums and keeps nothing of the
-    trajectory itself; ``measure`` normalizes the sums into a
+    partition window into running sums and keeps nothing of the trajectory
+    itself; ``measure`` normalizes the sums into a
     ``GeneralizedYoungMeasure`` once, after the last ``add``.  Samples
     beyond the truncation radius feed the concentration part and count at
     the origin of the oscillation histogram.  The sums depend only on the
     order of the added trajectories, so a caller that streams them gets the
-    bits of one call over the whole family.  Each time slab has its own
-    moment tables, keyed by space cell and bin within the slab.
+    bits of one call over the whole family.  The moment sums are dense per
+    cell; the bin masses live in one table per time slab, keyed by space
+    cell and bin within the slab.
     """
 
     def __init__(self, partition: CellPartition, radius: float,
@@ -416,11 +382,13 @@ class YoungAccumulator:
         self.sphere_bins = sphere_bins
         dim, n_space = partition.dim, partition.n_space
         self._n_bins = bins_per_axis ** dim
-        self._osc = [_MomentSums(n_space * self._n_bins, dim)
-                     for _ in range(partition.n_t)]
-        self._conc = [_MomentSums(n_space * sphere_bins, dim)
-                      for _ in range(partition.n_t)]
-        self._samples_per_cell = np.zeros(partition.n_cells)
+        self._osc = [_MassSums(n_space * self._n_bins) for _ in range(partition.n_t)]
+        self._conc = [_MassSums(n_space * sphere_bins) for _ in range(partition.n_t)]
+        n_cells = partition.n_cells
+        self._samples_per_cell = np.zeros(n_cells)
+        self._first = np.zeros((n_cells, dim))
+        self._second = np.zeros((n_cells, dim, dim))
+        self._escaped_second = np.zeros((n_cells, dim, dim))
         self._space_idx = partition.space_cell_index()
         self._space_count = np.bincount(self._space_idx, minlength=n_space)
 
@@ -437,7 +405,7 @@ class YoungAccumulator:
             if t < part.t0 - 1e-12 or t > part.t1 + 1e-12:
                 continue
             slab = part.slab_of(t)
-            in_slab = slice(slab * n_space, (slab + 1) * n_space)
+            in_slab = part.slab_cells(slab)
             vals = traj.values[m].reshape(dim, -1)  # (dim, npts)
             self._samples_per_cell[in_slab] += self._space_count
 
@@ -447,14 +415,18 @@ class YoungAccumulator:
             if not below.all():
                 above = ~below
                 sa = np.compress(above, speed)
-                units = np.compress(above, vals, axis=1) / sa
+                va = np.compress(above, vals, axis=1)
+                ca = np.compress(above, cell)
                 self._conc[slab].add(
-                    np.compress(above, cell) * self.sphere_bins
-                    + _sphere_bin(units.T, self.sphere_bins, dim),
-                    units, sa ** 2)
+                    ca * self.sphere_bins
+                    + _sphere_bin((va / sa).T, self.sphere_bins, dim), sa ** 2)
+                _add_products(self._escaped_second[in_slab], ca, va)
                 vb = np.where(below, vals, 0.0)
-            self._osc[slab].add(
-                cell * n_bins + _bin_of_values(vb.T, radius, bins_per_axis), vb)
+            self._osc[slab].add(cell * n_bins + _bin_of_values(vb.T, radius, bins_per_axis))
+            first = self._first[in_slab]
+            for i in range(dim):
+                first[:, i] += np.bincount(cell, weights=vb[i], minlength=n_space)
+            _add_products(self._second[in_slab], cell, vb)
 
     def measure(self) -> GeneralizedYoungMeasure:
         """The measure of every sample added; call it once, after the last add."""
@@ -467,27 +439,26 @@ class YoungAccumulator:
             raise YoungMeasureError(
                 "partition has cells without samples; refine snapshots or coarsen")
 
-        # oscillation part: per-cell probability with bin moments; every
-        # entry holds at least one sample
-        keys, w, v, vv = _by_key(self._osc, n_space * n_bins)
-        nu = BinEntries(n_bins, keys, w / self._samples_per_cell[keys // n_bins],
-                        v / w[:, None], vv / w[:, None, None])
+        # oscillation part: a probability per cell
+        samples = self._samples_per_cell
+        keys, w = _by_key(self._osc, n_space * n_bins)
+        nu = BinEntries(n_bins, keys, w / samples[keys // n_bins])
 
         # concentration part: quadrature weight per sample is cellvol / samples
-        keys, w, v, vv = _by_key(self._conc, n_space * sphere_bins)
+        cell_weight = part.cell_volume / samples
+        keys, w = _by_key(self._conc, n_space * sphere_bins)
         cell = keys // sphere_bins
-        cell_weight = (part.cell_volume / self._samples_per_cell)[cell]
-        w = w * cell_weight
-        v = v * cell_weight[:, None]
-        vv = vv * cell_weight[:, None, None]
+        w = w * cell_weight[cell]
         # (a bincount of no entries is an integer array)
         lam_mass = np.bincount(cell, weights=w, minlength=n_cells).astype(float)
-        nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[cell], v / w[:, None],
-                            vv / w[:, None, None])
+        nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[cell])
 
         return GeneralizedYoungMeasure(
             partition=part, radius=self.radius, bins_per_axis=self.bins_per_axis,
-            sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf)
+            sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+            nu_first=self._first / samples[:, None],
+            nu_second=self._second / samples[:, None, None],
+            lam_second=self._escaped_second * cell_weight[:, None, None])
 
 
 def dirac_embed(traj, partition: CellPartition, radius: float,
@@ -525,11 +496,11 @@ def estimate_from_family(family, partition: CellPartition, radius: float,
 def pairing(V: GeneralizedYoungMeasure, f: TestIntegrand, phi=None) -> float:
     """Integral of phi(t,x) [<nu, f> dx dt + <nu_inf, f_inf> dlambda].
 
-    phi is evaluated at cell centers (continuous weights only); quadratic
-    integrands use the stored bin moments and are exact with respect to the
-    underlying samples.
+    phi is evaluated at cell centers (continuous weights only); the pairing
+    reads the moment arrays and is exact with respect to the underlying
+    samples.
     """
-    return _weighted_pairing(V, f, _cell_weights(V.partition, phi))
+    return float(_cell_weights(V.partition, phi) @ _per_cell(V, f))
 
 
 def _cell_weights(part: CellPartition, phi, centers=None) -> np.ndarray:
@@ -540,26 +511,19 @@ def _cell_weights(part: CellPartition, phi, centers=None) -> np.ndarray:
     return np.asarray(phi(tc, xc), dtype=float)
 
 
-def _weighted_pairing(V: GeneralizedYoungMeasure, f: TestIntegrand,
-                      weights: np.ndarray) -> float:
-    part = V.partition
-    nu, inf = V.nu, V.nu_inf
-    if f.quad is not None:
-        a, b, c = f.quad
-        per_entry = np.einsum("eij,ij->e", nu.sec, a) + nu.mean @ b + c
-        per_entry_inf = np.einsum("eij,ij->e", inf.sec, a)
-    else:
-        per_entry = f.eval(nu.mean)
-        per_entry_inf = f.eval_recession(inf.mean)
+def _per_cell(V: GeneralizedYoungMeasure, f: TestIntegrand) -> np.ndarray:
+    """<nu, f> dx dt + <nu_inf, f_inf> dlambda on each cell, shape (n_cells,).
 
-    osc_cell = nu.per_cell(part.n_cells, per_entry) * part.cell_volume
-    conc_cell = inf.per_cell(part.n_cells, per_entry_inf) * V.lam_mass
-    return float(weights @ (osc_cell + conc_cell))
+    nu is a probability, so <nu, c> = c.
+    """
+    a, b, c = f.quad
+    osc = np.einsum("kij,ij->k", V.nu_second, a) + V.nu_first @ b + c
+    return osc * V.partition.cell_volume + np.einsum("kij,ij->k", V.lam_second, a)
 
 
 def barycenter(V: GeneralizedYoungMeasure) -> np.ndarray:
     """Per-cell first moment of the oscillation part, shape (n_cells, dim)."""
-    return V.nu.per_cell(V.partition.n_cells, V.nu.mean)
+    return V.nu_first
 
 
 def energy_of(V: GeneralizedYoungMeasure, slab: int) -> float:
@@ -567,9 +531,8 @@ def energy_of(V: GeneralizedYoungMeasure, slab: int) -> float:
     part = V.partition
     if not 0 <= slab < part.n_t:
         raise YoungMeasureError(f"slab {slab} out of range")
-    nu = V.slab(slab)
-    tr = np.trace(nu.sec, axis1=1, axis2=2)
-    osc = (nu.mass * tr).sum() * part.space_volume
+    second = V.nu_second[part.slab_cells(slab)]
+    osc = np.trace(second, axis1=1, axis2=2).sum() * part.space_volume
     return 0.5 * float(osc) + 0.5 * V.lam_t(slab)
 
 
@@ -614,19 +577,17 @@ def _trig_weight(axis: int, fn):
     return phi
 
 
-def weakstar_distance(V1: GeneralizedYoungMeasure, V2: GeneralizedYoungMeasure,
-                      dictionary=None) -> float:
-    """Max pairing discrepancy over a fixed separating dictionary."""
+def weakstar_distance(V1: GeneralizedYoungMeasure,
+                      V2: GeneralizedYoungMeasure) -> float:
+    """Max pairing discrepancy over the separating ``quadratic_dictionary``."""
     if V1.partition != V2.partition:
         raise YoungMeasureError("measures live on different partitions")
-    if dictionary is None:
-        dictionary = quadratic_dictionary(V1.dim)
     centers = V1.partition.cell_centers()
     worst = 0.0
-    for f, phi, _ in dictionary:
+    for f, phi, _ in quadratic_dictionary(V1.dim):
         weights = _cell_weights(V1.partition, phi, centers)
-        worst = max(worst, abs(_weighted_pairing(V1, f, weights)
-                               - _weighted_pairing(V2, f, weights)))
+        worst = max(worst, abs(float(weights @ _per_cell(V1, f))
+                               - float(weights @ _per_cell(V2, f))))
     return worst
 
 
@@ -634,14 +595,15 @@ def weakstar_distance(V1: GeneralizedYoungMeasure, V2: GeneralizedYoungMeasure,
 
 
 _MEASURE_MAGIC = b"DEYMS\x00"
-_MEASURE_VERSION = 2
+_MEASURE_VERSION = 3
 # version, dim, grid_n, n_t, n_x, t0, t1, radius, bins_per_axis,
 # sphere_bins, nu entries, nu_inf entries
 _MEASURE_HEADER = struct.Struct("<HBIIIdddIIQQ")
 
 
 def write_measure(path, V: GeneralizedYoungMeasure) -> None:
-    """Write V as a measure file: header, then the raw entry arrays."""
+    """Write V as a measure file: header, the per-cell arrays, then the
+    entries of both histograms."""
     part = V.partition
     with open(path, "wb") as fh:
         fh.write(_MEASURE_MAGIC)
@@ -649,11 +611,11 @@ def write_measure(path, V: GeneralizedYoungMeasure) -> None:
             _MEASURE_VERSION, part.dim, part.grid_n, part.n_t, part.n_x, part.t0, part.t1,
             V.radius, V.bins_per_axis, V.sphere_bins, len(V.nu.key),
             len(V.nu_inf.key)))
-        fh.write(V.lam_mass.astype("<f8", copy=False).tobytes())
+        for a in (V.lam_mass, V.nu_first, V.nu_second, V.lam_second):
+            fh.write(a.astype("<f8", copy=False).tobytes())
         for entries in (V.nu, V.nu_inf):
             fh.write(entries.key.astype("<i8", copy=False).tobytes())
-            for a in (entries.mass, entries.mean, entries.sec):
-                fh.write(a.astype("<f8", copy=False).tobytes())
+            fh.write(entries.mass.astype("<f8", copy=False).tobytes())
 
 
 def read_measure(path) -> GeneralizedYoungMeasure:
@@ -674,8 +636,9 @@ def read_measure(path) -> GeneralizedYoungMeasure:
     (_, dim, grid_n, n_t, n_x, t0, t1, radius, bins_per_axis, sphere_bins,
      n_nu, n_inf) = _MEASURE_HEADER.unpack(header)
     part = CellPartition(dim, grid_n, n_t, n_x, t0, t1)
-    per_entry = 2 + dim + dim * dim   # key, mass, mean, sec
-    want = 8 * (part.n_cells + (n_nu + n_inf) * per_entry)
+    n_cells = part.n_cells
+    # lam_mass, nu_first, nu_second, lam_second; a key and a mass per entry
+    want = 8 * (n_cells * (1 + dim + 2 * dim * dim) + 2 * (n_nu + n_inf))
     if len(data) < want:
         raise YoungMeasureError(f"truncated measure: expected {want} data "
                                 f"bytes, got {len(data)}")
@@ -692,13 +655,13 @@ def read_measure(path) -> GeneralizedYoungMeasure:
         offset += 8 * n
         return a.astype(dtype, copy=False).reshape(shape)
 
-    def entries(n_bins, n):
-        return BinEntries(n_bins, take("i8", (n,)), take("f8", (n,)),
-                          take("f8", (n, dim)), take("f8", (n, dim, dim)))
-
-    lam_mass = take("f8", (part.n_cells,))
-    nu = entries(bins_per_axis ** dim, n_nu)
-    nu_inf = entries(sphere_bins, n_inf)
+    lam_mass = take("f8", (n_cells,))
+    nu_first = take("f8", (n_cells, dim))
+    nu_second = take("f8", (n_cells, dim, dim))
+    lam_second = take("f8", (n_cells, dim, dim))
+    nu = BinEntries(bins_per_axis ** dim, take("i8", (n_nu,)), take("f8", (n_nu,)))
+    nu_inf = BinEntries(sphere_bins, take("i8", (n_inf,)), take("f8", (n_inf,)))
     return GeneralizedYoungMeasure(
         partition=part, radius=radius, bins_per_axis=bins_per_axis,
-        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf)
+        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+        nu_first=nu_first, nu_second=nu_second, lam_second=lam_second)

@@ -266,6 +266,34 @@ class TestSchema:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("viscosity,initial,field", [
+        ({"eps": 0.05}, {"kind": "zero"}, "viscosity.eps"),
+        ({"eps": 0.0}, {"kind": "single_mode", "amplitude": 0.3}, "initial.kind"),
+        ({"eps": 0.0}, None, "initial.kind"),   # the default start is taylor_green
+    ], ids=["viscous", "single_mode", "default_start"])
+    def test_transport_off_martingale_outside_linear_model_exits_2(
+            self, tmp_path, capsys, viscosity, initial, field):
+        # the transport-off martingale reads the linear model, which holds
+        # for eps = 0 from u(0) = 0 only
+        raw = forced_config(paths=64)
+        raw["experiment"] = "martingale"
+        raw["martingale"] = {"linear_paths": 64}
+        raw["solver"] = {"transport": False}
+        raw["viscosity"] = viscosity
+        if initial is None:
+            del raw["initial"]
+        else:
+            raw["initial"] = initial
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "martingale")
+        assert err.value.path == field
+        out = tmp_path / "run"
+        assert main(["martingale", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert f"config error: {field}: the transport-off martingale reads the " \
+            "linear model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_above_memory_ceiling_exits_2(self, tmp_path, capsys):
         # one field of a 3D 2048^3 grid is 206 GB; the loader rejects the
         # config before anything is built or integrated

@@ -86,9 +86,10 @@ def every_step(cfg):
 
 def _assert_same_bits(V, W):
     """Two measures agree bit for bit in every stored array."""
-    pairs = [(V.lam_mass, W.lam_mass)]
+    pairs = [(getattr(V, k), getattr(W, k))
+             for k in ("lam_mass", "nu_first", "nu_second", "lam_second")]
     for a, b in ((V.nu, W.nu), (V.nu_inf, W.nu_inf)):
-        pairs += [(getattr(a, k), getattr(b, k)) for k in ("key", "mass", "mean", "sec")]
+        pairs += [(getattr(a, k), getattr(b, k)) for k in ("key", "mass")]
     for x, y in pairs:
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
@@ -146,7 +147,8 @@ class TestLadder:
         Vd = dirac_embed(traj, part, 3.0)
         assert np.allclose(res.family.nu_mass, Vd.nu_mass)
         assert np.array_equal(res.family.nu.key, Vd.nu.key)
-        assert np.allclose(res.family.nu.mean, Vd.nu.mean)
+        assert np.allclose(res.family.nu_first, Vd.nu_first)
+        assert np.allclose(res.family.nu_second, Vd.nu_second)
         assert res.family.lam_total() == 0.0
 
     def test_deterministic_ladder_cauchy_decrease(self):

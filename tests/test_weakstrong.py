@@ -445,6 +445,39 @@ class TestLadderComparison:
                            radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
         assert calls == [(0, ref), (1, ref), (2, ref)]
 
+    def test_initial_states_drawn_once_per_grid(self, monkeypatch):
+        # the reference run starts from the draw F(0) reads; the weak start
+        # is drawn by run_ensemble for every rung and once more for F(0)
+        draws = []
+        real_initial_state = solver.initial_state
+
+        def counted(cfg, seed, path_id):
+            draws.append((cfg.grid.n, path_id))
+            return real_initial_state(cfg, seed, path_id)
+        monkeypatch.setattr(solver, "initial_state", counted)
+        monkeypatch.setattr(weakstrong, "initial_state", counted)
+        ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
+        weak = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.2),
+                            eps=0.1, dt=1.0 / 32, horizon=0.25, initial=ic)
+        ref = SolverConfig(grid=TorusGrid(2, 32), forcing=default_forcing(2, 0.2),
+                           eps=0.0, dt=1.0 / 64, horizon=0.25, initial=ic)
+        part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
+        times = snapshot_grid(0.25, 2)
+        _, rep = weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1,
+                                    path_ids=[0, 1], partition=part, radius=4.0,
+                                    snapshot_times=times)
+        assert sorted(draws) == [(16, 0), (16, 0), (16, 1), (16, 1), (32, 0), (32, 1)]
+        monkeypatch.setattr(solver, "initial_state", real_initial_state)
+        # F(0) and the reference keep the bits of their own draws
+        for p, pid in enumerate([0, 1]):
+            v0 = initial_state(ref, 1, pid)
+            want = initial_relative_energy(initial_state(weak, 1, pid), v0)
+            assert rep["per_eps"][0.1]["f0"][p] == want
+            shared = build_reference(ref, 1, pid, part, times, initial=v0)
+            drawn = build_reference(ref, 1, pid, part, times)
+            assert shared.cell_mean.tobytes() == drawn.cell_mean.tobytes()
+            assert shared.grad_sup.tobytes() == drawn.grad_sup.tobytes()
+
     @pytest.mark.parametrize("times, match", [
         ([0.0, 0.125, 0.28125], r"steps 0\.\.8"),   # past the horizon
         ([0.0, 0.0625, 0.09375], r"slabs \[1\] hold no snapshot"),

@@ -92,7 +92,9 @@ class TestDiracEmbed:
             occ = np.nonzero(V.nu_mass[cell])[0]
             assert len(occ) == 1
             assert V.nu_mass[cell, occ[0]] == pytest.approx(1.0)
-            assert np.allclose(V.nu.mean[V.nu.cell == cell], [[0.3, -0.4]])
+        # every cell's moments are those of the exact value
+        assert np.allclose(V.nu_first, [0.3, -0.4])
+        assert np.allclose(V.nu_second, np.outer([0.3, -0.4], [0.3, -0.4]))
 
     def test_barycenter_is_cell_average(self):
         grid = TorusGrid(2, 32)
@@ -124,7 +126,7 @@ class TestDiracEmbed:
     def test_escaped_constant_is_pure_concentration(self):
         # every sample of (3, 0) escapes R = 2: lambda carries |u|^2 = 9 per
         # unit volume and nu is the Dirac mass at 0 in every cell
-        from dissipeuler.young import _bin_of_values
+        from dissipeuler.young import _bin_of_values, _sphere_bin
 
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
@@ -134,8 +136,10 @@ class TestDiracEmbed:
         origin = int(_bin_of_values(np.zeros((1, 2)), 2.0, V.bins_per_axis)[0])
         assert np.array_equal(V.nu.key, np.arange(part.n_cells) * V.nu.n_bins + origin)
         assert np.all(V.nu.mass == 1.0)
-        assert not V.nu.mean.any() and not V.nu.sec.any()
-        assert np.allclose(V.nu_inf.mean, [1.0, 0.0])
+        assert not V.nu_first.any() and not V.nu_second.any()
+        e1 = int(_sphere_bin(np.array([[1.0, 0.0]]), V.sphere_bins, 2)[0])
+        assert np.array_equal(V.nu_inf.key, np.arange(part.n_cells) * V.sphere_bins + e1)
+        assert np.allclose(V.lam_second, V.lam_mass[:, None, None] * np.diag([1.0, 0.0]))
 
 
 class TestFamilyEstimator:
@@ -150,8 +154,8 @@ class TestFamilyEstimator:
         Vd = dirac_embed(traj, part, radius=2.0)
         assert np.allclose(Vf.nu_mass, Vd.nu_mass)
         assert np.array_equal(Vf.nu.key, Vd.nu.key)
-        assert np.allclose(Vf.nu.mean, Vd.nu.mean)
-        assert np.allclose(Vf.nu.sec, Vd.nu.sec)
+        assert np.allclose(Vf.nu_first, Vd.nu_first)
+        assert np.allclose(Vf.nu_second, Vd.nu_second)
         assert Vf.lam_total() == 0.0
 
     def test_oscillation_family_recovers_two_point_measure(self):
@@ -211,7 +215,7 @@ class TestFamilyEstimator:
         assert total_inf[e1_bin] == pytest.approx(V.lam_total(), rel=1e-12)
         at_e1 = V.nu_inf.key % V.nu_inf.n_bins == e1_bin
         assert np.array_equal(V.nu_inf.cell[at_e1], np.flatnonzero(V.lam_mass > 0))
-        assert np.allclose(V.nu_inf.mean[at_e1], [1.0, 0.0])
+        assert np.allclose(V.lam_second, V.lam_mass[:, None, None] * np.diag([1.0, 0.0]))
 
     def test_pure_concentration_barycenter_zero_energy_is_lambda(self):
         grid = TorusGrid(2, 64)
@@ -268,7 +272,8 @@ class TestFamilyEstimator:
         Vb = estimate_from_family([t2, t1], part, 2.0)
         assert np.allclose(Va.nu_mass, Vb.nu_mass)
         assert np.array_equal(Va.nu.key, Vb.nu.key)
-        assert np.allclose(Va.nu.mean, Vb.nu.mean)
+        assert np.allclose(Va.nu_first, Vb.nu_first)
+        assert np.allclose(Va.nu_second, Vb.nu_second)
         assert np.allclose(Va.lam_mass, Vb.lam_mass)
 
 
@@ -327,10 +332,6 @@ class TestPairing:
         small = TestIntegrand("half", quad=(0.5 * np.eye(2), np.zeros(2), 0.0))
         assert pairing(V, small) <= pairing(V, ENERGY)
         assert pairing(V, small) >= 0.0
-
-    def test_integrand_requires_recession(self):
-        with pytest.raises(YoungMeasureError):
-            TestIntegrand("partial", f=lambda xi: np.abs(xi).sum(axis=-1))
 
 
 class TestEnergyAndDistance:
@@ -418,11 +419,12 @@ def _assert_same_measure(got, want):
     for t in ("t0", "t1"):
         assert np.signbit(getattr(got.partition, t)) == \
             np.signbit(getattr(want.partition, t))
-    pairs = [(got.lam_mass, want.lam_mass)]
+    pairs = [(getattr(got, a), getattr(want, a))
+             for a in ("lam_mass", "nu_first", "nu_second", "lam_second")]
     for part in ("nu", "nu_inf"):
         g, w = getattr(got, part), getattr(want, part)
         assert g.n_bins == w.n_bins
-        pairs += [(getattr(g, a), getattr(w, a)) for a in ("key", "mass", "mean", "sec")]
+        pairs += [(getattr(g, a), getattr(w, a)) for a in ("key", "mass")]
     for g, w in pairs:
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w)
@@ -449,10 +451,10 @@ class TestExport:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda b: b"DEFLD\x00" + b[6:], "bad magic"),
-        (lambda b: b[:6] + (1).to_bytes(2, "little") + b[8:],
-         "unsupported measure version 1"),
-        (lambda b: b[:6] + (3).to_bytes(2, "little") + b[8:],
-         "unsupported measure version 3"),
+        (lambda b: b[:6] + (2).to_bytes(2, "little") + b[8:],
+         "unsupported measure version 2"),
+        (lambda b: b[:6] + (4).to_bytes(2, "little") + b[8:],
+         "unsupported measure version 4"),
         (lambda b: b[:20], "header"),
         (lambda b: b[:-8], "truncated measure: expected"),
         (lambda b: b + b"\x00", "trailing bytes"),
@@ -464,30 +466,6 @@ class TestExport:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(YoungMeasureError, match=message):
             read_measure(path)
-
-
-class TestBinningBound:
-    def test_general_integrand_within_lipschitz_bound(self):
-        # centroid-node pairing of a generic integrand stays within
-        # Lip(f) * bin diameter of the exact sample quadrature
-        grid = TorusGrid(2, 32)
-        part = make_partition(grid, n_t=1, n_x=4)
-        u = taylor_green(grid)
-        traj = field_trajectory(grid, lambda t, x: u.to_physical(), [0.0, 1.0])
-        radius, bins = 2.0, 16
-        V = dirac_embed(traj, part, radius, bins_per_axis=bins)
-
-        lip = 1.0
-        f = TestIntegrand("abs_sum",
-                          f=lambda xi: np.abs(xi).sum(axis=-1),
-                          f_inf=lambda xi: np.zeros(xi.shape[:-1]))
-        got = pairing(V, f)
-        vals = traj.values.reshape(2, 2, -1)
-        direct = float(np.abs(vals).sum(axis=1).mean(axis=0).mean()
-                       * TWO_PI ** 2)
-        bin_diameter = 2 * radius / bins * np.sqrt(2)
-        bound = lip * bin_diameter * part.total_volume
-        assert abs(got - direct) <= bound
 
 
 class TestFamilyEnergyBound:
@@ -525,7 +503,7 @@ class TestThreeDimensionalMeasures:
         assert total_inf[top] == pytest.approx(V.lam_total(), rel=1e-12)
         at_top = V.nu_inf.key % V.nu_inf.n_bins == top
         assert np.array_equal(V.nu_inf.cell[at_top], np.flatnonzero(V.lam_mass > 0))
-        assert np.allclose(V.nu_inf.mean[at_top], [0.0, 0.0, 1.0])
+        assert np.allclose(V.lam_second, V.lam_mass[:, None, None] * np.diag([0.0, 0.0, 1.0]))
 
     def test_3d_pairing_volume(self):
         grid = TorusGrid(3, 16)
@@ -539,98 +517,74 @@ class TestThreeDimensionalMeasures:
         assert len(quadratic_dictionary(3)) >= 20
 
 
-# -- dense oracle: the cells x bins accumulation the entry storage replaced ---
-
-
-def _oracle_scatter(values, flat_idx, size, mass, sum_v, sum_vv, weights=None):
-    dim = values.shape[1]
-    w = np.ones(len(values)) if weights is None else weights
-    mass += np.bincount(flat_idx, weights=w, minlength=size)
-    for i in range(dim):
-        sum_v[:, i] += np.bincount(flat_idx, weights=w * values[:, i], minlength=size)
-        for j in range(i, dim):
-            contrib = np.bincount(flat_idx, weights=w * values[:, i] * values[:, j],
-                                  minlength=size)
-            sum_vv[:, i, j] += contrib
-            if i != j:
-                sum_vv[:, j, i] += contrib
+# -- oracle: the measure summed sample by sample from the raw samples --------
 
 
 def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins):
-    """Dense (n_cells, bins, ...) arrays of the measure, accumulated per bin."""
+    """Every sample inside the window, with the dense arrays of its measure.
+
+    The bin masses are dense (n_cells, bins) arrays; the moments are block
+    sums over each cell's samples.
+    """
     from dissipeuler.young import _bin_of_values, _sphere_bin
 
-    dim = partition.dim
-    n_cells = partition.n_cells
+    dim, n_cells = partition.dim, partition.n_cells
     n_bins = bins_per_axis ** dim
-    nu_w = np.zeros(n_cells * n_bins)
-    nu_v = np.zeros((n_cells * n_bins, dim))
-    nu_vv = np.zeros((n_cells * n_bins, dim, dim))
-    lam_w = np.zeros(n_cells * sphere_bins)
-    lam_v = np.zeros((n_cells * sphere_bins, dim))
-    lam_vv = np.zeros((n_cells * sphere_bins, dim, dim))
-    samples_per_cell = np.zeros(n_cells)
     space_idx = partition.space_cell_index()
+    cells, values = [], []
     for traj in trajectories:
         for m in range(traj.n_snapshots):
             t = float(traj.times[m])
-            if t < partition.t0 - 1e-12 or t > partition.t1 + 1e-12:
-                continue
-            cell = partition.slab_of(t) * partition.n_space + space_idx
-            vals = traj.values[m].reshape(dim, -1).T
-            samples_per_cell += np.bincount(cell, minlength=n_cells)
-            speed = np.sqrt((vals ** 2).sum(axis=1))
-            below = speed <= radius
-            # an escaped sample counts in nu at the origin, with value 0
-            use = np.where(below[:, None], vals, 0.0)
-            flat = cell * n_bins + _bin_of_values(use, radius, bins_per_axis)
-            _oracle_scatter(use, flat, n_cells * n_bins, nu_w, nu_v, nu_vv)
-            above = ~below
-            if above.any():
-                units = vals[above] / speed[above][:, None]
-                flat = cell[above] * sphere_bins + _sphere_bin(units, sphere_bins, dim)
-                _oracle_scatter(units, flat, n_cells * sphere_bins, lam_w, lam_v,
-                                lam_vv, weights=speed[above] ** 2)
+            if partition.t0 - 1e-12 <= t <= partition.t1 + 1e-12:
+                cells.append(partition.slab_of(t) * partition.n_space + space_idx)
+                values.append(traj.values[m].reshape(dim, -1).T)
+    cell, vals = np.concatenate(cells), np.concatenate(values)
+    count = np.bincount(cell, minlength=n_cells).astype(float)
+    speed = np.sqrt((vals ** 2).sum(axis=1))
+    below = speed <= radius
+    # an escaped sample counts in nu at the origin, with value 0
+    use = np.where(below[:, None], vals, 0.0)
+    flat = cell * n_bins + _bin_of_values(use, radius, bins_per_axis)
+    nu_mass = (np.bincount(flat, minlength=n_cells * n_bins).reshape(n_cells, n_bins)
+               / count[:, None])
 
-    nu_w = nu_w.reshape(n_cells, n_bins)
-    occupied = nu_w > 0
-    nu_mean = np.zeros((n_cells, n_bins, dim))
-    nu_sec = np.zeros((n_cells, n_bins, dim, dim))
-    np.divide(nu_v.reshape(nu_mean.shape), nu_w[..., None], out=nu_mean,
-              where=occupied[..., None])
-    np.divide(nu_vv.reshape(nu_sec.shape), nu_w[..., None, None], out=nu_sec,
-              where=occupied[..., None, None])
-    nu_mass = nu_w / samples_per_cell[:, None]
+    above = ~below
+    weight = speed[above] ** 2 * partition.cell_volume / count[cell[above]]
+    lam_mass = np.bincount(cell[above], weights=weight, minlength=n_cells)
+    flat = cell[above] * sphere_bins + _sphere_bin(
+        vals[above] / speed[above][:, None], sphere_bins, dim)
+    inf_w = np.bincount(flat, weights=weight,
+                        minlength=n_cells * sphere_bins).reshape(n_cells, sphere_bins)
+    inf_mass = np.zeros_like(inf_w)
+    np.divide(inf_w, lam_mass[:, None], out=inf_mass, where=(lam_mass > 0)[:, None])
 
-    cell_weight = partition.cell_volume / samples_per_cell
-    lam_w = lam_w.reshape(n_cells, sphere_bins) * cell_weight[:, None]
-    lam_v = lam_v.reshape(n_cells, sphere_bins, dim) * cell_weight[:, None, None]
-    lam_vv = (lam_vv.reshape(n_cells, sphere_bins, dim, dim)
-              * cell_weight[:, None, None, None])
-    lam_mass = lam_w.sum(axis=1)
-    pos = lam_w > 0
-    inf_mean = np.zeros_like(lam_v)
-    inf_sec = np.zeros_like(lam_vv)
-    np.divide(lam_v, lam_w[..., None], out=inf_mean, where=pos[..., None])
-    np.divide(lam_vv, lam_w[..., None, None], out=inf_sec,
-              where=pos[..., None, None])
-    inf_mass = np.zeros_like(lam_w)
-    np.divide(lam_w, lam_mass[:, None], out=inf_mass,
-              where=(lam_mass > 0)[:, None])
-    return {"nu_mass": nu_mass, "nu_mean": nu_mean, "nu_sec": nu_sec,
-            "lam_mass": lam_mass, "inf_mass": inf_mass, "inf_mean": inf_mean,
-            "inf_sec": inf_sec}
+    nu_first = np.zeros((n_cells, dim))
+    nu_second = np.zeros((n_cells, dim, dim))
+    lam_second = np.zeros((n_cells, dim, dim))
+    for c in range(n_cells):
+        mine = cell == c
+        inside, escaped = use[mine], vals[mine & above]
+        nu_first[c] = inside.sum(axis=0) / count[c]
+        nu_second[c] = inside.T @ inside / count[c]
+        lam_second[c] = escaped.T @ escaped * partition.cell_volume / count[c]
+    return {"cell": cell, "vals": vals, "below": below, "count": count,
+            "nu_mass": nu_mass, "lam_mass": lam_mass, "inf_mass": inf_mass,
+            "nu_first": nu_first, "nu_second": nu_second, "lam_second": lam_second}
 
 
 def _oracle_pairing(ref, part, f, phi):
+    """The sample quadrature of phi [<nu, f> dx dt + <nu_inf, f_inf> dlambda].
+
+    A sample in the ball gives f(u); an escaped one gives f(0) = c from its
+    share of nu plus |u|^2 f_inf(u / |u|) = u.A.u from lambda.
+    """
     weights = (np.ones(part.n_cells) if phi is None
                else np.asarray(phi(*part.cell_centers()), dtype=float))
     a, b, c = f.quad
-    per_bin = np.einsum("cbij,ij->cb", ref["nu_sec"], a) + ref["nu_mean"] @ b + c
-    per_bin_inf = np.einsum("cbij,ij->cb", ref["inf_sec"], a)
-    osc = (ref["nu_mass"] * per_bin).sum(axis=1) * part.cell_volume
-    conc = (ref["inf_mass"] * per_bin_inf).sum(axis=1) * ref["lam_mass"]
-    return float(weights @ (osc + conc))
+    cell, vals = ref["cell"], ref["vals"]
+    quad = np.einsum("si,ij,sj->s", vals, a, vals)
+    value = np.where(ref["below"], quad + vals @ b + c, c + quad)
+    return float(np.sum(weights[cell] * part.cell_volume / ref["count"][cell] * value))
 
 
 def _random_family(grid, n_traj, times, scale, seed):
@@ -656,21 +610,26 @@ def _family_case(dim):
     return case
 
 
-def _pure_concentration_case():
-    grid = TorusGrid(2, 16)
-    (traj,) = _random_family(grid, 1, [0.0, 0.5, 1.0], 0.5, 3)
-    vals = traj.values.copy()
-    vals[:, 0, :4, :4] = 5.0            # every sample of space cell 0
-    vals[:, 1, 4:6, :4] = -4.0          # part of space cell 4
-    traj = Trajectory(grid, traj.times, vals)
-    return [traj], make_partition(grid, n_t=2, n_x=4), 2.0, 16, 8, False
+def _pure_concentration_case(dim):
+    def case():
+        grid = TorusGrid(dim, 16 if dim == 2 else 8)
+        (traj,) = _random_family(grid, 1, [0.0, 0.5, 1.0], 0.5, 3)
+        vals = traj.values.copy()
+        block = (slice(0, 4),) * (dim - 1)   # the first block in all but x1
+        vals[(slice(None), 0, slice(0, 4)) + block] = 5.0    # every sample of space cell 0
+        vals[(slice(None), 1, slice(4, 6)) + block] = -4.0   # part of space cell 4
+        part = CellPartition(dim, grid.n, 2, 4 if dim == 2 else 2, 0.0, 1.0)
+        return ([Trajectory(grid, traj.times, vals)], part, 2.0,
+                16 if dim == 2 else 4, 8, False)
+    return case
 
 
 ORACLE_CASES = {
     "dirac_clipped": _escaped_embed_case,
     "family_2d": _family_case(2),
     "family_3d": _family_case(3),
-    "pure_concentration": _pure_concentration_case,
+    "pure_concentration": _pure_concentration_case(2),
+    "pure_concentration_3d": _pure_concentration_case(3),
 }
 
 
@@ -695,30 +654,38 @@ class TestEntriesMatchDenseOracle:
     def test_entries(self, case):
         V, ref = _build_both(case)
         for entries, prefix in ((V.nu, "nu_"), (V.nu_inf, "inf_")):
-            mass = ref[prefix + "mass"]
+            mass = ref[prefix + "mass"].ravel()
             keys = np.flatnonzero(mass)
             assert np.array_equal(entries.key, keys)
-            for name in ("mass", "mean", "sec"):
-                want = ref[prefix + name]
-                want = want.reshape((-1,) + want.shape[2:])[keys]
-                np.testing.assert_allclose(getattr(entries, name), want,
-                                           rtol=1e-14, atol=0)
+            np.testing.assert_allclose(entries.mass, mass[keys], rtol=1e-14, atol=0)
         np.testing.assert_allclose(V.lam_mass, ref["lam_mass"], rtol=1e-14,
                                    atol=0)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_moments(self, case):
+        # <nu, xi>, <nu, xi (x) xi> and lambda <nu_inf, theta (x) theta> are
+        # the block sums of u, of u (x) u inside the ball and of u (x) u
+        # beyond it, over each cell's samples
+        V, ref = _build_both(case)
+        for name in ("nu_first", "nu_second", "lam_second"):
+            np.testing.assert_allclose(getattr(V, name), ref[name], rtol=1e-12,
+                                       atol=0, err_msg=name)
+        np.testing.assert_allclose(np.trace(V.lam_second, axis1=1, axis2=2),
+                                   V.lam_mass, rtol=1e-12, atol=0)
 
     def test_cases_cover_clipping_concentration_and_empty_cells(self):
         # samples beyond R in a single-trajectory embedding, concentration
         # in 2D and 3D families, and cells whose every sample escaped, so
         # that nu is the Dirac mass at 0 there
         def escaped_only(V):
-            tr = np.trace(V.nu.sec, axis1=1, axis2=2)
-            return int((V.nu.per_cell(V.partition.n_cells, tr) == 0).sum())
+            return int((np.trace(V.nu_second, axis1=1, axis2=2) == 0).sum())
 
         assert _build("dirac_clipped").lam_total() > 0
         for case in ("family_2d", "family_3d"):
             V = _build(case)
             assert V.lam_total() > 0 and escaped_only(V) == 0
-        assert escaped_only(_build("pure_concentration")) == 2
+        for case in ("pure_concentration", "pure_concentration_3d"):
+            assert escaped_only(_build(case)) == 2
 
     @pytest.mark.parametrize("case", ["dirac_clipped", "family_2d", "family_3d"])
     def test_slab_energies_do_not_depend_on_radius(self, case):
@@ -742,8 +709,9 @@ class TestEntriesMatchDenseOracle:
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_pairing_dictionary(self, case):
-        # pairings that vanish exactly (a trig weight against a constant)
-        # are rounding noise; their floor scales with the total volume
+        # every pairing is the quadrature over the samples; pairings that
+        # vanish exactly (a trig weight against a constant) are rounding
+        # noise, and their floor scales with the total volume
         V, ref = _build_both(case)
         floor = 1e-12 * V.partition.total_volume
         for f, phi, label in quadratic_dictionary(V.dim):
@@ -753,7 +721,8 @@ class TestEntriesMatchDenseOracle:
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_file_round_trip(self, case, tmp_path):
-        # test_entries ties the arrays to the oracle; the file keeps every bit
+        # test_entries and test_moments tie the arrays to the oracle; the
+        # file keeps every bit
         V, _ = _build_both(case)
         path = _written(tmp_path, V)
         back = read_measure(path)
