@@ -14,12 +14,14 @@ traces, field snapshots, binary Young-measure files, diagnostics) sealed
 by a SHA-256 manifest.  Each
 experiment returns its audit rows, most of them built by the library
 function that computes the audited value, and ``main`` alone writes them
-to ``reports/<experiment>.json``, the only place a verdict is stored.  Runs
-are sequential: the (viscosity, path) runs of an experiment go one after
-another in fixed order, through ``solver.run_ensemble``.  ``--threads N``
-is accepted for compatibility and ignored.  Exit status is 0 iff every
-enabled audit passed, 1 on an audit failure, 2 on a configuration error
-and 3 on a crash.
+to ``reports/<experiment>.json``, the only place a verdict is stored.  The
+(viscosity, path) runs of an experiment go through ``solver.run_ensemble``
+on P = min(N, paths, usable cores) processes for ``--threads N`` (N >= 1,
+default 1): this one and P - 1 forked workers, path i in process i mod P.
+Runs reach the experiment in one fixed order, so every artifact keeps
+every bit at any N.  Exit status is 0 iff every enabled audit passed, 1 on
+an audit failure, 2 on a configuration error (``--threads`` below 1
+included) and 3 on a crash, a worker's included.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def main(argv=None) -> int:
         print(text)
         return 0 if text.endswith("overall: PASS") else 1
     try:
-        cfg, raw = load_config(args.config, args.command, args.seed)
+        cfg, raw = load_config(args.config, args.command, args.seed, args.threads)
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
         "weakstrong": _run_weakstrong,
     }[args.command]
     try:
-        rows, extras = runner(cfg, out)
+        rows, extras = runner(cfg, out, args.threads)
         out.write_json(f"reports/{args.command}.json",
                        {"experiment": args.command, "seed": cfg.seed,
                         "rows": rows, **extras})
@@ -113,7 +115,8 @@ def _build_parser():
                        help="artifact directory (default runs/<experiment>)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored; runs are sequential")
+                       help="processes to run the paths on, at most the paths "
+                            "and the usable cores (default 1)")
     rep = sub.add_parser("report")
     rep.add_argument("--dir", required=True)
     return parser
@@ -122,9 +125,10 @@ def _build_parser():
 # -- simulate ----------------------------------------------------------------
 
 
-def _run_simulate(cfg: RunConfig, out: RunDirectory):
+def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
     rows = []
-    for _, path, run, err in run_ensemble([cfg.solver], cfg.seed, range(cfg.paths)):
+    for _, path, run, err in run_ensemble([cfg.solver], cfg.seed, range(cfg.paths),
+                                          processes=threads):
         tag = f"eps{cfg.solver.eps:g}_path{path.path_id:04d}"
         if err is not None:
             if err.partial is not None:
@@ -146,14 +150,14 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory):
 # -- vanish ------------------------------------------------------------------
 
 
-def _run_vanish(cfg: RunConfig, out: RunDirectory):
+def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
     part = cfg.partition
     ladder = ViscosityLadder(cfg.eps_values, cfg.solver, cfg.seed,
                              tuple(range(cfg.paths)))
 
     res = run_ladder(ladder, part, cfg.young.radius, cfg.snapshot_times,
                      bins_per_axis=cfg.young.bins_per_axis,
-                     sphere_bins=cfg.young.sphere_bins)
+                     sphere_bins=cfg.young.sphere_bins, processes=threads)
 
     rows = []
     for eps, survivors in res.traces.items():
@@ -202,7 +206,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory):
 # -- ym ----------------------------------------------------------------------
 
 
-def _run_ym(cfg: RunConfig, out: RunDirectory):
+def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     eps = cfg.eps_values[0]
     part = cfg.partition
     snaps = Snapshots(cfg.solver, cfg.snapshot_times)
@@ -250,7 +254,7 @@ def _blowup_report(out: RunDirectory, experiment: str, err: BlowUpError,
 # -- martingale ---------------------------------------------------------------
 
 
-def _run_martingale(cfg: RunConfig, out: RunDirectory):
+def _run_martingale(cfg: RunConfig, out: RunDirectory, threads: int):
     scfg = cfg.solver
     fields = probe_fields(scfg.grid)
     pairs = cfg.martingale.pairs
@@ -259,7 +263,7 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
     if scfg.transport:
         try:
             functionals = solver_functionals_multi(
-                scfg, fields, cfg.seed, range(cfg.paths), pairs)
+                scfg, fields, cfg.seed, range(cfg.paths), pairs, threads)
         except BlowUpError as err:
             return _blowup_report(out, "martingale", err)
     else:
@@ -280,7 +284,7 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory):
 # -- weakstrong ----------------------------------------------------------------
 
 
-def _run_weakstrong(cfg: RunConfig, out: RunDirectory):
+def _run_weakstrong(cfg: RunConfig, out: RunDirectory, threads: int):
     try:
         rows, rep = weak_strong_ladder(
             cfg.eps_values, cfg.solver,
@@ -289,7 +293,7 @@ def _run_weakstrong(cfg: RunConfig, out: RunDirectory):
             cfg.snapshot_times, level=cfg.reference.level,
             slack=cfg.tolerances.gronwall_slack,
             bins_per_axis=cfg.young.bins_per_axis,
-            sphere_bins=cfg.young.sphere_bins)
+            sphere_bins=cfg.young.sphere_bins, processes=threads)
     except BlowUpError as err:
         return _blowup_report(out, "weakstrong", err)
     return rows, {

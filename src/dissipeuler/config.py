@@ -18,8 +18,8 @@ names the field (``_at``).  These are the ladder's order and positivity
 (``weakstrong.check_reference_n``, ``forcing.refinement_halvings``) and
 the snapshot in every time slab (``young.CellPartition.check_slabs``).
 Each such rule compares so that NaN fails.  ``_check_memory`` holds
-a config to a memory ceiling: its largest run, its Wiener paths and its
-Young accumulators' slot tables and moment sums.
+a config to a memory ceiling: a run per process, its Wiener paths and its
+Young accumulators' count and slot tables and moment sums.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .forcing import (
     refinement_halvings,
 )
 from .limits import MIN_MARTINGALE_PATHS, MartingaleStat, check_pair, decreasing_rungs
-from .solver import InitialCondition, SolverConfig, SolverError, step_index
+from .solver import InitialCondition, SolverConfig, SolverError, check_threads, step_index
 from .spectral import SpectralError, TorusGrid
 from .weakstrong import check_reference_n
 from .young import CellPartition
@@ -217,25 +217,27 @@ class RunConfig:
         return tuple(sorted({0.0, self.solver.steps * dt, *mids}))
 
 
-def load_config(path, experiment: str, seed: int | None = None):
+def load_config(path, experiment: str, seed: int | None = None, threads: int = 1):
     """The config at ``path`` for ``experiment`` and the JSON it was read from.
 
     The file is read once.  A ``seed`` replaces ``ensemble.seed`` in both,
-    once the file has loaded as written.
+    once the file has loaded as written.  ``threads`` is ``--threads``,
+    checked first; the memory ceiling charges one run per process.
     """
+    check_threads(threads, _at("--threads"))
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise ConfigError("<file>", f"invalid JSON: {err}") from err
-    cfg = parse_config(raw, experiment)
+    cfg = parse_config(raw, experiment, threads)
     if seed is not None:
         cfg = replace(cfg, seed=check_seed(seed))
         raw["ensemble"]["seed"] = seed
     return cfg, raw
 
 
-def parse_config(raw: dict, experiment: str) -> RunConfig:
+def parse_config(raw: dict, experiment: str, threads: int = 1) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
     _check(raw, "<file>", dict)
@@ -302,30 +304,35 @@ def parse_config(raw: dict, experiment: str) -> RunConfig:
             if initial.kind != "zero":
                 raise ConfigError("initial.kind",
                                   f"{model} the zero initial state, got {initial.kind!r}")
-    _check_memory(cfg)
+    _check_memory(cfg, threads)
     return cfg
 
 
-def _check_memory(cfg: RunConfig) -> None:
+def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
     """What the experiment holds at once fits under ``MAX_RUN_BYTES``.
 
-    Runs are integrated one at a time and a viscosity ladder streams its
-    runs into the measures, so an experiment holds about one run beside
-    what serves all its runs.  Three terms are charged:
+    Each process of an ensemble integrates its runs one at a time and a
+    viscosity ladder bins its runs as they run, so an experiment holds
+    about one run per process beside what serves all its runs.  The
+    processes are min(``threads``, paths), from ``--threads`` and the
+    config alone (not the cores of the host), and one for ym and the
+    transport-off martingale.  Three terms are charged:
 
-    * the largest run: its snapshots, each the point values of one state,
-      and ``WORKING_FIELDS`` half-spectrum fields on its grid; simulate and
-      martingale runs and the weakstrong reference run on ``reference.n``
-      keep no snapshots;
+    * the runs: the largest run, plus one ensemble run per further
+      process.  A run holds its snapshots, each the point values of one
+      state, and ``WORKING_FIELDS`` half-spectrum fields on its grid;
+      simulate and martingale runs and the weakstrong reference run on
+      ``reference.n`` keep no snapshots;
     * the Wiener paths, drawn up front by one ``WienerPath.sample_many``
       call: 24 bytes per (path, step, mode) over ``ensemble.paths`` paths,
       ``martingale.linear_paths`` for the transport-off martingale and one
       path for ym;
     * the Young accumulators held at once, two in vanish (the family's and
       a rung's) and one in ym and weakstrong: per time slab and space cell,
-      int32 slot tables of ``bins_per_axis ** dim`` oscillation slots and
-      ``sphere_bins`` concentration slots, and 1 + dim + 2 dim^2 f64 moment
-      sums (the sample count, the first moment and the two second moments).
+      an int64 count for each of the ``bins_per_axis ** dim`` oscillation
+      bins, an int32 slot for each of the ``sphere_bins`` concentration
+      bins, and 1 + dim + 2 dim^2 f64 moment sums (the sample count, the
+      first moment and the two second moments).
 
     A config above the ceiling fails naming the field of the largest term.
     """
@@ -336,23 +343,32 @@ def _check_memory(cfg: RunConfig) -> None:
     def run(n, snapshots, where):
         half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
         return (snapshots * 8 * dim * n ** dim + WORKING_FIELDS * half, where,
-                f"a run at n={n} in {dim}D retains")
+                f"a run at n={n} in {dim}D")
 
     runs = [run(grid.n, len(cfg.snapshot_times) if measured else 0, "grid.n")]
     if cfg.experiment == "weakstrong":
         runs.append(run(cfg.reference.n, 0, "reference.n"))
-    if cfg.experiment == "martingale" and not solver.transport:
+    if cfg.experiment == "martingale" and not solver.transport:   # runs no path
         paths, where = cfg.martingale.linear_paths, "martingale.linear_paths"
+        processes = 1
     else:
         paths, where = 1 if cfg.experiment == "ym" else cfg.paths, "ensemble.paths"
+        processes = min(threads, paths)
+    size, field, what = max(runs)
+    if processes > 1:
+        size += (processes - 1) * runs[0][0]
+        what += f" and a run in each of {processes - 1} more processes retain"
+    else:
+        what += " retains"
     # the draw holds the raw word, the uniform and the increment of every
     # (path, step, mode) at once: 24 bytes
-    terms = [max(runs), (24 * paths * solver.steps * solver.forcing.rank, where,
-                         "the Wiener paths drawn up front retain")]
+    terms = [(size, field, what),
+             (24 * paths * solver.steps * solver.forcing.rank, where,
+              "the Wiener paths drawn up front retain")]
     if measured:
         cells = (2 if cfg.experiment == "vanish" else 1) * cfg.partition.n_cells
-        terms += [(4 * cells * young.bins_per_axis ** dim, "young.bins_per_axis",
-                   "the oscillation slot tables of the Young accumulators retain"),
+        terms += [(8 * cells * young.bins_per_axis ** dim, "young.bins_per_axis",
+                   "the oscillation count tables of the Young accumulators retain"),
                   (4 * cells * young.sphere_bins, "young.sphere_bins",
                    "the sphere slot tables of the Young accumulators retain"),
                   (8 * cells * (1 + dim + 2 * dim * dim), "young.space_cells",

@@ -32,6 +32,7 @@ paths through ``solver.run_ensemble``.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .forcing import ForcingOperator, WienerPath, ndtri
 from .reporting import audit_row
-from .solver import SolverConfig, Snapshots, run_ensemble, step_index
+from .solver import SolverConfig, run_ensemble, snapshot_steps, step_index
 from .spectral import (
     SpectralField,
     gradient_physical,
@@ -51,6 +52,7 @@ from .young import (
     CellPartition,
     GeneralizedYoungMeasure,
     YoungAccumulator,
+    YoungBinner,
     slab_energies,
     weakstar_distance,
 )
@@ -105,39 +107,41 @@ class LadderResult:
 
 def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
                radius: float, snapshot_times, bins_per_axis: int = 16,
-               sphere_bins: int = 32) -> LadderResult:
+               sphere_bins: int = 32, processes: int = 1) -> LadderResult:
     """Run every rung on shared noise and estimate the family measure.
 
     ``solver.run_ensemble`` runs the rungs config-major (every path of one
-    rung, then the next rung) on paths and initial states drawn once.  It
-    reads each rung's configuration when the rung before starts, and
-    ``run_rung`` takes one rung's runs and keeps no run, so a finished
-    rung's configuration (with its cached viscous factor) is free while
-    the next rung runs.  The runs
-    stream: a ``Snapshots`` observer keeps each run's point values at
-    ``snapshot_times``, which are added to its rung's ``YoungAccumulator``
-    and, for a tail rung, to the family's, and then dropped.  The tail is
-    the last half of the configured rungs, ``eps_values[len // 2:]``, less
-    any rung without a surviving run; per-rung measures pool the ensemble
-    at that viscosity.  Blow-ups abort a single (eps, path) run and the
-    ladder continues without it.  The result keeps every survivor's energy
-    trace with its path id and the measures.  The first survivor of each
-    tail rung also feeds a ``FunctionalRecorder`` (first ``probe_fields``
-    field) at the snapshot steps, which must hold step 0; ``finest`` holds
-    that of the finest tail rung with its residual at the last snapshot.
+    rung, then the next rung) on paths and initial states drawn once, on
+    up to ``processes`` processes.  It reads each rung's configuration
+    when the rung before starts, and ``run_rung`` takes one rung's runs and
+    keeps no run, so a finished rung's configuration (with its cached
+    viscous factor) is free while the next rung runs.  Every run is binned
+    as it runs, in the process that runs it, by a ``YoungBinner`` observing
+    the steps at ``snapshot_times``; its ``RunBins`` are applied to its
+    rung's ``YoungAccumulator`` and, for a tail rung, to the family's, so
+    no trajectory is kept.  The tail is the last half of the configured
+    rungs, ``eps_values[len // 2:]``, less any rung without a surviving
+    run; per-rung measures pool the ensemble at that viscosity.  Blow-ups
+    abort a single (eps, path) run and the ladder continues without it.
+    The result keeps every survivor's energy trace with its path id and the
+    measures.  Every tail run also feeds a ``FunctionalRecorder`` (first
+    ``probe_fields`` field) at the snapshot steps, which must hold step 0;
+    ``finest`` holds the first survivor of the finest tail rung with its
+    residual at the last snapshot.
     """
     base = ladder.base
-    snaps = Snapshots(base, snapshot_times)
+    steps = snapshot_steps(base, snapshot_times)
+    binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps)
     phi = probe_fields(base.grid)[0][1]
-    recorders = {eps: FunctionalRecorder(phi, eps, base.transport, snaps.steps)
+    recorders = {eps: FunctionalRecorder(phi, eps, base.transport, steps)
                  for eps in ladder.eps_values[len(ladder.eps_values) // 2:]}
 
-    def watch(cfg):   # called before each run, so it sees the rung's survivors
+    def watch(cfg):   # the same observers in every process
         rec = recorders.get(cfg.eps)
-        return (snaps,) if rec is None or traces.get(cfg.eps) else (snaps, rec)
+        return (binner,) if rec is None else (binner, rec)
 
     pooled = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
-    traces, measures, blowups, paths = {}, {}, {}, {}
+    traces, measures, blowups, paths, first = {}, {}, {}, {}, {}
 
     def run_rung(eps, rung_runs):   # a function: its last run goes when it returns
         rung = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
@@ -147,25 +151,28 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
             if err is not None:
                 blowups.setdefault(eps, []).append((path.path_id, str(err)))
                 continue
-            rung.add(snaps.trajectory)
-            if eps in recorders:
-                pooled.add(snaps.trajectory)
+            rung.apply(binner.binned)
+            if eps in recorders:   # binned once, applied twice
+                pooled.apply(binner.binned)
+                first.setdefault(eps, recorders[eps].payload())
             traces[eps].append((path.path_id, run.trace))
         if traces[eps]:
             measures[eps] = rung.measure()
 
-    runs = run_ensemble((base.with_eps(eps) for eps in ladder.eps_values),
-                        ladder.seed, ladder.path_ids, watch)
-    for eps in ladder.eps_values:
-        run_rung(eps, islice(runs, len(ladder.path_ids)))
+    with closing(run_ensemble((base.with_eps(eps) for eps in ladder.eps_values),
+                              ladder.seed, ladder.path_ids, watch, processes)) as runs:
+        for eps in ladder.eps_values:
+            run_rung(eps, islice(runs, len(ladder.path_ids)))
 
     tail = [eps for eps in measures if eps in recorders]
     family, finest = None, None
-    if tail:   # the finest tail rung's recorder holds its first survivor
+    if tail:   # the finest tail rung's first survivor
         family = pooled.measure()
         pid, trace = traces[tail[-1]][0]
+        rec = recorders[tail[-1]]
+        rec.restore(first[tail[-1]])
         finest = (tail[-1], pid, trace,
-                  momentum_residual(recorders[tail[-1]], base.forcing, paths[pid]))
+                  momentum_residual(rec, base.forcing, paths[pid]))
     usable = list(measures)
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
@@ -259,6 +266,13 @@ class FunctionalRecorder:
         else:
             self._conv.append(0.0)
         self._visc.append(inner_product(u, self._lap_phi))
+
+    def payload(self):
+        """The series of the run observed last, which ``restore`` takes."""
+        return self.times, self.pairings, self._visc, self._conv
+
+    def restore(self, payload):
+        self.times, self.pairings, self._visc, self._conv = payload
 
     def martingale_series(self) -> np.ndarray:
         """M at every observed time; the last state only closes the window."""
@@ -372,19 +386,22 @@ def linear_model_functionals_multi(forcing: ForcingOperator, fields, seed: int,
 
 
 def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
-                             pairs) -> dict:
-    """Full-model functionals: each path is integrated once, with one
-    ``FunctionalRecorder`` per ``(name, phi)`` of ``fields``, built once for
-    all paths, observing every step.  Returns {name: (by_pair, c)}; the
-    first blow-up is raised, and no later path runs.
+                             pairs, processes: int = 1) -> dict:
+    """Full-model functionals: each path is integrated once, on up to
+    ``processes`` processes, with one ``FunctionalRecorder`` per ``(name,
+    phi)`` of ``fields``, built once for all paths, observing every step.
+    Returns {name: (by_pair, c)}; the first blow-up is raised, and the
+    ensemble stops there.
     """
     recs = [FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
             for _, phi in fields]
     runs = []
-    for _, path, _, err in run_ensemble([cfg], seed, path_ids, lambda _: recs):
-        if err is not None:
-            raise err
-        runs.append((path.coordinates(), [(r.martingale_series(), r.pairings) for r in recs]))
+    with closing(run_ensemble([cfg], seed, path_ids, lambda _: recs, processes)) as ensemble:
+        for _, path, _, err in ensemble:
+            if err is not None:
+                raise err
+            runs.append((path.coordinates(),
+                         [(r.martingale_series(), r.pairings) for r in recs]))
     beta = np.stack([b for b, _ in runs])
     out = {}
     for f, (name, phi) in enumerate(fields):

@@ -20,17 +20,25 @@ rank-0 ``ForcingOperator(())``, so every run samples its Wiener path (of 0
 modes then) and adds its noise one way, and I and M stay +0.0.
 
 A run keeps only its configuration, this trace and its final state; its
-states are read by observers (``run_path``), such as ``Snapshots``.  Every
-experiment runs its (configuration, path) runs through ``run_ensemble``,
-which draws the Wiener paths once, shares them across configurations and
-reports a blow-up as that run's failure.
+states are read by observers (``run_path``), such as ``Snapshots``.  An
+observer has ``steps`` and ``on_state``, and, to serve a run made in a
+worker process, ``payload()`` (what it kept of the run) and ``restore``.
+Every experiment runs its (configuration, path) runs through
+``run_ensemble``, which draws the Wiener paths once, shares them across
+configurations, reports a blow-up as that run's failure and, for
+``--threads``, runs the paths on forked worker processes.
 """
 
 from __future__ import annotations
 
 import csv
+import fcntl
 import functools
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +59,10 @@ from .spectral import (
     single_mode,
     taylor_green,
 )
+
+
+# the pipe a worker of ``run_ensemble`` sends its runs through, in bytes
+PIPE_BYTES = 2 ** 20
 
 
 class SolverError(RuntimeError):
@@ -244,15 +256,11 @@ class Trajectory:
 
     grid: TorusGrid
     times: np.ndarray
-    values: np.ndarray  # (n_snapshots, dim) + grid.shape
+    values: np.ndarray  # (len(times), dim) + grid.shape
 
     def __post_init__(self):
         self.values.setflags(write=False)
         self.times.setflags(write=False)
-
-    @property
-    def n_snapshots(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -269,10 +277,11 @@ class Snapshots:
     is built, so a time off the step grid raises ``error`` before any run.
     Each run fills a fresh buffer, so one observer serves run after run and
     a ``trajectory`` taken after a run stays valid while later runs go on.
+    Its ``payload`` is a run's times and values, which ``restore`` takes.
     """
 
     def __init__(self, cfg: SolverConfig, times, error: type = SolverError):
-        self.steps = frozenset(step_index(t, cfg.dt, cfg.steps, error) for t in times)
+        self.steps = snapshot_steps(cfg, times, error)
         self._shape = (len(self.steps), cfg.grid.dim) + cfg.grid.shape
         self._grid = cfg.grid
         self._first = min(self.steps, default=0)
@@ -287,6 +296,17 @@ class Snapshots:
     @property
     def trajectory(self) -> Trajectory:
         return Trajectory(self._grid, np.asarray(self._times), self._values)
+
+    def payload(self):
+        return self._times, self._values
+
+    def restore(self, payload):
+        self._times, self._values = payload
+
+
+def snapshot_steps(cfg: SolverConfig, times, error: type = SolverError) -> frozenset:
+    """The steps of ``cfg`` at ``times``, each by ``step_index``."""
+    return frozenset(step_index(t, cfg.dt, cfg.steps, error) for t in times)
 
 
 def step_index(t: float, dt: float, steps: int | None = None,
@@ -443,34 +463,96 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     return SolverRun(cfg, trace_to(steps + 1), SpectralField(grid, ops.from_band(u)))
 
 
-def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: ()):
+def check_threads(threads: int, error: type = SolverError) -> None:
+    """``--threads`` is a whole number >= 1, or ``error``."""
+    if not threads >= 1:
+        raise error(f"must be >= 1, got {threads}")
+
+
+def ensemble_processes(threads: int, paths: int) -> int:
+    """P, the processes an ensemble of ``paths`` paths runs on at
+    ``threads``: min(threads, paths, the cores this process may use)."""
+    check_threads(threads)
+    return max(1, min(threads, paths, len(os.sched_getaffinity(0))))
+
+
+def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: (),
+                 processes: int = 1):
     """Run every path of ``path_ids`` at every configuration of ``cfgs``.
 
     The one loop over an experiment's (configuration, path) runs.  Every
     path is drawn once, by one ``WienerPath.sample_many`` call at the
     (rank, dt, steps) of the first configuration, and shared bit for bit
-    by the runs of all configurations.  Runs go config-major: every path of
-    one configuration, in ``path_ids`` order, then the next configuration.
-    ``cfgs`` is read one configuration ahead, the next one when this
-    one's runs start, and the loop holds neither a configuration nor a run
-    past its last yield, so a caller that keeps neither lets a finished
-    configuration go (with its cached tables) while the next one runs.
-    ``observers(cfg)`` is called just before each run and gives that run's
-    observers.  Each path's initial state is drawn once by its first run
-    and kept for the next configuration only when that one has the same
-    grid and initial law.  Yields (cfg, path, run, err) after each run: a
-    run that blows up yields run None and its ``BlowUpError`` as err, and
-    the remaining runs go ahead.
+    by the runs of all configurations.  Runs are yielded config-major:
+    every path of one configuration, in ``path_ids`` order, then the next
+    configuration.  ``cfgs`` is read one configuration ahead, the next one
+    when this one's runs start, and the loop holds neither a configuration
+    nor a run past its last yield, so a caller that keeps neither lets a
+    finished configuration go (with its cached tables) while the next one
+    runs.  ``observers(cfg)`` gives a run's observers; it is called once
+    per run, just before a run made here.  Each path's initial state is
+    drawn once by its first run and kept for the next configuration only
+    when that one has the same grid and initial law.  Yields (cfg, path,
+    run, err) after each run: a run that blows up yields run None and its
+    ``BlowUpError`` as err, and the remaining runs go ahead.
+
+    The runs go on P = ``ensemble_processes(processes, paths)`` processes:
+    this one and P - 1 workers forked when the paths are drawn, each with
+    its own copy of ``cfgs`` and of the observers.  Path i runs in process
+    i mod P, which draws and keeps that path's initial states.  A worker
+    runs its runs in order and sends each one's trace, final field, error
+    and observer payloads (each observer's ``payload()``) through a pipe;
+    here, in its turn, the run gets its observers by ``observers(cfg)``,
+    each ``restore``s its payload, and the run is yielded as if it had
+    been made here, so the yields keep every bit at any P.  A worker
+    leaves only through ``os._exit``; any exception in it but a blow-up
+    raises ``WorkerError`` here with its traceback.  When the loop ends or
+    its consumer stops, the workers are killed and reaped.
     """
     cfgs = iter(cfgs)
     cfg = next(cfgs)
     paths = WienerPath.sample_many(seed, path_ids, cfg.forcing.rank, cfg.dt, cfg.steps)
+    share = ensemble_processes(processes, len(paths))
+    parent, workers = os.getpid(), []
+    try:
+        for rank in range(1, share):
+            workers.append(_fork_worker(cfg, cfgs, seed, paths, observers, rank,
+                                        share, workers))
+        runs = _runs(cfg, cfgs, seed, paths, observers, 0, share, workers)
+        del cfg   # the loop alone holds the configuration it runs
+        yield from runs
+    finally:
+        if os.getpid() == parent:   # not a worker's copy of a parent's loop
+            for worker in workers:
+                worker.reader.close()
+                os.kill(worker.pid, signal.SIGKILL)
+                os.waitpid(worker.pid, 0)
+
+
+class WorkerError(SolverError):
+    """A worker process of ``run_ensemble`` failed other than by a blow-up."""
+
+
+@dataclass(frozen=True)
+class _Worker:
+    pid: int
+    reader: object   # the binary file its runs arrive on
+
+
+def _runs(cfg, cfgs, seed, paths, observers, rank, share, workers=()):
+    """The runs of ``run_ensemble`` made in process ``rank`` of ``share``:
+    those of the paths i with i mod share == rank, and, given the
+    ``workers``, every other run from its worker, in order."""
     starts = {}   # path id -> initial state, drawn for an earlier configuration
     while cfg is not None:
         following = next(cfgs, None)
         keep = following is not None and \
             (following.grid, following.initial) == (cfg.grid, cfg.initial)
-        for path in paths:
+        for i, path in enumerate(paths):
+            if i % share != rank:
+                if workers:
+                    yield _receive(workers[i % share - 1], cfg, path, observers)
+                continue
             pid = path.path_id
             initial = starts.pop(pid, None)
             if initial is None:
@@ -483,6 +565,68 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: ()):
             except BlowUpError as err:
                 yield cfg, path, None, err
         cfg = following
+
+
+def _fork_worker(cfg, cfgs, seed, paths, observers, rank, share, workers) -> _Worker:
+    """Fork worker ``rank`` of ``share``, which sends its runs up a pipe;
+    ``workers`` are the ones forked before, whose pipes it closes."""
+    reader, writer = os.pipe()
+    try:   # room for a few runs, so that the worker runs ahead of the parent
+        fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except OSError:   # above the host's pipe-max-size: the default size
+        pass
+    pid = os.fork()
+    if pid:
+        os.close(writer)
+        return _Worker(pid, os.fdopen(reader, "rb"))
+    status = 1
+    try:   # the worker: it leaves only through os._exit, so no caller's code runs
+        os.close(reader)
+        for worker in workers:
+            worker.reader.close()
+        seen = []   # the observers of the run going on
+
+        def observed(cfg):
+            seen[:] = observers(cfg)
+            return seen
+        with os.fdopen(writer, "wb") as out:
+            _serve(_runs(cfg, cfgs, seed, paths, observed, rank, share), seen, out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _serve(runs, observers, out) -> None:
+    """Send each of ``runs`` to ``out`` with the payloads of its
+    ``observers``, or the traceback of the exception that ends them."""
+    def send(message):   # pickled whole first, so a failure sends no part of it
+        out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        out.flush()
+
+    try:
+        for _, _, run, err in runs:
+            result = None if run is None else (run.trace, run.final.coeffs)
+            send(("run", (result, err, [obs.payload() for obs in observers])))
+    except Exception:
+        send(("crash", traceback.format_exc()))
+
+
+def _receive(worker: _Worker, cfg: SolverConfig, path: WienerPath, observers):
+    """The next run from ``worker``: ``path``'s at ``cfg``."""
+    try:
+        kind, body = pickle.load(worker.reader)
+    except EOFError:
+        raise WorkerError(f"ensemble worker {worker.pid} ended before its run "
+                          f"of path {path.path_id}") from None
+    if kind == "crash":
+        raise WorkerError(f"ensemble worker {worker.pid} failed:\n{body}")
+    result, err, payloads = body
+    for obs, payload in zip(observers(cfg), payloads, strict=True):
+        obs.restore(payload)
+    if result is None:
+        return cfg, path, None, err
+    trace, coeffs = result
+    return cfg, path, SolverRun(cfg, trace, SpectralField(cfg.grid, coeffs)), None
 
 
 # -- ensemble moment monitor ----------------------------------------------

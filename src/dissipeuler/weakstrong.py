@@ -26,6 +26,7 @@ that owns it; the reference-grid rule ``check_reference_n`` lives here.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -253,16 +254,17 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
                        partition: CellPartition, radius: float,
                        snapshot_times, level: float | None = None,
                        slack: float = 0.0, bins_per_axis: int = 16,
-                       sphere_bins: int = 32):
+                       sphere_bins: int = 32, processes: int = 1):
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
     The reference is ``weak_base`` on the grid of size ``ref_n`` with zero
     viscosity and dt divided by ``dt_factor``.  ``solver.run_ensemble``
-    draws every Wiener path once and runs the rungs config-major: every
-    path of one rung, then the next rung.  When the first rung's run of a
-    path ends, that path's reference is built on the Brownian-bridge
-    refinement of the path, from the one draw of its initial state that F(0)
-    also reads, before the run's measure is embedded; every run is then
+    draws every Wiener path once and runs the weak runs config-major, on up
+    to ``processes`` processes: every path of one rung, then the next
+    rung.  When the first rung's run of a path ends, that path's reference
+    is built here on the Brownian-bridge refinement of the path, from the
+    one draw of its initial state that F(0) also reads, before the run's
+    measure is embedded; every run is then
     compared with its path's reference.  F(0) draws the weak initial state
     once more, since ``run_ensemble`` keeps its own draw to itself.  The
     first blow-up, of a weak or a reference run, is raised.  Returns the
@@ -296,25 +298,27 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     cfgs = [weak_base.with_eps(eps) for eps in eps_values]
     refs, f0 = [], []
     f_rows, gaps = [[] for _ in cfgs], [[] for _ in cfgs]
-    runs = run_ensemble(cfgs, seed, path_ids, lambda _: (snaps,))
-    for i, (_, path, _, err) in enumerate(runs):
-        if err is not None:
-            raise err
-        r, p = divmod(i, len(path_ids))   # rung and path, config-major
-        if r == 0:   # the first rung reaches the path: build its reference
-            pid = path.path_id
-            v0 = initial_state(reference_cfg, seed, pid)
-            f0.append(initial_relative_energy(initial_state(weak_base, seed, pid), v0))
-            refs.append(build_reference(reference_cfg, seed, pid, partition,
-                                        snapshot_times, path=path.refined(dt_factor),
-                                        initial=v0))
-        V = dirac_embed(snaps.trajectory, partition, radius,
-                        bins_per_axis=bins_per_axis, sphere_bins=sphere_bins)
-        slabs = [relative_energy(V, refs[p], s) for s in range(partition.n_t)]
-        f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
-        gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
-                           for s in slabs))
-        del V   # released before the next run, and so before a reference run
+    with closing(run_ensemble(cfgs, seed, path_ids, lambda _: (snaps,),
+                              processes)) as runs:
+        for i, (_, path, _, err) in enumerate(runs):
+            if err is not None:
+                raise err
+            r, p = divmod(i, len(path_ids))   # rung and path, config-major
+            if r == 0:   # the first rung reaches the path: build its reference
+                pid = path.path_id
+                v0 = initial_state(reference_cfg, seed, pid)
+                f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
+                                                  v0))
+                refs.append(build_reference(reference_cfg, seed, pid, partition,
+                                            snapshot_times,
+                                            path=path.refined(dt_factor), initial=v0))
+            V = dirac_embed(snaps.trajectory, partition, radius,
+                            bins_per_axis=bins_per_axis, sphere_bins=sphere_bins)
+            slabs = [relative_energy(V, refs[p], s) for s in range(partition.n_t)]
+            f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
+            gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
+                               for s in slabs))
+            del V   # released before the next run, and so before a reference run
 
     stops = True
     if level is None:   # flat references give 0: no path stops, and L = 0

@@ -34,15 +34,19 @@ every (cell, bin) pair stays empty).  The masses are read for the
 normalization of nu and by the dense (n_cells, bins) views ``nu_mass``
 and ``inf_mass``, built on first access, for inspection and tests.
 
-Every measure comes from one ``YoungAccumulator``: ``add`` bins one
-trajectory's snapshots into bin-mass sums and per-cell moment sums and
-keeps nothing of the trajectory, and ``measure`` normalizes the sums once
-at the end.  The bin masses live in one table per time slab, and a
-snapshot's samples stay component-major, (dim, npts) as the trajectory
-stores them, so binning a snapshot touches only its own slab's entries and
-cells.  ``dirac_embed`` and ``estimate_from_family`` are loops over it,
-and a caller that produces trajectories one at a time (the viscosity
-ladder) feeds it directly, so no build needs a whole family in memory.
+Every measure is built in two steps.  A ``YoungBinner`` bins a run's
+snapshots, as an observer of the run or one snapshot at a time, into a
+``RunBins``: per snapshot, its per-cell moment sums and concentration
+entries, and per time slab, the run's integer bin counts; it keeps
+nothing of the states.  A ``YoungAccumulator`` applies binned runs, in
+run order, to running sums (the counts in one dense integer table per
+time slab), and ``measure`` normalizes them once at the end.  The steps
+may run in different processes: a run binned where it runs applies, bit
+for bit, where its measure is built.  ``YoungAccumulator.add`` does both
+steps for a trajectory; ``dirac_embed`` and ``estimate_from_family`` are
+loops over it, and the viscosity ladder bins each run once and applies
+it to its rung and to the family, so no build needs a whole family in
+memory.
 
 ``write_measure`` exports a measure as one binary file (version 3): a
 magic, a version, the partition and build parameters, then the raw
@@ -273,10 +277,15 @@ class GeneralizedYoungMeasure:
 
 
 def _bin_of_values(values: np.ndarray, radius: float, bins: int) -> np.ndarray:
-    """Flat histogram bin per row of values, shape (npts,)."""
+    """Flat histogram bin per row of values, shape (npts,).
+
+    Every row lies in the ball of radius R, so (v + R) / w > -1 for each
+    component: truncation toward zero is the floor clipped at 0, and only
+    the top edge needs a clip.
+    """
     w = 2.0 * radius / bins
-    idx = np.floor((values + radius) / w).astype(np.int64)
-    np.clip(idx, 0, bins - 1, out=idx)
+    idx = ((values + radius) / w).astype(np.int64)
+    np.minimum(idx, bins - 1, out=idx)
     flat = idx[:, 0]
     for axis in range(1, values.shape[1]):
         flat = flat * bins + idx[:, axis]
@@ -302,7 +311,7 @@ def _sphere_bin(units: np.ndarray, sphere_bins: int, dim: int) -> np.ndarray:
 
 
 class _MassSums:
-    """Weight sum per occupied key of one slab's histogram.
+    """Weight sum per occupied key of one slab's concentration histogram.
 
     Keys get a slot when they first occur.  ``add`` sums one snapshot's
     weights with one bincount and adds it to the running totals, so every
@@ -317,7 +326,7 @@ class _MassSums:
         self.keys = np.zeros(0, dtype=np.intp)
         self.w = np.zeros(0)
 
-    def add(self, keys: np.ndarray, weights=None) -> None:
+    def add(self, keys: np.ndarray, weights) -> None:
         new = np.unique(keys[self.slot[keys] < 0])
         if len(new):
             self.slot[new] = np.arange(len(self.keys), len(self.keys) + len(new))
@@ -341,97 +350,206 @@ def _by_key(tables: list, span: int):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _add_products(out: np.ndarray, cell: np.ndarray, values: np.ndarray) -> None:
-    """Add to out[c] the sum of v (x) v over the samples v of cell c.
+def _cell_sums(blocks: np.ndarray) -> np.ndarray:
+    """Column sums of block-ordered samples, shape (samples per cell, cells).
 
-    ``values`` is component-major, (dim, npts), with ``cell`` the cell of
-    each sample; ``out`` is (cells, dim, dim) and stays symmetric bit for
-    bit.
+    Each column adds from +0.0 in row order, the order in which a bincount
+    over the samples adds a cell's samples.  numpy reduces the first axis
+    row after row while there are several columns; a single column it
+    would sum pairwise, so that one goes through bincount.
     """
-    for i in range(len(values)):
-        for j in range(i, len(values)):
-            total = np.bincount(cell, weights=values[i] * values[j],
-                                minlength=len(out))
-            out[:, i, j] += total
-            if i != j:
-                out[:, j, i] += total
+    if blocks.shape[1] > 1:
+        return np.add.reduce(blocks, axis=0, initial=0.0)
+    return np.bincount(np.zeros(len(blocks), dtype=np.intp), weights=blocks[:, 0],
+                       minlength=1)
+
+
+def _products(blocks: np.ndarray) -> np.ndarray:
+    """Per-cell sums of v (x) v over block-ordered samples (dim, per cell,
+    cells), shape (cells, dim, dim) and symmetric bit for bit."""
+    dim = len(blocks)
+    out = np.empty((blocks.shape[2], dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            out[:, i, j] = out[:, j, i] = _cell_sums(blocks[i] * blocks[j])
+    return out
+
+
+@dataclass(frozen=True)
+class RunBins:
+    """One run's samples, binned by a ``YoungBinner``, for
+    ``YoungAccumulator.apply``.
+
+    ``spec`` is the (partition, radius, bins_per_axis, sphere_bins) they
+    were binned for.  ``snapshots`` holds (slab, first, second, escaped)
+    per snapshot inside the partition window, in the order observed: the
+    per-cell sums over the slab's space cells of u, shape (n_space, dim),
+    and of u (x) u, shape (n_space, dim, dim), where an escaped sample
+    counts as 0; and, if any sample escaped, its concentration keys within
+    the slab, its weights |u|^2 (both in sample order) and the per-cell
+    sums of u (x) u over the escaped samples, else None.  ``counts`` holds
+    (slab, keys, counts) per slab: the oscillation keys within the slab
+    that the run occupied and their integer sample counts.
+    """
+
+    spec: tuple
+    snapshots: list
+    counts: list
+
+
+class YoungBinner:
+    """Observer binning the samples of a run: the first half of a measure
+    build, whose second half is ``YoungAccumulator.apply``.
+
+    It observes ``steps`` of a run (every step if None), and the first of
+    them starts a new run.  ``bin`` reduces each state's point values to
+    that snapshot's moment sums, concentration entries and oscillation
+    keys, and keeps nothing of the state; ``binned`` gives the run's
+    ``RunBins``.  A run binned in one process applies in another: a worker
+    sends ``payload()``, and the parent's binner ``restore``s it.
+
+    A moment sum adds each cell's samples in the order a bincount over the
+    samples would: the samples are copied block by block into an array
+    (samples per cell, cells), which ``_cell_sums`` reduces row after row.
+    The oscillation keys become integer counts, which no order changes.
+    """
+
+    def __init__(self, partition: CellPartition, radius: float,
+                 bins_per_axis: int = 16, sphere_bins: int = 32, steps=None):
+        if not radius > 0:
+            raise YoungMeasureError(f"truncation radius must be positive, got {radius}")
+        self.spec = (partition, radius, bins_per_axis, sphere_bins)
+        self.steps = steps
+        self._first_step = min(steps, default=0) if steps is not None else 0
+        self._space_idx = partition.space_cell_index()
+        self.start()
+
+    def start(self) -> None:
+        """Start a new run: forget the samples binned so far."""
+        self._snapshots, self._keys, self._binned = [], {}, None
+
+    def on_state(self, n, t, u, phys):
+        if n == self._first_step:
+            self.start()
+        self.bin(t, phys)
+
+    def bin(self, t, values: np.ndarray) -> None:
+        """Bin the point values, shape (dim,) + grid shape, of the state at
+        time ``t``; a time outside the partition window is skipped."""
+        part, radius, bins_per_axis, sphere_bins = self.spec
+        dim = part.dim
+        if values.shape != (dim,) + (part.grid_n,) * dim:
+            raise YoungMeasureError("trajectory grid does not match partition")
+        t = float(t)
+        if t < part.t0 - 1e-12 or t > part.t1 + 1e-12:
+            return
+        slab = part.slab_of(t)
+        vals = values.reshape(dim, -1)  # (dim, npts)
+        cell = self._space_idx          # space cell of every sample, within its slab
+        speed = np.sqrt((vals ** 2).sum(axis=0))
+        below = speed <= radius
+        vb, escaped = vals, None
+        if not below.all():
+            above = ~below
+            sa = np.compress(above, speed)
+            va = np.compress(above, vals, axis=1)
+            keys = np.compress(above, cell) * sphere_bins \
+                + _sphere_bin((va / sa).T, sphere_bins, dim)
+            escaped = (keys, sa ** 2, _products(self._blocks(np.where(above, vals, 0.0))))
+            vb = np.where(below, vals, 0.0)
+        self._keys.setdefault(slab, []).append(
+            cell * bins_per_axis ** dim + _bin_of_values(vb.T, radius, bins_per_axis))
+        blocks = self._blocks(vb)
+        first = np.stack([_cell_sums(b) for b in blocks], axis=1)
+        self._snapshots.append((slab, first, _products(blocks), escaped))
+
+    def _blocks(self, vals: np.ndarray) -> np.ndarray:
+        """Samples (dim, npts) as (dim, samples per cell, n_space), each
+        cell's samples in sample order."""
+        part = self.spec[0]
+        dim, side = part.dim, part.grid_n // part.n_x
+        grid = vals.reshape((dim,) + (part.n_x, side) * dim)
+        order = (0, *range(2, 2 * dim + 1, 2), *range(1, 2 * dim, 2))
+        return np.ascontiguousarray(grid.transpose(order)).reshape(
+            dim, side ** dim, part.n_space)
+
+    @property
+    def binned(self) -> RunBins:
+        """The ``RunBins`` of the run binned (or restored) last."""
+        if self._binned is None:
+            counts = [(slab, *np.unique(np.concatenate(keys), return_counts=True))
+                      for slab, keys in sorted(self._keys.items())]
+            self._binned = RunBins(self.spec, self._snapshots, counts)
+        return self._binned
+
+    def payload(self) -> RunBins:
+        return self.binned
+
+    def restore(self, binned: RunBins) -> None:
+        self._binned = binned
 
 
 class YoungAccumulator:
-    """The one measure build: ``add`` trajectories, then ``measure`` once.
+    """The one measure build: ``apply`` binned runs, then ``measure`` once.
 
-    ``add`` bins every snapshot of a trajectory that falls inside the
-    partition window into running sums and keeps nothing of the trajectory
-    itself; ``measure`` normalizes the sums into a
-    ``GeneralizedYoungMeasure`` once, after the last ``add``.  Samples
-    beyond the truncation radius feed the concentration part and count at
-    the origin of the oscillation histogram.  The sums depend only on the
-    order of the added trajectories, so a caller that streams them gets the
-    bits of one call over the whole family.  The moment sums are dense per
-    cell; the bin masses live in one table per time slab, keyed by space
-    cell and bin within the slab.
+    ``apply`` adds one run's ``RunBins`` (from a ``YoungBinner`` with the
+    same partition, radius and bins) to running sums; ``add`` bins and
+    applies a ``solver.Trajectory``.  ``measure`` normalizes the sums into
+    a ``GeneralizedYoungMeasure`` once, after the last run.  Samples beyond
+    the truncation radius feed the concentration part and count at the
+    origin of the oscillation histogram.  The sums depend only on the order
+    of the applied runs, so a caller that streams them gets the bits of
+    one call over the whole family.  The moment sums are dense per cell;
+    the oscillation counts live in one dense integer table per time slab,
+    and the concentration weights in one slot table per slab, keyed by
+    space cell and bin within the slab.
     """
 
     def __init__(self, partition: CellPartition, radius: float,
                  bins_per_axis: int = 16, sphere_bins: int = 32):
-        if not radius > 0:
-            raise YoungMeasureError(f"truncation radius must be positive, got {radius}")
-        self.partition = partition
-        self.radius = radius
-        self.bins_per_axis = bins_per_axis
-        self.sphere_bins = sphere_bins
+        self._binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins)
+        self.partition, self.radius, self.bins_per_axis, self.sphere_bins = \
+            self._binner.spec
         dim, n_space = partition.dim, partition.n_space
         self._n_bins = bins_per_axis ** dim
-        self._osc = [_MassSums(n_space * self._n_bins) for _ in range(partition.n_t)]
+        self._counts = np.zeros((partition.n_t, n_space * self._n_bins), dtype=np.int64)
         self._conc = [_MassSums(n_space * sphere_bins) for _ in range(partition.n_t)]
         n_cells = partition.n_cells
         self._samples_per_cell = np.zeros(n_cells)
         self._first = np.zeros((n_cells, dim))
         self._second = np.zeros((n_cells, dim, dim))
         self._escaped_second = np.zeros((n_cells, dim, dim))
-        self._space_idx = partition.space_cell_index()
-        self._space_count = np.bincount(self._space_idx, minlength=n_space)
+        self._space_count = np.bincount(partition.space_cell_index(), minlength=n_space)
 
     def add(self, traj) -> None:
-        """Bin the snapshots of one ``solver.Trajectory``."""
-        part = self.partition
-        dim, n_space, n_bins = part.dim, part.n_space, self._n_bins
-        radius, bins_per_axis = self.radius, self.bins_per_axis
-        if traj.grid.n != part.grid_n or traj.grid.dim != dim:
-            raise YoungMeasureError("trajectory grid does not match partition")
-        cell = self._space_idx   # space cell of every sample, within its slab
-        for m in range(traj.n_snapshots):
-            t = float(traj.times[m])
-            if t < part.t0 - 1e-12 or t > part.t1 + 1e-12:
-                continue
-            slab = part.slab_of(t)
-            in_slab = part.slab_cells(slab)
-            vals = traj.values[m].reshape(dim, -1)  # (dim, npts)
-            self._samples_per_cell[in_slab] += self._space_count
+        """Bin the snapshots of one ``solver.Trajectory`` and apply them."""
+        binner = self._binner
+        binner.start()
+        for t, values in zip(traj.times, traj.values):
+            binner.bin(t, values)
+        self.apply(binner.binned)
 
-            speed = np.sqrt((vals ** 2).sum(axis=0))
-            below = speed <= radius
-            vb = vals
-            if not below.all():
-                above = ~below
-                sa = np.compress(above, speed)
-                va = np.compress(above, vals, axis=1)
-                ca = np.compress(above, cell)
-                self._conc[slab].add(
-                    ca * self.sphere_bins
-                    + _sphere_bin((va / sa).T, self.sphere_bins, dim), sa ** 2)
-                _add_products(self._escaped_second[in_slab], ca, va)
-                vb = np.where(below, vals, 0.0)
-            self._osc[slab].add(cell * n_bins + _bin_of_values(vb.T, radius, bins_per_axis))
-            first = self._first[in_slab]
-            for i in range(dim):
-                first[:, i] += np.bincount(cell, weights=vb[i], minlength=n_space)
-            _add_products(self._second[in_slab], cell, vb)
+    def apply(self, binned: RunBins) -> None:
+        """Add the samples of one binned run, snapshot by snapshot."""
+        if binned.spec != self._binner.spec:
+            raise YoungMeasureError("run binned for another partition, radius or bins")
+        part = self.partition
+        for slab, first, second, escaped in binned.snapshots:
+            cells = part.slab_cells(slab)
+            self._samples_per_cell[cells] += self._space_count
+            self._first[cells] += first
+            self._second[cells] += second
+            if escaped is not None:
+                keys, weights, products = escaped
+                self._conc[slab].add(keys, weights)
+                self._escaped_second[cells] += products
+        for slab, keys, counts in binned.counts:
+            self._counts[slab, keys] += counts
 
     def measure(self) -> GeneralizedYoungMeasure:
-        """The measure of every sample added; call it once, after the last add."""
+        """The measure of every sample applied; call it once, after the last run."""
         part = self.partition
-        n_cells, n_space, n_bins = part.n_cells, part.n_space, self._n_bins
+        n_cells, n_bins = part.n_cells, self._n_bins
         sphere_bins = self.sphere_bins
         if not self._samples_per_cell.any():
             raise YoungMeasureError("no samples fall inside the partition window")
@@ -441,12 +559,12 @@ class YoungAccumulator:
 
         # oscillation part: a probability per cell
         samples = self._samples_per_cell
-        keys, w = _by_key(self._osc, n_space * n_bins)
-        nu = BinEntries(n_bins, keys, w / samples[keys // n_bins])
+        keys = np.flatnonzero(self._counts > 0)
+        nu = BinEntries(n_bins, keys, self._counts.ravel()[keys] / samples[keys // n_bins])
 
         # concentration part: quadrature weight per sample is cellvol / samples
         cell_weight = part.cell_volume / samples
-        keys, w = _by_key(self._conc, n_space * sphere_bins)
+        keys, w = _by_key(self._conc, part.n_space * sphere_bins)
         cell = keys // sphere_bins
         w = w * cell_weight[cell]
         # (a bincount of no entries is an integer array)

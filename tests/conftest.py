@@ -1,7 +1,30 @@
+import os
+
 import numpy as np
 import pytest
 
 from dissipeuler.spectral import SpectralField, TorusGrid, leray_project
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so that an ensemble of two paths or more forks a
+    worker at ``processes`` >= 2 on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked while the test runs."""
+    pids, real_fork = [], os.fork
+
+    def counted():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 @pytest.fixture

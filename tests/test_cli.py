@@ -367,9 +367,10 @@ class TestSchema:
                                            ("sphere_bins", 2 ** 30)])
     def test_young_slot_tables_above_memory_ceiling_exit_2(self, tmp_path,
                                                            capsys, key, value):
-        # each of the 4 slabs of the ym demo holds a dense int32 slot per
-        # (space cell, bin): 2^16 bins per axis are 2^32 bins in 2D, and
-        # the larger of the two tables is named
+        # each of the 4 slabs of the ym demo holds a dense int64 count per
+        # (space cell, bin) and an int32 slot per (space cell, sphere bin):
+        # 2^16 bins per axis are 2^32 bins in 2D, and the larger of the two
+        # tables is named
         raw = json.loads((CONFIGS / "ym_demo.json").read_text())
         raw["young"][key] = value
         with pytest.raises(ConfigError) as err:
@@ -885,11 +886,112 @@ class TestMartingaleCli:
         assert {r["audit"].split("_")[1] for r in rows} == {"phi1", "phi2"}
 
 
+def _tree(root):
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def _no_child_left():
+    # every worker an experiment forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestThreads:
+    """``--threads`` runs the paths on forked workers, every bit kept."""
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_exits_2_naming_threads(self, tmp_path, capsys, threads):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(write_config(tmp_path, forced_config())),
+                     "--out", str(out), "--threads", threads]) == 2
+        assert f"config error: --threads: must be >= 1, got {threads}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_ceiling_charges_a_run_per_process(self, monkeypatch):
+        # a 256^3 run holds about 6.05 GiB: one process fits under the
+        # ceiling and two do not, from --threads and the paths alone,
+        # whatever cores the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        raw = forced_config(paths=2)
+        raw["grid"] = {"dim": 3, "n": 256}
+        assert isinstance(parse_config(raw, "simulate", threads=1), RunConfig)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "simulate", threads=8)
+        assert err.value.path == "grid.n"
+        assert "a run at n=256 in 3D and a run in each of 1 more processes" \
+            in str(err.value)
+        raw["ensemble"]["paths"] = 1   # one path runs in one process
+        assert isinstance(parse_config(raw, "simulate", threads=8), RunConfig)
+
+    @pytest.mark.parametrize("name", ["ladder", "martingale_nonlinear_demo.json"])
+    def test_trees_identical_at_one_and_two_processes(self, tmp_path, two_cores,
+                                                      forks, name):
+        # the ladder workload and the martingale demo write the same files,
+        # byte for byte, on one process and on two
+        if name in WORKLOADS:
+            raw, experiment = WORKLOADS[name]["config"], WORKLOADS[name]["experiment"]
+        else:
+            raw = json.loads((CONFIGS / name).read_text())
+            experiment = raw["experiment"]
+        cfg = write_config(tmp_path, raw)
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main([experiment, "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 0
+            trees.append(_tree(out))
+        assert len(forks) == 1
+        assert trees[0] == trees[1]
+        _no_child_left()
+
+    def test_worker_fault_exits_3_with_its_traceback(self, tmp_path, capsys,
+                                                     two_cores, forks, monkeypatch):
+        import dissipeuler.solver as solver
+        real_run_path = solver.run_path
+
+        def faulty(cfg, seed, path_id, *args, **kwargs):
+            if path_id == 1:   # the second path: the worker's
+                raise RuntimeError("injected worker fault")
+            return real_run_path(cfg, seed, path_id, *args, **kwargs)
+        monkeypatch.setattr(solver, "run_path", faulty)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(write_config(tmp_path, forced_config())),
+                     "--out", str(out), "--threads", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "crash: WorkerError: ensemble worker" in err
+        assert "Traceback" in err and "RuntimeError: injected worker fault" in err
+        assert not (out / "manifest.json").exists()
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("experiment", ["martingale", "weakstrong"])
+    def test_a_raised_blow_up_leaves_no_worker(self, tmp_path, two_cores, forks,
+                                               experiment):
+        # both experiments raise the first blow-up out of the ensemble
+        raw = forced_config(paths=32, seed=777)
+        raw.update(experiment=experiment, solver={"blowup_ceiling": 1e-3})
+        if experiment == "weakstrong":
+            raw.update(viscosity={"ladder": [0.1, 0.025]},
+                       young={"time_cells": 2, "space_cells": 16},
+                       reference={"n": 32, "dt_factor": 2})
+            raw["ensemble"]["paths"] = 2
+        out = tmp_path / "run"
+        assert main([experiment, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out), "--threads", "2"]) == 1
+        rows = json.loads((out / "reports" / f"{experiment}.json").read_text())["rows"]
+        assert [r["audit"] for r in rows] == [f"blowup_{experiment}"]
+        assert len(forks) == 1
+        _no_child_left()
+
+
 class TestCrash:
     def test_crash_exits_3_without_manifest(self, tmp_path, capsys, monkeypatch):
         import dissipeuler.cli as cli
 
-        def boom(cfg, out):
+        def boom(cfg, out, threads):
             raise RuntimeError("injected fault")
         monkeypatch.setattr(cli, "_run_ym", boom)
         out = tmp_path / "run"

@@ -138,6 +138,32 @@ class TestLadder:
         assert alive == [[]] * 6
         assert list(res.measures) == [0.1, 0.05, 0.025]
 
+    def test_rungs_on_two_processes_keep_every_bit(self, two_cores, forks):
+        # each run is binned where it runs and applied here to its rung and,
+        # in the tail, to the family; every tail run feeds a recorder, and
+        # the finest rung keeps its first survivor's: two processes give
+        # the bits of one
+        cfg = base_config(n=16, horizon=0.25)
+        ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=3, path_ids=(0, 1, 2))
+        part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
+        one, two = (run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt),
+                               processes=p) for p in (1, 2))
+        assert len(forks) == 1
+        pairs = [(one.family, two.family)] + \
+            [(one.measures[eps], two.measures[eps]) for eps in ladder.eps_values]
+        for a, b in pairs:
+            for name in ("lam_mass", "nu_first", "nu_second", "lam_second"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            for part_name in ("nu", "nu_inf"):
+                for name in ("key", "mass"):
+                    assert getattr(getattr(a, part_name), name).tobytes() == \
+                        getattr(getattr(b, part_name), name).tobytes()
+        assert one.finest[:2] == two.finest[:2] and one.finest[3] == two.finest[3]
+        assert one.cauchy_distances == two.cauchy_distances
+        for eps in ladder.eps_values:
+            assert [(pid, tr.energy.tobytes()) for pid, tr in one.traces[eps]] == \
+                [(pid, tr.energy.tobytes()) for pid, tr in two.traces[eps]]
+
     def test_single_rung_family_equals_dirac_embed(self):
         cfg = base_config(n=16, horizon=0.25)
         ladder = ViscosityLadder((0.1,), cfg, seed=3)

@@ -1,5 +1,7 @@
 """Stepper, energy trace, audit defects, and a priori moment monitor."""
 
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,9 @@ from dissipeuler.solver import (
     Snapshots,
     SolverConfig,
     SolverError,
+    WorkerError,
     apriori_moment_report,
+    ensemble_processes,
     initial_state,
     run_ensemble,
     run_path,
@@ -180,7 +184,7 @@ class TestRunPath:
         snaps = Snapshots(cfg, [0.0, 0.125, 0.25])
         run_path(cfg, 1, 0, observers=(snaps,))
         assert list(snaps.trajectory.times) == [0.0, 0.125, 0.25]
-        assert snaps.trajectory.n_snapshots == 3
+        assert len(snaps.trajectory.times) == 3
 
     def test_rejects_off_grid_snapshot(self):
         cfg = make_config()
@@ -284,6 +288,112 @@ class TestRunEnsemble:
                 assert getattr(run.trace, name).tobytes() == \
                     getattr(want.trace, name).tobytes()
             assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
+
+
+def _no_child_left():
+    # every worker the test forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestEnsembleProcesses:
+    """``run_ensemble`` on forked workers keeps every bit of one process."""
+
+    @staticmethod
+    def cfgs():   # the middle configuration blows up on every path
+        base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 64, horizon=0.125,
+                           forcing=default_forcing(2, 0.3),
+                           initial=InitialCondition("random_spectrum", 0.3))
+        return [base.with_eps(0.1), replace(base, eps=0.05, blowup_ceiling=1e-6),
+                base.with_eps(0.025)]
+
+    def test_processes_are_capped_by_paths_and_cores(self, monkeypatch):
+        # --threads 100000 asks for no more processes than paths and cores;
+        # the cap is computed, and nothing is started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert ensemble_processes(100_000, 8) == 8
+        assert ensemble_processes(100_000, 100_000) == 64
+        assert ensemble_processes(3, 8) == 3
+        assert ensemble_processes(100_000, 0) == 1
+        for bad in (0, -1):
+            with pytest.raises(SolverError, match="must be >= 1"):
+                ensemble_processes(bad, 8)
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_runs_keep_every_bit_on_forked_workers(self, monkeypatch, forks, cores):
+        # path i runs in process i mod P; a run of a worker, blow-ups
+        # included, reaches the consumer as the run of one process does,
+        # with its observers restored, also with more workers than cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        cfgs, path_ids = self.cfgs(), [4, 1, 7, 2, 9]
+
+        def collect(processes):
+            snaps = Snapshots(cfgs[0], [0.0, 0.0625, 0.125])
+            return [(cfg, path.path_id, run, err, None if err else snaps.trajectory)
+                    for cfg, path, run, err in run_ensemble(
+                        cfgs, 5, path_ids, lambda cfg: (snaps,), processes)]
+
+        one = collect(1)
+        assert forks == []
+        many = collect(100_000)   # as many processes as cores
+        assert len(forks) == cores - 1
+        for (c1, p1, r1, e1, t1), (c2, p2, r2, e2, t2) in zip(one, many, strict=True):
+            assert (c1, p1) == (c2, p2)
+            if e1 is not None:
+                assert type(e2) is type(e1) and str(e2) == str(e1)
+                assert (e2.time, e2.sup) == (e1.time, e1.sup) and r2 is None
+                traces = [(e1.partial, e2.partial)]
+            else:
+                assert e2 is None and r2.config is c2
+                assert r2.final.coeffs.tobytes() == r1.final.coeffs.tobytes()
+                assert t2.times.tobytes() == t1.times.tobytes()
+                assert t2.values.tobytes() == t1.values.tobytes()
+                traces = [(r1.trace, r2.trace)]
+            for a, b in traces:
+                assert a.initial_energy == b.initial_energy
+                for name in ("times", "energy", "dissipation", "ito_input", "stochastic"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert sum(err is not None for *_, err, _ in many) == len(path_ids)
+        _no_child_left()
+
+    def test_a_consumer_that_stops_early_leaves_no_worker(self, two_cores, forks):
+        runs = run_ensemble(self.cfgs(), 5, [4, 1, 7], processes=2)
+        next(runs)
+        runs.close()
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_worker_fault_raises_with_its_traceback(self, two_cores, forks,
+                                                      monkeypatch):
+        real_run_path = solver.run_path
+
+        def faulty(cfg, seed, path_id, *args, **kwargs):
+            if path_id == 1:   # the second path: the worker's
+                raise RuntimeError("injected worker fault")
+            return real_run_path(cfg, seed, path_id, *args, **kwargs)
+        monkeypatch.setattr(solver, "run_path", faulty)
+        with pytest.raises(WorkerError) as err:
+            list(run_ensemble(self.cfgs(), 5, [4, 1], processes=2))
+        assert "Traceback" in str(err.value)
+        assert "RuntimeError: injected worker fault" in str(err.value)
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_worker_runs_no_code_of_its_callers(self, two_cores, forks, tmp_path):
+        # a worker leaves through os._exit: the consumer's finally runs in
+        # this process only, even while the ensemble waits to be closed
+        log = tmp_path / "finally.log"
+        runs = run_ensemble(self.cfgs()[:1], 5, [4, 1], processes=2)
+        try:
+            assert [next(runs)[1].path_id for _ in range(2)] == [4, 1]
+            time.sleep(0.5)   # time for a worker that returned to get here
+        finally:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        runs.close()
+        assert len(forks) == 1
+        assert log.read_text() == f"{os.getpid()}\n"
+        _no_child_left()
 
 
 class TestUnforced:

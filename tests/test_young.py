@@ -1,5 +1,6 @@
 """Young measure estimators: embedding, oscillation/concentration, pairing."""
 
+import pickle
 import weakref
 from dataclasses import replace
 
@@ -11,6 +12,8 @@ from dissipeuler.spectral import TorusGrid, l2_norm_sq, taylor_green
 from dissipeuler.young import (
     CellPartition,
     TestIntegrand,
+    YoungAccumulator,
+    YoungBinner,
     YoungMeasureError,
     barycenter,
     dirac_embed,
@@ -533,7 +536,7 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins):
     space_idx = partition.space_cell_index()
     cells, values = [], []
     for traj in trajectories:
-        for m in range(traj.n_snapshots):
+        for m in range(len(traj.times)):
             t = float(traj.times[m])
             if partition.t0 - 1e-12 <= t <= partition.t1 + 1e-12:
                 cells.append(partition.slab_of(t) * partition.n_space + space_idx)
@@ -555,7 +558,7 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins):
         vals[above] / speed[above][:, None], sphere_bins, dim)
     inf_w = np.bincount(flat, weights=weight,
                         minlength=n_cells * sphere_bins).reshape(n_cells, sphere_bins)
-    inf_mass = np.zeros_like(inf_w)
+    inf_mass = np.zeros(inf_w.shape)   # (a bincount of no entries is an integer array)
     np.divide(inf_w, lam_mass[:, None], out=inf_mass, where=(lam_mass > 0)[:, None])
 
     nu_first = np.zeros((n_cells, dim))
@@ -624,12 +627,43 @@ def _pure_concentration_case(dim):
     return case
 
 
+def _one_sample_cells_case():
+    # the weakstrong partition: a space cell per grid point
+    grid = TorusGrid(2, 16)
+    trajs = _random_family(grid, 2, [0.0, 0.25, 0.5, 0.75, 1.0], 1.0, 4)
+    return trajs, make_partition(grid, n_t=2, n_x=16), 1.5, 8, 16, False
+
+
+def _signed_zero_case():
+    # a field of -0.0 and +0.0: every sum of a cell must start from +0.0
+    grid = TorusGrid(2, 16)
+    vals = np.zeros((3, 2) + grid.shape)
+    vals[:, 0] = -0.0
+    vals[1, :, ::2] = -0.0
+    traj = Trajectory(grid, np.array([0.0, 0.5, 1.0]), vals)
+    return [traj], make_partition(grid, n_t=2, n_x=4), 1.0, 8, 16, True
+
+
+def _single_space_cell_case(dim):
+    # one space cell: its sums run over every sample of a snapshot
+    def case():
+        grid = TorusGrid(dim, 16 if dim == 2 else 8)
+        trajs = _random_family(grid, 2, [0.0, 0.5, 1.0], 1.0, 5 + dim)
+        part = CellPartition(dim, grid.n, 2, 1, 0.0, 1.0)
+        return trajs, part, 1.8, 8 if dim == 2 else 4, 16, False
+    return case
+
+
 ORACLE_CASES = {
     "dirac_clipped": _escaped_embed_case,
     "family_2d": _family_case(2),
     "family_3d": _family_case(3),
     "pure_concentration": _pure_concentration_case(2),
     "pure_concentration_3d": _pure_concentration_case(3),
+    "one_sample_cells": _one_sample_cells_case,
+    "signed_zero_field": _signed_zero_case,
+    "single_space_cell": _single_space_cell_case(2),
+    "single_space_cell_3d": _single_space_cell_case(3),
 }
 
 
@@ -649,6 +683,79 @@ def _build_both(case):
     return _build(case), _oracle_build(trajs, part, radius, bins, sphere)
 
 
+def _bincount_build(trajectories, part, radius, bins_per_axis, sphere_bins):
+    """The measure as the per-snapshot bincount build made it.
+
+    Every snapshot is reduced and added on its own: a floor-and-clip bin
+    index, one bincount over the samples per moment component, and dense
+    per-slab tables of the bin counts and the concentration weights.
+    """
+    from dissipeuler.young import BinEntries, GeneralizedYoungMeasure, _sphere_bin
+
+    dim, n_space, n_cells = part.dim, part.n_space, part.n_cells
+    n_bins = bins_per_axis ** dim
+    cell = part.space_cell_index()
+    space_count = np.bincount(cell, minlength=n_space)
+    samples = np.zeros(n_cells)
+    first = np.zeros((n_cells, dim))
+    second = np.zeros((n_cells, dim, dim))
+    escaped_second = np.zeros((n_cells, dim, dim))
+    osc = np.zeros((part.n_t, n_space * n_bins))
+    conc = np.zeros((part.n_t, n_space * sphere_bins))
+
+    def add_products(out, cells, values):
+        for i in range(dim):
+            for j in range(i, dim):
+                total = np.bincount(cells, weights=values[i] * values[j],
+                                    minlength=n_space)
+                out[:, i, j] += total
+                if i != j:
+                    out[:, j, i] += total
+
+    width = 2.0 * radius / bins_per_axis
+    for traj in trajectories:
+        for t, values in zip(traj.times, traj.values):
+            if not part.t0 - 1e-12 <= t <= part.t1 + 1e-12:
+                continue
+            slab = part.slab_of(float(t))
+            in_slab = part.slab_cells(slab)
+            vals = values.reshape(dim, -1)
+            samples[in_slab] += space_count
+            speed = np.sqrt((vals ** 2).sum(axis=0))
+            below = speed <= radius
+            vb = vals
+            if not below.all():
+                above = ~below
+                sa, va, ca = speed[above], vals[:, above], cell[above]
+                keys = ca * sphere_bins + _sphere_bin((va / sa).T, sphere_bins, dim)
+                conc[slab] += np.bincount(keys, weights=sa ** 2, minlength=conc.shape[1])
+                add_products(escaped_second[in_slab], ca, va)
+                vb = np.where(below, vals, 0.0)
+            idx = np.clip(np.floor((vb.T + radius) / width).astype(np.int64), 0,
+                          bins_per_axis - 1)
+            flat = idx[:, 0]
+            for axis in range(1, dim):
+                flat = flat * bins_per_axis + idx[:, axis]
+            osc[slab] += np.bincount(cell * n_bins + flat, minlength=osc.shape[1])
+            for i in range(dim):
+                first[in_slab, i] += np.bincount(cell, weights=vb[i], minlength=n_space)
+            add_products(second[in_slab], cell, vb)
+
+    keys = np.flatnonzero(osc)
+    nu = BinEntries(n_bins, keys, osc.ravel()[keys] / samples[keys // n_bins])
+    cell_weight = part.cell_volume / samples
+    keys = np.flatnonzero(conc)
+    conc_cell = keys // sphere_bins
+    w = conc.ravel()[keys] * cell_weight[conc_cell]
+    lam_mass = np.bincount(conc_cell, weights=w, minlength=n_cells).astype(float)
+    nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[conc_cell])
+    return GeneralizedYoungMeasure(
+        partition=part, radius=radius, bins_per_axis=bins_per_axis,
+        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+        nu_first=first / samples[:, None], nu_second=second / samples[:, None, None],
+        lam_second=escaped_second * cell_weight[:, None, None])
+
+
 class TestEntriesMatchDenseOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_entries(self, case):
@@ -660,6 +767,61 @@ class TestEntriesMatchDenseOracle:
             np.testing.assert_allclose(entries.mass, mass[keys], rtol=1e-14, atol=0)
         np.testing.assert_allclose(V.lam_mass, ref["lam_mass"], rtol=1e-14,
                                    atol=0)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bin_and_apply_keep_the_bits_of_per_snapshot_bincounts(self, case):
+        # the bin/apply split, its block-ordered moment sums and its integer
+        # counts give every bit of one bincount per snapshot and component
+        trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
+        _assert_same_measure(_build(case),
+                             _bincount_build(trajs, part, radius, bins, sphere))
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_each_snapshot_sums_as_a_bincount(self, case):
+        # every increment a run sends is, bit for bit and sign of zero
+        # included, the bincount of the snapshot's samples by cell
+        trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
+        cell = part.space_cell_index()
+        binner = YoungBinner(part, radius, bins, sphere)
+        for traj in trajs:
+            binner.start()
+            for t, values in zip(traj.times, traj.values):
+                binner.bin(t, values)
+            for (_, first, second, _), values in zip(binner.binned.snapshots,
+                                                     traj.values):
+                vals = values.reshape(part.dim, -1)
+                vb = np.where(np.sqrt((vals ** 2).sum(axis=0)) <= radius, vals, 0.0)
+                for i in range(part.dim):
+                    want = np.bincount(cell, weights=vb[i], minlength=part.n_space)
+                    assert first[:, i].tobytes() == want.tobytes()
+                    for j in range(part.dim):
+                        want = np.bincount(cell, weights=vb[i] * vb[j],
+                                           minlength=part.n_space)
+                        assert second[:, i, j].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["family_2d", "family_3d", "dirac_clipped"])
+    def test_a_run_binned_once_applies_anywhere(self, case):
+        # a run binned once applies to two accumulators, once through a
+        # pickle, as a worker process sends it, with the bits of add
+        trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
+        binner = YoungBinner(part, radius, bins, sphere)
+        here, there = (YoungAccumulator(part, radius, bins, sphere) for _ in range(2))
+        for traj in trajs:
+            binner.start()
+            for t, values in zip(traj.times, traj.values):
+                binner.bin(t, values)
+            here.apply(binner.binned)
+            there.apply(pickle.loads(pickle.dumps(binner.payload())))
+        want = _bincount_build(trajs, part, radius, bins, sphere)
+        _assert_same_measure(here.measure(), want)
+        _assert_same_measure(there.measure(), want)
+
+    def test_apply_rejects_a_run_binned_for_another_measure(self):
+        trajs, part, radius, bins, sphere, _ = ORACLE_CASES["family_2d"]()
+        binner = YoungBinner(part, 2.0 * radius, bins, sphere)
+        binner.bin(trajs[0].times[0], trajs[0].values[0])
+        with pytest.raises(YoungMeasureError, match="another partition"):
+            YoungAccumulator(part, radius, bins, sphere).apply(binner.binned)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_moments(self, case):
