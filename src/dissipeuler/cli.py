@@ -15,9 +15,10 @@ by a SHA-256 manifest.  Each
 experiment returns its audit rows, most of them built by the library
 function that computes the audited value, and ``main`` alone writes them
 to ``reports/<experiment>.json``, the only place a verdict is stored.  The
-(viscosity, path) runs of an experiment go through ``solver.run_ensemble``
-on P = min(N, paths, usable cores) processes for ``--threads N`` (N >= 1,
-default 1): this one and P - 1 forked workers, path i in process i mod P.
+(configuration, path) runs of an experiment, the weakstrong references
+included, go through ``solver.run_ensemble`` on P = min(N, paths, usable
+cores) processes for ``--threads N`` (N >= 1, default 1): this one and
+P - 1 forked workers, path i in process i mod P.
 Runs reach the experiment in one fixed order, so every artifact keeps
 every bit at any N.  Exit status is 0 iff every enabled audit passed, 1 on
 an audit failure, 2 on a configuration error (``--threads`` below 1
@@ -210,7 +211,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     eps = cfg.eps_values[0]
     part = cfg.partition
     snaps = Snapshots(cfg.solver, cfg.snapshot_times)
-    [(_, _, run, err)] = run_ensemble([cfg.solver], cfg.seed, [0], lambda _: (snaps,))
+    [(_, _, run, err)] = run_ensemble([cfg.solver], cfg.seed, [0], lambda *_: (snaps,))
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
     V = dirac_embed(snaps.trajectory, part, cfg.young.radius,

@@ -318,11 +318,11 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
     config alone (not the cores of the host), and one for ym and the
     transport-off martingale.  Three terms are charged:
 
-    * the runs: the largest run, plus one ensemble run per further
-      process.  A run holds its snapshots, each the point values of one
-      state, and ``WORKING_FIELDS`` half-spectrum fields on its grid;
-      simulate and martingale runs and the weakstrong reference run on
-      ``reference.n`` keep no snapshots;
+    * the runs: the largest run once per process, since a weakstrong
+      reference runs on the workers too.  A run holds its snapshots, each
+      the point values of one state, and ``WORKING_FIELDS`` half-spectrum
+      fields on its grid; simulate and martingale runs and the weakstrong
+      reference run on ``reference.n`` keep no snapshots;
     * the Wiener paths, drawn up front by one ``WienerPath.sample_many``
       call: 24 bytes per (path, step, mode) over ``ensemble.paths`` paths,
       ``martingale.linear_paths`` for the transport-off martingale and one
@@ -356,7 +356,7 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
         processes = min(threads, paths)
     size, field, what = max(runs)
     if processes > 1:
-        size += (processes - 1) * runs[0][0]
+        size *= processes
         what += f" and a run in each of {processes - 1} more processes retain"
     else:
         what += " retains"

@@ -136,7 +136,7 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     recorders = {eps: FunctionalRecorder(phi, eps, base.transport, steps)
                  for eps in ladder.eps_values[len(ladder.eps_values) // 2:]}
 
-    def watch(cfg):   # the same observers in every process
+    def watch(cfg, path):   # the same observers in every process
         rec = recorders.get(cfg.eps)
         return (binner,) if rec is None else (binner, rec)
 
@@ -396,7 +396,7 @@ def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
     recs = [FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
             for _, phi in fields]
     runs = []
-    with closing(run_ensemble([cfg], seed, path_ids, lambda _: recs, processes)) as ensemble:
+    with closing(run_ensemble([cfg], seed, path_ids, lambda *_: recs, processes)) as ensemble:
         for _, path, _, err in ensemble:
             if err is not None:
                 raise err

@@ -25,8 +25,9 @@ observer has ``steps`` and ``on_state``, and, to serve a run made in a
 worker process, ``payload()`` (what it kept of the run) and ``restore``.
 Every experiment runs its (configuration, path) runs through
 ``run_ensemble``, which draws the Wiener paths once, shares them across
-configurations, reports a blow-up as that run's failure and, for
-``--threads``, runs the paths on forked worker processes.
+configurations (refined by Brownian bridge for one at a finer dt),
+reports a blow-up as that run's failure and, for ``--threads``, runs the
+paths on forked worker processes.
 """
 
 from __future__ import annotations
@@ -371,9 +372,10 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
              initial: SpectralField | None = None) -> SolverRun:
     """Integrate one trajectory; deterministic given (cfg, seed, path_id).
 
-    A pre-sampled ``path`` (e.g. shared across viscosities or refined by
-    Brownian bridge) overrides local sampling; its dt must match cfg, it
-    must reach the horizon and it must have one mode per forcing mode.
+    A pre-sampled ``path`` (as ``run_ensemble`` passes: shared across
+    configurations, and refined by Brownian bridge for a finer dt)
+    overrides local sampling; its dt must match cfg, it must reach the
+    horizon and it must have one mode per forcing mode.
     Likewise a pre-drawn ``initial`` state, which must be
     ``initial_state(cfg, seed, path_id)``, overrides the draw.  Each
     observer's ``on_state`` receives (step n, time, field, point values) at
@@ -476,25 +478,31 @@ def ensemble_processes(threads: int, paths: int) -> int:
     return max(1, min(threads, paths, len(os.sched_getaffinity(0))))
 
 
-def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: (),
-                 processes: int = 1):
+def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg, path: (),
+                 processes: int = 1, draw: SolverConfig | None = None):
     """Run every path of ``path_ids`` at every configuration of ``cfgs``.
 
     The one loop over an experiment's (configuration, path) runs.  Every
     path is drawn once, by one ``WienerPath.sample_many`` call at the
-    (rank, dt, steps) of the first configuration, and shared bit for bit
-    by the runs of all configurations.  Runs are yielded config-major:
-    every path of one configuration, in ``path_ids`` order, then the next
-    configuration.  ``cfgs`` is read one configuration ahead, the next one
-    when this one's runs start, and the loop holds neither a configuration
-    nor a run past its last yield, so a caller that keeps neither lets a
-    finished configuration go (with its cached tables) while the next one
-    runs.  ``observers(cfg)`` gives a run's observers; it is called once
-    per run, just before a run made here.  Each path's initial state is
-    drawn once by its first run and kept for the next configuration only
-    when that one has the same grid and initial law.  Yields (cfg, path,
-    run, err) after each run: a run that blows up yields run None and its
-    ``BlowUpError`` as err, and the remaining runs go ahead.
+    (rank, dt, steps) of ``draw`` (the first configuration if None), and
+    shared bit for bit by the runs of all configurations.  A configuration
+    whose dt is the draw's divided by 2^k runs on ``path.refined(2^k)``,
+    the Brownian-bridge refinement, made in the process that runs it; any
+    other ratio raises before that configuration integrates, at the
+    refinement or at ``run_path``'s dt check.  Runs are yielded
+    config-major: every path of one configuration, in ``path_ids`` order,
+    then the next configuration.  ``cfgs`` is read one configuration
+    ahead, the next one when this one's runs start, and the loop holds
+    neither a configuration nor a run past its last yield, so a caller
+    that keeps neither lets a finished configuration go (with its cached
+    tables) while the next one runs.  ``observers(cfg, path)`` gives the
+    observers of the run of ``path`` (as drawn) at ``cfg``; it is called
+    once per run, just before a run made here.  Each path's initial state
+    is drawn once by its first run and kept for the next configuration
+    only when that one has the same grid and initial law.  Yields (cfg,
+    path, run, err) after each run, with ``path`` as drawn: a run that
+    blows up yields run None and its ``BlowUpError`` as err, and the
+    remaining runs go ahead.
 
     The runs go on P = ``ensemble_processes(processes, paths)`` processes:
     this one and P - 1 workers forked when the paths are drawn, each with
@@ -502,16 +510,17 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: (),
     i mod P, which draws and keeps that path's initial states.  A worker
     runs its runs in order and sends each one's trace, final field, error
     and observer payloads (each observer's ``payload()``) through a pipe;
-    here, in its turn, the run gets its observers by ``observers(cfg)``,
-    each ``restore``s its payload, and the run is yielded as if it had
-    been made here, so the yields keep every bit at any P.  A worker
-    leaves only through ``os._exit``; any exception in it but a blow-up
-    raises ``WorkerError`` here with its traceback.  When the loop ends or
-    its consumer stops, the workers are killed and reaped.
+    here, in its turn, the run gets its observers by ``observers(cfg,
+    path)``, each ``restore``s its payload, and the run is yielded as if
+    it had been made here, so the yields keep every bit at any P.  A
+    worker leaves only through ``os._exit``; any exception in it but a
+    blow-up raises ``WorkerError`` here with its traceback.  When the loop
+    ends or its consumer stops, the workers are killed and reaped.
     """
     cfgs = iter(cfgs)
     cfg = next(cfgs)
-    paths = WienerPath.sample_many(seed, path_ids, cfg.forcing.rank, cfg.dt, cfg.steps)
+    draw = draw or cfg
+    paths = WienerPath.sample_many(seed, path_ids, draw.forcing.rank, draw.dt, draw.steps)
     share = ensemble_processes(processes, len(paths))
     parent, workers = os.getpid(), []
     try:
@@ -519,7 +528,7 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg: (),
             workers.append(_fork_worker(cfg, cfgs, seed, paths, observers, rank,
                                         share, workers))
         runs = _runs(cfg, cfgs, seed, paths, observers, 0, share, workers)
-        del cfg   # the loop alone holds the configuration it runs
+        del cfg, draw   # the loop alone holds the configuration it runs
         yield from runs
     finally:
         if os.getpid() == parent:   # not a worker's copy of a parent's loop
@@ -560,8 +569,8 @@ def _runs(cfg, cfgs, seed, paths, observers, rank, share, workers=()):
             if keep:
                 starts[pid] = initial
             try:   # the run is a temporary of the yield: no name holds it
-                yield cfg, path, run_path(cfg, seed, pid, path, observers(cfg),
-                                          initial), None
+                yield cfg, path, run_path(cfg, seed, pid, path.refined(
+                    round(path.dt / cfg.dt)), observers(cfg, path), initial), None
             except BlowUpError as err:
                 yield cfg, path, None, err
         cfg = following
@@ -586,8 +595,8 @@ def _fork_worker(cfg, cfgs, seed, paths, observers, rank, share, workers) -> _Wo
             worker.reader.close()
         seen = []   # the observers of the run going on
 
-        def observed(cfg):
-            seen[:] = observers(cfg)
+        def observed(cfg, path):
+            seen[:] = observers(cfg, path)
             return seen
         with os.fdopen(writer, "wb") as out:
             _serve(_runs(cfg, cfgs, seed, paths, observed, rank, share), seen, out)
@@ -621,7 +630,7 @@ def _receive(worker: _Worker, cfg: SolverConfig, path: WienerPath, observers):
     if kind == "crash":
         raise WorkerError(f"ensemble worker {worker.pid} failed:\n{body}")
     result, err, payloads = body
-    for obs, payload in zip(observers(cfg), payloads, strict=True):
+    for obs, payload in zip(observers(cfg, path), payloads, strict=True):
         obs.restore(payload)
     if result is None:
         return cfg, path, None, err

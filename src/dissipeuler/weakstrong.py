@@ -4,13 +4,14 @@ The "strong" solution is operationally a resolved reference: the weak
 run's configuration on a finer grid with dt divided by a power of two, zero
 viscosity, and the same Wiener path (Brownian-bridge refined).  Every state
 lies in the dealias band, so the reference is trusted up to its horizon;
-only the stopping time tau_L below cuts it short.  ``build_reference``
-integrates it once per path, when the ladder's first rung reaches the path
-(the weak runs go through ``solver.run_ensemble``), and while it runs
-reduces it on the audit's partition to what the relative energy reads per
-time slab: its slab-mean velocity per space cell and its slab-mean
-||v||^2, so the run keeps no snapshot.  F(0) compares the two runs'
-initial states, ``initial_state`` of each configuration.  Against the reference the relative energy
+only the stopping time tau_L below cuts it short.  The reference is one
+more configuration of ``solver.run_ensemble``, run once per path before
+the ladder's rungs.  The observer ``build_reference`` builds reduces each
+reference run, as it runs, on the audit's partition to what the relative
+energy reads per time slab: its slab-mean velocity per space cell and its
+slab-mean ||v||^2, so the run keeps no snapshot.  At step 0 it takes F(0),
+comparing the reference start with the weak run's, ``initial_state`` of
+the weak configuration.  Against the reference the relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -31,11 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forcing import WienerPath, refinement_halvings
+from .forcing import refinement_halvings
 from .limits import decreasing_rungs
 from .reporting import audit_row
-from .solver import (Snapshots, SolverConfig, initial_state, run_ensemble,
-                     run_path, step_index)
+from .solver import SolverConfig, initial_state, run_ensemble, snapshot_steps
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -46,7 +46,8 @@ from .spectral import (
 from .young import (
     CellPartition,
     GeneralizedYoungMeasure,
-    dirac_embed,
+    YoungAccumulator,
+    YoungBinner,
     energy_of,
 )
 
@@ -70,31 +71,49 @@ class StrongReference:
 
 
 class ReferenceReduction:
-    """Observer reducing a reference run on ``partition`` as it runs.
+    """Observer reducing reference runs on ``partition`` as they run.
 
-    It observes the steps ``snapshot_steps``; at each it reads
-    ||grad v||_inf, the space-cell averages of the point values and
+    ``path`` is the Wiener path of the run it observes next, which its
+    caller sets before the run.  At step 0 a run starts: the observer
+    forgets the run before and takes F(0), ``initial_relative_energy`` of
+    the weak run's start ``initial_state(weak, seed, path id)`` and the
+    reference start it observes.  At the steps ``snapshot_steps`` it
+    reads ||grad v||_inf, the space-cell averages of the point values and
     ||v||^2, and keeps nothing of the state.  ``reference`` then gives
     each time slab the mean over its snapshots of the cell averages and of
     ||v||^2, the two quantities the relative energy reads; a slab without a
-    snapshot is an error.
+    snapshot is an error.  A run made in a worker process sends F(0) and
+    the per-slab sums as ``payload()``, which ``restore`` takes.
     """
 
     def __init__(self, partition: CellPartition, snapshot_steps,
-                 horizon: float):
+                 horizon: float, weak: SolverConfig):
         self.partition = partition
         self.horizon = float(horizon)
-        self.steps = frozenset(snapshot_steps)
-        self._times, self._grad_sup = [], []
-        self._sums, self._norms = {}, {}   # per slab, in time order
+        self.weak = weak
+        self.snapshot_steps = frozenset(snapshot_steps)
+        self.steps = self.snapshot_steps | {0}
 
     def on_state(self, n, t, v, phys):
+        if n == 0:   # a run starts
+            # per snapshot, then per slab in time order
+            self._times, self._grad_sup, self._sums, self._norms = [], [], {}, {}
+            u0 = initial_state(self.weak, self.path.seed, self.path.path_id)
+            self.f0 = initial_relative_energy(u0, v)
+        if n not in self.snapshot_steps:
+            return
         tensor = gradient_physical(v)
         self._grad_sup.append(float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max())))
         self._times.append(t)
         slab = self.partition.slab_of(float(t))
         self._sums[slab] = self._sums.get(slab, 0.0) + self.partition.block_mean(phys)
         self._norms.setdefault(slab, []).append(l2_norm_sq(v))
+
+    def payload(self):
+        return self.f0, self._times, self._grad_sup, self._sums, self._norms
+
+    def restore(self, payload):
+        self.f0, self._times, self._grad_sup, self._sums, self._norms = payload
 
     def reference(self) -> StrongReference:
         cell_mean, slab_energy_sq = [], []
@@ -110,22 +129,17 @@ class ReferenceReduction:
                                np.stack(cell_mean), np.array(slab_energy_sq))
 
 
-def build_reference(cfg: SolverConfig, seed: int, path_id: int,
-                    partition: CellPartition, snapshot_times,
-                    path: WienerPath | None = None,
-                    initial: SpectralField | None = None) -> StrongReference:
-    """Integrate a reference run and reduce it on ``partition`` as it runs.
+def build_reference(cfg: SolverConfig, partition: CellPartition, snapshot_times,
+                    weak: SolverConfig) -> ReferenceReduction:
+    """The observer reducing runs of the reference ``cfg`` on ``partition``,
+    with F(0) against the starts of the weak configuration ``weak``.
 
-    The snapshot times map to steps of ``cfg`` by ``step_index`` before the
-    run starts, so a time off its step grid fails before any integration.
-    The run, on ``path`` and from ``initial`` (``initial_state`` of the
-    run) if given, keeps no snapshot.
+    The snapshot times map to steps of ``cfg`` by ``step_index`` here, so a
+    time off its step grid fails before any integration.
     """
-    steps = {step_index(t, cfg.dt, cfg.steps, WeakStrongError)
-             for t in snapshot_times}
-    reduction = ReferenceReduction(partition, steps, cfg.horizon)
-    run_path(cfg, seed, path_id, path=path, observers=(reduction,), initial=initial)
-    return reduction.reference()
+    return ReferenceReduction(partition, snapshot_steps(cfg, snapshot_times,
+                                                        WeakStrongError),
+                              cfg.horizon, weak)
 
 
 def check_reference_n(weak_n: int, ref_n: int, error=WeakStrongError) -> None:
@@ -259,17 +273,19 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
 
     The reference is ``weak_base`` on the grid of size ``ref_n`` with zero
     viscosity and dt divided by ``dt_factor``.  ``solver.run_ensemble``
-    draws every Wiener path once and runs the weak runs config-major, on up
-    to ``processes`` processes: every path of one rung, then the next
-    rung.  When the first rung's run of a path ends, that path's reference
-    is built here on the Brownian-bridge refinement of the path, from the
-    one draw of its initial state that F(0) also reads, before the run's
-    measure is embedded; every run is then
-    compared with its path's reference.  F(0) draws the weak initial state
-    once more, since ``run_ensemble`` keeps its own draw to itself.  The
-    first blow-up, of a weak or a reference run, is raised.  Returns the
-    audit rows (F(0) = 0, F >= 0, agreement of the two forms of F, the
-    monotone ladder and one Gronwall envelope per eps) and the diagnostics: per-eps
+    runs the reference and then the rungs config-major, on up to
+    ``processes`` processes: every path of one configuration, then the
+    next.  It draws every Wiener path once, at the dt and steps of
+    ``weak_base``, and runs the reference on the Brownian-bridge
+    refinement of the path.  Every run is observed where it runs: a
+    reference run by the ``ReferenceReduction`` of ``build_reference``,
+    which also takes the path's F(0), and a weak run by a ``YoungBinner``
+    at the snapshot steps, whose bins are applied here to the run's own
+    ``YoungAccumulator``; each weak run is then compared with its path's
+    reference.  The first blow-up, of a reference or a weak run (the
+    references run first), is raised.  Returns the audit rows (F(0) = 0,
+    F >= 0, agreement of the two forms of F, the monotone ladder and one
+    Gronwall envelope per eps) and the diagnostics: per-eps
     relative-energy matrices with their Gronwall diagnostics, the stopping
     times and the paired monotonicity diagnostics along the ladder.  An
     unset ``level`` L is 1.05 times the largest ||grad v||_inf of the
@@ -280,7 +296,7 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     eps = 0 rung is allowed), the reference refines the weak grid
     (``check_reference_n``) and divides its dt by a power of two
     (``forcing.refinement_halvings``), and the snapshot times lie on the
-    weak step grid (``Snapshots``) and reach every time slab
+    weak step grid (``solver.snapshot_steps``) and reach every time slab
     (``CellPartition.check_slabs``).
     """
     eps_values = decreasing_rungs(eps_values, WeakStrongError)
@@ -292,33 +308,36 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     refinement_halvings(dt_factor, WeakStrongError)
     reference_cfg = replace(weak_base, grid=TorusGrid(weak_base.grid.dim, ref_n),
                             eps=0.0, dt=weak_base.dt / dt_factor)
-    snaps = Snapshots(weak_base, snapshot_times, WeakStrongError)
+    steps = snapshot_steps(weak_base, snapshot_times, WeakStrongError)
     partition.check_slabs(snapshot_times, WeakStrongError)
+    binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps)
+    reduction = build_reference(reference_cfg, partition, snapshot_times, weak_base)
 
-    cfgs = [weak_base.with_eps(eps) for eps in eps_values]
+    def observe(cfg, path):   # the same observers in every process
+        reduction.path = path   # read by a reference run only
+        return (reduction,) if cfg is reference_cfg else (binner,)
+
+    cfgs = [reference_cfg, *(weak_base.with_eps(eps) for eps in eps_values)]
     refs, f0 = [], []
-    f_rows, gaps = [[] for _ in cfgs], [[] for _ in cfgs]
-    with closing(run_ensemble(cfgs, seed, path_ids, lambda _: (snaps,),
-                              processes)) as runs:
-        for i, (_, path, _, err) in enumerate(runs):
+    f_rows, gaps = [[] for _ in eps_values], [[] for _ in eps_values]
+    with closing(run_ensemble(cfgs, seed, path_ids, observe, processes,
+                              draw=weak_base)) as runs:
+        for i, (_, _, _, err) in enumerate(runs):
             if err is not None:
                 raise err
-            r, p = divmod(i, len(path_ids))   # rung and path, config-major
-            if r == 0:   # the first rung reaches the path: build its reference
-                pid = path.path_id
-                v0 = initial_state(reference_cfg, seed, pid)
-                f0.append(initial_relative_energy(initial_state(weak_base, seed, pid),
-                                                  v0))
-                refs.append(build_reference(reference_cfg, seed, pid, partition,
-                                            snapshot_times,
-                                            path=path.refined(dt_factor), initial=v0))
-            V = dirac_embed(snaps.trajectory, partition, radius,
-                            bins_per_axis=bins_per_axis, sphere_bins=sphere_bins)
+            r, p = divmod(i, len(path_ids))   # configuration and path
+            if r == 0:   # the reference of path p
+                refs.append(reduction.reference())
+                f0.append(reduction.f0)
+                continue
+            acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
+            acc.apply(binner.binned)
+            V = acc.measure()
             slabs = [relative_energy(V, refs[p], s) for s in range(partition.n_t)]
-            f_rows[r].append(np.array([s["measure_form"] for s in slabs]))
-            gaps[r].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
-                               for s in slabs))
-            del V   # released before the next run, and so before a reference run
+            f_rows[r - 1].append(np.array([s["measure_form"] for s in slabs]))
+            gaps[r - 1].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
+                                   for s in slabs))
+            del acc, V   # released before the next run
 
     stops = True
     if level is None:   # flat references give 0: no path stops, and L = 0

@@ -780,16 +780,16 @@ class TestWeakStrongCli:
 
     def test_weakstrong_embeds_with_configured_sphere_bins(self, tmp_path,
                                                            monkeypatch):
-        import dissipeuler.weakstrong as weakstrong
+        from dissipeuler.young import YoungAccumulator
 
         seen = []
-        real = weakstrong.dirac_embed
+        real = YoungAccumulator.measure
 
-        def spy(*args, **kwargs):
-            V = real(*args, **kwargs)
+        def spy(self):
+            V = real(self)
             seen.append(V.sphere_bins)
             return V
-        monkeypatch.setattr(weakstrong, "dirac_embed", spy)
+        monkeypatch.setattr(YoungAccumulator, "measure", spy)
         raw = {
             "experiment": "weakstrong",
             "grid": {"dim": 2, "n": 16},
@@ -926,11 +926,28 @@ class TestThreads:
         raw["ensemble"]["paths"] = 1   # one path runs in one process
         assert isinstance(parse_config(raw, "simulate", threads=8), RunConfig)
 
-    @pytest.mark.parametrize("name", ["ladder", "martingale_nonlinear_demo.json"])
+    def test_memory_ceiling_charges_the_largest_run_per_process(self, monkeypatch):
+        # the weakstrong references run on every process: two 256^3
+        # reference runs do not fit under the ceiling, one does
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        raw = json.loads((CONFIGS / "weakstrong_demo.json").read_text())
+        raw["grid"] = {"dim": 3, "n": 32}
+        raw["reference"]["n"] = 256
+        raw["ensemble"]["paths"] = 2
+        raw["young"]["space_cells"] = 8
+        assert isinstance(parse_config(raw, "weakstrong", threads=1), RunConfig)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, "weakstrong", threads=2)
+        assert err.value.path == "reference.n"
+        assert "a run at n=256 in 3D and a run in each of 1 more processes" \
+            in str(err.value)
+
+    @pytest.mark.parametrize("name", ["ladder", "weakstrong",
+                                      "martingale_nonlinear_demo.json"])
     def test_trees_identical_at_one_and_two_processes(self, tmp_path, two_cores,
                                                       forks, name):
-        # the ladder workload and the martingale demo write the same files,
-        # byte for byte, on one process and on two
+        # the ladder and weakstrong workloads and the martingale demo write
+        # the same files, byte for byte, on one process and on two
         if name in WORKLOADS:
             raw, experiment = WORKLOADS[name]["config"], WORKLOADS[name]["experiment"]
         else:

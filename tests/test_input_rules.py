@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import dissipeuler.solver as solver
-import dissipeuler.weakstrong as weakstrong
 from dissipeuler.config import ConfigError, parse_config
 from dissipeuler.forcing import ForcingError, WienerPath, default_forcing
 from dissipeuler.limits import LimitError, MartingaleStat, ViscosityLadder
@@ -45,7 +44,6 @@ def no_runs(monkeypatch):
     def ran(*args, **kwargs):
         raise _Ran
     monkeypatch.setattr(solver, "run_path", ran)
-    monkeypatch.setattr(weakstrong, "run_path", ran)
 
 
 def accepts(call, error, field=None):

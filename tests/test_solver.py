@@ -9,6 +9,7 @@ import pytest
 
 import dissipeuler.solver as solver
 from dissipeuler.forcing import (
+    ForcingError,
     ForcingMode,
     ForcingOperator,
     WienerPath,
@@ -235,19 +236,21 @@ class TestRunEnsemble:
             def on_state(self, n, t, u, phys):
                 self.hits += 1
 
-        def observers(cfg):
-            calls.append((cfg, len(yielded), Seen()))
-            return (calls[-1][2],)
+        def observers(cfg, path):
+            calls.append((cfg, path, len(yielded), Seen()))
+            return (calls[-1][3],)
 
         for item in run_ensemble(cfgs, 5, path_ids, observers):
             yielded.append(item)
 
         order = [(cfg, pid) for cfg in cfgs for pid in path_ids]
         assert [(cfg, path.path_id) for cfg, path, _, _ in yielded] == order
-        # observers(cfg) is called once just before each run, which reads it
-        assert [(cfg, runs_before) for cfg, runs_before, _ in calls] == \
+        # observers(cfg, path) is called once just before each run, which
+        # reads it, with the path the run yields
+        assert [(cfg, runs_before) for cfg, _, runs_before, _ in calls] == \
             [(cfg, i) for i, (cfg, _) in enumerate(order)]
-        assert all(seen.hits == 1 for _, _, seen in calls)
+        assert [path for _, path, _, _ in calls] == [path for _, path, _, _ in yielded]
+        assert all(seen.hits == 1 for *_, seen in calls)
         for cfg, path, run, err in yielded:
             lone = WienerPath.sample(5, path.path_id, 4, base.dt, base.steps)
             assert path.increments.tobytes() == lone.increments.tobytes()
@@ -288,6 +291,43 @@ class TestRunEnsemble:
                 assert getattr(run.trace, name).tobytes() == \
                     getattr(want.trace, name).tobytes()
             assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
+
+    def test_a_configuration_at_a_power_of_two_finer_dt_runs_on_the_refined_path(self):
+        # the paths are drawn at the dt of ``draw``; a configuration at dt / 4
+        # runs on path.refined(4) and keeps every bit of that run
+        base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 32, horizon=0.125,
+                           forcing=default_forcing(2, 0.3),
+                           initial=InitialCondition("random_spectrum", 0.3))
+        fine = replace(base, grid=TorusGrid(2, 32), eps=0.0, dt=base.dt / 4)
+        seen = []
+
+        def observers(cfg, path):
+            seen.append(path)
+            return ()
+        runs = list(run_ensemble([fine, base], 5, [4, 1], observers, draw=base))
+        assert [(cfg, path.path_id) for cfg, path, _, _ in runs] == \
+            [(fine, 4), (fine, 1), (base, 4), (base, 1)]
+        for cfg, path, run, err in runs:
+            assert err is None and (path.dt, path.steps) == (base.dt, base.steps)
+            on = path.refined(4) if cfg is fine else path
+            want = run_path(cfg, 5, path.path_id, on)
+            for name in ("times", "energy", "dissipation", "ito_input", "stochastic"):
+                assert getattr(run.trace, name).tobytes() == \
+                    getattr(want.trace, name).tobytes()
+            assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
+        assert seen == [path for _, path, _, _ in runs]   # as drawn
+
+    def test_a_configuration_at_another_dt_ratio_raises_before_it_runs(self, monkeypatch):
+        base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 32, horizon=0.125)
+        real_run_path, runs = solver.run_path, []
+
+        def counted(cfg, *args, **kwargs):
+            runs.append(cfg)
+            return real_run_path(cfg, *args, **kwargs)
+        monkeypatch.setattr(solver, "run_path", counted)
+        with pytest.raises(ForcingError, match="power of two"):
+            list(run_ensemble([base, replace(base, dt=base.dt / 3)], 5, [4, 1]))
+        assert runs == [base, base]   # the dt / 3 configuration integrated nothing
 
 
 def _no_child_left():
@@ -331,7 +371,7 @@ class TestEnsembleProcesses:
             snaps = Snapshots(cfgs[0], [0.0, 0.0625, 0.125])
             return [(cfg, path.path_id, run, err, None if err else snaps.trajectory)
                     for cfg, path, run, err in run_ensemble(
-                        cfgs, 5, path_ids, lambda cfg: (snaps,), processes)]
+                        cfgs, 5, path_ids, lambda cfg, path: (snaps,), processes)]
 
         one = collect(1)
         assert forks == []
@@ -641,8 +681,8 @@ def test_every_reader_maps_a_time_to_a_step_alike(t, on_grid):
         "Snapshots": accepts(lambda: Snapshots(cfg, [t]), SolverError),
         "_by_pair": accepts(lambda: _by_pair(m, m, beta, [pair], DT), LimitError),
         "build_reference": accepts(
-            lambda: build_reference(cfg, 1, 0, CellPartition(2, 16, 1, 2, 0.0, HORIZON),
-                                    [0.0, t]),
+            lambda: build_reference(cfg, CellPartition(2, 16, 1, 2, 0.0, HORIZON),
+                                    [0.0, t], cfg),
             WeakStrongError),
     }
     if t <= HORIZON:   # a horizon bounds itself

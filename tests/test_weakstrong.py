@@ -1,9 +1,12 @@
 """Relative energy, stopping times, Gronwall envelope, the ladder audit."""
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dissipeuler.forcing import default_forcing
+from dissipeuler.forcing import WienerPath, default_forcing
 from dissipeuler.reporting import all_passed
 from dissipeuler.solver import (
     InitialCondition,
@@ -47,11 +50,23 @@ def steady_run(grid, snapshot_times, amp=1.0, dt=1.0 / 32, horizon=0.25,
                     snapshot_times)
 
 
+def reduced_reference(cfg, seed, path_id, partition, snapshot_times, weak=None,
+                      initial=None):
+    """A run of the reference ``cfg`` reduced by the observer of
+    ``build_reference``, with F(0) against ``weak`` (``cfg`` if None)."""
+    reduction = build_reference(cfg, partition, snapshot_times, weak or cfg)
+    reduction.path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt,
+                                       cfg.steps)
+    solver.run_path(cfg, seed, path_id, reduction.path, observers=(reduction,),
+                    initial=initial)
+    return reduction.reference()
+
+
 def steady_reference(grid, partition, snapshot_times, amp=1.0, dt=1.0 / 32,
                      horizon=0.25, kind="taylor_green"):
-    """The reference ``build_reference`` integrates for ``steady_run``."""
-    return build_reference(steady_config(grid, amp, dt, horizon, kind), 1, 0,
-                           partition, snapshot_times)
+    """The reference of ``steady_run``, reduced as ``build_reference`` does."""
+    return reduced_reference(steady_config(grid, amp, dt, horizon, kind), 1, 0,
+                             partition, snapshot_times)
 
 
 def snapshot_grid(horizon, n_t, per_slab=2, dt=1.0 / 32):
@@ -155,7 +170,7 @@ class TestReference:
 
         run_path(cfg, 61, 0, observers=(Keep(),))
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
-        ref = build_reference(cfg, 61, 0, part, times)
+        ref = reduced_reference(cfg, 61, 0, part, times)
         assert np.array_equal(ref.times, [t for t, _ in states])
         for s in range(part.n_t):
             sel = [m for m, t in enumerate(times) if part.slab_of(t) == s]
@@ -168,34 +183,34 @@ class TestReference:
                 [l2_norm_sq(states[m][1]) for m in sel])
 
     def test_v0_is_the_first_state(self, monkeypatch):
-        # F(0) reads v(0) as initial_state: the state the reference starts from
+        # F(0) reads v(0) as initial_state: the state the reference starts
+        # from, against the weak run's start of the same path
         cfg = SolverConfig(grid=TorusGrid(2, 32), forcing=default_forcing(2, 0.2),
                            eps=0.0, dt=1.0 / 64, horizon=0.25,
                            initial=InitialCondition("random_spectrum", 0.3))
-        first = []
+        weak = replace(cfg, grid=TorusGrid(2, 16), eps=0.1, dt=1.0 / 32)
+        starts = []
+        real_f0 = weakstrong.initial_relative_energy
 
-        class First:
-            steps = {0}
-
-            def on_state(self, n, t, v, phys):
-                first.append(v)
-
-        def run_path_and_first(*args, observers, **kwargs):
-            return run_path(*args, observers=(*observers, First()), **kwargs)
-        monkeypatch.setattr(weakstrong, "run_path", run_path_and_first)
-        build_reference(cfg, 1, 0, CellPartition(2, 16, 2, 4, 0.0, 0.25),
-                        snapshot_grid(0.25, 2))
-        assert np.array_equal(first[0].coeffs, initial_state(cfg, 1, 0).coeffs)
+        def spy(u0, v0):
+            starts.append((u0, v0))
+            return real_f0(u0, v0)
+        monkeypatch.setattr(weakstrong, "initial_relative_energy", spy)
+        reduced_reference(cfg, 1, 3, CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                          snapshot_grid(0.25, 2), weak)
+        [(u0, v0)] = starts
+        assert np.array_equal(u0.coeffs, initial_state(weak, 1, 3).coeffs)
+        assert np.array_equal(v0.coeffs, initial_state(cfg, 1, 3).coeffs)
 
     def test_snapshot_time_off_the_step_grid_rejected(self, monkeypatch):
         # the times map to steps before the run: none is integrated
         def no_run(*args, **kwargs):
             raise AssertionError("integrated before the snapshot check")
-        monkeypatch.setattr(weakstrong, "run_path", no_run)
+        monkeypatch.setattr(solver, "run_path", no_run)
         with pytest.raises(WeakStrongError, match="step grid"):
-            build_reference(steady_config(TorusGrid(2, 16)), 1, 0,
-                            CellPartition(2, 16, 2, 4, 0.0, 0.25),
-                            [0.0, 0.1, 0.1875])
+            reduced_reference(steady_config(TorusGrid(2, 16)), 1, 0,
+                              CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                              [0.0, 0.1, 0.1875])
 
     def test_slab_without_snapshot_rejected(self):
         grid = TorusGrid(2, 16)
@@ -246,7 +261,7 @@ class TestStoppingTime:
                                eps=0.0, dt=1.0 / 32, horizon=0.25,
                                initial=InitialCondition("random_spectrum",
                                                         amplitude=0.25))
-            ref = build_reference(cfg, 47, pid, part, times)
+            ref = reduced_reference(cfg, 47, pid, part, times)
             sups.append(ref.grad_sup_max())
             stops.append(stopping_time(ref, level) < ref.horizon)
         p_stop = np.mean(stops)
@@ -400,7 +415,6 @@ class TestLadderComparison:
             runs.append(args)
             return real_run_path(*args, **kwargs)
         monkeypatch.setattr(solver, "run_path", counting_run_path)
-        monkeypatch.setattr(weakstrong, "run_path", counting_run_path)
         for ref_n, dt_factor, match in [(32, 3, "power of two"),
                                         (32, 0, "power of two"),
                                         (8, 2, "refine the weak grid")]:
@@ -417,7 +431,6 @@ class TestLadderComparison:
         def no_run(*args, **kwargs):
             raise AssertionError("integrated before the ladder check")
         monkeypatch.setattr(solver, "run_path", no_run)
-        monkeypatch.setattr(weakstrong, "run_path", no_run)
         weak = SolverConfig(grid=TorusGrid(2, 16), forcing=None, eps=0.1,
                             dt=1.0 / 32, horizon=0.25,
                             initial=InitialCondition("zero"))
@@ -426,15 +439,22 @@ class TestLadderComparison:
                                partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
                                radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
 
-    def test_one_reference_build_per_path(self, monkeypatch):
-        # the reference is the weak run refined: grid ref_n, eps 0, dt / factor
-        calls = []
-        real = weakstrong.build_reference
+    def test_one_reference_run_per_path(self, monkeypatch):
+        # the reference is the weak run refined: grid ref_n, eps 0, dt / factor,
+        # on the Brownian-bridge refinement of the path the rungs run on; its
+        # observer is built once, and every path's reference runs first
+        builds, runs = [], []
+        real_build, real_run_path = weakstrong.build_reference, solver.run_path
 
-        def spy(cfg, seed, path_id, *args, **kwargs):
-            calls.append((path_id, cfg))
-            return real(cfg, seed, path_id, *args, **kwargs)
-        monkeypatch.setattr(weakstrong, "build_reference", spy)
+        def spy_build(cfg, partition, snapshot_times, weak):
+            builds.append((cfg, weak))
+            return real_build(cfg, partition, snapshot_times, weak)
+
+        def spy_run(cfg, seed, path_id, path, *args, **kwargs):
+            runs.append((path_id, cfg, path))
+            return real_run_path(cfg, seed, path_id, path, *args, **kwargs)
+        monkeypatch.setattr(weakstrong, "build_reference", spy_build)
+        monkeypatch.setattr(solver, "run_path", spy_run)
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
         weak = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.2),
                             eps=0.1, dt=1.0 / 32, horizon=0.25, initial=ic)
@@ -443,19 +463,39 @@ class TestLadderComparison:
         weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1, path_ids=[0, 1, 2],
                            partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
                            radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
-        assert calls == [(0, ref), (1, ref), (2, ref)]
+        assert builds == [(ref, weak)]
+        assert [(pid, cfg) for pid, cfg, _ in runs] == \
+            [(0, ref), (1, ref), (2, ref)] + [(p, weak.with_eps(eps))
+                                              for eps in (0.1, 0.05) for p in range(3)]
+        for pid, cfg, path in runs:
+            drawn = WienerPath.sample(1, pid, 4, weak.dt, weak.steps)
+            want = drawn.refined(2) if cfg == ref else drawn
+            assert (path.dt, path.level) == (cfg.dt, want.level)
+            assert path.increments.tobytes() == want.increments.tobytes()
 
     def test_initial_states_drawn_once_per_grid(self, monkeypatch):
-        # the reference run starts from the draw F(0) reads; the weak start
-        # is drawn by run_ensemble for every rung and once more for F(0)
-        draws = []
-        real_initial_state = solver.initial_state
+        # each reference start is drawn once, by run_ensemble; F(0) draws the
+        # weak start once more, within the reference's run; run_ensemble
+        # draws the weak start once for every rung; the ladder itself draws
+        # none
+        draws, running = [], []
+        real_initial_state, real_run_path = solver.initial_state, solver.run_path
 
-        def counted(cfg, seed, path_id):
-            draws.append((cfg.grid.n, path_id))
-            return real_initial_state(cfg, seed, path_id)
-        monkeypatch.setattr(solver, "initial_state", counted)
-        monkeypatch.setattr(weakstrong, "initial_state", counted)
+        def counted(where):
+            def draw(cfg, seed, path_id):
+                draws.append((where, cfg.grid.n, path_id, tuple(running)))
+                return real_initial_state(cfg, seed, path_id)
+            return draw
+
+        def tracked(cfg, *args, **kwargs):
+            running.append(cfg.grid.n)
+            try:
+                return real_run_path(cfg, *args, **kwargs)
+            finally:
+                running.pop()
+        monkeypatch.setattr(solver, "initial_state", counted("solver"))
+        monkeypatch.setattr(weakstrong, "initial_state", counted("weakstrong"))
+        monkeypatch.setattr(solver, "run_path", tracked)
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
         weak = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.2),
                             eps=0.1, dt=1.0 / 32, horizon=0.25, initial=ic)
@@ -466,17 +506,57 @@ class TestLadderComparison:
         _, rep = weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1,
                                     path_ids=[0, 1], partition=part, radius=4.0,
                                     snapshot_times=times)
-        assert sorted(draws) == [(16, 0), (16, 0), (16, 1), (16, 1), (32, 0), (32, 1)]
+        assert draws == [("solver", 32, 0, ()), ("weakstrong", 16, 0, (32,)),
+                         ("solver", 32, 1, ()), ("weakstrong", 16, 1, (32,)),
+                         ("solver", 16, 0, ()), ("solver", 16, 1, ())]
         monkeypatch.setattr(solver, "initial_state", real_initial_state)
+        monkeypatch.setattr(weakstrong, "initial_state", real_initial_state)
+        monkeypatch.setattr(solver, "run_path", real_run_path)
         # F(0) and the reference keep the bits of their own draws
         for p, pid in enumerate([0, 1]):
             v0 = initial_state(ref, 1, pid)
             want = initial_relative_energy(initial_state(weak, 1, pid), v0)
             assert rep["per_eps"][0.1]["f0"][p] == want
-            shared = build_reference(ref, 1, pid, part, times, initial=v0)
-            drawn = build_reference(ref, 1, pid, part, times)
+            shared = reduced_reference(ref, 1, pid, part, times, weak, initial=v0)
+            drawn = reduced_reference(ref, 1, pid, part, times, weak)
             assert shared.cell_mean.tobytes() == drawn.cell_mean.tobytes()
             assert shared.grad_sup.tobytes() == drawn.grad_sup.tobytes()
+
+    def test_parent_runs_only_its_share_of_the_references(self, two_cores, forks,
+                                                          monkeypatch):
+        # on two processes path i's reference runs in process i mod 2, so
+        # this one integrates the references of paths 0 and 2 only, and the
+        # audit keeps every bit of one process
+        runs, real_run_path = [], solver.run_path
+
+        def spy(cfg, seed, path_id, *args, **kwargs):
+            runs.append((cfg.grid.n, path_id))
+            return real_run_path(cfg, seed, path_id, *args, **kwargs)
+        monkeypatch.setattr(solver, "run_path", spy)
+        ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
+        weak = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.2),
+                            eps=0.1, dt=1.0 / 32, horizon=0.25, initial=ic)
+
+        def ladder(processes):
+            runs.clear()
+            return weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1,
+                                      path_ids=range(4),
+                                      partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
+                                      radius=4.0, snapshot_times=snapshot_grid(0.25, 2),
+                                      processes=processes)
+        rows1, rep1 = ladder(1)
+        assert [pid for n, pid in runs if n == 32] == [0, 1, 2, 3]
+        rows2, rep2 = ladder(2)
+        assert [pid for n, pid in runs if n == 32] == [0, 2]
+        assert len(forks) == 1
+        assert rows2 == rows1
+        for eps in (0.1, 0.05):
+            for key in ("f_matrix", "f0"):
+                assert rep2["per_eps"][eps][key].tobytes() == \
+                    rep1["per_eps"][eps][key].tobytes()
+        assert rep2["stopping_times"].tobytes() == rep1["stopping_times"].tobytes()
+        with pytest.raises(ChildProcessError):   # the worker has been reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("times, match", [
         ([0.0, 0.125, 0.28125], r"steps 0\.\.8"),   # past the horizon
@@ -494,7 +574,6 @@ class TestLadderComparison:
         def no_run(*args, **kwargs):
             raise AssertionError("integrated before the snapshot check")
         monkeypatch.setattr(solver, "run_path", no_run)
-        monkeypatch.setattr(weakstrong, "run_path", no_run)
         with pytest.raises(WeakStrongError, match=match):
             weak_strong_ladder((0.1,), weak, 32, 2, seed=1, path_ids=[0],
                                partition=part, radius=4.0, snapshot_times=times)
