@@ -46,7 +46,7 @@ from .limits import (
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, Snapshots, apriori_moment_report, run_ensemble
+from .solver import BlowUpError, Snapshots, apriori_moment_report, run_ensemble, snapshot_steps
 from .spectral import write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
@@ -128,8 +128,8 @@ def _build_parser():
 
 def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
     rows = []
-    for _, path, run, err in run_ensemble([cfg.solver], cfg.seed, range(cfg.paths),
-                                          processes=threads):
+    for _, path, run, err, _ in run_ensemble([cfg.solver], cfg.seed, range(cfg.paths),
+                                             processes=threads):
         tag = f"eps{cfg.solver.eps:g}_path{path.path_id:04d}"
         if err is not None:
             if err.partial is not None:
@@ -210,11 +210,12 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
 def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     eps = cfg.eps_values[0]
     part = cfg.partition
-    snaps = Snapshots(cfg.solver, cfg.snapshot_times)
-    [(_, _, run, err)] = run_ensemble([cfg.solver], cfg.seed, [0], lambda *_: (snaps,))
+    steps = snapshot_steps(cfg.solver, cfg.snapshot_times)
+    [(_, _, run, err, kept)] = run_ensemble(
+        [cfg.solver], cfg.seed, [0], lambda *_: (Snapshots(cfg.solver, cfg.snapshot_times),))
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
-    V = dirac_embed(snaps.trajectory, part, cfg.young.radius,
+    V = dirac_embed(kept[0], part, cfg.young.radius,
                     bins_per_axis=cfg.young.bins_per_axis,
                     sphere_bins=cfg.young.sphere_bins)
     write_measure(out.path("measures/run.ym"), V)
@@ -224,7 +225,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     dim = cfg.solver.grid.dim
     energy_f = TestIntegrand("speed2", quad=(np.eye(dim), np.zeros(dim), 0.0))
     got = pairing(V, energy_f)
-    want = float(np.mean(2.0 * run.trace.energy[sorted(snaps.steps)])
+    want = float(np.mean(2.0 * run.trace.energy[sorted(steps)])
                  * cfg.solver.horizon)
     err = abs(got - want) / max(abs(want), 1e-300)
     rows.append(audit_row("pairing_vs_quadrature", "young_measure.pairing",

@@ -116,29 +116,30 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     when the rung before starts, and ``run_rung`` takes one rung's runs and
     keeps no run, so a finished rung's configuration (with its cached
     viscous factor) is free while the next rung runs.  Every run is binned
-    as it runs, in the process that runs it, by a ``YoungBinner`` observing
-    the steps at ``snapshot_times``; its ``RunBins`` are applied to its
-    rung's ``YoungAccumulator`` and, for a tail rung, to the family's, so
-    no trajectory is kept.  The tail is the last half of the configured
-    rungs, ``eps_values[len // 2:]``, less any rung without a surviving
-    run; per-rung measures pool the ensemble at that viscosity.  Blow-ups
-    abort a single (eps, path) run and the ladder continues without it.
-    The result keeps every survivor's energy trace with its path id and the
-    measures.  Every tail run also feeds a ``FunctionalRecorder`` (first
-    ``probe_fields`` field) at the snapshot steps, which must hold step 0;
+    as it runs, in the process that runs it, by its own ``YoungBinner``
+    observing the steps at ``snapshot_times``; its ``RunBins`` are applied
+    to its rung's ``YoungAccumulator`` and, for a tail rung, to the
+    family's, so no trajectory is kept.  The tail is the last half of the
+    configured rungs, ``eps_values[len // 2:]``, less any rung without a
+    surviving run; per-rung measures pool the ensemble at that viscosity.
+    Blow-ups abort a single (eps, path) run and the ladder continues
+    without it.  The result keeps every survivor's energy trace with its
+    path id and the measures.  Every tail run also feeds a
+    ``FunctionalRecorder`` of the first ``probe_fields`` field (whose
+    ``Probe`` is built once) at the snapshot steps, which must hold step 0;
     ``finest`` holds the first survivor of the finest tail rung with its
     residual at the last snapshot.
     """
     base = ladder.base
     steps = snapshot_steps(base, snapshot_times)
-    binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps)
-    phi = probe_fields(base.grid)[0][1]
-    recorders = {eps: FunctionalRecorder(phi, eps, base.transport, steps)
-                 for eps in ladder.eps_values[len(ladder.eps_values) // 2:]}
+    probe = Probe(probe_fields(base.grid)[0][1], steps)
+    tail_rungs = ladder.eps_values[len(ladder.eps_values) // 2:]
 
-    def watch(cfg, path):   # the same observers in every process
-        rec = recorders.get(cfg.eps)
-        return (binner,) if rec is None else (binner, rec)
+    def watch(cfg, path):
+        binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps)
+        if cfg.eps not in tail_rungs:
+            return (binner,)
+        return binner, FunctionalRecorder(probe, cfg.eps, base.transport)
 
     pooled = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
     traces, measures, blowups, paths, first = {}, {}, {}, {}, {}
@@ -146,15 +147,15 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
     def run_rung(eps, rung_runs):   # a function: its last run goes when it returns
         rung = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
         traces[eps] = []
-        for _, path, run, err in rung_runs:
+        for _, path, run, err, kept in rung_runs:
             paths[path.path_id] = path
             if err is not None:
                 blowups.setdefault(eps, []).append((path.path_id, str(err)))
                 continue
-            rung.apply(binner.binned)
-            if eps in recorders:   # binned once, applied twice
-                pooled.apply(binner.binned)
-                first.setdefault(eps, recorders[eps].payload())
+            rung.apply(kept[0])
+            if eps in tail_rungs:   # binned once, applied twice
+                pooled.apply(kept[0])
+                first.setdefault(eps, kept[1])
             traces[eps].append((path.path_id, run.trace))
         if traces[eps]:
             measures[eps] = rung.measure()
@@ -164,15 +165,13 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
         for eps in ladder.eps_values:
             run_rung(eps, islice(runs, len(ladder.path_ids)))
 
-    tail = [eps for eps in measures if eps in recorders]
+    tail = [eps for eps in measures if eps in tail_rungs]
     family, finest = None, None
     if tail:   # the finest tail rung's first survivor
         family = pooled.measure()
         pid, trace = traces[tail[-1]][0]
-        rec = recorders[tail[-1]]
-        rec.restore(first[tail[-1]])
         finest = (tail[-1], pid, trace,
-                  momentum_residual(rec, base.forcing, paths[pid]))
+                  momentum_residual(first[tail[-1]], probe.phi, base.forcing, paths[pid]))
     usable = list(measures)
     distances = [weakstar_distance(measures[a], measures[b])
                  for a, b in zip(usable, usable[1:])]
@@ -207,80 +206,92 @@ def forcing_pairings(phi: SpectralField, forcing: ForcingOperator) -> np.ndarray
         for k in range(forcing.rank)])
 
 
-def momentum_residual(rec: FunctionalRecorder, forcing: ForcingOperator,
-                      path: WienerPath) -> float:
-    """|M_t - <Phi W(t), phi>| of the run ``rec`` last observed, at its last
-    observed time t.
+def momentum_residual(series: Functionals, phi: SpectralField,
+                      forcing: ForcingOperator, path: WienerPath) -> float:
+    """|M_t - <Phi W(t), phi>| of one run's ``series`` of the test field
+    ``phi``, at its last observed time t.
 
-    M_t is the recorder's left-point functional, the one the martingale
+    M_t is the series' left-point functional, the one the martingale
     statistics use; the stochastic integral is the exact pairings of the
-    forcing modes with ``rec.phi`` times the Wiener coordinates of ``path``
-    at t.
+    forcing modes with ``phi`` times the Wiener coordinates of ``path`` at
+    t.
     """
-    m_t = float(rec.martingale_series()[-1])
-    last = step_index(rec.times[-1], path.dt)
+    m_t = float(series.martingale_series()[-1])
+    last = step_index(series.times[-1], path.dt)
     beta = path.increments[:last].sum(axis=0)
-    return abs(m_t - float(forcing_pairings(rec.phi, forcing) @ beta))
+    return abs(m_t - float(forcing_pairings(phi, forcing) @ beta))
 
 
 # -- martingale statistics ---------------------------------------------------
 
 
-class FunctionalRecorder:
-    """Observer accumulating the ingredients of M_t along one trajectory.
+class Probe:
+    """A test field phi and what every ``FunctionalRecorder`` of an
+    experiment reads of it: grad phi at the grid points (one transform)
+    and lap phi, built once, and the ``steps`` a recorder observes (every
+    step if None), which must hold step 0, where M starts."""
 
-    It observes ``steps`` of a run (every step if None), which must hold
-    step 0, where M starts.  Each observed state is weighted by the gap to
-    the next observed time (left-point quadrature), which matches the
-    explicit scheme when every step is observed; the convective pairing
-    reads <u x u, grad phi> pointwise on the grid, from the point values
-    that come with each state, so the recorder makes no transform per state
-    (only one, of grad phi, when it is built).  The state at step 0 starts
-    a new run: it binds fresh series lists (earlier ones stay valid, as
-    they are never cleared) and keeps the test-field tables, so one
-    recorder serves every path.
-    """
-
-    def __init__(self, phi: SpectralField, eps: float, transport: bool = True,
-                 steps=None):
+    def __init__(self, phi: SpectralField, steps=None):
         if steps is not None and 0 not in steps:
             raise LimitError("a recorder must observe step 0, where M starts")
-        self.steps = steps
-        self.phi = phi
-        self.eps = eps
-        self.transport = transport
         grid = phi.grid
-        self._grad_phi = gradient_physical(phi).reshape(grid.dim, grid.dim, -1)
-        self._lap_phi = laplacian(phi)
-        self._quad_w = grid.volume / grid.n ** grid.dim
+        self.phi, self.steps = phi, steps
+        self.grad = gradient_physical(phi).reshape(grid.dim, grid.dim, -1)
+        self.lap = laplacian(phi)
 
-    def on_state(self, n, t, u, phys):
-        """Record state ``u`` at step ``n``, time ``t``, with point values ``phys``."""
-        if n == 0:
-            self.times, self.pairings, self._visc, self._conv = [], [], [], []
-        self.times.append(float(t))
-        self.pairings.append(inner_product(u, self.phi))
-        if self.transport:
-            pts = phys.reshape(u.grid.dim, -1)
-            self._conv.append(tensor_pairing(pts, self._grad_phi) * self._quad_w)
-        else:
-            self._conv.append(0.0)
-        self._visc.append(inner_product(u, self._lap_phi))
 
-    def payload(self):
-        """The series of the run observed last, which ``restore`` takes."""
-        return self.times, self.pairings, self._visc, self._conv
+@dataclass(frozen=True)
+class Functionals:
+    """What a ``FunctionalRecorder`` keeps of one run at viscosity ``eps``:
+    per observed state its time, <u, phi>, <u, lap phi> and
+    <u x u, grad phi>."""
 
-    def restore(self, payload):
-        self.times, self.pairings, self._visc, self._conv = payload
+    eps: float
+    times: list
+    pairings: list
+    visc: list
+    conv: list
 
     def martingale_series(self) -> np.ndarray:
         """M at every observed time; the last state only closes the window."""
         p = np.asarray(self.pairings)
         gaps = np.diff(self.times)
-        visc = np.concatenate(([0.0], np.cumsum(gaps * self._visc[:-1])))
-        conv = np.concatenate(([0.0], np.cumsum(gaps * self._conv[:-1])))
+        visc = np.concatenate(([0.0], np.cumsum(gaps * self.visc[:-1])))
+        conv = np.concatenate(([0.0], np.cumsum(gaps * self.conv[:-1])))
         return p - p[0] - self.eps * visc - conv
+
+
+class FunctionalRecorder:
+    """Observer accumulating the ingredients of M_t along one run; its
+    ``payload()`` is the run's ``Functionals``.
+
+    It observes the ``probe``'s steps.  Each observed state is weighted by
+    the gap to the next observed time (left-point quadrature), which
+    matches the explicit scheme when every step is observed; the convective
+    pairing reads <u x u, grad phi> pointwise on the grid, from the point
+    values that come with each state, so the recorder makes no transform.
+    """
+
+    def __init__(self, probe: Probe, eps: float, transport: bool = True):
+        self.probe, self.steps, self.transport = probe, probe.steps, transport
+        self.series = Functionals(eps, [], [], [], [])
+
+    def on_state(self, n, t, u, phys):
+        """Record state ``u`` at step ``n``, time ``t``, with point values ``phys``."""
+        probe, series = self.probe, self.series
+        grid = u.grid
+        series.times.append(float(t))
+        series.pairings.append(inner_product(u, probe.phi))
+        if self.transport:
+            pts = phys.reshape(grid.dim, -1)
+            series.conv.append(tensor_pairing(pts, probe.grad)
+                               * (grid.volume / grid.n ** grid.dim))
+        else:
+            series.conv.append(0.0)
+        series.visc.append(inner_product(u, probe.lap))
+
+    def payload(self) -> Functionals:
+        return self.series
 
 
 def check_pair(s: float, t: float, error=LimitError, horizon=math.inf) -> None:
@@ -389,19 +400,21 @@ def solver_functionals_multi(cfg: SolverConfig, fields, seed: int, path_ids,
                              pairs, processes: int = 1) -> dict:
     """Full-model functionals: each path is integrated once, on up to
     ``processes`` processes, with one ``FunctionalRecorder`` per ``(name,
-    phi)`` of ``fields``, built once for all paths, observing every step.
-    Returns {name: (by_pair, c)}; the first blow-up is raised, and the
-    ensemble stops there.
+    phi)`` of ``fields``, observing every step, of a ``Probe`` built once
+    for all paths.  Returns {name: (by_pair, c)}; the first blow-up is
+    raised, and the ensemble stops there.
     """
-    recs = [FunctionalRecorder(phi, cfg.eps, transport=cfg.transport)
-            for _, phi in fields]
+    probes = [Probe(phi) for _, phi in fields]
+
+    def record(*_):
+        return [FunctionalRecorder(probe, cfg.eps, cfg.transport) for probe in probes]
     runs = []
-    with closing(run_ensemble([cfg], seed, path_ids, lambda *_: recs, processes)) as ensemble:
-        for _, path, _, err in ensemble:
+    with closing(run_ensemble([cfg], seed, path_ids, record, processes)) as ensemble:
+        for _, path, _, err, kept in ensemble:
             if err is not None:
                 raise err
             runs.append((path.coordinates(),
-                         [(r.martingale_series(), r.pairings) for r in recs]))
+                         [(f.martingale_series(), f.pairings) for f in kept]))
     beta = np.stack([b for b, _ in runs])
     out = {}
     for f, (name, phi) in enumerate(fields):

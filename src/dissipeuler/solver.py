@@ -21,11 +21,11 @@ modes then) and adds its noise one way, and I and M stay +0.0.
 
 A run keeps only its configuration, this trace and its final state; its
 states are read by observers (``run_path``), such as ``Snapshots``.  An
-observer has ``steps`` and ``on_state``, and, to serve a run made in a
-worker process, ``payload()`` (what it kept of the run) and ``restore``.
-Every experiment runs its (configuration, path) runs through
-``run_ensemble``, which draws the Wiener paths once, shares them across
-configurations (refined by Brownian bridge for one at a finer dt),
+observer serves one run: it has ``steps``, ``on_state`` and ``payload()``,
+what it kept of the run.  Every experiment runs its (configuration, path)
+runs through ``run_ensemble``, which draws the Wiener paths once, shares
+them across configurations (refined by Brownian bridge for one at a finer
+dt), builds each run's observers, hands back their payloads with the run,
 reports a blow-up as that run's failure and, for ``--threads``, runs the
 paths on forked worker processes.
 """
@@ -272,37 +272,25 @@ class SolverRun:
 
 
 class Snapshots:
-    """Observer keeping a run's point values at ``times`` as a ``Trajectory``.
+    """Observer keeping one run's point values at ``times``; its
+    ``payload()`` is the ``Trajectory``.
 
     The times map to steps of ``cfg`` by ``step_index`` when the observer
-    is built, so a time off the step grid raises ``error`` before any run.
-    Each run fills a fresh buffer, so one observer serves run after run and
-    a ``trajectory`` taken after a run stays valid while later runs go on.
-    Its ``payload`` is a run's times and values, which ``restore`` takes.
+    is built, so a time off the step grid raises ``error`` before the run.
     """
 
     def __init__(self, cfg: SolverConfig, times, error: type = SolverError):
         self.steps = snapshot_steps(cfg, times, error)
-        self._shape = (len(self.steps), cfg.grid.dim) + cfg.grid.shape
         self._grid = cfg.grid
-        self._first = min(self.steps, default=0)
-        self._times, self._values = [], np.empty(self._shape)
+        self._times = []
+        self._values = np.empty((len(self.steps), cfg.grid.dim) + cfg.grid.shape)
 
     def on_state(self, n, t, u, phys):
-        if n == self._first:   # a run starts
-            self._times, self._values = [], np.empty(self._shape)
         self._values[len(self._times)] = phys
         self._times.append(t)
 
-    @property
-    def trajectory(self) -> Trajectory:
+    def payload(self) -> Trajectory:
         return Trajectory(self._grid, np.asarray(self._times), self._values)
-
-    def payload(self):
-        return self._times, self._values
-
-    def restore(self, payload):
-        self._times, self._values = payload
 
 
 def snapshot_steps(cfg: SolverConfig, times, error: type = SolverError) -> frozenset:
@@ -367,19 +355,17 @@ def initial_state(cfg: SolverConfig, seed: int, path_id: int) -> SpectralField:
     return dealias(leray_project(cfg.initial.sample(cfg.grid, seed, path_id)))
 
 
-def run_path(cfg: SolverConfig, seed: int, path_id: int,
-             path: WienerPath | None = None, observers=(),
-             initial: SpectralField | None = None) -> SolverRun:
-    """Integrate one trajectory; deterministic given (cfg, seed, path_id).
+def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
+             observers=()) -> SolverRun:
+    """Integrate one trajectory of ``cfg`` on the Wiener ``path`` from the
+    state ``initial``.
 
-    A pre-sampled ``path`` (as ``run_ensemble`` passes: shared across
-    configurations, and refined by Brownian bridge for a finer dt)
-    overrides local sampling; its dt must match cfg, it must reach the
-    horizon and it must have one mode per forcing mode.
-    Likewise a pre-drawn ``initial`` state, which must be
-    ``initial_state(cfg, seed, path_id)``, overrides the draw.  Each
-    observer's ``on_state`` receives (step n, time, field, point values) at
-    the steps in the observer's ``steps`` (every step if None).
+    ``path`` is the run's path at cfg's dt (``run_ensemble`` passes the
+    drawn path, refined by Brownian bridge for a finer dt): it must reach
+    the horizon and have one mode per forcing mode.  ``initial`` is
+    ``initial_state(cfg, path.seed, path.path_id)``.  Each observer's
+    ``on_state`` receives (step n, time, field, point values) at the steps
+    in the observer's ``steps`` (every step if None).
 
     Every state lies in the dealias band (the initial field is dealiased
     and the forcing modes lie inside the band), so the run holds only its
@@ -394,8 +380,6 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     """
     grid = cfg.grid
     steps = cfg.steps
-    if path is None:
-        path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, steps)
     if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
         raise SolverError(f"path dt {path.dt} does not match config dt {cfg.dt}")
     if path.steps < steps:
@@ -403,8 +387,6 @@ def run_path(cfg: SolverConfig, seed: int, path_id: int,
     if path.n_modes != cfg.forcing.rank:
         raise SolverError(f"Wiener path has {path.n_modes} modes, the forcing "
                           f"has {cfg.forcing.rank}")
-    if initial is None:
-        initial = initial_state(cfg, seed, path_id)
     ops = grid.ops
     index, values = cfg.noise_support
     # <u, sigma_k g_k> is the weighted sum over the stored coefficients
@@ -495,27 +477,27 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg, path: (),
     ahead, the next one when this one's runs start, and the loop holds
     neither a configuration nor a run past its last yield, so a caller
     that keeps neither lets a finished configuration go (with its cached
-    tables) while the next one runs.  ``observers(cfg, path)`` gives the
-    observers of the run of ``path`` (as drawn) at ``cfg``; it is called
-    once per run, just before a run made here.  Each path's initial state
-    is drawn once by its first run and kept for the next configuration
-    only when that one has the same grid and initial law.  Yields (cfg,
-    path, run, err) after each run, with ``path`` as drawn: a run that
-    blows up yields run None and its ``BlowUpError`` as err, and the
-    remaining runs go ahead.
+    tables) while the next one runs.  Each path's initial state is drawn
+    once by its first run and kept for the next configuration only when
+    that one has the same grid and initial law.
+
+    ``observers(cfg, path)`` builds fresh observers for the run of ``path``
+    (as drawn) at ``cfg``, just before that run, in the process that runs
+    it.  Yields (cfg, path, run, err, kept) after each run, with ``path``
+    as drawn and ``kept`` the list of its observers' ``payload()``, taken
+    when the run ends.  A run that blows up yields run None, its
+    ``BlowUpError`` as err and kept None, and the remaining runs go ahead.
 
     The runs go on P = ``ensemble_processes(processes, paths)`` processes:
     this one and P - 1 workers forked when the paths are drawn, each with
-    its own copy of ``cfgs`` and of the observers.  Path i runs in process
-    i mod P, which draws and keeps that path's initial states.  A worker
-    runs its runs in order and sends each one's trace, final field, error
-    and observer payloads (each observer's ``payload()``) through a pipe;
-    here, in its turn, the run gets its observers by ``observers(cfg,
-    path)``, each ``restore``s its payload, and the run is yielded as if
-    it had been made here, so the yields keep every bit at any P.  A
-    worker leaves only through ``os._exit``; any exception in it but a
-    blow-up raises ``WorkerError`` here with its traceback.  When the loop
-    ends or its consumer stops, the workers are killed and reaped.
+    its own copy of ``cfgs``.  Path i runs in process i mod P, which draws
+    and keeps that path's initial states.  A worker runs its runs in order
+    and sends each one's trace, final field, error and kept payloads
+    through a pipe; here, in its turn, the run is yielded as if it had
+    been made here, so the yields keep every bit at any P.  A worker
+    leaves only through ``os._exit``; any exception in it but a blow-up
+    raises ``WorkerError`` here with its traceback.  When the loop ends or
+    its consumer stops, the workers are killed and reaped.
     """
     cfgs = iter(cfgs)
     cfg = next(cfgs)
@@ -525,9 +507,8 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg, path: (),
     parent, workers = os.getpid(), []
     try:
         for rank in range(1, share):
-            workers.append(_fork_worker(cfg, cfgs, seed, paths, observers, rank,
-                                        share, workers))
-        runs = _runs(cfg, cfgs, seed, paths, observers, 0, share, workers)
+            workers.append(_fork_worker(cfg, cfgs, paths, observers, rank, share, workers))
+        runs = _runs(cfg, cfgs, paths, observers, 0, share, workers)
         del cfg, draw   # the loop alone holds the configuration it runs
         yield from runs
     finally:
@@ -548,7 +529,7 @@ class _Worker:
     reader: object   # the binary file its runs arrive on
 
 
-def _runs(cfg, cfgs, seed, paths, observers, rank, share, workers=()):
+def _runs(cfg, cfgs, paths, observers, rank, share, workers=()):
     """The runs of ``run_ensemble`` made in process ``rank`` of ``share``:
     those of the paths i with i mod share == rank, and, given the
     ``workers``, every other run from its worker, in order."""
@@ -560,23 +541,25 @@ def _runs(cfg, cfgs, seed, paths, observers, rank, share, workers=()):
         for i, path in enumerate(paths):
             if i % share != rank:
                 if workers:
-                    yield _receive(workers[i % share - 1], cfg, path, observers)
+                    yield _receive(workers[i % share - 1], cfg, path)
                 continue
             pid = path.path_id
             initial = starts.pop(pid, None)
             if initial is None:
-                initial = initial_state(cfg, seed, pid)
+                initial = initial_state(cfg, path.seed, pid)
             if keep:
                 starts[pid] = initial
+            watching = observers(cfg, path)
             try:   # the run is a temporary of the yield: no name holds it
-                yield cfg, path, run_path(cfg, seed, pid, path.refined(
-                    round(path.dt / cfg.dt)), observers(cfg, path), initial), None
+                yield cfg, path, run_path(cfg, path.refined(round(path.dt / cfg.dt)),
+                                          initial, watching), None, \
+                    [obs.payload() for obs in watching]
             except BlowUpError as err:
-                yield cfg, path, None, err
+                yield cfg, path, None, err, None
         cfg = following
 
 
-def _fork_worker(cfg, cfgs, seed, paths, observers, rank, share, workers) -> _Worker:
+def _fork_worker(cfg, cfgs, paths, observers, rank, share, workers) -> _Worker:
     """Fork worker ``rank`` of ``share``, which sends its runs up a pipe;
     ``workers`` are the ones forked before, whose pipes it closes."""
     reader, writer = os.pipe()
@@ -593,34 +576,29 @@ def _fork_worker(cfg, cfgs, seed, paths, observers, rank, share, workers) -> _Wo
         os.close(reader)
         for worker in workers:
             worker.reader.close()
-        seen = []   # the observers of the run going on
-
-        def observed(cfg, path):
-            seen[:] = observers(cfg, path)
-            return seen
         with os.fdopen(writer, "wb") as out:
-            _serve(_runs(cfg, cfgs, seed, paths, observed, rank, share), seen, out)
+            _serve(_runs(cfg, cfgs, paths, observers, rank, share), out)
         status = 0
     finally:
         os._exit(status)
 
 
-def _serve(runs, observers, out) -> None:
-    """Send each of ``runs`` to ``out`` with the payloads of its
-    ``observers``, or the traceback of the exception that ends them."""
+def _serve(runs, out) -> None:
+    """Send each of ``runs`` to ``out`` with its kept payloads, or the
+    traceback of the exception that ends them."""
     def send(message):   # pickled whole first, so a failure sends no part of it
         out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
         out.flush()
 
     try:
-        for _, _, run, err in runs:
+        for _, _, run, err, kept in runs:
             result = None if run is None else (run.trace, run.final.coeffs)
-            send(("run", (result, err, [obs.payload() for obs in observers])))
+            send(("run", (result, err, kept)))
     except Exception:
         send(("crash", traceback.format_exc()))
 
 
-def _receive(worker: _Worker, cfg: SolverConfig, path: WienerPath, observers):
+def _receive(worker: _Worker, cfg: SolverConfig, path: WienerPath):
     """The next run from ``worker``: ``path``'s at ``cfg``."""
     try:
         kind, body = pickle.load(worker.reader)
@@ -629,13 +607,11 @@ def _receive(worker: _Worker, cfg: SolverConfig, path: WienerPath, observers):
                           f"of path {path.path_id}") from None
     if kind == "crash":
         raise WorkerError(f"ensemble worker {worker.pid} failed:\n{body}")
-    result, err, payloads = body
-    for obs, payload in zip(observers(cfg, path), payloads, strict=True):
-        obs.restore(payload)
+    result, err, kept = body
     if result is None:
-        return cfg, path, None, err
+        return cfg, path, None, err, kept
     trace, coeffs = result
-    return cfg, path, SolverRun(cfg, trace, SpectralField(cfg.grid, coeffs)), None
+    return cfg, path, SolverRun(cfg, trace, SpectralField(cfg.grid, coeffs)), None, kept
 
 
 # -- ensemble moment monitor ----------------------------------------------

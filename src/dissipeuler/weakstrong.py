@@ -6,12 +6,13 @@ viscosity, and the same Wiener path (Brownian-bridge refined).  Every state
 lies in the dealias band, so the reference is trusted up to its horizon;
 only the stopping time tau_L below cuts it short.  The reference is one
 more configuration of ``solver.run_ensemble``, run once per path before
-the ladder's rungs.  The observer ``build_reference`` builds reduces each
-reference run, as it runs, on the audit's partition to what the relative
-energy reads per time slab: its slab-mean velocity per space cell and its
-slab-mean ||v||^2, so the run keeps no snapshot.  At step 0 it takes F(0),
-comparing the reference start with the weak run's, ``initial_state`` of
-the weak configuration.  Against the reference the relative energy
+the ladder's rungs.  The observer ``build_reference`` builds for each
+path reduces that path's reference run, as it runs, on the audit's
+partition to what the relative energy reads per time slab: its slab-mean
+velocity per space cell and its slab-mean ||v||^2, so the run keeps no
+snapshot.  At step 0 it takes F(0), comparing the reference start with
+the weak run's, ``initial_state`` of the weak configuration.  Against the
+reference the relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -29,17 +30,18 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .forcing import refinement_halvings
+from .forcing import WienerPath, refinement_halvings
 from .limits import decreasing_rungs
 from .reporting import audit_row
 from .solver import SolverConfig, initial_state, run_ensemble, snapshot_steps
 from .spectral import (
     SpectralField,
     TorusGrid,
-    gradient_physical,
+    _band_to_physical,
     l2_norm_sq,
     resample,
 )
@@ -58,64 +60,64 @@ class WeakStrongError(ValueError):
 
 @dataclass(frozen=True)
 class StrongReference:
-    """Resolved reference run reduced to its regularity traces and per-slab means."""
+    """Resolved reference run reduced to its regularity traces and per-slab
+    means, with its path's F(0)."""
 
     times: np.ndarray           # snapshot times
     grad_sup: np.ndarray        # ||grad v(t)||_inf at snapshot times
     horizon: float              # the reference run's horizon
     cell_mean: np.ndarray       # (n_t, n_space, dim) slab mean of v per space cell
     slab_energy_sq: np.ndarray  # (n_t,) slab mean of ||v(t)||_{L^2}^2
+    f0: float                   # F(0) against the weak run's start
 
     def grad_sup_max(self) -> float:
         return float(np.max(self.grad_sup))
 
 
 class ReferenceReduction:
-    """Observer reducing reference runs on ``partition`` as they run.
+    """Observer reducing the reference run of ``path`` on ``partition`` as
+    it runs; its ``payload()`` is the ``StrongReference``.
 
-    ``path`` is the Wiener path of the run it observes next, which its
-    caller sets before the run.  At step 0 a run starts: the observer
-    forgets the run before and takes F(0), ``initial_relative_energy`` of
-    the weak run's start ``initial_state(weak, seed, path id)`` and the
-    reference start it observes.  At the steps ``snapshot_steps`` it
-    reads ||grad v||_inf, the space-cell averages of the point values and
-    ||v||^2, and keeps nothing of the state.  ``reference`` then gives
-    each time slab the mean over its snapshots of the cell averages and of
-    ||v||^2, the two quantities the relative energy reads; a slab without a
-    snapshot is an error.  A run made in a worker process sends F(0) and
-    the per-slab sums as ``payload()``, which ``restore`` takes.
+    At step 0 it takes F(0), ``initial_relative_energy`` of the weak run's
+    start ``initial_state(weak, path.seed, path.path_id)`` and the
+    reference start it observes.  At the steps ``snapshot_steps`` it reads
+    ||grad v||_inf (from the band of grad v, by one pruned inverse
+    transform), the space-cell averages of the point values and ||v||^2,
+    and keeps nothing of the state.  The payload gives each time slab the
+    mean over its snapshots of the cell averages and of ||v||^2, the two
+    quantities the relative energy reads; a slab without a snapshot is an
+    error.
     """
 
     def __init__(self, partition: CellPartition, snapshot_steps,
-                 horizon: float, weak: SolverConfig):
+                 horizon: float, weak: SolverConfig, path: WienerPath):
         self.partition = partition
         self.horizon = float(horizon)
-        self.weak = weak
+        self.weak, self.path = weak, path
         self.snapshot_steps = frozenset(snapshot_steps)
         self.steps = self.snapshot_steps | {0}
+        # per snapshot, then per slab in time order
+        self._times, self._grad_sup, self._sums, self._norms = [], [], {}, {}
 
     def on_state(self, n, t, v, phys):
-        if n == 0:   # a run starts
-            # per snapshot, then per slab in time order
-            self._times, self._grad_sup, self._sums, self._norms = [], [], {}, {}
+        if n == 0:
             u0 = initial_state(self.weak, self.path.seed, self.path.path_id)
             self.f0 = initial_relative_energy(u0, v)
         if n not in self.snapshot_steps:
             return
-        tensor = gradient_physical(v)
+        grid = v.grid
+        band = grid.ops.to_band(v.coeffs)
+        grad = np.empty((grid.dim,) + band.shape, dtype=np.complex128)
+        for j, ik in enumerate(grid.ops.band_ik):
+            grad[:, j] = ik * band
+        tensor = _band_to_physical(grid, grad)
         self._grad_sup.append(float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max())))
         self._times.append(t)
         slab = self.partition.slab_of(float(t))
         self._sums[slab] = self._sums.get(slab, 0.0) + self.partition.block_mean(phys)
         self._norms.setdefault(slab, []).append(l2_norm_sq(v))
 
-    def payload(self):
-        return self.f0, self._times, self._grad_sup, self._sums, self._norms
-
-    def restore(self, payload):
-        self.f0, self._times, self._grad_sup, self._sums, self._norms = payload
-
-    def reference(self) -> StrongReference:
+    def payload(self) -> StrongReference:
         cell_mean, slab_energy_sq = [], []
         for s in range(self.partition.n_t):
             if s not in self._sums:
@@ -126,20 +128,23 @@ class ReferenceReduction:
             slab_energy_sq.append(np.mean(self._norms[s]))
         return StrongReference(np.asarray(self._times, dtype=float),
                                np.array(self._grad_sup), self.horizon,
-                               np.stack(cell_mean), np.array(slab_energy_sq))
+                               np.stack(cell_mean), np.array(slab_energy_sq),
+                               self.f0)
 
 
 def build_reference(cfg: SolverConfig, partition: CellPartition, snapshot_times,
-                    weak: SolverConfig) -> ReferenceReduction:
-    """The observer reducing runs of the reference ``cfg`` on ``partition``,
-    with F(0) against the starts of the weak configuration ``weak``.
+                    weak: SolverConfig):
+    """The observers of the runs of the reference ``cfg``: the returned
+    function of a Wiener path builds the ``ReferenceReduction`` of that
+    path's run on ``partition``, with F(0) against the start of the weak
+    configuration ``weak``.
 
-    The snapshot times map to steps of ``cfg`` by ``step_index`` here, so a
-    time off its step grid fails before any integration.
+    The snapshot times map to steps of ``cfg`` by ``step_index`` here, once,
+    so a time off its step grid fails before any integration.
     """
-    return ReferenceReduction(partition, snapshot_steps(cfg, snapshot_times,
-                                                        WeakStrongError),
-                              cfg.horizon, weak)
+    return partial(ReferenceReduction, partition,
+                   snapshot_steps(cfg, snapshot_times, WeakStrongError),
+                   cfg.horizon, weak)
 
 
 def check_reference_n(weak_n: int, ref_n: int, error=WeakStrongError) -> None:
@@ -277,10 +282,11 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     ``processes`` processes: every path of one configuration, then the
     next.  It draws every Wiener path once, at the dt and steps of
     ``weak_base``, and runs the reference on the Brownian-bridge
-    refinement of the path.  Every run is observed where it runs: a
-    reference run by the ``ReferenceReduction`` of ``build_reference``,
-    which also takes the path's F(0), and a weak run by a ``YoungBinner``
-    at the snapshot steps, whose bins are applied here to the run's own
+    refinement of the path.  Every run is observed where it runs, by its
+    own observer, whose payload comes back with the run: a reference run
+    by the ``ReferenceReduction`` of ``build_reference``, which also takes
+    the path's F(0), and a weak run by a ``YoungBinner`` at the snapshot
+    steps, whose bins are applied here to the run's own
     ``YoungAccumulator``; each weak run is then compared with its path's
     reference.  The first blow-up, of a reference or a weak run (the
     references run first), is raised.  Returns the audit rows (F(0) = 0,
@@ -310,28 +316,27 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
                             eps=0.0, dt=weak_base.dt / dt_factor)
     steps = snapshot_steps(weak_base, snapshot_times, WeakStrongError)
     partition.check_slabs(snapshot_times, WeakStrongError)
-    binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps)
     reduction = build_reference(reference_cfg, partition, snapshot_times, weak_base)
 
-    def observe(cfg, path):   # the same observers in every process
-        reduction.path = path   # read by a reference run only
-        return (reduction,) if cfg is reference_cfg else (binner,)
+    def observe(cfg, path):
+        if cfg is reference_cfg:
+            return (reduction(path),)
+        return (YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps),)
 
     cfgs = [reference_cfg, *(weak_base.with_eps(eps) for eps in eps_values)]
-    refs, f0 = [], []
+    refs = []
     f_rows, gaps = [[] for _ in eps_values], [[] for _ in eps_values]
     with closing(run_ensemble(cfgs, seed, path_ids, observe, processes,
                               draw=weak_base)) as runs:
-        for i, (_, _, _, err) in enumerate(runs):
+        for i, (_, _, _, err, kept) in enumerate(runs):
             if err is not None:
                 raise err
             r, p = divmod(i, len(path_ids))   # configuration and path
             if r == 0:   # the reference of path p
-                refs.append(reduction.reference())
-                f0.append(reduction.f0)
+                refs.append(kept[0])
                 continue
             acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
-            acc.apply(binner.binned)
+            acc.apply(kept[0])
             V = acc.measure()
             slabs = [relative_energy(V, refs[p], s) for s in range(partition.n_t)]
             f_rows[r - 1].append(np.array([s["measure_form"] for s in slabs]))
@@ -347,7 +352,7 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
                      for ref in refs])
     slab_times = partition.t0 + (np.arange(partition.n_t) + 1.0) \
         * partition.slab_duration
-    f0 = np.asarray(f0)
+    f0 = np.array([ref.f0 for ref in refs])
     per_eps, gronwall_rows = {}, []
     for eps, f_rows_eps, gaps_eps in zip(eps_values, f_rows, gaps):
         f_matrix = np.stack(f_rows_eps)

@@ -398,15 +398,13 @@ class RunBins:
 
 
 class YoungBinner:
-    """Observer binning the samples of a run: the first half of a measure
+    """Observer binning the samples of one run: the first half of a measure
     build, whose second half is ``YoungAccumulator.apply``.
 
-    It observes ``steps`` of a run (every step if None), and the first of
-    them starts a new run.  ``bin`` reduces each state's point values to
-    that snapshot's moment sums, concentration entries and oscillation
-    keys, and keeps nothing of the state; ``binned`` gives the run's
-    ``RunBins``.  A run binned in one process applies in another: a worker
-    sends ``payload()``, and the parent's binner ``restore``s it.
+    It observes ``steps`` of the run (every step if None).  ``bin`` reduces
+    each state's point values to that snapshot's moment sums, concentration
+    entries and oscillation keys, and keeps nothing of the state;
+    ``payload()`` gives the run's ``RunBins``, which apply in any process.
 
     A moment sum adds each cell's samples in the order a bincount over the
     samples would: the samples are copied block by block into an array
@@ -420,17 +418,10 @@ class YoungBinner:
             raise YoungMeasureError(f"truncation radius must be positive, got {radius}")
         self.spec = (partition, radius, bins_per_axis, sphere_bins)
         self.steps = steps
-        self._first_step = min(steps, default=0) if steps is not None else 0
         self._space_idx = partition.space_cell_index()
-        self.start()
-
-    def start(self) -> None:
-        """Start a new run: forget the samples binned so far."""
-        self._snapshots, self._keys, self._binned = [], {}, None
+        self._snapshots, self._keys = [], {}
 
     def on_state(self, n, t, u, phys):
-        if n == self._first_step:
-            self.start()
         self.bin(t, phys)
 
     def bin(self, t, values: np.ndarray) -> None:
@@ -473,20 +464,11 @@ class YoungBinner:
         return np.ascontiguousarray(grid.transpose(order)).reshape(
             dim, side ** dim, part.n_space)
 
-    @property
-    def binned(self) -> RunBins:
-        """The ``RunBins`` of the run binned (or restored) last."""
-        if self._binned is None:
-            counts = [(slab, *np.unique(np.concatenate(keys), return_counts=True))
-                      for slab, keys in sorted(self._keys.items())]
-            self._binned = RunBins(self.spec, self._snapshots, counts)
-        return self._binned
-
     def payload(self) -> RunBins:
-        return self.binned
-
-    def restore(self, binned: RunBins) -> None:
-        self._binned = binned
+        """The ``RunBins`` of the samples binned so far."""
+        counts = [(slab, *np.unique(np.concatenate(keys), return_counts=True))
+                  for slab, keys in sorted(self._keys.items())]
+        return RunBins(self.spec, self._snapshots, counts)
 
 
 class YoungAccumulator:
@@ -507,9 +489,8 @@ class YoungAccumulator:
 
     def __init__(self, partition: CellPartition, radius: float,
                  bins_per_axis: int = 16, sphere_bins: int = 32):
-        self._binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins)
-        self.partition, self.radius, self.bins_per_axis, self.sphere_bins = \
-            self._binner.spec
+        self.spec = YoungBinner(partition, radius, bins_per_axis, sphere_bins).spec
+        self.partition, self.radius, self.bins_per_axis, self.sphere_bins = self.spec
         dim, n_space = partition.dim, partition.n_space
         self._n_bins = bins_per_axis ** dim
         self._counts = np.zeros((partition.n_t, n_space * self._n_bins), dtype=np.int64)
@@ -523,15 +504,14 @@ class YoungAccumulator:
 
     def add(self, traj) -> None:
         """Bin the snapshots of one ``solver.Trajectory`` and apply them."""
-        binner = self._binner
-        binner.start()
+        binner = YoungBinner(*self.spec)
         for t, values in zip(traj.times, traj.values):
             binner.bin(t, values)
-        self.apply(binner.binned)
+        self.apply(binner.payload())
 
     def apply(self, binned: RunBins) -> None:
         """Add the samples of one binned run, snapshot by snapshot."""
-        if binned.spec != self._binner.spec:
+        if binned.spec != self.spec:
             raise YoungMeasureError("run binned for another partition, radius or bins")
         part = self.partition
         for slab, first, second, escaped in binned.snapshots:

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from dissipeuler.forcing import WienerPath
+from dissipeuler.solver import initial_state, run_path
 from dissipeuler.spectral import SpectralField, TorusGrid, leray_project
 
 
@@ -25,6 +27,17 @@ def forks(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+def lone_run(cfg, seed, path_id, path=None, observers=(), initial=None):
+    """``run_path`` of path ``path_id`` of ``seed`` at ``cfg``, alone: on
+    ``path`` (sampled at cfg's dt if None) from ``initial`` (the drawn
+    ``initial_state`` if None)."""
+    if path is None:
+        path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, cfg.steps)
+    if initial is None:
+        initial = initial_state(cfg, seed, path_id)
+    return run_path(cfg, path, initial, observers)
 
 
 @pytest.fixture

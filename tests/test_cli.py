@@ -872,9 +872,9 @@ class TestMartingaleCli:
         import dissipeuler.solver as solver
         real_run_path, calls = solver.run_path, []
 
-        def spy(cfg, seed, path_id, *args, **kw):
-            calls.append(path_id)
-            return real_run_path(cfg, seed, path_id, *args, **kw)
+        def spy(cfg, path, *args, **kw):
+            calls.append(path.path_id)
+            return real_run_path(cfg, path, *args, **kw)
         monkeypatch.setattr(solver, "run_path", spy)
         raw = forced_config(paths=32, seed=777)
         raw["experiment"] = "martingale"
@@ -969,10 +969,10 @@ class TestThreads:
         import dissipeuler.solver as solver
         real_run_path = solver.run_path
 
-        def faulty(cfg, seed, path_id, *args, **kwargs):
-            if path_id == 1:   # the second path: the worker's
+        def faulty(cfg, path, *args, **kwargs):
+            if path.path_id == 1:   # the second path: the worker's
                 raise RuntimeError("injected worker fault")
-            return real_run_path(cfg, seed, path_id, *args, **kwargs)
+            return real_run_path(cfg, path, *args, **kwargs)
         monkeypatch.setattr(solver, "run_path", faulty)
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(write_config(tmp_path, forced_config())),
@@ -1155,8 +1155,8 @@ class TestVanishCli:
         seen = []
         residual = limits.momentum_residual
 
-        def spy(rec, forcing, path):
-            value = residual(rec, forcing, path)
+        def spy(series, phi, forcing, path):
+            value = residual(series, phi, forcing, path)
             seen.append((path, value))
             return value
         monkeypatch.setattr(limits, "momentum_residual", spy)

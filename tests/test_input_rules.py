@@ -216,7 +216,7 @@ class TestNanFails:
     def test_stopping_time_rejects_nan_level(self):
         # a NaN level would never stop
         ref = StrongReference(np.array(TIMES), np.array([1.0, 2.0, 3.0, 4.0]),
-                              HORIZON, np.zeros((2, 16, 2)), np.zeros(2))
+                              HORIZON, np.zeros((2, 16, 2)), np.zeros(2), 0.0)
         assert stopping_time(ref, 2.5) == 0.1875
         with pytest.raises(WeakStrongError, match="threshold"):
             stopping_time(ref, NAN)

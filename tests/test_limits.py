@@ -16,6 +16,7 @@ from dissipeuler.limits import (
     EnsembleFunctionals,
     LimitError,
     MartingaleStat,
+    Probe,
     ViscosityLadder,
     energy_inequality_limit,
     forcing_pairings,
@@ -33,7 +34,6 @@ from dissipeuler.solver import (
     SolverConfig,
     SolverError,
     SolverRun,
-    run_path,
 )
 from dissipeuler.spectral import SpectralField, TorusGrid
 from dissipeuler.young import (
@@ -42,6 +42,8 @@ from dissipeuler.young import (
     dirac_embed,
     estimate_from_family,
 )
+
+from conftest import lone_run
 
 TWO_PI = 2.0 * np.pi
 
@@ -69,10 +71,10 @@ def ladder_times(part, dt):
 
 def _rerun(ladder, part, eps, pid):
     """The trajectory of (eps, pid) of a ladder, run again as ``run_ladder``
-    runs it (on the same Wiener path, which run_path samples alike)."""
+    runs it (on the same Wiener path, which lone_run samples alike)."""
     snaps = Snapshots(ladder.base, ladder_times(part, ladder.base.dt))
-    run_path(ladder.base.with_eps(eps), ladder.seed, pid, observers=(snaps,))
-    return snaps.trajectory
+    lone_run(ladder.base.with_eps(eps), ladder.seed, pid, observers=(snaps,))
+    return snaps.payload()
 
 
 def _no_run(*args, **kwargs):
@@ -163,6 +165,24 @@ class TestLadder:
         for eps in ladder.eps_values:
             assert [(pid, tr.energy.tobytes()) for pid, tr in one.traces[eps]] == \
                 [(pid, tr.energy.tobytes()) for pid, tr in two.traces[eps]]
+
+    def test_probe_tables_built_once_per_ladder(self, monkeypatch):
+        # every tail run gets its own recorder, and all of them read the
+        # tables of one probe: one transform of grad phi, not one per run
+        calls, real = [], limits.gradient_physical
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(limits, "gradient_physical", counting)
+        cfg = base_config(n=16, horizon=0.25)
+        ladder = ViscosityLadder((0.1, 0.05, 0.025, 0.0125), cfg, seed=3,
+                                 path_ids=(0, 1, 2))
+        part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
+        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        assert res.tail == [0.025, 0.0125]
+        assert sum(len(res.traces[eps]) for eps in res.tail) == 6
+        assert len(calls) == 1
 
     def test_single_rung_family_equals_dirac_embed(self):
         cfg = base_config(n=16, horizon=0.25)
@@ -277,26 +297,31 @@ class TestMomentumResidual:
             horizon=horizon, initial=cfg.initial)
         snaps = every_step(cfg) if snapshot_times is None \
             else Snapshots(cfg, snapshot_times)
-        rec = FunctionalRecorder(div_free_phi(cfg.grid), eps, steps=snaps.steps)
+        rec = FunctionalRecorder(Probe(div_free_phi(cfg.grid), snaps.steps), eps)
         path = WienerPath.sample(13, 0, cfg.forcing.rank, dt, cfg.steps)
-        run_path(cfg, 13, 0, path=path, observers=(rec, snaps))
-        return cfg, path, rec, snaps.trajectory
+        lone_run(cfg, 13, 0, path=path, observers=(rec, snaps))
+        return cfg, path, rec, snaps.payload()
+
+    @staticmethod
+    def residual(cfg, path, rec):
+        """``momentum_residual`` of the run ``rec`` recorded."""
+        return momentum_residual(rec.payload(), rec.probe.phi, cfg.forcing, path)
 
     def test_zero_time_window(self):
         cfg, path, rec, _ = self.setup_run(snapshot_times=[0.0])
-        assert momentum_residual(rec, cfg.forcing, path) == 0.0
+        assert self.residual(cfg, path, rec) == 0.0
 
     def test_inviscid_residual_is_machine_zero(self):
         # with eps = 0 and every step sampled, the scheme satisfies the
         # discrete weak form identically
         cfg, path, rec, _ = self.setup_run(eps=0.0)
-        assert momentum_residual(rec, cfg.forcing, path) < 1e-12
+        assert self.residual(cfg, path, rec) < 1e-12
 
     def test_viscous_residual_first_order(self):
         residuals = []
         for dt in (1.0 / 64, 1.0 / 128, 1.0 / 256):
             cfg, path, rec, _ = self.setup_run(eps=0.2, dt=dt)
-            residuals.append(momentum_residual(rec, cfg.forcing, path))
+            residuals.append(self.residual(cfg, path, rec))
         orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
         assert np.all(orders >= 0.9)
 
@@ -311,9 +336,9 @@ class TestMomentumResidual:
         # independent trajectory-side evaluation of every term
         cfg, path, rec, traj = self.setup_run(eps=0.0,
                                               snapshot_times=snapshot_times)
-        phi = rec.phi
+        phi = rec.probe.phi
         t = 0.25
-        residual = momentum_residual(rec, cfg.forcing, path)
+        residual = self.residual(cfg, path, rec)
 
         grid = cfg.grid
         gp = np.zeros((2, 2) + grid.shape)
@@ -348,7 +373,7 @@ class TestMomentumResidual:
     def test_rejects_run_without_snapshot_at_zero(self, monkeypatch):
         # M starts at u(0): a recorder, and so a ladder, needs step 0
         with pytest.raises(LimitError, match="step 0"):
-            FunctionalRecorder(div_free_phi(TorusGrid(2, 16)), 0.1, steps={8, 16})
+            Probe(div_free_phi(TorusGrid(2, 16)), steps={8, 16})
         monkeypatch.setattr(solver, "run_path", _no_run)
         cfg = base_config(n=16, horizon=0.25)
         with pytest.raises(LimitError, match="step 0"):
@@ -377,14 +402,14 @@ class TestMomentumResidual:
 
         store = Store()
         path = WienerPath.sample(ladder.seed, pid, cfg.forcing.rank, cfg.dt, cfg.steps)
-        run_path(cfg.with_eps(eps), ladder.seed, pid, path=path, observers=(store,))
+        lone_run(cfg.with_eps(eps), ladder.seed, pid, path=path, observers=(store,))
         phi = probe_fields(cfg.grid)[0][1]
-        rec = FunctionalRecorder(phi, eps, transport=cfg.transport)
+        rec = FunctionalRecorder(Probe(phi), eps, transport=cfg.transport)
         for state in store.states:
             rec.on_state(*state)
         last = store.states[-1][0]
         beta = path.increments[:last].sum(axis=0)
-        replayed = abs(float(rec.martingale_series()[-1])
+        replayed = abs(float(rec.payload().martingale_series()[-1])
                        - float(forcing_pairings(phi, cfg.forcing) @ beta))
         assert residual > 0.0
         assert residual.hex() == replayed.hex()
@@ -398,9 +423,9 @@ class TestMartingale:
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.0, dt=1.0 / 32,
                            horizon=0.25, initial=InitialCondition("taylor_green"))
         phi = div_free_phi(grid)
-        rec = FunctionalRecorder(phi, 0.0)
-        run_path(cfg, 1, 0, observers=(rec,))
-        m = rec.martingale_series()
+        rec = FunctionalRecorder(Probe(phi), 0.0)
+        lone_run(cfg, 1, 0, observers=(rec,))
+        m = rec.payload().martingale_series()
         assert np.max(np.abs(m)) < 1e-12
 
         ens = EnsembleFunctionals(m_s=np.zeros(32), m_t=np.zeros(32),
@@ -517,8 +542,8 @@ class TestMartingale:
                     assert np.array_equal(got, want), (field[0], pair, key)
 
     def test_field_tables_built_once_per_field(self, monkeypatch):
-        # one recorder per field serves every path: its state at step 0
-        # starts fresh series and keeps the test-field tables
+        # each path's recorders read the tables of one probe per field,
+        # built once for all paths
         calls = []
         real = limits.gradient_physical
 
@@ -560,9 +585,9 @@ class TestEnergyInequalityLimit:
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
                            horizon=0.5, initial=InitialCondition("zero"))
         snaps = every_step(cfg)
-        run = run_path(cfg, 1, 0, observers=(snaps,))
+        run = lone_run(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(snaps.trajectory, part, radius=1.0)
+        V = dirac_embed(snaps.payload(), part, radius=1.0)
         rows, _ = energy_inequality_limit(V, [run.trace], ForcingOperator(()), tol=1e-12)
         assert all_passed(rows)
         values = {r["audit"]: r["value"] for r in rows}
@@ -575,9 +600,9 @@ class TestEnergyInequalityLimit:
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
                            horizon=0.5, initial=InitialCondition("zero"))
         snaps = every_step(cfg)
-        run = run_path(cfg, 1, 0, observers=(snaps,))
+        run = lone_run(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(snaps.trajectory, part, radius=1.0)
+        V = dirac_embed(snaps.payload(), part, radius=1.0)
         stochastic = run.trace.stochastic.copy()
         stochastic[-1] = np.nan
         trace = replace(run.trace, stochastic=stochastic)

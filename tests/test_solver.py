@@ -2,7 +2,7 @@
 
 import os
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from dissipeuler.forcing import (
     default_forcing,
 )
 from dissipeuler.config import ConfigError, parse_config
-from dissipeuler.limits import FunctionalRecorder, LimitError, _by_pair
+from dissipeuler.limits import FunctionalRecorder, LimitError, Probe, _by_pair
 from dissipeuler.reporting import all_passed, row_passes
 from dissipeuler.solver import (
     BlowUpError,
@@ -31,6 +31,7 @@ from dissipeuler.solver import (
     initial_state,
     run_ensemble,
     run_path,
+    snapshot_steps,
     step,
 )
 from dissipeuler.spectral import (
@@ -45,9 +46,9 @@ from dissipeuler.spectral import (
 )
 
 from dissipeuler.weakstrong import WeakStrongError, build_reference
-from dissipeuler.young import CellPartition
+from dissipeuler.young import CellPartition, YoungBinner
 
-from conftest import random_divfree_field
+from conftest import lone_run, random_divfree_field
 
 
 def make_config(grid=None, eps=0.0, dt=1.0 / 64, horizon=0.25, forcing=None,
@@ -82,7 +83,7 @@ class TestStep:
 
     def test_taylor_green_steady_energy(self):
         cfg = make_config(eps=0.0)
-        run = run_path(cfg, seed=1, path_id=0)
+        run = lone_run(cfg, 1, 0)
         drift = np.abs(run.trace.energy - run.trace.energy[0])
         assert np.max(drift) < 1e-10
 
@@ -113,7 +114,7 @@ class TestStep:
     def test_blowup_raises(self):
         cfg = make_config(blowup_ceiling=0.5)
         with pytest.raises(BlowUpError) as err:
-            run_path(cfg, seed=1, path_id=0)
+            lone_run(cfg, 1, 0)
         assert err.value.sup > 0.5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -123,7 +124,7 @@ class TestStep:
         cfg = make_config(grid=TorusGrid(2, 16), initial=InitialCondition(
             "random_spectrum", amplitude=1e308, k_max=2, decay=-2.0))
         with pytest.raises(BlowUpError) as err:
-            run_path(cfg, seed=1, path_id=0)
+            lone_run(cfg, 1, 0)
         assert np.isnan(err.value.sup)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -135,7 +136,7 @@ class TestStep:
                                                    amplitude=1e308, k_max=2,
                                                    decay=-2.0))
         with pytest.raises(BlowUpError) as err:
-            run_path(cfg, seed=1, path_id=0)
+            lone_run(cfg, 1, 0)
         assert err.value.sup is None and err.value.time == 0.0
         assert str(err.value).startswith("non-finite energy")
         assert len(err.value.partial.times) == 1
@@ -144,28 +145,28 @@ class TestStep:
     def test_cfl_guard(self):
         cfg = make_config(dt=0.5, horizon=1.0)
         with pytest.raises(CflError):
-            run_path(cfg, seed=1, path_id=0)
+            lone_run(cfg, 1, 0)
 
 
 class TestRunPath:
     def test_zero_horizon_single_entry(self):
         cfg = make_config(horizon=0.0)
-        run = run_path(cfg, seed=1, path_id=0)
+        run = lone_run(cfg, 1, 0)
         assert len(run.trace.times) == 1
         u0 = cfg.initial.sample(cfg.grid, 1, 0)
         assert run.trace.energy[0] == pytest.approx(0.5 * l2_norm_sq(u0), rel=1e-12)
 
     def test_viscous_unforced_energy_monotone(self):
         cfg = make_config(eps=0.05)
-        run = run_path(cfg, seed=1, path_id=0)
+        run = lone_run(cfg, 1, 0)
         diffs = np.diff(run.trace.energy)
         assert np.all(diffs <= 1e-10)
 
     def test_deterministic_given_keys(self):
         cfg = make_config(eps=0.02, forcing=default_forcing(2),
                           initial=InitialCondition("random_spectrum", amplitude=0.4))
-        a = run_path(cfg, seed=9, path_id=3)
-        b = run_path(cfg, seed=9, path_id=3)
+        a = lone_run(cfg, 9, 3)
+        b = lone_run(cfg, 9, 3)
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
         assert np.array_equal(a.trace.stochastic, b.trace.stochastic)
 
@@ -176,16 +177,16 @@ class TestRunPath:
         p1 = WienerPath.sample(7, 1, forcing.rank, cfg.dt, cfg.steps)
         p2 = WienerPath.sample(7, 1, forcing.rank, cfg.dt, cfg.steps)
         assert np.array_equal(p1.increments, p2.increments)
-        r1 = run_path(cfg.with_eps(0.1), 7, 1, path=p1)
-        r2 = run_path(cfg.with_eps(0.0125), 7, 1, path=p2)
+        r1 = lone_run(cfg.with_eps(0.1), 7, 1, path=p1)
+        r2 = lone_run(cfg.with_eps(0.0125), 7, 1, path=p2)
         assert not np.array_equal(r1.final.coeffs, r2.final.coeffs)
 
     def test_snapshots_at_requested_times(self):
         cfg = make_config()
         snaps = Snapshots(cfg, [0.0, 0.125, 0.25])
-        run_path(cfg, 1, 0, observers=(snaps,))
-        assert list(snaps.trajectory.times) == [0.0, 0.125, 0.25]
-        assert len(snaps.trajectory.times) == 3
+        lone_run(cfg, 1, 0, observers=(snaps,))
+        assert list(snaps.payload().times) == [0.0, 0.125, 0.25]
+        assert len(snaps.payload().times) == 3
 
     def test_rejects_off_grid_snapshot(self):
         cfg = make_config()
@@ -205,7 +206,7 @@ class TestRunPath:
             def on_state(self, n, t, u, phys):
                 seen.append(u)
 
-        run_path(cfg, 4, 2, observers=(First(),))
+        lone_run(cfg, 4, 2, observers=(First(),))
         assert len(seen) == 1
         assert seen[0].coeffs.tobytes() == initial_state(cfg, 4, 2).coeffs.tobytes()
 
@@ -215,7 +216,7 @@ class TestRunPath:
         cfg = make_config(forcing=default_forcing(2) if forced else None)
         path = WienerPath.sample(3, 0, n_modes, cfg.dt, cfg.steps)
         with pytest.raises(SolverError) as err:
-            run_path(cfg, 3, 0, path=path)
+            run_path(cfg, path, initial_state(cfg, 3, 0))
         assert f"{n_modes} modes, the forcing has {cfg.forcing.rank}" in str(err.value)
 
 
@@ -236,6 +237,9 @@ class TestRunEnsemble:
             def on_state(self, n, t, u, phys):
                 self.hits += 1
 
+            def payload(self):
+                return self.hits
+
         def observers(cfg, path):
             calls.append((cfg, path, len(yielded), Seen()))
             return (calls[-1][3],)
@@ -244,22 +248,22 @@ class TestRunEnsemble:
             yielded.append(item)
 
         order = [(cfg, pid) for cfg in cfgs for pid in path_ids]
-        assert [(cfg, path.path_id) for cfg, path, _, _ in yielded] == order
+        assert [(cfg, path.path_id) for cfg, path, *_ in yielded] == order
         # observers(cfg, path) is called once just before each run, which
         # reads it, with the path the run yields
         assert [(cfg, runs_before) for cfg, _, runs_before, _ in calls] == \
             [(cfg, i) for i, (cfg, _) in enumerate(order)]
-        assert [path for _, path, _, _ in calls] == [path for _, path, _, _ in yielded]
+        assert [path for _, path, _, _ in calls] == [path for _, path, *_ in yielded]
         assert all(seen.hits == 1 for *_, seen in calls)
-        for cfg, path, run, err in yielded:
+        for cfg, path, run, err, kept in yielded:
             lone = WienerPath.sample(5, path.path_id, 4, base.dt, base.steps)
             assert path.increments.tobytes() == lone.increments.tobytes()
             assert path is yielded[path_ids.index(path.path_id)][1]
             if cfg is cfgs[1]:
-                assert run is None and isinstance(err, BlowUpError)
+                assert run is None and isinstance(err, BlowUpError) and kept is None
                 continue
-            assert err is None
-            want = run_path(cfg, 5, path.path_id)
+            assert err is None and kept == [1]   # its own observer's payload
+            want = lone_run(cfg, 5, path.path_id)
             for name in ("energy", "dissipation", "ito_input", "stochastic"):
                 assert getattr(run.trace, name).tobytes() == \
                     getattr(want.trace, name).tobytes()
@@ -282,11 +286,11 @@ class TestRunEnsemble:
             return real_initial_state(cfg, seed, path_id)
         monkeypatch.setattr(solver, "initial_state", counted)
         runs = [(cfg, path.path_id, run)
-                for cfg, path, run, _ in run_ensemble(cfgs, 5, [4, 1])]
+                for cfg, path, run, *_ in run_ensemble(cfgs, 5, [4, 1])]
         assert draws == [(16, 4), (16, 1), (32, 4), (32, 1)]
         monkeypatch.setattr(solver, "initial_state", real_initial_state)
         for cfg, pid, run in runs:
-            want = run_path(cfg, 5, pid)
+            want = lone_run(cfg, 5, pid)
             for name in ("energy", "dissipation", "stochastic"):
                 assert getattr(run.trace, name).tobytes() == \
                     getattr(want.trace, name).tobytes()
@@ -305,17 +309,17 @@ class TestRunEnsemble:
             seen.append(path)
             return ()
         runs = list(run_ensemble([fine, base], 5, [4, 1], observers, draw=base))
-        assert [(cfg, path.path_id) for cfg, path, _, _ in runs] == \
+        assert [(cfg, path.path_id) for cfg, path, *_ in runs] == \
             [(fine, 4), (fine, 1), (base, 4), (base, 1)]
-        for cfg, path, run, err in runs:
+        for cfg, path, run, err, _ in runs:
             assert err is None and (path.dt, path.steps) == (base.dt, base.steps)
             on = path.refined(4) if cfg is fine else path
-            want = run_path(cfg, 5, path.path_id, on)
+            want = lone_run(cfg, 5, path.path_id, on)
             for name in ("times", "energy", "dissipation", "ito_input", "stochastic"):
                 assert getattr(run.trace, name).tobytes() == \
                     getattr(want.trace, name).tobytes()
             assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
-        assert seen == [path for _, path, _, _ in runs]   # as drawn
+        assert seen == [path for _, path, *_ in runs]   # as drawn
 
     def test_a_configuration_at_another_dt_ratio_raises_before_it_runs(self, monkeypatch):
         base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 32, horizon=0.125)
@@ -328,6 +332,57 @@ class TestRunEnsemble:
         with pytest.raises(ForcingError, match="power of two"):
             list(run_ensemble([base, replace(base, dt=base.dt / 3)], 5, [4, 1]))
         assert runs == [base, base]   # the dt / 3 configuration integrated nothing
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_each_run_hands_back_its_own_observers_payloads(self, two_cores, forks,
+                                                            processes):
+        # every run gets fresh observers where it runs, and yields their
+        # payloads: those of a lone run of its (configuration, path) with
+        # fresh observers, bit for bit, on one process or two
+        base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 64, horizon=0.125,
+                           forcing=default_forcing(2, 0.3),
+                           initial=InitialCondition("random_spectrum", 0.3))
+        cfgs, path_ids = [base.with_eps(0.1), base.with_eps(0.05)], [4, 1, 7]
+        times = [0.0, 0.0625, 0.125]
+        part = CellPartition(2, 16, 2, 2, 0.0, 0.125)
+        probe = Probe(SpectralField.from_modes(base.grid, {(0, 1): np.array([0.5j, 0.0])}))
+
+        def observers(cfg, path):
+            return (Snapshots(cfg, times), FunctionalRecorder(probe, cfg.eps),
+                    YoungBinner(part, 1.0, 4, 8, snapshot_steps(cfg, times)))
+        runs = list(run_ensemble(cfgs, 5, path_ids, observers, processes))
+        assert len(forks) == processes - 1
+        assert [(cfg, path.path_id) for cfg, path, *_ in runs] == \
+            [(cfg, pid) for cfg in cfgs for pid in path_ids]
+        for cfg, path, run, err, kept in runs:
+            assert err is None
+            lone = observers(cfg, path)
+            lone_run(cfg, 5, path.path_id, observers=lone)
+            assert len(kept) == 3
+            _assert_same_bits(kept, [obs.payload() for obs in lone])
+        _no_child_left()
+
+
+def _assert_same_bits(a, b):
+    """``a`` and ``b`` hold the same values bit for bit: arrays and floats
+    by their bytes, dataclasses field by field, containers item by item."""
+    assert type(a) is type(b)
+    if isinstance(a, (np.ndarray, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif is_dataclass(a):
+        for f in fields(a):
+            _assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            _assert_same_bits(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_bits(x, y)
+    else:
+        assert a == b
 
 
 def _no_child_left():
@@ -363,15 +418,16 @@ class TestEnsembleProcesses:
     def test_runs_keep_every_bit_on_forked_workers(self, monkeypatch, forks, cores):
         # path i runs in process i mod P; a run of a worker, blow-ups
         # included, reaches the consumer as the run of one process does,
-        # with its observers restored, also with more workers than cores
+        # with its observers' payloads, also with more workers than cores
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         cfgs, path_ids = self.cfgs(), [4, 1, 7, 2, 9]
 
         def collect(processes):
-            snaps = Snapshots(cfgs[0], [0.0, 0.0625, 0.125])
-            return [(cfg, path.path_id, run, err, None if err else snaps.trajectory)
-                    for cfg, path, run, err in run_ensemble(
-                        cfgs, 5, path_ids, lambda cfg, path: (snaps,), processes)]
+            def snaps(cfg, path):
+                return (Snapshots(cfg, [0.0, 0.0625, 0.125]),)
+            return [(cfg, path.path_id, run, err, kept and kept[0])
+                    for cfg, path, run, err, kept in run_ensemble(
+                        cfgs, 5, path_ids, snaps, processes)]
 
         one = collect(1)
         assert forks == []
@@ -407,10 +463,10 @@ class TestEnsembleProcesses:
                                                       monkeypatch):
         real_run_path = solver.run_path
 
-        def faulty(cfg, seed, path_id, *args, **kwargs):
-            if path_id == 1:   # the second path: the worker's
+        def faulty(cfg, path, *args, **kwargs):
+            if path.path_id == 1:   # the second path: the worker's
                 raise RuntimeError("injected worker fault")
-            return real_run_path(cfg, seed, path_id, *args, **kwargs)
+            return real_run_path(cfg, path, *args, **kwargs)
         monkeypatch.setattr(solver, "run_path", faulty)
         with pytest.raises(WorkerError) as err:
             list(run_ensemble(self.cfgs(), 5, [4, 1], processes=2))
@@ -448,7 +504,7 @@ class TestUnforced:
 
     def test_ito_input_and_stochastic_integral_are_positive_zero(self):
         cfg = make_config(eps=0.05, initial=InitialCondition("random_spectrum", 0.4))
-        trace = run_path(cfg, seed=2, path_id=1).trace
+        trace = lone_run(cfg, 2, 1).trace
         for series in (trace.ito_input, trace.stochastic):
             assert series.shape == (cfg.steps + 1,)
             assert np.all(series == 0.0) and not np.any(np.signbit(series))
@@ -487,7 +543,7 @@ class TestItoPairing:
             def on_state(self, n, t, u, phys):
                 states.append(u)
 
-        run = run_path(cfg, 3, 1, observers=(Keep(),))
+        run = lone_run(cfg, 3, 1, observers=(Keep(),))
         path = WienerPath.sample(3, 1, forcing.rank, cfg.dt, cfg.steps)
         g = [m.sigma * forcing.mode_field(cfg.grid, k)
              for k, m in enumerate(modes)]
@@ -526,7 +582,7 @@ class TestPointValues:
 
         times = [0.0, 0.0625, 0.125]
         snaps = Snapshots(cfg, times)
-        run_path(cfg, 5, 2, observers=(Keep(), snaps))
+        lone_run(cfg, 5, 2, observers=(Keep(), snaps))
         assert len(seen) == cfg.steps + 1
         outside = ~grid.ops.mask
         for u, phys in seen:
@@ -534,9 +590,9 @@ class TestPointValues:
             assert np.array_equal(phys.view(np.uint64),
                                   u.to_physical().view(np.uint64))
         snap_steps = [round(t / cfg.dt) for t in times]
-        assert np.array_equal(snaps.trajectory.values,
+        assert np.array_equal(snaps.payload().values,
                               np.stack([seen[k][1] for k in snap_steps]))
-        assert np.array_equal(snaps.trajectory.times, times)
+        assert np.array_equal(snaps.payload().times, times)
 
     # ``observers`` recorders read every step, a ``Snapshots`` observer
     # (none if None) the steps of ``snapshot_times``; each case runs with
@@ -558,14 +614,14 @@ class TestPointValues:
             cfg = make_config(grid=grid, eps=0.02, dt=1.0 / 64, horizon=0.25,
                               forcing=default_forcing(2, 0.3), transport=transport,
                               initial=InitialCondition("random_spectrum", 0.5))
-            obs = [FunctionalRecorder(phi, cfg.eps, transport)
+            obs = [FunctionalRecorder(Probe(phi), cfg.eps, transport)
                    for _ in range(observers)]
             if snapshot_times is not None:
                 obs.append(Snapshots(cfg, snapshot_times))
             read = set(range(cfg.steps + 1)) if observers \
                 else set(obs[0].steps) if obs else set()
             calls.update(rfft=0, irfft=0)   # count the run's transforms only
-            run_path(cfg, 1, 0, observers=obs)
+            lone_run(cfg, 1, 0, observers=obs)
             if transport:   # the transport term transforms every state but the last
                 assert calls["rfft"] == cfg.steps
                 assert calls["irfft"] == cfg.steps + (cfg.steps in read)
@@ -573,7 +629,7 @@ class TestPointValues:
                 assert calls["rfft"] == 0
                 assert calls["irfft"] == len(read)
             if snapshot_times is not None:
-                assert list(obs[-1].trajectory.times) == snapshot_times
+                assert list(obs[-1].payload().times) == snapshot_times
 
 
 BAND_GRIDS = [(2, 8), (2, 32), (2, 128), (3, 8), (3, 16)]
@@ -626,7 +682,7 @@ class TestBandRun:
             def on_state(self, n, t, u, phys):
                 seen.append((u, phys))
 
-        run = run_path(cfg, 5, 1, observers=(Keep(),))
+        run = lone_run(cfg, 5, 1, observers=(Keep(),))
         states, points, trace = full_layout_run(cfg, 5, 1)
         assert np.array_equal(run.final.coeffs.view(np.uint64),
                               states[-1].coeffs.view(np.uint64))
@@ -696,13 +752,13 @@ def test_every_reader_maps_a_time_to_a_step_alike(t, on_grid):
 class TestEnergyAudit:
     def test_zero_solution_zero_defect(self):
         cfg = make_config(initial=InitialCondition("zero"), horizon=0.25)
-        run = run_path(cfg, 1, 0)
+        run = lone_run(cfg, 1, 0)
         assert run.trace.defect(0.0, 0.25) == 0.0
         assert run.trace.max_positive_defect() == 0.0
 
     def test_nan_energy_fails_defect_row(self):
         cfg = make_config(eps=0.05, horizon=0.25)
-        run = run_path(cfg, 1, 0)
+        run = lone_run(cfg, 1, 0)
         energy = run.trace.energy.copy()
         energy[len(energy) // 2] = np.nan
         trace = replace(run.trace, energy=energy)
@@ -716,7 +772,7 @@ class TestEnergyAudit:
         for dt in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             cfg = make_config(eps=0.3, dt=dt, horizon=0.5,
                               initial=InitialCondition("single_mode"))
-            run = run_path(cfg, 1, 0)
+            run = lone_run(cfg, 1, 0)
             defects.append(abs(run.trace.defect(0.0, 0.5)))
         orders = np.log2(np.array(defects[:-1]) / np.array(defects[1:]))
         assert np.all(orders >= 0.9)
@@ -738,7 +794,7 @@ class TestEnergyAudit:
             for pid in range(n_paths):
                 path = WienerPath.sample(21, pid, forcing.rank, base_dt,
                                          int(round(0.5 / base_dt))).refined(2 ** lev)
-                run = run_path(cfg, 21, pid, path=path)
+                run = lone_run(cfg, 21, pid, path=path)
                 vals.append(run.trace.max_positive_defect())
             levels.append(np.mean(vals))
         orders = np.log2(np.array(levels[:-1]) / np.array(levels[1:]))
@@ -746,12 +802,12 @@ class TestEnergyAudit:
         # every path honours the sqrt(dt) tolerance at the base level
         cfg = make_config(grid=grid, eps=0.05, dt=base_dt, horizon=0.5,
                           forcing=forcing, initial=initial)
-        run = run_path(cfg, 21, 0)
+        run = lone_run(cfg, 21, 0)
         assert run.trace.max_positive_defect() <= run.trace.tolerance(c=1.0)
 
     def test_defect_requires_ordered_grid_times(self):
         cfg = make_config(horizon=0.25)
-        run = run_path(cfg, 1, 0)
+        run = lone_run(cfg, 1, 0)
         with pytest.raises(SolverError):
             run.trace.defect(0.25, 0.0)
         with pytest.raises(SolverError):
@@ -759,7 +815,7 @@ class TestEnergyAudit:
 
     def test_trace_csv_columns(self, tmp_path):
         cfg = make_config(horizon=1.0 / 16, forcing=default_forcing(2))
-        run = run_path(cfg, 3, 0)
+        run = lone_run(cfg, 3, 0)
         out = tmp_path / "trace.csv"
         run.trace.write_csv(out)
         lines = out.read_text().strip().splitlines()
@@ -770,14 +826,14 @@ class TestEnergyAudit:
 class TestAprioriMonitor:
     def test_deterministic_inviscid_moment_is_e0_power(self):
         cfg = make_config(eps=0.0, horizon=0.125)
-        run = run_path(cfg, 1, 0)
+        run = lone_run(cfg, 1, 0)
         _, rep = apriori_moment_report({0.0: [run.trace]}, p=3.0)
         e0 = run.trace.energy[0]
         assert rep["rows"][0]["moment"] == pytest.approx(e0 ** 3, rel=1e-10)
 
     def test_deterministic_viscous_moment_closed_form(self):
         cfg = make_config(eps=0.05, horizon=0.125)
-        run = run_path(cfg, 1, 0)
+        run = lone_run(cfg, 1, 0)
         _, rep = apriori_moment_report({0.05: [run.trace]}, p=2.5)
         expected = (np.max(run.trace.energy) + run.trace.dissipation[-1]) ** 2.5
         assert rep["rows"][0]["moment"] == pytest.approx(expected, rel=1e-12)
@@ -789,7 +845,7 @@ class TestAprioriMonitor:
         for eps in (0.1, 0.05, 0.025):
             cfg = make_config(grid=grid, eps=eps, dt=1.0 / 32, horizon=0.5,
                               forcing=forcing)
-            traces[eps] = [run_path(cfg, 31, pid).trace
+            traces[eps] = [lone_run(cfg, 31, pid).trace
                            for pid in range(16)]
         rows, rep = apriori_moment_report(traces, p=3.0)
         assert all_passed(rows)
@@ -802,7 +858,7 @@ class TestAprioriMonitor:
             forcing = default_forcing(2, sigma=sigma)
             cfg = make_config(grid=grid, eps=0.05, dt=1.0 / 32, horizon=0.5,
                               forcing=forcing)
-            traces = [run_path(cfg, 37, pid).trace
+            traces = [lone_run(cfg, 37, pid).trace
                       for pid in range(16)]
             reports.append(apriori_moment_report({0.05: traces}, p=3.0)[1])
         assert reports[1]["rows"][0]["moment"] > reports[0]["rows"][0]["moment"]
@@ -858,7 +914,7 @@ class TestWeakConvergenceProxy:
             for pid in range(n_paths):
                 path = WienerPath.sample(71, pid, forcing.rank, base_dt,
                                          base_steps).refined(2 ** lev)
-                run = run_path(cfg, 71, pid, path=path)
+                run = lone_run(cfg, 71, pid, path=path)
                 vals.append(run.trace.energy[-1])
             means.append(np.mean(vals))
         diffs = np.abs(np.diff(means))
@@ -873,6 +929,6 @@ class TestThreeDimensional:
                           forcing=default_forcing(3, sigma=0.1),
                           initial=InitialCondition("taylor_green",
                                                    amplitude=0.3))
-        run = run_path(cfg, 91, 0)
+        run = lone_run(cfg, 91, 0)
         assert run.trace.max_positive_defect() <= run.trace.tolerance(c=1.0)
         assert divergence_defect(run.final) < 1e-12

@@ -14,9 +14,14 @@ from dissipeuler.solver import (
     SolverConfig,
     Trajectory,
     initial_state,
-    run_path,
 )
-from dissipeuler.spectral import TorusGrid, l2_norm_sq, single_mode, taylor_green
+from dissipeuler.spectral import (
+    TorusGrid,
+    gradient_physical,
+    l2_norm_sq,
+    single_mode,
+    taylor_green,
+)
 import dissipeuler.solver as solver
 import dissipeuler.weakstrong as weakstrong
 from dissipeuler.weakstrong import (
@@ -31,6 +36,8 @@ from dissipeuler.weakstrong import (
 )
 from dissipeuler.young import CellPartition, dirac_embed, estimate_from_family
 
+from conftest import lone_run
+
 
 def steady_config(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, kind="taylor_green"):
     return SolverConfig(grid=grid, forcing=None, eps=0.0, dt=dt, horizon=horizon,
@@ -40,8 +47,8 @@ def steady_config(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, kind="taylor_green")
 def observed(cfg, seed, path_id, snapshot_times):
     """The trajectory of a run of ``cfg`` at ``snapshot_times``."""
     snaps = Snapshots(cfg, snapshot_times)
-    run_path(cfg, seed, path_id, observers=(snaps,))
-    return snaps.trajectory
+    lone_run(cfg, seed, path_id, observers=(snaps,))
+    return snaps.payload()
 
 
 def steady_run(grid, snapshot_times, amp=1.0, dt=1.0 / 32, horizon=0.25,
@@ -52,14 +59,14 @@ def steady_run(grid, snapshot_times, amp=1.0, dt=1.0 / 32, horizon=0.25,
 
 def reduced_reference(cfg, seed, path_id, partition, snapshot_times, weak=None,
                       initial=None):
-    """A run of the reference ``cfg`` reduced by the observer of
-    ``build_reference``, with F(0) against ``weak`` (``cfg`` if None)."""
+    """A run of the reference ``cfg`` reduced by the observer
+    ``build_reference`` builds for its path, with F(0) against ``weak``
+    (``cfg`` if None)."""
     reduction = build_reference(cfg, partition, snapshot_times, weak or cfg)
-    reduction.path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt,
-                                       cfg.steps)
-    solver.run_path(cfg, seed, path_id, reduction.path, observers=(reduction,),
-                    initial=initial)
-    return reduction.reference()
+    path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, cfg.steps)
+    observer = reduction(path)
+    lone_run(cfg, seed, path_id, path, (observer,), initial)
+    return observer.payload()
 
 
 def steady_reference(grid, partition, snapshot_times, amp=1.0, dt=1.0 / 32,
@@ -168,7 +175,7 @@ class TestReference:
             def on_state(self, n, t, u, phys):
                 states.append((t, u))
 
-        run_path(cfg, 61, 0, observers=(Keep(),))
+        lone_run(cfg, 61, 0, observers=(Keep(),))
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
         ref = reduced_reference(cfg, 61, 0, part, times)
         assert np.array_equal(ref.times, [t for t, _ in states])
@@ -181,6 +188,28 @@ class TestReference:
             assert np.array_equal(ref.cell_mean[s], want)
             assert ref.slab_energy_sq[s] == np.mean(
                 [l2_norm_sq(states[m][1]) for m in sel])
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_grad_sup_is_that_of_the_full_gradient(self, dim, n):
+        # ||grad v||_inf is read from the band of grad v by the pruned
+        # inverse transform, and keeps the bits of gradient_physical
+        cfg = SolverConfig(grid=TorusGrid(dim, n), forcing=default_forcing(dim, 0.2),
+                           eps=0.0, dt=1.0 / 32, horizon=0.25,
+                           initial=InitialCondition("random_spectrum", 0.5, k_max=2))
+        times = snapshot_grid(0.25, 2)
+        states = []
+
+        class Keep:
+            steps = Snapshots(cfg, times).steps
+
+            def on_state(self, n, t, u, phys):
+                states.append(u)
+
+        lone_run(cfg, 7, 0, observers=(Keep(),))
+        ref = reduced_reference(cfg, 7, 0, CellPartition(dim, n, 2, 4, 0.0, 0.25), times)
+        want = [float(np.sqrt((gradient_physical(v) ** 2).sum(axis=(0, 1)).max()))
+                for v in states]
+        assert ref.grad_sup.tobytes() == np.array(want).tobytes()
 
     def test_v0_is_the_first_state(self, monkeypatch):
         # F(0) reads v(0) as initial_state: the state the reference starts
@@ -295,7 +324,7 @@ class TestGronwallAudit:
                                     snapshot_times=times)
         out = rep["per_eps"][0.0]
         assert out["f0"][0] == 0.0
-        e0 = run_path(cfg, 53, 0).trace.energy[0]
+        e0 = lone_run(cfg, 53, 0).trace.energy[0]
         assert np.all(out["f_matrix"][0] <= 0.02 * e0)
         assert np.all(out["f_matrix"][0] >= 0.0)
 
@@ -442,7 +471,8 @@ class TestLadderComparison:
     def test_one_reference_run_per_path(self, monkeypatch):
         # the reference is the weak run refined: grid ref_n, eps 0, dt / factor,
         # on the Brownian-bridge refinement of the path the rungs run on; its
-        # observer is built once, and every path's reference runs first
+        # observers are built by one build_reference, and every path's
+        # reference runs first
         builds, runs = [], []
         real_build, real_run_path = weakstrong.build_reference, solver.run_path
 
@@ -450,9 +480,9 @@ class TestLadderComparison:
             builds.append((cfg, weak))
             return real_build(cfg, partition, snapshot_times, weak)
 
-        def spy_run(cfg, seed, path_id, path, *args, **kwargs):
-            runs.append((path_id, cfg, path))
-            return real_run_path(cfg, seed, path_id, path, *args, **kwargs)
+        def spy_run(cfg, path, *args, **kwargs):
+            runs.append((path.path_id, cfg, path))
+            return real_run_path(cfg, path, *args, **kwargs)
         monkeypatch.setattr(weakstrong, "build_reference", spy_build)
         monkeypatch.setattr(solver, "run_path", spy_run)
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
@@ -529,9 +559,9 @@ class TestLadderComparison:
         # audit keeps every bit of one process
         runs, real_run_path = [], solver.run_path
 
-        def spy(cfg, seed, path_id, *args, **kwargs):
-            runs.append((cfg.grid.n, path_id))
-            return real_run_path(cfg, seed, path_id, *args, **kwargs)
+        def spy(cfg, path, *args, **kwargs):
+            runs.append((cfg.grid.n, path.path_id))
+            return real_run_path(cfg, path, *args, **kwargs)
         monkeypatch.setattr(solver, "run_path", spy)
         ic = InitialCondition("random_spectrum", amplitude=0.3, k_max=2)
         weak = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.2),

@@ -782,12 +782,11 @@ class TestEntriesMatchDenseOracle:
         # included, the bincount of the snapshot's samples by cell
         trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
         cell = part.space_cell_index()
-        binner = YoungBinner(part, radius, bins, sphere)
         for traj in trajs:
-            binner.start()
+            binner = YoungBinner(part, radius, bins, sphere)
             for t, values in zip(traj.times, traj.values):
                 binner.bin(t, values)
-            for (_, first, second, _), values in zip(binner.binned.snapshots,
+            for (_, first, second, _), values in zip(binner.payload().snapshots,
                                                      traj.values):
                 vals = values.reshape(part.dim, -1)
                 vb = np.where(np.sqrt((vals ** 2).sum(axis=0)) <= radius, vals, 0.0)
@@ -804,13 +803,12 @@ class TestEntriesMatchDenseOracle:
         # a run binned once applies to two accumulators, once through a
         # pickle, as a worker process sends it, with the bits of add
         trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
-        binner = YoungBinner(part, radius, bins, sphere)
         here, there = (YoungAccumulator(part, radius, bins, sphere) for _ in range(2))
         for traj in trajs:
-            binner.start()
+            binner = YoungBinner(part, radius, bins, sphere)
             for t, values in zip(traj.times, traj.values):
                 binner.bin(t, values)
-            here.apply(binner.binned)
+            here.apply(binner.payload())
             there.apply(pickle.loads(pickle.dumps(binner.payload())))
         want = _bincount_build(trajs, part, radius, bins, sphere)
         _assert_same_measure(here.measure(), want)
@@ -821,7 +819,7 @@ class TestEntriesMatchDenseOracle:
         binner = YoungBinner(part, 2.0 * radius, bins, sphere)
         binner.bin(trajs[0].times[0], trajs[0].values[0])
         with pytest.raises(YoungMeasureError, match="another partition"):
-            YoungAccumulator(part, radius, bins, sphere).apply(binner.binned)
+            YoungAccumulator(part, radius, bins, sphere).apply(binner.payload())
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_moments(self, case):
