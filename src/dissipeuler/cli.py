@@ -46,11 +46,12 @@ from .limits import (
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, Snapshots, apriori_moment_report, run_ensemble, snapshot_steps
+from .solver import BlowUpError, apriori_moment_report, run_ensemble, snapshot_steps
 from .spectral import write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
     TestIntegrand,
+    YoungBinner,
     barycenter,
     dirac_embed,
     pairing,
@@ -212,12 +213,12 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     part = cfg.partition
     steps = snapshot_steps(cfg.solver, cfg.snapshot_times)
     [(_, _, run, err, kept)] = run_ensemble(
-        [cfg.solver], cfg.seed, [0], lambda *_: (Snapshots(cfg.solver, cfg.snapshot_times),))
+        [cfg.solver], cfg.seed, [0],
+        lambda *_: (YoungBinner(part, cfg.young.radius, cfg.young.bins_per_axis,
+                                cfg.young.sphere_bins, steps),))
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
-    V = dirac_embed(kept[0], part, cfg.young.radius,
-                    bins_per_axis=cfg.young.bins_per_axis,
-                    sphere_bins=cfg.young.sphere_bins)
+    V = dirac_embed(kept[0])
     write_measure(out.path("measures/run.ym"), V)
     run.trace.write_csv(out.path(f"traces/eps{eps:g}_path0000.csv"))
 

@@ -44,7 +44,7 @@ from .weakstrong import check_reference_n
 from .young import CellPartition
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
-# the experiments that build Young measures from snapshots of their runs
+# the experiments whose runs bin their snapshots for Young measures
 MEASURE_EXPERIMENTS = ("vanish", "ym", "weakstrong")
 # the snapshot times loop over time_cells * snapshots_per_slab samples
 MAX_SNAPSHOTS_PER_SLAB = 2 ** 16
@@ -319,10 +319,13 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
     transport-off martingale.  Three terms are charged:
 
     * the runs: the largest run once per process, since a weakstrong
-      reference runs on the workers too.  A run holds its snapshots, each
-      the point values of one state, and ``WORKING_FIELDS`` half-spectrum
-      fields on its grid; simulate and martingale runs and the weakstrong
-      reference run on ``reference.n`` keep no snapshots;
+      reference runs on the workers too.  A run holds ``WORKING_FIELDS``
+      half-spectrum fields on its grid and what its ``YoungBinner`` keeps
+      of each snapshot: an int64 oscillation key per sample, an int64 key
+      and an f64 weight per escaped sample (up to 24 bytes per grid point
+      when every sample escapes) and dim + 2 dim^2 f64 moment sums per
+      space cell; simulate and martingale runs and the weakstrong
+      reference run on ``reference.n`` bin no snapshots;
     * the Wiener paths, drawn up front by one ``WienerPath.sample_many``
       call: 24 bytes per (path, step, mode) over ``ensemble.paths`` paths,
       ``martingale.linear_paths`` for the transport-off martingale and one
@@ -342,7 +345,8 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
 
     def run(n, snapshots, where):
         half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
-        return (snapshots * 8 * dim * n ** dim + WORKING_FIELDS * half, where,
+        binned = 24 * n ** dim + 8 * (dim + 2 * dim * dim) * young.space_cells ** dim
+        return (snapshots * binned + WORKING_FIELDS * half, where,
                 f"a run at n={n} in {dim}D")
 
     runs = [run(grid.n, len(cfg.snapshot_times) if measured else 0, "grid.n")]

@@ -20,14 +20,16 @@ rank-0 ``ForcingOperator(())``, so every run samples its Wiener path (of 0
 modes then) and adds its noise one way, and I and M stay +0.0.
 
 A run keeps only its configuration, this trace and its final state; its
-states are read by observers (``run_path``), such as ``Snapshots``.  An
-observer serves one run: it has ``steps``, ``on_state`` and ``payload()``,
-what it kept of the run.  Every experiment runs its (configuration, path)
-runs through ``run_ensemble``, which draws the Wiener paths once, shares
-them across configurations (refined by Brownian bridge for one at a finer
-dt), builds each run's observers, hands back their payloads with the run,
-reports a blow-up as that run's failure and, for ``--threads``, runs the
-paths on forked worker processes.
+states are read by observers (``run_path``), such as the Young-measure
+binner and the functional recorders, each of which reduces the states it
+reads and keeps none of them.  An observer serves one run: it has
+``steps``, ``on_state`` and ``payload()``, what it kept of the run.
+Every experiment runs its (configuration, path) runs through
+``run_ensemble``, which draws the Wiener paths once, shares them across
+configurations (refined by Brownian bridge for one at a finer dt), builds
+each run's observers, hands back their payloads with the run, reports a
+blow-up as that run's failure and, for ``--threads``, runs the paths on
+forked worker processes.
 """
 
 from __future__ import annotations
@@ -208,14 +210,6 @@ class EnergyTrace:
         """G = E + D - I - M; non-increasing for admissible paths."""
         return self.energy + self.dissipation - self.ito_input - self.stochastic
 
-    def defect(self, s: float, t: float) -> float:
-        """Energy-inequality defect over [s, t]; <= 0 means admissible."""
-        si, ti = self._index(s), self._index(t)
-        if si >= ti:
-            raise SolverError(f"need s < t on the trace grid, got {s}, {t}")
-        g = self.compensated()
-        return float(g[ti] - g[si])
-
     def defect_series(self) -> np.ndarray:
         """defect(0, t_n) for every grid time."""
         g = self.compensated()
@@ -230,12 +224,6 @@ class EnergyTrace:
     def tolerance(self, c: float = 1.0) -> float:
         dt = float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
         return c * np.sqrt(dt) * (1.0 + self.initial_energy)
-
-    def _index(self, t: float) -> int:
-        if len(self.times) < 2:
-            raise SolverError("trace holds a single entry; no time pairs exist")
-        return step_index(t - self.times[0], self.times[1] - self.times[0],
-                          len(self.times) - 1)
 
     def write_csv(self, path) -> None:
         defects = self.defect_series()
@@ -252,45 +240,10 @@ class EnergyTrace:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Physical-space snapshots of one run at selected grid times."""
-
-    grid: TorusGrid
-    times: np.ndarray
-    values: np.ndarray  # (len(times), dim) + grid.shape
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.times.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class SolverRun:
     config: SolverConfig
     trace: EnergyTrace
     final: SpectralField
-
-
-class Snapshots:
-    """Observer keeping one run's point values at ``times``; its
-    ``payload()`` is the ``Trajectory``.
-
-    The times map to steps of ``cfg`` by ``step_index`` when the observer
-    is built, so a time off the step grid raises ``error`` before the run.
-    """
-
-    def __init__(self, cfg: SolverConfig, times, error: type = SolverError):
-        self.steps = snapshot_steps(cfg, times, error)
-        self._grid = cfg.grid
-        self._times = []
-        self._values = np.empty((len(self.steps), cfg.grid.dim) + cfg.grid.shape)
-
-    def on_state(self, n, t, u, phys):
-        self._values[len(self._times)] = phys
-        self._times.append(t)
-
-    def payload(self) -> Trajectory:
-        return Trajectory(self._grid, np.asarray(self._times), self._values)
 
 
 def snapshot_steps(cfg: SolverConfig, times, error: type = SolverError) -> frozenset:
@@ -314,28 +267,17 @@ def step_index(t: float, dt: float, steps: int | None = None,
     return n
 
 
-def step(u: SpectralField, dw: np.ndarray, cfg: SolverConfig,
-         phys: np.ndarray | None) -> tuple:
-    """One Euler-Maruyama step with exact viscous integrating factor.
-
-    ``phys`` holds the point values of u, which lies in the dealias band;
-    the transport term reads them and makes no inverse transform, and
-    without transport they are not read.  ``dw`` holds the increments of
-    the ``cfg.forcing.rank`` modes.  Returns (new field, max_x |u|); the
-    sup is 0 without transport.  The step runs on u's band, as in
-    ``run_path``, and the new field is +0.0 outside it.
-    """
-    ops = cfg.grid.ops
-    band, sup = _band_step(ops.to_band(u.coeffs), dw, cfg, phys, _Scratch(cfg.grid))
-    return SpectralField(cfg.grid, ops.from_band(band)), sup
-
-
 def _band_step(u: np.ndarray, dw: np.ndarray, cfg: SolverConfig,
                phys: np.ndarray | None, scratch: _Scratch) -> tuple:
-    """``step`` on band coefficients: returns (new band coefficients, sup).
+    """One Euler-Maruyama step with exact viscous integrating factor, on
+    band coefficients: returns (new band coefficients, max_x |u|).
 
+    ``phys`` holds the point values of u; the transport term reads them
+    and makes no inverse transform, and without transport they are not
+    read and the sup is 0.  ``dw`` holds the increments of the
+    ``cfg.forcing.rank`` modes, added at the noise's sparse support only.
     The transport kernel works in ``scratch``; the new state is a new
-    array.  The noise is added at its sparse support only.
+    array.
     """
     if cfg.transport:
         conv, sup = _band_convective(cfg.grid, phys, scratch)

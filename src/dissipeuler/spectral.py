@@ -511,7 +511,7 @@ def _convective_with_sup(u: SpectralField, phys: np.ndarray):
 def _band_convective(grid: TorusGrid, phys: np.ndarray, scratch: _Scratch) -> tuple:
     """(band coefficients of -P div(u x u), max_x |u|) from the point
     values ``phys`` of a field u in the dealias band: the one transport
-    kernel of ``convective_term``, ``solver.step`` and ``solver.run_path``.
+    kernel of ``convective_term`` and ``solver.run_path``.
 
     Each product u_i u_j (i <= j) is formed pointwise once into one stack,
     whose squares give |u|^2 (summed in component order, as the sum over

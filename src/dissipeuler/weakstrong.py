@@ -48,8 +48,8 @@ from .spectral import (
 from .young import (
     CellPartition,
     GeneralizedYoungMeasure,
-    YoungAccumulator,
     YoungBinner,
+    dirac_embed,
     energy_of,
 )
 
@@ -286,12 +286,12 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     own observer, whose payload comes back with the run: a reference run
     by the ``ReferenceReduction`` of ``build_reference``, which also takes
     the path's F(0), and a weak run by a ``YoungBinner`` at the snapshot
-    steps, whose bins are applied here to the run's own
-    ``YoungAccumulator``; each weak run is then compared with its path's
-    reference.  The first blow-up, of a reference or a weak run (the
-    references run first), is raised.  Returns the audit rows (F(0) = 0,
-    F >= 0, agreement of the two forms of F, the monotone ladder and one
-    Gronwall envelope per eps) and the diagnostics: per-eps
+    steps, whose bins ``dirac_embed`` builds into the run's own measure
+    here; each weak run is then compared with its path's reference.  The
+    first blow-up, of a reference or a weak run (the references run
+    first), is raised.  Returns the audit rows (F(0) = 0, F >= 0,
+    agreement of the two forms of F, the monotone ladder and one Gronwall
+    envelope per eps) and the diagnostics: per-eps
     relative-energy matrices with their Gronwall diagnostics, the stopping
     times and the paired monotonicity diagnostics along the ladder.  An
     unset ``level`` L is 1.05 times the largest ||grad v||_inf of the
@@ -335,14 +335,12 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
             if r == 0:   # the reference of path p
                 refs.append(kept[0])
                 continue
-            acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
-            acc.apply(kept[0])
-            V = acc.measure()
+            V = dirac_embed(kept[0])
             slabs = [relative_energy(V, refs[p], s) for s in range(partition.n_t)]
             f_rows[r - 1].append(np.array([s["measure_form"] for s in slabs]))
             gaps[r - 1].append(max(s["forms_gap"] / max(s["scale"], 1e-300)
                                    for s in slabs))
-            del acc, V   # released before the next run
+            del V   # released before the next run
 
     stops = True
     if level is None:   # flat references give 0: no path stops, and L = 0

@@ -34,19 +34,18 @@ every (cell, bin) pair stays empty).  The masses are read for the
 normalization of nu and by the dense (n_cells, bins) views ``nu_mass``
 and ``inf_mass``, built on first access, for inspection and tests.
 
-Every measure is built in two steps.  A ``YoungBinner`` bins a run's
-snapshots, as an observer of the run or one snapshot at a time, into a
-``RunBins``: per snapshot, its per-cell moment sums and concentration
-entries, and per time slab, the run's integer bin counts; it keeps
-nothing of the states.  A ``YoungAccumulator`` applies binned runs, in
-run order, to running sums (the counts in one dense integer table per
-time slab), and ``measure`` normalizes them once at the end.  The steps
-may run in different processes: a run binned where it runs applies, bit
-for bit, where its measure is built.  ``YoungAccumulator.add`` does both
-steps for a trajectory; ``dirac_embed`` and ``estimate_from_family`` are
-loops over it, and the viscosity ladder bins each run once and applies
-it to its rung and to the family, so no build needs a whole family in
-memory.
+Every measure is built in two steps.  A ``YoungBinner`` observes a run
+and bins its snapshots into a ``RunBins``: per snapshot, its per-cell
+moment sums and concentration entries, and per time slab, the run's
+integer bin counts; it keeps nothing of the states.  A
+``YoungAccumulator`` applies binned runs, in run order, to running sums
+(the counts in one dense integer table per time slab), and ``measure``
+normalizes them once at the end.  The steps may run in different
+processes: a run binned where it runs applies, bit for bit, where its
+measure is built.  ``dirac_embed`` builds the measure of one binned run,
+``estimate_from_family`` that of a family of them, and the viscosity
+ladder applies each binned run to its rung and to the family, so no build
+needs a trajectory or a whole family in memory.
 
 ``write_measure`` exports a measure as one binary file (version 3): a
 magic, a version, the partition and build parameters, then the raw
@@ -118,10 +117,6 @@ class CellPartition:
     def cell_volume(self) -> float:
         """Space-time volume of one cell."""
         return self.space_volume * self.slab_duration
-
-    @property
-    def total_volume(self) -> float:
-        return TWO_PI ** self.dim * (self.t1 - self.t0)
 
     def sample_times(self, dt: float, per_slab: int) -> list:
         """per_slab evenly spaced mid-interval times per slab, on the step grid."""
@@ -405,6 +400,8 @@ class YoungBinner:
     each state's point values to that snapshot's moment sums, concentration
     entries and oscillation keys, and keeps nothing of the state;
     ``payload()`` gives the run's ``RunBins``, which apply in any process.
+    A radius that is not positive or a bin count below 1 raises
+    ``YoungMeasureError`` before any sample.
 
     A moment sum adds each cell's samples in the order a bincount over the
     samples would: the samples are copied block by block into an array
@@ -416,6 +413,10 @@ class YoungBinner:
                  bins_per_axis: int = 16, sphere_bins: int = 32, steps=None):
         if not radius > 0:
             raise YoungMeasureError(f"truncation radius must be positive, got {radius}")
+        for name, count in (("bins_per_axis", bins_per_axis),
+                            ("sphere_bins", sphere_bins)):
+            if not count >= 1:
+                raise YoungMeasureError(f"{name} must be >= 1, got {count}")
         self.spec = (partition, radius, bins_per_axis, sphere_bins)
         self.steps = steps
         self._space_idx = partition.space_cell_index()
@@ -475,16 +476,15 @@ class YoungAccumulator:
     """The one measure build: ``apply`` binned runs, then ``measure`` once.
 
     ``apply`` adds one run's ``RunBins`` (from a ``YoungBinner`` with the
-    same partition, radius and bins) to running sums; ``add`` bins and
-    applies a ``solver.Trajectory``.  ``measure`` normalizes the sums into
-    a ``GeneralizedYoungMeasure`` once, after the last run.  Samples beyond
-    the truncation radius feed the concentration part and count at the
-    origin of the oscillation histogram.  The sums depend only on the order
-    of the applied runs, so a caller that streams them gets the bits of
-    one call over the whole family.  The moment sums are dense per cell;
-    the oscillation counts live in one dense integer table per time slab,
-    and the concentration weights in one slot table per slab, keyed by
-    space cell and bin within the slab.
+    same partition, radius and bins) to running sums.  ``measure``
+    normalizes the sums into a ``GeneralizedYoungMeasure`` once, after the
+    last run.  Samples beyond the truncation radius feed the concentration
+    part and count at the origin of the oscillation histogram.  The sums
+    depend only on the order of the applied runs, so a caller that streams
+    them gets the bits of one call over the whole family.  The moment sums
+    are dense per cell; the oscillation counts live in one dense integer
+    table per time slab, and the concentration weights in one slot table
+    per slab, keyed by space cell and bin within the slab.
     """
 
     def __init__(self, partition: CellPartition, radius: float,
@@ -501,13 +501,6 @@ class YoungAccumulator:
         self._second = np.zeros((n_cells, dim, dim))
         self._escaped_second = np.zeros((n_cells, dim, dim))
         self._space_count = np.bincount(partition.space_cell_index(), minlength=n_space)
-
-    def add(self, traj) -> None:
-        """Bin the snapshots of one ``solver.Trajectory`` and apply them."""
-        binner = YoungBinner(*self.spec)
-        for t, values in zip(traj.times, traj.values):
-            binner.bin(t, values)
-        self.apply(binner.payload())
 
     def apply(self, binned: RunBins) -> None:
         """Add the samples of one binned run, snapshot by snapshot."""
@@ -559,32 +552,35 @@ class YoungAccumulator:
             lam_second=self._escaped_second * cell_weight[:, None, None])
 
 
-def dirac_embed(traj, partition: CellPartition, radius: float,
-                bins_per_axis: int = 16, sphere_bins: int = 32) -> GeneralizedYoungMeasure:
-    """Embed one trajectory (a ``solver.Trajectory``) as (delta_u, 0, 0).
+def dirac_embed(binned: RunBins) -> GeneralizedYoungMeasure:
+    """Embed one binned run as (delta_u, 0, 0).
 
     The measure is (delta_u, 0, 0) while |u| <= R; samples beyond the
-    truncation radius feed the concentration part as in any family.
+    truncation radius feed the concentration part as in any family.  The
+    partition, radius and bins are those the run was binned for.
     """
-    acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
-    acc.add(traj)
+    acc = YoungAccumulator(*binned.spec)
+    acc.apply(binned)
     return acc.measure()
 
 
-def estimate_from_family(family, partition: CellPartition, radius: float,
-                         bins_per_axis: int = 16,
-                         sphere_bins: int = 32) -> GeneralizedYoungMeasure:
-    """Pooled oscillation/concentration estimator over a family of runs.
+def estimate_from_family(runs) -> GeneralizedYoungMeasure:
+    """Pooled oscillation/concentration estimator over a family of binned runs.
 
     Samples with |u| <= R populate the oscillation histograms; the rest
     contribute quadrature-weighted |u|^2 mass to the concentration measure
-    and their directions to the sphere histogram.  ``family`` is iterated
-    once, so a generator streams its trajectories one at a time; an empty
-    family has no samples and is rejected.
+    and their directions to the sphere histogram.  The partition, radius
+    and bins are those of the first run; a run binned for others raises.
+    ``runs`` is iterated once, so a generator streams its ``RunBins`` one
+    at a time; an empty family is rejected.
     """
-    acc = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
-    for traj in family:
-        acc.add(traj)
+    acc = None
+    for binned in runs:
+        if acc is None:
+            acc = YoungAccumulator(*binned.spec)
+        acc.apply(binned)
+    if acc is None:
+        raise YoungMeasureError("empty family: no binned run to estimate from")
     return acc.measure()
 
 

@@ -1,11 +1,20 @@
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from dissipeuler.forcing import WienerPath
-from dissipeuler.solver import initial_state, run_path
-from dissipeuler.spectral import SpectralField, TorusGrid, leray_project
+from dissipeuler.solver import (
+    SolverError,
+    _band_step,
+    initial_state,
+    run_path,
+    snapshot_steps,
+    step_index,
+)
+from dissipeuler.spectral import SpectralField, TorusGrid, _Scratch, leray_project
+from dissipeuler.young import YoungBinner
 
 
 @pytest.fixture
@@ -38,6 +47,70 @@ def lone_run(cfg, seed, path_id, path=None, observers=(), initial=None):
     if initial is None:
         initial = initial_state(cfg, seed, path_id)
     return run_path(cfg, path, initial, observers)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Point values of one run at selected times."""
+
+    times: np.ndarray
+    values: np.ndarray   # (len(times), dim) + grid shape
+
+
+class Snapshots:
+    """Observer keeping one run's point values at ``times``; its
+    ``payload()`` is the ``Trajectory``.  A time off the step grid of
+    ``cfg`` raises ``SolverError`` when the observer is built."""
+
+    def __init__(self, cfg, times):
+        self.steps = snapshot_steps(cfg, times)
+        self._times = []
+        self._values = np.empty((len(self.steps), cfg.grid.dim) + cfg.grid.shape)
+
+    def on_state(self, n, t, u, phys):
+        self._values[len(self._times)] = phys
+        self._times.append(t)
+
+    def payload(self) -> Trajectory:
+        return Trajectory(np.asarray(self._times), self._values)
+
+
+def bin_run(traj, partition, radius, bins_per_axis=16, sphere_bins=32):
+    """The ``RunBins`` of ``traj``, binned snapshot by snapshot as a
+    ``YoungBinner`` observing its run bins them."""
+    binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins)
+    for t, values in zip(traj.times, traj.values):
+        binner.bin(t, values)
+    return binner.payload()
+
+
+def step(u, dw, cfg, phys):
+    """One step of ``run_path`` on a full-layout field: (new field, sup).
+
+    ``phys`` holds the point values of u, which lies in the dealias band;
+    the new field is +0.0 outside the band.
+    """
+    ops = cfg.grid.ops
+    band, sup = _band_step(ops.to_band(u.coeffs), dw, cfg, phys, _Scratch(cfg.grid))
+    return SpectralField(cfg.grid, ops.from_band(band)), sup
+
+
+def trace_defect(trace, s, t) -> float:
+    """The energy-inequality defect G(t) - G(s) of an ``EnergyTrace`` over
+    [s, t], both on its time grid; <= 0 means admissible."""
+    if len(trace.times) < 2:
+        raise SolverError("trace holds a single entry; no time pairs exist")
+    dt, last = trace.times[1] - trace.times[0], len(trace.times) - 1
+    si, ti = (step_index(x - trace.times[0], dt, last) for x in (s, t))
+    if si >= ti:
+        raise SolverError(f"need s < t on the trace grid, got {s}, {t}")
+    g = trace.compensated()
+    return float(g[ti] - g[si])
+
+
+def total_volume(partition) -> float:
+    """The space-time volume of a ``CellPartition``."""
+    return (2.0 * np.pi) ** partition.dim * (partition.t1 - partition.t0)
 
 
 @pytest.fixture

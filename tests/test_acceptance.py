@@ -26,7 +26,7 @@ from dissipeuler.limits import (
     solver_functionals_multi,
 )
 from dissipeuler.reporting import all_passed
-from dissipeuler.solver import InitialCondition, SolverConfig, Trajectory, initial_state, run_path
+from dissipeuler.solver import InitialCondition, SolverConfig, initial_state, run_path
 from dissipeuler.spectral import (
     TorusGrid,
     convective_term,
@@ -44,7 +44,14 @@ from dissipeuler.young import (
     pairing,
 )
 
-from conftest import coeff_at, full_wavenumbers, random_divfree_field, random_field
+from conftest import (
+    Trajectory,
+    bin_run,
+    coeff_at,
+    full_wavenumbers,
+    random_divfree_field,
+    random_field,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -222,8 +229,8 @@ def test_criterion_4_young_measure_oracles(announce):
     col = a * np.sign(np.sin(m * xo))
     vals = np.zeros((2,) + grid.shape)
     vals[1] = col[:, None]
-    traj = Trajectory(grid, np.array([0.0, 1.0]), np.stack([vals] * 2))
-    V = estimate_from_family([traj], part, radius, bins_per_axis=bins)
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([vals] * 2))
+    V = estimate_from_family([bin_run(traj, part, radius, bins_per_axis=bins)])
     w = 2 * radius / bins
     ref = np.zeros_like(V.nu_mass)
     ref[:, int(radius / w) * bins + int((a + radius) / w)] = 0.5
@@ -238,8 +245,8 @@ def test_criterion_4_young_measure_oracles(announce):
     width = grid_c.n // mc
     vc = np.zeros((2,) + grid_c.shape)
     vc[0, :width, :width] = mc
-    traj_c = Trajectory(grid_c, np.array([0.0, 0.5, 1.0]), np.stack([vc] * 3))
-    Vc = estimate_from_family([traj_c], part_c, radius=2.0)
+    traj_c = Trajectory(np.array([0.0, 0.5, 1.0]), np.stack([vc] * 3))
+    Vc = estimate_from_family([bin_run(traj_c, part_c, radius=2.0)])
     expected_mass = TWO_PI ** 2
     for slab in range(part_c.n_t):
         got = Vc.lam_t(slab)
@@ -255,9 +262,9 @@ def test_criterion_4_young_measure_oracles(announce):
     grid_d = TorusGrid(2, 32)
     part_d = CellPartition(2, 32, 2, 4, 0.0, 1.0)
     u = taylor_green(grid_d)
-    traj_d = Trajectory(grid_d, np.array([0.0, 0.5, 1.0]),
+    traj_d = Trajectory(np.array([0.0, 0.5, 1.0]),
                         np.stack([u.to_physical()] * 3))
-    Vd = dirac_embed(traj_d, part_d, radius=2.0)
+    Vd = dirac_embed(bin_run(traj_d, part_d, radius=2.0))
     energy_f = TestIntegrand("speed2", quad=(np.eye(2), np.zeros(2), 0.0))
     got = pairing(Vd, energy_f)
     want = l2_norm_sq(u)  # time-integrated over [0, 1]

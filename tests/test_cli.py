@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dissipeuler.cli as cli
+import dissipeuler.config as config
 from dissipeuler.cli import main
 from dissipeuler.config import (
     ConfigError,
@@ -26,6 +27,9 @@ from dissipeuler.config import (
 from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
 from dissipeuler.reporting import all_passed, audit_row
 from dissipeuler.solver import InitialCondition, SolverConfig
+from dissipeuler.young import estimate_from_family, write_measure
+
+from conftest import Snapshots, bin_run, lone_run
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -307,8 +311,9 @@ class TestSchema:
         assert not out.exists()
 
     def test_reference_above_memory_ceiling_names_reference_n(self):
-        # weakstrong holds one run on the reference grid; 8192^2 with its
-        # snapshots is above the ceiling, 2048^2 below it
+        # weakstrong holds one run on the reference grid, which bins no
+        # snapshots: its working fields are above the ceiling at 8192^2,
+        # below it at 2048^2
         raw = forced_config(paths=1)
         raw["experiment"] = "weakstrong"
         raw["viscosity"] = {"ladder": [0.1, 0.05]}
@@ -381,6 +386,32 @@ class TestSchema:
                      "--out", str(out)]) == 2
         assert f"config error: young.{key}: the " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name,accumulators", [("ym_demo.json", 1),
+                                                   ("vanish_demo.json", 2)])
+    def test_memory_ceiling_charges_what_a_binner_holds(self, monkeypatch, name,
+                                                         accumulators):
+        # a measured run's binner holds, per snapshot, up to 24 bytes per
+        # grid point and dim + 2 dim^2 f64 sums per space cell, beside its
+        # 16 half-spectrum working fields: the demo loads at a ceiling of
+        # exactly its charge and fails one byte below it
+        raw = json.loads((CONFIGS / name).read_text())
+        cfg = parse_config(raw, raw["experiment"])
+        grid, young, dim = cfg.solver.grid, cfg.young, cfg.solver.grid.dim
+        n, n_space, n_cells = grid.n, young.space_cells ** dim, cfg.partition.n_cells
+        half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
+        binned = 24 * n ** dim + 8 * (dim + 2 * dim * dim) * n_space
+        run = len(cfg.snapshot_times) * binned + 16 * half
+        paths = 24 * cfg.paths * cfg.solver.steps * cfg.solver.forcing.rank
+        tables = accumulators * n_cells * (8 * young.bins_per_axis ** dim
+                                           + 4 * young.sphere_bins
+                                           + 8 * (1 + dim + 2 * dim * dim))
+        need = run + paths + tables
+        monkeypatch.setattr(config, "MAX_RUN_BYTES", need)
+        assert isinstance(parse_config(raw, raw["experiment"]), RunConfig)
+        monkeypatch.setattr(config, "MAX_RUN_BYTES", need - 1)
+        with pytest.raises(ConfigError, match="ceiling"):
+            parse_config(raw, raw["experiment"])
 
     @pytest.mark.parametrize("name", sorted(
         [p.name for p in CONFIGS.glob("*.json")] + list(WORKLOADS)))
@@ -1046,6 +1077,27 @@ class TestYmCli:
         failed = {r["audit"]: r for r in rows if not r["pass"]}
         assert list(failed) == ["concentration_mass"]
         assert failed["concentration_mass"]["value"] > 0.0
+
+    @pytest.mark.parametrize("radius", [3.0, 0.5])
+    def test_measure_file_is_the_oracle_build(self, tmp_path, radius):
+        # the measure ym bins as its run runs writes the bytes of the one
+        # built from the run's kept snapshots, binned one by one, at the
+        # demo's radius and at one that samples exceed
+        raw = json.loads((CONFIGS / "ym_demo.json").read_text())
+        raw["young"]["radius"] = radius
+        out = tmp_path / "run"
+        assert main(["ym", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) in (0, 1)
+        cfg = parse_config(raw, "ym")
+        snaps = Snapshots(cfg.solver, cfg.snapshot_times)
+        lone_run(cfg.solver, cfg.seed, 0, observers=(snaps,))
+        young = cfg.young
+        V = estimate_from_family([bin_run(snaps.payload(), cfg.partition, young.radius,
+                                          young.bins_per_axis, young.sphere_bins)])
+        assert (V.lam_total() > 0) == (radius == 0.5)
+        write_measure(tmp_path / "oracle.ym", V)
+        assert (out / "measures" / "run.ym").read_bytes() == \
+            (tmp_path / "oracle.ym").read_bytes()
 
 
 SMALL_VANISH = {

@@ -30,7 +30,6 @@ from dissipeuler.limits import (
 from dissipeuler.reporting import all_passed
 from dissipeuler.solver import (
     InitialCondition,
-    Snapshots,
     SolverConfig,
     SolverError,
     SolverRun,
@@ -43,7 +42,7 @@ from dissipeuler.young import (
     estimate_from_family,
 )
 
-from conftest import lone_run
+from conftest import Snapshots, bin_run, lone_run
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,7 +189,7 @@ class TestLadder:
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
         traj = _rerun(ladder, part, 0.1, 0)
-        Vd = dirac_embed(traj, part, 3.0)
+        Vd = dirac_embed(bin_run(traj, part, 3.0))
         assert np.allclose(res.family.nu_mass, Vd.nu_mass)
         assert np.array_equal(res.family.nu.key, Vd.nu.key)
         assert np.allclose(res.family.nu_first, Vd.nu_first)
@@ -251,12 +250,12 @@ class TestStreamingLadder:
         assert res.family.lam_total() > 0.0
         for eps in ladder.eps_values:
             want = estimate_from_family(
-                (_rerun(ladder, part, eps, pid)
-                 for pid in ladder.path_ids), part, 0.3)
+                bin_run(_rerun(ladder, part, eps, pid), part, 0.3)
+                for pid in ladder.path_ids)
             _assert_same_bits(res.measures[eps], want)
         want = estimate_from_family(
-            (_rerun(ladder, part, eps, pid)
-             for eps in res.tail for pid in ladder.path_ids), part, 0.3)
+            bin_run(_rerun(ladder, part, eps, pid), part, 0.3)
+            for eps in res.tail for pid in ladder.path_ids)
         _assert_same_bits(res.family, want)
 
     def test_result_holds_no_run(self):
@@ -587,7 +586,7 @@ class TestEnergyInequalityLimit:
         snaps = every_step(cfg)
         run = lone_run(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(snaps.payload(), part, radius=1.0)
+        V = dirac_embed(bin_run(snaps.payload(), part, radius=1.0))
         rows, _ = energy_inequality_limit(V, [run.trace], ForcingOperator(()), tol=1e-12)
         assert all_passed(rows)
         values = {r["audit"]: r["value"] for r in rows}
@@ -602,7 +601,7 @@ class TestEnergyInequalityLimit:
         snaps = every_step(cfg)
         run = lone_run(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
-        V = dirac_embed(snaps.payload(), part, radius=1.0)
+        V = dirac_embed(bin_run(snaps.payload(), part, radius=1.0))
         stochastic = run.trace.stochastic.copy()
         stochastic[-1] = np.nan
         trace = replace(run.trace, stochastic=stochastic)

@@ -20,11 +20,7 @@ EXCEPTIONS = {
     "read_field": "reads back the field snapshots the CLI writes",
     "read_measure": "reads back the measure files the CLI writes",
     "divergence_defect": "the solver-invariant oracle of the tests",
-    "EnergyTrace.defect": "the energy-inequality defect over one [s, t], "
-                          "the oracle of max_positive_defect",
     "TorusGrid.dof": "read by the benchmark tracer's run_path counters",
-    "CellPartition.total_volume": "the total-mass oracle of the pairing tests",
-    "step": "the full-layout oracle of run_path, which steps on the dealias band",
 }
 
 

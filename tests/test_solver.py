@@ -22,7 +22,6 @@ from dissipeuler.solver import (
     BlowUpError,
     CflError,
     InitialCondition,
-    Snapshots,
     SolverConfig,
     SolverError,
     WorkerError,
@@ -32,7 +31,6 @@ from dissipeuler.solver import (
     run_ensemble,
     run_path,
     snapshot_steps,
-    step,
 )
 from dissipeuler.spectral import (
     SpectralField,
@@ -48,7 +46,7 @@ from dissipeuler.spectral import (
 from dissipeuler.weakstrong import WeakStrongError, build_reference
 from dissipeuler.young import CellPartition, YoungBinner
 
-from conftest import lone_run, random_divfree_field
+from conftest import Snapshots, lone_run, random_divfree_field, step, trace_defect
 
 
 def make_config(grid=None, eps=0.0, dt=1.0 / 64, horizon=0.25, forcing=None,
@@ -753,7 +751,7 @@ class TestEnergyAudit:
     def test_zero_solution_zero_defect(self):
         cfg = make_config(initial=InitialCondition("zero"), horizon=0.25)
         run = lone_run(cfg, 1, 0)
-        assert run.trace.defect(0.0, 0.25) == 0.0
+        assert trace_defect(run.trace, 0.0, 0.25) == 0.0
         assert run.trace.max_positive_defect() == 0.0
 
     def test_nan_energy_fails_defect_row(self):
@@ -773,7 +771,7 @@ class TestEnergyAudit:
             cfg = make_config(eps=0.3, dt=dt, horizon=0.5,
                               initial=InitialCondition("single_mode"))
             run = lone_run(cfg, 1, 0)
-            defects.append(abs(run.trace.defect(0.0, 0.5)))
+            defects.append(abs(trace_defect(run.trace, 0.0, 0.5)))
         orders = np.log2(np.array(defects[:-1]) / np.array(defects[1:]))
         assert np.all(orders >= 0.9)
 
@@ -809,9 +807,9 @@ class TestEnergyAudit:
         cfg = make_config(horizon=0.25)
         run = lone_run(cfg, 1, 0)
         with pytest.raises(SolverError):
-            run.trace.defect(0.25, 0.0)
+            trace_defect(run.trace, 0.25, 0.0)
         with pytest.raises(SolverError):
-            run.trace.defect(0.0, 0.2499)
+            trace_defect(run.trace, 0.0, 0.2499)
 
     def test_trace_csv_columns(self, tmp_path):
         cfg = make_config(horizon=1.0 / 16, forcing=default_forcing(2))

@@ -8,13 +8,7 @@ import pytest
 
 from dissipeuler.forcing import WienerPath, default_forcing
 from dissipeuler.reporting import all_passed
-from dissipeuler.solver import (
-    InitialCondition,
-    Snapshots,
-    SolverConfig,
-    Trajectory,
-    initial_state,
-)
+from dissipeuler.solver import InitialCondition, SolverConfig, initial_state
 from dissipeuler.spectral import (
     TorusGrid,
     gradient_physical,
@@ -36,7 +30,7 @@ from dissipeuler.weakstrong import (
 )
 from dissipeuler.young import CellPartition, dirac_embed, estimate_from_family
 
-from conftest import lone_run
+from conftest import Snapshots, Trajectory, bin_run, lone_run
 
 
 def steady_config(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, kind="taylor_green"):
@@ -93,7 +87,7 @@ class TestRelativeEnergy:
         traj = steady_run(grid, times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
         ref = steady_reference(grid, part, times)
-        V = dirac_embed(traj, part, radius=3.0)
+        V = dirac_embed(bin_run(traj, part, radius=3.0))
         e = 0.5 * l2_norm_sq(taylor_green(grid))
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
@@ -105,8 +99,8 @@ class TestRelativeEnergy:
         part = CellPartition(2, 64, 1, 2, 0.0, 1.0)
         vals = np.zeros((2,) + grid.shape)
         vals[0, :8, :8] = 8.0
-        traj = Trajectory(grid, np.array([0.0, 1.0]), np.stack([vals] * 2))
-        V = estimate_from_family([traj], part, radius=2.0)
+        traj = Trajectory(np.array([0.0, 1.0]), np.stack([vals] * 2))
+        V = estimate_from_family([bin_run(traj, part, radius=2.0)])
 
         ref = steady_reference(grid, part, [0.0, 0.5, 1.0], dt=0.5, horizon=1.0,
                                kind="zero")
@@ -123,7 +117,7 @@ class TestRelativeEnergy:
         traj = observed(cfg, 41, 0, times)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
         ref = steady_reference(grid, part, times, amp=0.7)
-        V = dirac_embed(traj, part, radius=4.0)
+        V = dirac_embed(bin_run(traj, part, radius=4.0))
         for slab in range(part.n_t):
             out = relative_energy(V, ref, slab)
             scale = max(out["measure_form"], out["expanded_form"])
@@ -139,7 +133,7 @@ class TestRelativeEnergy:
                                eps=0.02, dt=1.0 / 32, horizon=0.25,
                                initial=InitialCondition("random_spectrum",
                                                         amplitude=0.4))
-            V = dirac_embed(observed(cfg, 43, pid, times), part, radius=4.0)
+            V = dirac_embed(bin_run(observed(cfg, 43, pid, times), part, radius=4.0))
             for slab in range(part.n_t):
                 assert relative_energy(V, ref, slab)["measure_form"] >= 0.0
 
@@ -252,8 +246,8 @@ class TestReference:
         times = snapshot_grid(0.25, 2)
         traj = steady_run(grid, times)
         ref = steady_reference(grid, CellPartition(2, 16, 2, 4, 0.0, 0.25), times)
-        V = dirac_embed(traj, CellPartition(2, 16, 2, 8, 0.0, 0.25),
-                        radius=3.0)
+        V = dirac_embed(bin_run(traj, CellPartition(2, 16, 2, 8, 0.0, 0.25),
+                                radius=3.0))
         with pytest.raises(WeakStrongError, match="another partition"):
             relative_energy(V, ref, 0)
 

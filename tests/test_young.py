@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dissipeuler.solver import Trajectory
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, taylor_green
 from dissipeuler.young import (
     CellPartition,
@@ -27,6 +26,8 @@ from dissipeuler.young import (
     write_measure,
 )
 
+from conftest import Trajectory, bin_run, total_volume
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -34,14 +35,14 @@ def constant_trajectory(grid, c, times):
     vals = np.zeros((len(times), grid.dim) + grid.shape)
     for i, ci in enumerate(c):
         vals[:, i] = ci
-    return Trajectory(grid, np.asarray(times, dtype=float), vals)
+    return Trajectory(np.asarray(times, dtype=float), vals)
 
 
 def field_trajectory(grid, fn, times):
     """Trajectory from fn(t, x_arrays) -> (dim,)+shape physical values."""
     x = grid.points()
     vals = np.stack([fn(t, x) for t in times])
-    return Trajectory(grid, np.asarray(times, dtype=float), vals)
+    return Trajectory(np.asarray(times, dtype=float), vals)
 
 
 def sign_oscillation(grid, m, a=1.0):
@@ -88,7 +89,7 @@ class TestDiracEmbed:
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         traj = constant_trajectory(grid, (0.3, -0.4), [0.0, 0.5, 1.0])
-        V = dirac_embed(traj, part, radius=2.0)
+        V = dirac_embed(bin_run(traj, part, radius=2.0))
         assert V.lam_total() == 0.0
         # exactly one occupied bin per cell, carrying the exact value
         for cell in range(part.n_cells):
@@ -106,7 +107,7 @@ class TestDiracEmbed:
             grid, lambda t, x: np.stack([
                 np.broadcast_to(np.sin(x[0]), grid.shape),
                 np.broadcast_to(np.cos(x[1]), grid.shape)]), [0.0, 1.0])
-        V = dirac_embed(traj, part, radius=2.0)
+        V = dirac_embed(bin_run(traj, part, radius=2.0))
         bary = barycenter(V)
         space_idx = part.space_cell_index()
         vals = traj.values.reshape(2, 2, -1)  # (snap, dim, pts)
@@ -121,7 +122,7 @@ class TestDiracEmbed:
         u = taylor_green(grid)
         traj = field_trajectory(grid, lambda t, x: u.to_physical(),
                                 [0.0, 0.25, 0.5, 0.75, 1.0])
-        V = dirac_embed(traj, part, radius=2.0)
+        V = dirac_embed(bin_run(traj, part, radius=2.0))
         # <V, |xi|^2 x 1> = int_0^1 ||u||^2 dt = 2 * time-integrated energy
         got = pairing(V, ENERGY)
         assert got == pytest.approx(l2_norm_sq(u), rel=2e-2)
@@ -134,8 +135,8 @@ class TestDiracEmbed:
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         traj = constant_trajectory(grid, (3.0, 0.0), [0.0, 1.0])
-        V = dirac_embed(traj, part, radius=2.0)
-        assert V.lam_total() == pytest.approx(9 * part.total_volume, rel=1e-12)
+        V = dirac_embed(bin_run(traj, part, radius=2.0))
+        assert V.lam_total() == pytest.approx(9 * total_volume(part), rel=1e-12)
         origin = int(_bin_of_values(np.zeros((1, 2)), 2.0, V.bins_per_axis)[0])
         assert np.array_equal(V.nu.key, np.arange(part.n_cells) * V.nu.n_bins + origin)
         assert np.all(V.nu.mass == 1.0)
@@ -153,8 +154,8 @@ class TestFamilyEstimator:
             grid, lambda t, x: 0.5 * np.stack([
                 np.broadcast_to(np.sin(x[0] + t), grid.shape),
                 np.broadcast_to(np.cos(x[1]), grid.shape)]), [0.0, 0.5, 1.0])
-        Vf = estimate_from_family([traj], part, radius=2.0)
-        Vd = dirac_embed(traj, part, radius=2.0)
+        Vf = estimate_from_family([bin_run(traj, part, radius=2.0)])
+        Vd = dirac_embed(bin_run(traj, part, radius=2.0))
         assert np.allclose(Vf.nu_mass, Vd.nu_mass)
         assert np.array_equal(Vf.nu.key, Vd.nu.key)
         assert np.allclose(Vf.nu_first, Vd.nu_first)
@@ -168,9 +169,9 @@ class TestFamilyEstimator:
         part = make_partition(grid, n_t=1, n_x=4)
         a, radius, bins = 1.0, 2.0, 16
         m = 61
-        traj = Trajectory(grid, np.array([0.0, 1.0]),
+        traj = Trajectory(np.array([0.0, 1.0]),
                           np.stack([sign_oscillation(grid, m, a)] * 2))
-        V = estimate_from_family([traj], part, radius, bins_per_axis=bins)
+        V = estimate_from_family([bin_run(traj, part, radius, bins_per_axis=bins)])
 
         ref = np.zeros_like(V.nu_mass)
         w = 2 * radius / bins
@@ -186,9 +187,9 @@ class TestFamilyEstimator:
         part = make_partition(grid, n_t=1, n_x=4)
         tvs = []
         for m in (5, 11, 23, 61):
-            traj = Trajectory(grid, np.array([0.0, 1.0]),
+            traj = Trajectory(np.array([0.0, 1.0]),
                               np.stack([sign_oscillation(grid, m)] * 2))
-            V = estimate_from_family([traj], part, 2.0, bins_per_axis=16)
+            V = estimate_from_family([bin_run(traj, part, 2.0, bins_per_axis=16)])
             ref = np.zeros_like(V.nu_mass)
             w = 4.0 / 16
             ref[:, int(2.0 / w) * 16 + int(3.0 / w)] = 0.5
@@ -206,8 +207,8 @@ class TestFamilyEstimator:
         width = grid.n // m  # patch side in grid points: area (2pi/m)^2
         vals = np.zeros((grid.dim,) + grid.shape)
         vals[0, :width, :width] = m
-        traj = Trajectory(grid, np.array([0.0, 0.5, 1.0]), np.stack([vals] * 3))
-        V = estimate_from_family([traj], part, radius=2.0)
+        traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.stack([vals] * 3))
+        V = estimate_from_family([bin_run(traj, part, radius=2.0)])
 
         expected = TWO_PI ** 2
         for slab in range(part.n_t):
@@ -225,25 +226,39 @@ class TestFamilyEstimator:
         part = make_partition(grid, n_t=1, n_x=2)
         vals = np.zeros((2,) + grid.shape)
         vals[0, :8, :8] = 8.0
-        traj = Trajectory(grid, np.array([0.0, 1.0]), np.stack([vals] * 2))
-        V = estimate_from_family([traj], part, radius=2.0)
+        traj = Trajectory(np.array([0.0, 1.0]), np.stack([vals] * 2))
+        V = estimate_from_family([bin_run(traj, part, radius=2.0)])
         # below-radius samples are exactly zero there, so barycenter is 0
         # and the oscillation part carries no energy
         assert np.max(np.abs(barycenter(V))) == 0.0
         assert energy_of(V, 0) == pytest.approx(0.5 * V.lam_t(0))
 
     def test_empty_family_rejected(self):
+        # no run to read the partition, radius and bins from: the empty
+        # family is named, as a list and as an exhausted iterator
+        with pytest.raises(YoungMeasureError, match="empty family"):
+            estimate_from_family([])
+        with pytest.raises(YoungMeasureError, match="empty family"):
+            estimate_from_family(iter([]))
+
+    def test_family_of_runs_binned_for_other_measures_rejected(self):
         grid = TorusGrid(2, 16)
-        with pytest.raises(YoungMeasureError, match="no samples"):
-            estimate_from_family([], make_partition(grid), 1.0)
-        with pytest.raises(YoungMeasureError, match="no samples"):
-            estimate_from_family(iter([]), make_partition(grid), 1.0)
+        part = make_partition(grid)
+        traj = constant_trajectory(grid, (0.5, 0.0), [0.0, 1.0])
+        with pytest.raises(YoungMeasureError, match="another partition"):
+            estimate_from_family([bin_run(traj, part, 2.0), bin_run(traj, part, 3.0)])
+
+    def test_dirac_embed_is_the_family_of_one_run(self):
+        # one binned run, with samples beyond R, embeds with the bits of its
+        # family of one
+        trajs, part, radius, bins, sphere, _ = ORACLE_CASES["dirac_clipped"]()
+        binned = bin_run(trajs[0], part, radius, bins, sphere)
+        _assert_same_measure(dirac_embed(binned), estimate_from_family([binned]))
 
     def test_generator_family_is_streamed(self, tmp_path):
-        # a generator is read one trajectory at a time: when the next one is
+        # a generator is read one binned run at a time: when the next one is
         # made, at most the one just read is still alive, and the measure
-        # writes the bytes of the one built from the same trajectories in a
-        # list
+        # writes the bytes of the one built from the same runs in a list
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         times = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -254,12 +269,12 @@ class TestFamilyEstimator:
         def family():
             for vals in values:
                 assert sum(ref() is not None for ref in alive) <= 1
-                traj = Trajectory(grid, np.asarray(times), vals.copy())
-                alive.append(weakref.ref(traj))
-                yield traj
-        streamed = estimate_from_family(family(), part, radius=2.0)
+                binned = bin_run(Trajectory(np.asarray(times), vals.copy()), part, 2.0)
+                alive.append(weakref.ref(binned))
+                yield binned
+        streamed = estimate_from_family(family())
         listed = estimate_from_family(
-            [Trajectory(grid, np.asarray(times), v) for v in values], part, radius=2.0)
+            [bin_run(Trajectory(np.asarray(times), v), part, 2.0) for v in values])
         assert len(alive) == 5
         write_measure(tmp_path / "streamed.ym", streamed)
         write_measure(tmp_path / "listed.ym", listed)
@@ -271,8 +286,8 @@ class TestFamilyEstimator:
         part = make_partition(grid)
         t1 = constant_trajectory(grid, (0.5, 0.0), [0.0, 1.0])
         t2 = constant_trajectory(grid, (-0.25, 0.1), [0.0, 1.0])
-        Va = estimate_from_family([t1, t2], part, 2.0)
-        Vb = estimate_from_family([t2, t1], part, 2.0)
+        Va = estimate_from_family(bin_run(t, part, 2.0) for t in [t1, t2])
+        Vb = estimate_from_family(bin_run(t, part, 2.0) for t in [t2, t1])
         assert np.allclose(Va.nu_mass, Vb.nu_mass)
         assert np.array_equal(Va.nu.key, Vb.nu.key)
         assert np.allclose(Va.nu_first, Vb.nu_first)
@@ -285,16 +300,16 @@ class TestPairing:
         grid = TorusGrid(2, 16)
         part = make_partition(grid, n_t=2, n_x=2, t0=0.0, t1=0.5)
         traj = constant_trajectory(grid, (0.1, 0.2), [0.0, 0.25, 0.5])
-        V = dirac_embed(traj, part, 2.0)
-        assert pairing(V, ONE) == pytest.approx(part.total_volume, rel=1e-12)
+        V = dirac_embed(bin_run(traj, part, 2.0))
+        assert pairing(V, ONE) == pytest.approx(total_volume(part), rel=1e-12)
 
     def test_energy_integrand_sees_full_concentration(self):
         grid = TorusGrid(2, 64)
         part = make_partition(grid, n_t=1, n_x=2)
         vals = np.zeros((2,) + grid.shape)
         vals[1, :8, :8] = 16.0
-        traj = Trajectory(grid, np.array([0.0, 1.0]), np.stack([vals] * 2))
-        V = estimate_from_family([traj], part, radius=2.0)
+        traj = Trajectory(np.array([0.0, 1.0]), np.stack([vals] * 2))
+        V = estimate_from_family([bin_run(traj, part, radius=2.0)])
         got = pairing(V, ENERGY)
         assert got == pytest.approx(V.lam_total(), rel=1e-12)
 
@@ -304,7 +319,7 @@ class TestPairing:
         part = make_partition(grid, n_t=1, n_x=16)
         u = taylor_green(grid)
         traj = field_trajectory(grid, lambda t, x: u.to_physical(), [0.0, 1.0])
-        V = dirac_embed(traj, part, 2.0)
+        V = dirac_embed(bin_run(traj, part, 2.0))
 
         f = TestIntegrand("xi0sq", quad=(np.diag([1.0, 0.0]), np.zeros(2), 0.0))
         got = pairing(V, f, lambda t, xc: np.cos(2.0 * xc[:, 1]))
@@ -318,7 +333,7 @@ class TestPairing:
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         traj = constant_trajectory(grid, (0.4, 0.1), [0.0, 1.0])
-        V = dirac_embed(traj, part, 2.0)
+        V = dirac_embed(bin_run(traj, part, 2.0))
         a = pairing(V, ENERGY)
         b = pairing(V, ONE)
         comb = TestIntegrand("combo", quad=(2.0 * np.eye(2), np.zeros(2), 3.0))
@@ -330,8 +345,8 @@ class TestPairing:
         vals = np.zeros((2,) + grid.shape)
         vals[0, :8, :8] = 8.0
         vals[1] = 0.3
-        traj = Trajectory(grid, np.array([0.0, 1.0]), np.stack([vals] * 2))
-        V = estimate_from_family([traj], part, radius=2.0)
+        traj = Trajectory(np.array([0.0, 1.0]), np.stack([vals] * 2))
+        V = estimate_from_family([bin_run(traj, part, radius=2.0)])
         small = TestIntegrand("half", quad=(0.5 * np.eye(2), np.zeros(2), 0.0))
         assert pairing(V, small) <= pairing(V, ENERGY)
         assert pairing(V, small) >= 0.0
@@ -343,7 +358,7 @@ class TestEnergyAndDistance:
         part = make_partition(grid)
         c = (0.6, -0.8)
         traj = constant_trajectory(grid, c, [0.0, 0.5, 1.0])
-        V = dirac_embed(traj, part, 2.0)
+        V = dirac_embed(bin_run(traj, part, 2.0))
         expected = 0.5 * (c[0] ** 2 + c[1] ** 2) * TWO_PI ** 2
         for slab in range(part.n_t):
             assert energy_of(V, slab) == pytest.approx(expected, rel=1e-12)
@@ -355,7 +370,7 @@ class TestEnergyAndDistance:
         traj = field_trajectory(
             grid, lambda t, x: (1.0 - 0.5 * t) * u.to_physical(),
             [0.0, 0.25, 0.5, 0.75, 1.0])
-        V = dirac_embed(traj, part, 2.0)
+        V = dirac_embed(bin_run(traj, part, 2.0))
         e = l2_norm_sq(u)
         # slab 0 holds t in {0, .25}, slab 0.5 boundary goes to slab 1
         avg0 = 0.5 * np.mean([(1 - 0.5 * t) ** 2 for t in (0.0, 0.25)]) * e
@@ -370,7 +385,7 @@ class TestEnergyAndDistance:
         u = taylor_green(grid)
         traj = field_trajectory(grid, lambda t, x: u.to_physical(),
                                 [0.0, 0.5, 1.0])
-        V = dirac_embed(traj, part, 2.0)
+        V = dirac_embed(bin_run(traj, part, 2.0))
         horizon = part.t1 - part.t0
         # space-time integral of <nu, |xi|^2>, finite by construction
         second_moment = pairing(V, ENERGY)
@@ -380,7 +395,7 @@ class TestEnergyAndDistance:
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         traj = constant_trajectory(grid, (0.2, 0.2), [0.0, 1.0])
-        V = dirac_embed(traj, part, 2.0)
+        V = dirac_embed(bin_run(traj, part, 2.0))
         assert weakstar_distance(V, V) == 0.0
 
     def test_distance_linear_in_perturbation(self):
@@ -391,11 +406,11 @@ class TestEnergyAndDistance:
         w[0] = 1.0
         dists = []
         for delta in (0.2, 0.1, 0.05):
-            t1 = Trajectory(grid, np.array([0.0, 1.0]), np.stack([u] * 2))
-            t2 = Trajectory(grid, np.array([0.0, 1.0]),
+            t1 = Trajectory(np.array([0.0, 1.0]), np.stack([u] * 2))
+            t2 = Trajectory(np.array([0.0, 1.0]),
                             np.stack([u + delta * w] * 2))
-            V1 = dirac_embed(t1, part, 3.0)
-            V2 = dirac_embed(t2, part, 3.0)
+            V1 = dirac_embed(bin_run(t1, part, 3.0))
+            V2 = dirac_embed(bin_run(t2, part, 3.0))
             dists.append(weakstar_distance(V1, V2))
         ratios = np.array(dists[:-1]) / np.array(dists[1:])
         assert np.all(ratios > 1.6) and np.all(ratios < 2.5)
@@ -403,8 +418,8 @@ class TestEnergyAndDistance:
     def test_distance_requires_common_partition(self):
         grid = TorusGrid(2, 16)
         t = constant_trajectory(grid, (0.1, 0.0), [0.0, 1.0])
-        V1 = dirac_embed(t, make_partition(grid, n_x=2), 2.0)
-        V2 = dirac_embed(t, make_partition(grid, n_x=4), 2.0)
+        V1 = dirac_embed(bin_run(t, make_partition(grid, n_x=2), 2.0))
+        V2 = dirac_embed(bin_run(t, make_partition(grid, n_x=4), 2.0))
         with pytest.raises(YoungMeasureError):
             weakstar_distance(V1, V2)
 
@@ -444,7 +459,7 @@ class TestExport:
     def test_round_trip_keeps_negative_zero(self, tmp_path):
         grid = TorusGrid(2, 16)
         traj = constant_trajectory(grid, (0.5, 0.5), [0.0, 1.0])
-        V = dirac_embed(traj, make_partition(grid), 2.0)
+        V = dirac_embed(bin_run(traj, make_partition(grid), 2.0))
         lam = V.lam_mass.copy()
         lam[0] = -0.0
         V = replace(V, partition=replace(V.partition, t0=-0.0), lam_mass=lam)
@@ -483,7 +498,7 @@ class TestFamilyEnergyBound:
             sups.append(0.5 * _l2(u))
             trajs.append(field_trajectory(
                 grid, lambda t, x, u=u: u.to_physical(), [0.0, 0.5, 1.0]))
-        V = estimate_from_family(trajs, part, radius=3.0)
+        V = estimate_from_family(bin_run(t, part, radius=3.0) for t in trajs)
         for s in range(part.n_t):
             assert energy_of(V, s) <= max(sups) * (1 + 1e-10)
 
@@ -496,8 +511,8 @@ class TestThreeDimensionalMeasures:
         width = grid.n // m
         vals = np.zeros((3,) + grid.shape)
         vals[2, :width, :width, :width] = m  # concentrates along +e3
-        traj = Trajectory(grid, np.array([0.0, 1.0]), np.stack([vals] * 2))
-        V = estimate_from_family([traj], part, radius=2.0, bins_per_axis=8)
+        traj = Trajectory(np.array([0.0, 1.0]), np.stack([vals] * 2))
+        V = estimate_from_family([bin_run(traj, part, radius=2.0, bins_per_axis=8)])
         # lambda_t = m^2 |A| = m^2 (2 pi / m)^3 = (2 pi)^3 / m
         expected = (2 * np.pi) ** 3 / m
         assert V.lam_t(0) == pytest.approx(expected, rel=0.05)
@@ -513,10 +528,10 @@ class TestThreeDimensionalMeasures:
         part = CellPartition(3, 16, 2, 2, 0.0, 0.5)
         vals = np.zeros((2, 3) + grid.shape)
         vals[:, 0] = 0.3
-        traj = Trajectory(grid, np.array([0.0, 0.5]), vals)
-        V = dirac_embed(traj, part, 2.0, bins_per_axis=8)
+        traj = Trajectory(np.array([0.0, 0.5]), vals)
+        V = dirac_embed(bin_run(traj, part, 2.0, bins_per_axis=8))
         one3 = TestIntegrand("one", quad=(np.zeros((3, 3)), np.zeros(3), 1.0))
-        assert pairing(V, one3) == pytest.approx(part.total_volume, rel=1e-12)
+        assert pairing(V, one3) == pytest.approx(total_volume(part), rel=1e-12)
         assert len(quadratic_dictionary(3)) >= 20
 
 
@@ -592,7 +607,7 @@ def _oracle_pairing(ref, part, f, phi):
 
 def _random_family(grid, n_traj, times, scale, seed):
     rng = np.random.default_rng(seed)
-    return [Trajectory(grid, np.asarray(times, dtype=float),
+    return [Trajectory(np.asarray(times, dtype=float),
                        scale * rng.standard_normal(
                            (len(times), grid.dim) + grid.shape))
             for _ in range(n_traj)]
@@ -622,7 +637,7 @@ def _pure_concentration_case(dim):
         vals[(slice(None), 0, slice(0, 4)) + block] = 5.0    # every sample of space cell 0
         vals[(slice(None), 1, slice(4, 6)) + block] = -4.0   # part of space cell 4
         part = CellPartition(dim, grid.n, 2, 4 if dim == 2 else 2, 0.0, 1.0)
-        return ([Trajectory(grid, traj.times, vals)], part, 2.0,
+        return ([Trajectory(traj.times, vals)], part, 2.0,
                 16 if dim == 2 else 4, 8, False)
     return case
 
@@ -640,7 +655,7 @@ def _signed_zero_case():
     vals = np.zeros((3, 2) + grid.shape)
     vals[:, 0] = -0.0
     vals[1, :, ::2] = -0.0
-    traj = Trajectory(grid, np.array([0.0, 0.5, 1.0]), vals)
+    traj = Trajectory(np.array([0.0, 0.5, 1.0]), vals)
     return [traj], make_partition(grid, n_t=2, n_x=4), 1.0, 8, 16, True
 
 
@@ -672,10 +687,8 @@ def _build(case, radius=None):
     trajs, part, case_radius, bins, sphere, embed = ORACLE_CASES[case]()
     radius = case_radius if radius is None else radius
     if embed:
-        return dirac_embed(trajs[0], part, radius, bins_per_axis=bins,
-                           sphere_bins=sphere)
-    return estimate_from_family(trajs, part, radius, bins_per_axis=bins,
-                                sphere_bins=sphere)
+        return dirac_embed(bin_run(trajs[0], part, radius, bins, sphere))
+    return estimate_from_family(bin_run(t, part, radius, bins, sphere) for t in trajs)
 
 
 def _build_both(case):
@@ -783,11 +796,8 @@ class TestEntriesMatchDenseOracle:
         trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
         cell = part.space_cell_index()
         for traj in trajs:
-            binner = YoungBinner(part, radius, bins, sphere)
-            for t, values in zip(traj.times, traj.values):
-                binner.bin(t, values)
-            for (_, first, second, _), values in zip(binner.payload().snapshots,
-                                                     traj.values):
+            binned = bin_run(traj, part, radius, bins, sphere)
+            for (_, first, second, _), values in zip(binned.snapshots, traj.values):
                 vals = values.reshape(part.dim, -1)
                 vb = np.where(np.sqrt((vals ** 2).sum(axis=0)) <= radius, vals, 0.0)
                 for i in range(part.dim):
@@ -801,15 +811,14 @@ class TestEntriesMatchDenseOracle:
     @pytest.mark.parametrize("case", ["family_2d", "family_3d", "dirac_clipped"])
     def test_a_run_binned_once_applies_anywhere(self, case):
         # a run binned once applies to two accumulators, once through a
-        # pickle, as a worker process sends it, with the bits of add
+        # pickle, as a worker process sends it, with the bits of one
+        # bincount per snapshot
         trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
         here, there = (YoungAccumulator(part, radius, bins, sphere) for _ in range(2))
         for traj in trajs:
-            binner = YoungBinner(part, radius, bins, sphere)
-            for t, values in zip(traj.times, traj.values):
-                binner.bin(t, values)
-            here.apply(binner.payload())
-            there.apply(pickle.loads(pickle.dumps(binner.payload())))
+            binned = bin_run(traj, part, radius, bins, sphere)
+            here.apply(binned)
+            there.apply(pickle.loads(pickle.dumps(binned)))
         want = _bincount_build(trajs, part, radius, bins, sphere)
         _assert_same_measure(here.measure(), want)
         _assert_same_measure(there.measure(), want)
@@ -820,6 +829,16 @@ class TestEntriesMatchDenseOracle:
         binner.bin(trajs[0].times[0], trajs[0].values[0])
         with pytest.raises(YoungMeasureError, match="another partition"):
             YoungAccumulator(part, radius, bins, sphere).apply(binner.payload())
+
+    @pytest.mark.parametrize("bins,sphere", [(0, 32), (-2, 32), (16, 0), (16, -4)])
+    def test_bin_counts_below_one_rejected(self, bins, sphere):
+        # a count below 1 would divide by zero or build keys of no bin;
+        # the binner and the accumulator reject it before any sample
+        part = CellPartition(2, 16, 1, 4, 0.0, 1.0)
+        name = "bins_per_axis" if bins < 1 else "sphere_bins"
+        for build in (YoungBinner, YoungAccumulator):
+            with pytest.raises(YoungMeasureError, match=f"{name} must be >= 1"):
+                build(part, 1.0, bins, sphere)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_moments(self, case):
@@ -873,7 +892,7 @@ class TestEntriesMatchDenseOracle:
         # vanish exactly (a trig weight against a constant) are rounding
         # noise, and their floor scales with the total volume
         V, ref = _build_both(case)
-        floor = 1e-12 * V.partition.total_volume
+        floor = 1e-12 * total_volume(V.partition)
         for f, phi, label in quadratic_dictionary(V.dim):
             want = _oracle_pairing(ref, V.partition, f, phi)
             assert pairing(V, f, phi) == pytest.approx(want, rel=1e-12,
