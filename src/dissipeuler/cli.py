@@ -36,7 +36,6 @@ import numpy as np
 from .config import EXPERIMENTS, ConfigError, RunConfig, load_config
 from .limits import (
     MartingaleStat,
-    ViscosityLadder,
     energy_inequality_limit,
     linear_model_functionals_multi,
     martingale_test,
@@ -153,13 +152,8 @@ def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
 
 
 def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
-    part = cfg.partition
-    ladder = ViscosityLadder(cfg.eps_values, cfg.solver, cfg.seed,
-                             tuple(range(cfg.paths)))
-
-    res = run_ladder(ladder, part, cfg.young.radius, cfg.snapshot_times,
-                     bins_per_axis=cfg.young.bins_per_axis,
-                     sphere_bins=cfg.young.sphere_bins, processes=threads)
+    res = run_ladder(cfg.eps_values, cfg.solver, cfg.seed, range(cfg.paths),
+                     cfg.binning, cfg.snapshot_times, threads)
 
     rows = []
     for eps, survivors in res.traces.items():
@@ -195,7 +189,7 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
                      for eps in res.measures}
     rows += apriori_moment_report(traces_by_eps, p=3.0)[0]
 
-    sample_gap = part.slab_duration / cfg.young.snapshots_per_slab
+    sample_gap = cfg.binning.partition.slab_duration / cfg.young.snapshots_per_slab
     mom_tol = cfg.tolerances.energy_defect_c * sample_gap \
         * (1.0 + finest_trace.initial_energy)
     rows.append(audit_row("momentum_residual_finest",
@@ -210,12 +204,9 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
 
 def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     eps = cfg.eps_values[0]
-    part = cfg.partition
     steps = snapshot_steps(cfg.solver, cfg.snapshot_times)
     [(_, _, run, err, kept)] = run_ensemble(
-        [cfg.solver], cfg.seed, [0],
-        lambda *_: (YoungBinner(part, cfg.young.radius, cfg.young.bins_per_axis,
-                                cfg.young.sphere_bins, steps),))
+        [cfg.solver], cfg.seed, [0], lambda *_: (YoungBinner(cfg.binning, steps),))
     if err is not None:
         return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
     V = dirac_embed(kept[0])
@@ -233,7 +224,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
                           err, 0.02,
                           f"pairing={got:.6g} quadrature={want:.6g}"))
 
-    mass_err = float(np.max(np.abs(V.nu.per_cell(part.n_cells) - 1.0)))
+    mass_err = float(np.max(np.abs(V.nu.per_cell(V.partition.n_cells) - 1.0)))
     rows.append(audit_row("histogram_normalization",
                           "young_measure.dirac_embed", mass_err, 1e-12))
     rows.append(audit_row("concentration_mass", "young_measure.dirac_embed",
@@ -292,11 +283,9 @@ def _run_weakstrong(cfg: RunConfig, out: RunDirectory, threads: int):
         rows, rep = weak_strong_ladder(
             cfg.eps_values, cfg.solver,
             cfg.reference.n, cfg.reference.dt_factor, cfg.seed,
-            range(cfg.paths), cfg.partition, cfg.young.radius,
-            cfg.snapshot_times, level=cfg.reference.level,
-            slack=cfg.tolerances.gronwall_slack,
-            bins_per_axis=cfg.young.bins_per_axis,
-            sphere_bins=cfg.young.sphere_bins, processes=threads)
+            range(cfg.paths), cfg.binning, cfg.snapshot_times,
+            level=cfg.reference.level, slack=cfg.tolerances.gronwall_slack,
+            processes=threads)
     except BlowUpError as err:
         return _blowup_report(out, "weakstrong", err)
     return rows, {

@@ -14,12 +14,15 @@ A rule that the library also applies is not written here again: the
 loader calls the rule of the module that owns it with an ``error`` that
 names the field (``_at``).  These are the ladder's order and positivity
 (``limits.decreasing_rungs``), a martingale pair's 0 <= s < t
-(``limits.check_pair``), the reference grid and dt refinement
-(``weakstrong.check_reference_n``, ``forcing.refinement_halvings``) and
-the snapshot in every time slab (``young.CellPartition.check_slabs``).
-Each such rule compares so that NaN fails.  ``_check_memory`` holds
-a config to a memory ceiling: a run per process, its Wiener paths and its
-Young accumulators' count and slot tables and moment sums.
+(``limits.check_pair``) and history kinds (``limits.check_history``), the
+reference grid and dt refinement (``weakstrong.check_reference_n``,
+``forcing.refinement_halvings``), the truncation radius and the bin
+counts of a ``young.Binning`` (``young.check_radius``,
+``young.check_bin_count``) and the snapshot in every time slab
+(``young.CellPartition.check_slabs``).  Each such rule compares so that
+NaN fails.  ``_check_memory`` holds a config to a memory ceiling: a run
+per process, its Wiener paths and its Young accumulators' count and
+weight tables and moment sums.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from .forcing import (
     default_forcing,
     refinement_halvings,
 )
-from .limits import MIN_MARTINGALE_PATHS, MartingaleStat, check_pair, decreasing_rungs
+from .limits import MIN_MARTINGALE_PATHS, check_history, check_pair, decreasing_rungs
 from .solver import InitialCondition, SolverConfig, SolverError, check_threads, step_index
 from .spectral import SpectralError, TorusGrid
 from .weakstrong import check_reference_n
-from .young import CellPartition
+from .young import Binning, CellPartition, check_bin_count, check_radius
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
 # the experiments whose runs bin their snapshots for Young measures
@@ -204,16 +207,18 @@ class RunConfig:
     reference: ReferenceSpec
 
     @functools.cached_property
-    def partition(self) -> CellPartition:
-        grid = self.solver.grid
-        return CellPartition(grid.dim, grid.n, self.young.time_cells,
-                             self.young.space_cells, 0.0, self.solver.horizon)
+    def binning(self) -> Binning:
+        """The run's measure partition of [0, horizon] and its bins."""
+        grid, young = self.solver.grid, self.young
+        part = CellPartition(grid.dim, grid.n, young.time_cells, young.space_cells,
+                             0.0, self.solver.horizon)
+        return Binning(part, young.radius, young.bins_per_axis, young.sphere_bins)
 
     @functools.cached_property
     def snapshot_times(self) -> tuple:
         """Mid-slab samples for the measure plus both endpoints for drift terms."""
         dt = self.solver.dt
-        mids = self.partition.sample_times(dt, self.young.snapshots_per_slab)
+        mids = self.binning.partition.sample_times(dt, self.young.snapshots_per_slab)
         return tuple(sorted({0.0, self.solver.steps * dt, *mids}))
 
 
@@ -333,7 +338,7 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
     * the Young accumulators held at once, two in vanish (the family's and
       a rung's) and one in ym and weakstrong: per time slab and space cell,
       an int64 count for each of the ``bins_per_axis ** dim`` oscillation
-      bins, an int32 slot for each of the ``sphere_bins`` concentration
+      bins, an f64 weight sum for each of the ``sphere_bins`` concentration
       bins, and 1 + dim + 2 dim^2 f64 moment sums (the sample count, the
       first moment and the two second moments).
 
@@ -370,11 +375,11 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
              (24 * paths * solver.steps * solver.forcing.rank, where,
               "the Wiener paths drawn up front retain")]
     if measured:
-        cells = (2 if cfg.experiment == "vanish" else 1) * cfg.partition.n_cells
+        cells = (2 if cfg.experiment == "vanish" else 1) * cfg.binning.partition.n_cells
         terms += [(8 * cells * young.bins_per_axis ** dim, "young.bins_per_axis",
                    "the oscillation count tables of the Young accumulators retain"),
-                  (4 * cells * young.sphere_bins, "young.sphere_bins",
-                   "the sphere slot tables of the Young accumulators retain"),
+                  (8 * cells * young.sphere_bins, "young.sphere_bins",
+                   "the concentration weight tables of the Young accumulators retain"),
                   (8 * cells * (1 + dim + 2 * dim * dim), "young.space_cells",
                    "the per-cell moment sums of the Young accumulators retain")]
     need = sum(term[0] for term in terms)
@@ -406,7 +411,7 @@ def _check_time_cells(cfg: RunConfig) -> None:
     if cells > steps + 1:
         raise ConfigError("young.time_cells",
                           f"must be <= {steps + 1}, the step times at dt={dt:g}")
-    cfg.partition.check_slabs(cfg.snapshot_times, _at("young.time_cells"))
+    cfg.binning.partition.check_slabs(cfg.snapshot_times, _at("young.time_cells"))
 
 
 def _parse_viscosity(raw, experiment):
@@ -489,10 +494,11 @@ def _parse_initial(raw, grid):
 
 def _parse_young(raw, grid):
     spec = YoungSpec(**_section(raw, "young", YoungSpec))
-    for key in ("time_cells", "space_cells", "bins_per_axis", "sphere_bins",
-                "snapshots_per_slab"):
+    for key in ("time_cells", "space_cells", "snapshots_per_slab"):
         _count(getattr(spec, key), f"young.{key}")
-    _positive(spec.radius, "young.radius")
+    for key in ("bins_per_axis", "sphere_bins"):
+        check_bin_count(getattr(spec, key), key, _at(f"young.{key}"))
+    check_radius(spec.radius, _at("young.radius"))
     if grid.n % spec.space_cells != 0:
         raise ConfigError("young.space_cells", f"must divide grid n={grid.n}")
     return spec
@@ -536,8 +542,7 @@ def _parse_martingale(raw, horizon, dt, steps, on_grid):
                                      f"of dt={dt:g}") from None
         pairs.append((s, t))
     for h in m["histories"]:
-        if h not in MartingaleStat.HISTORY_KINDS:
-            raise ConfigError("martingale.histories", f"unknown history {h!r}")
+        check_history(h, _at("martingale.histories"))
     _count(m["linear_paths"], "martingale.linear_paths")
     return MartingaleSpec(pairs=tuple(pairs), **m)
 

@@ -70,13 +70,14 @@ class ForcingMode:
             raise ForcingError("wavevector and direction dimensions differ")
         if all(x == 0 for x in k):
             raise ForcingError("forcing wavevector must be nonzero")
-        if self.sigma < 0:
-            raise ForcingError("amplitude must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ForcingError(f"amplitude must be finite and >= 0, got {self.sigma}")
         if self.parity not in ("cos", "sin"):
             raise ForcingError(f"parity must be 'cos' or 'sin', got {self.parity!r}")
-        nrm = float(np.linalg.norm(d))
-        if nrm == 0.0:
-            raise ForcingError("direction must be nonzero")
+        with np.errstate(over="ignore"):   # a norm that overflows is inf
+            nrm = float(np.linalg.norm(d))
+        if not 0.0 < nrm < math.inf:   # NaN and infinite components fail too
+            raise ForcingError(f"direction must have a finite nonzero norm, got {d}")
         d = d / nrm
         if abs(float(np.dot(d, np.asarray(k, dtype=float)))) > 1e-12:
             raise ForcingError(f"direction {tuple(d)} not orthogonal to wavevector {k}")

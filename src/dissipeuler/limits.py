@@ -2,12 +2,12 @@
 
 A viscosity ladder runs the solver at a strictly decreasing sequence of
 positive viscosities with one bit-identical Wiener path per ensemble
-member.  The ladder rule is ``decreasing_rungs``, which the loader and
-the weak-strong ladder call too (the weak-strong ladder without the
-positivity, so it takes an eps = 0 rung); a NaN or infinite rung fails
-it.  The rung configurations are built one at a time as the rungs run,
-and each is released when its rung ends.  The
-family of trajectories feeds the Young-measure estimator; weak* Cauchy
+member.  The ladder rule is ``decreasing_rungs``, which ``run_ladder``,
+the loader and the weak-strong ladder call (the weak-strong ladder
+without the positivity, so it takes an eps = 0 rung); a NaN or infinite
+rung fails it.  The rung configurations are built one at a time as the
+rungs run, and each is released when its rung ends.  The family of
+trajectories feeds the Young-measure estimator; weak* Cauchy
 distances between successive rungs stand in for subsequence extraction,
 since no finite computation can exhibit the limit object itself.
 
@@ -24,8 +24,9 @@ tested against history weights h evaluated at the earlier time.  One
 every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
 (observing a ladder run at its snapshot steps).  A martingale ensemble
 integrates each path once, one recorder per test field, into arrays over
-paths at each (s, t); a pair needs 0 <= s < t (``check_pair``, the
-loader's rule too).  The ladder and the martingale ensemble run their
+paths at each (s, t); a pair needs 0 <= s < t (``check_pair``) and a
+history weight is one of ``HISTORY_KINDS`` (``check_history``), rules the
+loader calls too.  The ladder and the martingale ensemble run their
 paths through ``solver.run_ensemble``.
 """
 
@@ -49,7 +50,7 @@ from .spectral import (
     tensor_pairing,
 )
 from .young import (
-    CellPartition,
+    Binning,
     GeneralizedYoungMeasure,
     YoungAccumulator,
     YoungBinner,
@@ -82,18 +83,6 @@ def decreasing_rungs(eps_values, error=LimitError, above=-math.inf) -> tuple:
     return eps
 
 
-@dataclass(frozen=True)
-class ViscosityLadder:
-    eps_values: tuple
-    base: SolverConfig
-    seed: int
-    path_ids: tuple = (0,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps_values", decreasing_rungs(self.eps_values, above=0))
-        object.__setattr__(self, "path_ids", tuple(int(p) for p in self.path_ids))
-
-
 @dataclass
 class LadderResult:
     traces: dict                   # eps -> list of (path_id, EnergyTrace) of its survivors
@@ -105,47 +94,49 @@ class LadderResult:
     finest: tuple | None           # (eps, path_id, trace, momentum residual)
 
 
-def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
-               radius: float, snapshot_times, bins_per_axis: int = 16,
-               sphere_bins: int = 32, processes: int = 1) -> LadderResult:
+def run_ladder(eps_values, base: SolverConfig, seed: int, path_ids,
+               binning: Binning, snapshot_times, processes: int = 1) -> LadderResult:
     """Run every rung on shared noise and estimate the family measure.
 
-    ``solver.run_ensemble`` runs the rungs config-major (every path of one
-    rung, then the next rung) on paths and initial states drawn once, on
+    The rungs ``eps_values`` are checked before any run, by
+    ``decreasing_rungs`` with every rung positive, and raise
+    ``LimitError``.  ``solver.run_ensemble`` runs the rungs of ``base``
+    config-major (every path of ``path_ids`` at one rung, then the next
+    rung) on the Wiener paths of ``seed`` and initial states drawn once, on
     up to ``processes`` processes.  It reads each rung's configuration
     when the rung before starts, and ``run_rung`` takes one rung's runs and
     keeps no run, so a finished rung's configuration (with its cached
     viscous factor) is free while the next rung runs.  Every run is binned
-    as it runs, in the process that runs it, by its own ``YoungBinner``
-    observing the steps at ``snapshot_times``; its ``RunBins`` are applied
-    to its rung's ``YoungAccumulator`` and, for a tail rung, to the
-    family's, so no trajectory is kept.  The tail is the last half of the
-    configured rungs, ``eps_values[len // 2:]``, less any rung without a
-    surviving run; per-rung measures pool the ensemble at that viscosity.
-    Blow-ups abort a single (eps, path) run and the ladder continues
-    without it.  The result keeps every survivor's energy trace with its
-    path id and the measures.  Every tail run also feeds a
+    as it runs, in the process that runs it, by its own ``YoungBinner`` of
+    ``binning`` observing the steps at ``snapshot_times``; its ``RunBins``
+    are applied to its rung's ``YoungAccumulator`` and, for a tail rung,
+    to the family's, so no trajectory is kept.  The tail is the last half
+    of the configured rungs, ``eps_values[len // 2:]``, less any rung
+    without a surviving run; per-rung measures pool the ensemble at that
+    viscosity.  Blow-ups abort a single (eps, path) run and the ladder
+    continues without it.  The result keeps every survivor's energy trace
+    with its path id and the measures.  Every tail run also feeds a
     ``FunctionalRecorder`` of the first ``probe_fields`` field (whose
     ``Probe`` is built once) at the snapshot steps, which must hold step 0;
     ``finest`` holds the first survivor of the finest tail rung with its
     residual at the last snapshot.
     """
-    base = ladder.base
+    eps_values = decreasing_rungs(eps_values, above=0)
     steps = snapshot_steps(base, snapshot_times)
     probe = Probe(probe_fields(base.grid)[0][1], steps)
-    tail_rungs = ladder.eps_values[len(ladder.eps_values) // 2:]
+    tail_rungs = eps_values[len(eps_values) // 2:]
 
     def watch(cfg, path):
-        binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps)
+        binner = YoungBinner(binning, steps)
         if cfg.eps not in tail_rungs:
             return (binner,)
         return binner, FunctionalRecorder(probe, cfg.eps, base.transport)
 
-    pooled = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
+    pooled = YoungAccumulator(binning)
     traces, measures, blowups, paths, first = {}, {}, {}, {}, {}
 
     def run_rung(eps, rung_runs):   # a function: its last run goes when it returns
-        rung = YoungAccumulator(partition, radius, bins_per_axis, sphere_bins)
+        rung = YoungAccumulator(binning)
         traces[eps] = []
         for _, path, run, err, kept in rung_runs:
             paths[path.path_id] = path
@@ -160,10 +151,10 @@ def run_ladder(ladder: ViscosityLadder, partition: CellPartition,
         if traces[eps]:
             measures[eps] = rung.measure()
 
-    with closing(run_ensemble((base.with_eps(eps) for eps in ladder.eps_values),
-                              ladder.seed, ladder.path_ids, watch, processes)) as runs:
-        for eps in ladder.eps_values:
-            run_rung(eps, islice(runs, len(ladder.path_ids)))
+    with closing(run_ensemble((base.with_eps(eps) for eps in eps_values),
+                              seed, path_ids, watch, processes)) as runs:
+        for eps in eps_values:
+            run_rung(eps, islice(runs, len(path_ids)))
 
     tail = [eps for eps in measures if eps in tail_rungs]
     family, finest = None, None
@@ -301,6 +292,15 @@ def check_pair(s: float, t: float, error=LimitError, horizon=math.inf) -> None:
         raise error(f"need 0 <= s < t <= {horizon:g}, got s={s:g}, t={t:g}")
 
 
+HISTORY_KINDS = ("one", "clamp_pair", "clamp_beta")
+
+
+def check_history(kind, error=LimitError) -> None:
+    """A history functional is one of ``HISTORY_KINDS``, or ``error``."""
+    if kind not in HISTORY_KINDS:
+        raise error(f"unknown history functional {kind!r}")
+
+
 @dataclass(frozen=True)
 class MartingaleStat:
     """One (phi, s, t) martingale test specification."""
@@ -308,14 +308,11 @@ class MartingaleStat:
     phi_name: str
     s: float
     t: float
-    history: str = "one"   # one | clamp_pair | clamp_beta
-
-    HISTORY_KINDS = ("one", "clamp_pair", "clamp_beta")
+    history: str = "one"   # one of HISTORY_KINDS
 
     def __post_init__(self):
         check_pair(self.s, self.t)
-        if self.history not in self.HISTORY_KINDS:
-            raise LimitError(f"unknown history functional {self.history!r}")
+        check_history(self.history)
 
 
 @dataclass(frozen=True)

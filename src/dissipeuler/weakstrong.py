@@ -46,6 +46,7 @@ from .spectral import (
     resample,
 )
 from .young import (
+    Binning,
     CellPartition,
     GeneralizedYoungMeasure,
     YoungBinner,
@@ -269,11 +270,9 @@ def _stopped(f_matrix: np.ndarray, times: np.ndarray, tau: np.ndarray,
 
 
 def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
-                       dt_factor: int, seed: int, path_ids,
-                       partition: CellPartition, radius: float,
+                       dt_factor: int, seed: int, path_ids, binning: Binning,
                        snapshot_times, level: float | None = None,
-                       slack: float = 0.0, bins_per_axis: int = 16,
-                       sphere_bins: int = 32, processes: int = 1):
+                       slack: float = 0.0, processes: int = 1):
     """Full weak-strong audit along a viscosity ladder with shared noise.
 
     The reference is ``weak_base`` on the grid of size ``ref_n`` with zero
@@ -284,10 +283,11 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     ``weak_base``, and runs the reference on the Brownian-bridge
     refinement of the path.  Every run is observed where it runs, by its
     own observer, whose payload comes back with the run: a reference run
-    by the ``ReferenceReduction`` of ``build_reference``, which also takes
-    the path's F(0), and a weak run by a ``YoungBinner`` at the snapshot
-    steps, whose bins ``dirac_embed`` builds into the run's own measure
-    here; each weak run is then compared with its path's reference.  The
+    by the ``ReferenceReduction`` of ``build_reference`` on the partition
+    of ``binning``, which also takes the path's F(0), and a weak run by a
+    ``YoungBinner`` of ``binning`` at the snapshot steps, whose bins
+    ``dirac_embed`` builds into the run's own measure here; each weak run
+    is then compared with its path's reference.  The
     first blow-up, of a reference or a weak run (the references run
     first), is raised.  Returns the audit rows (F(0) = 0, F >= 0,
     agreement of the two forms of F, the monotone ladder and one Gronwall
@@ -315,13 +315,14 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     reference_cfg = replace(weak_base, grid=TorusGrid(weak_base.grid.dim, ref_n),
                             eps=0.0, dt=weak_base.dt / dt_factor)
     steps = snapshot_steps(weak_base, snapshot_times, WeakStrongError)
+    partition = binning.partition
     partition.check_slabs(snapshot_times, WeakStrongError)
     reduction = build_reference(reference_cfg, partition, snapshot_times, weak_base)
 
     def observe(cfg, path):
         if cfg is reference_cfg:
             return (reduction(path),)
-        return (YoungBinner(partition, radius, bins_per_axis, sphere_bins, steps),)
+        return (YoungBinner(binning, steps),)
 
     cfgs = [reference_cfg, *(weak_base.with_eps(eps) for eps in eps_values)]
     refs = []

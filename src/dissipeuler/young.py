@@ -34,18 +34,22 @@ every (cell, bin) pair stays empty).  The masses are read for the
 normalization of nu and by the dense (n_cells, bins) views ``nu_mass``
 and ``inf_mass``, built on first access, for inspection and tests.
 
-Every measure is built in two steps.  A ``YoungBinner`` observes a run
-and bins its snapshots into a ``RunBins``: per snapshot, its per-cell
-moment sums and concentration entries, and per time slab, the run's
-integer bin counts; it keeps nothing of the states.  A
-``YoungAccumulator`` applies binned runs, in run order, to running sums
-(the counts in one dense integer table per time slab), and ``measure``
-normalizes them once at the end.  The steps may run in different
-processes: a run binned where it runs applies, bit for bit, where its
-measure is built.  ``dirac_embed`` builds the measure of one binned run,
-``estimate_from_family`` that of a family of them, and the viscosity
-ladder applies each binned run to its rung and to the family, so no build
-needs a trajectory or a whole family in memory.
+Every measure is built in two steps, both by one ``Binning``: the
+partition, the radius R and the bin counts of the two histograms, whose
+rules (``check_radius``, ``check_bin_count``) the loader calls too.  A
+``YoungBinner`` observes a run and bins its snapshots into a ``RunBins``:
+per snapshot, its per-cell moment sums and concentration entries, and per
+time slab, the run's integer bin counts; it keeps nothing of the states.
+A ``YoungAccumulator`` applies binned runs, in run order, to running sums,
+and ``measure`` normalizes them once at the end.  Both histograms sum into
+one table shape: a dense array of one row per time slab, keyed by space
+cell and bin within the slab, int64 counts for nu and float64 weights for
+nu_inf, whose nonzero entries become the measure's sorted keys.  The steps
+may run in different processes: a run binned where it runs applies, bit
+for bit, where its measure is built.  ``dirac_embed`` builds the measure
+of one binned run, ``estimate_from_family`` that of a family of them, and
+the viscosity ladder applies each binned run to its rung and to the
+family, so no build needs a trajectory or a whole family in memory.
 
 ``write_measure`` exports a measure as one binary file (version 3): a
 magic, a version, the partition and build parameters, then the raw
@@ -178,6 +182,73 @@ class CellPartition:
         return times, pos
 
 
+def check_radius(radius, error=YoungMeasureError) -> None:
+    """A truncation radius is positive and finite (an infinite one makes
+    every bin infinitely wide), or ``error``; NaN fails."""
+    if not 0 < radius < math.inf:
+        raise error(f"truncation radius must be positive and finite, got {radius}")
+
+
+def check_bin_count(count, name: str, error=YoungMeasureError) -> None:
+    """A histogram has at least one bin (``name`` per axis or on the
+    sphere), or ``error``; NaN fails."""
+    if not count >= 1:
+        raise error(f"{name} must be >= 1, got {count}")
+
+
+@dataclass(frozen=True)
+class Binning:
+    """How a measure build bins its samples: the cell ``partition``, the
+    truncation ``radius`` R, and the oscillation bins per axis of the ball
+    and the concentration bins of the sphere."""
+
+    partition: CellPartition
+    radius: float
+    bins_per_axis: int
+    sphere_bins: int
+
+    def __post_init__(self):
+        check_radius(self.radius)
+        check_bin_count(self.bins_per_axis, "bins_per_axis")
+        check_bin_count(self.sphere_bins, "sphere_bins")
+
+    def value_bin(self, values: np.ndarray) -> np.ndarray:
+        """Flat oscillation bin per row of values (npts, dim), shape (npts,).
+
+        Every row lies in the ball of radius R, so (v + R) / w > -1 for each
+        component: truncation toward zero is the floor clipped at 0, and only
+        the top edge needs a clip.
+        """
+        bins = self.bins_per_axis
+        w = 2.0 * self.radius / bins
+        idx = ((values + self.radius) / w).astype(np.int64)
+        np.minimum(idx, bins - 1, out=idx)
+        flat = idx[:, 0]
+        for axis in range(1, values.shape[1]):
+            flat = flat * bins + idx[:, axis]
+        return flat
+
+    def direction_bin(self, units: np.ndarray) -> np.ndarray:
+        """Concentration bin per unit row of units (npts, dim), shape (npts,):
+        in 2D equal angles; in 3D equal-area latitude bands (uniform in cos
+        theta) split in longitude."""
+        sphere_bins = self.sphere_bins
+        if self.partition.dim == 2:
+            theta = np.arctan2(units[:, 1], units[:, 0])
+            idx = np.floor((theta + np.pi) / (TWO_PI / sphere_bins)).astype(np.int64)
+            return np.clip(idx, 0, sphere_bins - 1)
+        n_lat = 4
+        while sphere_bins % n_lat != 0:
+            n_lat -= 1
+        n_lon = sphere_bins // n_lat
+        band = np.floor((units[:, 2] + 1.0) / 2.0 * n_lat).astype(np.int64)
+        np.clip(band, 0, n_lat - 1, out=band)
+        phi = np.arctan2(units[:, 1], units[:, 0])
+        lon = np.floor((phi + np.pi) / (TWO_PI / n_lon)).astype(np.int64)
+        np.clip(lon, 0, n_lon - 1, out=lon)
+        return band * n_lon + lon
+
+
 @dataclass(frozen=True)
 class TestIntegrand:
     """The quadratic integrand f(xi) = xi.A.xi + b.xi + c, given as (A, b, c).
@@ -271,80 +342,6 @@ class GeneralizedYoungMeasure:
 # -- construction ----------------------------------------------------------
 
 
-def _bin_of_values(values: np.ndarray, radius: float, bins: int) -> np.ndarray:
-    """Flat histogram bin per row of values, shape (npts,).
-
-    Every row lies in the ball of radius R, so (v + R) / w > -1 for each
-    component: truncation toward zero is the floor clipped at 0, and only
-    the top edge needs a clip.
-    """
-    w = 2.0 * radius / bins
-    idx = ((values + radius) / w).astype(np.int64)
-    np.minimum(idx, bins - 1, out=idx)
-    flat = idx[:, 0]
-    for axis in range(1, values.shape[1]):
-        flat = flat * bins + idx[:, axis]
-    return flat
-
-
-def _sphere_bin(units: np.ndarray, sphere_bins: int, dim: int) -> np.ndarray:
-    if dim == 2:
-        theta = np.arctan2(units[:, 1], units[:, 0])
-        idx = np.floor((theta + np.pi) / (TWO_PI / sphere_bins)).astype(np.int64)
-        return np.clip(idx, 0, sphere_bins - 1)
-    # 3D: equal-area latitude bands (uniform in cos theta) split in longitude
-    n_lat = 4
-    while sphere_bins % n_lat != 0:
-        n_lat -= 1
-    n_lon = sphere_bins // n_lat
-    band = np.floor((units[:, 2] + 1.0) / 2.0 * n_lat).astype(np.int64)
-    np.clip(band, 0, n_lat - 1, out=band)
-    phi = np.arctan2(units[:, 1], units[:, 0])
-    lon = np.floor((phi + np.pi) / (TWO_PI / n_lon)).astype(np.int64)
-    np.clip(lon, 0, n_lon - 1, out=lon)
-    return band * n_lon + lon
-
-
-class _MassSums:
-    """Weight sum per occupied key of one slab's concentration histogram.
-
-    Keys get a slot when they first occur.  ``add`` sums one snapshot's
-    weights with one bincount and adds it to the running totals, so every
-    total associates as a dense accumulation over all keys would.  Totals
-    start at +0.0 and a bincount never returns -0.0, so a total never
-    becomes -0.0 and the += 0.0 a table skips for the snapshots of other
-    slabs would change no bit.
-    """
-
-    def __init__(self, size: int):
-        self.slot = np.full(size, -1, dtype=np.int32)
-        self.keys = np.zeros(0, dtype=np.intp)
-        self.w = np.zeros(0)
-
-    def add(self, keys: np.ndarray, weights) -> None:
-        new = np.unique(keys[self.slot[keys] < 0])
-        if len(new):
-            self.slot[new] = np.arange(len(self.keys), len(self.keys) + len(new))
-            self.keys = np.concatenate([self.keys, new])
-            self.w = np.concatenate([self.w, np.zeros(len(new))])
-        self.w += np.bincount(self.slot[keys], weights=weights, minlength=len(self.keys))
-
-    def by_key(self, offset: int):
-        """Sorted keys plus ``offset`` with their sums."""
-        order = np.argsort(self.keys)
-        return self.keys[order] + offset, self.w[order]
-
-
-def _by_key(tables: list, span: int):
-    """The per-slab tables' sorted entries as one table over global keys.
-
-    Slab s holds the keys s * span ... (s + 1) * span - 1, so concatenating
-    in slab order keeps the keys sorted.
-    """
-    parts = [t.by_key(s * span) for s, t in enumerate(tables)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
 def _cell_sums(blocks: np.ndarray) -> np.ndarray:
     """Column sums of block-ordered samples, shape (samples per cell, cells).
 
@@ -375,33 +372,32 @@ class RunBins:
     """One run's samples, binned by a ``YoungBinner``, for
     ``YoungAccumulator.apply``.
 
-    ``spec`` is the (partition, radius, bins_per_axis, sphere_bins) they
-    were binned for.  ``snapshots`` holds (slab, first, second, escaped)
-    per snapshot inside the partition window, in the order observed: the
-    per-cell sums over the slab's space cells of u, shape (n_space, dim),
-    and of u (x) u, shape (n_space, dim, dim), where an escaped sample
-    counts as 0; and, if any sample escaped, its concentration keys within
-    the slab, its weights |u|^2 (both in sample order) and the per-cell
-    sums of u (x) u over the escaped samples, else None.  ``counts`` holds
-    (slab, keys, counts) per slab: the oscillation keys within the slab
-    that the run occupied and their integer sample counts.
+    ``binning`` is the ``Binning`` they were binned for.  ``snapshots``
+    holds (slab, first, second, escaped) per snapshot inside the partition
+    window, in the order observed: the per-cell sums over the slab's space
+    cells of u, shape (n_space, dim), and of u (x) u, shape (n_space, dim,
+    dim), where an escaped sample counts as 0; and, if any sample escaped,
+    its concentration keys within the slab, its weights |u|^2 (both in
+    sample order) and the per-cell sums of u (x) u over the escaped
+    samples, else None.  ``counts`` holds (slab, keys, counts) per slab:
+    the oscillation keys within the slab that the run occupied and their
+    integer sample counts.
     """
 
-    spec: tuple
+    binning: Binning
     snapshots: list
     counts: list
 
 
 class YoungBinner:
-    """Observer binning the samples of one run: the first half of a measure
-    build, whose second half is ``YoungAccumulator.apply``.
+    """Observer binning the samples of one run by ``binning``: the first
+    half of a measure build, whose second half is
+    ``YoungAccumulator.apply``.
 
     It observes ``steps`` of the run (every step if None).  ``bin`` reduces
     each state's point values to that snapshot's moment sums, concentration
     entries and oscillation keys, and keeps nothing of the state;
     ``payload()`` gives the run's ``RunBins``, which apply in any process.
-    A radius that is not positive or a bin count below 1 raises
-    ``YoungMeasureError`` before any sample.
 
     A moment sum adds each cell's samples in the order a bincount over the
     samples would: the samples are copied block by block into an array
@@ -409,17 +405,9 @@ class YoungBinner:
     The oscillation keys become integer counts, which no order changes.
     """
 
-    def __init__(self, partition: CellPartition, radius: float,
-                 bins_per_axis: int = 16, sphere_bins: int = 32, steps=None):
-        if not radius > 0:
-            raise YoungMeasureError(f"truncation radius must be positive, got {radius}")
-        for name, count in (("bins_per_axis", bins_per_axis),
-                            ("sphere_bins", sphere_bins)):
-            if not count >= 1:
-                raise YoungMeasureError(f"{name} must be >= 1, got {count}")
-        self.spec = (partition, radius, bins_per_axis, sphere_bins)
-        self.steps = steps
-        self._space_idx = partition.space_cell_index()
+    def __init__(self, binning: Binning, steps=None):
+        self.binning, self.steps = binning, steps
+        self._space_idx = binning.partition.space_cell_index()
         self._snapshots, self._keys = [], {}
 
     def on_state(self, n, t, u, phys):
@@ -428,7 +416,8 @@ class YoungBinner:
     def bin(self, t, values: np.ndarray) -> None:
         """Bin the point values, shape (dim,) + grid shape, of the state at
         time ``t``; a time outside the partition window is skipped."""
-        part, radius, bins_per_axis, sphere_bins = self.spec
+        binning = self.binning
+        part = binning.partition
         dim = part.dim
         if values.shape != (dim,) + (part.grid_n,) * dim:
             raise YoungMeasureError("trajectory grid does not match partition")
@@ -439,18 +428,18 @@ class YoungBinner:
         vals = values.reshape(dim, -1)  # (dim, npts)
         cell = self._space_idx          # space cell of every sample, within its slab
         speed = np.sqrt((vals ** 2).sum(axis=0))
-        below = speed <= radius
+        below = speed <= binning.radius
         vb, escaped = vals, None
         if not below.all():
             above = ~below
             sa = np.compress(above, speed)
             va = np.compress(above, vals, axis=1)
-            keys = np.compress(above, cell) * sphere_bins \
-                + _sphere_bin((va / sa).T, sphere_bins, dim)
+            keys = np.compress(above, cell) * binning.sphere_bins \
+                + binning.direction_bin((va / sa).T)
             escaped = (keys, sa ** 2, _products(self._blocks(np.where(above, vals, 0.0))))
             vb = np.where(below, vals, 0.0)
         self._keys.setdefault(slab, []).append(
-            cell * bins_per_axis ** dim + _bin_of_values(vb.T, radius, bins_per_axis))
+            cell * binning.bins_per_axis ** dim + binning.value_bin(vb.T))
         blocks = self._blocks(vb)
         first = np.stack([_cell_sums(b) for b in blocks], axis=1)
         self._snapshots.append((slab, first, _products(blocks), escaped))
@@ -458,7 +447,7 @@ class YoungBinner:
     def _blocks(self, vals: np.ndarray) -> np.ndarray:
         """Samples (dim, npts) as (dim, samples per cell, n_space), each
         cell's samples in sample order."""
-        part = self.spec[0]
+        part = self.binning.partition
         dim, side = part.dim, part.grid_n // part.n_x
         grid = vals.reshape((dim,) + (part.n_x, side) * dim)
         order = (0, *range(2, 2 * dim + 1, 2), *range(1, 2 * dim, 2))
@@ -469,44 +458,45 @@ class YoungBinner:
         """The ``RunBins`` of the samples binned so far."""
         counts = [(slab, *np.unique(np.concatenate(keys), return_counts=True))
                   for slab, keys in sorted(self._keys.items())]
-        return RunBins(self.spec, self._snapshots, counts)
+        return RunBins(self.binning, self._snapshots, counts)
 
 
 class YoungAccumulator:
     """The one measure build: ``apply`` binned runs, then ``measure`` once.
 
-    ``apply`` adds one run's ``RunBins`` (from a ``YoungBinner`` with the
-    same partition, radius and bins) to running sums.  ``measure``
-    normalizes the sums into a ``GeneralizedYoungMeasure`` once, after the
-    last run.  Samples beyond the truncation radius feed the concentration
-    part and count at the origin of the oscillation histogram.  The sums
-    depend only on the order of the applied runs, so a caller that streams
-    them gets the bits of one call over the whole family.  The moment sums
-    are dense per cell; the oscillation counts live in one dense integer
-    table per time slab, and the concentration weights in one slot table
-    per slab, keyed by space cell and bin within the slab.
+    ``apply`` adds one run's ``RunBins`` (binned by the same ``binning``)
+    to running sums.  ``measure`` normalizes the sums into a
+    ``GeneralizedYoungMeasure`` once, after the last run.  Samples beyond
+    the truncation radius feed the concentration part and count at the
+    origin of the oscillation histogram.  The sums depend only on the order
+    of the applied runs, so a caller that streams them gets the bits of one
+    call over the whole family.  The moment sums are dense per cell, and
+    both histograms are dense tables of one row per time slab, keyed by
+    space cell and bin within the slab: the oscillation counts as int64,
+    the concentration weights as float64, made when a sample first escapes
+    (a zeroed table is resident once made, and most builds escape nowhere).
     """
 
-    def __init__(self, partition: CellPartition, radius: float,
-                 bins_per_axis: int = 16, sphere_bins: int = 32):
-        self.spec = YoungBinner(partition, radius, bins_per_axis, sphere_bins).spec
-        self.partition, self.radius, self.bins_per_axis, self.sphere_bins = self.spec
-        dim, n_space = partition.dim, partition.n_space
-        self._n_bins = bins_per_axis ** dim
-        self._counts = np.zeros((partition.n_t, n_space * self._n_bins), dtype=np.int64)
-        self._conc = [_MassSums(n_space * sphere_bins) for _ in range(partition.n_t)]
-        n_cells = partition.n_cells
+    def __init__(self, binning: Binning):
+        self.binning = binning
+        part = binning.partition
+        dim, n_space, n_cells = part.dim, part.n_space, part.n_cells
+        self._counts = np.zeros((part.n_t, n_space * binning.bins_per_axis ** dim),
+                                dtype=np.int64)
+        self._conc = None
         self._samples_per_cell = np.zeros(n_cells)
         self._first = np.zeros((n_cells, dim))
         self._second = np.zeros((n_cells, dim, dim))
         self._escaped_second = np.zeros((n_cells, dim, dim))
-        self._space_count = np.bincount(partition.space_cell_index(), minlength=n_space)
+        self._space_count = np.bincount(part.space_cell_index(), minlength=n_space)
 
     def apply(self, binned: RunBins) -> None:
-        """Add the samples of one binned run, snapshot by snapshot."""
-        if binned.spec != self.spec:
+        """Add the samples of one binned run, snapshot by snapshot; a
+        snapshot's concentration weights add to its slab's row as one
+        bincount, so every total adds from +0.0 in snapshot order."""
+        if binned.binning != self.binning:
             raise YoungMeasureError("run binned for another partition, radius or bins")
-        part = self.partition
+        part = self.binning.partition
         for slab, first, second, escaped in binned.snapshots:
             cells = part.slab_cells(slab)
             self._samples_per_cell[cells] += self._space_count
@@ -514,16 +504,21 @@ class YoungAccumulator:
             self._second[cells] += second
             if escaped is not None:
                 keys, weights, products = escaped
-                self._conc[slab].add(keys, weights)
+                if self._conc is None:
+                    self._conc = np.zeros((part.n_t, part.n_space * self.binning.sphere_bins))
+                self._conc[slab] += np.bincount(keys, weights=weights,
+                                                minlength=self._conc.shape[1])
                 self._escaped_second[cells] += products
         for slab, keys, counts in binned.counts:
             self._counts[slab, keys] += counts
 
     def measure(self) -> GeneralizedYoungMeasure:
-        """The measure of every sample applied; call it once, after the last run."""
-        part = self.partition
-        n_cells, n_bins = part.n_cells, self._n_bins
-        sphere_bins = self.sphere_bins
+        """The measure of every sample applied; call it once, after the last
+        run.  Row s of a table holds the keys of slab s, so its flat nonzero
+        entries are the measure's sorted keys."""
+        binning = self.binning
+        part, sphere_bins = binning.partition, binning.sphere_bins
+        n_bins = binning.bins_per_axis ** part.dim
         if not self._samples_per_cell.any():
             raise YoungMeasureError("no samples fall inside the partition window")
         if np.any(self._samples_per_cell == 0):
@@ -532,20 +527,21 @@ class YoungAccumulator:
 
         # oscillation part: a probability per cell
         samples = self._samples_per_cell
-        keys = np.flatnonzero(self._counts > 0)
+        keys = np.flatnonzero(self._counts > 0)   # faster than on the int64 table
         nu = BinEntries(n_bins, keys, self._counts.ravel()[keys] / samples[keys // n_bins])
 
         # concentration part: quadrature weight per sample is cellvol / samples
         cell_weight = part.cell_volume / samples
-        keys, w = _by_key(self._conc, part.n_space * sphere_bins)
+        conc = np.zeros(0) if self._conc is None else self._conc.ravel()
+        keys = np.flatnonzero(conc)
         cell = keys // sphere_bins
-        w = w * cell_weight[cell]
+        w = conc[keys] * cell_weight[cell]
         # (a bincount of no entries is an integer array)
-        lam_mass = np.bincount(cell, weights=w, minlength=n_cells).astype(float)
+        lam_mass = np.bincount(cell, weights=w, minlength=part.n_cells).astype(float)
         nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[cell])
 
         return GeneralizedYoungMeasure(
-            partition=part, radius=self.radius, bins_per_axis=self.bins_per_axis,
+            partition=part, radius=binning.radius, bins_per_axis=binning.bins_per_axis,
             sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
             nu_first=self._first / samples[:, None],
             nu_second=self._second / samples[:, None, None],
@@ -557,9 +553,9 @@ def dirac_embed(binned: RunBins) -> GeneralizedYoungMeasure:
 
     The measure is (delta_u, 0, 0) while |u| <= R; samples beyond the
     truncation radius feed the concentration part as in any family.  The
-    partition, radius and bins are those the run was binned for.
+    binning is the one the run was binned by.
     """
-    acc = YoungAccumulator(*binned.spec)
+    acc = YoungAccumulator(binned.binning)
     acc.apply(binned)
     return acc.measure()
 
@@ -569,15 +565,15 @@ def estimate_from_family(runs) -> GeneralizedYoungMeasure:
 
     Samples with |u| <= R populate the oscillation histograms; the rest
     contribute quadrature-weighted |u|^2 mass to the concentration measure
-    and their directions to the sphere histogram.  The partition, radius
-    and bins are those of the first run; a run binned for others raises.
-    ``runs`` is iterated once, so a generator streams its ``RunBins`` one
-    at a time; an empty family is rejected.
+    and their directions to the sphere histogram.  The binning is that of
+    the first run; a run binned by another raises.  ``runs`` is iterated
+    once, so a generator streams its ``RunBins`` one at a time; an empty
+    family is rejected.
     """
     acc = None
     for binned in runs:
         if acc is None:
-            acc = YoungAccumulator(*binned.spec)
+            acc = YoungAccumulator(binned.binning)
         acc.apply(binned)
     if acc is None:
         raise YoungMeasureError("empty family: no binned run to estimate from")

@@ -14,7 +14,7 @@ from dissipeuler.solver import (
     step_index,
 )
 from dissipeuler.spectral import SpectralField, TorusGrid, _Scratch, leray_project
-from dissipeuler.young import YoungBinner
+from dissipeuler.young import Binning, YoungBinner
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ class Snapshots:
 def bin_run(traj, partition, radius, bins_per_axis=16, sphere_bins=32):
     """The ``RunBins`` of ``traj``, binned snapshot by snapshot as a
     ``YoungBinner`` observing its run bins them."""
-    binner = YoungBinner(partition, radius, bins_per_axis, sphere_bins)
+    binner = YoungBinner(Binning(partition, radius, bins_per_axis, sphere_bins))
     for t, values in zip(traj.times, traj.values):
         binner.bin(t, values)
     return binner.payload()

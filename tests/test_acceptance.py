@@ -18,7 +18,6 @@ from dissipeuler.forcing import (
 )
 from dissipeuler.limits import (
     MartingaleStat,
-    ViscosityLadder,
     linear_model_functionals_multi,
     martingale_test,
     probe_fields,
@@ -37,6 +36,7 @@ from dissipeuler.spectral import (
 )
 from dissipeuler.weakstrong import weak_strong_ladder
 from dissipeuler.young import (
+    Binning,
     CellPartition,
     TestIntegrand,
     dirac_embed,
@@ -253,8 +253,8 @@ def test_criterion_4_young_measure_oracles(announce):
         err = abs(got - expected_mass) / expected_mass
         _check(failures, err <= 0.05, f"lambda mass rel err {err:.4f} (slab {slab})")
     total_inf = (Vc.inf_mass * Vc.lam_mass[:, None]).sum(axis=0)
-    from dissipeuler.young import _sphere_bin
-    e1_bin = int(_sphere_bin(np.array([[1.0, 0.0]]), Vc.sphere_bins, 2)[0])
+    binning = Binning(Vc.partition, Vc.radius, Vc.bins_per_axis, Vc.sphere_bins)
+    e1_bin = int(binning.direction_bin(np.array([[1.0, 0.0]]))[0])
     frac = float(total_inf[e1_bin] / total_inf.sum())
     _check(failures, frac >= 0.999, f"angle mass in e1 bin only {frac:.4f}")
 
@@ -342,17 +342,15 @@ def test_criterion_6_vanishing_viscosity_cauchy(announce):
 
     cfg_det = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=dt,
                            horizon=horizon, initial=ic)
-    res_det = run_ladder(ViscosityLadder(eps_ladder, cfg_det, seed=2024),
-                         part, 4.0, times)
+    binning = Binning(part, 4.0, 16, 32)
+    res_det = run_ladder(eps_ladder, cfg_det, 2024, (0,), binning, times)
     d = res_det.cauchy_distances
     _check(failures, all(a > b for a, b in zip(d, d[1:])),
            f"deterministic distances not strictly decreasing: {d}")
 
     cfg_sto = SolverConfig(grid=grid, forcing=default_forcing(2, sigma=0.1),
                            eps=0.1, dt=dt, horizon=horizon, initial=ic)
-    res_sto = run_ladder(ViscosityLadder(eps_ladder, cfg_sto, seed=2024,
-                                         path_ids=tuple(range(8))),
-                         part, 4.0, times)
+    res_sto = run_ladder(eps_ladder, cfg_sto, 2024, range(8), binning, times)
     d = res_sto.cauchy_distances
     _check(failures, all(a > b for a, b in zip(d, d[1:])),
            f"stochastic distances not strictly decreasing: {d}")
@@ -385,9 +383,9 @@ def test_criterion_7_weak_strong_uniqueness(announce):
     slack = 0.02
 
     rows, rep = weak_strong_ladder(eps_ladder, weak, 128, 4, seed=909,
-                                   path_ids=range(64), partition=part,
-                                   radius=4.0, snapshot_times=times,
-                                   slack=slack, bins_per_axis=8)
+                                   path_ids=range(64),
+                                   binning=Binning(part, 4.0, 8, 32),
+                                   snapshot_times=times, slack=slack)
     by_name = {r["audit"]: r for r in rows}
 
     for eps in eps_ladder:

@@ -27,7 +27,7 @@ from dissipeuler.config import (
 from dissipeuler.manifest import RunDirectory, read_manifest, verify_manifest
 from dissipeuler.reporting import all_passed, audit_row
 from dissipeuler.solver import InitialCondition, SolverConfig
-from dissipeuler.young import estimate_from_family, write_measure
+from dissipeuler.young import estimate_from_family, read_measure, write_measure
 
 from conftest import Snapshots, bin_run, lone_run
 
@@ -398,13 +398,13 @@ class TestSchema:
         raw = json.loads((CONFIGS / name).read_text())
         cfg = parse_config(raw, raw["experiment"])
         grid, young, dim = cfg.solver.grid, cfg.young, cfg.solver.grid.dim
-        n, n_space, n_cells = grid.n, young.space_cells ** dim, cfg.partition.n_cells
+        n, n_space, n_cells = grid.n, young.space_cells ** dim, cfg.binning.partition.n_cells
         half = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
         binned = 24 * n ** dim + 8 * (dim + 2 * dim * dim) * n_space
         run = len(cfg.snapshot_times) * binned + 16 * half
         paths = 24 * cfg.paths * cfg.solver.steps * cfg.solver.forcing.rank
         tables = accumulators * n_cells * (8 * young.bins_per_axis ** dim
-                                           + 4 * young.sphere_bins
+                                           + 8 * young.sphere_bins
                                            + 8 * (1 + dim + 2 * dim * dim))
         need = run + paths + tables
         monkeypatch.setattr(config, "MAX_RUN_BYTES", need)
@@ -464,7 +464,7 @@ class TestSchema:
         assert "config error: young.time_cells:" in capsys.readouterr().err
         assert not out.exists()
         raw["young"]["snapshots_per_slab"] = 2
-        assert parse_config(raw, experiment).partition.n_t == 8
+        assert parse_config(raw, experiment).binning.partition.n_t == 8
 
     def test_k_max_bounds_only_the_random_spectrum(self):
         # the cutoff of n = 8 is 2, below the default k_max 3
@@ -974,13 +974,19 @@ class TestThreads:
             in str(err.value)
 
     @pytest.mark.parametrize("name", ["ladder", "weakstrong",
-                                      "martingale_nonlinear_demo.json"])
+                                      "martingale_nonlinear_demo.json",
+                                      "small-radius vanish"])
     def test_trees_identical_at_one_and_two_processes(self, tmp_path, two_cores,
                                                       forks, name):
-        # the ladder and weakstrong workloads and the martingale demo write
-        # the same files, byte for byte, on one process and on two
+        # the ladder and weakstrong workloads, the martingale demo and a
+        # small vanish config whose radius 0.3 sends samples to the
+        # concentration part write the same files, byte for byte, on one
+        # process and on two
         if name in WORKLOADS:
             raw, experiment = WORKLOADS[name]["config"], WORKLOADS[name]["experiment"]
+        elif name == "small-radius vanish":
+            raw = dict(SMALL_VANISH, young=dict(SMALL_VANISH["young"], radius=0.3))
+            experiment = "vanish"
         else:
             raw = json.loads((CONFIGS / name).read_text())
             experiment = raw["experiment"]
@@ -991,6 +997,8 @@ class TestThreads:
             assert main([experiment, "--config", str(cfg), "--out", str(out),
                          "--threads", threads]) == 0
             trees.append(_tree(out))
+            if name == "small-radius vanish":   # the family holds nu_inf entries
+                assert len(read_measure(out / "measures/family.ym").nu_inf.key) > 0
         assert len(forks) == 1
         assert trees[0] == trees[1]
         _no_child_left()
@@ -1091,9 +1099,9 @@ class TestYmCli:
         cfg = parse_config(raw, "ym")
         snaps = Snapshots(cfg.solver, cfg.snapshot_times)
         lone_run(cfg.solver, cfg.seed, 0, observers=(snaps,))
-        young = cfg.young
-        V = estimate_from_family([bin_run(snaps.payload(), cfg.partition, young.radius,
-                                          young.bins_per_axis, young.sphere_bins)])
+        b = cfg.binning
+        V = estimate_from_family([bin_run(snaps.payload(), b.partition, b.radius,
+                                          b.bins_per_axis, b.sphere_bins)])
         assert (V.lam_total() > 0) == (radius == 0.5)
         write_measure(tmp_path / "oracle.ym", V)
         assert (out / "measures" / "run.ym").read_bytes() == \
@@ -1134,7 +1142,7 @@ class TestVanishCli:
 
     def test_measure_files_reproduce_cauchy_distances(self, small_vanish):
         # the exported rung measures give back the distances the audit saw
-        from dissipeuler.young import read_measure, weakstar_distance
+        from dissipeuler.young import weakstar_distance
         out = small_vanish[0]
         rungs = [read_measure(out / "measures" / f"eps{eps:g}.ym")
                  for eps in SMALL_VANISH["viscosity"]["ladder"]]

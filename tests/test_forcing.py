@@ -48,6 +48,22 @@ class TestForcingOperator:
         with pytest.raises(ForcingError):
             ForcingMode((1, 0), (1.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_a_non_finite_or_negative_amplitude(self, sigma):
+        # NaN passes a test of sigma < 0, and would make every increment NaN
+        with pytest.raises(ForcingError, match="amplitude"):
+            ForcingMode((1, 0), (0.0, 1.0), sigma)
+        with pytest.raises(ForcingError, match="amplitude"):
+            default_forcing(2, sigma=sigma)
+
+    @pytest.mark.parametrize("direction", [
+        (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (0.0, 1e200), (0.0, 0.0)])
+    def test_rejects_a_direction_without_a_finite_nonzero_norm(self, direction):
+        # a NaN or infinite component would normalise to NaN, and a norm
+        # that overflows to inf would normalise (0, 1e200) to (0, 0)
+        with pytest.raises(ForcingError, match="direction"):
+            ForcingMode((1, 0), direction, 1.0)
+
     def test_mode_fields_unit_norm_and_orthogonal(self, grid2d):
         op = default_forcing(2)
         fields = [op.mode_field(grid2d, i) for i in range(op.rank)]

@@ -16,7 +16,7 @@ import pytest
 import dissipeuler.solver as solver
 from dissipeuler.config import ConfigError, parse_config
 from dissipeuler.forcing import ForcingError, WienerPath, default_forcing
-from dissipeuler.limits import LimitError, MartingaleStat, ViscosityLadder
+from dissipeuler.limits import LimitError, MartingaleStat, run_ladder
 from dissipeuler.solver import InitialCondition, SolverConfig, SolverError
 from dissipeuler.spectral import TorusGrid
 from dissipeuler.weakstrong import (
@@ -26,8 +26,8 @@ from dissipeuler.weakstrong import (
     weak_strong_ladder,
 )
 from dissipeuler.young import (
+    Binning,
     CellPartition,
-    YoungAccumulator,
     YoungMeasureError,
 )
 
@@ -86,13 +86,14 @@ WEAK = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, 0.1), eps=
                     dt=DT, horizon=HORIZON, initial=InitialCondition("zero"))
 PARTITION = CellPartition(2, 16, 2, 4, 0.0, HORIZON)
 TIMES = [0.0, 0.0625, 0.1875, 0.25]
+BINNING = Binning(PARTITION, 4.0, 16, 32)
 
 
 def weak_ladder(eps_values=(0.1, 0.05), ref_n=32, dt_factor=2,
                 partition=PARTITION, times=TIMES):
     return lambda: weak_strong_ladder(eps_values, WEAK, ref_n, dt_factor, seed=1,
-                                      path_ids=[0], partition=partition,
-                                      radius=4.0, snapshot_times=times)
+                                      path_ids=[0], binning=Binning(partition, 4.0, 16, 32),
+                                      snapshot_times=times)
 
 
 LADDERS = [   # (rungs, strictly decreasing and finite, and every rung > 0)
@@ -111,15 +112,16 @@ LADDERS = [   # (rungs, strictly decreasing and finite, and every rung > 0)
 
 @pytest.mark.parametrize("rungs,decreasing,positive", LADDERS)
 def test_every_reader_checks_a_ladder_alike(no_runs, rungs, decreasing, positive):
-    # the vanishing-viscosity ladder (the loader, ViscosityLadder) also
-    # needs positive rungs; the weak-strong ladder allows an eps = 0 rung
+    # the vanishing-viscosity ladder (the loader, run_ladder) also needs
+    # positive rungs; the weak-strong ladder allows an eps = 0 rung
     ladder = {"ladder": list(rungs)}
     verdicts = {
         "loader vanish": accepts(loader("vanish", viscosity=ladder),
                                  ConfigError, "viscosity.ladder"),
         "loader weakstrong": accepts(loader("weakstrong", viscosity=ladder),
                                      ConfigError, "viscosity.ladder"),
-        "ViscosityLadder": accepts(lambda: ViscosityLadder(rungs, WEAK, 1), LimitError),
+        "run_ladder": accepts(lambda: run_ladder(rungs, WEAK, 1, [0], BINNING, TIMES),
+                              LimitError),
     }
     assert verdicts == dict.fromkeys(verdicts, decreasing and positive)
     assert accepts(weak_ladder(rungs), WeakStrongError) == decreasing
@@ -159,7 +161,7 @@ def test_every_reader_checks_slab_coverage_alike(no_runs, cells, per_slab,
     young = {"time_cells": cells, "snapshots_per_slab": per_slab}
     cfg = parse_config(raw_config("ym"), "ym")
     cfg = replace(cfg, young=replace(cfg.young, **young))
-    part, times = cfg.partition, list(cfg.snapshot_times)
+    part, times = cfg.binning.partition, list(cfg.snapshot_times)
     verdicts = {
         experiment: accepts(loader(experiment, young=young), ConfigError,
                             "young.time_cells")
@@ -202,16 +204,56 @@ def test_every_reader_checks_a_martingale_pair_alike(s, t, ordered):
     assert verdicts == dict.fromkeys(verdicts, ordered)
 
 
+@pytest.mark.parametrize("radius,valid", [
+    (4.0, True), (1e-300, True), (0.0, False), (-1.0, False), (NAN, False),
+    (INF, False)])
+def test_every_reader_checks_a_radius_alike(radius, valid):
+    verdicts = {
+        experiment: accepts(loader(experiment, young={"radius": radius}),
+                            ConfigError, "young.radius")
+        for experiment in ("vanish", "ym", "weakstrong")}
+    verdicts["Binning"] = accepts(lambda: Binning(PARTITION, radius, 16, 32),
+                                  YoungMeasureError)
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("field", ["bins_per_axis", "sphere_bins"])
+@pytest.mark.parametrize("count,valid", [
+    (1, True), (8, True), (0, False), (-2, False), (NAN, False)])
+def test_every_reader_checks_a_bin_count_alike(field, count, valid):
+    bins = {"bins_per_axis": 16, "sphere_bins": 32, field: count}
+    verdicts = {
+        experiment: accepts(loader(experiment, young={field: count}),
+                            ConfigError, f"young.{field}")
+        for experiment in ("vanish", "ym", "weakstrong")}
+    verdicts["Binning"] = accepts(lambda: Binning(PARTITION, 4.0, **bins),
+                                  YoungMeasureError)
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("history,known", [
+    ("one", True), ("clamp_pair", True), ("clamp_beta", True), ("two", False),
+    ("One", False), ("", False), (NAN, False)])
+def test_every_reader_checks_a_history_alike(history, known):
+    verdicts = {
+        "loader": accepts(loader("martingale", martingale={"histories": [history]}),
+                          ConfigError, "martingale.histories"),
+        "MartingaleStat": accepts(lambda: MartingaleStat("phi", 0.0, 0.125, history),
+                                  LimitError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, known)
+
+
 class TestNanFails:
     def test_solver_config_rejects_nan_viscosity(self):
         # a NaN eps would skip the viscous factor and run as eps = 0
         with pytest.raises(SolverError, match="viscosity"):
             replace(WEAK, eps=NAN)
 
-    def test_accumulator_rejects_nan_radius(self):
+    def test_binning_rejects_nan_radius(self):
         # a NaN radius would send every sample to the concentration part
         with pytest.raises(YoungMeasureError, match="radius"):
-            YoungAccumulator(PARTITION, NAN)
+            Binning(PARTITION, NAN, 16, 32)
 
     def test_stopping_time_rejects_nan_level(self):
         # a NaN level would never stop

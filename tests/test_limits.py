@@ -3,6 +3,7 @@
 import gc
 import weakref
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dissipeuler.limits import (
     LimitError,
     MartingaleStat,
     Probe,
-    ViscosityLadder,
     energy_inequality_limit,
     forcing_pairings,
     linear_model_functionals_multi,
@@ -36,6 +36,7 @@ from dissipeuler.solver import (
 )
 from dissipeuler.spectral import SpectralField, TorusGrid
 from dissipeuler.young import (
+    Binning,
     CellPartition,
     barycenter,
     dirac_embed,
@@ -66,6 +67,21 @@ def base_config(n=32, dt=1.0 / 64, horizon=0.5, sigma=0.2, amp=0.4):
 def ladder_times(part, dt):
     """Four mid-slab samples per slab plus both endpoints, as the CLI takes."""
     return sorted({part.t0, part.t1, *part.sample_times(dt, 4)})
+
+
+class Ladder(NamedTuple):
+    """The rungs, base configuration, seed and path ids of a ladder."""
+
+    eps_values: tuple
+    base: SolverConfig
+    seed: int
+    path_ids: tuple = (0,)
+
+    def run(self, part, radius, times=None, processes=1):
+        """``run_ladder`` binning on ``part`` at ``radius`` with 16 bins per
+        axis and 32 on the sphere, at ``times`` (``ladder_times`` if None)."""
+        times = ladder_times(part, self.base.dt) if times is None else times
+        return run_ladder(*self, Binning(part, radius, 16, 32), times, processes)
 
 
 def _rerun(ladder, part, eps, pid):
@@ -108,13 +124,13 @@ def _held_runs(obj) -> list:
 
 
 class TestLadder:
-    def test_rejects_non_decreasing(self):
-        with pytest.raises(LimitError):
-            ViscosityLadder((0.1, 0.1), base_config(), seed=1)
-        with pytest.raises(LimitError):
-            ViscosityLadder((0.05, 0.1), base_config(), seed=1)
-        with pytest.raises(LimitError):
-            ViscosityLadder((0.1, -0.05), base_config(), seed=1)
+    def test_rejects_non_decreasing(self, monkeypatch):
+        # before any run
+        monkeypatch.setattr(solver, "run_path", _no_run)
+        part = CellPartition(2, 32, 2, 2, 0.0, 0.5)
+        for rungs in ((0.1, 0.1), (0.05, 0.1), (0.1, -0.05)):
+            with pytest.raises(LimitError):
+                Ladder(rungs, base_config(), seed=1).run(part, 4.0)
 
     def test_finished_rung_config_is_collectable_while_next_rung_runs(
             self, monkeypatch):
@@ -132,9 +148,9 @@ class TestLadder:
             return real_run_path(cfg, *args, **kwargs)
         monkeypatch.setattr(solver, "run_path", spy)
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=3, path_ids=(0, 1))
+        ladder = Ladder((0.1, 0.05, 0.025), cfg, seed=3, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 3.0)
         assert [eps for eps, _ in seen] == [0.1, 0.1, 0.05, 0.05, 0.025, 0.025]
         assert alive == [[]] * 6
         assert list(res.measures) == [0.1, 0.05, 0.025]
@@ -145,10 +161,9 @@ class TestLadder:
         # the finest rung keeps its first survivor's: two processes give
         # the bits of one
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=3, path_ids=(0, 1, 2))
+        ladder = Ladder((0.1, 0.05, 0.025), cfg, seed=3, path_ids=(0, 1, 2))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        one, two = (run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt),
-                               processes=p) for p in (1, 2))
+        one, two = (ladder.run(part, 3.0, processes=p) for p in (1, 2))
         assert len(forks) == 1
         pairs = [(one.family, two.family)] + \
             [(one.measures[eps], two.measures[eps]) for eps in ladder.eps_values]
@@ -175,19 +190,19 @@ class TestLadder:
             return real(*args)
         monkeypatch.setattr(limits, "gradient_physical", counting)
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05, 0.025, 0.0125), cfg, seed=3,
+        ladder = Ladder((0.1, 0.05, 0.025, 0.0125), cfg, seed=3,
                                  path_ids=(0, 1, 2))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 3.0)
         assert res.tail == [0.025, 0.0125]
         assert sum(len(res.traces[eps]) for eps in res.tail) == 6
         assert len(calls) == 1
 
     def test_single_rung_family_equals_dirac_embed(self):
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1,), cfg, seed=3)
+        ladder = Ladder((0.1,), cfg, seed=3)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 3.0)
         traj = _rerun(ladder, part, 0.1, 0)
         Vd = dirac_embed(bin_run(traj, part, 3.0))
         assert np.allclose(res.family.nu_mass, Vd.nu_mass)
@@ -202,9 +217,9 @@ class TestLadder:
                            horizon=0.5,
                            initial=InitialCondition("random_spectrum",
                                                     amplitude=0.4, k_max=2))
-        ladder = ViscosityLadder((0.1, 0.05, 0.025, 0.0125), cfg, seed=5)
+        ladder = Ladder((0.1, 0.05, 0.025, 0.0125), cfg, seed=5)
         part = CellPartition(2, 32, 2, 4, 0.0, 0.5)
-        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 3.0)
         d = res.cauchy_distances
         assert len(d) == 3
         assert d[0] > d[1] > d[2]
@@ -213,9 +228,9 @@ class TestLadder:
         # one path per rung: each rung's barycenter is the per-slab,
         # per-cell average of that path's samples
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05), cfg, seed=7)
+        ladder = Ladder((0.1, 0.05), cfg, seed=7)
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, 4.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 4.0)
         for eps in res.measures:
             traj = _rerun(ladder, part, eps, 0)
             bary = barycenter(res.measures[eps]).reshape(part.n_t, part.n_space, -1)
@@ -226,9 +241,9 @@ class TestLadder:
 
     def test_shared_noise_bit_exact(self):
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05), cfg, seed=11, path_ids=(0, 1))
+        ladder = Ladder((0.1, 0.05), cfg, seed=11, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, 4.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 4.0)
         # identical Ito input trace; stochastic integrals differ through u
         t0, t1 = res.traces[0.1][0][1], res.traces[0.05][0][1]
         assert np.array_equal(t0.ito_input, t1.ito_input)
@@ -239,10 +254,9 @@ class TestStreamingLadder:
     def setup_ladder(self):
         # radius 0.3 splits the samples between oscillation and concentration
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05), cfg, seed=17, path_ids=(0, 1))
+        ladder = Ladder((0.1, 0.05), cfg, seed=17, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        return ladder, part, run_ladder(ladder, part, 0.3,
-                                        ladder_times(part, cfg.dt))
+        return ladder, part, ladder.run(part, 0.3)
 
     def test_measures_equal_rerun_families(self):
         ladder, part, res = self.setup_ladder()
@@ -272,9 +286,9 @@ class TestStreamingLadder:
         cfg = SolverConfig(grid=TorusGrid(2, 16), forcing=default_forcing(2, sigma=2.0),
                            eps=8.0, dt=1.0 / 64, horizon=0.5,
                            initial=InitialCondition("zero"), blowup_ceiling=0.4)
-        ladder = ViscosityLadder((8.0, 4.0, 2.0, 0.01), cfg, seed=3, path_ids=(0, 1))
+        ladder = Ladder((8.0, 4.0, 2.0, 0.01), cfg, seed=3, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.5)
-        res = run_ladder(ladder, part, 4.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 4.0)
         assert list(res.blowups) == [0.01]
         assert [pid for pid, _ in res.blowups[0.01]] == [0, 1]
         assert list(res.measures) == [8.0, 4.0, 2.0]
@@ -366,8 +380,8 @@ class TestMomentumResidual:
         monkeypatch.setattr(solver, "run_path", _no_run)
         cfg = base_config(n=16, horizon=0.25)
         with pytest.raises(SolverError, match="step grid"):
-            run_ladder(ViscosityLadder((0.1,), cfg, seed=1),
-                       CellPartition(2, 16, 2, 2, 0.0, 0.25), 4.0, [0.0, 0.1])
+            Ladder((0.1,), cfg, seed=1).run(CellPartition(2, 16, 2, 2, 0.0, 0.25), 4.0,
+                       [0.0, 0.1])
 
     def test_rejects_run_without_snapshot_at_zero(self, monkeypatch):
         # M starts at u(0): a recorder, and so a ladder, needs step 0
@@ -376,17 +390,17 @@ class TestMomentumResidual:
         monkeypatch.setattr(solver, "run_path", _no_run)
         cfg = base_config(n=16, horizon=0.25)
         with pytest.raises(LimitError, match="step 0"):
-            run_ladder(ViscosityLadder((0.1,), cfg, seed=1),
-                       CellPartition(2, 16, 2, 2, 0.0, 0.25), 4.0, [0.125, 0.25])
+            Ladder((0.1,), cfg, seed=1).run(CellPartition(2, 16, 2, 2, 0.0, 0.25), 4.0,
+                       [0.125, 0.25])
 
     def test_ladder_residual_equals_a_replay(self):
         # the residual run_ladder records live equals, bit for bit, a
         # fresh recorder fed the stored states of the same run afterwards
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=19, path_ids=(0, 1))
+        ladder = Ladder((0.1, 0.05, 0.025), cfg, seed=19, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
         times = ladder_times(part, cfg.dt)
-        res = run_ladder(ladder, part, 4.0, times)
+        res = ladder.run(part, 4.0, times)
         eps, pid, trace, residual = res.finest
         assert (eps, pid) == (0.025, 0)
 
@@ -616,9 +630,9 @@ class TestEnergyInequalityLimit:
                            horizon=0.5,
                            initial=InitialCondition("random_spectrum",
                                                     amplitude=0.4, k_max=2))
-        ladder = ViscosityLadder((0.1, 0.05, 0.025), cfg, seed=29)
+        ladder = Ladder((0.1, 0.05, 0.025), cfg, seed=29)
         part = CellPartition(2, 32, 4, 4, 0.0, 0.5)
-        res = run_ladder(ladder, part, 3.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 3.0)
         traces = [tr for eps in (0.05, 0.025) for _, tr in res.traces[eps]]
         tol = res.traces[0.025][0][1].tolerance(c=1.0)
         rows, _ = energy_inequality_limit(res.family, traces, ForcingOperator(()), tol=tol)
@@ -631,9 +645,9 @@ class TestEnergyInequalityLimit:
 class TestFamilyEnergyAlongLadder:
     def test_family_slab_energy_bounded_by_pathwise_sup(self):
         cfg = base_config(n=16, horizon=0.25)
-        ladder = ViscosityLadder((0.1, 0.05), cfg, seed=61, path_ids=(0, 1))
+        ladder = Ladder((0.1, 0.05), cfg, seed=61, path_ids=(0, 1))
         part = CellPartition(2, 16, 2, 2, 0.0, 0.25)
-        res = run_ladder(ladder, part, 6.0, ladder_times(part, cfg.dt))
+        res = ladder.run(part, 6.0)
         from dissipeuler.young import slab_energies
         sup_path = max(float(np.max(tr.energy))
                        for eps in (0.1, 0.05) for _, tr in res.traces[eps])

@@ -44,7 +44,7 @@ from dissipeuler.spectral import (
 )
 
 from dissipeuler.weakstrong import WeakStrongError, build_reference
-from dissipeuler.young import CellPartition, YoungBinner
+from dissipeuler.young import Binning, CellPartition, YoungBinner
 
 from conftest import Snapshots, lone_run, random_divfree_field, step, trace_defect
 
@@ -347,7 +347,7 @@ class TestRunEnsemble:
 
         def observers(cfg, path):
             return (Snapshots(cfg, times), FunctionalRecorder(probe, cfg.eps),
-                    YoungBinner(part, 1.0, 4, 8, snapshot_steps(cfg, times)))
+                    YoungBinner(Binning(part, 1.0, 4, 8), snapshot_steps(cfg, times)))
         runs = list(run_ensemble(cfgs, 5, path_ids, observers, processes))
         assert len(forks) == processes - 1
         assert [(cfg, path.path_id) for cfg, path, *_ in runs] == \

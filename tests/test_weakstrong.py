@@ -28,9 +28,12 @@ from dissipeuler.weakstrong import (
     relative_energy,
     stopping_time,
 )
-from dissipeuler.young import CellPartition, dirac_embed, estimate_from_family
+from dissipeuler.young import Binning, CellPartition, dirac_embed, estimate_from_family
 
 from conftest import Snapshots, Trajectory, bin_run, lone_run
+
+# two time slabs of 4 x 4 space cells on a 16^2 grid over [0, 0.25]
+SMALL = Binning(CellPartition(2, 16, 2, 4, 0.0, 0.25), 4.0, 16, 32)
 
 
 def steady_config(grid, amp=1.0, dt=1.0 / 32, horizon=0.25, kind="taylor_green"):
@@ -314,7 +317,7 @@ class TestGronwallAudit:
                            horizon=0.25, initial=ic)
         part = CellPartition(2, 32, 2, 16, 0.0, 0.25)
         _, rep = weak_strong_ladder((0.0,), cfg, 32, 1, seed=53, path_ids=[0],
-                                    partition=part, radius=4.0,
+                                    binning=Binning(part, 4.0, 16, 32),
                                     snapshot_times=times)
         out = rep["per_eps"][0.0]
         assert out["f0"][0] == 0.0
@@ -405,9 +408,9 @@ class TestLadderComparison:
         weak = SolverConfig(grid=grid, forcing=forcing, eps=0.2, dt=1.0 / 32,
                             horizon=horizon, initial=ic)
         rows, rep = weak_strong_ladder((0.2, 0.05, 0.0125), weak, 32, 2, seed=59,
-                                       path_ids=range(4), partition=part,
-                                       radius=4.0, snapshot_times=times,
-                                       slack=0.05)
+                                       path_ids=range(4),
+                                       binning=Binning(part, 4.0, 16, 32),
+                                       snapshot_times=times, slack=0.05)
         sup = rep["monotone"]["sup_by_eps"]
         assert sup[0.2] > sup[0.05]
         # the monotone-ladder row and one Gronwall envelope row per eps
@@ -427,9 +430,9 @@ class TestLadderComparison:
 
         def ladder(ref_n, dt_factor):
             return weak_strong_ladder((0.1,), weak, ref_n, dt_factor,
-                                      seed=1, path_ids=[0], partition=part,
-                                      radius=4.0, snapshot_times=times,
-                                      level=1.0)
+                                      seed=1, path_ids=[0],
+                                      binning=Binning(part, 4.0, 16, 32),
+                                      snapshot_times=times, level=1.0)
 
         runs = []
         real_run_path = solver.run_path
@@ -459,8 +462,7 @@ class TestLadderComparison:
                             initial=InitialCondition("zero"))
         with pytest.raises(WeakStrongError, match="strictly decreasing"):
             weak_strong_ladder(eps_values, weak, 32, 2, seed=1, path_ids=[0],
-                               partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
-                               radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
+                               binning=SMALL, snapshot_times=snapshot_grid(0.25, 2))
 
     def test_one_reference_run_per_path(self, monkeypatch):
         # the reference is the weak run refined: grid ref_n, eps 0, dt / factor,
@@ -485,8 +487,7 @@ class TestLadderComparison:
         ref = SolverConfig(grid=TorusGrid(2, 32), forcing=default_forcing(2, 0.2),
                            eps=0.0, dt=1.0 / 64, horizon=0.25, initial=ic)
         weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1, path_ids=[0, 1, 2],
-                           partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
-                           radius=4.0, snapshot_times=snapshot_grid(0.25, 2))
+                           binning=SMALL, snapshot_times=snapshot_grid(0.25, 2))
         assert builds == [(ref, weak)]
         assert [(pid, cfg) for pid, cfg, _ in runs] == \
             [(0, ref), (1, ref), (2, ref)] + [(p, weak.with_eps(eps))
@@ -528,7 +529,7 @@ class TestLadderComparison:
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
         times = snapshot_grid(0.25, 2)
         _, rep = weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1,
-                                    path_ids=[0, 1], partition=part, radius=4.0,
+                                    path_ids=[0, 1], binning=Binning(part, 4.0, 16, 32),
                                     snapshot_times=times)
         assert draws == [("solver", 32, 0, ()), ("weakstrong", 16, 0, (32,)),
                          ("solver", 32, 1, ()), ("weakstrong", 16, 1, (32,)),
@@ -565,8 +566,7 @@ class TestLadderComparison:
             runs.clear()
             return weak_strong_ladder((0.1, 0.05), weak, 32, 2, seed=1,
                                       path_ids=range(4),
-                                      partition=CellPartition(2, 16, 2, 4, 0.0, 0.25),
-                                      radius=4.0, snapshot_times=snapshot_grid(0.25, 2),
+                                      binning=SMALL, snapshot_times=snapshot_grid(0.25, 2),
                                       processes=processes)
         rows1, rep1 = ladder(1)
         assert [pid for n, pid in runs if n == 32] == [0, 1, 2, 3]
@@ -600,4 +600,4 @@ class TestLadderComparison:
         monkeypatch.setattr(solver, "run_path", no_run)
         with pytest.raises(WeakStrongError, match=match):
             weak_strong_ladder((0.1,), weak, 32, 2, seed=1, path_ids=[0],
-                               partition=part, radius=4.0, snapshot_times=times)
+                               binning=Binning(part, 4.0, 16, 32), snapshot_times=times)

@@ -9,6 +9,7 @@ import pytest
 
 from dissipeuler.spectral import TorusGrid, l2_norm_sq, taylor_green
 from dissipeuler.young import (
+    Binning,
     CellPartition,
     TestIntegrand,
     YoungAccumulator,
@@ -130,18 +131,17 @@ class TestDiracEmbed:
     def test_escaped_constant_is_pure_concentration(self):
         # every sample of (3, 0) escapes R = 2: lambda carries |u|^2 = 9 per
         # unit volume and nu is the Dirac mass at 0 in every cell
-        from dissipeuler.young import _bin_of_values, _sphere_bin
-
         grid = TorusGrid(2, 16)
         part = make_partition(grid)
         traj = constant_trajectory(grid, (3.0, 0.0), [0.0, 1.0])
         V = dirac_embed(bin_run(traj, part, radius=2.0))
         assert V.lam_total() == pytest.approx(9 * total_volume(part), rel=1e-12)
-        origin = int(_bin_of_values(np.zeros((1, 2)), 2.0, V.bins_per_axis)[0])
+        binning = Binning(part, 2.0, V.bins_per_axis, V.sphere_bins)
+        origin = int(binning.value_bin(np.zeros((1, 2)))[0])
         assert np.array_equal(V.nu.key, np.arange(part.n_cells) * V.nu.n_bins + origin)
         assert np.all(V.nu.mass == 1.0)
         assert not V.nu_first.any() and not V.nu_second.any()
-        e1 = int(_sphere_bin(np.array([[1.0, 0.0]]), V.sphere_bins, 2)[0])
+        e1 = int(binning.direction_bin(np.array([[1.0, 0.0]]))[0])
         assert np.array_equal(V.nu_inf.key, np.arange(part.n_cells) * V.sphere_bins + e1)
         assert np.allclose(V.lam_second, V.lam_mass[:, None, None] * np.diag([1.0, 0.0]))
 
@@ -544,8 +544,7 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins):
     The bin masses are dense (n_cells, bins) arrays; the moments are block
     sums over each cell's samples.
     """
-    from dissipeuler.young import _bin_of_values, _sphere_bin
-
+    binning = Binning(partition, radius, bins_per_axis, sphere_bins)
     dim, n_cells = partition.dim, partition.n_cells
     n_bins = bins_per_axis ** dim
     space_idx = partition.space_cell_index()
@@ -562,15 +561,15 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins):
     below = speed <= radius
     # an escaped sample counts in nu at the origin, with value 0
     use = np.where(below[:, None], vals, 0.0)
-    flat = cell * n_bins + _bin_of_values(use, radius, bins_per_axis)
+    flat = cell * n_bins + binning.value_bin(use)
     nu_mass = (np.bincount(flat, minlength=n_cells * n_bins).reshape(n_cells, n_bins)
                / count[:, None])
 
     above = ~below
     weight = speed[above] ** 2 * partition.cell_volume / count[cell[above]]
     lam_mass = np.bincount(cell[above], weights=weight, minlength=n_cells)
-    flat = cell[above] * sphere_bins + _sphere_bin(
-        vals[above] / speed[above][:, None], sphere_bins, dim)
+    flat = cell[above] * sphere_bins + binning.direction_bin(
+        vals[above] / speed[above][:, None])
     inf_w = np.bincount(flat, weights=weight,
                         minlength=n_cells * sphere_bins).reshape(n_cells, sphere_bins)
     inf_mass = np.zeros(inf_w.shape)   # (a bincount of no entries is an integer array)
@@ -703,8 +702,9 @@ def _bincount_build(trajectories, part, radius, bins_per_axis, sphere_bins):
     index, one bincount over the samples per moment component, and dense
     per-slab tables of the bin counts and the concentration weights.
     """
-    from dissipeuler.young import BinEntries, GeneralizedYoungMeasure, _sphere_bin
+    from dissipeuler.young import BinEntries, GeneralizedYoungMeasure
 
+    binning = Binning(part, radius, bins_per_axis, sphere_bins)
     dim, n_space, n_cells = part.dim, part.n_space, part.n_cells
     n_bins = bins_per_axis ** dim
     cell = part.space_cell_index()
@@ -740,7 +740,7 @@ def _bincount_build(trajectories, part, radius, bins_per_axis, sphere_bins):
             if not below.all():
                 above = ~below
                 sa, va, ca = speed[above], vals[:, above], cell[above]
-                keys = ca * sphere_bins + _sphere_bin((va / sa).T, sphere_bins, dim)
+                keys = ca * sphere_bins + binning.direction_bin((va / sa).T)
                 conc[slab] += np.bincount(keys, weights=sa ** 2, minlength=conc.shape[1])
                 add_products(escaped_second[in_slab], ca, va)
                 vb = np.where(below, vals, 0.0)
@@ -814,7 +814,8 @@ class TestEntriesMatchDenseOracle:
         # pickle, as a worker process sends it, with the bits of one
         # bincount per snapshot
         trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
-        here, there = (YoungAccumulator(part, radius, bins, sphere) for _ in range(2))
+        binning = Binning(part, radius, bins, sphere)
+        here, there = (YoungAccumulator(binning) for _ in range(2))
         for traj in trajs:
             binned = bin_run(traj, part, radius, bins, sphere)
             here.apply(binned)
@@ -825,20 +826,19 @@ class TestEntriesMatchDenseOracle:
 
     def test_apply_rejects_a_run_binned_for_another_measure(self):
         trajs, part, radius, bins, sphere, _ = ORACLE_CASES["family_2d"]()
-        binner = YoungBinner(part, 2.0 * radius, bins, sphere)
+        binner = YoungBinner(Binning(part, 2.0 * radius, bins, sphere))
         binner.bin(trajs[0].times[0], trajs[0].values[0])
         with pytest.raises(YoungMeasureError, match="another partition"):
-            YoungAccumulator(part, radius, bins, sphere).apply(binner.payload())
+            YoungAccumulator(Binning(part, radius, bins, sphere)).apply(binner.payload())
 
     @pytest.mark.parametrize("bins,sphere", [(0, 32), (-2, 32), (16, 0), (16, -4)])
     def test_bin_counts_below_one_rejected(self, bins, sphere):
         # a count below 1 would divide by zero or build keys of no bin;
-        # the binner and the accumulator reject it before any sample
+        # the binning that every binner and accumulator takes rejects it
         part = CellPartition(2, 16, 1, 4, 0.0, 1.0)
         name = "bins_per_axis" if bins < 1 else "sphere_bins"
-        for build in (YoungBinner, YoungAccumulator):
-            with pytest.raises(YoungMeasureError, match=f"{name} must be >= 1"):
-                build(part, 1.0, bins, sphere)
+        with pytest.raises(YoungMeasureError, match=f"{name} must be >= 1"):
+            Binning(part, 1.0, bins, sphere)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_moments(self, case):
