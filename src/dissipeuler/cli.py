@@ -51,7 +51,6 @@ from .weakstrong import weak_strong_ladder
 from .young import (
     TestIntegrand,
     YoungBinner,
-    barycenter,
     dirac_embed,
     pairing,
     write_measure,
@@ -230,7 +229,7 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     rows.append(audit_row("concentration_mass", "young_measure.dirac_embed",
                           V.lam_total(), 0.0,
                           "quadrature-weighted |u|^2 beyond the truncation ball"))
-    bary_norm = float(np.max(np.abs(barycenter(V))))
+    bary_norm = float(np.max(np.abs(V.nu_first)))
     rows.append(audit_row("barycenter_bounded", "young_measure.barycenter",
                           bary_norm, cfg.young.radius))
     return rows, {}

@@ -321,7 +321,7 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
     about one run per process beside what serves all its runs.  The
     processes are min(``threads``, paths), from ``--threads`` and the
     config alone (not the cores of the host), and one for ym and the
-    transport-off martingale.  Three terms are charged:
+    transport-off martingale.  Four terms are charged:
 
     * the runs: the largest run once per process, since a weakstrong
       reference runs on the workers too.  A run holds ``WORKING_FIELDS``
@@ -339,8 +339,10 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
       a rung's) and one in ym and weakstrong: per time slab and space cell,
       an int64 count for each of the ``bins_per_axis ** dim`` oscillation
       bins, an f64 weight sum for each of the ``sphere_bins`` concentration
-      bins, and 1 + dim + 2 dim^2 f64 moment sums (the sample count, the
-      first moment and the two second moments).
+      bins, and dim + 2 dim^2 f64 moment sums (the first moment and the two
+      second moments);
+    * the energy traces vanish keeps, one per (rung, path): five f64
+      series of steps + 1 entries, named by ``ensemble.paths``.
 
     A config above the ceiling fails naming the field of the largest term.
     """
@@ -380,8 +382,11 @@ def _check_memory(cfg: RunConfig, threads: int = 1) -> None:
                    "the oscillation count tables of the Young accumulators retain"),
                   (8 * cells * young.sphere_bins, "young.sphere_bins",
                    "the concentration weight tables of the Young accumulators retain"),
-                  (8 * cells * (1 + dim + 2 * dim * dim), "young.space_cells",
+                  (8 * cells * (dim + 2 * dim * dim), "young.space_cells",
                    "the per-cell moment sums of the Young accumulators retain")]
+    if cfg.experiment == "vanish":
+        terms.append((40 * (solver.steps + 1) * cfg.paths * len(cfg.eps_values),
+                      "ensemble.paths", "the energy traces of every rung's paths retain"))
     need = sum(term[0] for term in terms)
     if need > MAX_RUN_BYTES:
         size, where, what = max(terms)

@@ -26,37 +26,39 @@ quadrature gives them, three dense moment arrays:
   trace is the cell's ``lam_mass``.
 
 Every pairing (against a quadratic ``TestIntegrand``), the weak*
-distance, the barycenter and the slab energies contract these arrays and
-the dense ``lam_mass``.  Beside them the two histograms keep their bin
-masses only, sparse as ``BinEntries`` (sorted flat keys cell * bins + bin
-with a mass each: a cell receives about one sample per snapshot, so almost
-every (cell, bin) pair stays empty).  The masses are read for the
-normalization of nu and by the dense (n_cells, bins) views ``nu_mass``
-and ``inf_mass``, built on first access, for inspection and tests.
+distance, the barycenter ``nu_first`` and the slab energies read these
+arrays and the dense ``lam_mass``.  The two histograms keep their bin
+masses only, sparse as ``BinEntries`` (sorted flat keys cell * bins + bin,
+a mass each: a cell receives about one sample per snapshot, so almost
+every (cell, bin) pair stays empty), read to normalize nu and by the dense
+(n_cells, bins) views ``nu_mass`` and ``inf_mass``, built on first access
+for inspection and tests.
 
-Every measure is built in two steps, both by one ``Binning``: the
-partition, the radius R and the bin counts of the two histograms, whose
-rules (``check_radius``, ``check_bin_count``) the loader calls too.  A
-``YoungBinner`` observes a run and bins its snapshots into a ``RunBins``:
-per snapshot, its per-cell moment sums and concentration entries, and per
-time slab, the run's integer bin counts; it keeps nothing of the states.
-A ``YoungAccumulator`` applies binned runs, in run order, to running sums,
-and ``measure`` normalizes them once at the end.  Both histograms sum into
-one table shape: a dense array of one row per time slab, keyed by space
-cell and bin within the slab, int64 counts for nu and float64 weights for
-nu_inf, whose nonzero entries become the measure's sorted keys.  The steps
-may run in different processes: a run binned where it runs applies, bit
-for bit, where its measure is built.  ``dirac_embed`` builds the measure
-of one binned run, ``estimate_from_family`` that of a family of them, and
-the viscosity ladder applies each binned run to its rung and to the
-family, so no build needs a trajectory or a whole family in memory.
+Every per-cell sum reads point values in the one cell layout of
+``CellPartition.blocks`` (column c holds space cell c's samples in grid
+order) and adds each column from +0.0 row by row, as a bincount over the
+samples would; ``block_mean`` averages in that order too.  A measure is
+built in two steps by one ``Binning`` (the partition, R and the bin counts
+of both histograms), which it carries.  A ``YoungBinner`` bins a run's
+snapshots into a ``RunBins``: per snapshot, its per-cell moment sums and
+concentration entries, and per time slab, its integer bin counts; it keeps
+nothing of the states.  A ``YoungAccumulator`` applies binned runs, in run
+order, to running sums, and ``measure`` normalizes them once at the end.
+Both histograms sum into dense tables of one row per time slab, keyed by
+space cell and bin within the slab (int64 counts for nu, float64 weights
+for nu_inf), whose nonzero entries become the measure's sorted keys.  A
+run binned in one process applies, bit for bit, in another.
+``dirac_embed`` builds the measure of one binned run,
+``estimate_from_family`` that of a family, and the viscosity ladder
+applies each binned run to its rung and to the family, so no build holds a
+trajectory or a whole family.
 
 ``write_measure`` exports a measure as one binary file (version 3): a
-magic, a version, the partition and build parameters, then the raw
-``lam_mass``, ``nu_first``, ``nu_second`` and ``lam_second``, then the
-keys and masses of ``nu`` and of ``nu_inf``.  ``read_measure`` reads it
-back bit for bit.  The test dictionary is not stored;
-``quadratic_dictionary(dim)`` rebuilds it.
+magic, a version, the ``Binning``, then the raw ``lam_mass``,
+``nu_first``, ``nu_second`` and ``lam_second``, then the keys and masses
+of ``nu`` and of ``nu_inf``.  ``read_measure`` reads it back bit for bit.
+The test dictionary is not stored; ``quadratic_dictionary(dim)`` rebuilds
+it.
 """
 
 from __future__ import annotations
@@ -148,28 +150,26 @@ class CellPartition:
             raise error(f"time slabs {empty} hold no snapshot ({len(empty)} of "
                         f"{self.n_t} time cells)")
 
-    def space_cell_index(self) -> np.ndarray:
-        """Flattened space-cell index for every grid point, shape (grid_n^dim,)."""
-        idx1 = np.arange(self.grid_n) // (self.grid_n // self.n_x)
-        coords = np.meshgrid(*[idx1] * self.dim, indexing="ij")
-        return np.ravel_multi_index(coords, (self.n_x,) * self.dim).ravel()
-
-    def block_mean(self, values: np.ndarray) -> np.ndarray:
-        """Average the trailing ``dim`` axes over the n_x^dim space cells.
-
-        ``values`` has shape lead + (m,)*dim for any m divisible by n_x (the
-        sampling grid or a refinement of it); returns lead + (n_space,) in
-        the cell order of ``space_cell_index``.
-        """
-        m = values.shape[-1]
-        block = m // self.n_x
-        if block * self.n_x != m:
+    def blocks(self, values: np.ndarray) -> np.ndarray:
+        """Point values lead + (m,)*dim, for any m divisible by n_x (the
+        sampling grid or a refinement of it), in cell layout: lead +
+        (samples per cell, n_space), whose column c holds space cell c's
+        samples in grid order.  The one map from grid points to cells."""
+        dim, m = self.dim, values.shape[-1]
+        side, k = m // self.n_x, values.ndim - dim
+        if side * self.n_x != m:
             raise YoungMeasureError(
                 f"space cells ({self.n_x}) must divide the grid ({m})")
-        lead = values.shape[:-self.dim]
-        blocks = values.reshape(lead + (self.n_x, block) * self.dim)
-        axes = tuple(range(len(lead) + 1, len(lead) + 2 * self.dim, 2))
-        return blocks.mean(axis=axes).reshape(lead + (self.n_space,))
+        grid = values.reshape(values.shape[:k] + (self.n_x, side) * dim)
+        order = (*range(k), *range(k + 1, k + 2 * dim, 2), *range(k, k + 2 * dim, 2))
+        return grid.transpose(order).reshape(values.shape[:k] + (side ** dim, self.n_space))
+
+    def block_mean(self, values: np.ndarray) -> np.ndarray:
+        """Average point values, lead + (m,)*dim as for ``blocks``, over each
+        space cell, shape lead + (n_space,).  Each cell adds its samples in
+        the order a measure build adds them."""
+        blocks = self.blocks(values)
+        return _cell_sums(blocks) / blocks.shape[-2]
 
     def cell_centers(self):
         """(times, positions) of cell centers: (n_cells,), (n_cells, dim)."""
@@ -307,10 +307,7 @@ def _dense_mass(part: str):
 
 @dataclass(frozen=True)
 class GeneralizedYoungMeasure:
-    partition: CellPartition
-    radius: float
-    bins_per_axis: int
-    sphere_bins: int
+    binning: Binning         # the partition, radius and bins it was built by
     nu: BinEntries           # oscillation histogram, bins_per_axis^dim bins
     lam_mass: np.ndarray     # (n_cells,)
     nu_inf: BinEntries       # concentration-angle histogram, sphere_bins bins
@@ -325,6 +322,10 @@ class GeneralizedYoungMeasure:
     # dense (n_cells, bins) bin masses, built on first access
     nu_mass = _dense_mass("nu")
     inf_mass = _dense_mass("nu_inf")
+
+    @property
+    def partition(self) -> CellPartition:
+        return self.binning.partition
 
     @property
     def dim(self) -> int:
@@ -343,24 +344,26 @@ class GeneralizedYoungMeasure:
 
 
 def _cell_sums(blocks: np.ndarray) -> np.ndarray:
-    """Column sums of block-ordered samples, shape (samples per cell, cells).
+    """Column sums of samples in cell layout, lead + (samples per cell,
+    cells), shape lead + (cells,).
 
     Each column adds from +0.0 in row order, the order in which a bincount
-    over the samples adds a cell's samples.  numpy reduces the first axis
+    over the samples adds a cell's samples.  numpy reduces the row axis
     row after row while there are several columns; a single column it
     would sum pairwise, so that one goes through bincount.
     """
-    if blocks.shape[1] > 1:
-        return np.add.reduce(blocks, axis=0, initial=0.0)
-    return np.bincount(np.zeros(len(blocks), dtype=np.intp), weights=blocks[:, 0],
-                       minlength=1)
+    if blocks.shape[-1] > 1:
+        return np.add.reduce(blocks, axis=-2, initial=0.0)
+    lead = blocks.shape[:-2]
+    column = np.repeat(np.arange(math.prod(lead)), blocks.shape[-2])
+    return np.bincount(column, weights=blocks.ravel()).reshape(lead + (1,))
 
 
 def _products(blocks: np.ndarray) -> np.ndarray:
-    """Per-cell sums of v (x) v over block-ordered samples (dim, per cell,
+    """Per-cell sums of v (x) v over samples in cell layout (dim, per cell,
     cells), shape (cells, dim, dim) and symmetric bit for bit."""
     dim = len(blocks)
-    out = np.empty((blocks.shape[2], dim, dim))
+    out = np.empty((blocks.shape[-1], dim, dim))
     for i in range(dim):
         for j in range(i, dim):
             out[:, i, j] = out[:, j, i] = _cell_sums(blocks[i] * blocks[j])
@@ -378,10 +381,10 @@ class RunBins:
     cells of u, shape (n_space, dim), and of u (x) u, shape (n_space, dim,
     dim), where an escaped sample counts as 0; and, if any sample escaped,
     its concentration keys within the slab, its weights |u|^2 (both in
-    sample order) and the per-cell sums of u (x) u over the escaped
-    samples, else None.  ``counts`` holds (slab, keys, counts) per slab:
-    the oscillation keys within the slab that the run occupied and their
-    integer sample counts.
+    cell layout, so each cell's in grid order) and the per-cell sums of u
+    (x) u over the escaped samples, else None.  ``counts`` holds (slab,
+    keys, counts) per slab: the oscillation keys within the slab that the
+    run occupied and their integer sample counts.
     """
 
     binning: Binning
@@ -399,15 +402,15 @@ class YoungBinner:
     entries and oscillation keys, and keeps nothing of the state;
     ``payload()`` gives the run's ``RunBins``, which apply in any process.
 
-    A moment sum adds each cell's samples in the order a bincount over the
-    samples would: the samples are copied block by block into an array
-    (samples per cell, cells), which ``_cell_sums`` reduces row after row.
-    The oscillation keys become integer counts, which no order changes.
+    It reads each snapshot once, in the cell layout of
+    ``CellPartition.blocks``, where a sample's space cell is its column, and
+    adds each cell's samples in grid order, as a bincount over the samples
+    would.  The oscillation keys become integer counts, which no order
+    changes.
     """
 
     def __init__(self, binning: Binning, steps=None):
         self.binning, self.steps = binning, steps
-        self._space_idx = binning.partition.space_cell_index()
         self._snapshots, self._keys = [], {}
 
     def on_state(self, n, t, u, phys):
@@ -424,35 +427,22 @@ class YoungBinner:
         t = float(t)
         if t < part.t0 - 1e-12 or t > part.t1 + 1e-12:
             return
-        slab = part.slab_of(t)
-        vals = values.reshape(dim, -1)  # (dim, npts)
-        cell = self._space_idx          # space cell of every sample, within its slab
-        speed = np.sqrt((vals ** 2).sum(axis=0))
+        slab, n_space = part.slab_of(t), part.n_space
+        blocks = part.blocks(values)    # (dim, samples per cell, n_space)
+        speed = np.sqrt((blocks ** 2).sum(axis=0))
         below = speed <= binning.radius
-        vb, escaped = vals, None
+        vb, escaped = blocks, None
         if not below.all():
-            above = ~below
-            sa = np.compress(above, speed)
-            va = np.compress(above, vals, axis=1)
-            keys = np.compress(above, cell) * binning.sphere_bins \
-                + binning.direction_bin((va / sa).T)
-            escaped = (keys, sa ** 2, _products(self._blocks(np.where(above, vals, 0.0))))
-            vb = np.where(below, vals, 0.0)
-        self._keys.setdefault(slab, []).append(
-            cell * binning.bins_per_axis ** dim + binning.value_bin(vb.T))
-        blocks = self._blocks(vb)
-        first = np.stack([_cell_sums(b) for b in blocks], axis=1)
-        self._snapshots.append((slab, first, _products(blocks), escaped))
-
-    def _blocks(self, vals: np.ndarray) -> np.ndarray:
-        """Samples (dim, npts) as (dim, samples per cell, n_space), each
-        cell's samples in sample order."""
-        part = self.binning.partition
-        dim, side = part.dim, part.grid_n // part.n_x
-        grid = vals.reshape((dim,) + (part.n_x, side) * dim)
-        order = (0, *range(2, 2 * dim + 1, 2), *range(1, 2 * dim, 2))
-        return np.ascontiguousarray(grid.transpose(order)).reshape(
-            dim, side ** dim, part.n_space)
+            above = np.flatnonzero(~below)  # row by row; the cell is the column
+            sa = speed.take(above)
+            va = blocks.reshape(dim, -1).take(above, axis=1)
+            keys = above % n_space * binning.sphere_bins + binning.direction_bin((va / sa).T)
+            escaped = (keys, sa ** 2, _products(np.where(below, 0.0, blocks)))
+            vb = np.where(below, blocks, 0.0)
+        keys = binning.value_bin(vb.reshape(dim, -1).T).reshape(-1, n_space)
+        keys += np.arange(n_space) * binning.bins_per_axis ** dim
+        self._keys.setdefault(slab, []).append(keys.ravel())
+        self._snapshots.append((slab, _cell_sums(vb).T, _products(vb), escaped))
 
     def payload(self) -> RunBins:
         """The ``RunBins`` of the samples binned so far."""
@@ -470,9 +460,10 @@ class YoungAccumulator:
     the truncation radius feed the concentration part and count at the
     origin of the oscillation histogram.  The sums depend only on the order
     of the applied runs, so a caller that streams them gets the bits of one
-    call over the whole family.  The moment sums are dense per cell, and
-    both histograms are dense tables of one row per time slab, keyed by
-    space cell and bin within the slab: the oscillation counts as int64,
+    call over the whole family.  It counts snapshots per time slab, each
+    giving every space cell one block of samples; the moment sums are dense
+    per cell, and both histograms are dense tables of one row per time
+    slab, keyed by space cell and bin within the slab: the oscillation counts as int64,
     the concentration weights as float64, made when a sample first escapes
     (a zeroed table is resident once made, and most builds escape nowhere).
     """
@@ -480,15 +471,14 @@ class YoungAccumulator:
     def __init__(self, binning: Binning):
         self.binning = binning
         part = binning.partition
-        dim, n_space, n_cells = part.dim, part.n_space, part.n_cells
-        self._counts = np.zeros((part.n_t, n_space * binning.bins_per_axis ** dim),
+        dim, n_cells = part.dim, part.n_cells
+        self._counts = np.zeros((part.n_t, part.n_space * binning.bins_per_axis ** dim),
                                 dtype=np.int64)
         self._conc = None
-        self._samples_per_cell = np.zeros(n_cells)
+        self._snapshots = np.zeros(part.n_t, dtype=np.int64)
         self._first = np.zeros((n_cells, dim))
         self._second = np.zeros((n_cells, dim, dim))
         self._escaped_second = np.zeros((n_cells, dim, dim))
-        self._space_count = np.bincount(part.space_cell_index(), minlength=n_space)
 
     def apply(self, binned: RunBins) -> None:
         """Add the samples of one binned run, snapshot by snapshot; a
@@ -499,7 +489,7 @@ class YoungAccumulator:
         part = self.binning.partition
         for slab, first, second, escaped in binned.snapshots:
             cells = part.slab_cells(slab)
-            self._samples_per_cell[cells] += self._space_count
+            self._snapshots[slab] += 1
             self._first[cells] += first
             self._second[cells] += second
             if escaped is not None:
@@ -519,14 +509,15 @@ class YoungAccumulator:
         binning = self.binning
         part, sphere_bins = binning.partition, binning.sphere_bins
         n_bins = binning.bins_per_axis ** part.dim
-        if not self._samples_per_cell.any():
+        if not self._snapshots.any():
             raise YoungMeasureError("no samples fall inside the partition window")
-        if np.any(self._samples_per_cell == 0):
+        if not self._snapshots.all():
             raise YoungMeasureError(
                 "partition has cells without samples; refine snapshots or coarsen")
 
         # oscillation part: a probability per cell
-        samples = self._samples_per_cell
+        per_snapshot = float((part.grid_n // part.n_x) ** part.dim)
+        samples = np.repeat(self._snapshots * per_snapshot, part.n_space)
         keys = np.flatnonzero(self._counts > 0)   # faster than on the int64 table
         nu = BinEntries(n_bins, keys, self._counts.ravel()[keys] / samples[keys // n_bins])
 
@@ -541,8 +532,7 @@ class YoungAccumulator:
         nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[cell])
 
         return GeneralizedYoungMeasure(
-            partition=part, radius=binning.radius, bins_per_axis=binning.bins_per_axis,
-            sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+            binning=binning, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
             nu_first=self._first / samples[:, None],
             nu_second=self._second / samples[:, None, None],
             lam_second=self._escaped_second * cell_weight[:, None, None])
@@ -609,11 +599,6 @@ def _per_cell(V: GeneralizedYoungMeasure, f: TestIntegrand) -> np.ndarray:
     a, b, c = f.quad
     osc = np.einsum("kij,ij->k", V.nu_second, a) + V.nu_first @ b + c
     return osc * V.partition.cell_volume + np.einsum("kij,ij->k", V.lam_second, a)
-
-
-def barycenter(V: GeneralizedYoungMeasure) -> np.ndarray:
-    """Per-cell first moment of the oscillation part, shape (n_cells, dim)."""
-    return V.nu_first
 
 
 def energy_of(V: GeneralizedYoungMeasure, slab: int) -> float:
@@ -694,13 +679,12 @@ _MEASURE_HEADER = struct.Struct("<HBIIIdddIIQQ")
 def write_measure(path, V: GeneralizedYoungMeasure) -> None:
     """Write V as a measure file: header, the per-cell arrays, then the
     entries of both histograms."""
-    part = V.partition
+    b, part = V.binning, V.partition
     with open(path, "wb") as fh:
         fh.write(_MEASURE_MAGIC)
         fh.write(_MEASURE_HEADER.pack(
             _MEASURE_VERSION, part.dim, part.grid_n, part.n_t, part.n_x, part.t0, part.t1,
-            V.radius, V.bins_per_axis, V.sphere_bins, len(V.nu.key),
-            len(V.nu_inf.key)))
+            b.radius, b.bins_per_axis, b.sphere_bins, len(V.nu.key), len(V.nu_inf.key)))
         for a in (V.lam_mass, V.nu_first, V.nu_second, V.lam_second):
             fh.write(a.astype("<f8", copy=False).tobytes())
         for entries in (V.nu, V.nu_inf):
@@ -709,7 +693,9 @@ def write_measure(path, V: GeneralizedYoungMeasure) -> None:
 
 
 def read_measure(path) -> GeneralizedYoungMeasure:
-    """Read a measure written by ``write_measure``, bit for bit."""
+    """Read a measure written by ``write_measure``, bit for bit; a header
+    that breaks the ``Binning`` rules, or int64 keys that do not increase
+    strictly within [0, n_cells * bins), raise ``YoungMeasureError``."""
     with open(path, "rb") as fh:
         magic = fh.read(6)
         if magic != _MEASURE_MAGIC:
@@ -725,8 +711,9 @@ def read_measure(path) -> GeneralizedYoungMeasure:
         data = fh.read()
     (_, dim, grid_n, n_t, n_x, t0, t1, radius, bins_per_axis, sphere_bins,
      n_nu, n_inf) = _MEASURE_HEADER.unpack(header)
-    part = CellPartition(dim, grid_n, n_t, n_x, t0, t1)
-    n_cells = part.n_cells
+    binning = Binning(CellPartition(dim, grid_n, n_t, n_x, t0, t1), radius,
+                      bins_per_axis, sphere_bins)
+    n_cells = binning.partition.n_cells
     # lam_mass, nu_first, nu_second, lam_second; a key and a mass per entry
     want = 8 * (n_cells * (1 + dim + 2 * dim * dim) + 2 * (n_nu + n_inf))
     if len(data) < want:
@@ -749,9 +736,13 @@ def read_measure(path) -> GeneralizedYoungMeasure:
     nu_first = take("f8", (n_cells, dim))
     nu_second = take("f8", (n_cells, dim, dim))
     lam_second = take("f8", (n_cells, dim, dim))
-    nu = BinEntries(bins_per_axis ** dim, take("i8", (n_nu,)), take("f8", (n_nu,)))
-    nu_inf = BinEntries(sphere_bins, take("i8", (n_inf,)), take("f8", (n_inf,)))
-    return GeneralizedYoungMeasure(
-        partition=part, radius=radius, bins_per_axis=bins_per_axis,
-        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
-        nu_first=nu_first, nu_second=nu_second, lam_second=lam_second)
+    entries = []
+    for name, n_bins, n in (("nu", bins_per_axis ** dim, n_nu),
+                            ("nu_inf", sphere_bins, n_inf)):
+        key, top = take("i8", (n,)), n_cells * n_bins
+        if top > 2 ** 63 or n and (key[0] < 0 or key[-1] >= top or np.any(key[1:] <= key[:-1])):
+            raise YoungMeasureError(f"{name} keys are not int64 keys strictly increasing "
+                                    f"in [0, {top})")
+        entries.append(BinEntries(n_bins, key, take("f8", (n,))))
+    return GeneralizedYoungMeasure(binning, entries[0], lam_mass, entries[1],
+                                   nu_first, nu_second, lam_second)

@@ -108,6 +108,16 @@ def trace_defect(trace, s, t) -> float:
     return float(g[ti] - g[si])
 
 
+def space_cell_index(partition, m=None) -> np.ndarray:
+    """The space cell of every point of the m^dim grid (the partition's
+    sampling grid if None), flattened in grid order: the cell layout as an
+    index, for a bincount over the samples."""
+    m = partition.grid_n if m is None else m
+    idx1 = np.arange(m) // (m // partition.n_x)
+    coords = np.meshgrid(*[idx1] * partition.dim, indexing="ij")
+    return np.ravel_multi_index(coords, (partition.n_x,) * partition.dim).ravel()
+
+
 def total_volume(partition) -> float:
     """The space-time volume of a ``CellPartition``."""
     return (2.0 * np.pi) ** partition.dim * (partition.t1 - partition.t0)

@@ -253,8 +253,7 @@ def test_criterion_4_young_measure_oracles(announce):
         err = abs(got - expected_mass) / expected_mass
         _check(failures, err <= 0.05, f"lambda mass rel err {err:.4f} (slab {slab})")
     total_inf = (Vc.inf_mass * Vc.lam_mass[:, None]).sum(axis=0)
-    binning = Binning(Vc.partition, Vc.radius, Vc.bins_per_axis, Vc.sphere_bins)
-    e1_bin = int(binning.direction_bin(np.array([[1.0, 0.0]]))[0])
+    e1_bin = int(Vc.binning.direction_bin(np.array([[1.0, 0.0]]))[0])
     frac = float(total_inf[e1_bin] / total_inf.sum())
     _check(failures, frac >= 0.999, f"angle mass in e1 bin only {frac:.4f}")
 

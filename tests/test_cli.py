@@ -393,8 +393,10 @@ class TestSchema:
                                                          accumulators):
         # a measured run's binner holds, per snapshot, up to 24 bytes per
         # grid point and dim + 2 dim^2 f64 sums per space cell, beside its
-        # 16 half-spectrum working fields: the demo loads at a ceiling of
-        # exactly its charge and fails one byte below it
+        # 16 half-spectrum working fields; an accumulator holds its tables
+        # and dim + 2 dim^2 f64 sums per cell, and vanish keeps five f64
+        # series of steps + 1 entries per (rung, path): the demo loads at a
+        # ceiling of exactly its charge and fails one byte below it
         raw = json.loads((CONFIGS / name).read_text())
         cfg = parse_config(raw, raw["experiment"])
         grid, young, dim = cfg.solver.grid, cfg.young, cfg.solver.grid.dim
@@ -405,13 +407,31 @@ class TestSchema:
         paths = 24 * cfg.paths * cfg.solver.steps * cfg.solver.forcing.rank
         tables = accumulators * n_cells * (8 * young.bins_per_axis ** dim
                                            + 8 * young.sphere_bins
-                                           + 8 * (1 + dim + 2 * dim * dim))
-        need = run + paths + tables
+                                           + 8 * (dim + 2 * dim * dim))
+        traces = 0
+        if cfg.experiment == "vanish":
+            traces = 40 * (cfg.solver.steps + 1) * cfg.paths * len(cfg.eps_values)
+        need = run + paths + tables + traces
         monkeypatch.setattr(config, "MAX_RUN_BYTES", need)
         assert isinstance(parse_config(raw, raw["experiment"]), RunConfig)
         monkeypatch.setattr(config, "MAX_RUN_BYTES", need - 1)
         with pytest.raises(ConfigError, match="ceiling"):
             parse_config(raw, raw["experiment"])
+
+    def test_memory_ceiling_charges_the_energy_traces_vanish_keeps(self):
+        # 8 rungs x 64 paths x 2^20 steps on an unforced 8^2 grid: the
+        # runs, the paths and the accumulators are small, but every
+        # survivor's five f64 energy series hold 20 GiB
+        raw = json.loads((CONFIGS / "vanish_demo.json").read_text())
+        del raw["forcing"]
+        raw["grid"]["n"] = 8
+        raw["time"]["dt"] = 2.0 ** -21
+        raw["ensemble"]["paths"] = 64
+        raw["viscosity"]["ladder"] = [0.1 / 2 ** k for k in range(8)]
+        with pytest.raises(ConfigError, match="energy traces") as err:
+            parse_config(raw, "vanish")
+        assert err.value.path == "ensemble.paths"
+        assert "about 20.0 GiB" in str(err.value)
 
     @pytest.mark.parametrize("name", sorted(
         [p.name for p in CONFIGS.glob("*.json")] + list(WORKLOADS)))
@@ -818,7 +838,7 @@ class TestWeakStrongCli:
 
         def spy(self):
             V = real(self)
-            seen.append(V.sphere_bins)
+            seen.append(V.binning.sphere_bins)
             return V
         monkeypatch.setattr(YoungAccumulator, "measure", spy)
         raw = {

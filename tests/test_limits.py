@@ -38,7 +38,6 @@ from dissipeuler.spectral import SpectralField, TorusGrid
 from dissipeuler.young import (
     Binning,
     CellPartition,
-    barycenter,
     dirac_embed,
     estimate_from_family,
 )
@@ -233,7 +232,7 @@ class TestLadder:
         res = ladder.run(part, 4.0)
         for eps in res.measures:
             traj = _rerun(ladder, part, eps, 0)
-            bary = barycenter(res.measures[eps]).reshape(part.n_t, part.n_space, -1)
+            bary = res.measures[eps].nu_first.reshape(part.n_t, part.n_space, -1)
             slabs = np.array([part.slab_of(float(t)) for t in traj.times])
             for s in range(part.n_t):
                 avg = part.block_mean(traj.values[slabs == s]).mean(axis=0).T

@@ -1,6 +1,8 @@
 """Young measure estimators: embedding, oscillation/concentration, pairing."""
 
+import math
 import pickle
+import struct
 import weakref
 from dataclasses import replace
 
@@ -15,7 +17,6 @@ from dissipeuler.young import (
     YoungAccumulator,
     YoungBinner,
     YoungMeasureError,
-    barycenter,
     dirac_embed,
     energy_of,
     estimate_from_family,
@@ -27,7 +28,7 @@ from dissipeuler.young import (
     write_measure,
 )
 
-from conftest import Trajectory, bin_run, total_volume
+from conftest import Trajectory, bin_run, space_cell_index, total_volume
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,20 +65,28 @@ ENERGY = TestIntegrand("speed2", quad=(np.eye(2), np.zeros(2), 0.0))
 ONE = TestIntegrand("one", quad=(np.zeros((2, 2)), np.zeros(2), 1.0))
 
 
+# (dim, grid_n, n_x, m): m points per axis, the sampling grid or 4x finer
+BLOCK_CASES = [(2, 32, 4, 32), (2, 16, 16, 16), (3, 16, 4, 16), (2, 16, 1, 16),
+               (3, 8, 1, 8), (3, 8, 8, 8), (2, 16, 4, 64), (3, 8, 2, 32), (2, 8, 1, 32)]
+
+
 class TestCellPartition:
-    @pytest.mark.parametrize("dim,n,n_x", [(2, 32, 4), (2, 16, 16), (3, 16, 4)])
-    def test_block_mean_matches_space_cell_index(self, dim, n, n_x):
+    @pytest.mark.parametrize("dim,n,n_x,m", BLOCK_CASES, ids=[
+        f"{d}-{n}-{x}" + ("" if m == n else f"-m{m}") for d, n, x, m in BLOCK_CASES])
+    def test_block_mean_matches_space_cell_index(self, dim, n, n_x, m):
+        # bit for bit: each cell adds its samples in grid order from +0.0,
+        # as a bincount over the samples does
         part = CellPartition(dim, n, 1, n_x, 0.0, 1.0)
-        vals = np.random.default_rng(dim * n + n_x).standard_normal(
-            (3, 2) + (n,) * dim)
-        idx = part.space_cell_index()
+        vals = np.random.default_rng(dim * n + n_x + m).standard_normal(
+            (3, 2) + (m,) * dim)
+        idx = space_cell_index(part, m)
         counts = np.bincount(idx, minlength=part.n_space)
         flat = vals.reshape(6, -1)
         want = np.stack([np.bincount(idx, weights=row, minlength=part.n_space)
                          for row in flat]) / counts
         got = part.block_mean(vals)
         assert got.shape == (3, 2, part.n_space)
-        assert np.allclose(got.reshape(6, -1), want, rtol=0, atol=1e-13)
+        assert np.array_equal(got.reshape(6, -1), want)
 
     def test_block_mean_rejects_indivisible_grid(self):
         part = CellPartition(2, 32, 1, 8, 0.0, 1.0)
@@ -109,8 +118,8 @@ class TestDiracEmbed:
                 np.broadcast_to(np.sin(x[0]), grid.shape),
                 np.broadcast_to(np.cos(x[1]), grid.shape)]), [0.0, 1.0])
         V = dirac_embed(bin_run(traj, part, radius=2.0))
-        bary = barycenter(V)
-        space_idx = part.space_cell_index()
+        bary = V.nu_first
+        space_idx = space_cell_index(part)
         vals = traj.values.reshape(2, 2, -1)  # (snap, dim, pts)
         for cell in range(part.n_cells):
             sel = space_idx == cell
@@ -136,13 +145,13 @@ class TestDiracEmbed:
         traj = constant_trajectory(grid, (3.0, 0.0), [0.0, 1.0])
         V = dirac_embed(bin_run(traj, part, radius=2.0))
         assert V.lam_total() == pytest.approx(9 * total_volume(part), rel=1e-12)
-        binning = Binning(part, 2.0, V.bins_per_axis, V.sphere_bins)
+        binning = V.binning
         origin = int(binning.value_bin(np.zeros((1, 2)))[0])
         assert np.array_equal(V.nu.key, np.arange(part.n_cells) * V.nu.n_bins + origin)
         assert np.all(V.nu.mass == 1.0)
         assert not V.nu_first.any() and not V.nu_second.any()
         e1 = int(binning.direction_bin(np.array([[1.0, 0.0]]))[0])
-        assert np.array_equal(V.nu_inf.key, np.arange(part.n_cells) * V.sphere_bins + e1)
+        assert np.array_equal(V.nu_inf.key, np.arange(part.n_cells) * binning.sphere_bins + e1)
         assert np.allclose(V.lam_second, V.lam_mass[:, None, None] * np.diag([1.0, 0.0]))
 
 
@@ -230,7 +239,7 @@ class TestFamilyEstimator:
         V = estimate_from_family([bin_run(traj, part, radius=2.0)])
         # below-radius samples are exactly zero there, so barycenter is 0
         # and the oscillation part carries no energy
-        assert np.max(np.abs(barycenter(V))) == 0.0
+        assert np.max(np.abs(V.nu_first)) == 0.0
         assert energy_of(V, 0) == pytest.approx(0.5 * V.lam_t(0))
 
     def test_empty_family_rejected(self):
@@ -430,9 +439,9 @@ class TestEnergyAndDistance:
 
 def _assert_same_measure(got, want):
     """Every array equal with its dtype, shape and bits; every scalar too."""
-    assert got.partition == want.partition
+    assert got.binning == want.binning
     for name in ("radius", "bins_per_axis", "sphere_bins"):
-        g, w = getattr(got, name), getattr(want, name)
+        g, w = getattr(got.binning, name), getattr(want.binning, name)
         assert g == w and np.signbit(g) == np.signbit(w), name
     for t in ("t0", "t1"):
         assert np.signbit(getattr(got.partition, t)) == \
@@ -449,6 +458,37 @@ def _assert_same_measure(got, want):
         assert g.tobytes() == w.tobytes()
 
 
+# the version 3 header after the 6-byte magic, and its fields
+_HEADER = struct.Struct("<HBIIIdddIIQQ")
+_FIELDS = ("version", "dim", "grid_n", "n_t", "n_x", "t0", "t1", "radius",
+           "bins_per_axis", "sphere_bins", "n_nu", "n_inf")
+
+
+def _set_header(**fields):
+    """Damage to a measure file that rewrites header fields."""
+    def damage(data):
+        header = dict(zip(_FIELDS, _HEADER.unpack_from(data, 6)))
+        header.update(fields)
+        return data[:6] + _HEADER.pack(*header.values()) + data[6 + _HEADER.size:]
+    return damage
+
+
+def _set_keys(part, keys_at):
+    """Damage to a measure file that writes ``keys_at(keys, n_cells * bins)``
+    over the first keys of histogram ``part``."""
+    def damage(data):
+        h = dict(zip(_FIELDS, _HEADER.unpack_from(data, 6)))
+        dim, n_cells = h["dim"], h["n_t"] * h["n_x"] ** h["dim"]
+        start = 6 + _HEADER.size + 8 * n_cells * (1 + dim + 2 * dim * dim)
+        n_bins, n = h["bins_per_axis"] ** dim, h["n_nu"]
+        if part == "nu_inf":
+            start, n_bins, n = start + 16 * n, h["sphere_bins"], h["n_inf"]
+        keys = np.frombuffer(data, "<i8", count=n, offset=start)
+        new = np.asarray(keys_at(keys, n_cells * n_bins), dtype="<i8").tobytes()
+        return data[:start] + new + data[start + len(new):]
+    return damage
+
+
 def _written(tmp_path, V, name="m.ym"):
     path = tmp_path / name
     write_measure(path, V)
@@ -462,7 +502,8 @@ class TestExport:
         V = dirac_embed(bin_run(traj, make_partition(grid), 2.0))
         lam = V.lam_mass.copy()
         lam[0] = -0.0
-        V = replace(V, partition=replace(V.partition, t0=-0.0), lam_mass=lam)
+        V = replace(V, binning=replace(V.binning, partition=replace(V.partition, t0=-0.0)),
+                    lam_mass=lam)
         back = read_measure(_written(tmp_path, V))
         assert np.signbit(back.lam_mass[0]) and np.signbit(back.partition.t0)
         _assert_same_measure(back, V)
@@ -481,6 +522,27 @@ class TestExport:
     def test_rejects(self, tmp_path, damage, message):
         V = _build("family_2d")
         path = _written(tmp_path, V)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(YoungMeasureError, match=message):
+            read_measure(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (_set_header(radius=math.nan), "truncation radius"),
+        (_set_header(radius=-1.0), "truncation radius"),
+        (_set_header(radius=math.inf), "truncation radius"),
+        (_set_header(bins_per_axis=0), "bins_per_axis must be >= 1"),
+        (_set_header(sphere_bins=0), "sphere_bins must be >= 1"),
+        (_set_header(bins_per_axis=2 ** 32 - 1), "nu keys are not int64"),
+        (_set_keys("nu", lambda k, top: k[1:2]), "nu keys are not int64 keys strictly"),
+        (_set_keys("nu", lambda k, top: k[1::-1]), "nu keys are not int64 keys strictly"),
+        (_set_keys("nu", lambda k, top: [-1]), "nu keys are not int64 keys strictly"),
+        (_set_keys("nu", lambda k, top: [top]), "nu keys are not int64 keys strictly"),
+        (_set_keys("nu_inf", lambda k, top: [top]), "nu_inf keys are not int64 keys strictly"),
+    ], ids=["nan_radius", "negative_radius", "infinite_radius", "no_value_bins",
+            "no_sphere_bins", "keys_past_int64", "repeated_key", "decreasing_key",
+            "negative_key", "key_past_the_last_bin", "inf_key_past_the_last_bin"])
+    def test_rejects_a_corrupt_binning_or_keys(self, tmp_path, damage, message):
+        path = _written(tmp_path, _build("family_2d"))
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(YoungMeasureError, match=message):
             read_measure(path)
@@ -547,7 +609,7 @@ def _oracle_build(trajectories, partition, radius, bins_per_axis, sphere_bins):
     binning = Binning(partition, radius, bins_per_axis, sphere_bins)
     dim, n_cells = partition.dim, partition.n_cells
     n_bins = bins_per_axis ** dim
-    space_idx = partition.space_cell_index()
+    space_idx = space_cell_index(partition)
     cells, values = [], []
     for traj in trajectories:
         for m in range(len(traj.times)):
@@ -707,7 +769,7 @@ def _bincount_build(trajectories, part, radius, bins_per_axis, sphere_bins):
     binning = Binning(part, radius, bins_per_axis, sphere_bins)
     dim, n_space, n_cells = part.dim, part.n_space, part.n_cells
     n_bins = bins_per_axis ** dim
-    cell = part.space_cell_index()
+    cell = space_cell_index(part)
     space_count = np.bincount(cell, minlength=n_space)
     samples = np.zeros(n_cells)
     first = np.zeros((n_cells, dim))
@@ -763,8 +825,7 @@ def _bincount_build(trajectories, part, radius, bins_per_axis, sphere_bins):
     lam_mass = np.bincount(conc_cell, weights=w, minlength=n_cells).astype(float)
     nu_inf = BinEntries(sphere_bins, keys, w / lam_mass[conc_cell])
     return GeneralizedYoungMeasure(
-        partition=part, radius=radius, bins_per_axis=bins_per_axis,
-        sphere_bins=sphere_bins, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
+        binning=binning, nu=nu, lam_mass=lam_mass, nu_inf=nu_inf,
         nu_first=first / samples[:, None], nu_second=second / samples[:, None, None],
         lam_second=escaped_second * cell_weight[:, None, None])
 
@@ -794,7 +855,7 @@ class TestEntriesMatchDenseOracle:
         # every increment a run sends is, bit for bit and sign of zero
         # included, the bincount of the snapshot's samples by cell
         trajs, part, radius, bins, sphere, _ = ORACLE_CASES[case]()
-        cell = part.space_cell_index()
+        cell = space_cell_index(part)
         for traj in trajs:
             binned = bin_run(traj, part, radius, bins, sphere)
             for (_, first, second, _), values in zip(binned.snapshots, traj.values):
