@@ -11,7 +11,7 @@ Subcommands name the experiment kinds::
 
 Every run writes an append-only artifact directory (echoed config, CSV
 traces, field snapshots, binary Young-measure files, diagnostics) sealed
-by a SHA-256 manifest.  Each
+by a SHA-256 manifest; ``--out`` must be absent or empty.  Each
 experiment returns its audit rows, most of them built by the library
 function that computes the audited value, and ``main`` alone writes them
 to ``reports/<experiment>.json``, the only place a verdict is stored.  The
@@ -21,8 +21,8 @@ cores) processes for ``--threads N`` (N >= 1, default 1): this one and
 P - 1 forked workers, path i in process i mod P.
 Runs reach the experiment in one fixed order, so every artifact keeps
 every bit at any N.  Exit status is 0 iff every enabled audit passed, 1 on
-an audit failure, 2 on a configuration error (``--threads`` below 1
-included) and 3 on a crash, a worker's included.
+an audit failure, 2 on a configuration error (``--threads`` below 1 and
+an ``--out`` with files included) and 3 on a crash, a worker's included.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from pathlib import Path
 
 import numpy as np
 
@@ -73,7 +74,10 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    out_dir = args.out if args.out is not None else f"runs/{args.command}"
+    out_dir = Path(args.out if args.out is not None else f"runs/{args.command}")
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        print(f"error: --out {out_dir} must be absent or empty", file=sys.stderr)
+        return 2
     try:
         out = RunDirectory(out_dir)
     except Exception as err:

@@ -12,17 +12,19 @@ viscosity of the run.
 
 A rule that the library also applies is not written here again: the
 loader calls the rule of the module that owns it with an ``error`` that
-names the field (``_at``).  These are the ladder's order and positivity
-(``limits.decreasing_rungs``), a martingale pair's 0 <= s < t
-(``limits.check_pair``) and history kinds (``limits.check_history``), the
-reference grid and dt refinement (``weakstrong.check_reference_n``,
-``forcing.refinement_halvings``), the truncation radius and the bin
-counts of a ``young.Binning`` (``young.check_radius``,
-``young.check_bin_count``) and the snapshot in every time slab
-(``young.CellPartition.check_slabs``).  Each such rule compares so that
-NaN fails.  ``_check_memory`` holds a config to a memory ceiling: a run
-per process, its Wiener paths and its Young accumulators' count and
-weight tables and moment sums.
+names the field (``_at``).  These are the time step (``forcing.check_dt``),
+a viscosity >= 0 (``solver.check_viscosity``), the ladder's order and
+positivity (``limits.decreasing_rungs``), a martingale pair's 0 <= s < t
+(``limits.check_pair``), history kinds (``limits.check_history``) and
+ensemble size (``limits.check_martingale_paths``), the reference grid, dt
+refinement and Gronwall level (``weakstrong.check_reference_n``,
+``forcing.refinement_halvings``, ``weakstrong.check_level``), the
+truncation radius and the bin counts of a ``young.Binning``
+(``young.check_radius``, ``young.check_bin_count``) and the snapshot in
+every time slab (``young.CellPartition.check_slabs``).  Each such rule
+compares so that NaN fails.  ``_check_memory`` holds a config to a
+memory ceiling: a run per process, its Wiener paths and its Young
+accumulators' count and weight tables and moment sums.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ from .forcing import (
     ForcingMode,
     ForcingOperator,
     UnresolvedModeError,
+    check_dt,
     default_forcing,
     refinement_halvings,
 )
-from .limits import MIN_MARTINGALE_PATHS, check_history, check_pair, decreasing_rungs
-from .solver import InitialCondition, SolverConfig, SolverError, check_threads, step_index
+from .limits import check_history, check_martingale_paths, check_pair, decreasing_rungs
+from .solver import (InitialCondition, SolverConfig, SolverError, check_threads,
+                     check_viscosity, step_index)
 from .spectral import SpectralError, TorusGrid
-from .weakstrong import check_reference_n
+from .weakstrong import check_level, check_reference_n
 from .young import Binning, CellPartition, check_bin_count, check_radius
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
@@ -262,7 +266,8 @@ def parse_config(raw: dict, experiment: str, threads: int = 1) -> RunConfig:
 
     t = _get(raw, "", "time", dict)
     _no_unknown(t, "time", {"dt", "horizon"})
-    dt = _positive(_get(t, "time", "dt", float), "time.dt")
+    dt = _get(t, "time", "dt", float)
+    check_dt(dt, _at("time.dt"))
     horizon = _positive(_get(t, "time", "horizon", float), "time.horizon")
     try:
         steps = step_index(horizon, dt)
@@ -300,8 +305,7 @@ def parse_config(raw: dict, experiment: str, threads: int = 1) -> RunConfig:
     if experiment == "martingale":   # after the parsers, which name a bad field first
         where, n = ("ensemble.paths", paths) if solver.transport \
             else ("martingale.linear_paths", mart.linear_paths)
-        if n < MIN_MARTINGALE_PATHS:
-            raise ConfigError(where, f"need >= {MIN_MARTINGALE_PATHS} paths, got {n}")
+        check_martingale_paths(n, _at(where))
         if not solver.transport:   # what limits.linear_model_functionals_multi assumes
             model = "the transport-off martingale reads the linear model, which needs"
             if solver.eps != 0:
@@ -432,8 +436,7 @@ def _parse_viscosity(raw, experiment):
             raise ConfigError("viscosity.ladder", "need at least two entries")
         return decreasing_rungs(eps, _at("viscosity.ladder"), above=0)
     eps = _get(v, "viscosity", "eps", float)
-    if eps < 0:
-        raise ConfigError("viscosity.eps", "must be >= 0")
+    check_viscosity(eps, _at("viscosity.eps"))
     return (eps,)
 
 
@@ -564,5 +567,5 @@ def _parse_reference(raw, grid, experiment):
         check_reference_n(grid.n, spec.n, _at("reference.n"))
         refinement_halvings(spec.dt_factor, _at("reference.dt_factor"))
         if spec.level is not None:
-            _positive(spec.level, "reference.level")
+            check_level(spec.level, _at("reference.level"))
     return spec

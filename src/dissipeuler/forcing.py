@@ -9,7 +9,8 @@ increments are a pure function of ``(seed, path_id, mode, step)`` through a
 Philox counter-based generator, so one Wiener path can be replayed
 bit-exactly across viscosities and resolutions.  Time refinement halves dt
 by Brownian-bridge subdivision of the stored coarse increments, keeping all
-dt levels on the same path.
+dt levels on the same path; ``check_dt`` is every reader's time-step rule.
+A run adds the noise and takes its Ito pairings on ``noise_support``.
 
 Normals come from uniforms by cephes' inverse normal CDF ``ndtri``,
 ported to numpy with cephes' branch points, polynomial evaluation order
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid
+from .spectral import BandSupport, SpectralField, TorusGrid
 
 _KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
 
@@ -131,20 +132,13 @@ class ForcingOperator:
             vec = (0.5 / 1j) * amp * d  # sin = (e^{ikx} - e^{-ikx})/2i
         return SpectralField.from_modes(grid, {m.k: vec})
 
-    def noise_support(self, grid: TorusGrid) -> tuple:
-        """Sparse coefficients of sigma_k g_k as ``(index, values)``.
-
-        ``index`` holds the flat indices, into coefficient arrays of shape
-        (dim,) + grid.spectral_shape, where some sigma_k g_k is nonzero: the
-        stored ones of the +-k coefficients of each mode.  ``values[k]`` are
-        the coefficients of sigma_k g_k there, shape (K, len(index)); both
-        are empty at rank 0.
-        """
-        rows = [m.sigma * self.mode_field(grid, i).coeffs.ravel()
+    def noise_support(self, grid: TorusGrid) -> BandSupport:
+        """The ``BandSupport`` of the fields sigma_k g_k on ``grid``: the
+        stored +-k coefficients of each mode, none at rank 0."""
+        ops = grid.ops
+        rows = [m.sigma * ops.to_band(self.mode_field(grid, i).coeffs)
                 for i, m in enumerate(self.modes)]
-        index = np.flatnonzero(sum(row != 0 for row in rows))
-        values = np.array([row[index] for row in rows])
-        return index, values.reshape(self.rank, len(index))
+        return ops.support(np.reshape(rows, (self.rank, grid.dim) + ops.band_shape))
 
 
 def apply_noise(phi: ForcingOperator, increments: np.ndarray,
@@ -157,10 +151,10 @@ def apply_noise(phi: ForcingOperator, increments: np.ndarray,
     increments = np.asarray(increments, dtype=np.float64)
     if increments.shape != (phi.rank,):
         raise ForcingError(f"expected {phi.rank} increments, got {increments.shape}")
-    index, values = phi.noise_support(grid)
-    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
-    coeffs.flat[index] = increments @ values
-    return SpectralField(grid, coeffs)
+    support = phi.noise_support(grid)
+    band = np.zeros((grid.dim,) + grid.ops.band_shape, dtype=np.complex128)
+    band.flat[support.index] = increments @ support.values
+    return SpectralField(grid, grid.ops.from_band(band))
 
 
 # -- inverse normal CDF -----------------------------------------------------
@@ -297,12 +291,17 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
+def check_dt(dt: float, error=ForcingError) -> None:
+    """A time step is positive and finite (so not NaN), or ``error``."""
+    if not 0 < dt < math.inf:
+        raise error(f"dt must be positive and finite, got {dt}")
+
+
 def _increments(seed: int, path_ids, n_modes: int, dt: float, start: int,
                 stop: int, stream: int = _STREAM_BASE) -> np.ndarray:
     """N(0, dt) draws of steps start..stop - 1 of every mode of every path,
     shape (len(path_ids), stop - start, n_modes), by one ``ndtri`` call."""
-    if dt <= 0:
-        raise ForcingError("dt must be positive")
+    check_dt(dt)
     if stop < start:
         raise ForcingError("empty or negative step range")
     words = _raw_words(seed, path_ids, range(n_modes), start, stop - start, stream)

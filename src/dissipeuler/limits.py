@@ -22,12 +22,13 @@ variation N^k_t = <Phi e_k, phi> t against the k-th Wiener coordinate, all
 tested against history weights h evaluated at the earlier time.  One
 ``FunctionalRecorder`` computes M_t for both these statistics (observing
 every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
-(observing a ladder run at its snapshot steps).  A martingale ensemble
-integrates each path once, one recorder per test field, into arrays over
-paths at each (s, t); a pair needs 0 <= s < t (``check_pair``) and a
-history weight is one of ``HISTORY_KINDS`` (``check_history``), rules the
-loader calls too.  The ladder and the martingale ensemble run their
-paths through ``solver.run_ensemble``.
+(observing a ladder run at its snapshot steps), from each state's band
+coefficients and point values.  A martingale ensemble integrates each
+path once, one recorder per test field, into arrays over paths at each
+(s, t); a pair needs 0 <= s < t (``check_pair``), a history weight is one
+of ``HISTORY_KINDS`` (``check_history``) and an ensemble holds at least
+32 paths (``check_martingale_paths``), rules the loader calls too.  The
+ladder and the martingale ensemble run through ``solver.run_ensemble``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ import numpy as np
 from .forcing import ForcingOperator, WienerPath, ndtri
 from .reporting import audit_row
 from .solver import SolverConfig, run_ensemble, snapshot_steps, step_index
-from .spectral import (
-    SpectralField,
-    gradient_physical,
-    inner_product,
-    laplacian,
-    tensor_pairing,
-)
+from .spectral import SpectralField, gradient_physical, inner_product, tensor_pairing
 from .young import (
     Binning,
     GeneralizedYoungMeasure,
@@ -64,6 +59,12 @@ class LimitError(ValueError):
 
 
 MIN_MARTINGALE_PATHS = 32   # smallest ensemble the martingale test accepts
+
+
+def check_martingale_paths(paths, error=LimitError) -> None:
+    """An ensemble holds ``MIN_MARTINGALE_PATHS`` paths or more (a NaN does not), or ``error``."""
+    if not paths >= MIN_MARTINGALE_PATHS:
+        raise error(f"need >= {MIN_MARTINGALE_PATHS} paths, got {paths}")
 
 
 # -- ladder ----------------------------------------------------------------
@@ -218,17 +219,18 @@ def momentum_residual(series: Functionals, phi: SpectralField,
 
 class Probe:
     """A test field phi and what every ``FunctionalRecorder`` of an
-    experiment reads of it: grad phi at the grid points (one transform)
-    and lap phi, built once, and the ``steps`` a recorder observes (every
-    step if None), which must hold step 0, where M starts."""
+    experiment reads of it, built once: grad phi at the grid points (one
+    transform), the band ``support`` of phi and lap phi, and the ``steps``
+    a recorder observes (every step if None), which must hold step 0."""
 
     def __init__(self, phi: SpectralField, steps=None):
         if steps is not None and 0 not in steps:
             raise LimitError("a recorder must observe step 0, where M starts")
-        grid = phi.grid
+        grid, ops = phi.grid, phi.grid.ops
         self.phi, self.steps = phi, steps
         self.grad = gradient_physical(phi).reshape(grid.dim, grid.dim, -1)
-        self.lap = laplacian(phi)
+        band = ops.to_band(phi.coeffs)
+        self.support = ops.support(np.stack([band, -ops.band_k2 * band]))
 
 
 @dataclass(frozen=True)
@@ -258,8 +260,9 @@ class FunctionalRecorder:
 
     It observes the ``probe``'s steps.  Each observed state is weighted by
     the gap to the next observed time (left-point quadrature), which
-    matches the explicit scheme when every step is observed; the convective
-    pairing reads <u x u, grad phi> pointwise on the grid, from the point
+    matches the explicit scheme when every step is observed.  <u, phi> and
+    <u, lap phi> pair the band coefficients through the probe's support,
+    and <u x u, grad phi> is read pointwise on the grid from the point
     values that come with each state, so the recorder makes no transform.
     """
 
@@ -267,19 +270,20 @@ class FunctionalRecorder:
         self.probe, self.steps, self.transport = probe, probe.steps, transport
         self.series = Functionals(eps, [], [], [], [])
 
-    def on_state(self, n, t, u, phys):
-        """Record state ``u`` at step ``n``, time ``t``, with point values ``phys``."""
+    def on_state(self, n, t, band, phys):
+        """Record the state at step ``n``, time ``t``: ``band``, ``phys``."""
         probe, series = self.probe, self.series
-        grid = u.grid
+        grid = probe.phi.grid
+        pairing, visc = probe.support.pair(band)
         series.times.append(float(t))
-        series.pairings.append(inner_product(u, probe.phi))
+        series.pairings.append(float(pairing))
+        series.visc.append(float(visc))
         if self.transport:
             pts = phys.reshape(grid.dim, -1)
             series.conv.append(tensor_pairing(pts, probe.grad)
                                * (grid.volume / grid.n ** grid.dim))
         else:
             series.conv.append(0.0)
-        series.visc.append(inner_product(u, probe.lap))
 
     def payload(self) -> Functionals:
         return self.series
@@ -336,8 +340,7 @@ def martingale_test(stat: MartingaleStat, ens: EnsembleFunctionals,
     Bonferroni-corrected confidence half-width, and the diagnostics {"z"}.
     """
     paths = len(ens.m_t)
-    if paths < MIN_MARTINGALE_PATHS:
-        raise LimitError(f"ensemble of {paths} is too small (need >= {MIN_MARTINGALE_PATHS})")
+    check_martingale_paths(paths)
     z = float(ndtri(1.0 - alpha / (2.0 * max(1, n_tests))))
     dt_span = stat.t - stat.s
     n_qv = float(np.sum(c ** 2)) * dt_span

@@ -19,17 +19,18 @@ No forcing is Phi = 0: ``SolverConfig`` stores ``forcing=None`` as the
 rank-0 ``ForcingOperator(())``, so every run samples its Wiener path (of 0
 modes then) and adds its noise one way, and I and M stay +0.0.
 
-A run keeps only its configuration, this trace and its final state; its
-states are read by observers (``run_path``), such as the Young-measure
-binner and the functional recorders, each of which reduces the states it
-reads and keeps none of them.  An observer serves one run: it has
-``steps``, ``on_state`` and ``payload()``, what it kept of the run.
-Every experiment runs its (configuration, path) runs through
-``run_ensemble``, which draws the Wiener paths once, shares them across
-configurations (refined by Brownian bridge for one at a finer dt), builds
-each run's observers, hands back their payloads with the run, reports a
-blow-up as that run's failure and, for ``--threads``, runs the paths on
-forked worker processes.
+A run steps on the dealias band and keeps only its configuration, this
+trace and its final state; its states are read by observers
+(``run_path``), such as the Young-measure binner and the functional
+recorders, each of which reduces the states it reads and keeps none of
+them.  An observer serves one run: it has ``steps``, ``on_state(n, t,
+band, phys)``, which reads a state's band coefficients and point values,
+and ``payload()``, what it kept of the run.  Every experiment runs its
+(configuration, path) runs through ``run_ensemble``, which draws the
+Wiener paths once, shares them across configurations (refined by
+Brownian bridge for one at a finer dt), builds each run's observers,
+hands back their payloads with the run, reports a blow-up as that run's
+failure and, for ``--threads``, runs the paths on forked workers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forcing import ForcingOperator, WienerPath, auxiliary_normals
+from .forcing import ForcingOperator, WienerPath, auxiliary_normals, check_dt
 from .reporting import audit_row
 from .spectral import (
     SpectralField,
@@ -56,8 +57,6 @@ from .spectral import (
     _band_to_physical,
     _Scratch,
     dealias,
-    energy_and_grad_norm_sq,
-    laplacian_decay_factor,
     leray_project,
     single_mode,
     taylor_green,
@@ -162,10 +161,8 @@ class SolverConfig:
     transport: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise SolverError(f"dt must be positive, got {self.dt}")
-        if not self.eps >= 0:
-            raise SolverError(f"viscosity must be >= 0, got {self.eps}")
+        check_dt(self.dt, SolverError)
+        check_viscosity(self.eps)
         self.steps   # the horizon must be a step >= 0, by ``step_index``
         if self.forcing is None:
             object.__setattr__(self, "forcing", ForcingOperator(()))
@@ -182,17 +179,20 @@ class SolverConfig:
     def viscous_factor(self) -> np.ndarray:
         """exp(-eps |k|^2 dt) on the dealias band as complex numbers, built
         once per configuration."""
-        full = laplacian_decay_factor(self.grid, self.eps, self.dt).astype(np.complex128)
-        out = self.grid.ops.to_band(full)
+        out = np.exp(-self.eps * self.grid.ops.band_k2 * self.dt).astype(np.complex128)
         out.setflags(write=False)
         return out
 
     @functools.cached_property
-    def noise_support(self) -> tuple:
-        """``forcing.noise_support(grid)`` with its index mapped to flat
-        positions on the dealias band, built once per configuration."""
-        index, values = self.forcing.noise_support(self.grid)
-        return self.grid.ops.band_positions(index), values
+    def noise_support(self):
+        """The noise's ``BandSupport``, built once per configuration."""
+        return self.forcing.noise_support(self.grid)
+
+
+def check_viscosity(eps: float, error: type = SolverError) -> None:
+    """A viscosity is >= 0 and finite (so not NaN), or ``error``."""
+    if not 0 <= eps < math.inf:
+        raise error(f"viscosity must be >= 0 and finite, got {eps!r}")
 
 
 @dataclass
@@ -204,7 +204,10 @@ class EnergyTrace:
     dissipation: np.ndarray
     ito_input: np.ndarray
     stochastic: np.ndarray
-    initial_energy: float
+
+    @property
+    def initial_energy(self) -> float:
+        return float(self.energy[0])
 
     def compensated(self) -> np.ndarray:
         """G = E + D - I - M; non-increasing for admissible paths."""
@@ -275,7 +278,7 @@ def _band_step(u: np.ndarray, dw: np.ndarray, cfg: SolverConfig,
     ``phys`` holds the point values of u; the transport term reads them
     and makes no inverse transform, and without transport they are not
     read and the sup is 0.  ``dw`` holds the increments of the
-    ``cfg.forcing.rank`` modes, added at the noise's sparse support only.
+    ``cfg.forcing.rank`` modes, added on the noise's band support only.
     The transport kernel works in ``scratch``; the new state is a new
     array.
     """
@@ -285,8 +288,8 @@ def _band_step(u: np.ndarray, dw: np.ndarray, cfg: SolverConfig,
     else:
         sup = 0.0
         drift = u.copy()
-    index, values = cfg.noise_support
-    drift.flat[index] += np.asarray(dw, dtype=np.float64) @ values
+    support = cfg.noise_support
+    drift.flat[support.index] += np.asarray(dw, dtype=np.float64) @ support.values
     if cfg.eps > 0:
         drift *= cfg.viscous_factor
     return drift, sup
@@ -299,44 +302,34 @@ def initial_state(cfg: SolverConfig, seed: int, path_id: int) -> SpectralField:
 
 def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
              observers=()) -> SolverRun:
-    """Integrate one trajectory of ``cfg`` on the Wiener ``path`` from the
-    state ``initial``.
-
-    ``path`` is the run's path at cfg's dt (``run_ensemble`` passes the
-    drawn path, refined by Brownian bridge for a finer dt): it must reach
-    the horizon and have one mode per forcing mode.  ``initial`` is
-    ``initial_state(cfg, path.seed, path.path_id)``.  Each observer's
-    ``on_state`` receives (step n, time, field, point values) at the steps
-    in the observer's ``steps`` (every step if None).
+    """Integrate one trajectory of ``cfg`` on the Wiener ``path`` (at cfg's
+    dt, reaching the horizon, one mode per forcing mode: ``run_ensemble``
+    refines the drawn path by Brownian bridge for a finer dt) from
+    ``initial``, which is ``initial_state(cfg, path.seed, path.path_id)``.
 
     Every state lies in the dealias band (the initial field is dealiased
-    and the forcing modes lie inside the band), so the run holds only its
-    band coefficients and steps on them.  A state's point values come from
-    one band inverse transform, computed once per state and only where
-    something reads them: the transport term and its sup, or an observer.
-    The full-layout field (+0.0 outside the band) is built only for an
-    observer and for ``SolverRun.final``.  The run reuses its transform-
-    sized scratch arrays from step to step, and lets them go while
-    observers read a state, so its peak memory stays that of the
-    observers.
+    and the forcing modes lie inside it), so from its start to its final
+    field the run holds only its band coefficients: it steps on them, and
+    adds the noise and pairs the state with the forcing modes through
+    ``cfg.noise_support``.  Each observer's ``on_state`` receives (step n,
+    time, the run's read-only band array, point values) at its ``steps``
+    (every step if None).  The point values come from one band inverse
+    transform, made only where the transport term or an observer reads
+    them, and the full-layout field only for ``SolverRun.final``.  The run
+    reuses its transform-sized scratch arrays from step to step, and lets
+    them go while observers read a state, so its peak memory stays that of
+    the observers.
     """
     grid = cfg.grid
     steps = cfg.steps
-    if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
+    if not abs(path.dt - cfg.dt) <= 1e-12 * cfg.dt:   # a NaN dt fails
         raise SolverError(f"path dt {path.dt} does not match config dt {cfg.dt}")
     if path.steps < steps:
         raise SolverError("Wiener path shorter than the run horizon")
     if path.n_modes != cfg.forcing.rank:
         raise SolverError(f"Wiener path has {path.n_modes} modes, the forcing "
                           f"has {cfg.forcing.rank}")
-    ops = grid.ops
-    index, values = cfg.noise_support
-    # <u, sigma_k g_k> is the weighted sum over the stored coefficients
-    weight = np.broadcast_to(ops.band_weight, (grid.dim,) + ops.band_shape)
-    conj_values = np.conj(values) * weight.take(index)
-
-    e0 = energy_and_grad_norm_sq(initial)[0]
-    u = ops.to_band(initial.coeffs)
+    u = grid.ops.to_band(initial.coeffs)
     del initial   # the run holds its band only
 
     times = np.arange(steps + 1) * cfg.dt
@@ -347,11 +340,11 @@ def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
 
     def trace_to(n):   # the energy budget of the first n grid times
         return EnergyTrace(times[:n], energy[:n], dissipation[:n],
-                           ito_input[:n], stochastic[:n], e0)
+                           ito_input[:n], stochastic[:n])
 
-    vol_scale = grid.volume / grid.n ** (2 * grid.dim)
     scratch = _Scratch(grid)
     for n in range(steps + 1):
+        u.setflags(write=False)
         energy[n], grad_sq = _band_energy_and_grad_norm_sq(grid, u, scratch.power)
         if not (cfg.transport or np.isfinite(energy[n])):   # no sup to test
             raise BlowUpError(f"non-finite energy {energy[n]:.3e} at t = {times[n]:.4f}",
@@ -360,18 +353,16 @@ def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
         phys = _band_to_physical(grid, u, scratch.half[: grid.dim]) \
             if readers or (cfg.transport and n < steps) else None
         if readers:
-            field = SpectralField(grid, ops.from_band(u))
             scratch = None   # the observers' own arrays may take its memory
             for obs in readers:
-                obs.on_state(n, times[n], field, phys)
+                obs.on_state(n, times[n], u, phys)
             scratch = _Scratch(grid)
         if n == steps:
             break
         if cfg.eps > 0:
             dissipation[n + 1] = dissipation[n] + cfg.eps * cfg.dt * grad_sq
         dw = path.increments[n]
-        pair = (conj_values @ u.take(index)).real * vol_scale
-        stochastic[n + 1] = stochastic[n] + float(pair @ dw)
+        stochastic[n + 1] = stochastic[n] + float(cfg.noise_support.pair(u) @ dw)
         u, sup = _band_step(u, dw, cfg, phys, scratch)
         if cfg.transport:
             blown = not sup <= cfg.blowup_ceiling   # a NaN sup is a blow-up
@@ -386,7 +377,7 @@ def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
                     f"dt = {cfg.dt:.3e} > {cfg.cfl_number} dx / {sup:.3e}",
                     time=times[n + 1], sup=sup, partial=partial)
 
-    return SolverRun(cfg, trace_to(steps + 1), SpectralField(grid, ops.from_band(u)))
+    return SolverRun(cfg, trace_to(steps + 1), SpectralField(grid, grid.ops.from_band(u)))
 
 
 def check_threads(threads: int, error: type = SolverError) -> None:

@@ -29,8 +29,8 @@ Conventions
   0..K then n-K..n-1 of each leading axis and the columns 0..K of the
   last, in that order.  ``GridOperators.to_band`` gathers it from the
   ``rfftn`` layout and ``from_band`` scatters it back with +0.0 elsewhere.
-  A run of ``solver.run_path`` holds its state as a band array and does
-  its spectral arithmetic there.
+  A run of ``solver.run_path`` holds its state as a band array, and pairs
+  it with a few fields at once on their sparse ``BandSupport``.
 * The transport kernel reads the point values of a dealias-band field and
   makes one forward transform of all dim(dim+1)/2 products u_i u_j stacked,
   to the band; a run transforms each state once, so a step costs two
@@ -143,8 +143,9 @@ class GridOperators:
     The dealias band |k_j| <= ``cut`` is held in ``band_shape`` arrays: the
     rows 0..cut, then n-cut..n-1 of each leading axis and the columns
     0..cut of the last.  ``to_band`` gathers it, ``from_band`` scatters it
-    back, and ``band_ik``, ``band_ks_c``, ``band_inv_k2_c`` and
-    ``band_weight`` are the multipliers there.
+    back, and ``band_ik``, ``band_ks_c``, ``band_k2``, ``band_inv_k2_c``
+    and ``band_weight`` are the multipliers there.  ``scale`` is Parseval's
+    factor vol / n^(2 dim).
     """
 
     def __init__(self, grid: TorusGrid):
@@ -161,6 +162,7 @@ class GridOperators:
             return tuple(out)
 
         self.n, self.dim, self.spectral_shape = n, dim, grid.spectral_shape
+        self.scale = grid.volume / n ** (2 * dim)
         self.ks = per_axis(k1)
         self.dks = tuple(np.where(k == -(n // 2), 0.0, k) for k in self.ks)
         self.k2 = sum(k ** 2 for k in self.ks)
@@ -193,12 +195,13 @@ class GridOperators:
                                 for axis in range(-dim, -1)]
         self.band_ik = tuple(self.to_band(k) for k in self.ik)
         self.band_ks_c = tuple(self.to_band(k) for k in self.ks_c)
+        self.band_k2 = self.to_band(self.k2)
         self.band_inv_k2_c = self.to_band(self.inv_k2_c)
         self.band_weight = self.to_band(self.weight)
         for arr in (*self.ks, *self.dks, self.k2, self.inv_k2, self.mask,
                     self.weight, self.mask_c, *self.ks_c, self.inv_k2_c, *self.ik,
-                    *self.band_ik, *self.band_ks_c, self.band_inv_k2_c,
-                    self.band_weight):
+                    *self.band_ik, *self.band_ks_c, self.band_k2,
+                    self.band_inv_k2_c, self.band_weight):
             arr.setflags(write=False)
 
     def to_band(self, a: np.ndarray) -> np.ndarray:
@@ -234,15 +237,29 @@ class GridOperators:
             out.append((Ellipsis, *index))
         return out
 
-    def band_positions(self, index: np.ndarray) -> np.ndarray:
-        """Flat positions in a ``(dim,) + band_shape`` array of the flat
-        indices ``index`` into a ``(dim,) + spectral_shape`` array, all of
-        which lie in the band."""
-        full = np.unravel_index(index, (self.dim,) + self.spectral_shape)
-        shift = self.n - 2 * self.cut - 1
-        rows = [np.where(r <= self.cut, r, r - shift) for r in full[1:-1]]
-        return np.ravel_multi_index((full[0], *rows, full[-1]),
-                                    (self.dim,) + self.band_shape)
+    def support(self, rows: np.ndarray) -> "BandSupport":
+        """The ``BandSupport`` of the band arrays ``rows`` (a leading axis of fields)."""
+        weight = np.broadcast_to(self.band_weight, rows.shape[1:])
+        flat = rows.reshape(len(rows), weight.size)
+        index = np.flatnonzero((flat != 0).any(axis=0))
+        values = flat[:, index]
+        return BandSupport(index, values, np.conj(values) * weight.take(index), self.scale)
+
+
+@dataclass(frozen=True)
+class BandSupport:
+    """Band-limited fields f_k where some f_k is nonzero: flat positions
+    ``index`` in a ``(dim,) + band_shape`` array, the coefficients ``values[k]``
+    of f_k there and their conjugates times the Parseval weight, ``dual[k]``."""
+
+    index: np.ndarray
+    values: np.ndarray
+    dual: np.ndarray
+    scale: float
+
+    def pair(self, band: np.ndarray) -> np.ndarray:
+        """<u, f_k> for every field, u the field of the band array ``band``."""
+        return (self.dual @ band.take(self.index)).real * self.scale
 
 
 def _rfft(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -436,30 +453,15 @@ def gradient_physical(f: SpectralField) -> np.ndarray:
     return half_to_physical(grid, out)
 
 
-def energy_and_grad_norm_sq(f: SpectralField) -> tuple:
-    """(0.5 ||u||^2, ||grad u||^2) via Parseval from one pass over |c|^2."""
-    c = f.coeffs
-    return _energy_sums(f.grid, (c.real ** 2 + c.imag ** 2).sum(axis=0) * f.grid.ops.weight)
-
-
 def _band_energy_and_grad_norm_sq(grid: TorusGrid, band: np.ndarray,
                                   power: np.ndarray | None = None) -> tuple:
-    """``energy_and_grad_norm_sq`` of the field ``from_band(band)``.
-
-    The band power is scattered into zeros of the full layout (in
-    ``power`` if given), so the sums run over the same entries in the same
-    order, to the same bits.
-    """
+    """(0.5 ||u||^2, ||grad u||^2) of the field ``from_band(band)`` by Parseval,
+    to the bits of a full-layout sum: the weighted band power is scattered
+    into zeros of the full layout (in ``power`` if given) and summed there."""
     ops = grid.ops
-    band_power = (band.real ** 2 + band.imag ** 2).sum(axis=0) * ops.band_weight
-    return _energy_sums(grid, ops.from_band(band_power, power))
-
-
-def _energy_sums(grid: TorusGrid, power: np.ndarray) -> tuple:
-    """(0.5 ||u||^2, ||grad u||^2) from the weighted power on the full layout."""
-    scale = grid.volume / grid.n ** (2 * grid.dim)
-    return (0.5 * float(power.sum()) * scale,
-            float(np.sum(grid.ops.k2 * power)) * scale)
+    power = ops.from_band((band.real ** 2 + band.imag ** 2).sum(axis=0) * ops.band_weight, power)
+    return (0.5 * float(power.sum()) * ops.scale,
+            float(np.sum(ops.k2 * power)) * ops.scale)
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -480,11 +482,6 @@ def dealias(f: SpectralField) -> SpectralField:
     mask multiplies them), +0.0 everywhere else."""
     ops = f.grid.ops
     return SpectralField(f.grid, ops.from_band(ops.to_band(f.coeffs * ops.mask_c)))
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    """Spectral Laplacian: u_hat -> -|k|^2 u_hat."""
-    return SpectralField(f.grid, -f.grid.ops.k2 * f.coeffs)
 
 
 def convective_term(u: SpectralField) -> SpectralField:
@@ -552,11 +549,6 @@ def tensor_pairing(u: np.ndarray, g: np.ndarray) -> float:
         for j in range(dim):
             acc += float(np.dot(u[i] * u[j], g[i, j]))
     return acc
-
-
-def laplacian_decay_factor(grid: TorusGrid, eps: float, dt: float) -> np.ndarray:
-    """Exact integrating factor exp(-eps |k|^2 dt) for the Stokes part."""
-    return np.exp(-eps * grid.ops.k2 * dt)
 
 
 def resample(f: SpectralField, grid_new: TorusGrid) -> SpectralField:

@@ -9,10 +9,11 @@ more configuration of ``solver.run_ensemble``, run once per path before
 the ladder's rungs.  The observer ``build_reference`` builds for each
 path reduces that path's reference run, as it runs, on the audit's
 partition to what the relative energy reads per time slab: its slab-mean
-velocity per space cell and its slab-mean ||v||^2, so the run keeps no
-snapshot.  At step 0 it takes F(0), comparing the reference start with
-the weak run's, ``initial_state`` of the weak configuration.  Against the
-reference the relative energy
+velocity per space cell and its slab-mean ||v||^2, from each state's band
+coefficients and point values, so the run keeps no snapshot.  At step 0
+it takes F(0), comparing the reference start with the weak run's,
+``initial_state`` of the weak configuration.  Against the reference the
+relative energy
 
     F(t) = 0.5 int <nu, |xi - v|^2> dx + 0.5 lambda_t(T^dim)
 
@@ -23,7 +24,7 @@ the expanded form E(t) + 0.5 ||v||^2 - <u, v>.  A Gronwall envelope
 
 ``weak_strong_ladder`` checks its arguments before any run by the rules
 the loader applies to the same fields, each stated once by the module
-that owns it; the reference-grid rule ``check_reference_n`` lives here.
+that owns it; the reference-grid and Gronwall-level rules live here.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import numpy as np
 from .forcing import WienerPath, refinement_halvings
 from .limits import decreasing_rungs
 from .reporting import audit_row
-from .solver import SolverConfig, initial_state, run_ensemble, snapshot_steps
+from .solver import (SolverConfig, check_viscosity, initial_state, run_ensemble,
+                     snapshot_steps)
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -76,38 +78,37 @@ class StrongReference:
 
 
 class ReferenceReduction:
-    """Observer reducing the reference run of ``path`` on ``partition`` as
-    it runs; its ``payload()`` is the ``StrongReference``.
+    """Observer reducing the reference run of ``path`` on ``grid`` to
+    ``partition`` as it runs; its ``payload()`` is the ``StrongReference``.
 
     At step 0 it takes F(0), ``initial_relative_energy`` of the weak run's
     start ``initial_state(weak, path.seed, path.path_id)`` and the
-    reference start it observes.  At the steps ``snapshot_steps`` it reads
-    ||grad v||_inf (from the band of grad v, by one pruned inverse
-    transform), the space-cell averages of the point values and ||v||^2,
-    and keeps nothing of the state.  The payload gives each time slab the
-    mean over its snapshots of the cell averages and of ||v||^2, the two
-    quantities the relative energy reads; a slab without a snapshot is an
-    error.
+    reference start.  At the steps ``snapshot_steps`` it reads
+    ||grad v||_inf (one pruned inverse transform of grad v, formed on the
+    band), the space-cell averages of the point values and ||v||^2, and
+    keeps nothing of the state; F(0) and ||v||^2 read the full-layout
+    field, formed from the band.  The payload gives each time slab the
+    mean over its snapshots of the cell averages and of ||v||^2; a slab
+    without a snapshot is an error.
     """
 
-    def __init__(self, partition: CellPartition, snapshot_steps,
+    def __init__(self, grid: TorusGrid, partition: CellPartition, snapshot_steps,
                  horizon: float, weak: SolverConfig, path: WienerPath):
-        self.partition = partition
+        self.grid, self.partition, self.weak, self.path = grid, partition, weak, path
         self.horizon = float(horizon)
-        self.weak, self.path = weak, path
         self.snapshot_steps = frozenset(snapshot_steps)
         self.steps = self.snapshot_steps | {0}
         # per snapshot, then per slab in time order
         self._times, self._grad_sup, self._sums, self._norms = [], [], {}, {}
 
-    def on_state(self, n, t, v, phys):
+    def on_state(self, n, t, band, phys):
+        grid = self.grid
+        v = SpectralField(grid, grid.ops.from_band(band))
         if n == 0:
             u0 = initial_state(self.weak, self.path.seed, self.path.path_id)
             self.f0 = initial_relative_energy(u0, v)
         if n not in self.snapshot_steps:
             return
-        grid = v.grid
-        band = grid.ops.to_band(v.coeffs)
         grad = np.empty((grid.dim,) + band.shape, dtype=np.complex128)
         for j, ik in enumerate(grid.ops.band_ik):
             grad[:, j] = ik * band
@@ -143,7 +144,7 @@ def build_reference(cfg: SolverConfig, partition: CellPartition, snapshot_times,
     The snapshot times map to steps of ``cfg`` by ``step_index`` here, once,
     so a time off its step grid fails before any integration.
     """
-    return partial(ReferenceReduction, partition,
+    return partial(ReferenceReduction, cfg.grid, partition,
                    snapshot_steps(cfg, snapshot_times, WeakStrongError),
                    cfg.horizon, weak)
 
@@ -156,10 +157,15 @@ def check_reference_n(weak_n: int, ref_n: int, error=WeakStrongError) -> None:
                     f"not a multiple of n={weak_n}")
 
 
+def check_level(level: float, error=WeakStrongError) -> None:
+    """A Gronwall level L is positive and finite (a NaN is not), or ``error``."""
+    if not 0 < level < np.inf:
+        raise error(f"threshold must be positive and finite, got {level}")
+
+
 def stopping_time(ref: StrongReference, level: float) -> float:
     """First snapshot time with ||grad v||_inf > level, else the horizon."""
-    if not level > 0:
-        raise WeakStrongError(f"threshold must be positive, got {level}")
+    check_level(level)
     for t, g in zip(ref.times, ref.grad_sup):
         if g > level:
             return float(t)
@@ -298,18 +304,19 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     references; if every reference is flat that is 0, and no path stops.
     Checked before any integration, each by the rule of its owner, which
     raises ``WeakStrongError`` here: the ladder is non-empty and strictly
-    decreasing (``limits.decreasing_rungs``) with no negative rung (an
-    eps = 0 rung is allowed), the reference refines the weak grid
+    decreasing (``limits.decreasing_rungs``) with no negative rung
+    (``solver.check_viscosity``: an eps = 0 rung is allowed), a given level
+    is positive (``check_level``), the reference refines the weak grid
     (``check_reference_n``) and divides its dt by a power of two
     (``forcing.refinement_halvings``), and the snapshot times lie on the
     weak step grid (``solver.snapshot_steps``) and reach every time slab
     (``CellPartition.check_slabs``).
     """
     eps_values = decreasing_rungs(eps_values, WeakStrongError)
-    negative = [eps for eps in eps_values if eps < 0]   # eps = 0 is allowed
-    if negative:
-        raise WeakStrongError(f"ladder rung {negative[0]!r} is negative; "
-                              f"a viscosity must be >= 0")
+    for eps in eps_values:   # eps = 0 is allowed
+        check_viscosity(eps, WeakStrongError)
+    if level is not None:
+        check_level(level)
     check_reference_n(weak_base.grid.n, ref_n)
     refinement_halvings(dt_factor, WeakStrongError)
     reference_cfg = replace(weak_base, grid=TorusGrid(weak_base.grid.dim, ref_n),

@@ -413,7 +413,7 @@ class YoungBinner:
         self.binning, self.steps = binning, steps
         self._snapshots, self._keys = [], {}
 
-    def on_state(self, n, t, u, phys):
+    def on_state(self, n, t, band, phys):
         self.bin(t, phys)
 
     def bin(self, t, values: np.ndarray) -> None:

@@ -67,7 +67,7 @@ class Snapshots:
         self._times = []
         self._values = np.empty((len(self.steps), cfg.grid.dim) + cfg.grid.shape)
 
-    def on_state(self, n, t, u, phys):
+    def on_state(self, n, t, band, phys):
         self._values[len(self._times)] = phys
         self._times.append(t)
 
@@ -93,6 +93,29 @@ def step(u, dw, cfg, phys):
     ops = cfg.grid.ops
     band, sup = _band_step(ops.to_band(u.coeffs), dw, cfg, phys, _Scratch(cfg.grid))
     return SpectralField(cfg.grid, ops.from_band(band)), sup
+
+
+def band_field(grid, band) -> SpectralField:
+    """The full-layout field of a run's band array ``band``, as an observer
+    receives it: +0.0 outside the band."""
+    return SpectralField(grid, grid.ops.from_band(band))
+
+
+def full_index(grid, index) -> np.ndarray:
+    """The flat indices into a ``(dim,) + spectral_shape`` array of the flat
+    band positions ``index``, in their order."""
+    marks = np.zeros((grid.dim,) + grid.ops.band_shape, dtype=bool)
+    marks.flat[index] = True
+    return np.flatnonzero(grid.ops.from_band(marks))
+
+
+def parseval_energy(f) -> tuple:
+    """(0.5 ||u||^2, ||grad u||^2) of ``f`` by Parseval, summed over the
+    full layout: the oracle of the band energy of ``run_path``."""
+    grid = f.grid
+    power = (f.coeffs.real ** 2 + f.coeffs.imag ** 2).sum(axis=0) * grid.ops.weight
+    scale = grid.volume / grid.n ** (2 * grid.dim)
+    return 0.5 * float(power.sum()) * scale, float(np.sum(grid.ops.k2 * power)) * scale
 
 
 def trace_defect(trace, s, t) -> float:

@@ -646,6 +646,34 @@ class TestSimulateCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("stray", ["traces/eps0.1_path0099.csv", "notes.txt"])
+    def test_out_holding_files_exits_2_and_writes_nothing(self, tmp_path, capsys, stray):
+        # a file already in --out would be sealed into the new run's manifest
+        out = tmp_path / "run"
+        (out / stray).parent.mkdir(parents=True, exist_ok=True)
+        (out / stray).write_text("t,E\n")
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        assert main(["simulate", "--config", str(CONFIGS / "simulate_demo.json"),
+                     "--out", str(out)]) == 2
+        assert f"--out {out} must be absent or empty" in capsys.readouterr().err
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+        assert (out / stray).read_text() == "t,E\n"
+        # emptied, the directory takes the run, and the manifest seals only it
+        for p in sorted(out.rglob("*"), reverse=True):
+            p.rmdir() if p.is_dir() else p.unlink()
+        assert main(["simulate", "--config", str(write_config(tmp_path, zero_config())),
+                     "--out", str(out)]) == 0
+        assert verify_manifest(out) == []
+        assert stray not in read_manifest(out)["artifacts"]
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("")
+        assert main(["simulate", "--config", str(write_config(tmp_path, zero_config())),
+                     "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert out.read_text() == ""
+
     def test_blowup_preserves_partial_results(self, tmp_path):
         raw = forced_config(paths=1)
         raw["initial"] = {"kind": "taylor_green", "amplitude": 1.0}

@@ -21,6 +21,8 @@ from dissipeuler.forcing import (
 )
 from dissipeuler.spectral import TorusGrid, divergence_defect, inner_product, l2_norm_sq
 
+from conftest import full_index
+
 
 def two_mode_operator():
     return ForcingOperator((
@@ -125,9 +127,11 @@ class TestApplyNoise:
         assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
 
     def test_support_is_the_plus_minus_k_coefficients(self, grid2d):
-        # of k and -k, the ones with last component >= 0 are stored
+        # of k and -k, the ones with last component >= 0 are stored; the
+        # support holds their band positions
         op = default_forcing(2, 0.5)
-        index, values = op.noise_support(grid2d)
+        support = op.noise_support(grid2d)
+        index, values = full_index(grid2d, support.index), support.values
         assert values.shape == (op.rank, len(index))
         expect = set()
         for m in op.modes:
@@ -142,6 +146,23 @@ class TestApplyNoise:
             g = op.modes[i].sigma * op.mode_field(grid2d, i).coeffs
             assert np.array_equal(g.reshape(-1)[index], values[i])
             assert np.count_nonzero(g) == np.count_nonzero(values[i])
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 8), (3, 16)])
+    def test_support_marks_the_nonzero_coefficients_of_the_mode_sum(self, dim, n):
+        # from_band of the band support marks exactly the coefficients where
+        # the dense sum of the modes is nonzero, and its duals are the
+        # conjugated values times the Parseval weight, bit for bit
+        grid = TorusGrid(dim, n)
+        op = default_forcing(dim, 0.5)
+        support = op.noise_support(grid)
+        marks = np.zeros((dim,) + grid.ops.band_shape, dtype=bool)
+        marks.flat[support.index] = True
+        dense = sum(m.sigma * op.mode_field(grid, i).coeffs
+                    for i, m in enumerate(op.modes))
+        assert np.array_equal(grid.ops.from_band(marks), dense != 0)
+        weight = np.broadcast_to(grid.ops.weight, (dim,) + grid.spectral_shape)
+        want = np.conj(support.values) * weight.take(full_index(grid, support.index))
+        assert support.dual.tobytes() == want.tobytes()
 
     def test_ito_isometry_monte_carlo(self, grid2d):
         # E || sum_n Phi dW_n ||^2 = t ||Phi||_HS^2; by linearity the summed

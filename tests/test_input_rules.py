@@ -15,8 +15,15 @@ import pytest
 
 import dissipeuler.solver as solver
 from dissipeuler.config import ConfigError, parse_config
-from dissipeuler.forcing import ForcingError, WienerPath, default_forcing
-from dissipeuler.limits import LimitError, MartingaleStat, run_ladder
+from dissipeuler.forcing import ForcingError, WienerPath, check_dt, default_forcing
+from dissipeuler.limits import (
+    EnsembleFunctionals,
+    LimitError,
+    MartingaleStat,
+    check_martingale_paths,
+    martingale_test,
+    run_ladder,
+)
 from dissipeuler.solver import InitialCondition, SolverConfig, SolverError
 from dissipeuler.spectral import TorusGrid
 from dissipeuler.weakstrong import (
@@ -187,8 +194,79 @@ def test_slab_check_rejects_a_non_finite_time(bad):
     ((0.1, -0.05), "-0.05"), ((0.0, -0.1), "-0.1"), ((-0.05, -0.1), "-0.05")])
 def test_weak_strong_ladder_rejects_a_negative_rung(no_runs, rungs, named):
     # up front, as the ladder's own error, not as SolverError from a rung config
-    with pytest.raises(WeakStrongError, match=f"rung {named} is negative"):
+    with pytest.raises(WeakStrongError, match=f"must be >= 0 and finite, got {named}"):
         weak_ladder(rungs)()
+
+
+@pytest.mark.parametrize("dt,valid", [
+    (DT, True), (DT / 2, True), (0.0, False), (-DT, False), (NAN, False), (INF, False)])
+def test_every_reader_checks_a_time_step_alike(dt, valid):
+    # a NaN or infinite dt fails where it enters, not as a blow-up later
+    verdicts = {
+        "loader": accepts(loader("simulate", time={"dt": dt}), ConfigError, "time.dt"),
+        "SolverConfig": accepts(lambda: replace(WEAK, dt=dt), SolverError),
+        "WienerPath.sample": accepts(lambda: WienerPath.sample(1, 0, 4, dt, 8), ForcingError),
+        "check_dt": accepts(lambda: check_dt(dt), ForcingError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+def test_run_path_rejects_a_path_at_a_nan_dt():
+    # the path's dt must match the configuration's, which a NaN does not
+    path = WienerPath(1, 0, NAN, np.zeros((8, 4)))
+    with pytest.raises(SolverError, match="does not match config dt"):
+        solver.run_path(WEAK, path, solver.initial_state(WEAK, 1, 0))
+
+
+@pytest.mark.parametrize("eps,valid", [
+    (0.05, True), (0.0, True), (-0.05, False), (-INF, False), (INF, False), (NAN, False)])
+def test_every_reader_checks_a_viscosity_alike(no_runs, eps, valid):
+    viscosity = {"eps": eps}
+    verdicts = {
+        experiment: accepts(loader(experiment, viscosity=viscosity), ConfigError,
+                            "viscosity.eps")
+        for experiment in ("simulate", "ym", "martingale")}
+    verdicts["SolverConfig"] = accepts(lambda: replace(WEAK, eps=eps), SolverError)
+    verdicts["weak_strong_ladder"] = accepts(weak_ladder((eps,)), WeakStrongError)
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("level,valid", [
+    (2.5, True), (1e-300, True), (0.0, False), (-1.0, False), (NAN, False),
+    (INF, False)])
+def test_every_reader_checks_a_gronwall_level_alike(no_runs, level, valid):
+    # the weak-strong ladder checks a given level before any run
+    ref = StrongReference(np.array(TIMES), np.array([1.0, 2.0, 3.0, 4.0]),
+                          HORIZON, np.zeros((2, 16, 2)), np.zeros(2), 0.0)
+    verdicts = {
+        "loader": accepts(loader("weakstrong", reference={"level": level}),
+                          ConfigError, "reference.level"),
+        "weak_strong_ladder": accepts(
+            lambda: weak_strong_ladder((0.1, 0.05), WEAK, 32, 2, seed=1, path_ids=[0],
+                                       binning=BINNING, snapshot_times=TIMES,
+                                       level=level), WeakStrongError),
+        "stopping_time": accepts(lambda: stopping_time(ref, level), WeakStrongError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("paths,enough", [(32, True), (33, True), (31, False), (8, False)])
+def test_every_reader_checks_a_martingale_ensemble_alike(paths, enough):
+    linear = {"solver": {"transport": False}, "viscosity": {"eps": 0.0},
+              "initial": {"kind": "zero"}, "martingale": {"linear_paths": paths}}
+    ens = EnsembleFunctionals(np.zeros(paths), np.zeros(paths), np.zeros((paths, 4)),
+                              np.zeros((paths, 4)), np.zeros(paths))
+    verdicts = {
+        "loader": accepts(loader("martingale", ensemble={"paths": paths}),
+                          ConfigError, "ensemble.paths"),
+        "loader linear": accepts(loader("martingale", **linear), ConfigError,
+                                 "martingale.linear_paths"),
+        "martingale_test": accepts(
+            lambda: martingale_test(MartingaleStat("phi", 0.0, 0.125), ens, np.zeros(4)),
+            LimitError),
+        "check_martingale_paths": accepts(lambda: check_martingale_paths(paths), LimitError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, enough)
 
 
 @pytest.mark.parametrize("s,t,ordered", [
@@ -254,6 +332,10 @@ class TestNanFails:
         # a NaN radius would send every sample to the concentration part
         with pytest.raises(YoungMeasureError, match="radius"):
             Binning(PARTITION, NAN, 16, 32)
+
+    def test_martingale_ensemble_rule_rejects_nan(self):
+        with pytest.raises(LimitError, match="need >= 32 paths, got nan"):
+            check_martingale_paths(NAN)
 
     def test_stopping_time_rejects_nan_level(self):
         # a NaN level would never stop

@@ -34,7 +34,7 @@ from dissipeuler.solver import (
     SolverError,
     SolverRun,
 )
-from dissipeuler.spectral import SpectralField, TorusGrid
+from dissipeuler.spectral import SpectralField, TorusGrid, dealias, inner_product
 from dissipeuler.young import (
     Binning,
     CellPartition,
@@ -42,7 +42,7 @@ from dissipeuler.young import (
     estimate_from_family,
 )
 
-from conftest import Snapshots, bin_run, lone_run
+from conftest import Snapshots, band_field, bin_run, lone_run, random_divfree_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -427,6 +427,51 @@ class TestMomentumResidual:
         assert residual.hex() == replayed.hex()
 
 
+class TestProbeSupport:
+    """The recorder pairs the band through its probe's support, to the bits
+    of ``inner_product`` on the full layout."""
+
+    @staticmethod
+    def want(u, phi):
+        lap = SpectralField(phi.grid, -phi.grid.ops.k2 * phi.coeffs)
+        return [inner_product(u, phi).hex(), inner_product(u, lap).hex()]
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_pairings_of_band_fields_are_the_inner_products(self, dim, n):
+        grid = TorusGrid(dim, n)
+        rng = np.random.default_rng(23)
+        states = [SpectralField.zero(grid)] + [
+            dealias(random_divfree_field(grid, rng, scale)) for scale in (1e-3, 1.0, 1e3)]
+        for _, phi in probe_fields(grid):
+            support = Probe(phi).support
+            assert len(support.index) <= 2
+            for u in states:
+                got = support.pair(grid.ops.to_band(u.coeffs))
+                assert [float(x).hex() for x in got] == self.want(u, phi)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_recorded_pairings_are_the_inner_products_of_the_run(self, dim, n):
+        cfg = SolverConfig(grid=TorusGrid(dim, n), forcing=default_forcing(dim, 0.3),
+                           eps=0.05, dt=1.0 / 64, horizon=0.25,
+                           initial=InitialCondition("random_spectrum", 0.5))
+        states = []
+
+        class Keep:
+            steps = None
+
+            def on_state(self, n, t, band, phys):
+                states.append(band_field(cfg.grid, band))
+
+        fields = probe_fields(cfg.grid)
+        recorders = [FunctionalRecorder(Probe(phi), cfg.eps) for _, phi in fields]
+        lone_run(cfg, 9, 2, observers=(Keep(), *recorders))
+        assert len(states) == cfg.steps + 1
+        for rec, (_, phi) in zip(recorders, fields):
+            series = rec.payload()
+            got = [[p.hex(), v.hex()] for p, v in zip(series.pairings, series.visc)]
+            assert got == [self.want(u, phi) for u in states]
+
+
 class TestMartingale:
     def test_deterministic_steady_state_all_zero(self):
         # steady Taylor-Green, no forcing: M vanishes identically because
@@ -526,7 +571,7 @@ class TestMartingale:
         ens = EnsembleFunctionals(m_s=np.zeros(p), m_t=np.ones(p),
                                   beta_s=np.zeros((p, 1)), beta_t=np.ones((p, 1)),
                                   pair_s=np.zeros(p))
-        with pytest.raises(LimitError, match="too small"):
+        with pytest.raises(LimitError, match="need >= 32 paths, got"):
             martingale_test(stat, ens, c=np.zeros(1))
 
     def test_fields_share_one_run_per_path(self):

@@ -37,7 +37,6 @@ from dissipeuler.spectral import (
     TorusGrid,
     dealias,
     divergence_defect,
-    energy_and_grad_norm_sq,
     inner_product,
     l2_norm_sq,
     single_mode,
@@ -46,7 +45,16 @@ from dissipeuler.spectral import (
 from dissipeuler.weakstrong import WeakStrongError, build_reference
 from dissipeuler.young import Binning, CellPartition, YoungBinner
 
-from conftest import Snapshots, lone_run, random_divfree_field, step, trace_defect
+from conftest import (
+    Snapshots,
+    band_field,
+    full_index,
+    lone_run,
+    parseval_energy,
+    random_divfree_field,
+    step,
+    trace_defect,
+)
 
 
 def make_config(grid=None, eps=0.0, dt=1.0 / 64, horizon=0.25, forcing=None,
@@ -201,8 +209,8 @@ class TestRunPath:
         class First:
             steps = {0}
 
-            def on_state(self, n, t, u, phys):
-                seen.append(u)
+            def on_state(self, n, t, band, phys):
+                seen.append(band_field(cfg.grid, band))
 
         lone_run(cfg, 4, 2, observers=(First(),))
         assert len(seen) == 1
@@ -497,8 +505,9 @@ class TestUnforced:
         cfg = make_config()
         assert cfg.forcing == ForcingOperator(())
         assert cfg.forcing.rank == 0 and cfg.forcing.hs_norm_sq() == 0.0
-        index, values = cfg.noise_support
-        assert index.shape == (0,) and values.shape == (0, 0)
+        support = cfg.noise_support
+        assert support.index.shape == (0,)
+        assert support.values.shape == support.dual.shape == (0, 0)
 
     def test_ito_input_and_stochastic_integral_are_positive_zero(self):
         cfg = make_config(eps=0.05, initial=InitialCondition("random_spectrum", 0.4))
@@ -538,8 +547,8 @@ class TestItoPairing:
         class Keep:
             steps = None
 
-            def on_state(self, n, t, u, phys):
-                states.append(u)
+            def on_state(self, n, t, band, phys):
+                states.append(band_field(cfg.grid, band))
 
         run = lone_run(cfg, 3, 1, observers=(Keep(),))
         path = WienerPath.sample(3, 1, forcing.rank, cfg.dt, cfg.steps)
@@ -575,8 +584,9 @@ class TestPointValues:
         class Keep:
             steps = None
 
-            def on_state(self, n, t, u, phys):
-                seen.append((u, phys.copy()))
+            def on_state(self, n, t, band, phys):
+                assert band.shape == (grid.dim,) + grid.ops.band_shape
+                seen.append((band_field(grid, band), phys.copy()))
 
         times = [0.0, 0.0625, 0.125]
         snaps = Snapshots(cfg, times)
@@ -638,15 +648,16 @@ def full_layout_run(cfg, seed, path_id):
     oracle of the band loop.  Returns (states, point values, trace arrays)."""
     grid = cfg.grid
     path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, cfg.steps)
-    index, values = cfg.forcing.noise_support(grid)
+    support = cfg.forcing.noise_support(grid)
+    index = full_index(grid, support.index)
     weight = np.broadcast_to(grid.ops.weight, (grid.dim,) + grid.spectral_shape)
-    conj_values = np.conj(values) * weight.take(index)
+    conj_values = np.conj(support.values) * weight.take(index)
     vol_scale = grid.volume / grid.n ** (2 * grid.dim)
     u = initial_state(cfg, seed, path_id)
     states, points = [], []
     energy, dissipation, stochastic = [], [0.0], [0.0]
     for n in range(cfg.steps + 1):
-        e, grad_sq = energy_and_grad_norm_sq(u)
+        e, grad_sq = parseval_energy(u)
         energy.append(e)
         states.append(u)
         points.append(u.to_physical())
@@ -659,6 +670,60 @@ def full_layout_run(cfg, seed, path_id):
         u, _ = step(u, dw, cfg, points[-1])
     return states, points, {"energy": energy, "dissipation": dissipation,
                             "stochastic": stochastic}
+
+
+class TestBandState:
+    """The band is the run's only layout between its start and its final
+    field, and the one its observers read."""
+
+    def test_a_binned_run_builds_one_field_and_hands_a_read_only_band(self, monkeypatch):
+        cfg = make_config(grid=TorusGrid(2, 16), eps=0.05, dt=1.0 / 64, horizon=0.125,
+                          forcing=default_forcing(2, 0.3),
+                          initial=InitialCondition("random_spectrum", 0.4))
+        path = WienerPath.sample(3, 0, cfg.forcing.rank, cfg.dt, cfg.steps)
+        initial = initial_state(cfg, 3, 0)
+        built = []
+
+        class Counted(SpectralField):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+        monkeypatch.setattr(solver, "SpectralField", Counted)
+        bands = []
+
+        class Binner(YoungBinner):
+            def on_state(self, n, t, band, phys):
+                bands.append(band)
+                super().on_state(n, t, band, phys)
+
+        times = [0.0, 0.0625, 0.125]
+        binner = Binner(Binning(CellPartition(2, 16, 2, 2, 0.0, 0.125), 1.0, 4, 8),
+                        snapshot_steps(cfg, times))
+        run = run_path(cfg, path, initial, (binner,))
+        assert len(built) == 1 and built[0] is run.final
+        assert len(bands) == len(times)
+        for band in bands:
+            assert band.shape == (2,) + cfg.grid.ops.band_shape
+            assert not band.flags.writeable
+        assert bands[-1].tobytes() == cfg.grid.ops.to_band(run.final.coeffs).tobytes()
+        assert len(binner.payload().snapshots) == len(times)
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 16)])
+    def test_viscous_factor_is_the_band_of_the_full_factor(self, dim, n):
+        cfg = make_config(grid=TorusGrid(dim, n), eps=0.07, dt=1.0 / 64)
+        full = np.exp(-cfg.eps * cfg.grid.ops.k2 * cfg.dt).astype(np.complex128)
+        assert cfg.viscous_factor.tobytes() == cfg.grid.ops.to_band(full).tobytes()
+        assert not cfg.viscous_factor.flags.writeable
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 16)])
+    def test_initial_energy_is_the_parseval_energy_of_the_start(self, dim, n):
+        cfg = make_config(grid=TorusGrid(dim, n), eps=0.05, dt=1.0 / 64,
+                          horizon=1.0 / 32, forcing=default_forcing(dim, 0.3),
+                          initial=InitialCondition("random_spectrum", 0.5))
+        trace = lone_run(cfg, 4, 1).trace
+        want = parseval_energy(initial_state(cfg, 4, 1))[0]
+        assert isinstance(trace.initial_energy, float)
+        assert trace.initial_energy.hex() == want.hex() == float(trace.energy[0]).hex()
 
 
 class TestBandRun:
@@ -677,8 +742,8 @@ class TestBandRun:
         class Keep:
             steps = None
 
-            def on_state(self, n, t, u, phys):
-                seen.append((u, phys))
+            def on_state(self, n, t, band, phys):
+                seen.append((band_field(grid, band), phys))
 
         run = lone_run(cfg, 5, 1, observers=(Keep(),))
         states, points, trace = full_layout_run(cfg, 5, 1)

@@ -30,7 +30,7 @@ from dissipeuler.weakstrong import (
 )
 from dissipeuler.young import Binning, CellPartition, dirac_embed, estimate_from_family
 
-from conftest import Snapshots, Trajectory, bin_run, lone_run
+from conftest import Snapshots, Trajectory, band_field, bin_run, lone_run
 
 # two time slabs of 4 x 4 space cells on a 16^2 grid over [0, 0.25]
 SMALL = Binning(CellPartition(2, 16, 2, 4, 0.0, 0.25), 4.0, 16, 32)
@@ -169,8 +169,8 @@ class TestReference:
         class Keep:
             steps = Snapshots(cfg, times).steps
 
-            def on_state(self, n, t, u, phys):
-                states.append((t, u))
+            def on_state(self, n, t, band, phys):
+                states.append((t, band_field(grid, band)))
 
         lone_run(cfg, 61, 0, observers=(Keep(),))
         part = CellPartition(2, 16, 2, 4, 0.0, 0.25)
@@ -199,8 +199,8 @@ class TestReference:
         class Keep:
             steps = Snapshots(cfg, times).steps
 
-            def on_state(self, n, t, u, phys):
-                states.append(u)
+            def on_state(self, n, t, band, phys):
+                states.append(band_field(cfg.grid, band))
 
         lone_run(cfg, 7, 0, observers=(Keep(),))
         ref = reduced_reference(cfg, 7, 0, CellPartition(dim, n, 2, 4, 0.0, 0.25), times)
