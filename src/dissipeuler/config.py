@@ -12,19 +12,22 @@ viscosity of the run.
 
 A rule that the library also applies is not written here again: the
 loader calls the rule of the module that owns it with an ``error`` that
-names the field (``_at``).  These are the time step (``forcing.check_dt``),
-a viscosity >= 0 (``solver.check_viscosity``), the ladder's order and
-positivity (``limits.decreasing_rungs``), a martingale pair's 0 <= s < t
-(``limits.check_pair``), history kinds (``limits.check_history``) and
-ensemble size (``limits.check_martingale_paths``), the reference grid, dt
-refinement and Gronwall level (``weakstrong.check_reference_n``,
-``forcing.refinement_halvings``, ``weakstrong.check_level``), the
-truncation radius and the bin counts of a ``young.Binning``
-(``young.check_radius``, ``young.check_bin_count``) and the snapshot in
-every time slab (``young.CellPartition.check_slabs``).  Each such rule
-compares so that NaN fails.  ``_check_memory`` holds a config to a
-memory ceiling: a run per process, its Wiener paths and its Young
-accumulators' count and weight tables and moment sums.
+names the field (``_at``).  These are the time step and seed
+(``forcing.check_dt``, ``check_seed``), a viscosity >= 0, the blow-up
+ceiling and CFL number (``solver.check_viscosity``, ``check_guard``), the
+ladder's order and positivity (``limits.decreasing_rungs``), a martingale
+pair's 0 <= s < t, history kinds, level alpha and ensemble size
+(``limits.check_pair``, ``check_history``, ``check_alpha``,
+``check_martingale_paths``), the reference grid, dt refinement and
+Gronwall level (``weakstrong.check_reference_n``,
+``forcing.refinement_halvings``, ``weakstrong.check_level``), a
+``young.Binning``'s radius, cell and bin counts and space cells that
+divide the grid (``young.check_radius``, ``check_count``,
+``check_space_cells``) and the snapshot in every time slab
+(``young.CellPartition.check_slabs``).  Each such rule compares so that
+NaN fails.  ``_check_memory`` holds a config to a memory ceiling: a run
+per process, its Wiener paths and its Young accumulators' count and
+weight tables and moment sums.
 """
 
 from __future__ import annotations
@@ -40,15 +43,17 @@ from .forcing import (
     ForcingOperator,
     UnresolvedModeError,
     check_dt,
+    check_seed,
     default_forcing,
     refinement_halvings,
 )
-from .limits import check_history, check_martingale_paths, check_pair, decreasing_rungs
-from .solver import (InitialCondition, SolverConfig, SolverError, check_threads,
-                     check_viscosity, step_index)
+from .limits import (check_alpha, check_history, check_martingale_paths, check_pair,
+                     decreasing_rungs)
+from .solver import (InitialCondition, SolverConfig, SolverError, check_guard,
+                     check_threads, check_viscosity, step_index)
 from .spectral import SpectralError, TorusGrid
 from .weakstrong import check_level, check_reference_n
-from .young import Binning, CellPartition, check_bin_count, check_radius
+from .young import Binning, CellPartition, check_count, check_radius, check_space_cells
 
 EXPERIMENTS = ("simulate", "vanish", "ym", "martingale", "weakstrong")
 # the experiments whose runs bin their snapshots for Young measures
@@ -160,13 +165,6 @@ def _grid(dim, n, dim_path, n_path) -> TorusGrid:
                           str(err)) from None
 
 
-def check_seed(seed: int) -> int:
-    """A seed keys the 64-bit counter-based generator: 0 <= seed < 2**64."""
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("ensemble.seed", f"must be in [0, 2**64), got {seed}")
-    return seed
-
-
 @dataclass(frozen=True)
 class ToleranceSet:
     energy_defect_c: float = 1.0
@@ -240,8 +238,9 @@ def load_config(path, experiment: str, seed: int | None = None, threads: int = 1
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise ConfigError("<file>", f"invalid JSON: {err}") from err
     cfg = parse_config(raw, experiment, threads)
-    if seed is not None:
-        cfg = replace(cfg, seed=check_seed(seed))
+    if seed is not None:   # it replaces ensemble.seed, whose rule it obeys
+        check_seed(seed, _at("ensemble.seed"))
+        cfg = replace(cfg, seed=seed)
         raw["ensemble"]["seed"] = seed
     return cfg, raw
 
@@ -284,7 +283,8 @@ def parse_config(raw: dict, experiment: str, threads: int = 1) -> RunConfig:
     ens = _get(raw, "", "ensemble", dict)
     _no_unknown(ens, "ensemble", {"paths", "seed"})
     paths = _count(_get(ens, "ensemble", "paths", int), "ensemble.paths")
-    seed = check_seed(_get(ens, "ensemble", "seed", int))
+    seed = _get(ens, "ensemble", "seed", int)
+    check_seed(seed, _at("ensemble.seed"))
 
     young = _parse_young(raw, grid)
     tol = _parse_tolerances(raw)
@@ -292,8 +292,8 @@ def parse_config(raw: dict, experiment: str, threads: int = 1) -> RunConfig:
     ref = _parse_reference(raw, grid, experiment)
 
     s = _section(raw, "solver", SolverConfig)
-    _positive(s["blowup_ceiling"], "solver.blowup_ceiling")
-    _positive(s["cfl_number"], "solver.cfl_number")
+    for key in ("blowup_ceiling", "cfl_number"):
+        check_guard(s[key], key, _at(f"solver.{key}"))
     solver = SolverConfig(grid=grid, forcing=forcing, eps=eps_values[0], dt=dt,
                           horizon=horizon, initial=initial, **s)
 
@@ -502,23 +502,19 @@ def _parse_initial(raw, grid):
 
 def _parse_young(raw, grid):
     spec = YoungSpec(**_section(raw, "young", YoungSpec))
-    for key in ("time_cells", "space_cells", "snapshots_per_slab"):
-        _count(getattr(spec, key), f"young.{key}")
-    for key in ("bins_per_axis", "sphere_bins"):
-        check_bin_count(getattr(spec, key), key, _at(f"young.{key}"))
+    for key in ("time_cells", "space_cells", "bins_per_axis", "sphere_bins"):
+        check_count(getattr(spec, key), key, _at(f"young.{key}"))
+    _count(spec.snapshots_per_slab, "young.snapshots_per_slab")
     check_radius(spec.radius, _at("young.radius"))
-    if grid.n % spec.space_cells != 0:
-        raise ConfigError("young.space_cells", f"must divide grid n={grid.n}")
+    check_space_cells(spec.space_cells, grid.n, _at("young.space_cells"))
     return spec
 
 
 def _parse_tolerances(raw):
     tol = ToleranceSet(**_section(raw, "tolerances", ToleranceSet))
-    for f in fields(tol):
-        _positive(getattr(tol, f.name), f"tolerances.{f.name}")
-    if not tol.martingale_alpha < 1:   # a level: 1 - alpha / (2 n_tests) > 0
-        raise ConfigError("tolerances.martingale_alpha",
-                          f"must be < 1, got {tol.martingale_alpha}")
+    _positive(tol.energy_defect_c, "tolerances.energy_defect_c")
+    _positive(tol.gronwall_slack, "tolerances.gronwall_slack")
+    check_alpha(tol.martingale_alpha, _at("tolerances.martingale_alpha"))
     return tol
 
 

@@ -260,6 +260,12 @@ def _ndtri_block(p: np.ndarray) -> np.ndarray:
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
+def check_seed(seed: int, error=ForcingError) -> None:
+    """A seed keys the 64-bit generator: 0 <= seed < 2**64 (a NaN is not), or ``error``."""
+    if not 0 <= seed < 2 ** 64:
+        raise error(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _raw_words(seed: int, path_ids, modes, start: int, count: int,
                stream: int) -> np.ndarray:
     """The words of steps start..start + count - 1 of every (path, mode)
@@ -270,6 +276,7 @@ def _raw_words(seed: int, path_ids, modes, start: int, count: int,
     counter with the empty buffer of a fresh one (``buffer_pos`` 4,
     ``has_uint32`` 0), which costs a fraction of building a generator.
     """
+    check_seed(seed)
     key = np.array([np.uint64(seed), _KEY_SALT], dtype=np.uint64)
     bg = np.random.Philox(key=key)
     state = bg.state   # a fresh generator's, with its buffer empty

@@ -26,8 +26,9 @@ every step of a run) and the momentum residual |M_t - <Phi W(t), phi>|
 coefficients and point values.  A martingale ensemble integrates each
 path once, one recorder per test field, into arrays over paths at each
 (s, t); a pair needs 0 <= s < t (``check_pair``), a history weight is one
-of ``HISTORY_KINDS`` (``check_history``) and an ensemble holds at least
-32 paths (``check_martingale_paths``), rules the loader calls too.  The
+of ``HISTORY_KINDS`` (``check_history``), a level alpha lies in (0, 1)
+(``check_alpha``) and an ensemble holds at least 32 paths
+(``check_martingale_paths``), rules the loader calls too.  The
 ladder and the martingale ensemble run through ``solver.run_ensemble``.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 from .forcing import ForcingOperator, WienerPath, ndtri
 from .reporting import audit_row
 from .solver import SolverConfig, run_ensemble, snapshot_steps, step_index
-from .spectral import SpectralField, gradient_physical, inner_product, tensor_pairing
+from .spectral import SpectralField, band_gradient, inner_product, tensor_pairing
 from .young import (
     Binning,
     GeneralizedYoungMeasure,
@@ -218,18 +219,18 @@ def momentum_residual(series: Functionals, phi: SpectralField,
 
 
 class Probe:
-    """A test field phi and what every ``FunctionalRecorder`` of an
-    experiment reads of it, built once: grad phi at the grid points (one
-    transform), the band ``support`` of phi and lap phi, and the ``steps``
-    a recorder observes (every step if None), which must hold step 0."""
+    """A test field phi in the dealias band and what every
+    ``FunctionalRecorder`` of an experiment reads of it, built once from its
+    band: grad phi at the grid points, the ``support`` of phi and lap phi,
+    and the ``steps`` a recorder observes (every step if None), with step 0."""
 
     def __init__(self, phi: SpectralField, steps=None):
         if steps is not None and 0 not in steps:
             raise LimitError("a recorder must observe step 0, where M starts")
         grid, ops = phi.grid, phi.grid.ops
         self.phi, self.steps = phi, steps
-        self.grad = gradient_physical(phi).reshape(grid.dim, grid.dim, -1)
         band = ops.to_band(phi.coeffs)
+        self.grad = band_gradient(grid, band).reshape(grid.dim, grid.dim, -1)
         self.support = ops.support(np.stack([band, -ops.band_k2 * band]))
 
 
@@ -296,6 +297,13 @@ def check_pair(s: float, t: float, error=LimitError, horizon=math.inf) -> None:
         raise error(f"need 0 <= s < t <= {horizon:g}, got s={s:g}, t={t:g}")
 
 
+def check_alpha(alpha, error=LimitError) -> None:
+    """A significance level alpha lies in (0, 1), so that each z is finite
+    and positive (a NaN does not), or ``error``."""
+    if not 0 < alpha < 1:
+        raise error(f"alpha must lie in (0, 1), got {alpha}")
+
+
 HISTORY_KINDS = ("one", "clamp_pair", "clamp_beta")
 
 
@@ -339,6 +347,7 @@ def martingale_test(stat: MartingaleStat, ens: EnsembleFunctionals,
     one audit row per identity, each holding |mean| to the
     Bonferroni-corrected confidence half-width, and the diagnostics {"z"}.
     """
+    check_alpha(alpha)
     paths = len(ens.m_t)
     check_martingale_paths(paths)
     z = float(ndtri(1.0 - alpha / (2.0 * max(1, n_tests))))

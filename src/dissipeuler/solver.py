@@ -19,18 +19,18 @@ No forcing is Phi = 0: ``SolverConfig`` stores ``forcing=None`` as the
 rank-0 ``ForcingOperator(())``, so every run samples its Wiener path (of 0
 modes then) and adds its noise one way, and I and M stay +0.0.
 
-A run steps on the dealias band and keeps only its configuration, this
-trace and its final state; its states are read by observers
-(``run_path``), such as the Young-measure binner and the functional
-recorders, each of which reduces the states it reads and keeps none of
-them.  An observer serves one run: it has ``steps``, ``on_state(n, t,
-band, phys)``, which reads a state's band coefficients and point values,
-and ``payload()``, what it kept of the run.  Every experiment runs its
-(configuration, path) runs through ``run_ensemble``, which draws the
-Wiener paths once, shares them across configurations (refined by
-Brownian bridge for one at a finer dt), builds each run's observers,
-hands back their payloads with the run, reports a blow-up as that run's
-failure and, for ``--threads``, runs the paths on forked workers.
+A run starts from a band array (``initial_state``), steps on the dealias
+band and keeps only its configuration, this trace and its final band; its
+states are read by observers (``run_path``), such as the binner and the
+functional recorders, each of which reduces the states it reads and keeps
+none of them.  An observer serves one run: it has ``steps``, ``on_state(n,
+t, band, phys)``, which reads a state's band coefficients and point
+values, and ``payload()``, what it kept of the run.  Every experiment runs
+its (configuration, path) runs through ``run_ensemble``, which draws the
+Wiener paths once, shares them across configurations (refined by Brownian
+bridge for one at a finer dt), builds each run's observers, hands back
+their payloads with the run, reports a blow-up as that run's failure and,
+for ``--threads``, runs the paths on forked workers.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .spectral import (
     _band_convective,
     _band_energy_and_grad_norm_sq,
     _band_to_physical,
+    _project,
     _Scratch,
-    dealias,
     leray_project,
     single_mode,
     taylor_green,
@@ -163,6 +163,8 @@ class SolverConfig:
     def __post_init__(self):
         check_dt(self.dt, SolverError)
         check_viscosity(self.eps)
+        check_guard(self.blowup_ceiling, "blowup_ceiling")
+        check_guard(self.cfl_number, "cfl_number")
         self.steps   # the horizon must be a step >= 0, by ``step_index``
         if self.forcing is None:
             object.__setattr__(self, "forcing", ForcingOperator(()))
@@ -193,6 +195,12 @@ def check_viscosity(eps: float, error: type = SolverError) -> None:
     """A viscosity is >= 0 and finite (so not NaN), or ``error``."""
     if not 0 <= eps < math.inf:
         raise error(f"viscosity must be >= 0 and finite, got {eps!r}")
+
+
+def check_guard(value: float, name: str, error: type = SolverError) -> None:
+    """A blow-up ceiling or CFL number ``name`` is positive and finite (not NaN), or ``error``."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -246,7 +254,12 @@ class EnergyTrace:
 class SolverRun:
     config: SolverConfig
     trace: EnergyTrace
-    final: SpectralField
+    band: np.ndarray   # the final state's band array
+
+    @property
+    def final(self) -> SpectralField:
+        """The final state on the full layout, built on each read."""
+        return SpectralField(self.config.grid, self.config.grid.ops.from_band(self.band))
 
 
 def snapshot_steps(cfg: SolverConfig, times, error: type = SolverError) -> frozenset:
@@ -295,27 +308,34 @@ def _band_step(u: np.ndarray, dw: np.ndarray, cfg: SolverConfig,
     return drift, sup
 
 
-def initial_state(cfg: SolverConfig, seed: int, path_id: int) -> SpectralField:
-    """The state ``run_path`` starts from: the projected, dealiased draw."""
-    return dealias(leray_project(cfg.initial.sample(cfg.grid, seed, path_id)))
+def initial_state(cfg: SolverConfig, seed: int, path_id: int) -> np.ndarray:
+    """The read-only band array ``run_path`` starts from: the band of the
+    draw, projected there and times 1 + 0j, as the dealias mask multiplies
+    it (which sets the signs of its zeros)."""
+    ops = cfg.grid.ops
+    draw = ops.to_band(cfg.initial.sample(cfg.grid, seed, path_id).coeffs)
+    band = _project(ops.band_ks_c, ops.band_inv_k2_c, draw) * (1 + 0j)
+    band.setflags(write=False)
+    return band
 
 
-def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
+def run_path(cfg: SolverConfig, path: WienerPath, initial: np.ndarray,
              observers=()) -> SolverRun:
     """Integrate one trajectory of ``cfg`` on the Wiener ``path`` (at cfg's
     dt, reaching the horizon, one mode per forcing mode: ``run_ensemble``
     refines the drawn path by Brownian bridge for a finer dt) from
     ``initial``, which is ``initial_state(cfg, path.seed, path.path_id)``.
 
-    Every state lies in the dealias band (the initial field is dealiased
-    and the forcing modes lie inside it), so from its start to its final
-    field the run holds only its band coefficients: it steps on them, and
-    adds the noise and pairs the state with the forcing modes through
+    Every state lies in the dealias band (the start is a band array and
+    the forcing modes lie inside it), so from its start to its final state
+    the run holds only its band coefficients: it steps on them, and adds
+    the noise and pairs the state with the forcing modes through
     ``cfg.noise_support``.  Each observer's ``on_state`` receives (step n,
     time, the run's read-only band array, point values) at its ``steps``
     (every step if None).  The point values come from one band inverse
     transform, made only where the transport term or an observer reads
-    them, and the full-layout field only for ``SolverRun.final``.  The run
+    them; the run builds no full-layout field (``SolverRun.final`` does,
+    where it is read).  The run
     reuses its transform-sized scratch arrays from step to step, and lets
     them go while observers read a state, so its peak memory stays that of
     the observers.
@@ -329,8 +349,7 @@ def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
     if path.n_modes != cfg.forcing.rank:
         raise SolverError(f"Wiener path has {path.n_modes} modes, the forcing "
                           f"has {cfg.forcing.rank}")
-    u = grid.ops.to_band(initial.coeffs)
-    del initial   # the run holds its band only
+    u = initial
 
     times = np.arange(steps + 1) * cfg.dt
     energy = np.empty(steps + 1)
@@ -377,7 +396,7 @@ def run_path(cfg: SolverConfig, path: WienerPath, initial: SpectralField,
                     f"dt = {cfg.dt:.3e} > {cfg.cfl_number} dx / {sup:.3e}",
                     time=times[n + 1], sup=sup, partial=partial)
 
-    return SolverRun(cfg, trace_to(steps + 1), SpectralField(grid, grid.ops.from_band(u)))
+    return SolverRun(cfg, trace_to(steps + 1), u)
 
 
 def check_threads(threads: int, error: type = SolverError) -> None:
@@ -411,8 +430,8 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg, path: (),
     neither a configuration nor a run past its last yield, so a caller
     that keeps neither lets a finished configuration go (with its cached
     tables) while the next one runs.  Each path's initial state is drawn
-    once by its first run and kept for the next configuration only when
-    that one has the same grid and initial law.
+    once by its first run, as a band array, and kept for the next
+    configuration only when that one has the same grid and initial law.
 
     ``observers(cfg, path)`` builds fresh observers for the run of ``path``
     (as drawn) at ``cfg``, just before that run, in the process that runs
@@ -425,7 +444,7 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg, path: (),
     this one and P - 1 workers forked when the paths are drawn, each with
     its own copy of ``cfgs``.  Path i runs in process i mod P, which draws
     and keeps that path's initial states.  A worker runs its runs in order
-    and sends each one's trace, final field, error and kept payloads
+    and sends each one's trace, final band, error and kept payloads
     through a pipe; here, in its turn, the run is yielded as if it had
     been made here, so the yields keep every bit at any P.  A worker
     leaves only through ``os._exit``; any exception in it but a blow-up
@@ -466,7 +485,7 @@ def _runs(cfg, cfgs, paths, observers, rank, share, workers=()):
     """The runs of ``run_ensemble`` made in process ``rank`` of ``share``:
     those of the paths i with i mod share == rank, and, given the
     ``workers``, every other run from its worker, in order."""
-    starts = {}   # path id -> initial state, drawn for an earlier configuration
+    starts = {}   # path id -> start band, drawn for an earlier configuration
     while cfg is not None:
         following = next(cfgs, None)
         keep = following is not None and \
@@ -525,7 +544,7 @@ def _serve(runs, out) -> None:
 
     try:
         for _, _, run, err, kept in runs:
-            result = None if run is None else (run.trace, run.final.coeffs)
+            result = None if run is None else (run.trace, run.band)
             send(("run", (result, err, kept)))
     except Exception:
         send(("crash", traceback.format_exc()))
@@ -541,10 +560,8 @@ def _receive(worker: _Worker, cfg: SolverConfig, path: WienerPath):
     if kind == "crash":
         raise WorkerError(f"ensemble worker {worker.pid} failed:\n{body}")
     result, err, kept = body
-    if result is None:
-        return cfg, path, None, err, kept
-    trace, coeffs = result
-    return cfg, path, SolverRun(cfg, trace, SpectralField(cfg.grid, coeffs)), None, kept
+    run = None if result is None else SolverRun(cfg, *result)
+    return cfg, path, run, err, kept
 
 
 # -- ensemble moment monitor ----------------------------------------------

@@ -4,9 +4,8 @@ Velocity fields live on ``[0, 2*pi)^dim`` (dim 2 or 3) and are stored as
 the real half spectrum of their point values, one block per velocity
 component, in ``rfftn`` layout (unnormalized forward transform; the last
 axis keeps wavenumbers 0..n/2).  Everything here is a pure function:
-divergence-free (Leray) projection, spectral derivatives, the dealiased
-convective term, Parseval inner products, and a small binary snapshot
-format.
+Leray projection, derivatives and the transport term on the dealias band,
+Parseval inner products, and a small binary snapshot format.
 
 Conventions
 -----------
@@ -29,8 +28,9 @@ Conventions
   0..K then n-K..n-1 of each leading axis and the columns 0..K of the
   last, in that order.  ``GridOperators.to_band`` gathers it from the
   ``rfftn`` layout and ``from_band`` scatters it back with +0.0 elsewhere.
-  A run of ``solver.run_path`` holds its state as a band array, and pairs
-  it with a few fields at once on their sparse ``BandSupport``.
+  A run of ``solver.run_path`` holds its state as a band array, pairs it
+  with a few fields at once on their sparse ``BandSupport``, reads its
+  gradient by ``band_gradient`` and ``band_embed`` moves it to a finer band.
 * The transport kernel reads the point values of a dealias-band field and
   makes one forward transform of all dim(dim+1)/2 products u_i u_j stacked,
   to the band; a run transforms each state once, so a step costs two
@@ -135,8 +135,8 @@ class GridOperators:
     holds -n/2), ``dks`` the derivative wavenumbers, whose Nyquist entry is
     0 on every axis as ``real(ifftn(1j * k * c))`` implies for a real field.
     ``weight`` counts the full-spectrum coefficients each stored one stands
-    for in a Parseval sum.  ``mask_c``, ``ks_c``, ``inv_k2_c`` and ``ik``
-    (``1j * dks``) are complex copies for multiplying coefficients: they
+    for in a Parseval sum.  ``mask_c``, ``ks_c`` and ``inv_k2_c`` are
+    complex copies for multiplying coefficients: they
     hold the values numpy would cast to on every use, so products with them
     carry the same bits.
 
@@ -176,7 +176,6 @@ class GridOperators:
         self.mask_c = self.mask.astype(np.complex128)
         self.ks_c = tuple(k.astype(np.complex128) for k in self.ks)
         self.inv_k2_c = self.inv_k2.astype(np.complex128)
-        self.ik = tuple(1j * k for k in self.dks)
         self.band_shape = (2 * cut + 1,) * (dim - 1) + (cut + 1,)
         # (full-layout index, band index) of each block of the band: the low
         # or the high rows of each leading axis, the band columns
@@ -193,13 +192,13 @@ class GridOperators:
                                 for axis in range(-dim, -1)]
         self._forward_passes = [(axis, self._pass_blocks(range(-dim, axis)))
                                 for axis in range(-dim, -1)]
-        self.band_ik = tuple(self.to_band(k) for k in self.ik)
+        self.band_ik = tuple(self.to_band(1j * k) for k in self.dks)
         self.band_ks_c = tuple(self.to_band(k) for k in self.ks_c)
         self.band_k2 = self.to_band(self.k2)
         self.band_inv_k2_c = self.to_band(self.inv_k2_c)
         self.band_weight = self.to_band(self.weight)
         for arr in (*self.ks, *self.dks, self.k2, self.inv_k2, self.mask,
-                    self.weight, self.mask_c, *self.ks_c, self.inv_k2_c, *self.ik,
+                    self.weight, self.mask_c, *self.ks_c, self.inv_k2_c,
                     *self.band_ik, *self.band_ks_c, self.band_k2,
                     self.band_inv_k2_c, self.band_weight):
             arr.setflags(write=False)
@@ -395,19 +394,6 @@ class SpectralField:
     def to_physical(self) -> np.ndarray:
         return half_to_physical(self.grid, self.coeffs)
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * a)
-
-    __rmul__ = __mul__
-
 
 # -- core operations ----------------------------------------------------
 
@@ -441,16 +427,27 @@ def divergence_defect(f: SpectralField) -> float:
     return float(np.sqrt(np.sum(ops.weight * np.abs(kdotu) ** 2))) / norm
 
 
-def gradient_physical(f: SpectralField) -> np.ndarray:
-    """Point values of d u_i / d x_j, shape (dim, dim) + grid.shape, [i, j].
+def band_gradient(grid: TorusGrid, band: np.ndarray) -> np.ndarray:
+    """Point values of d u_i / d x_j, [i, j], shape (dim, dim) + grid.shape,
+    of the band array ``band``'s field, from one pruned inverse transform."""
+    grad = np.empty((grid.dim,) + band.shape, dtype=np.complex128)
+    for j, ik in enumerate(grid.ops.band_ik):
+        grad[:, j] = ik * band
+    return _band_to_physical(grid, grad)
 
-    Exact for the trigonometric interpolant.
-    """
-    grid = f.grid
-    out = np.empty((grid.dim,) + f.coeffs.shape, dtype=np.complex128)
-    for j, ik in enumerate(grid.ops.ik):
-        out[:, j] = ik * f.coeffs
-    return half_to_physical(grid, out)
+
+def band_embed(grid: TorusGrid, band: np.ndarray, fine: TorusGrid) -> np.ndarray:
+    """The band array on ``fine``, a refinement of ``grid``, of the field of
+    the band array ``band``: its coefficients times (n_fine / n)^dim at the
+    same wavevectors, +0.0 elsewhere in the larger band."""
+    if fine.dim != grid.dim or fine.n < grid.n:
+        raise SpectralError(f"{fine} does not refine {grid}")
+    cut, rows = grid.dealias_cutoff(), 2 * fine.dealias_cutoff() + 1
+    at = np.r_[0:cut + 1, rows - cut:rows]   # wavenumbers 0..cut, -cut..-1
+    out = np.zeros((grid.dim,) + fine.ops.band_shape, dtype=np.complex128)
+    out[np.ix_(range(grid.dim), *[at] * (grid.dim - 1), range(cut + 1))] = \
+        band * (fine.n / grid.n) ** grid.dim
+    return out
 
 
 def _band_energy_and_grad_norm_sq(grid: TorusGrid, band: np.ndarray,
@@ -477,22 +474,16 @@ def l2_norm_sq(f: SpectralField) -> float:
     return inner_product(f, f)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """The band part of f: its coefficients there times 1 (as the dealias
-    mask multiplies them), +0.0 everywhere else."""
-    ops = f.grid.ops
-    return SpectralField(f.grid, ops.from_band(ops.to_band(f.coeffs * ops.mask_c)))
-
-
 def convective_term(u: SpectralField) -> SpectralField:
     """Leray-projected, dealiased divergence-form transport -P div(u x u).
 
     For divergence-free u this equals the projection of -(grad u) u and is
     L^2-orthogonal to u (energy-neutral transport).  The kernel reads the
-    point values of the dealiased u, from one inverse transform.
+    point values of u's band part, from one inverse transform.
     """
-    conv, _ = _convective_with_sup(u, dealias(u).to_physical())
-    return conv
+    ops = u.grid.ops
+    band = SpectralField(u.grid, ops.from_band(ops.to_band(u.coeffs * ops.mask_c)))
+    return _convective_with_sup(u, band.to_physical())[0]
 
 
 def _convective_with_sup(u: SpectralField, phys: np.ndarray):
@@ -549,27 +540,6 @@ def tensor_pairing(u: np.ndarray, g: np.ndarray) -> float:
         for j in range(dim):
             acc += float(np.dot(u[i] * u[j], g[i, j]))
     return acc
-
-
-def resample(f: SpectralField, grid_new: TorusGrid) -> SpectralField:
-    """Re-express a field on a finer or coarser grid by mode transfer.
-
-    Exact when the field is band-limited to the smaller Nyquist range;
-    modes outside the target range are dropped.
-    """
-    grid = f.grid
-    if grid_new.dim != grid.dim:
-        raise SpectralError("resample cannot change the dimension")
-    span = min(grid.n, grid_new.n) // 2 - 1
-    out = np.zeros((grid.dim,) + grid_new.spectral_shape, dtype=np.complex128)
-    scale = (grid_new.n / grid.n) ** grid.dim
-    ks = np.concatenate([np.arange(0, span + 1), np.arange(-span, 0)])
-    idx_old = [ks % grid.n] * (grid.dim - 1) + [np.arange(0, span + 1)]
-    idx_new = [ks % grid_new.n] * (grid.dim - 1) + [np.arange(0, span + 1)]
-    mesh_old = np.ix_(range(grid.dim), *idx_old)
-    mesh_new = np.ix_(range(grid.dim), *idx_new)
-    out[mesh_new] = f.coeffs[mesh_old] * scale
-    return SpectralField(grid_new, out)
 
 
 # -- named fields --------------------------------------------------------

@@ -6,12 +6,12 @@ viscosity, and the same Wiener path (Brownian-bridge refined).  Every state
 lies in the dealias band, so the reference is trusted up to its horizon;
 only the stopping time tau_L below cuts it short.  The reference is one
 more configuration of ``solver.run_ensemble``, run once per path before
-the ladder's rungs.  The observer ``build_reference`` builds for each
-path reduces that path's reference run, as it runs, on the audit's
-partition to what the relative energy reads per time slab: its slab-mean
-velocity per space cell and its slab-mean ||v||^2, from each state's band
-coefficients and point values, so the run keeps no snapshot.  At step 0
-it takes F(0), comparing the reference start with the weak run's,
+the ladder's rungs.  The observer ``build_reference`` builds for each path
+reduces that path's reference run, as it runs, on the audit's partition to
+what the relative energy reads per time slab: its slab-mean velocity per
+space cell and its slab-mean ||v||^2, from each state's band coefficients
+and point values, so the run keeps no snapshot.  At step 0 it takes F(0)
+on the reference's band, in which it embeds the weak run's start,
 ``initial_state`` of the weak configuration.  Against the reference the
 relative energy
 
@@ -43,9 +43,10 @@ from .solver import (SolverConfig, check_viscosity, initial_state, run_ensemble,
 from .spectral import (
     SpectralField,
     TorusGrid,
-    _band_to_physical,
+    _band_energy_and_grad_norm_sq,
+    band_embed,
+    band_gradient,
     l2_norm_sq,
-    resample,
 )
 from .young import (
     Binning,
@@ -83,11 +84,11 @@ class ReferenceReduction:
 
     At step 0 it takes F(0), ``initial_relative_energy`` of the weak run's
     start ``initial_state(weak, path.seed, path.path_id)`` and the
-    reference start.  At the steps ``snapshot_steps`` it reads
-    ||grad v||_inf (one pruned inverse transform of grad v, formed on the
-    band), the space-cell averages of the point values and ||v||^2, and
-    keeps nothing of the state; F(0) and ||v||^2 read the full-layout
-    field, formed from the band.  The payload gives each time slab the
+    reference start, both band arrays.  At the steps ``snapshot_steps`` it
+    reads ||grad v||_inf (``band_gradient``), the space-cell averages of
+    the point values and ||v||^2, and keeps nothing of the state; only
+    ||v||^2 reads the full-layout field, formed from the band at these
+    steps.  The payload gives each time slab the
     mean over its snapshots of the cell averages and of ||v||^2; a slab
     without a snapshot is an error.
     """
@@ -103,20 +104,17 @@ class ReferenceReduction:
 
     def on_state(self, n, t, band, phys):
         grid = self.grid
-        v = SpectralField(grid, grid.ops.from_band(band))
         if n == 0:
             u0 = initial_state(self.weak, self.path.seed, self.path.path_id)
-            self.f0 = initial_relative_energy(u0, v)
+            self.f0 = initial_relative_energy(self.weak.grid, u0, grid, band)
         if n not in self.snapshot_steps:
             return
-        grad = np.empty((grid.dim,) + band.shape, dtype=np.complex128)
-        for j, ik in enumerate(grid.ops.band_ik):
-            grad[:, j] = ik * band
-        tensor = _band_to_physical(grid, grad)
+        tensor = band_gradient(grid, band)
         self._grad_sup.append(float(np.sqrt((tensor ** 2).sum(axis=(0, 1)).max())))
         self._times.append(t)
         slab = self.partition.slab_of(float(t))
         self._sums[slab] = self._sums.get(slab, 0.0) + self.partition.block_mean(phys)
+        v = SpectralField(grid, grid.ops.from_band(band))
         self._norms.setdefault(slab, []).append(l2_norm_sq(v))
 
     def payload(self) -> StrongReference:
@@ -213,12 +211,11 @@ def relative_energy(V: GeneralizedYoungMeasure, ref: StrongReference,
             "scale": scale}
 
 
-def initial_relative_energy(u0: SpectralField, v0: SpectralField) -> float:
-    """F(0-) = 0.5 ||u(0) - v(0)||^2, compared on the finer grid."""
-    if u0.grid.n == v0.grid.n:
-        return 0.5 * l2_norm_sq(u0 - v0)
-    fine, coarse = (u0, v0) if u0.grid.n > v0.grid.n else (v0, u0)
-    return 0.5 * l2_norm_sq(fine - resample(coarse, fine.grid))
+def initial_relative_energy(weak: TorusGrid, u0: np.ndarray, fine: TorusGrid,
+                            v0: np.ndarray) -> float:
+    """F(0-) = 0.5 ||u(0) - v(0)||^2 of the band arrays ``u0`` on ``weak`` and
+    ``v0`` on its refinement ``fine``, by the runs' Parseval sum on the latter."""
+    return _band_energy_and_grad_norm_sq(fine, band_embed(weak, u0, fine) - v0)[0]
 
 
 # -- Gronwall audit -----------------------------------------------------------

@@ -95,11 +95,9 @@ class CellPartition:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise YoungMeasureError("dim must be 2 or 3")
-        if self.n_t < 1 or self.n_x < 1:
-            raise YoungMeasureError("need at least one cell per direction")
-        if self.grid_n % self.n_x != 0:
-            raise YoungMeasureError(
-                f"space cells ({self.n_x}) must divide the grid ({self.grid_n})")
+        check_count(self.n_t, "time_cells")
+        check_count(self.n_x, "space_cells")
+        check_space_cells(self.n_x, self.grid_n)
         if not self.t1 > self.t0:
             raise YoungMeasureError("empty time interval")
 
@@ -156,10 +154,8 @@ class CellPartition:
         (samples per cell, n_space), whose column c holds space cell c's
         samples in grid order.  The one map from grid points to cells."""
         dim, m = self.dim, values.shape[-1]
+        check_space_cells(self.n_x, m)
         side, k = m // self.n_x, values.ndim - dim
-        if side * self.n_x != m:
-            raise YoungMeasureError(
-                f"space cells ({self.n_x}) must divide the grid ({m})")
         grid = values.reshape(values.shape[:k] + (self.n_x, side) * dim)
         order = (*range(k), *range(k + 1, k + 2 * dim, 2), *range(k, k + 2 * dim, 2))
         return grid.transpose(order).reshape(values.shape[:k] + (side ** dim, self.n_space))
@@ -189,11 +185,17 @@ def check_radius(radius, error=YoungMeasureError) -> None:
         raise error(f"truncation radius must be positive and finite, got {radius}")
 
 
-def check_bin_count(count, name: str, error=YoungMeasureError) -> None:
-    """A histogram has at least one bin (``name`` per axis or on the
-    sphere), or ``error``; NaN fails."""
+def check_count(count, name: str, error=YoungMeasureError) -> None:
+    """A count of cells (time or space) or of bins (per axis or on the
+    sphere) ``name`` is >= 1, or ``error``; NaN fails."""
     if not count >= 1:
         raise error(f"{name} must be >= 1, got {count}")
+
+
+def check_space_cells(n_x, grid_n, error=YoungMeasureError) -> None:
+    """Space cells are blocks of the grid: ``n_x`` divides ``grid_n``, or ``error``."""
+    if not grid_n % n_x == 0:
+        raise error(f"space cells ({n_x}) must divide the grid n={grid_n}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,8 @@ class Binning:
 
     def __post_init__(self):
         check_radius(self.radius)
-        check_bin_count(self.bins_per_axis, "bins_per_axis")
-        check_bin_count(self.sphere_bins, "sphere_bins")
+        check_count(self.bins_per_axis, "bins_per_axis")
+        check_count(self.sphere_bins, "sphere_bins")
 
     def value_bin(self, values: np.ndarray) -> np.ndarray:
         """Flat oscillation bin per row of values (npts, dim), shape (npts,).

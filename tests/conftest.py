@@ -13,7 +13,15 @@ from dissipeuler.solver import (
     snapshot_steps,
     step_index,
 )
-from dissipeuler.spectral import SpectralField, TorusGrid, _Scratch, leray_project
+from dissipeuler.spectral import (
+    SpectralError,
+    SpectralField,
+    TorusGrid,
+    _Scratch,
+    half_to_physical,
+    l2_norm_sq,
+    leray_project,
+)
 from dissipeuler.young import Binning, YoungBinner
 
 
@@ -107,6 +115,53 @@ def full_index(grid, index) -> np.ndarray:
     marks = np.zeros((grid.dim,) + grid.ops.band_shape, dtype=bool)
     marks.flat[index] = True
     return np.flatnonzero(grid.ops.from_band(marks))
+
+
+def dealias(f) -> SpectralField:
+    """The band part of ``f`` on the full layout: its coefficients there
+    times 1 (as the dealias mask multiplies them), +0.0 everywhere else."""
+    ops = f.grid.ops
+    return SpectralField(f.grid, ops.from_band(ops.to_band(f.coeffs * ops.mask_c)))
+
+
+def full_layout_start(cfg, seed, path_id) -> SpectralField:
+    """The start drawn, projected and dealiased on the full layout: the
+    oracle of ``solver.initial_state``, which is its band."""
+    return dealias(leray_project(cfg.initial.sample(cfg.grid, seed, path_id)))
+
+
+def gradient_physical(f) -> np.ndarray:
+    """Point values of d u_i / d x_j of ``f``, shape (dim, dim) + grid.shape,
+    [i, j], from the full layout: the oracle of ``spectral.band_gradient``."""
+    grid = f.grid
+    out = np.empty((grid.dim,) + f.coeffs.shape, dtype=np.complex128)
+    for j, k in enumerate(grid.ops.dks):
+        out[:, j] = 1j * k * f.coeffs
+    return half_to_physical(grid, out)
+
+
+def resample(f, grid_new) -> SpectralField:
+    """``f`` on a finer or coarser grid by mode transfer on the full layout,
+    the modes outside the smaller Nyquist range dropped."""
+    grid = f.grid
+    if grid_new.dim != grid.dim:
+        raise SpectralError("resample cannot change the dimension")
+    span = min(grid.n, grid_new.n) // 2 - 1
+    out = np.zeros((grid.dim,) + grid_new.spectral_shape, dtype=np.complex128)
+    scale = (grid_new.n / grid.n) ** grid.dim
+    ks = np.concatenate([np.arange(0, span + 1), np.arange(-span, 0)])
+    idx_old = [ks % grid.n] * (grid.dim - 1) + [np.arange(0, span + 1)]
+    idx_new = [ks % grid_new.n] * (grid.dim - 1) + [np.arange(0, span + 1)]
+    out[np.ix_(range(grid.dim), *idx_new)] = f.coeffs[np.ix_(range(grid.dim), *idx_old)] * scale
+    return SpectralField(grid_new, out)
+
+
+def resampled_relative_energy(u0, v0) -> float:
+    """0.5 ||u0 - v0||^2 of two fields, compared on the finer grid by
+    ``resample``: the oracle of ``weakstrong.initial_relative_energy``."""
+    fine, coarse = (u0, v0) if u0.grid.n >= v0.grid.n else (v0, u0)
+    diff = fine.coeffs - resample(coarse, fine.grid).coeffs
+    return 0.5 * l2_norm_sq(SpectralField(fine.grid, diff))
 
 
 def parseval_energy(f) -> tuple:

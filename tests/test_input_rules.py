@@ -7,6 +7,7 @@ NaN among them, through every reader of the rule.
 """
 
 import copy
+import json
 import math
 from dataclasses import replace
 
@@ -14,12 +15,20 @@ import numpy as np
 import pytest
 
 import dissipeuler.solver as solver
-from dissipeuler.config import ConfigError, parse_config
-from dissipeuler.forcing import ForcingError, WienerPath, check_dt, default_forcing
+from dissipeuler.config import ConfigError, load_config, parse_config
+from dissipeuler.forcing import (
+    ForcingError,
+    WienerPath,
+    auxiliary_normals,
+    check_dt,
+    check_seed,
+    default_forcing,
+)
 from dissipeuler.limits import (
     EnsembleFunctionals,
     LimitError,
     MartingaleStat,
+    check_alpha,
     check_martingale_paths,
     martingale_test,
     run_ladder,
@@ -320,6 +329,99 @@ def test_every_reader_checks_a_history_alike(history, known):
                                   LimitError),
     }
     assert verdicts == dict.fromkeys(verdicts, known)
+
+
+@pytest.mark.parametrize("alpha,valid", [
+    (0.05, True), (0.5, True), (1e-300, True), (0.0, False), (1.0, False),
+    (1.5, False), (5.0, False), (-0.05, False), (NAN, False), (INF, False)])
+def test_every_reader_checks_a_martingale_level_alike(alpha, valid):
+    # alpha = 0 would give z = inf, so every row would pass; alpha > 1 a
+    # negative or NaN tolerance
+    rng = np.random.default_rng(4)
+    ens = EnsembleFunctionals(rng.standard_normal(40), rng.standard_normal(40),
+                              np.zeros((40, 1)), rng.standard_normal((40, 1)),
+                              np.zeros(40))
+    verdicts = {
+        "loader": accepts(loader("martingale", tolerances={"martingale_alpha": alpha}),
+                          ConfigError, "tolerances.martingale_alpha"),
+        "martingale_test": accepts(lambda: martingale_test(
+            MartingaleStat("phi", 0.1, 0.2), ens, np.array([0.1]), alpha=alpha), LimitError),
+        "check_alpha": accepts(lambda: check_alpha(alpha), LimitError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("seed,valid", [
+    (0, True), (3, True), (2 ** 64 - 1, True), (-1, False), (2 ** 64, False),
+    (NAN, False)])
+def test_every_reader_checks_a_seed_alike(tmp_path, seed, valid):
+    # numpy would raise its own OverflowError for a seed outside uint64
+    raw = raw_config("simulate")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    verdicts = {
+        "loader": accepts(loader("simulate", ensemble={"seed": seed}), ConfigError,
+                          "ensemble.seed"),
+        "--seed": accepts(lambda: load_config(path, "simulate", seed=seed), ConfigError,
+                          "ensemble.seed"),
+        "WienerPath.sample_many": accepts(
+            lambda: WienerPath.sample_many(seed, [0], 4, 0.1, 3), ForcingError),
+        "WienerPath.sample": accepts(lambda: WienerPath.sample(seed, 0, 4, 0.1, 3),
+                                     ForcingError),
+        "auxiliary_normals": accepts(lambda: auxiliary_normals(seed, 0, 0, 4), ForcingError),
+        "check_seed": accepts(lambda: check_seed(seed), ForcingError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("field", ["blowup_ceiling", "cfl_number"])
+@pytest.mark.parametrize("value,valid", [
+    (1e3, True), (0.5, True), (1e-300, True), (0.0, False), (-1.0, False),
+    (NAN, False), (INF, False)])
+def test_every_reader_checks_a_blow_up_guard_alike(field, value, valid):
+    # a ceiling of -1 or NaN would fail every run at its first step, a CFL
+    # number of 0 or -1 would report every run as a CFL violation
+    verdicts = {
+        "loader": accepts(loader("simulate", solver={field: value}), ConfigError,
+                          f"solver.{field}"),
+        "SolverConfig": accepts(lambda: replace(WEAK, **{field: value}), SolverError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("field", ["time_cells", "space_cells"])
+@pytest.mark.parametrize("count,valid", [
+    (1, True), (2, True), (0, False), (-2, False), (NAN, False)])
+def test_every_reader_checks_a_cell_count_alike(field, count, valid):
+    cells = {"time_cells": 2, "space_cells": 4, field: count}
+    verdicts = {
+        experiment: accepts(loader(experiment, young={field: count}), ConfigError,
+                            f"young.{field}")
+        for experiment in ("vanish", "ym", "weakstrong")}
+    verdicts["CellPartition"] = accepts(
+        lambda: CellPartition(2, 16, cells["time_cells"], cells["space_cells"], 0.0,
+                              HORIZON), YoungMeasureError)
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("space_cells,divides", [
+    (4, True), (16, True), (3, False), (6, False), (32, False)])
+def test_every_reader_checks_space_cells_divide_the_grid_alike(space_cells, divides):
+    verdicts = {
+        experiment: accepts(loader(experiment, young={"space_cells": space_cells}),
+                            ConfigError, "young.space_cells")
+        for experiment in ("vanish", "ym", "weakstrong")}
+
+    def partition():
+        return CellPartition(2, 16, 2, space_cells, 0.0, HORIZON)
+    verdicts["CellPartition"] = accepts(partition, YoungMeasureError)
+    assert verdicts == dict.fromkeys(verdicts, divides)
+    if not divides:   # the one rule's message, from every reader
+        message = rf"space cells \({space_cells}\) must divide the grid n=16"
+        for call, error in ((loader("ym", young={"space_cells": space_cells}), ConfigError),
+                            (partition, YoungMeasureError)):
+            with pytest.raises(error, match=message):
+                call()
 
 
 class TestNanFails:

@@ -34,7 +34,7 @@ from dissipeuler.solver import (
     SolverError,
     SolverRun,
 )
-from dissipeuler.spectral import SpectralField, TorusGrid, dealias, inner_product
+from dissipeuler.spectral import SpectralField, TorusGrid, inner_product
 from dissipeuler.young import (
     Binning,
     CellPartition,
@@ -42,7 +42,7 @@ from dissipeuler.young import (
     estimate_from_family,
 )
 
-from conftest import Snapshots, band_field, bin_run, lone_run, random_divfree_field
+from conftest import Snapshots, band_field, bin_run, dealias, lone_run, random_divfree_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -182,12 +182,12 @@ class TestLadder:
     def test_probe_tables_built_once_per_ladder(self, monkeypatch):
         # every tail run gets its own recorder, and all of them read the
         # tables of one probe: one transform of grad phi, not one per run
-        calls, real = [], limits.gradient_physical
+        calls, real = [], limits.band_gradient
 
         def counting(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(limits, "gradient_physical", counting)
+        monkeypatch.setattr(limits, "band_gradient", counting)
         cfg = base_config(n=16, horizon=0.25)
         ladder = Ladder((0.1, 0.05, 0.025, 0.0125), cfg, seed=3,
                                  path_ids=(0, 1, 2))
@@ -602,12 +602,12 @@ class TestMartingale:
         # each path's recorders read the tables of one probe per field,
         # built once for all paths
         calls = []
-        real = limits.gradient_physical
+        real = limits.band_gradient
 
         def counting(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(limits, "gradient_physical", counting)
+        monkeypatch.setattr(limits, "band_gradient", counting)
         cfg = SolverConfig(
             grid=TorusGrid(2, 16), forcing=default_forcing(2, sigma=0.3),
             eps=0.05, dt=1.0 / 32, horizon=0.25,

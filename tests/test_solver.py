@@ -1,6 +1,8 @@
 """Stepper, energy trace, audit defects, and a priori moment monitor."""
 
+import io
 import os
+import pickle
 import time
 from dataclasses import fields, is_dataclass, replace
 
@@ -35,7 +37,6 @@ from dissipeuler.solver import (
 from dissipeuler.spectral import (
     SpectralField,
     TorusGrid,
-    dealias,
     divergence_defect,
     inner_product,
     l2_norm_sq,
@@ -48,7 +49,9 @@ from dissipeuler.young import Binning, CellPartition, YoungBinner
 from conftest import (
     Snapshots,
     band_field,
+    dealias,
     full_index,
+    full_layout_start,
     lone_run,
     parseval_energy,
     random_divfree_field,
@@ -210,11 +213,11 @@ class TestRunPath:
             steps = {0}
 
             def on_state(self, n, t, band, phys):
-                seen.append(band_field(cfg.grid, band))
+                seen.append(band)
 
         lone_run(cfg, 4, 2, observers=(First(),))
         assert len(seen) == 1
-        assert seen[0].coeffs.tobytes() == initial_state(cfg, 4, 2).coeffs.tobytes()
+        assert seen[0].tobytes() == initial_state(cfg, 4, 2).tobytes()
 
     @pytest.mark.parametrize("forced,n_modes", [(True, 2), (True, 6), (False, 4)])
     def test_rejects_path_of_another_mode_count(self, forced, n_modes):
@@ -447,6 +450,8 @@ class TestEnsembleProcesses:
                 traces = [(e1.partial, e2.partial)]
             else:
                 assert e2 is None and r2.config is c2
+                assert r2.band.shape == (c2.grid.dim,) + c2.grid.ops.band_shape
+                assert r2.band.tobytes() == r1.band.tobytes()
                 assert r2.final.coeffs.tobytes() == r1.final.coeffs.tobytes()
                 assert t2.times.tobytes() == t1.times.tobytes()
                 assert t2.values.tobytes() == t1.values.tobytes()
@@ -552,7 +557,7 @@ class TestItoPairing:
 
         run = lone_run(cfg, 3, 1, observers=(Keep(),))
         path = WienerPath.sample(3, 1, forcing.rank, cfg.dt, cfg.steps)
-        g = [m.sigma * forcing.mode_field(cfg.grid, k)
+        g = [SpectralField(cfg.grid, m.sigma * forcing.mode_field(cfg.grid, k).coeffs)
              for k, m in enumerate(modes)]
         got = np.diff(run.trace.stochastic)
         want = [sum(inner_product(u, g[k]) * path.increments[i, k]
@@ -653,7 +658,7 @@ def full_layout_run(cfg, seed, path_id):
     weight = np.broadcast_to(grid.ops.weight, (grid.dim,) + grid.spectral_shape)
     conj_values = np.conj(support.values) * weight.take(index)
     vol_scale = grid.volume / grid.n ** (2 * grid.dim)
-    u = initial_state(cfg, seed, path_id)
+    u = full_layout_start(cfg, seed, path_id)
     states, points = [], []
     energy, dissipation, stochastic = [], [0.0], [0.0]
     for n in range(cfg.steps + 1):
@@ -673,10 +678,10 @@ def full_layout_run(cfg, seed, path_id):
 
 
 class TestBandState:
-    """The band is the run's only layout between its start and its final
-    field, and the one its observers read."""
+    """The band is the run's only layout from its start to its final state,
+    and the one its observers read."""
 
-    def test_a_binned_run_builds_one_field_and_hands_a_read_only_band(self, monkeypatch):
+    def test_a_binned_run_builds_no_field_and_hands_a_read_only_band(self, monkeypatch):
         cfg = make_config(grid=TorusGrid(2, 16), eps=0.05, dt=1.0 / 64, horizon=0.125,
                           forcing=default_forcing(2, 0.3),
                           initial=InitialCondition("random_spectrum", 0.4))
@@ -700,13 +705,51 @@ class TestBandState:
         binner = Binner(Binning(CellPartition(2, 16, 2, 2, 0.0, 0.125), 1.0, 4, 8),
                         snapshot_steps(cfg, times))
         run = run_path(cfg, path, initial, (binner,))
-        assert len(built) == 1 and built[0] is run.final
+        assert built == []
+        assert bands[0] is initial
         assert len(bands) == len(times)
         for band in bands:
             assert band.shape == (2,) + cfg.grid.ops.band_shape
             assert not band.flags.writeable
-        assert bands[-1].tobytes() == cfg.grid.ops.to_band(run.final.coeffs).tobytes()
+        assert bands[-1] is run.band
         assert len(binner.payload().snapshots) == len(times)
+        final = run.final   # built where it is read, from the final band
+        assert built == [final]
+        assert final.coeffs.tobytes() == cfg.grid.ops.from_band(run.band).tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (2, 128), (3, 16)])
+    @pytest.mark.parametrize("kind", InitialCondition._KINDS)
+    @pytest.mark.parametrize("amplitude", [0.3, 1.0])
+    def test_start_is_the_band_of_the_full_layout_start(self, dim, n, kind, amplitude):
+        # drawn onto the band and projected there, times 1 + 0j: the bits
+        # of the start projected and dealiased on the full layout, the signs
+        # of its zeros included
+        cfg = make_config(grid=TorusGrid(dim, n),
+                          initial=InitialCondition(kind, amplitude, k_max=2))
+        for path_id in range(3):
+            start = initial_state(cfg, 7, path_id)
+            assert start.shape == (dim,) + cfg.grid.ops.band_shape
+            assert start.dtype == np.complex128 and not start.flags.writeable
+            want = cfg.grid.ops.to_band(full_layout_start(cfg, 7, path_id).coeffs)
+            assert start.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_a_worker_sends_the_final_band(self):
+        # the final state goes up a worker's pipe as its band array, and the
+        # run rebuilt from it keeps every bit
+        cfg = make_config(grid=TorusGrid(2, 32), eps=0.05, horizon=1.0 / 16,
+                          forcing=default_forcing(2, 0.3),
+                          initial=InitialCondition("random_spectrum", 0.4))
+        run = lone_run(cfg, 2, 0)
+        out = io.BytesIO()
+        solver._serve(iter([(cfg, None, run, None, [])]), out)
+        kind, ((trace, band), err, kept) = pickle.loads(out.getvalue())
+        assert (kind, err, kept) == ("run", None, [])
+        assert band.shape == (2,) + cfg.grid.ops.band_shape
+        assert band.tobytes() == run.band.tobytes()
+        reader = io.BytesIO(out.getvalue())
+        _, _, got, _, _ = solver._receive(solver._Worker(0, reader), cfg, None)
+        assert got.trace.energy.tobytes() == run.trace.energy.tobytes()
+        assert got.final.coeffs.tobytes() == run.final.coeffs.tobytes()
 
     @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 16)])
     def test_viscous_factor_is_the_band_of_the_full_factor(self, dim, n):
@@ -721,7 +764,7 @@ class TestBandState:
                           horizon=1.0 / 32, forcing=default_forcing(dim, 0.3),
                           initial=InitialCondition("random_spectrum", 0.5))
         trace = lone_run(cfg, 4, 1).trace
-        want = parseval_energy(initial_state(cfg, 4, 1))[0]
+        want = parseval_energy(full_layout_start(cfg, 4, 1))[0]
         assert isinstance(trace.initial_energy, float)
         assert trace.initial_energy.hex() == want.hex() == float(trace.energy[0]).hex()
 

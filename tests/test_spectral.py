@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from dissipeuler.limits import probe_fields
 from dissipeuler.spectral import (
     SpectralError,
     SpectralField,
@@ -15,10 +16,9 @@ from dissipeuler.spectral import (
     _band_to_physical,
     _convective_with_sup,
     _rfft,
+    band_gradient,
     convective_term,
-    dealias,
     divergence_defect,
-    gradient_physical,
     half_to_physical,
     inner_product,
     l2_norm_sq,
@@ -30,9 +30,12 @@ from dissipeuler.spectral import (
 )
 
 from conftest import (
+    band_field,
     coeff_at,
+    dealias,
     full_layout,
     full_wavenumbers,
+    gradient_physical,
     parseval_energy,
     random_divfree_field,
     random_field,
@@ -116,30 +119,50 @@ class TestLerayProjection:
             assert divergence_defect(pf) < 1e-12
 
 
+def grad_of(f):
+    """``band_gradient`` of a field ``f`` that lies in the dealias band."""
+    return band_gradient(f.grid, f.grid.ops.to_band(f.coeffs))
+
+
 class TestGradient:
     def test_single_mode(self, grid2d):
         x = grid2d.points()
         u = field_from_values(grid2d, np.sin(x[0]), 0.0)
-        g = gradient_physical(u)
+        g = grad_of(u)
         assert np.allclose(g[0, 0], np.broadcast_to(np.cos(x[0]), grid2d.shape), atol=1e-12)
         assert np.max(np.abs(g[0, 1])) < 1e-12
         assert np.max(np.abs(g[1])) < 1e-12
 
     def test_constant_field(self, grid2d):
         u = field_from_values(grid2d, 0.7, -0.3)
-        assert np.max(np.abs(gradient_physical(u))) < 1e-13
+        assert np.max(np.abs(grad_of(u))) < 1e-13
 
     def test_hand_differentiated_mode(self, grid2d):
         x = grid2d.points()
         u = field_from_values(grid2d, np.sin(2 * x[1]), 0.0)
-        g = gradient_physical(u)
+        g = grad_of(u)
         expected = np.broadcast_to(2.0 * np.cos(2 * x[1]), grid2d.shape)
         assert np.allclose(g[0, 1], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16)])
+    def test_band_gradient_keeps_the_bits_of_the_full_layout_gradient(self, dim, n):
+        # the probe's fields and random band fields: one pruned inverse
+        # transform of the band gives the bits of the full-layout transform
+        grid = TorusGrid(dim, n)
+        rng = np.random.default_rng(dim * n)
+        fields = [phi for _, phi in probe_fields(grid)] + [
+            band_field(grid, grid.ops.to_band(random_field(grid, rng, scale).coeffs))
+            for scale in (1e-3, 1.0, 1e3)]
+        for f in fields:
+            got = band_gradient(grid, grid.ops.to_band(f.coeffs))
+            assert got.shape == (dim, dim) + grid.shape
+            assert got.view(np.uint64).tobytes() == \
+                gradient_physical(f).view(np.uint64).tobytes()
 
     def test_grad_norm_matches_tensor(self, grid2d):
         rng = np.random.default_rng(7)
         f = random_divfree_field(grid2d, rng)
-        tensor = gradient_physical(f)
+        tensor = grad_of(f)
         quad = np.sum(tensor ** 2) * grid2d.dx ** grid2d.dim
         band = grid2d.ops.to_band(f.coeffs)   # f lies in the band
         assert _band_energy_and_grad_norm_sq(grid2d, band)[1] == pytest.approx(quad, rel=1e-12)
@@ -261,7 +284,7 @@ class TestConvectiveTerm:
         # the expected amplitudes asserted below.
         grid = TorusGrid(2, 32)
         a = 0.8
-        u = taylor_green(grid) + single_mode(grid, a)
+        u = SpectralField(grid, taylor_green(grid).coeffs + single_mode(grid, a).coeffs)
         got = convective_term(u)
 
         expected = np.zeros((2,) + grid.shape, dtype=np.complex128)

@@ -10,8 +10,10 @@ from dissipeuler.forcing import WienerPath, default_forcing
 from dissipeuler.reporting import all_passed
 from dissipeuler.solver import InitialCondition, SolverConfig, initial_state
 from dissipeuler.spectral import (
+    SpectralError,
+    SpectralField,
     TorusGrid,
-    gradient_physical,
+    band_embed,
     l2_norm_sq,
     single_mode,
     taylor_green,
@@ -30,7 +32,17 @@ from dissipeuler.weakstrong import (
 )
 from dissipeuler.young import Binning, CellPartition, dirac_embed, estimate_from_family
 
-from conftest import Snapshots, Trajectory, band_field, bin_run, lone_run
+from conftest import (
+    Snapshots,
+    Trajectory,
+    band_field,
+    bin_run,
+    full_layout_start,
+    gradient_physical,
+    lone_run,
+    resample,
+    resampled_relative_energy,
+)
 
 # two time slabs of 4 x 4 space cells on a 16^2 grid over [0, 0.25]
 SMALL = Binning(CellPartition(2, 16, 2, 4, 0.0, 0.25), 4.0, 16, 32)
@@ -142,16 +154,67 @@ class TestRelativeEnergy:
 
     def test_initial_relative_energy_identical_data(self):
         ic = InitialCondition("random_spectrum", amplitude=0.5, k_max=2)
-        u0 = ic.sample(TorusGrid(2, 32), 7, 0)
-        v0 = ic.sample(TorusGrid(2, 128), 7, 0)
-        assert initial_relative_energy(u0, v0) < 1e-20
+        coarse, fine = TorusGrid(2, 32), TorusGrid(2, 128)
+        u0 = coarse.ops.to_band(ic.sample(coarse, 7, 0).coeffs)
+        v0 = fine.ops.to_band(ic.sample(fine, 7, 0).coeffs)
+        assert initial_relative_energy(coarse, u0, fine, v0) < 1e-20
 
     def test_initial_relative_energy_distinct_data(self):
         grid = TorusGrid(2, 32)
         a = taylor_green(grid)
         b = single_mode(grid)
-        direct = 0.5 * l2_norm_sq(a - b)
-        assert initial_relative_energy(a, b) == pytest.approx(direct, rel=1e-12)
+        direct = 0.5 * l2_norm_sq(SpectralField(grid, a.coeffs - b.coeffs))
+        bands = [grid.ops.to_band(f.coeffs) for f in (a, b)]
+        assert initial_relative_energy(grid, bands[0], grid, bands[1]) == \
+            pytest.approx(direct, rel=1e-12)
+
+
+def start_config(dim, n, kind="random_spectrum", amplitude=0.4):
+    return SolverConfig(grid=TorusGrid(dim, n), forcing=None, eps=0.0, dt=1.0 / 32,
+                        horizon=0.25, initial=InitialCondition(kind, amplitude, k_max=2))
+
+
+GRID_PAIRS = [(2, 32, 32), (2, 32, 128), (3, 16, 16), (3, 16, 32)]
+
+
+class TestInitialRelativeEnergy:
+    """F(0) compares the two starts on the band of the finer grid."""
+
+    @pytest.mark.parametrize("dim,n,fine_n", GRID_PAIRS)
+    @pytest.mark.parametrize("kinds", [("random_spectrum", "random_spectrum"),
+                                       ("taylor_green", "single_mode"),
+                                       ("single_mode", "random_spectrum")])
+    def test_matches_the_coefficient_transfer_of_full_fields(self, dim, n, fine_n, kinds):
+        weak, ref = start_config(dim, n, kinds[0]), start_config(dim, fine_n, kinds[1], 0.7)
+        u0, v0 = solver.initial_state(weak, 5, 0), solver.initial_state(ref, 5, 1)
+        got = initial_relative_energy(weak.grid, u0, ref.grid, v0)
+        want = resampled_relative_energy(full_layout_start(weak, 5, 0),
+                                         full_layout_start(ref, 5, 1))
+        assert want > 1e-3
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("dim,n,fine_n", GRID_PAIRS)
+    def test_identical_draws_give_zero(self, dim, n, fine_n):
+        weak, ref = start_config(dim, n), start_config(dim, fine_n)
+        got = initial_relative_energy(weak.grid, solver.initial_state(weak, 3, 2),
+                                      ref.grid, solver.initial_state(ref, 3, 2))
+        assert got == 0.0
+
+    @pytest.mark.parametrize("dim,n,fine_n", GRID_PAIRS)
+    def test_embed_is_the_band_of_the_transferred_field(self, dim, n, fine_n):
+        weak, ref = start_config(dim, n), start_config(dim, fine_n)
+        start = full_layout_start(weak, 2, 0)
+        got = band_embed(weak.grid, weak.grid.ops.to_band(start.coeffs), ref.grid)
+        want = ref.grid.ops.to_band(resample(start, ref.grid).coeffs)
+        assert got.shape == (dim,) + ref.grid.ops.band_shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid,fine", [(TorusGrid(2, 32), TorusGrid(2, 16)),
+                                           (TorusGrid(2, 16), TorusGrid(3, 16))])
+    def test_embed_rejects_a_grid_that_does_not_refine(self, grid, fine):
+        band = np.zeros((grid.dim,) + grid.ops.band_shape, dtype=np.complex128)
+        with pytest.raises(SpectralError, match="does not refine"):
+            band_embed(grid, band, fine)
 
 
 class TestReference:
@@ -218,15 +281,16 @@ class TestReference:
         starts = []
         real_f0 = weakstrong.initial_relative_energy
 
-        def spy(u0, v0):
-            starts.append((u0, v0))
-            return real_f0(u0, v0)
+        def spy(*args):
+            starts.append(args)
+            return real_f0(*args)
         monkeypatch.setattr(weakstrong, "initial_relative_energy", spy)
         reduced_reference(cfg, 1, 3, CellPartition(2, 16, 2, 4, 0.0, 0.25),
                           snapshot_grid(0.25, 2), weak)
-        [(u0, v0)] = starts
-        assert np.array_equal(u0.coeffs, initial_state(weak, 1, 3).coeffs)
-        assert np.array_equal(v0.coeffs, initial_state(cfg, 1, 3).coeffs)
+        [(coarse, u0, fine, v0)] = starts
+        assert (coarse, fine) == (weak.grid, cfg.grid)
+        assert np.array_equal(u0, initial_state(weak, 1, 3))
+        assert np.array_equal(v0, initial_state(cfg, 1, 3))
 
     def test_snapshot_time_off_the_step_grid_rejected(self, monkeypatch):
         # the times map to steps before the run: none is integrated
@@ -540,7 +604,8 @@ class TestLadderComparison:
         # F(0) and the reference keep the bits of their own draws
         for p, pid in enumerate([0, 1]):
             v0 = initial_state(ref, 1, pid)
-            want = initial_relative_energy(initial_state(weak, 1, pid), v0)
+            want = initial_relative_energy(weak.grid, initial_state(weak, 1, pid),
+                                           ref.grid, v0)
             assert rep["per_eps"][0.1]["f0"][p] == want
             shared = reduced_reference(ref, 1, pid, part, times, weak, initial=v0)
             drawn = reduced_reference(ref, 1, pid, part, times, weak)

@@ -555,7 +555,7 @@ class TestFamilyEnergyBound:
         trajs = []
         sups = []
         for amp in (0.4, 0.8):
-            u = taylor_green(grid) * amp
+            u = taylor_green(grid, amp)
             from dissipeuler.spectral import l2_norm_sq as _l2
             sups.append(0.5 * _l2(u))
             trajs.append(field_trajectory(
