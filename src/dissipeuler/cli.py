@@ -46,7 +46,8 @@ from .limits import (
 )
 from .manifest import RunDirectory
 from .reporting import all_passed, audit_row, render_report
-from .solver import BlowUpError, apriori_moment_report, run_ensemble, snapshot_steps
+from .solver import (BlowUpError, EnergyBudget, apriori_moment_report, run_ensemble,
+                     snapshot_steps)
 from .spectral import write_field
 from .weakstrong import weak_strong_ladder
 from .young import (
@@ -131,21 +132,20 @@ def _build_parser():
 
 def _run_simulate(cfg: RunConfig, out: RunDirectory, threads: int):
     rows = []
-    for _, path, run, err, _ in run_ensemble([cfg.solver], cfg.seed, range(cfg.paths),
-                                             processes=threads):
+    runs = run_ensemble([cfg.solver], cfg.seed, range(cfg.paths),
+                        lambda scfg, path: (EnergyBudget(scfg, path),), threads)
+    for _, path, run, err, [trace] in runs:
         tag = f"eps{cfg.solver.eps:g}_path{path.path_id:04d}"
+        trace.write_csv(out.path(f"traces/{tag}.csv"))   # partial after a blow-up
         if err is not None:
-            if err.partial is not None:
-                err.partial.write_csv(out.path(f"traces/{tag}.csv"))
             rows.append(audit_row(
                 f"energy_defect_{tag}", "ns_solver.energy_audit",
                 float("inf"), 0.0, f"blow-up: {err}"))
             continue
-        run.trace.write_csv(out.path(f"traces/{tag}.csv"))
         write_field(out.path(f"fields/final_{tag}.field"), run.final,
                     cfg.solver.horizon)
-        tol = run.trace.tolerance(cfg.tolerances.energy_defect_c)
-        val = run.trace.max_positive_defect()
+        tol = trace.tolerance(cfg.tolerances.energy_defect_c)
+        val = trace.max_positive_defect()
         rows.append(audit_row(f"energy_defect_{tag}", "ns_solver.energy_audit",
                               val, tol))
     return rows, {}
@@ -208,19 +208,20 @@ def _run_vanish(cfg: RunConfig, out: RunDirectory, threads: int):
 def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     eps = cfg.eps_values[0]
     steps = snapshot_steps(cfg.solver, cfg.snapshot_times)
-    [(_, _, run, err, kept)] = run_ensemble(
-        [cfg.solver], cfg.seed, [0], lambda *_: (YoungBinner(cfg.binning, steps),))
+    [(_, _, _, err, [bins, trace])] = run_ensemble(
+        [cfg.solver], cfg.seed, [0],
+        lambda scfg, path: (YoungBinner(cfg.binning, steps), EnergyBudget(scfg, path)))
+    trace.write_csv(out.path(f"traces/eps{eps:g}_path0000.csv"))   # partial after a blow-up
     if err is not None:
-        return _blowup_report(out, "ym", err, f"eps{eps:g}_path0000")
-    V = dirac_embed(kept[0])
+        return _blowup_report("ym", err)
+    V = dirac_embed(bins)
     write_measure(out.path("measures/run.ym"), V)
-    run.trace.write_csv(out.path(f"traces/eps{eps:g}_path0000.csv"))
 
     rows = []
     dim = cfg.solver.grid.dim
     energy_f = TestIntegrand("speed2", quad=(np.eye(dim), np.zeros(dim), 0.0))
     got = pairing(V, energy_f)
-    want = float(np.mean(2.0 * run.trace.energy[sorted(steps)])
+    want = float(np.mean(2.0 * trace.energy[sorted(steps)])
                  * cfg.solver.horizon)
     err = abs(got - want) / max(abs(want), 1e-300)
     rows.append(audit_row("pairing_vs_quadrature", "young_measure.pairing",
@@ -239,11 +240,8 @@ def _run_ym(cfg: RunConfig, out: RunDirectory, threads: int):   # one path
     return rows, {}
 
 
-def _blowup_report(out: RunDirectory, experiment: str, err: BlowUpError,
-                   tag: str | None = None):
-    """One failing row for a run that lost resolution, plus its partial trace."""
-    if tag is not None and err.partial is not None:
-        err.partial.write_csv(out.path(f"traces/{tag}.csv"))
+def _blowup_report(experiment: str, err: BlowUpError):
+    """One failing row for an experiment whose run lost resolution."""
     return [audit_row(f"blowup_{experiment}", "ns_solver.run_path",
                       float("inf"), 0.0, f"blow-up: {err}")], {}
 
@@ -262,7 +260,7 @@ def _run_martingale(cfg: RunConfig, out: RunDirectory, threads: int):
             functionals = solver_functionals_multi(
                 scfg, fields, cfg.seed, range(cfg.paths), pairs, threads)
         except BlowUpError as err:
-            return _blowup_report(out, "martingale", err)
+            return _blowup_report("martingale", err)
     else:
         functionals = linear_model_functionals_multi(
             scfg.forcing, fields, cfg.seed, range(cfg.martingale.linear_paths),
@@ -290,7 +288,7 @@ def _run_weakstrong(cfg: RunConfig, out: RunDirectory, threads: int):
             level=cfg.reference.level, slack=cfg.tolerances.gronwall_slack,
             processes=threads)
     except BlowUpError as err:
-        return _blowup_report(out, "weakstrong", err)
+        return _blowup_report("weakstrong", err)
     return rows, {
         "stopping_times": [float(x) for x in rep["stopping_times"]],
         "sup_by_eps": rep["monotone"]["sup_by_eps"],

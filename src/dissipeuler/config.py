@@ -15,7 +15,8 @@ loader calls the rule of the module that owns it with an ``error`` that
 names the field (``_at``).  These are the time step and seed
 (``forcing.check_dt``, ``check_seed``), a viscosity >= 0, the blow-up
 ceiling and CFL number (``solver.check_viscosity``, ``check_guard``), the
-ladder's order and positivity (``limits.decreasing_rungs``), a martingale
+initial amplitude and a random spectrum's k_max (``solver.check_amplitude``,
+``check_k_max``), the ladder's order and positivity (``limits.decreasing_rungs``), a martingale
 pair's 0 <= s < t, history kinds, level alpha and ensemble size
 (``limits.check_pair``, ``check_history``, ``check_alpha``,
 ``check_martingale_paths``), the reference grid, dt refinement and
@@ -49,8 +50,9 @@ from .forcing import (
 )
 from .limits import (check_alpha, check_history, check_martingale_paths, check_pair,
                      decreasing_rungs)
-from .solver import (InitialCondition, SolverConfig, SolverError, check_guard,
-                     check_threads, check_viscosity, step_index)
+from .solver import (InitialCondition, SolverConfig, SolverError, check_amplitude,
+                     check_guard, check_k_max, check_threads, check_viscosity,
+                     step_index)
 from .spectral import SpectralError, TorusGrid
 from .weakstrong import check_level, check_reference_n
 from .young import Binning, CellPartition, check_count, check_radius, check_space_cells
@@ -481,15 +483,14 @@ def _parse_mode(m, path) -> ForcingMode:
 
 
 def _parse_initial(raw, grid):
+    spec = _section(raw, "initial", InitialCondition)
+    check_amplitude(spec["amplitude"], _at("initial.amplitude"))
+    if spec["kind"] == "random_spectrum":
+        check_k_max(spec["k_max"], _at("initial.k_max"), grid)
     try:
-        init = InitialCondition(**_section(raw, "initial", InitialCondition))
+        init = InitialCondition(**spec)
     except SolverError as err:
         raise ConfigError("initial.kind", str(err)) from err
-    cut = grid.dealias_cutoff()
-    if init.kind == "random_spectrum" and not 1 <= init.k_max <= cut:
-        raise ConfigError("initial.k_max",
-                          f"must be in [1, {cut}], the dealias cutoff of "
-                          f"n={grid.n}, got {init.k_max}")
     if init.kind == "random_spectrum":
         try:
             (grid.dim ** 0.5 * init.k_max) ** -init.decay

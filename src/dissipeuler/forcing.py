@@ -9,7 +9,9 @@ increments are a pure function of ``(seed, path_id, mode, step)`` through a
 Philox counter-based generator, so one Wiener path can be replayed
 bit-exactly across viscosities and resolutions.  Time refinement halves dt
 by Brownian-bridge subdivision of the stored coarse increments, keeping all
-dt levels on the same path; ``check_dt`` is every reader's time-step rule.
+dt levels on the same path; ``check_dt`` is every reader's time-step rule,
+and ``check_seed``, ``check_path_id`` and ``check_modes`` are every
+sampler's rules for the words of its counter and its mode count.
 A run adds the noise and takes its Ito pairings on ``noise_support``.
 
 Normals come from uniforms by cephes' inverse normal CDF ``ndtri``,
@@ -266,6 +268,19 @@ def check_seed(seed: int, error=ForcingError) -> None:
         raise error(f"seed must be in [0, 2**64), got {seed}")
 
 
+def check_path_id(path_id: int, error=ForcingError) -> None:
+    """A path id is a word of the generator's counter: 0 <= path_id < 2**64
+    (a NaN is not), or ``error``."""
+    if not 0 <= path_id < 2 ** 64:
+        raise error(f"path id must be in [0, 2**64), got {path_id}")
+
+
+def check_modes(n_modes: int, error=ForcingError) -> None:
+    """A Wiener path has n_modes >= 0 modes (a NaN has not), or ``error``."""
+    if not n_modes >= 0:
+        raise error(f"mode count must be >= 0, got {n_modes}")
+
+
 def _raw_words(seed: int, path_ids, modes, start: int, count: int,
                stream: int) -> np.ndarray:
     """The words of steps start..start + count - 1 of every (path, mode)
@@ -282,6 +297,7 @@ def _raw_words(seed: int, path_ids, modes, start: int, count: int,
     state = bg.state   # a fresh generator's, with its buffer empty
     words = np.empty((len(path_ids), count, len(modes)), dtype=np.uint64)
     for p, path_id in enumerate(path_ids):
+        check_path_id(path_id)
         for k, mode in enumerate(modes):
             state["state"]["counter"] = np.array([start, mode, path_id, stream],
                                                  dtype=np.uint64)
@@ -309,6 +325,7 @@ def _increments(seed: int, path_ids, n_modes: int, dt: float, start: int,
     """N(0, dt) draws of steps start..stop - 1 of every mode of every path,
     shape (len(path_ids), stop - start, n_modes), by one ``ndtri`` call."""
     check_dt(dt)
+    check_modes(n_modes)
     if stop < start:
         raise ForcingError("empty or negative step range")
     words = _raw_words(seed, path_ids, range(n_modes), start, stop - start, stream)

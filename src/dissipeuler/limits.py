@@ -43,7 +43,7 @@ import numpy as np
 
 from .forcing import ForcingOperator, WienerPath, ndtri
 from .reporting import audit_row
-from .solver import SolverConfig, run_ensemble, snapshot_steps, step_index
+from .solver import EnergyBudget, SolverConfig, run_ensemble, snapshot_steps, step_index
 from .spectral import SpectralField, band_gradient, inner_product, tensor_pairing
 from .young import (
     Binning,
@@ -116,8 +116,9 @@ def run_ladder(eps_values, base: SolverConfig, seed: int, path_ids,
     of the configured rungs, ``eps_values[len // 2:]``, less any rung
     without a surviving run; per-rung measures pool the ensemble at that
     viscosity.  Blow-ups abort a single (eps, path) run and the ladder
-    continues without it.  The result keeps every survivor's energy trace
-    with its path id and the measures.  Every tail run also feeds a
+    continues without it.  Every run also feeds an ``EnergyBudget``, and
+    the result keeps every survivor's energy trace with its path id and
+    the measures.  Every tail run also feeds a
     ``FunctionalRecorder`` of the first ``probe_fields`` field (whose
     ``Probe`` is built once) at the snapshot steps, which must hold step 0;
     ``finest`` holds the first survivor of the finest tail rung with its
@@ -129,10 +130,10 @@ def run_ladder(eps_values, base: SolverConfig, seed: int, path_ids,
     tail_rungs = eps_values[len(eps_values) // 2:]
 
     def watch(cfg, path):
-        binner = YoungBinner(binning, steps)
+        binner, budget = YoungBinner(binning, steps), EnergyBudget(cfg, path)
         if cfg.eps not in tail_rungs:
-            return (binner,)
-        return binner, FunctionalRecorder(probe, cfg.eps, base.transport)
+            return binner, budget
+        return binner, budget, FunctionalRecorder(probe, cfg.eps, base.transport)
 
     pooled = YoungAccumulator(binning)
     traces, measures, blowups, paths, first = {}, {}, {}, {}, {}
@@ -140,7 +141,7 @@ def run_ladder(eps_values, base: SolverConfig, seed: int, path_ids,
     def run_rung(eps, rung_runs):   # a function: its last run goes when it returns
         rung = YoungAccumulator(binning)
         traces[eps] = []
-        for _, path, run, err, kept in rung_runs:
+        for _, path, _, err, kept in rung_runs:
             paths[path.path_id] = path
             if err is not None:
                 blowups.setdefault(eps, []).append((path.path_id, str(err)))
@@ -148,8 +149,8 @@ def run_ladder(eps_values, base: SolverConfig, seed: int, path_ids,
             rung.apply(kept[0])
             if eps in tail_rungs:   # binned once, applied twice
                 pooled.apply(kept[0])
-                first.setdefault(eps, kept[1])
-            traces[eps].append((path.path_id, run.trace))
+                first.setdefault(eps, kept[2])
+            traces[eps].append((path.path_id, kept[1]))
         if traces[eps]:
             measures[eps] = rung.measure()
 

@@ -3,8 +3,8 @@
 The stepper is semi-implicit: the Stokes part uses the exact Fourier
 integrating factor exp(-eps |k|^2 dt), transport and noise are explicit
 Euler-Maruyama, and the state stays divergence-free because every additive
-term is projected.  Every quantity entering the pathwise energy budget is
-tracked per step:
+term is projected.  The observer ``EnergyBudget`` sums, per step, every
+quantity entering the pathwise energy budget of a run:
 
     E_n   kinetic energy 0.5 ||u||^2
     D_n   cumulative eps * int ||grad u||^2 (left-point quadrature)
@@ -13,24 +13,27 @@ tracked per step:
 
 The energy-inequality defect over [s, t] is G(t) - G(s) for the compensated
 process G = E + D - I - M, which an admissible path keeps non-increasing up
-to discretization noise.
+to discretization noise.  Only the experiments that read the budget
+attach it.
 
 No forcing is Phi = 0: ``SolverConfig`` stores ``forcing=None`` as the
 rank-0 ``ForcingOperator(())``, so every run samples its Wiener path (of 0
 modes then) and adds its noise one way, and I and M stay +0.0.
 
-A run starts from a band array (``initial_state``), steps on the dealias
-band and keeps only its configuration, this trace and its final band; its
-states are read by observers (``run_path``), such as the binner and the
-functional recorders, each of which reduces the states it reads and keeps
-none of them.  An observer serves one run: it has ``steps``, ``on_state(n,
-t, band, phys)``, which reads a state's band coefficients and point
-values, and ``payload()``, what it kept of the run.  Every experiment runs
-its (configuration, path) runs through ``run_ensemble``, which draws the
+A run (``run_path``) starts from a band array (``initial_state``), steps on
+the dealias band, guards against blow-up and keeps only its configuration
+and its final band; its states are read by observers, such as the energy
+budget, the binner and the functional recorders, each of which reduces the
+states it reads and keeps none of them.  An observer serves one run: it
+has ``steps``, ``on_state(n, t, band, phys)``, which reads a state's band
+coefficients and point values, and ``payload()``, what it kept of the run,
+also of a run that stopped early.  Every experiment runs its
+(configuration, path) runs through ``run_ensemble``, which draws the
 Wiener paths once, shares them across configurations (refined by Brownian
-bridge for one at a finer dt), builds each run's observers, hands back
-their payloads with the run, reports a blow-up as that run's failure and,
-for ``--threads``, runs the paths on forked workers.
+bridge for one at a finer dt), builds each run's observers for the path
+it steps on, hands back their payloads with the run, reports a blow-up as
+that run's failure with the payloads it left and, for ``--threads``, runs
+the paths on forked workers.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,13 +76,13 @@ class SolverError(RuntimeError):
 
 
 class BlowUpError(SolverError):
-    """Trajectory lost resolution; carries partial results for diagnosis."""
+    """Trajectory lost resolution at ``time``, with sup |u| = ``sup`` (None
+    for a run without transport)."""
 
-    def __init__(self, message, time=None, sup=None, partial=None):
+    def __init__(self, message, time=None, sup=None):
         super().__init__(message)
         self.time = time
         self.sup = sup
-        self.partial = partial
 
 
 class CflError(BlowUpError):
@@ -105,6 +109,9 @@ class InitialCondition:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise SolverError(f"unknown initial condition kind {self.kind!r}")
+        check_amplitude(self.amplitude)
+        if self.kind == "random_spectrum":
+            check_k_max(self.k_max)
 
     def sample(self, grid: TorusGrid, seed: int, path_id: int) -> SpectralField:
         if self.kind == "zero":
@@ -191,6 +198,22 @@ class SolverConfig:
         return self.forcing.noise_support(self.grid)
 
 
+def check_amplitude(amplitude: float, error: type = SolverError) -> None:
+    """An initial amplitude is finite (not NaN), or ``error``."""
+    if not -math.inf < amplitude < math.inf:
+        raise error(f"amplitude must be finite, got {amplitude!r}")
+
+
+def check_k_max(k_max: int, error: type = SolverError, grid: TorusGrid | None = None) -> None:
+    """A random spectrum's k_max is >= 1 and, given its ``grid``, at most
+    the grid's dealias cutoff (a NaN is neither), or ``error``."""
+    cut = math.inf if grid is None else grid.dealias_cutoff()
+    if not 1 <= k_max <= cut:
+        bound = ">= 1," if grid is None else \
+            f"in [1, {cut}], the dealias cutoff of n={grid.n},"
+        raise error(f"k_max must be {bound} got {k_max!r}")
+
+
 def check_viscosity(eps: float, error: type = SolverError) -> None:
     """A viscosity is >= 0 and finite (so not NaN), or ``error``."""
     if not 0 <= eps < math.inf:
@@ -250,16 +273,60 @@ class EnergyTrace:
                             repr(float(defects[i]))])
 
 
+class EnergyBudget:
+    """Observer summing the energy budget of one run of ``cfg`` on ``path``,
+    the path the run steps on; its ``payload()`` is the ``EnergyTrace`` of
+    the states it read, so a run that stopped early gives its partial trace.
+
+    It reads every step.  At state n it takes E_n and ||grad u_n||^2 by
+    Parseval, in its own power array, and the increments of step n from
+    u_n: eps dt ||grad u_n||^2 for D (for eps > 0) and <u_n, Phi dW_n>,
+    paired through ``cfg.noise_support``, for M.
+    """
+
+    steps = None
+
+    def __init__(self, cfg: SolverConfig, path: WienerPath):
+        self.cfg, self.path, self.read = cfg, path, 0
+        self.times = np.arange(cfg.steps + 1) * cfg.dt
+        self.energy = np.empty(cfg.steps + 1)
+        self.dissipation = np.zeros(cfg.steps + 1)
+        self.ito_input = 0.5 * cfg.forcing.hs_norm_sq() * self.times
+        self.stochastic = np.zeros(cfg.steps + 1)
+        self.power = np.empty(cfg.grid.spectral_shape)
+
+    def on_state(self, n, t, band, phys):
+        cfg = self.cfg
+        self.energy[n], grad_sq = _band_energy_and_grad_norm_sq(cfg.grid, band, self.power)
+        self.read = n + 1
+        if n == cfg.steps:
+            return
+        if cfg.eps > 0:
+            self.dissipation[n + 1] = self.dissipation[n] + cfg.eps * cfg.dt * grad_sq
+        self.stochastic[n + 1] = self.stochastic[n] + \
+            float(cfg.noise_support.pair(band) @ self.path.increments[n])
+
+    def payload(self) -> EnergyTrace:
+        n = self.read
+        return EnergyTrace(self.times[:n], self.energy[:n], self.dissipation[:n],
+                           self.ito_input[:n], self.stochastic[:n])
+
+
 @dataclass(frozen=True)
 class SolverRun:
     config: SolverConfig
-    trace: EnergyTrace
     band: np.ndarray   # the final state's band array
 
     @property
     def final(self) -> SpectralField:
         """The final state on the full layout, built on each read."""
         return SpectralField(self.config.grid, self.config.grid.ops.from_band(self.band))
+
+    @property
+    def trace(self) -> SimpleNamespace:
+        """The run's step times as ``trace.times``, read only by the
+        benchmark tracer (the energy trace is ``EnergyBudget``'s)."""
+        return SimpleNamespace(times=np.arange(self.config.steps + 1) * self.config.dt)
 
 
 def snapshot_steps(cfg: SolverConfig, times, error: type = SolverError) -> frozenset:
@@ -324,21 +391,27 @@ def run_path(cfg: SolverConfig, path: WienerPath, initial: np.ndarray,
     """Integrate one trajectory of ``cfg`` on the Wiener ``path`` (at cfg's
     dt, reaching the horizon, one mode per forcing mode: ``run_ensemble``
     refines the drawn path by Brownian bridge for a finer dt) from
-    ``initial``, which is ``initial_state(cfg, path.seed, path.path_id)``.
+    ``initial``, a complex128 band array of ``cfg.grid`` (else
+    ``SolverError``), which is ``initial_state(cfg, path.seed,
+    path.path_id)``; the run reads it through a read-only view and leaves
+    the caller's array as it was.
 
     Every state lies in the dealias band (the start is a band array and
     the forcing modes lie inside it), so from its start to its final state
-    the run holds only its band coefficients: it steps on them, and adds
-    the noise and pairs the state with the forcing modes through
-    ``cfg.noise_support``.  Each observer's ``on_state`` receives (step n,
-    time, the run's read-only band array, point values) at its ``steps``
-    (every step if None).  The point values come from one band inverse
-    transform, made only where the transport term or an observer reads
-    them; the run builds no full-layout field (``SolverRun.final`` does,
-    where it is read).  The run
-    reuses its transform-sized scratch arrays from step to step, and lets
-    them go while observers read a state, so its peak memory stays that of
-    the observers.
+    the run holds only its band coefficients: it steps on them and adds
+    the noise through ``cfg.noise_support``.  Each observer's ``on_state``
+    receives (step n, time, the run's read-only band array, point values)
+    at its ``steps`` (every step if None), before the run guards that
+    state.  The point values come from one band inverse transform, made
+    only where the transport term or an observer reads them; the run
+    builds no full-layout field (``SolverRun.final`` does, where it is
+    read).  A sup |u| above ``cfg.blowup_ceiling``, or NaN, raises
+    ``BlowUpError`` and a step past the CFL bound ``CflError``; a run
+    without transport has no sup, and raises ``BlowUpError`` at a state
+    that is not finite.  The run reuses its transform-sized scratch arrays
+    from step to step, and lets them go while a snapshot observer (one
+    with ``steps``) reads a state, so its peak memory stays that of the
+    observers.
     """
     grid = cfg.grid
     steps = cfg.steps
@@ -349,54 +422,48 @@ def run_path(cfg: SolverConfig, path: WienerPath, initial: np.ndarray,
     if path.n_modes != cfg.forcing.rank:
         raise SolverError(f"Wiener path has {path.n_modes} modes, the forcing "
                           f"has {cfg.forcing.rank}")
-    u = initial
+    shape = (grid.dim,) + grid.ops.band_shape
+    got = (initial.dtype, initial.shape) if isinstance(initial, np.ndarray) \
+        else type(initial).__name__
+    if got != (np.complex128, shape):
+        raise SolverError(f"initial must be a complex128 band array of shape {shape}, "
+                          f"got {got}")
+    u = initial.view()
 
     times = np.arange(steps + 1) * cfg.dt
-    energy = np.empty(steps + 1)
-    dissipation = np.zeros(steps + 1)
-    ito_input = 0.5 * cfg.forcing.hs_norm_sq() * times
-    stochastic = np.zeros(steps + 1)
-
-    def trace_to(n):   # the energy budget of the first n grid times
-        return EnergyTrace(times[:n], energy[:n], dissipation[:n],
-                           ito_input[:n], stochastic[:n])
-
     scratch = _Scratch(grid)
     for n in range(steps + 1):
         u.setflags(write=False)
-        energy[n], grad_sq = _band_energy_and_grad_norm_sq(grid, u, scratch.power)
-        if not (cfg.transport or np.isfinite(energy[n])):   # no sup to test
-            raise BlowUpError(f"non-finite energy {energy[n]:.3e} at t = {times[n]:.4f}",
-                              time=times[n], partial=trace_to(n + 1))
         readers = [obs for obs in observers if obs.steps is None or n in obs.steps]
         phys = _band_to_physical(grid, u, scratch.half[: grid.dim]) \
             if readers or (cfg.transport and n < steps) else None
-        if readers:
-            scratch = None   # the observers' own arrays may take its memory
-            for obs in readers:
-                obs.on_state(n, times[n], u, phys)
+        snapshot = any(obs.steps is not None for obs in readers)
+        if snapshot:
+            scratch = None   # the observer's own arrays may take its memory
+        for obs in readers:
+            obs.on_state(n, times[n], u, phys)
+        if snapshot:
             scratch = _Scratch(grid)
+        if not cfg.transport:   # no sup to test: the energy is finite iff this is
+            norm_sq = np.vdot(u, u).real
+            if not np.isfinite(norm_sq):
+                raise BlowUpError(f"non-finite energy {norm_sq:.3e} at t = {times[n]:.4f}",
+                                  time=times[n])
         if n == steps:
             break
-        if cfg.eps > 0:
-            dissipation[n + 1] = dissipation[n] + cfg.eps * cfg.dt * grad_sq
-        dw = path.increments[n]
-        stochastic[n + 1] = stochastic[n] + float(cfg.noise_support.pair(u) @ dw)
-        u, sup = _band_step(u, dw, cfg, phys, scratch)
+        u, sup = _band_step(u, path.increments[n], cfg, phys, scratch)
         if cfg.transport:
-            blown = not sup <= cfg.blowup_ceiling   # a NaN sup is a blow-up
-            if blown or (sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup):
-                partial = trace_to(n + 1)
-                if blown:
-                    raise BlowUpError(
-                        f"sup |u| = {sup:.3e} exceeded ceiling at t = {times[n + 1]:.4f}",
-                        time=times[n + 1], sup=sup, partial=partial)
+            if not sup <= cfg.blowup_ceiling:   # a NaN sup is a blow-up
+                raise BlowUpError(
+                    f"sup |u| = {sup:.3e} exceeded ceiling at t = {times[n + 1]:.4f}",
+                    time=times[n + 1], sup=sup)
+            if sup > 0 and cfg.dt > cfg.cfl_number * grid.dx / sup:
                 raise CflError(
                     f"CFL violated at t = {times[n + 1]:.4f}: "
                     f"dt = {cfg.dt:.3e} > {cfg.cfl_number} dx / {sup:.3e}",
-                    time=times[n + 1], sup=sup, partial=partial)
+                    time=times[n + 1], sup=sup)
 
-    return SolverRun(cfg, trace_to(steps + 1), u)
+    return SolverRun(cfg, u)
 
 
 def check_threads(threads: int, error: type = SolverError) -> None:
@@ -433,19 +500,21 @@ def run_ensemble(cfgs, seed: int, path_ids, observers=lambda cfg, path: (),
     once by its first run, as a band array, and kept for the next
     configuration only when that one has the same grid and initial law.
 
-    ``observers(cfg, path)`` builds fresh observers for the run of ``path``
-    (as drawn) at ``cfg``, just before that run, in the process that runs
-    it.  Yields (cfg, path, run, err, kept) after each run, with ``path``
-    as drawn and ``kept`` the list of its observers' ``payload()``, taken
-    when the run ends.  A run that blows up yields run None, its
-    ``BlowUpError`` as err and kept None, and the remaining runs go ahead.
+    ``observers(cfg, path)`` builds fresh observers for the run at ``cfg``
+    on ``path``, the path that run steps on (refined for a finer dt), just
+    before that run, in the process that runs it.  Yields (cfg, path, run,
+    err, kept) after each run, with ``path`` as drawn and ``kept`` the
+    list of its observers' ``payload()``, taken when the run ends.  A run
+    that blows up yields run None, its ``BlowUpError`` as err and the
+    payloads of what its observers read before it stopped, and the
+    remaining runs go ahead.
 
     The runs go on P = ``ensemble_processes(processes, paths)`` processes:
     this one and P - 1 workers forked when the paths are drawn, each with
     its own copy of ``cfgs``.  Path i runs in process i mod P, which draws
     and keeps that path's initial states.  A worker runs its runs in order
-    and sends each one's trace, final band, error and kept payloads
-    through a pipe; here, in its turn, the run is yielded as if it had
+    and sends each one's final band, error and kept payloads through a
+    pipe; here, in its turn, the run is yielded as if it had
     been made here, so the yields keep every bit at any P.  A worker
     leaves only through ``os._exit``; any exception in it but a blow-up
     raises ``WorkerError`` here with its traceback.  When the loop ends or
@@ -501,13 +570,13 @@ def _runs(cfg, cfgs, paths, observers, rank, share, workers=()):
                 initial = initial_state(cfg, path.seed, pid)
             if keep:
                 starts[pid] = initial
-            watching = observers(cfg, path)
+            on = path.refined(round(path.dt / cfg.dt))   # the path the run steps on
+            watching = observers(cfg, on)
             try:   # the run is a temporary of the yield: no name holds it
-                yield cfg, path, run_path(cfg, path.refined(round(path.dt / cfg.dt)),
-                                          initial, watching), None, \
+                yield cfg, path, run_path(cfg, on, initial, watching), None, \
                     [obs.payload() for obs in watching]
             except BlowUpError as err:
-                yield cfg, path, None, err, None
+                yield cfg, path, None, err, [obs.payload() for obs in watching]
         cfg = following
 
 
@@ -544,8 +613,7 @@ def _serve(runs, out) -> None:
 
     try:
         for _, _, run, err, kept in runs:
-            result = None if run is None else (run.trace, run.band)
-            send(("run", (result, err, kept)))
+            send(("run", (None if run is None else run.band, err, kept)))
     except Exception:
         send(("crash", traceback.format_exc()))
 
@@ -559,9 +627,8 @@ def _receive(worker: _Worker, cfg: SolverConfig, path: WienerPath):
                           f"of path {path.path_id}") from None
     if kind == "crash":
         raise WorkerError(f"ensemble worker {worker.pid} failed:\n{body}")
-    result, err, kept = body
-    run = None if result is None else SolverRun(cfg, *result)
-    return cfg, path, run, err, kept
+    band, err, kept = body
+    return cfg, path, None if band is None else SolverRun(cfg, band), err, kept
 
 
 # -- ensemble moment monitor ----------------------------------------------

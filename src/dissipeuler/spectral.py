@@ -314,16 +314,15 @@ class _Scratch:
     """The transform-sized arrays one run's band steps overwrite in turn.
 
     Reused, they spare each step the page faults of fresh arrays, which at
-    128^2 cost about as much as the transforms: the products u_i u_j, the
-    half spectrum of the products (whose first dim blocks also serve the
-    inverse band transform) and the power of the energy sums.
+    128^2 cost about as much as the transforms: the products u_i u_j and
+    the half spectrum of the products (whose first dim blocks also serve
+    the inverse band transform).
     """
 
     def __init__(self, grid: TorusGrid):
         pairs = grid.dim * (grid.dim + 1) // 2
         self.prods = np.empty((pairs,) + grid.shape)
         self.half = np.empty((pairs,) + grid.spectral_shape, dtype=np.complex128)
-        self.power = np.empty(grid.spectral_shape)
 
 
 @dataclass(frozen=True)

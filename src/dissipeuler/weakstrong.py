@@ -88,9 +88,10 @@ class ReferenceReduction:
     reads ||grad v||_inf (``band_gradient``), the space-cell averages of
     the point values and ||v||^2, and keeps nothing of the state; only
     ||v||^2 reads the full-layout field, formed from the band at these
-    steps.  The payload gives each time slab the
-    mean over its snapshots of the cell averages and of ||v||^2; a slab
-    without a snapshot is an error.
+    steps.  The payload gives each time slab the mean over its snapshots
+    of the cell averages and of ||v||^2, and NaN to a slab without one
+    (which only a run that stopped early leaves: ``build_reference``
+    checks that every slab holds a snapshot time).
     """
 
     def __init__(self, grid: TorusGrid, partition: CellPartition, snapshot_steps,
@@ -101,6 +102,7 @@ class ReferenceReduction:
         self.steps = self.snapshot_steps | {0}
         # per snapshot, then per slab in time order
         self._times, self._grad_sup, self._sums, self._norms = [], [], {}, {}
+        self.f0 = np.nan   # until step 0 is read
 
     def on_state(self, n, t, band, phys):
         grid = self.grid
@@ -118,18 +120,15 @@ class ReferenceReduction:
         self._norms.setdefault(slab, []).append(l2_norm_sq(v))
 
     def payload(self) -> StrongReference:
-        cell_mean, slab_energy_sq = [], []
-        for s in range(self.partition.n_t):
-            if s not in self._sums:
-                raise WeakStrongError(f"reference has no snapshots in slab {s}")
-            count = len(self._norms[s])
-            cell_mean.append(np.ascontiguousarray(
-                np.moveaxis(self._sums[s] / count, -1, 0)))
-            slab_energy_sq.append(np.mean(self._norms[s]))
+        part = self.partition
+        cell_mean = np.full((part.n_t, part.n_space, self.grid.dim), np.nan)
+        slab_energy_sq = np.full(part.n_t, np.nan)
+        for s, norms in self._norms.items():
+            cell_mean[s] = np.moveaxis(self._sums[s] / len(norms), -1, 0)
+            slab_energy_sq[s] = np.mean(norms)
         return StrongReference(np.asarray(self._times, dtype=float),
                                np.array(self._grad_sup), self.horizon,
-                               np.stack(cell_mean), np.array(slab_energy_sq),
-                               self.f0)
+                               cell_mean, slab_energy_sq, self.f0)
 
 
 def build_reference(cfg: SolverConfig, partition: CellPartition, snapshot_times,
@@ -139,12 +138,14 @@ def build_reference(cfg: SolverConfig, partition: CellPartition, snapshot_times,
     path's run on ``partition``, with F(0) against the start of the weak
     configuration ``weak``.
 
-    The snapshot times map to steps of ``cfg`` by ``step_index`` here, once,
-    so a time off its step grid fails before any integration.
+    The snapshot times map to steps of ``cfg`` by ``step_index`` here,
+    once, and must reach every time slab of ``partition``
+    (``CellPartition.check_slabs``), so a time off its step grid or an
+    empty slab fails before any integration.
     """
-    return partial(ReferenceReduction, cfg.grid, partition,
-                   snapshot_steps(cfg, snapshot_times, WeakStrongError),
-                   cfg.horizon, weak)
+    steps = snapshot_steps(cfg, snapshot_times, WeakStrongError)
+    partition.check_slabs(snapshot_times, WeakStrongError)
+    return partial(ReferenceReduction, cfg.grid, partition, steps, cfg.horizon, weak)
 
 
 def check_reference_n(weak_n: int, ref_n: int, error=WeakStrongError) -> None:
@@ -307,7 +308,7 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
     (``check_reference_n``) and divides its dt by a power of two
     (``forcing.refinement_halvings``), and the snapshot times lie on the
     weak step grid (``solver.snapshot_steps``) and reach every time slab
-    (``CellPartition.check_slabs``).
+    (``CellPartition.check_slabs``, by ``build_reference``).
     """
     eps_values = decreasing_rungs(eps_values, WeakStrongError)
     for eps in eps_values:   # eps = 0 is allowed
@@ -320,7 +321,6 @@ def weak_strong_ladder(eps_values, weak_base: SolverConfig, ref_n: int,
                             eps=0.0, dt=weak_base.dt / dt_factor)
     steps = snapshot_steps(weak_base, snapshot_times, WeakStrongError)
     partition = binning.partition
-    partition.check_slabs(snapshot_times, WeakStrongError)
     reduction = build_reference(reference_cfg, partition, snapshot_times, weak_base)
 
     def observe(cfg, path):

@@ -6,6 +6,7 @@ import pytest
 
 from dissipeuler.forcing import WienerPath
 from dissipeuler.solver import (
+    EnergyBudget,
     SolverError,
     _band_step,
     initial_state,
@@ -57,6 +58,16 @@ def lone_run(cfg, seed, path_id, path=None, observers=(), initial=None):
     return run_path(cfg, path, initial, observers)
 
 
+def traced_run(cfg, seed, path_id, path=None, observers=(), initial=None):
+    """``lone_run`` with an ``EnergyBudget`` first among its observers:
+    (the run, the budget's ``EnergyTrace``)."""
+    if path is None:
+        path = WienerPath.sample(seed, path_id, cfg.forcing.rank, cfg.dt, cfg.steps)
+    budget = EnergyBudget(cfg, path)
+    run = lone_run(cfg, seed, path_id, path, (budget, *observers), initial)
+    return run, budget.payload()
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Point values of one run at selected times."""
@@ -80,7 +91,7 @@ class Snapshots:
         self._times.append(t)
 
     def payload(self) -> Trajectory:
-        return Trajectory(np.asarray(self._times), self._values)
+        return Trajectory(np.asarray(self._times), self._values[:len(self._times)])
 
 
 def bin_run(traj, partition, radius, bins_per_axis=16, sphere_bins=32):

@@ -25,7 +25,13 @@ from dissipeuler.limits import (
     solver_functionals_multi,
 )
 from dissipeuler.reporting import all_passed
-from dissipeuler.solver import InitialCondition, SolverConfig, initial_state, run_path
+from dissipeuler.solver import (
+    EnergyBudget,
+    InitialCondition,
+    SolverConfig,
+    initial_state,
+    run_path,
+)
 from dissipeuler.spectral import (
     TorusGrid,
     convective_term,
@@ -197,9 +203,11 @@ def test_criterion_3_energy_inequality(announce):
         for pid in range(n_paths):
             path = WienerPath.sample(3030, pid, forcing.rank, base_dt,
                                      base_steps).refined(2 ** lev)
-            run = run_path(cfg, path, initial_state(cfg, 3030, pid))
-            defect = run.trace.max_positive_defect()
-            tol = run.trace.tolerance(c=c_tol)
+            energy = EnergyBudget(cfg, path)
+            run_path(cfg, path, initial_state(cfg, 3030, pid), (energy,))
+            trace = energy.payload()
+            defect = trace.max_positive_defect()
+            tol = trace.tolerance(c=c_tol)
             _check(failures, defect <= tol,
                    f"defect {defect:.4f} > tol {tol:.4f} (lev {lev}, path {pid})")
             vals.append(defect)

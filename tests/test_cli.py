@@ -1358,3 +1358,18 @@ def test_no_command_imports_scipy(tmp_path):
     on_import, codes, after_runs = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert on_import == [] and after_runs == []
+
+
+@pytest.mark.parametrize("name", ["weakstrong_demo.json", "martingale_nonlinear_demo.json"])
+def test_experiments_that_read_no_trace_sum_no_energy(tmp_path, monkeypatch, name):
+    # the energy budget is an observer that only simulate, ym and vanish attach
+    import dissipeuler.solver as solver
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("an energy sum was computed")
+    monkeypatch.setattr(solver, "_band_energy_and_grad_norm_sq", no_sum)
+    cfg = CONFIGS / name
+    experiment = json.loads(cfg.read_text())["experiment"]
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert main(["simulate", "--config", str(CONFIGS / "simulate_demo.json"),
+                 "--out", str(tmp_path / "sim")]) == 3   # the patch is live

@@ -21,6 +21,8 @@ from dissipeuler.forcing import (
     WienerPath,
     auxiliary_normals,
     check_dt,
+    check_modes,
+    check_path_id,
     check_seed,
     default_forcing,
 )
@@ -446,3 +448,57 @@ class TestNanFails:
         assert stopping_time(ref, 2.5) == 0.1875
         with pytest.raises(WeakStrongError, match="threshold"):
             stopping_time(ref, NAN)
+
+
+@pytest.mark.parametrize("amplitude,valid", [
+    (0.3, True), (0.0, True), (-0.3, True), (NAN, False), (INF, False), (-INF, False)])
+def test_every_reader_checks_an_initial_amplitude_alike(amplitude, valid):
+    verdicts = {
+        "loader": accepts(loader("simulate", initial={"amplitude": amplitude}),
+                          ConfigError, "initial.amplitude"),
+        "InitialCondition": accepts(
+            lambda: InitialCondition("taylor_green", amplitude), SolverError),
+        "check_amplitude": accepts(lambda: solver.check_amplitude(amplitude), SolverError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("k_max,valid", [
+    (1, True), (2, True), (0, False), (-1, False), (NAN, False)])
+def test_every_reader_checks_a_k_max_alike(k_max, valid):
+    verdicts = {
+        "loader": accepts(loader("simulate", initial={"k_max": k_max}),
+                          ConfigError, "initial.k_max"),
+        "InitialCondition": accepts(
+            lambda: InitialCondition("random_spectrum", 0.3, k_max), SolverError),
+        "check_k_max": accepts(lambda: solver.check_k_max(k_max), SolverError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("n_modes,valid", [(0, True), (4, True), (-1, False), (NAN, False)])
+def test_every_sampler_checks_a_mode_count_alike(n_modes, valid):
+    verdicts = {
+        "WienerPath.sample": accepts(lambda: WienerPath.sample(1, 0, n_modes, 0.1, 3),
+                                     ForcingError),
+        "WienerPath.sample_many": accepts(
+            lambda: WienerPath.sample_many(1, [0], n_modes, 0.1, 3), ForcingError),
+        "check_modes": accepts(lambda: check_modes(n_modes), ForcingError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+@pytest.mark.parametrize("path_id,valid", [
+    (0, True), (2 ** 64 - 1, True), (-1, False), (2 ** 64, False), (NAN, False)])
+def test_every_sampler_checks_a_path_id_alike(path_id, valid):
+    # numpy would raise its own OverflowError for a path id outside uint64
+    verdicts = {
+        "WienerPath.sample": accepts(lambda: WienerPath.sample(1, path_id, 4, 0.1, 3),
+                                     ForcingError),
+        "WienerPath.sample_many": accepts(
+            lambda: WienerPath.sample_many(1, [path_id], 4, 0.1, 3), ForcingError),
+        "auxiliary_normals": accepts(lambda: auxiliary_normals(1, path_id, 0, 4),
+                                     ForcingError),
+        "check_path_id": accepts(lambda: check_path_id(path_id), ForcingError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, valid)

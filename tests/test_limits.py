@@ -42,7 +42,15 @@ from dissipeuler.young import (
     estimate_from_family,
 )
 
-from conftest import Snapshots, band_field, bin_run, dealias, lone_run, random_divfree_field
+from conftest import (
+    Snapshots,
+    band_field,
+    bin_run,
+    dealias,
+    lone_run,
+    random_divfree_field,
+    traced_run,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -642,10 +650,10 @@ class TestEnergyInequalityLimit:
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
                            horizon=0.5, initial=InitialCondition("zero"))
         snaps = every_step(cfg)
-        run = lone_run(cfg, 1, 0, observers=(snaps,))
+        _, trace = traced_run(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
         V = dirac_embed(bin_run(snaps.payload(), part, radius=1.0))
-        rows, _ = energy_inequality_limit(V, [run.trace], ForcingOperator(()), tol=1e-12)
+        rows, _ = energy_inequality_limit(V, [trace], ForcingOperator(()), tol=1e-12)
         assert all_passed(rows)
         values = {r["audit"]: r["value"] for r in rows}
         assert values == {"energy_inequality_family": 0.0, "no_positive_jumps": 0.0}
@@ -657,12 +665,12 @@ class TestEnergyInequalityLimit:
         cfg = SolverConfig(grid=grid, forcing=None, eps=0.1, dt=1.0 / 32,
                            horizon=0.5, initial=InitialCondition("zero"))
         snaps = every_step(cfg)
-        run = lone_run(cfg, 1, 0, observers=(snaps,))
+        _, trace = traced_run(cfg, 1, 0, observers=(snaps,))
         part = CellPartition(2, 16, 4, 2, 0.0, 0.5)
         V = dirac_embed(bin_run(snaps.payload(), part, radius=1.0))
-        stochastic = run.trace.stochastic.copy()
+        stochastic = trace.stochastic.copy()
         stochastic[-1] = np.nan
-        trace = replace(run.trace, stochastic=stochastic)
+        trace = replace(trace, stochastic=stochastic)
         rows, _ = energy_inequality_limit(V, [trace], ForcingOperator(()), tol=1e-12)
         values = {r["audit"]: r["value"] for r in rows}
         assert np.isnan(values["energy_inequality_family"])

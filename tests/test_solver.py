@@ -23,6 +23,7 @@ from dissipeuler.reporting import all_passed, row_passes
 from dissipeuler.solver import (
     BlowUpError,
     CflError,
+    EnergyBudget,
     InitialCondition,
     SolverConfig,
     SolverError,
@@ -57,6 +58,7 @@ from conftest import (
     random_divfree_field,
     step,
     trace_defect,
+    traced_run,
 )
 
 
@@ -92,8 +94,8 @@ class TestStep:
 
     def test_taylor_green_steady_energy(self):
         cfg = make_config(eps=0.0)
-        run = lone_run(cfg, 1, 0)
-        drift = np.abs(run.trace.energy - run.trace.energy[0])
+        _, trace = traced_run(cfg, 1, 0)
+        drift = np.abs(trace.energy - trace.energy[0])
         assert np.max(drift) < 1e-10
 
     def test_inviscid_energy_drift_first_order(self):
@@ -138,18 +140,22 @@ class TestStep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_state_without_transport_is_a_blowup(self):
-        # no transport, so no sup to test: the non-finite energy names the
-        # blow-up, and the partial trace ends at the state that lost it
+        # no transport, so no sup to test: the non-finite state names the
+        # blow-up, and the budget's partial trace ends at the state that
+        # lost it
         cfg = make_config(grid=TorusGrid(2, 16), transport=False,
                           initial=InitialCondition("random_spectrum",
                                                    amplitude=1e308, k_max=2,
                                                    decay=-2.0))
+        path = WienerPath.sample(1, 0, cfg.forcing.rank, cfg.dt, cfg.steps)
+        budget = EnergyBudget(cfg, path)
         with pytest.raises(BlowUpError) as err:
-            lone_run(cfg, 1, 0)
+            lone_run(cfg, 1, 0, path, (budget,))
         assert err.value.sup is None and err.value.time == 0.0
         assert str(err.value).startswith("non-finite energy")
-        assert len(err.value.partial.times) == 1
-        assert not np.isfinite(err.value.partial.energy[-1])
+        partial = budget.payload()
+        assert len(partial.times) == 1
+        assert not np.isfinite(partial.energy[-1])
 
     def test_cfl_guard(self):
         cfg = make_config(dt=0.5, horizon=1.0)
@@ -160,24 +166,24 @@ class TestStep:
 class TestRunPath:
     def test_zero_horizon_single_entry(self):
         cfg = make_config(horizon=0.0)
-        run = lone_run(cfg, 1, 0)
-        assert len(run.trace.times) == 1
+        _, trace = traced_run(cfg, 1, 0)
+        assert len(trace.times) == 1
         u0 = cfg.initial.sample(cfg.grid, 1, 0)
-        assert run.trace.energy[0] == pytest.approx(0.5 * l2_norm_sq(u0), rel=1e-12)
+        assert trace.energy[0] == pytest.approx(0.5 * l2_norm_sq(u0), rel=1e-12)
 
     def test_viscous_unforced_energy_monotone(self):
         cfg = make_config(eps=0.05)
-        run = lone_run(cfg, 1, 0)
-        diffs = np.diff(run.trace.energy)
+        _, trace = traced_run(cfg, 1, 0)
+        diffs = np.diff(trace.energy)
         assert np.all(diffs <= 1e-10)
 
     def test_deterministic_given_keys(self):
         cfg = make_config(eps=0.02, forcing=default_forcing(2),
                           initial=InitialCondition("random_spectrum", amplitude=0.4))
-        a = lone_run(cfg, 9, 3)
-        b = lone_run(cfg, 9, 3)
+        a, a_trace = traced_run(cfg, 9, 3)
+        b, b_trace = traced_run(cfg, 9, 3)
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
-        assert np.array_equal(a.trace.stochastic, b.trace.stochastic)
+        assert np.array_equal(a_trace.stochastic, b_trace.stochastic)
 
     def test_shared_path_across_viscosities(self):
         # the noise path is a function of (seed, path_id) only, never of eps
@@ -251,7 +257,7 @@ class TestRunEnsemble:
 
         def observers(cfg, path):
             calls.append((cfg, path, len(yielded), Seen()))
-            return (calls[-1][3],)
+            return calls[-1][3], EnergyBudget(cfg, path)
 
         for item in run_ensemble(cfgs, 5, path_ids, observers):
             yielded.append(item)
@@ -259,7 +265,8 @@ class TestRunEnsemble:
         order = [(cfg, pid) for cfg in cfgs for pid in path_ids]
         assert [(cfg, path.path_id) for cfg, path, *_ in yielded] == order
         # observers(cfg, path) is called once just before each run, which
-        # reads it, with the path the run yields
+        # reads it, with the path the run yields (at one dt, the one it
+        # steps on)
         assert [(cfg, runs_before) for cfg, _, runs_before, _ in calls] == \
             [(cfg, i) for i, (cfg, _) in enumerate(order)]
         assert [path for _, path, _, _ in calls] == [path for _, path, *_ in yielded]
@@ -268,14 +275,16 @@ class TestRunEnsemble:
             lone = WienerPath.sample(5, path.path_id, 4, base.dt, base.steps)
             assert path.increments.tobytes() == lone.increments.tobytes()
             assert path is yielded[path_ids.index(path.path_id)][1]
-            if cfg is cfgs[1]:
-                assert run is None and isinstance(err, BlowUpError) and kept is None
+            assert kept[0] == 1   # its own observer's payload, blow-up or not
+            if cfg is cfgs[1]:   # what the observers read before the blow-up
+                assert run is None and isinstance(err, BlowUpError)
+                assert len(kept[1].times) == 1
                 continue
-            assert err is None and kept == [1]   # its own observer's payload
-            want = lone_run(cfg, 5, path.path_id)
+            assert err is None and len(kept) == 2
+            want, want_trace = traced_run(cfg, 5, path.path_id)
             for name in ("energy", "dissipation", "ito_input", "stochastic"):
-                assert getattr(run.trace, name).tobytes() == \
-                    getattr(want.trace, name).tobytes()
+                assert getattr(kept[1], name).tobytes() == \
+                    getattr(want_trace, name).tobytes()
             assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
 
     def test_initial_states_drawn_once_per_grid(self, monkeypatch):
@@ -294,20 +303,22 @@ class TestRunEnsemble:
             draws.append((cfg.grid.n, path_id))
             return real_initial_state(cfg, seed, path_id)
         monkeypatch.setattr(solver, "initial_state", counted)
-        runs = [(cfg, path.path_id, run)
-                for cfg, path, run, *_ in run_ensemble(cfgs, 5, [4, 1])]
+        runs = [(cfg, path.path_id, run, trace)
+                for cfg, path, run, _, [trace] in run_ensemble(
+                    cfgs, 5, [4, 1], lambda cfg, path: (EnergyBudget(cfg, path),))]
         assert draws == [(16, 4), (16, 1), (32, 4), (32, 1)]
         monkeypatch.setattr(solver, "initial_state", real_initial_state)
-        for cfg, pid, run in runs:
-            want = lone_run(cfg, 5, pid)
+        for cfg, pid, run, trace in runs:
+            want, want_trace = traced_run(cfg, 5, pid)
             for name in ("energy", "dissipation", "stochastic"):
-                assert getattr(run.trace, name).tobytes() == \
-                    getattr(want.trace, name).tobytes()
+                assert getattr(trace, name).tobytes() == \
+                    getattr(want_trace, name).tobytes()
             assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
 
     def test_a_configuration_at_a_power_of_two_finer_dt_runs_on_the_refined_path(self):
         # the paths are drawn at the dt of ``draw``; a configuration at dt / 4
-        # runs on path.refined(4) and keeps every bit of that run
+        # runs on path.refined(4), its observers are built for that path, and
+        # it keeps every bit of that run
         base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 32, horizon=0.125,
                            forcing=default_forcing(2, 0.3),
                            initial=InitialCondition("random_spectrum", 0.3))
@@ -316,19 +327,20 @@ class TestRunEnsemble:
 
         def observers(cfg, path):
             seen.append(path)
-            return ()
+            return (EnergyBudget(cfg, path),)
         runs = list(run_ensemble([fine, base], 5, [4, 1], observers, draw=base))
         assert [(cfg, path.path_id) for cfg, path, *_ in runs] == \
             [(fine, 4), (fine, 1), (base, 4), (base, 1)]
-        for cfg, path, run, err, _ in runs:
+        for (cfg, path, run, err, [trace]), on in zip(runs, seen, strict=True):
             assert err is None and (path.dt, path.steps) == (base.dt, base.steps)
-            on = path.refined(4) if cfg is fine else path
-            want = lone_run(cfg, 5, path.path_id, on)
+            want_on = path.refined(4) if cfg is fine else path
+            assert (on.dt, on.steps, on.level) == (cfg.dt, cfg.steps, want_on.level)
+            assert on.increments.tobytes() == want_on.increments.tobytes()
+            want, want_trace = traced_run(cfg, 5, path.path_id, want_on)
             for name in ("times", "energy", "dissipation", "ito_input", "stochastic"):
-                assert getattr(run.trace, name).tobytes() == \
-                    getattr(want.trace, name).tobytes()
+                assert getattr(trace, name).tobytes() == \
+                    getattr(want_trace, name).tobytes()
             assert run.final.coeffs.tobytes() == want.final.coeffs.tobytes()
-        assert seen == [path for _, path, *_ in runs]   # as drawn
 
     def test_a_configuration_at_another_dt_ratio_raises_before_it_runs(self, monkeypatch):
         base = make_config(grid=TorusGrid(2, 16), dt=1.0 / 32, horizon=0.125)
@@ -432,34 +444,33 @@ class TestEnsembleProcesses:
         cfgs, path_ids = self.cfgs(), [4, 1, 7, 2, 9]
 
         def collect(processes):
-            def snaps(cfg, path):
-                return (Snapshots(cfg, [0.0, 0.0625, 0.125]),)
-            return [(cfg, path.path_id, run, err, kept and kept[0])
+            def observe(cfg, path):
+                return Snapshots(cfg, [0.0, 0.0625, 0.125]), EnergyBudget(cfg, path)
+            return [(cfg, path.path_id, run, err, kept)
                     for cfg, path, run, err, kept in run_ensemble(
-                        cfgs, 5, path_ids, snaps, processes)]
+                        cfgs, 5, path_ids, observe, processes)]
 
         one = collect(1)
         assert forks == []
         many = collect(100_000)   # as many processes as cores
         assert len(forks) == cores - 1
-        for (c1, p1, r1, e1, t1), (c2, p2, r2, e2, t2) in zip(one, many, strict=True):
+        for (c1, p1, r1, e1, k1), (c2, p2, r2, e2, k2) in zip(one, many, strict=True):
             assert (c1, p1) == (c2, p2)
             if e1 is not None:
                 assert type(e2) is type(e1) and str(e2) == str(e1)
                 assert (e2.time, e2.sup) == (e1.time, e1.sup) and r2 is None
-                traces = [(e1.partial, e2.partial)]
             else:
                 assert e2 is None and r2.config is c2
                 assert r2.band.shape == (c2.grid.dim,) + c2.grid.ops.band_shape
                 assert r2.band.tobytes() == r1.band.tobytes()
                 assert r2.final.coeffs.tobytes() == r1.final.coeffs.tobytes()
-                assert t2.times.tobytes() == t1.times.tobytes()
-                assert t2.values.tobytes() == t1.values.tobytes()
-                traces = [(r1.trace, r2.trace)]
-            for a, b in traces:
-                assert a.initial_energy == b.initial_energy
-                for name in ("times", "energy", "dissipation", "ito_input", "stochastic"):
-                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            # the payloads, a blown-up run's partial ones included
+            (t1, a), (t2, b) = k1, k2
+            assert t2.times.tobytes() == t1.times.tobytes()
+            assert t2.values.tobytes() == t1.values.tobytes()
+            assert a.initial_energy == b.initial_energy
+            for name in ("times", "energy", "dissipation", "ito_input", "stochastic"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert sum(err is not None for *_, err, _ in many) == len(path_ids)
         _no_child_left()
 
@@ -516,7 +527,7 @@ class TestUnforced:
 
     def test_ito_input_and_stochastic_integral_are_positive_zero(self):
         cfg = make_config(eps=0.05, initial=InitialCondition("random_spectrum", 0.4))
-        trace = lone_run(cfg, 2, 1).trace
+        _, trace = traced_run(cfg, 2, 1)
         for series in (trace.ito_input, trace.stochastic):
             assert series.shape == (cfg.steps + 1,)
             assert np.all(series == 0.0) and not np.any(np.signbit(series))
@@ -555,11 +566,11 @@ class TestItoPairing:
             def on_state(self, n, t, band, phys):
                 states.append(band_field(cfg.grid, band))
 
-        run = lone_run(cfg, 3, 1, observers=(Keep(),))
+        _, trace = traced_run(cfg, 3, 1, observers=(Keep(),))
         path = WienerPath.sample(3, 1, forcing.rank, cfg.dt, cfg.steps)
         g = [SpectralField(cfg.grid, m.sigma * forcing.mode_field(cfg.grid, k).coeffs)
              for k, m in enumerate(modes)]
-        got = np.diff(run.trace.stochastic)
+        got = np.diff(trace.stochastic)
         want = [sum(inner_product(u, g[k]) * path.increments[i, k]
                     for k in range(forcing.rank))
                 for i, u in enumerate(states[:-1])]
@@ -706,7 +717,7 @@ class TestBandState:
                         snapshot_steps(cfg, times))
         run = run_path(cfg, path, initial, (binner,))
         assert built == []
-        assert bands[0] is initial
+        assert bands[0].base is initial   # a read-only view of the start
         assert len(bands) == len(times)
         for band in bands:
             assert band.shape == (2,) + cfg.grid.ops.band_shape
@@ -739,16 +750,16 @@ class TestBandState:
         cfg = make_config(grid=TorusGrid(2, 32), eps=0.05, horizon=1.0 / 16,
                           forcing=default_forcing(2, 0.3),
                           initial=InitialCondition("random_spectrum", 0.4))
-        run = lone_run(cfg, 2, 0)
+        run, trace = traced_run(cfg, 2, 0)
         out = io.BytesIO()
-        solver._serve(iter([(cfg, None, run, None, [])]), out)
-        kind, ((trace, band), err, kept) = pickle.loads(out.getvalue())
-        assert (kind, err, kept) == ("run", None, [])
+        solver._serve(iter([(cfg, None, run, None, [trace])]), out)
+        kind, (band, err, kept) = pickle.loads(out.getvalue())
+        assert (kind, err) == ("run", None)
         assert band.shape == (2,) + cfg.grid.ops.band_shape
         assert band.tobytes() == run.band.tobytes()
         reader = io.BytesIO(out.getvalue())
-        _, _, got, _, _ = solver._receive(solver._Worker(0, reader), cfg, None)
-        assert got.trace.energy.tobytes() == run.trace.energy.tobytes()
+        _, _, got, _, [got_trace] = solver._receive(solver._Worker(0, reader), cfg, None)
+        assert got_trace.energy.tobytes() == trace.energy.tobytes()
         assert got.final.coeffs.tobytes() == run.final.coeffs.tobytes()
 
     @pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 16)])
@@ -763,7 +774,7 @@ class TestBandState:
         cfg = make_config(grid=TorusGrid(dim, n), eps=0.05, dt=1.0 / 64,
                           horizon=1.0 / 32, forcing=default_forcing(dim, 0.3),
                           initial=InitialCondition("random_spectrum", 0.5))
-        trace = lone_run(cfg, 4, 1).trace
+        _, trace = traced_run(cfg, 4, 1)
         want = parseval_energy(full_layout_start(cfg, 4, 1))[0]
         assert isinstance(trace.initial_energy, float)
         assert trace.initial_energy.hex() == want.hex() == float(trace.energy[0]).hex()
@@ -788,12 +799,12 @@ class TestBandRun:
             def on_state(self, n, t, band, phys):
                 seen.append((band_field(grid, band), phys))
 
-        run = lone_run(cfg, 5, 1, observers=(Keep(),))
-        states, points, trace = full_layout_run(cfg, 5, 1)
+        run, trace = traced_run(cfg, 5, 1, observers=(Keep(),))
+        states, points, want_trace = full_layout_run(cfg, 5, 1)
         assert np.array_equal(run.final.coeffs.view(np.uint64),
                               states[-1].coeffs.view(np.uint64))
-        for name, want in trace.items():
-            got = getattr(run.trace, name)
+        for name, want in want_trace.items():
+            got = getattr(trace, name)
             assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
         assert len(seen) == cfg.steps + 1
         outside = ~grid.ops.mask
@@ -858,16 +869,16 @@ def test_every_reader_maps_a_time_to_a_step_alike(t, on_grid):
 class TestEnergyAudit:
     def test_zero_solution_zero_defect(self):
         cfg = make_config(initial=InitialCondition("zero"), horizon=0.25)
-        run = lone_run(cfg, 1, 0)
-        assert trace_defect(run.trace, 0.0, 0.25) == 0.0
-        assert run.trace.max_positive_defect() == 0.0
+        _, trace = traced_run(cfg, 1, 0)
+        assert trace_defect(trace, 0.0, 0.25) == 0.0
+        assert trace.max_positive_defect() == 0.0
 
     def test_nan_energy_fails_defect_row(self):
         cfg = make_config(eps=0.05, horizon=0.25)
-        run = lone_run(cfg, 1, 0)
-        energy = run.trace.energy.copy()
+        _, trace = traced_run(cfg, 1, 0)
+        energy = trace.energy.copy()
         energy[len(energy) // 2] = np.nan
-        trace = replace(run.trace, energy=energy)
+        trace = replace(trace, energy=energy)
         value = trace.max_positive_defect()
         assert np.isnan(value)
         assert not row_passes(value, trace.tolerance(c=1.0))
@@ -878,8 +889,8 @@ class TestEnergyAudit:
         for dt in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             cfg = make_config(eps=0.3, dt=dt, horizon=0.5,
                               initial=InitialCondition("single_mode"))
-            run = lone_run(cfg, 1, 0)
-            defects.append(abs(trace_defect(run.trace, 0.0, 0.5)))
+            _, trace = traced_run(cfg, 1, 0)
+            defects.append(abs(trace_defect(trace, 0.0, 0.5)))
         orders = np.log2(np.array(defects[:-1]) / np.array(defects[1:]))
         assert np.all(orders >= 0.9)
 
@@ -900,30 +911,30 @@ class TestEnergyAudit:
             for pid in range(n_paths):
                 path = WienerPath.sample(21, pid, forcing.rank, base_dt,
                                          int(round(0.5 / base_dt))).refined(2 ** lev)
-                run = lone_run(cfg, 21, pid, path=path)
-                vals.append(run.trace.max_positive_defect())
+                _, trace = traced_run(cfg, 21, pid, path=path)
+                vals.append(trace.max_positive_defect())
             levels.append(np.mean(vals))
         orders = np.log2(np.array(levels[:-1]) / np.array(levels[1:]))
         assert np.mean(orders) >= 0.5
         # every path honours the sqrt(dt) tolerance at the base level
         cfg = make_config(grid=grid, eps=0.05, dt=base_dt, horizon=0.5,
                           forcing=forcing, initial=initial)
-        run = lone_run(cfg, 21, 0)
-        assert run.trace.max_positive_defect() <= run.trace.tolerance(c=1.0)
+        _, trace = traced_run(cfg, 21, 0)
+        assert trace.max_positive_defect() <= trace.tolerance(c=1.0)
 
     def test_defect_requires_ordered_grid_times(self):
         cfg = make_config(horizon=0.25)
-        run = lone_run(cfg, 1, 0)
+        _, trace = traced_run(cfg, 1, 0)
         with pytest.raises(SolverError):
-            trace_defect(run.trace, 0.25, 0.0)
+            trace_defect(trace, 0.25, 0.0)
         with pytest.raises(SolverError):
-            trace_defect(run.trace, 0.0, 0.2499)
+            trace_defect(trace, 0.0, 0.2499)
 
     def test_trace_csv_columns(self, tmp_path):
         cfg = make_config(horizon=1.0 / 16, forcing=default_forcing(2))
-        run = lone_run(cfg, 3, 0)
+        _, trace = traced_run(cfg, 3, 0)
         out = tmp_path / "trace.csv"
-        run.trace.write_csv(out)
+        trace.write_csv(out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,E,D,I,M,defect"
         assert len(lines) == cfg.steps + 2
@@ -932,16 +943,16 @@ class TestEnergyAudit:
 class TestAprioriMonitor:
     def test_deterministic_inviscid_moment_is_e0_power(self):
         cfg = make_config(eps=0.0, horizon=0.125)
-        run = lone_run(cfg, 1, 0)
-        _, rep = apriori_moment_report({0.0: [run.trace]}, p=3.0)
-        e0 = run.trace.energy[0]
+        _, trace = traced_run(cfg, 1, 0)
+        _, rep = apriori_moment_report({0.0: [trace]}, p=3.0)
+        e0 = trace.energy[0]
         assert rep["rows"][0]["moment"] == pytest.approx(e0 ** 3, rel=1e-10)
 
     def test_deterministic_viscous_moment_closed_form(self):
         cfg = make_config(eps=0.05, horizon=0.125)
-        run = lone_run(cfg, 1, 0)
-        _, rep = apriori_moment_report({0.05: [run.trace]}, p=2.5)
-        expected = (np.max(run.trace.energy) + run.trace.dissipation[-1]) ** 2.5
+        _, trace = traced_run(cfg, 1, 0)
+        _, rep = apriori_moment_report({0.05: [trace]}, p=2.5)
+        expected = (np.max(trace.energy) + trace.dissipation[-1]) ** 2.5
         assert rep["rows"][0]["moment"] == pytest.approx(expected, rel=1e-12)
 
     def test_uniform_along_ladder(self):
@@ -951,7 +962,7 @@ class TestAprioriMonitor:
         for eps in (0.1, 0.05, 0.025):
             cfg = make_config(grid=grid, eps=eps, dt=1.0 / 32, horizon=0.5,
                               forcing=forcing)
-            traces[eps] = [lone_run(cfg, 31, pid).trace
+            traces[eps] = [traced_run(cfg, 31, pid)[1]
                            for pid in range(16)]
         rows, rep = apriori_moment_report(traces, p=3.0)
         assert all_passed(rows)
@@ -964,7 +975,7 @@ class TestAprioriMonitor:
             forcing = default_forcing(2, sigma=sigma)
             cfg = make_config(grid=grid, eps=0.05, dt=1.0 / 32, horizon=0.5,
                               forcing=forcing)
-            traces = [lone_run(cfg, 37, pid).trace
+            traces = [traced_run(cfg, 37, pid)[1]
                       for pid in range(16)]
             reports.append(apriori_moment_report({0.05: traces}, p=3.0)[1])
         assert reports[1]["rows"][0]["moment"] > reports[0]["rows"][0]["moment"]
@@ -1020,8 +1031,8 @@ class TestWeakConvergenceProxy:
             for pid in range(n_paths):
                 path = WienerPath.sample(71, pid, forcing.rank, base_dt,
                                          base_steps).refined(2 ** lev)
-                run = lone_run(cfg, 71, pid, path=path)
-                vals.append(run.trace.energy[-1])
+                _, trace = traced_run(cfg, 71, pid, path=path)
+                vals.append(trace.energy[-1])
             means.append(np.mean(vals))
         diffs = np.abs(np.diff(means))
         orders = np.log2(diffs[:-1] / diffs[1:])
@@ -1035,6 +1046,62 @@ class TestThreeDimensional:
                           forcing=default_forcing(3, sigma=0.1),
                           initial=InitialCondition("taylor_green",
                                                    amplitude=0.3))
-        run = lone_run(cfg, 91, 0)
-        assert run.trace.max_positive_defect() <= run.trace.tolerance(c=1.0)
+        run, trace = traced_run(cfg, 91, 0)
+        assert trace.max_positive_defect() <= trace.tolerance(c=1.0)
         assert divergence_defect(run.final) < 1e-12
+
+
+class TestInitialArgument:
+    """run_path reads ``initial`` through a frozen view and checks it."""
+
+    def test_a_writeable_start_stays_writeable_and_unchanged(self):
+        cfg = make_config(grid=TorusGrid(2, 16), eps=0.05, horizon=1.0 / 16,
+                          forcing=default_forcing(2, 0.3))
+        start = initial_state(cfg, 3, 0).copy()
+        before = start.tobytes()
+        lone_run(cfg, 3, 0, initial=start)
+        assert start.flags.writeable and start.tobytes() == before
+
+    @pytest.mark.parametrize("bad", ["float64", "full layout", "field"])
+    def test_a_wrong_start_raises_naming_initial(self, bad):
+        cfg = make_config(grid=TorusGrid(2, 16), horizon=1.0 / 16)
+        band = initial_state(cfg, 3, 0)
+        initial = {"float64": band.real.copy(),
+                   "full layout": cfg.grid.ops.from_band(band),
+                   "field": band_field(cfg.grid, band)}[bad]
+        with pytest.raises(SolverError, match="initial must be a complex128 band array"):
+            lone_run(cfg, 3, 0, initial=initial)
+
+
+class TestEnergyBudget:
+    def test_a_run_at_half_the_dt_sums_m_over_the_refined_increments(self):
+        base = make_config(grid=TorusGrid(2, 16), eps=0.05, dt=1.0 / 32, horizon=0.125,
+                           forcing=default_forcing(2, 0.3),
+                           initial=InitialCondition("random_spectrum", 0.3))
+        fine = replace(base, dt=base.dt / 2)
+        states = []
+
+        class Keep:
+            steps = None
+
+            def on_state(self, n, t, band, phys):
+                states.append(band_field(fine.grid, band))
+
+            def payload(self):
+                return None
+
+        def observers(cfg, path):
+            return (EnergyBudget(cfg, path), Keep()) if cfg is fine else ()
+        [(_, drawn, _, err, [trace, _])] = [
+            item for item in run_ensemble([fine, base], 5, [4], observers, draw=base)
+            if item[0] is fine]
+        assert err is None and len(trace.times) == fine.steps + 1
+        refined = drawn.refined(2).increments
+        g = [SpectralField(fine.grid, m.sigma * fine.forcing.mode_field(fine.grid, k).coeffs)
+             for k, m in enumerate(fine.forcing.modes)]
+        want = [sum(inner_product(u, g[k]) * refined[i, k] for k in range(len(g)))
+                for i, u in enumerate(states[:-1])]
+        assert np.allclose(np.diff(trace.stochastic), want, rtol=1e-12, atol=0.0)
+        drawn_only = [sum(inner_product(u, g[k]) * drawn.increments[i // 2, k] / 2
+                          for k in range(len(g))) for i, u in enumerate(states[:-1])]
+        assert not np.allclose(np.diff(trace.stochastic), drawn_only, rtol=1e-6)

@@ -42,6 +42,7 @@ from conftest import (
     lone_run,
     resample,
     resampled_relative_energy,
+    traced_run,
 )
 
 # two time slabs of 4 x 4 space cells on a 16^2 grid over [0, 0.25]
@@ -302,9 +303,13 @@ class TestReference:
                               CellPartition(2, 16, 2, 4, 0.0, 0.25),
                               [0.0, 0.1, 0.1875])
 
-    def test_slab_without_snapshot_rejected(self):
+    def test_slab_without_snapshot_rejected(self, monkeypatch):
+        # build_reference states the slab rule, before any run
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before the slab check")
+        monkeypatch.setattr(solver, "run_path", no_run)
         grid = TorusGrid(2, 16)
-        with pytest.raises(WeakStrongError, match="no snapshots in slab 1"):
+        with pytest.raises(WeakStrongError, match=r"time slabs \[1, 2\] hold no snapshot"):
             steady_reference(grid, CellPartition(2, 16, 4, 4, 0.0, 0.25),
                              [0.0, 0.25])
 
@@ -385,7 +390,7 @@ class TestGronwallAudit:
                                     snapshot_times=times)
         out = rep["per_eps"][0.0]
         assert out["f0"][0] == 0.0
-        e0 = lone_run(cfg, 53, 0).trace.energy[0]
+        e0 = traced_run(cfg, 53, 0)[1].energy[0]
         assert np.all(out["f_matrix"][0] <= 0.02 * e0)
         assert np.all(out["f_matrix"][0] >= 0.0)
 
